@@ -442,7 +442,6 @@ def bench_shared_workload(store, qoi, qrange):
             "scheduler_ticks": planner.scheduler_ticks,
             "coalesced_round_trips": planner.coalesced_round_trips,
             "deduped_fragments": planner.deduped_fragments,
-            "speculation_deduped": planner.speculation_deduped,
         },
     }
 

@@ -238,7 +238,7 @@ def _cmd_retrieve(args) -> int:
         )
     archive = Archive(store)
     lazy = not args.serial
-    refactored = {name: archive.load(name, lazy=lazy) for name in fields}
+    refactored = archive.load_dataset(fields, lazy=lazy)
     retriever = QoIRetriever(
         refactored,
         manifest.value_ranges(),
@@ -416,8 +416,7 @@ def _cmd_stats(args) -> int:
         print(f"  scheduler: {planner['merged_rounds']} merged round(s) over "
               f"{planner['scheduler_ticks']} tick(s) -> "
               f"{planner['coalesced_round_trips']} coalesced trip(s); "
-              f"{planner['deduped_fragments']} fragment(s) deduped, "
-              f"{planner['speculation_deduped']} speculation(s) deduped")
+              f"{planner['deduped_fragments']} fragment(s) deduped")
         if planner["slow_tier_trips_budgeted"]:
             print(f"  slow-tier budget: "
                   f"{planner['slow_tier_trips_budgeted']} trip(s) budgeted, "
@@ -665,7 +664,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="QoI value range; 1.0 means --tolerance is absolute")
     p_ret.add_argument("--out", required=True, help="output directory")
     p_ret.add_argument("--pipeline-depth", type=int, default=DEFAULT_PIPELINE_DEPTH,
-                       help="speculative round-prefetches in flight (0 disables)")
+                       help="reduction steps a fetching round is widened by (0 disables)")
     p_ret.add_argument("--fetch-workers", type=int, default=DEFAULT_MAX_WORKERS,
                        help="fetch-stage threads (0 fetches synchronously)")
     p_ret.add_argument("--serial", action="store_true",
@@ -705,7 +704,7 @@ def make_parser() -> argparse.ArgumentParser:
                          default=DEFAULT_CACHE_BYTES >> 20,
                          help="shared fragment-cache budget in MiB")
     p_serve.add_argument("--pipeline-depth", type=int, default=DEFAULT_PIPELINE_DEPTH,
-                         help="per-session speculative round-prefetches in flight")
+                         help="per-session reduction steps a fetching round is widened by")
     p_serve.add_argument("--fetch-workers", type=int, default=DEFAULT_MAX_WORKERS,
                          help="per-session fetch-stage threads")
     p_serve.add_argument("--metrics-port", type=int, default=None,

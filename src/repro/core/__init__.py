@@ -14,8 +14,8 @@
 * :mod:`repro.core.retrieval` — Algorithms 1 and 2: the QoI-preserved
   progressive retrieval loop.
 * :mod:`repro.core.pipeline` — the batched fetch/decode pipeline the
-  retrieval loop drives: coalesced ``get_many`` round fetches plus
-  bounded speculative prefetch of the predicted next round.
+  retrieval loop drives: coalesced ``get_many`` round fetches, widened
+  by the predicted next round so speculation costs no trip of its own.
 * :mod:`repro.core.ingest` — the write-side mirror: the streaming
   ingestion engine (parallel transform+encode workers feeding
   byte-balanced coalesced ``put_many`` flushes, incremental archive

@@ -1,30 +1,33 @@
 """Fetch/decode pipeline of the batched progressive-retrieval engine.
 
 The QoI retrieval loop (Algorithm 2) alternates between *fetching*
-fragments and *computing* on them (decode, reconstruct, estimate).  Run
-naively, those phases strictly alternate: every round blocks on one
-``store.get`` per (variable, segment), decodes, and only then thinks
-about the next round.  This module provides the machinery that breaks the
-alternation:
+fragments and *computing* on them (decode, reconstruct, estimate).  Behind
+a link the cost of that loop is its number of *serial* store round trips,
+so this module spends as few as the plan allows:
 
-* :class:`FetchPipeline.submit_round` turns a round's *planned* fragment
-  set (every unsatisfied variable's ``plan_segments``) into a handful of
-  byte-balanced batches, each fetched with one coalesced
-  ``store.get_many`` on a worker thread.  The decode stage consumes
-  batches in *completion* order, so variable A decodes while variable B's
-  fragments are still in flight.
-* :meth:`FetchPipeline.speculate` prefetches the fragments the *next*
-  round is predicted to need (current bounds tightened by Algorithm 4's
-  reduction factor, up to ``pipeline_depth`` steps ahead) while the
-  current round's QoI estimation runs.  A speculative plan is always a
-  subset of the next *actual* round's fetch (Algorithm 4 tightens by at
-  least one factor of ``c``), so a batch the fetch stage has not reached
-  by the time that round lands simply dissolves into a no-op — and
-  :meth:`FetchPipeline.close` waits for whatever remains, which makes a
-  retrieval's total fetched-fragment set **deterministic**: identical
-  re-runs against a warm shared cache add zero store traffic.
+* :meth:`FetchPipeline.submit_round` turns a round's fragment set into a
+  handful of byte-balanced batches, each fetched with one coalesced
+  ``store.get_many`` on a worker thread — the batches of a round travel
+  in parallel, so a fetching round costs one serial trip.  The decode
+  stage consumes batches in *completion* order
+  (:meth:`FetchPipeline.iter_groups`), so variable A decodes while
+  variable B's fragments are still in flight.
+* Speculation rides that same trip.  When a round has anything to
+  fetch, the retrieval loop widens every involved variable's entry to
+  the plan at ``eb / c**pipeline_depth`` — what the variable would need
+  if Algorithm 4 tightened its bound ``pipeline_depth`` more steps — so a
+  next round tightened by one step finds everything already arrived and
+  costs no trip at all.  A variable's planned and widened segments stay
+  in that variable's one entry, hence one batch: decode never waits on
+  a claim held by another batch of its own round.
 
-Speculation is invisible to correctness: it only warms the per-variable
+Nothing is fetched outside a round's own batches, so no fetch outlives
+``retrieve()`` (:meth:`FetchPipeline.close` only joins hedged-over
+stragglers): a retrieval's fetched-fragment set is **deterministic** by
+construction, and identical re-runs against a warm shared cache add zero
+store traffic.
+
+Widening is invisible to correctness: it only warms the per-variable
 fragment memos (and, behind a service, the shared cache), while decode
 consumes exactly what the plan demands — so pipelined retrieval is
 bit-identical to serial retrieval, with the store traffic reshaped into
@@ -33,10 +36,8 @@ few large round trips instead of many small ones.
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.storage.archive import prefetch_plans
 
@@ -74,7 +75,7 @@ def hedge_plans(plans) -> int:
             fetched += len(batch)
     return fetched
 
-#: Default number of speculative round-fetches that may be in flight.
+#: Default number of Algorithm 4 ``c``-steps a fetching round is widened by.
 DEFAULT_PIPELINE_DEPTH = 1
 
 #: Default width of the fetch stage's thread pool.
@@ -85,8 +86,9 @@ DEFAULT_MAX_WORKERS = 2
 class PipelineConfig:
     """Tuning knobs of the retrieval fetch/decode pipeline.
 
-    ``pipeline_depth`` bounds the speculative prefetch queue (0 disables
-    speculation; fetches are still planned and coalesced per round).
+    ``pipeline_depth`` is how many Algorithm 4 reduction steps ahead a
+    fetching round's batches are widened (0 fetches exactly the round's
+    plan; fetches are still planned and coalesced per round).
     ``max_workers`` sizes the fetch thread pool (0 disables threading
     entirely — planned batches are fetched synchronously, which still
     coalesces store round trips).  ``hedge_delay_s``, when set, bounds
@@ -115,13 +117,16 @@ class FetchPipeline:
     retrieval) and closed in a ``finally``; all public methods are called
     from the retrieval thread only, while the pool threads touch nothing
     but :func:`~repro.storage.archive.prefetch_plans` (whose fragment
-    sources are lock-protected).
+    sources are lock-protected).  Every fetch belongs to a round
+    (:meth:`submit_round`) and is awaited by that round's
+    :meth:`iter_groups`, so :meth:`close` finds at most hedged-over
+    stragglers to join.
     """
 
     def __init__(self, config: PipelineConfig, sink=None):
         self.config = config
         #: Optional *round sink* — an object with ``fetch(plans) -> int``
-        #: and ``fetch_speculative(plans) -> int`` (the service layer's
+        #: (the service layer's
         #: :class:`~repro.service.planner.FetchScheduler`).  With a sink,
         #: each round's whole plan is handed over as ONE request instead
         #: of byte-balanced private batches: the sink merges concurrent
@@ -137,15 +142,8 @@ class FetchPipeline:
             if config.max_workers > 0
             else None
         )
-        self._speculative: deque = deque()  # in-flight speculative futures
         self._orphans: list = []  # straggler futures superseded by a hedge
         self._closed = False
-        #: Absolute ``perf_counter`` deadline of the current retrieval
-        #: (None = none).  Set by the retrieval loop; once passed, the
-        #: pipeline stops accepting speculative prefetches — the round
-        #: loop is about to stop tightening, so warming future rounds
-        #: would be pure waste.
-        self.deadline: float | None = None
         #: Fragments fetched ahead of decode (accounting for benchmarks).
         self.fragments_prefetched = 0
         #: Straggler batches whose fetch was duplicated inline (hedged).
@@ -161,9 +159,10 @@ class FetchPipeline:
         """Record one round's compute-vs-I/O wall-time split.
 
         Called by the retrieval loop after each round: *io_wait_s* is the
-        time the loop blocked on the fetch iterator (submission plus
-        waiting for ``get_many`` batches to land), *compute_s* the time
-        spent in reader decode.  This is what makes "retrieval is
+        time the loop blocked on fetches (submission, waiting for
+        ``get_many`` batches to land, and waiting out another session's
+        claim on a planned segment), *compute_s* the time spent in
+        reader decode.  This is what makes "retrieval is
         compute-bound" a measured fact in ``repro stats`` rather than an
         inference from speedup parity.
         """
@@ -179,18 +178,21 @@ class FetchPipeline:
         """Dispatch one round's planned fetches; returns decode groups.
 
         *entries* is a list of ``(key, source, segments)`` triples — one
-        per variable needing fragments.  Entries are packed into at most
+        per variable, carrying everything of that variable this round
+        moves (its plan plus any widening), so a variable never spans
+        two batches.  *key* names the variable for the decode stage, or
+        is None for a variable that only rides along (widened, nothing
+        to decode this round).  Entries are packed into at most
         ``max_workers`` byte-balanced batches (planned bytes come from
         the store index, so packing never touches payloads), each batch
         becoming one coalesced ``get_many``.  The return value is a list
-        of ``(keys, future)`` groups for :meth:`iter_groups`; with
-        threading disabled the fetch happens inline and the groups carry
-        ``None`` futures.
+        of ``(keys, future, plans)`` groups for :meth:`iter_groups`;
+        with threading disabled the fetch happens inline and the groups
+        carry ``None`` futures.
 
-        Segments a previous round (or a speculative prefetch, or another
-        client sharing the source) already fetched are dropped here, on
-        the calling thread — a fully warmed plan costs no pool dispatch
-        at all.
+        Segments a previous round (or another client sharing the
+        source) already fetched are dropped here, on the calling thread
+        — a fully warmed plan costs no pool dispatch at all.
         """
         entries = [
             (key, source, source.missing(segments))
@@ -200,19 +202,19 @@ class FetchPipeline:
         if not entries:
             return []
         plans_of = lambda chunk: [(source, segments) for _, source, segments in chunk]  # noqa: E731
+        keys_of = lambda chunk: [key for key, _, _ in chunk if key is not None]  # noqa: E731
         if self._sink is not None:
             # round sink: the whole round is one request — no byte-split,
             # the scheduler merges it with other sessions' concurrent
             # rounds and coalesces per backing store itself
             plans = plans_of(entries)
-            keys = [key for key, _, _ in entries]
             if self._pool is None:
                 self.fragments_prefetched += self._sink.fetch(plans)
-                return [(keys, None, plans)]
-            return [(keys, self._pool.submit(self._sink.fetch, plans), plans)]
+                return [(keys_of(entries), None, plans)]
+            return [(keys_of(entries), self._pool.submit(self._sink.fetch, plans), plans)]
         if self._pool is None:
             prefetch_plans(plans_of(entries))
-            return [([key for key, _, _ in entries], None, plans_of(entries))]
+            return [(keys_of(entries), None, plans_of(entries))]
         width = min(self.config.max_workers, len(entries))
         bins = [[] for _ in range(width)]
         sizes = [0] * width
@@ -232,7 +234,7 @@ class FetchPipeline:
             if not chunk:
                 continue
             future = self._pool.submit(prefetch_plans, plans_of(chunk))
-            groups.append(([key for key, _, _ in chunk], future, plans_of(chunk)))
+            groups.append((keys_of(chunk), future, plans_of(chunk)))
         return groups
 
     def iter_groups(self, groups):
@@ -274,81 +276,24 @@ class FetchPipeline:
                 self.fragments_prefetched += future.result()
                 yield keys
 
-    # -- speculation ----------------------------------------------------------
-
-    def speculate(self, plans) -> bool:
-        """Queue a prefetch of a predicted future fragment set.
-
-        Returns False (and fetches nothing) when speculation is disabled
-        or every planned segment has already been fetched.  Submitted
-        batches are never dropped: by the time a lagging batch runs, the
-        actual round that superseded it has usually fetched its segments,
-        so it dissolves via the ``missing`` filter inside
-        :func:`~repro.storage.archive.prefetch_plans` — that, plus
-        :meth:`close` waiting for the remainder, keeps the run's total
-        store traffic deterministic.  Load failures are swallowed: a
-        speculative fragment that cannot be read will be re-requested
-        (and its error surfaced) by the decode stage if truly needed.
-        """
-        if (
-            self._closed
-            or self._pool is None
-            or self.config.pipeline_depth == 0
-        ):
-            return False
-        if self.deadline is not None and perf_counter() >= self.deadline:
-            return False  # the loop is about to stop tightening anyway
-        plans = [
-            (source, missing)
-            for source, segments in plans
-            for missing in [source.missing(segments)]
-            if missing
-        ]
-        if not plans:
-            return False
-        while self._speculative and self._speculative[0].done():
-            self._harvest(self._speculative.popleft())
-        self._speculative.append(self._pool.submit(self._safe_prefetch, plans))
-        return True
-
-    def _safe_prefetch(self, plans) -> int:
-        try:
-            if self._sink is not None:
-                # the sink's speculative path dedups against the shared
-                # cache's in-flight registry and swallows store errors
-                return self._sink.fetch_speculative(plans)
-            return prefetch_plans(plans)
-        except Exception:
-            return 0
-
-    def _harvest(self, future) -> None:
-        try:
-            self.fragments_prefetched += future.result()
-        except Exception:
-            pass
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Drain speculation and release the pool.
+        """Join hedged-over stragglers and release the pool.
 
-        Outstanding speculative batches are *completed*, not cancelled:
-        mid-run they have already dissolved into no-ops (their fragments
-        arrived with the superseding actual round), and the final round's
-        batch — the only one fetching genuinely unconsumed bytes — is
-        what makes identical re-runs against a shared cache read nothing
-        new from the store.  The wait is bounded by one batch per
-        ``pipeline_depth`` step, small next to the retrieval itself.
+        Every round's batches were awaited by :meth:`iter_groups`, so
+        the only fetches that can still be running are stragglers a
+        hedge superseded.  Their segments were served by the hedge, so a
+        late failure here is outcome-free and swallowed.
         """
         if self._closed:
             return
         self._closed = True
-        while self._speculative:
-            self._harvest(self._speculative.popleft())
-        # hedged-over stragglers: their segments were served by the hedge,
-        # so a late failure here is outcome-free and swallowed
         for future in self._orphans:
-            self._harvest(future)
+            try:
+                self.fragments_prefetched += future.result()
+            except Exception:
+                pass
         self._orphans.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)

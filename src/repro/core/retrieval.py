@@ -163,9 +163,10 @@ class QoIRetriever:
     pipeline_depth / max_workers:
         Fetch/decode pipeline knobs (see
         :class:`~repro.core.pipeline.PipelineConfig`), effective for
-        variables loaded lazily from an archive: each round's fragment
-        set is fetched in coalesced batches and the predicted next
-        round's set is prefetched while QoI estimation runs.  For purely
+        variables loaded lazily from an archive: a round that has
+        fragments to fetch moves them in coalesced batches, widened by
+        ``pipeline_depth`` reduction steps so the predicted next
+        round(s) find theirs already arrived.  For purely
         in-memory representations the pipeline is inert — the loop is
         identical either way, which is what keeps pipelined and serial
         retrieval bit-identical.
@@ -331,6 +332,36 @@ class RetrievalSession:
             self._retriever.plan_generations.get(variable, 0), eb,
         )
 
+    def _round_entries(self, involved, readers, ebs, sources, planned, widen) -> list:
+        """One round's ``(key, source, segments)`` fetch entries.
+
+        *planned* maps each variable this round decodes to its plan.
+        When none of it is missing the round costs no trip and nothing
+        is submitted.  Otherwise the trip is being paid anyway, so every
+        involved variable's entry is widened to its plan at
+        ``eb / widen`` (``widen = c**pipeline_depth``): the fragments
+        the next round(s) need if Algorithm 4 tightens that far — a
+        warm-up that cannot change any result.  Variables that decode
+        nothing this round ride along under a ``None`` key.
+        """
+        if not any(sources[v].missing(segments) for v, segments in planned.items()):
+            return []
+        entries = []
+        for v in involved:
+            if v not in sources:
+                continue
+            segments = list(planned.get(v, ()))
+            ahead = ebs[v] / widen
+            if widen > 1.0 and ahead > 0.0:
+                known = set(segments)
+                segments += [
+                    s for s in self._plan_segments(v, readers[v], ahead) or ()
+                    if s not in known
+                ]
+            if segments:
+                entries.append((v if v in planned else None, sources[v], segments))
+        return entries
+
     def retrieve(
         self,
         requests,
@@ -402,8 +433,6 @@ class RetrievalSession:
         )
         c = retriever.reduction_factor
         deadline = None if deadline_s is None else perf_counter() + float(deadline_s)
-        if pipe is not None:
-            pipe.deadline = deadline
 
         recon: dict = {}
         estimated = {r.name: np.inf for r in requests}
@@ -459,6 +488,9 @@ class RetrievalSession:
         progressed = False
         degraded_reason = None
         last_round_s = 0.0
+        compute_s = 0.0  # this round's reader compute
+        decoded: set = set()  # variables this round has decoded
+        planned: dict = {}  # variable -> segments this round's decode needs
 
         def decode(v: str) -> None:
             # a reader only moves when asked for a *tighter* bound, and by
@@ -474,6 +506,19 @@ class RetrievalSession:
             achieved[v] = bound
             mask = retriever._masks.get(v)
             recon[v] = mask.pin(rec.copy()) if mask is not None else rec
+
+        def decode_timed(v: str) -> None:
+            nonlocal compute_s
+            if v in planned:
+                # a concurrent session's fetch may hold a claim on part
+                # of the plan: waiting it out is I/O, not decode
+                sources[v].await_arrival(planned[v])
+            mark = perf_counter()
+            try:
+                decode(v)
+            finally:
+                compute_s += perf_counter() - mark
+            decoded.add(v)
 
         def degradable(exc: BaseException) -> bool:
             # a backend outage degrades (valid looser answer) only once
@@ -502,79 +547,43 @@ class RetrievalSession:
                 [requested.get(v, np.nan) for v in involved],
             )
             fetch_vars = [v for v, m in zip(involved, need) if m]
-            # the fetch/decode interleaving is timed by hand: "fetch" is
-            # the wall time this loop blocked on the fetch iterator (pure
-            # I/O wait), "decode" the reader compute — the per-round split
-            # surfaces in FetchPipeline stats and ServiceStats
-            io_wait_s = 0.0
+            # the fetch/decode stage is timed by hand: "decode" is the
+            # reader compute, "fetch" everything else the stage blocked
+            # on (pure I/O wait) — the per-round split surfaces in
+            # FetchPipeline stats and ServiceStats
+            stage_started = perf_counter()
             compute_s = 0.0
-            decoded = set()
-            if pipe is not None:
-                try:
-                    mark = perf_counter()
-                    entries = []
+            decoded.clear()
+            planned.clear()
+
+            try:
+                if pipe is not None:
                     for v in fetch_vars:
-                        source = sources.get(v)
-                        if source is None:
-                            continue
-                        segments = self._plan_segments(v, readers[v], ebs[v])
-                        if segments is not None:
-                            entries.append((v, source, segments))
+                        if v in sources:
+                            segments = self._plan_segments(v, readers[v], ebs[v])
+                            if segments is not None:
+                                planned[v] = segments
                     # fetch stage: coalesced, byte-balanced get_many batches;
                     # decode stage: consume variables in completion order
-                    group_iter = pipe.iter_groups(pipe.submit_round(entries))
-                    io_wait_s += perf_counter() - mark
-                    while True:
-                        mark = perf_counter()
-                        keys = next(group_iter, None)
-                        io_wait_s += perf_counter() - mark
-                        if keys is None:
-                            break
-                        mark = perf_counter()
+                    groups = pipe.submit_round(self._round_entries(
+                        involved, readers, ebs, sources, planned,
+                        c ** pipe.config.pipeline_depth,
+                    ))
+                    for keys in pipe.iter_groups(groups):
                         for v in keys:
-                            decode(v)
-                            decoded.add(v)
-                        compute_s += perf_counter() - mark
-                except Exception as exc:
-                    if not degradable(exc):
-                        raise
-                    io_wait_s += perf_counter() - mark
-                    degraded_reason = f"store unavailable: {exc}"
-            if degraded_reason is None:
-                try:
-                    mark = perf_counter()
-                    for v in fetch_vars:
-                        if v not in decoded:
-                            decode(v)
-                    compute_s += perf_counter() - mark
-                except Exception as exc:
-                    if not degradable(exc):
-                        raise
-                    compute_s += perf_counter() - mark
-                    degraded_reason = f"store unavailable: {exc}"
+                            decode_timed(v)
+                for v in fetch_vars:
+                    if v not in decoded:
+                        decode_timed(v)
+            except Exception as exc:
+                if not degradable(exc):
+                    raise
+                degraded_reason = f"store unavailable: {exc}"
+            io_wait_s = perf_counter() - stage_started - compute_s
             sw.add("fetch", io_wait_s)
             sw.add("decode", compute_s)
             if pipe is not None:
                 pipe.record_round(io_wait_s, compute_s)
-            if pipe is not None and degraded_reason is None:
-                # speculation: while estimation runs on this thread, the
-                # fetch stage pulls the fragments the next round(s) would
-                # need if Algorithm 4 tightens every bound by c**depth —
-                # a warm-up that cannot change any result
-                with sw.section("speculate"):
-                    for depth in range(1, pipe.config.pipeline_depth + 1):
-                        factor = c**depth
-                        plans = []
-                        for v in involved:
-                            source = sources.get(v)
-                            spec_eb = ebs[v] / factor
-                            if source is None or not spec_eb > 0.0:
-                                continue
-                            segments = self._plan_segments(v, readers[v], spec_eb)
-                            if segments:
-                                plans.append((source, segments))
-                        if not plans or not pipe.speculate(plans):
-                            break
 
             env = retriever._environment(recon, {v: achieved[v] for v in involved})
             all_met = True

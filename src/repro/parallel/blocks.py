@@ -261,7 +261,8 @@ def blockwise_retrieve_service(
 
     def work(b):
         names = {name: block_variable(name, b) for name in field_names}
-        refactored = {n: service.load_refactored(v) for n, v in names.items()}
+        loaded = service.load_variables(names.values())
+        refactored = {n: loaded[v] for n, v in names.items()}
         ranges = {n: service.value_range(v) for n, v in names.items()}
         # each worker runs the pipelined engine with the service's knobs:
         # lazily loaded blocks plan whole rounds and batch-fetch them

@@ -18,7 +18,9 @@ rounds:
 * :class:`QueryPlanner` — a generation-aware **plan cache**.  Archived
   representations memoize on ``(variable, generation)`` with
   single-flight loading, so N sessions opening one variable cost one
-  archive load (and one PMGARD plan-table build) instead of N.
+  archive load (and one PMGARD plan-table build) instead of N — and a
+  session opening several variables loads only its misses, as one
+  batched archive open (:meth:`QueryPlanner.load_many`).
   Estimation seeds (Algorithm 3) memoize on their exact inputs, and
   ``plan_segments`` results memoize on
   ``(variable, generation, reader state token, exact error bound)`` —
@@ -37,12 +39,10 @@ rounds:
   :class:`~repro.storage.resilience.TripBudget` wait) is in flight
   accumulate and merge into the next tick for free.
 
-Speculative prefetches route through :meth:`FetchScheduler.fetch_speculative`:
-they additionally consult the shared cache's in-flight registry
-(:meth:`~repro.storage.cache.FragmentCache.inflight_keys`) so two
-sessions never speculate the same predicted batch, and their store
-errors are swallowed (a fragment that truly matters is re-requested by
-decode, which surfaces the error).
+Sessions widen a fetching round with the fragments the next round is
+predicted to need (see :mod:`repro.core.pipeline`); the widening arrives
+here as part of the round's own plan, so it is merged, deduplicated and
+budgeted exactly like the rest of the round.
 
 Bit-identity: planning is read-only (``plan_segments`` computes from
 metadata, never mutates), merged fetches only *warm* sources and the
@@ -91,9 +91,7 @@ class PlannerStats:
     actual archive loads.  ``merged_rounds`` counts round fetches that
     rode along in another round's scheduling tick (0 when every tick
     carried one round); ``deduped_fragments`` counts segments dropped at
-    merge time because a concurrent request already claimed them, and
-    ``speculation_deduped`` those dropped from speculative batches
-    because the shared cache was already loading them.
+    merge time because a concurrent request already claimed them.
     ``coalesced_round_trips`` is the store ``get_many`` calls the
     scheduler actually issued across ``scheduler_ticks`` ticks.  The
     ``slow_tier_throttle_*`` triple mirrors the service's
@@ -109,7 +107,6 @@ class PlannerStats:
     scheduler_ticks: int = 0
     coalesced_round_trips: int = 0
     deduped_fragments: int = 0
-    speculation_deduped: int = 0
     slow_tier_trips_budgeted: int = 0
     slow_tier_throttle_waits: int = 0
     slow_tier_throttle_wait_seconds: float = 0.0
@@ -152,44 +149,69 @@ class QueryPlanner:
     def load(self, variable: str, generation: int, loader):
         """Memoized, single-flight archive load of one variable.
 
-        *loader* is a zero-argument callable producing the
-        :class:`~repro.compressors.base.Refactored`; it runs at most
-        once per ``(variable, generation)`` however many sessions open
-        the variable concurrently.  Sharing the representation across
-        sessions is safe: fragment payloads and streams are read-only
-        after construction, reader state lives in each session's own
-        readers, and the lazily-memoized extras (PMGARD plan table,
-        PSZ3 lossless payload) are idempotent to racing builders.
+        The one-variable form of :meth:`load_many`; *loader* is a
+        zero-argument callable producing the representation.
         """
-        key = (variable, int(generation))
-        while True:
+        return self.load_many(
+            {variable: generation}, lambda names: {variable: loader()}
+        )[variable]
+
+    def load_many(self, generations: dict, loader) -> dict:
+        """Memoized, single-flight archive load of several variables.
+
+        *generations* maps variable to generation; *loader* takes the
+        list of variables this call must actually load — the memo
+        misses no other session is already loading — and returns
+        ``{variable: Refactored}`` for them, so a session's misses open
+        as ONE batched archive load.  A representation loads at most
+        once per ``(variable, generation)`` however many sessions open
+        it concurrently; variables another session is loading are
+        awaited, after this call's own batch.  Sharing the
+        representation across sessions is safe: fragment payloads and
+        streams are read-only after construction, reader state lives in
+        each session's own readers, and the lazily-memoized extras
+        (PMGARD plan table, PSZ3 lossless payload) are idempotent to
+        racing builders.
+        """
+        out: dict = {}
+        while len(out) < len(generations):
+            owned: dict = {}  # key -> the flight this call registered
+            awaited = []
             with self._lock:
-                rep = self._reps.get(key)
-                if rep is not None:
-                    self._stats.representations_shared += 1
-                    return rep
-                flight = self._rep_flights.get(key)
-                if flight is None:
-                    flight = threading.Event()
-                    self._rep_flights[key] = flight
-                    break  # this thread owns the load
-            flight.wait()  # another session is loading; then re-check
-        try:
-            rep = loader()
-        except BaseException:
-            with self._lock:
-                del self._rep_flights[key]
-            flight.set()
-            raise
-        with self._lock:
-            # an invalidate may have raced the load; serve this caller
-            # but only memoize when the generation is still current
-            if key in self._rep_flights:
-                self._reps[key] = rep
-                del self._rep_flights[key]
-            self._stats.representations_loaded += 1
-        flight.set()
-        return rep
+                for variable, generation in generations.items():
+                    if variable in out:
+                        continue
+                    key = (variable, int(generation))
+                    rep = self._reps.get(key)
+                    if rep is not None:
+                        self._stats.representations_shared += 1
+                        out[variable] = rep
+                    elif key in self._rep_flights:
+                        awaited.append(self._rep_flights[key])
+                    else:
+                        owned[key] = self._rep_flights[key] = threading.Event()
+            reps: dict = {}
+            try:
+                if owned:
+                    loaded = loader([variable for variable, _ in owned])
+                    reps = {key: loaded[key[0]] for key in owned}
+            finally:
+                with self._lock:
+                    for key, flight in owned.items():
+                        # an invalidate may have raced the load (it drops
+                        # the flight entry): serve this caller, but only
+                        # memoize when the generation is still current
+                        if self._rep_flights.get(key) is flight:
+                            del self._rep_flights[key]
+                            if key in reps:
+                                self._reps[key] = reps[key]
+                    self._stats.representations_loaded += len(reps)
+                for flight in owned.values():
+                    flight.set()
+            out.update((key[0], rep) for key, rep in reps.items())
+            for flight in awaited:
+                flight.wait()  # another session's load; then re-check
+        return out
 
     # -- plan memo -------------------------------------------------------------
 
@@ -304,13 +326,12 @@ class QueryPlanner:
 
 
 class _FetchRequest:
-    """One session's round (or speculative) fetch awaiting the scheduler."""
+    """One session's round fetch awaiting the scheduler."""
 
-    __slots__ = ("plans", "speculative", "event", "fetched", "error", "pending_stores")
+    __slots__ = ("plans", "event", "fetched", "error", "pending_stores")
 
-    def __init__(self, plans, speculative: bool):
+    def __init__(self, plans):
         self.plans = plans  # [(FragmentSource, [segment, ...]), ...]
-        self.speculative = speculative
         self.event = threading.Event()
         self.fetched = 0
         self.error: BaseException | None = None
@@ -335,16 +356,15 @@ class FetchScheduler:
     Failure semantics mirror :func:`~repro.storage.archive.prefetch_plans`:
     a store error releases every still-claimed segment (its fragments
     become refetchable immediately) and surfaces to exactly the
-    non-speculative requests whose plans touched an unserved store;
+    requests whose plans touched an unserved store;
     requests fully served by earlier stores in the same tick succeed.
     """
 
     def __init__(
-        self, planner: QueryPlanner, cache=None,
+        self, planner: QueryPlanner,
         coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
     ):
         self._planner = planner
-        self._cache = cache  # FragmentCache (its in-flight registry) or None
         self._window = max(0.0, float(coalesce_window_s))
         self._cv = threading.Condition()
         self._queue: deque = deque()
@@ -361,25 +381,12 @@ class FetchScheduler:
         claimed share of the merged fetch).  Store errors propagate to
         the caller exactly as a private fetch's would.
         """
-        return self._submit(plans, speculative=False)
-
-    def fetch_speculative(self, plans) -> int:
-        """Submit a predicted future plan; errors are swallowed.
-
-        Speculative batches additionally dedup against the shared
-        cache's in-flight registry — a segment some session is already
-        loading will be cache-resident, so re-planning it here would
-        only duplicate a store read another speculator is paying for.
-        """
-        return self._submit(plans, speculative=True)
-
-    def _submit(self, plans, speculative: bool) -> int:
         plans = [
             (source, list(segments)) for source, segments in plans if segments
         ]
         if not plans:
             return 0
-        request = _FetchRequest(plans, speculative)
+        request = _FetchRequest(plans)
         with self._cv:
             if self._closed:
                 raise RuntimeError("fetch scheduler is closed")
@@ -391,9 +398,17 @@ class FetchScheduler:
             self._queue.append(request)
             self._cv.notify()
         request.event.wait()
-        if request.error is not None and not speculative:
+        if request.error is not None:
             raise request.error
         return request.fetched
+
+    def fetch_speculative(self, plans) -> int:
+        """Alias of :meth:`fetch`, kept for callers that wrap it by name.
+
+        Speculation now travels inside the round's own plan (see
+        :mod:`repro.core.pipeline`); nothing in the program calls this.
+        """
+        return self.fetch(plans)
 
     # -- the scheduling tick ---------------------------------------------------
 
@@ -426,25 +441,12 @@ class FetchScheduler:
         with planner._lock:
             planner._stats.scheduler_ticks += 1
             planner._stats.merged_rounds += max(0, len(batch) - 1)
-        inflight = (
-            self._cache.inflight_keys()
-            if self._cache is not None and any(r.speculative for r in batch)
-            else ()
-        )
-        speculation_deduped = 0
         deduped = 0
         # claim in arrival order: the first round to plan a segment fetches
         # it, later rounds ride along (their decode awaits the absorb)
         by_store: dict = {}
         for request in batch:
             for source, segments in request.plans:
-                if request.speculative and inflight:
-                    kept = [
-                        s for s in segments
-                        if (source.variable, s) not in inflight
-                    ]
-                    speculation_deduped += len(segments) - len(kept)
-                    segments = kept
                 wanted = source.claim(segments)
                 deduped += len(segments) - len(wanted)
                 if wanted:
@@ -453,10 +455,8 @@ class FetchScheduler:
                     by_store.setdefault(sid, (source.store, []))[1].append(
                         (request, source, wanted)
                     )
-        if speculation_deduped or deduped:
-            with planner._lock:
-                planner._stats.speculation_deduped += speculation_deduped
-                planner._stats.deduped_fragments += deduped
+        if deduped:
+            planner._count("deduped_fragments", deduped)
         outstanding = list(by_store.items())
         while outstanding:
             sid, (store, entries) = outstanding[0]
@@ -471,8 +471,7 @@ class FetchScheduler:
                 for _, (_, failed_entries) in outstanding:
                     for request, source, segs in failed_entries:
                         source.release(segs)
-                        if not request.speculative:
-                            request.error = exc
+                        request.error = exc
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
                 return

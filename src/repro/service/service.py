@@ -214,9 +214,9 @@ class RetrievalService:
         shared cache with single-flight *batched* loads, so concurrent
         clients' overlapping rounds coalesce into shared store passes.
     lazy_loading:
-        Load archived variables lazily (the default): opening a variable
-        costs one small store round trip and fragments move only when a
-        client's retrieval plan demands them.  Set False to restore the
+        Load archived variables lazily (the default): opening a request's
+        variables costs two small store round trips in all and fragments
+        move only when a client's retrieval plan demands them.  Set False to restore the
         eager fetch-everything-at-load behavior.
     executor / workers:
         Kernel executor every client session decodes through — an
@@ -340,9 +340,7 @@ class RetrievalService:
             scheduler_kwargs = {}
             if coalesce_ms is not None:
                 scheduler_kwargs["coalesce_window_s"] = float(coalesce_ms) / 1000.0
-            self.scheduler = FetchScheduler(
-                self.planner, cache=self.cache, **scheduler_kwargs
-            )
+            self.scheduler = FetchScheduler(self.planner, **scheduler_kwargs)
         self.trip_budget = None
         if slow_trip_rate is not None:
             self.trip_budget = TripBudget(float(slow_trip_rate), slow_trip_burst)
@@ -425,21 +423,39 @@ class RetrievalService:
     def load_refactored(self, variable: str, lazy: bool | None = None):
         """Load one archived variable through the shared cache.
 
-        ``lazy=None`` follows the service's ``lazy_loading`` default.
-        With the shared planner on, loads memoize on
-        ``(variable, generation)`` with single-flight, so N concurrent
-        sessions opening one variable cost one archive load; an explicit
-        *lazy* override bypasses the memo (it changes the load shape).
+        ``lazy=None`` follows the service's ``lazy_loading`` default and
+        is the one-variable form of :meth:`load_variables`; an explicit
+        *lazy* override bypasses the planner memo (it changes the load
+        shape).
         """
+        if lazy is None:
+            return self.load_variables([variable])[variable]
         with self._lock:
             self._variables_loaded += 1
-            generation = self._generations.get(variable, 0)
-        use_lazy = self.lazy_loading if lazy is None else lazy
-        if self.planner is not None and lazy is None:
-            return self.planner.load(
-                variable, generation, lambda: self.archive.load(variable, lazy=use_lazy)
-            )
-        return self.archive.load(variable, lazy=use_lazy)
+        return self.archive.load(variable, lazy=lazy)
+
+    def load_variables(self, variables) -> dict:
+        """Open several archived variables as one batch; ``{name: Refactored}``.
+
+        The whole batch costs the archive's two open round trips (see
+        :meth:`~repro.storage.archive.Archive.load_dataset`) instead of
+        two per variable.  With the shared planner on, loads memoize on
+        ``(variable, generation)`` with single-flight, so N concurrent
+        sessions opening the same variables cost one batched archive
+        load, and a session whose variables are partly memoized loads
+        only its misses.
+        """
+        names = list(variables)
+        with self._lock:
+            self._variables_loaded += len(names)
+            generations = {name: self._generations.get(name, 0) for name in names}
+
+        def loader(misses):
+            return self.archive.load_dataset(misses, lazy=self.lazy_loading)
+
+        if self.planner is not None:
+            return self.planner.load_many(generations, loader)
+        return loader(names)
 
     def ingest(
         self,
@@ -701,17 +717,21 @@ class ClientSession:
 
     def _ensure_variables(self, requests) -> None:
         involved = set().union(*(r.qoi.variables() for r in requests))
+        stale = {}  # name -> (generation, value range) to (re)load at
         for name in sorted(involved):
             generation = self._service.variable_generation(name)
             if (
-                name in self._retriever._refactored
-                and self._generations.get(name) == generation
+                name not in self._retriever._refactored
+                or self._generations.get(name) != generation
             ):
-                continue
-            value_range = self._service.value_range(name)
-            refactored = self._service.load_refactored(name)
+                stale[name] = (generation, self._service.value_range(name))
+        if not stale:
+            return
+        # one batched open for everything this request newly touches
+        loaded = self._service.load_variables(list(stale))
+        for name, (generation, value_range) in stale.items():
             self._retriever.add_variable(
-                name, refactored, value_range, mask=self._service._masks.get(name)
+                name, loaded[name], value_range, mask=self._service._masks.get(name)
             )
             if name in self._generations:
                 # a live ingest replaced this variable since it was

@@ -17,12 +17,15 @@ record on the disk stores — so a crash mid-save can never leave a torn
 variable (``docs/durability.md``).  ``load()`` reconstructs a fully functional
 :class:`Refactored` object from the store; its readers behave
 identically (byte accounting included) to the ones produced directly by
-the refactorers, which the round-trip tests assert.  ``load(..., lazy=True)`` defers the bulk fragments — the
-bitplane / snapshot payloads that dominate the archive — behind a
-:class:`FragmentSource`, so a variable costs one small store round trip
-to open and fragments are fetched only when (and in whatever batches) the
-retrieval engine actually needs them.  :func:`prefetch_plans` is the
-batch entry point: it coalesces many variables' planned segments into one
+the refactorers, which the round-trip tests assert.  ``lazy=True``
+defers the bulk fragments — the bitplane / snapshot payloads that
+dominate the archive — behind a :class:`FragmentSource`, and the open is
+batched across variables: ``load_dataset(names, lazy=True)`` costs two
+store round trips however many variables it names (one ``get_many`` for
+every index segment, one for every PMGARD coarse/sign segment), and
+fragments are fetched only when (and in whatever batches) the retrieval
+engine actually needs them.  :func:`prefetch_plans` is the batch entry
+point: it coalesces many variables' planned segments into one
 ``get_many`` per backing store.
 """
 
@@ -85,6 +88,28 @@ class FragmentSource:
         with self._lock:
             return segment in self._seen
 
+    def _await_locked(self, segments) -> None:
+        # caller holds the condition; gives up after PENDING_WAIT_SECONDS
+        deadline = time.monotonic() + self.PENDING_WAIT_SECONDS
+        while not self._pending.isdisjoint(segments):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._arrived.wait(timeout=remaining):
+                break
+
+    def await_arrival(self, segments) -> None:
+        """Block while an in-flight batch still holds any of *segments*.
+
+        The retrieval loop calls this before decoding a variable whose
+        planned segments another fetch (a concurrent session sharing
+        this source) has claimed, so the wait is booked as I/O wait and
+        the decode that follows is pure compute.  Returns immediately
+        when nothing is pending; bounded by
+        :data:`PENDING_WAIT_SECONDS`, after which :meth:`get` falls back
+        to reading the store itself.
+        """
+        with self._arrived:
+            self._await_locked(segments)
+
     def get(self, segment: str) -> bytes:
         """One segment's payload, awaiting an in-flight batch if cheaper.
 
@@ -95,11 +120,7 @@ class FragmentSource:
         with self._arrived:
             # a batch already carrying this segment is cheaper to await
             # than to race with another store read
-            deadline = time.monotonic() + self.PENDING_WAIT_SECONDS
-            while segment in self._pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._arrived.wait(timeout=remaining):
-                    break
+            self._await_locked((segment,))
             payload = self._payloads.get(segment)
         if payload is None:
             payload = self.store.get(self.variable, segment)
@@ -167,8 +188,8 @@ class FragmentSource:
     def claim(self, segments) -> list:
         """Atomically claim the fetchable subset of *segments*.
 
-        Concurrent batched fetches (a round fetch racing a speculative
-        one, or two clients sharing the source) would otherwise both
+        Concurrent batched fetches (two clients sharing the source, or a
+        round fetch racing a hedge) would otherwise both
         pass a plain ``missing`` check and read the same fragments from
         the store twice.  Claimed segments are excluded from later
         claims until :meth:`absorb` lands them or :meth:`release` gives
@@ -195,7 +216,7 @@ def prefetch_plans(plans) -> int:
     *plans* is an iterable of ``(FragmentSource, [segment, ...])`` pairs.
     Segments already fetched or claimed by a concurrent batch are
     skipped (atomically, via :meth:`FragmentSource.claim` — a fragment
-    is read from the store at most once however many round/speculative
+    is read from the store at most once however many concurrent round
     fetches plan it); the remainder are grouped by backing store and
     fetched with a single ``get_many`` each (one store round trip — and,
     behind a shared cache, one single-flight batch that concurrent
@@ -349,6 +370,15 @@ def _pmgard_fragments(refactored) -> tuple:
     return fragments, index
 
 
+def _pmgard_small_segments(index: dict) -> list:
+    """Segments a lazy PMGARD open fetches eagerly: coarse + every level's signs."""
+    return [COARSE_SEGMENT] + [
+        pmgard_signs_segment(level)
+        for level, meta in enumerate(index["streams"])
+        if meta["exponent"] is not None
+    ]
+
+
 def encode_fragments(refactored) -> tuple:
     """Enumerate one refactored variable's archive fragments canonically.
 
@@ -467,18 +497,48 @@ class Archive:
     def load(self, variable: str, lazy: bool = False):
         """Reconstruct the :class:`Refactored` archived under *variable*.
 
-        With ``lazy=False`` every fragment is fetched up front (one
-        ``get`` each — the eager seed behavior).  With ``lazy=True`` only
-        the index and the small per-variable segments (coarse
-        approximation, sign planes) are fetched — batched into a single
-        store round trip — while bitplane / snapshot payloads are wired
-        to a :class:`FragmentSource` and fetched on demand; the returned
-        object carries that source as ``fragment_source`` so the
-        retrieval engine can batch-prefetch planned fragments.
+        The one-variable form of :meth:`load_dataset` (same trips, same
+        laziness); open several variables through that instead, so they
+        share its two batched round trips.
         """
+        return self.load_dataset([variable], lazy=lazy)[variable]
+
+    def load_dataset(self, variables, lazy: bool = False) -> dict:
+        """Reload a set of archived variables, opening them as one batch.
+
+        Every variable's index segment arrives in a single ``get_many``.
+        With ``lazy=False`` every fragment is then fetched up front (one
+        ``get`` each — the eager seed behavior).  With ``lazy=True`` only
+        the small per-variable segments of PMGARD variables (coarse
+        approximation, sign planes) follow, in a second ``get_many``
+        shared by all of them, while bitplane / snapshot payloads are
+        wired to a :class:`FragmentSource` and fetched on demand — a lazy
+        open is two serial store round trips for the whole dataset (one
+        when it holds snapshot variables only, or when the variables'
+        shared sources already hold their small segments).  Each returned object
+        carries its source as ``fragment_source`` so the retrieval
+        engine can batch-prefetch planned fragments.
+        """
+        names = list(dict.fromkeys(variables))
+        if not names:
+            return {}
+        fetched = self.store.get_many([(name, INDEX_SEGMENT) for name in names])
         # bytes() is a no-op for raw stores and materializes the (small)
         # index when an arena-backed cache serves it as a memoryview
-        index = json.loads(bytes(self.store.get(variable, INDEX_SEGMENT)).decode())
+        indexes = {
+            name: json.loads(bytes(fetched[(name, INDEX_SEGMENT)]).decode())
+            for name in names
+        }
+        if lazy:
+            # snapshot-only datasets have nothing small to open: no trip
+            prefetch_plans(
+                (self.source(name), _pmgard_small_segments(index))
+                for name, index in indexes.items()
+                if index["kind"] == "pmgard"
+            )
+        return {name: self._build(name, indexes[name], lazy) for name in names}
+
+    def _build(self, variable: str, index: dict, lazy: bool):
         kind = index["kind"]
         if kind == "pmgard":
             return self._load_pmgard(variable, index, lazy)
@@ -519,20 +579,10 @@ class Archive:
         return ref
 
     def _load_pmgard(self, variable, index, lazy=False):
+        # lazily, the small segments — coarse approximation plus every
+        # level's signs — were absorbed by load_dataset's batched round
+        # trip; the (dominant) plane payloads stay behind the source
         source = self.source(variable) if lazy else None
-        if lazy:
-            # the small segments — coarse approximation plus every level's
-            # signs — arrive in one batched round trip at open time; the
-            # (dominant) plane payloads stay behind the fragment source
-            small = [(variable, COARSE_SEGMENT)]
-            small += [
-                (variable, pmgard_signs_segment(level))
-                for level, meta in enumerate(index["streams"])
-                if meta["exponent"] is not None
-            ]
-            source.absorb(
-                {seg: payload for (_, seg), payload in self.store.get_many(small).items()}
-            )
         streams = []
         for level, meta in enumerate(index["streams"]):
             if meta["exponent"] is None:
@@ -593,10 +643,6 @@ class Archive:
         """Archive every variable of a refactored dataset."""
         for name, ref in refactored.items():
             self.save(name, ref)
-
-    def load_dataset(self, variables, lazy: bool = False) -> dict:
-        """Reload a set of archived variables."""
-        return {name: self.load(name, lazy=lazy) for name in variables}
 
     def variables(self) -> list:
         """Names of all archived variables (those with an index segment)."""

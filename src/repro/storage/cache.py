@@ -371,21 +371,6 @@ class FragmentCache:
                 return entry.ref
             return None
 
-    def inflight_keys(self) -> set:
-        """Snapshot of keys with loads currently in flight.
-
-        This is the shared *in-flight registry* the service-level fetch
-        scheduler consults before speculating: a ``(variable, segment)``
-        listed here is already being read from the store on some
-        caller's behalf and will be cache-resident when it lands, so
-        planning it into a speculative batch would only duplicate work.
-        Purely advisory — the set may change the moment the lock drops,
-        and acting on a stale view costs at most one redundant
-        (single-flighted) load, never correctness.
-        """
-        with self._lock:
-            return set(self._inflight)
-
     def stats(self) -> CacheStats:
         """Snapshot of the accounting counters.
 

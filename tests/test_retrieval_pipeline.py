@@ -368,13 +368,9 @@ class TestFetchPipeline:
             PipelineConfig(max_workers=-1)
 
     def test_speculation_completes_before_close(self):
-        """Determinism: close() drains every submitted speculative batch.
-
-        A speculative plan is a subset of the next actual round's fetch,
-        so completing (never dropping) speculation is what makes a
-        retrieval's total fetched set — and identical re-runs' store
-        traffic — deterministic.
-        """
+        """Determinism: speculation rides the round's batches, so it has
+        landed when the round's groups are exhausted — close() finds
+        nothing in flight, and a ride-along entry is never decoded."""
         from repro.storage.archive import FragmentSource
 
         release = threading.Event()
@@ -386,18 +382,21 @@ class TestFetchPipeline:
 
         store = SlowStore()
         store.put("v", "s0", b"x")
-        store.put("v", "s1", b"y")
-        source = FragmentSource(store, "v")
-        with FetchPipeline(PipelineConfig(pipeline_depth=1, max_workers=1)) as pipe:
-            assert pipe.speculate([(source, ["s0"])])
-            assert pipe.speculate([(source, ["s1"])])  # queued behind s0
+        store.put("v", "s1", b"y")  # widened: the next round's plane
+        store.put("w", "s0", b"z")  # rides along, decodes nothing now
+        v, w = FragmentSource(store, "v"), FragmentSource(store, "w")
+        with FetchPipeline(PipelineConfig(pipeline_depth=1, max_workers=2)) as pipe:
+            groups = pipe.submit_round([("v", v, ["s0", "s1"]), (None, w, ["s0"])])
+            assert len(groups) == 2  # one variable per batch, in parallel
             release.set()
-        assert source.fetched("s0")
-        assert source.fetched("s1")
-        assert pipe.fragments_prefetched == 2
+            assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
+            assert v.fetched("s0") and v.fetched("s1") and w.fetched("s0")
+            assert pipe.fragments_prefetched == 3
+            trips = store.round_trips
+        assert store.round_trips == trips  # close() had nothing to drain
 
     def test_concurrent_prefetches_never_double_read(self):
-        """claim() makes racing round/speculative batches fetch-once."""
+        """claim() makes racing round batches fetch-once."""
         from repro.storage.archive import FragmentSource, prefetch_plans
 
         gate = threading.Event()
@@ -454,7 +453,9 @@ class TestFetchPipeline:
         store = _filled(FragmentStore())
         source = FragmentSource(store, "v")
         with FetchPipeline(PipelineConfig(pipeline_depth=2, max_workers=1)) as pipe:
-            assert pipe.speculate([(source, ["s0"])])
+            groups = pipe.submit_round([(None, source, ["s0"])])
+            assert list(pipe.iter_groups(groups)) == [[]]
         with FetchPipeline(PipelineConfig(pipeline_depth=2, max_workers=1)) as pipe:
-            # already fetched: the plan dissolves before reaching the pool
-            assert not pipe.speculate([(source, ["s0"])])
+            # already fetched: the entry dissolves before reaching the pool
+            assert pipe.submit_round([(None, source, ["s0"])]) == []
+        assert store.round_trips == 1

@@ -8,8 +8,7 @@ Four layers of guarantees:
 * :class:`repro.service.planner.FetchScheduler` unit semantics — rounds
   queued behind an in-flight fetch merge into one coalesced store pass,
   cross-request duplicates are claimed once, store errors release every
-  claim and surface only to non-speculative requesters, speculation
-  dedups against the shared cache's in-flight registry.
+  claim and surface to the requesters that were owed them.
 * Service-level economics — 8 concurrent clients over one
   :class:`~repro.service.service.RetrievalService`: identical ladders
   cost ONE planning pass (the 8-client run's plan-cache misses equal a
@@ -269,10 +268,9 @@ def _fetch_on_thread(scheduler, plans, errors):
 
 
 class TestFetchScheduler:
-    def _scheduler(self, cache=None, window=0.0):
+    def _scheduler(self, window=0.0):
         planner = QueryPlanner()
-        return planner, FetchScheduler(planner, cache=cache,
-                                       coalesce_window_s=window)
+        return planner, FetchScheduler(planner, coalesce_window_s=window)
 
     def test_rounds_queued_behind_a_fetch_merge_into_one_pass(self):
         planner, scheduler = self._scheduler()
@@ -343,34 +341,22 @@ class TestFetchScheduler:
         finally:
             scheduler.close()
 
-    def test_speculative_errors_are_swallowed(self):
+    def test_fetch_speculative_is_an_alias_of_fetch(self):
+        # kept only for callers that wrap it by name: same fetch, same errors
         class _BrokenStore(FragmentStore):
             def get_many(self, keys):
                 raise OSError("store down")
 
         planner, scheduler = self._scheduler()
-        source = FragmentSource(_BrokenStore(), "v")
-        try:
-            assert scheduler.fetch_speculative([(source, ["a"])]) == 0
-            assert source.missing(["a"]) == ["a"]
-        finally:
-            scheduler.close()
-
-    def test_speculation_dedups_against_cache_inflight_registry(self):
-        class _Registry:
-            def inflight_keys(self):
-                return {("v", "a")}
-
-        planner, scheduler = self._scheduler(cache=_Registry())
         store = FragmentStore()
         _fill(store, "v", ["a", "b"])
-        source = FragmentSource(store, "v")
         try:
-            fetched = scheduler.fetch_speculative([(source, ["a", "b"])])
-            assert fetched == 1  # "a" is someone else's in-flight load
-            stats = planner.stats()
-            assert stats.speculation_deduped == 1
+            assert scheduler.fetch_speculative([(FragmentSource(store, "v"), ["a", "b"])]) == 2
             assert store.round_trips == 1
+            broken = FragmentSource(_BrokenStore(), "v")
+            with pytest.raises(OSError):
+                scheduler.fetch_speculative([(broken, ["a"])])
+            assert broken.missing(["a"]) == ["a"]
         finally:
             scheduler.close()
 
@@ -471,9 +457,8 @@ def assert_bit_identical(got, want):
 
 class TestSharedPlannerService:
     def test_identical_ladders_cost_one_planning_pass(self, setup):
-        # pipeline_depth=1 pins the speculative planning horizon: deeper
-        # speculation is planned only when the previous depth's queue had
-        # room, which varies with timing and would blur the exact count
+        # both fleets widen fetching rounds by the same single c-step, so
+        # their memo-key walks are comparable
         ladders = [list(IDENTICAL_LADDER) for _ in range(8)]
         outs8, _, stats8 = run_fleet(setup, ladders, shared=True,
                                      pipeline_depth=1)
@@ -542,6 +527,152 @@ class TestSharedPlannerService:
             session.retrieve([QoIRequest("vtot", qoi, 1e-3, qrange)])
         assert service.stats().planner is None
         service.close()
+
+
+# ---------------------------------------------------------------------------
+# Batched dataset open through the planner's load memo
+# ---------------------------------------------------------------------------
+
+
+class TestBatchedOpen:
+    def test_load_many_loads_only_the_misses_as_one_batch(self):
+        planner = QueryPlanner()
+        calls = []
+
+        def loader(names):
+            calls.append(list(names))
+            return {name: f"{name}-rep" for name in names}
+
+        planner.load("a", 0, lambda: "a-rep")
+        got = planner.load_many({"a": 0, "b": 0, "c": 0}, loader)
+        assert got == {"a": "a-rep", "b": "b-rep", "c": "c-rep"}
+        assert calls == [["b", "c"]]  # the memo hit never reached the loader
+        stats = planner.stats()
+        assert stats.representations_loaded == 3
+        assert stats.representations_shared == 1
+
+    def test_generation_bump_mid_batch_reloads_only_that_variable(self):
+        planner = QueryPlanner()
+        calls = []
+
+        def loader(names):
+            calls.append(list(names))
+            if len(calls) == 1:
+                planner.invalidate("b")  # a live ingest lands mid-load
+            return {name: (name, len(calls)) for name in names}
+
+        first = planner.load_many({"a": 0, "b": 0, "c": 0}, loader)
+        assert first == {"a": ("a", 1), "b": ("b", 1), "c": ("c", 1)}
+        # the raced load was served but never memoized; the rest were
+        again = planner.load_many({"a": 0, "b": 1, "c": 0}, loader)
+        assert again == {"a": ("a", 1), "b": ("b", 2), "c": ("c", 1)}
+        assert calls == [["a", "b", "c"], ["b"]]
+
+    def test_failed_batch_releases_every_flight(self):
+        planner = QueryPlanner()
+
+        def broken(names):
+            raise OSError("store down")
+
+        with pytest.raises(OSError):
+            planner.load_many({"a": 0, "b": 0}, broken)
+        # nothing is left in flight: the next open loads, it does not hang
+        got = planner.load_many({"a": 0, "b": 0}, lambda names: dict.fromkeys(names, 1))
+        assert got == {"a": 1, "b": 1}
+
+    def test_concurrent_sessions_share_one_batched_open(self, setup):
+        fields, store, _, _ = setup
+        inner = _GateStore()
+        for var, seg in store.keys():
+            inner.put(var, seg, store.get(var, seg))
+        service = RetrievalService(inner)
+        trips_before = inner.round_trips
+        outs, errors = [], []
+
+        def open_all():
+            try:
+                outs.append(service.load_variables(sorted(fields)))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=open_all) for _ in range(2)]
+        try:
+            threads[0].start()
+            assert inner.entered.wait(5)  # the first open's index batch
+            threads[1].start()
+            time.sleep(0.05)  # let the second pile onto the three flights
+        finally:
+            inner.release_gate.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not errors
+        # ONE batched open — its two get_many — served both sessions
+        assert inner.round_trips - trips_before == 2
+        assert all(outs[0][name] is outs[1][name] for name in fields)
+        stats = service.stats().planner
+        assert stats.representations_loaded == 3
+        assert stats.representations_shared == 3
+        service.close()
+
+    def test_session_reloads_only_the_replaced_variable(self, setup):
+        fields, store, qoi, qrange = setup
+        service = RetrievalService(copy_store(store))
+        request = [QoIRequest("vtot", qoi, 1e-3, qrange)]
+        with service.open_session() as session:
+            session.retrieve(request)
+            assert service.stats().planner.representations_loaded == 3
+            service.ingest({"velocity_y": fields["velocity_y"] * 1.01})
+            result = session.retrieve(request)
+            assert result.all_satisfied
+        # the bumped variable alone went back to the archive
+        assert service.stats().planner.representations_loaded == 4
+        service.close()
+
+    def test_cold_tiered_cluster_session_opens_in_two_trips(self, tmp_path):
+        from repro.data import generators
+        from repro.utils.fragment_keys import timestep_variable
+
+        servers = [
+            HTTPFragmentServer(ShardedDiskStore(str(tmp_path / f"node{i}"))).start()
+            for i in range(2)
+        ]
+        try:
+            nodes = ",".join("%s:%d" % server.address for server in servers)
+            cluster = f"cluster://{nodes}?replicas=2"
+            data = generators.hurricane(shape=(6, 16, 16), seed=1)
+            ingest = RetrievalService.open(cluster)
+            ingest.ingest(data, method="pmgard_hb", timestep=0)
+            ingest.close()
+
+            wind = ("velocity_x", "velocity_y", "velocity_z")
+            names = [timestep_variable(f, 0) for f in wind]
+            qoi = total_velocity(*names)
+            truth = qoi.value({n: (data[f], 0.0) for n, f in zip(names, wind)})
+            service = RetrievalService.open("tiered://?slow=" + cluster)
+            try:
+                before = service.stats()
+                with service.open_session() as session:
+                    session._ensure_variables(
+                        [QoIRequest("vtot", qoi, 1e-2, float(np.ptp(truth)))]
+                    )
+                    opened = service.stats()
+                    # three variables, two trips through tiered -> cluster
+                    assert opened.store_round_trips - before.store_round_trips == 2
+                    assert (
+                        opened.tiers.slow_round_trips - before.tiers.slow_round_trips
+                        == 2
+                    )
+                    result = session.retrieve(
+                        [QoIRequest("vtot", qoi, 1e-2, float(np.ptp(truth)))]
+                    )
+                rec = qoi.value({n: (result.data[n], 0.0) for n in names})
+                assert np.max(np.abs(rec - truth)) <= result.estimated_errors["vtot"]
+                assert result.all_satisfied
+            finally:
+                service.close()
+        finally:
+            for server in servers:
+                server.stop()
 
 
 # ---------------------------------------------------------------------------
