@@ -20,7 +20,8 @@ batched flush pays it once).  The two archives are verified
 **bit-identical** (same fragment keys, same payload bytes, same
 manifest) for *every* archivable compressor, and an incremental-update
 scenario measures re-saving a variable (superseded fragments
-tombstoned) and appending a timestep to a live archive.
+tombstoned), appending a timestep to a live archive, and whether the
+bytes an append writes grow with the archive (``append_bytes_growth``).
 
 Results append to ``BENCH_ingest.json`` at the repo root:
 
@@ -223,9 +224,26 @@ def bench_incremental(tmp, quick) -> dict:
     if reopened.nbytes() != store.nbytes():
         raise AssertionError("incremental: nbytes diverged across reopen")
     step_var = timestep_variable("v0", 1)
+    fragments_after = len(store.keys())
+
+    # 20 more appends of one array, manifest bookkeeping included: the
+    # bytes an append writes must not grow with the archive behind it
+    manifest = DatasetManifest.load_from(store)
+    step = {"v0": fields["v0"]}
+    appended = []
+    for timestep in range(2, 22):
+        before = store.bytes_written
+        report = ingest_dataset(
+            store, step, make_refactorer("pmgard_hb"),
+            workers=WORKERS, flush_bytes=FLUSH_BYTES, timestep=timestep,
+        )
+        update_manifest(manifest, store, step, "pmgard_hb", report, timestep=timestep)
+        manifest.save_to(store)
+        appended.append(store.bytes_written - before)
     return {
         "fragments_before": fragments_before,
-        "fragments_after": len(store.keys()),
+        "fragments_after": fragments_after,
+        "append_bytes_growth": appended[-1] / appended[1],
         "replace_superseded": replace.superseded,
         "replace_puts": replace_puts,
         "append_fragments": append.fragments,

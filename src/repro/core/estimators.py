@@ -23,6 +23,26 @@ from math import comb
 import numpy as np
 
 
+def _nonfinite_ok() -> np.errstate:
+    """Silence the FP warnings the root, radical and quotient bounds expect.
+
+    They meet inf and NaN intermediates on legitimate inputs: ``inf -
+    inf`` once an upstream bound is ``inf``, an overflowing product of
+    two huge values, ``eps / 0`` on a denominator that straddles zero.
+    Each bound's final ``np.where`` turns every such point into ``inf``.
+    """
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+def _where_sound(valid, out, den) -> np.ndarray:
+    """*out* where its theorem applies and float64 could hold it, else ``inf``.
+
+    A denominator that overflowed to ``inf`` would report the bound as
+    0, and ``0/0`` or ``inf/inf`` as NaN; neither is a bound.
+    """
+    return np.where(valid & (den < np.inf) & ~np.isnan(out), out, np.inf)
+
+
 def bound_power(x: np.ndarray, eps, n: int) -> np.ndarray:
     """Theorem 1: bound for ``f(x) = x**n`` (integer ``n >= 1``).
 
@@ -53,10 +73,10 @@ def bound_sqrt(x: np.ndarray, eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     x_b, eps_b = np.broadcast_arrays(x, eps)
     pos = x_b > 0.0
-    out = np.sqrt(np.clip(x_b, 0.0, None) + eps_b)  # x <= 0 fallback (incl. sqrt(eps) at 0)
-    denom = np.sqrt(np.clip(x_b - eps_b, 0.0, None)) + np.sqrt(np.clip(x_b, 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        formula = np.where(denom > 0.0, eps_b / denom, np.inf)
+    with _nonfinite_ok():
+        out = np.sqrt(np.clip(x_b, 0.0, None) + eps_b)  # x <= 0 fallback (incl. sqrt(eps) at 0)
+        denom = np.sqrt(np.clip(x_b - eps_b, 0.0, None)) + np.sqrt(np.clip(x_b, 0.0, None))
+        formula = np.where((denom > 0.0) & (denom < np.inf), eps_b / denom, np.inf)
     out = np.where(pos, formula, out)
     return out
 
@@ -70,12 +90,13 @@ def bound_radical(x: np.ndarray, eps, c: float = 0.0) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    s = x + float(c)
-    abs_s = np.abs(s)
-    lo = np.minimum(np.abs(s - eps), np.abs(s + eps))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = eps / (lo * abs_s)
-    return np.where((eps < abs_s) & (abs_s > 0.0), out, np.inf)
+    with _nonfinite_ok():
+        s = x + float(c)
+        abs_s = np.abs(s)
+        lo = np.minimum(np.abs(s - eps), np.abs(s + eps))
+        den = lo * abs_s
+        out = eps / den
+    return _where_sound((eps < abs_s) & (abs_s > 0.0), out, den)
 
 
 def bound_add(eps_list, weights=None) -> np.ndarray:
@@ -164,9 +185,10 @@ def bound_div(x1, eps1, x2, eps2) -> np.ndarray:
     x2 = np.asarray(x2, dtype=np.float64)
     eps1 = np.asarray(eps1, dtype=np.float64)
     eps2 = np.asarray(eps2, dtype=np.float64)
-    ax2 = np.abs(x2)
-    lo = np.minimum(np.abs(x2 - eps2), np.abs(x2 + eps2))
-    num = np.abs(x1) * eps2 + ax2 * eps1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / (ax2 * lo)
-    return np.where((eps2 < ax2) & (ax2 > 0.0), out, np.inf)
+    with _nonfinite_ok():
+        ax2 = np.abs(x2)
+        lo = np.minimum(np.abs(x2 - eps2), np.abs(x2 + eps2))
+        num = np.abs(x1) * eps2 + ax2 * eps1
+        den = ax2 * lo
+        out = num / den
+    return _where_sound((eps2 < ax2) & (ax2 > 0.0), out, den)

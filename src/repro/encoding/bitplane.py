@@ -42,8 +42,10 @@ _SEG_RAW = b"\x00"
 _SEG_COMPRESSED = b"\x01"
 #: Segments shorter than this skip the compressibility probe entirely.
 _PROBE_MIN = 4096
-#: Leading bytes fed to the probe compression.
-_PROBE_BYTES = 65536
+#: Leading bytes sampled by the probe, once a segment is long enough
+#: (four probes) for a sample to be much cheaper than compressing it all;
+#: shorter segments are their own probe.
+_PROBE_BYTES = 4096
 #: Probe ratio above which a segment is declared incompressible.
 _PROBE_RATIO = 0.97
 
@@ -59,7 +61,7 @@ def _compress_segment(backend, raw: bytes) -> bytes:
     """Frame *raw* as a segment: compressed when the backend earns its keep."""
     comp = None
     if len(raw) >= _PROBE_MIN:
-        probe = raw[:_PROBE_BYTES]
+        probe = raw[:_PROBE_BYTES] if len(raw) >= 4 * _PROBE_BYTES else raw
         comp_probe = backend.compress_bytes(probe)
         if len(comp_probe) > _PROBE_RATIO * len(probe):
             return _SEG_RAW + raw

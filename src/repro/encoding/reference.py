@@ -24,7 +24,13 @@ import struct
 
 import numpy as np
 
-from repro.encoding.bitplane import BitplaneStream
+from repro.encoding.bitplane import (
+    _PROBE_MIN,
+    _PROBE_RATIO,
+    _SEG_COMPRESSED,
+    _SEG_RAW,
+    BitplaneStream,
+)
 from repro.encoding.huffman import (
     _MAX_CODE_LEN,
     _canonical_codes,
@@ -65,6 +71,30 @@ def reference_bitplane_encode(
         bits = ((mags >> shift) & np.uint64(1)).astype(np.uint8)
         planes.append(be.compress_bytes(np.packbits(bits).tobytes()))
     return BitplaneStream(shape, e, P, sign_segment, planes)
+
+
+def reference_compress_segment(backend, raw: bytes) -> bytes:
+    """Original segment framing: the probe compresses up to 64 KiB.
+
+    For every segment shorter than 64 KiB that probe *was* the full
+    compression; the production rule samples 4 KiB of segments at least
+    16 KiB long instead.  The two agree byte for byte below 16 KiB, and
+    above it whenever the first 4 KiB and the first 64 KiB land on the
+    same side of the probe ratio.
+    """
+    comp = None
+    if len(raw) >= _PROBE_MIN:
+        probe = raw[:65536]
+        comp_probe = backend.compress_bytes(probe)
+        if len(comp_probe) > _PROBE_RATIO * len(probe):
+            return _SEG_RAW + raw
+        if len(probe) == len(raw):
+            comp = comp_probe
+    if comp is None:
+        comp = backend.compress_bytes(raw)
+    if len(comp) + 1 >= len(raw):
+        return _SEG_RAW + raw
+    return _SEG_COMPRESSED + comp
 
 
 class ReferenceBitplaneDecoder:

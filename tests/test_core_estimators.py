@@ -1,6 +1,8 @@
 """Property tests for Theorems 1-6: estimated bounds must dominate the
 true supremum of the QoI error over the admissible perturbation set."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,3 +181,65 @@ class TestDivBound:
 
     def test_zero_denominator_infinite(self):
         assert np.isinf(bound_div(1.0, 0.1, 0.0, 0.0))
+
+
+class TestNonFiniteInputs:
+    """inf, huge and zero-crossing inputs: an ``inf`` bound, no warning.
+
+    Every case here warned at the parent (``inf - inf``, an overflowing
+    product or quotient, ``eps / 0``) or, worse, came back as 0 or NaN.
+    """
+
+    INF = np.inf
+    SQRT = [  # (x, eps)
+        (INF, INF),   # inf - inf
+        (INF, 1.0),   # inf denominator would read as a bound of 0
+        (1.0, INF),
+        (0.0, INF),
+        (-1.0, INF),
+    ]
+    RADICAL = [  # (x, eps), c = 0
+        (INF, INF),
+        (INF, 1.0),
+        (1e200, 1.0),                 # lo * |s| overflows: eps / inf == 0
+        (1.5e308, 1e308),
+        (2.2e-311, 1.0),              # eps / tiny overflows (tier-1's example)
+        (1.0, 2.0),                   # interval straddles zero
+        (-3.0, 3.0),                  # touches zero
+        (0.0, 0.0),                   # 0 / 0
+    ]
+    DIV = [  # (x1, eps1, x2, eps2)
+        (1.0, 1.0, INF, 1.0),
+        (INF, 0.0, 2.0, 0.0),         # inf * 0 in the numerator
+        (1e308, 1e308, 1e308, 1e307), # numerator and denominator overflow
+        (1e200, 1.0, 1e200, 1.0),     # denominator alone overflows
+        (1368.0, 1.0, 7.6e-306, 1.0), # the tier-1 falsifying example
+        (1.0, 0.0, 0.5, 1.0),         # denominator straddles zero
+        (1.0, 0.1, 0.0, 0.0),
+        (0.0, 0.0, 1e-200, 0.0),      # 0 / (underflowed 0)
+    ]
+
+    @pytest.mark.parametrize(
+        "bound, cases",
+        [(bound_sqrt, SQRT), (bound_radical, RADICAL), (bound_div, DIV)],
+        ids=["sqrt", "radical", "div"],
+    )
+    def test_inf_without_warning(self, bound, cases):
+        columns = [np.array(col) for col in zip(*cases)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [float(bound(*case)) for case in cases]
+            # one regular point rides along: it must not be dragged to inf
+            regular = {bound_sqrt: (4.0, 0.5), bound_radical: (3.0, 0.5),
+                       bound_div: (6.0, 0.1, 3.0, 0.2)}[bound]
+            vector = bound(*(np.append(col, r) for col, r in zip(columns, regular)))
+        assert scalar == [np.inf] * len(cases)
+        assert np.all(np.isinf(vector[:-1]))
+        assert np.isfinite(vector[-1]) and vector[-1] == float(bound(*regular))
+
+    def test_huge_finite_sqrt_stays_finite_and_sound(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # x + eps overflows in the x <= 0 branch
+            bound = float(bound_sqrt(1e308, 1e308))
+        # sup over [0, 2e308] of |sqrt(x') - sqrt(1e308)| is sqrt(1e308)
+        assert np.sqrt(1e308) <= bound < np.inf

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.encoding.bitplane import BitplaneDecoder, BitplaneEncoder
+from repro.data import generators
+from repro.encoding.bitplane import (
+    BitplaneDecoder,
+    BitplaneEncoder,
+    _compress_segment,
+    _decompress_segment,
+)
+from repro.encoding.lossless import ZlibBackend
+from repro.encoding.reference import reference_compress_segment
 
 
 def _roundtrip(coeffs, planes, num_planes=32):
@@ -203,3 +211,96 @@ class TestSizeAccounting:
     def test_zero_group_costs_nothing(self):
         stream = BitplaneEncoder().encode(np.zeros(50))
         assert stream.total_bytes == 0
+
+
+class _CountingZlib(ZlibBackend):
+    """zlib that adds up the bytes it was asked to compress."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = 0
+
+    def compress_bytes(self, payload):
+        self.seen += len(payload)
+        return super().compress_bytes(payload)
+
+
+def _payload(kind: str, size: int) -> bytes:
+    noise = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    if kind == "noise":
+        return noise
+    if kind == "zeros":
+        return bytes(size)
+    half = size // 2
+    return bytes(half) + noise[half:]
+
+
+class TestSegmentProbe:
+    """The compressibility probe samples long segments and only those.
+
+    ``reference_compress_segment`` is the rule it replaced: a "probe" of
+    up to 64 KiB, i.e. the full compression of most segments.
+    """
+
+    @pytest.mark.parametrize("kind", ["noise", "zeros", "half"])
+    @pytest.mark.parametrize("size", [4096, 8191, 16383])
+    def test_short_segments_are_byte_identical_to_the_oracle(self, size, kind):
+        raw = _payload(kind, size)
+        new, old = _CountingZlib(), _CountingZlib()
+        assert _compress_segment(new, raw) == reference_compress_segment(old, raw)
+        assert new.seen == old.seen == size  # and by the same zlib calls
+
+    @pytest.mark.parametrize("size", [16384, 65536, 200_000])
+    def test_long_noise_costs_one_probe(self, size):
+        raw = _payload("noise", size)
+        backend = _CountingZlib()
+        segment = _compress_segment(backend, raw)
+        assert backend.seen <= 4096
+        assert segment == b"\x00" + raw == reference_compress_segment(ZlibBackend(), raw)
+
+    def test_long_compressible_segment_still_compresses(self):
+        raw = _payload("zeros", 65536)
+        segment = _compress_segment(ZlibBackend(), raw)
+        assert segment == reference_compress_segment(ZlibBackend(), raw)
+        assert segment[:1] == b"\x01" and len(segment) < 200
+
+    def test_mixed_segments_round_trip_either_way(self):
+        backend = ZlibBackend()
+        noise = _payload("noise", 60_000)
+        # compressible prefix, noisy tail: the sample passes, the whole
+        # segment is compressed and kept only because it is smaller
+        head = bytes(8192) + noise
+        framed = _compress_segment(backend, head)
+        assert framed == reference_compress_segment(backend, head)
+        assert _decompress_segment(backend, framed) == head
+        # noisy prefix, compressible tail: the one case the sample calls
+        # differently (raw where the oracle compressed) — still lossless
+        tail = noise[:8192] + bytes(60_000)
+        framed = _compress_segment(backend, tail)
+        assert framed == b"\x00" + tail
+        assert _decompress_segment(backend, framed) == tail
+        assert _decompress_segment(
+            backend, reference_compress_segment(backend, tail)
+        ) == tail
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            lambda: generators.hurricane(shape=(20, 100, 100), seed=0),
+            lambda: generators.ge_cfd(60_000, seed=0),
+        ],
+        ids=["hurricane", "ge_cfd"],
+    )
+    def test_benchmark_data_archives_to_the_oracles_bytes(self, fields, monkeypatch):
+        from repro.compressors.base import make_refactorer
+        from repro.encoding import bitplane
+
+        fields = fields()
+
+        def total_bytes():
+            refactorer = make_refactorer("pmgard_hb")
+            return {name: refactorer.refactor(a).total_bytes for name, a in fields.items()}
+
+        sampled = total_bytes()
+        monkeypatch.setattr(bitplane, "_compress_segment", reference_compress_segment)
+        assert sampled == total_bytes()

@@ -26,10 +26,17 @@ from repro.storage.remote import (
     InMemoryObjectBucket,
     KeyValueFragmentStore,
 )
-from repro.storage.store import DiskFragmentStore, FragmentStore, ShardedDiskStore
+from repro.storage.metadata import DatasetManifest
+from repro.storage.store import (
+    DiskFragmentStore,
+    FragmentStore,
+    ShardedDiskStore,
+    open_store,
+)
 from repro.storage.tiered import TieredStore
 from repro.storage.transfer import LatencyFragmentStore
 from repro.utils.fragment_keys import INDEX_SEGMENT, timestep_variable
+from test_storage_store import FORMAT1_MANIFEST, CallLogStore
 
 COMPRESSORS = ("psz3", "psz3_delta", "pmgard", "pmgard_hb")
 
@@ -546,6 +553,98 @@ class TestServiceIngest:
         assert service.value_range("q") == pytest.approx(2.0)
         assert service.manifest is not None
         assert "q" in service.manifest.variables
+
+
+class TestManifestGrowth:
+    """One ingest writes what it ingests, however large the archive is."""
+
+    FIELDS = ("u", "v", "w")
+
+    def _data(self):
+        rng = np.random.default_rng(3)
+        return {name: rng.standard_normal((12, 12)) * 30.0 for name in self.FIELDS}
+
+    def _ingest(self, service, store, data, timestep):
+        """(bytes written, items put, keys of the last write) of one ingest."""
+        bytes_before, puts_before = store.bytes_written, store.puts
+        store.calls.clear()
+        service.ingest(data, method="pmgard_hb", timestep=timestep, workers=0)
+        writes = [(call, keys) for call, keys in store.calls if call.startswith("put")]
+        return store.bytes_written - bytes_before, store.puts - puts_before, writes[-1]
+
+    def test_thirtieth_append_costs_what_the_second_did(self):
+        store = CallLogStore()
+        service = RetrievalService(store)
+        data = self._data()
+        costs = [self._ingest(service, store, data, t) for t in range(1, 31)]
+        second, thirtieth = costs[1], costs[29]
+        assert thirtieth[:2] == second[:2]  # bytes and items, not seconds
+        # the record write is its own trip after the data: the new
+        # timestep's three records and nothing else
+        assert thirtieth[2] == (
+            "put_many",
+            [("_dataset", f"var.{timestep_variable(f, 30)}.json") for f in self.FIELDS],
+        )
+        # the very first ingest also wrote the header, once
+        assert costs[0][2][1][-1] == ("_dataset", "manifest.json")
+        assert costs[0][1] == second[1] + 1
+
+        # a replace rewrites the records of the variables it replaced
+        replaced = {"u": data["u"] * 1.5, "w": data["w"] * 0.5}
+        _, _, last_write = self._ingest(service, store, replaced, 7)
+        assert last_write == (
+            "put_many",
+            [("_dataset", "var.u@t0007.json"), ("_dataset", "var.w@t0007.json")],
+        )
+        reopened = RetrievalService(store)
+        assert len(reopened.manifest.variables) == 90
+        assert reopened.value_range("u@t0007") == pytest.approx(
+            1.5 * float(np.ptp(data["u"]))
+        )
+        assert reopened.value_range("v@t0007") == pytest.approx(float(np.ptp(data["v"])))
+
+    def test_format1_archive_takes_an_ingest_and_reopens(self):
+        store = FragmentStore()
+        store.put("_dataset", "manifest.json", FORMAT1_MANIFEST.encode())
+        service = RetrievalService(store)
+        assert service.value_range("p") == 3.0
+        assert service.value_range("q@t0003") == 2.5
+        # replace one inline variable, add a new one
+        service.ingest({"q": np.array([0.0, 8.0, 4.0])}, method="psz3", timestep=3)
+        service.ingest({"r": np.linspace(0.0, 2.0, 50)}, method="pmgard_hb")
+        reopened = RetrievalService(store)
+        assert sorted(reopened.manifest.variables) == ["p", "q@t0003", "r"]
+        assert reopened.manifest.dataset == "legacy"
+        assert reopened.value_range("p") == 3.0
+        assert reopened.value_range("q@t0003") == 8.0  # the record, not the inline entry
+        assert reopened.manifest.variables["q@t0003"].shape == (3,)
+        assert reopened.value_range("r") == 2.0
+
+    def test_load_through_tiered_over_cluster_is_two_trips(self, tmp_path):
+        servers = [
+            HTTPFragmentServer(ShardedDiskStore(str(tmp_path / f"node{i}"))).start()
+            for i in range(2)
+        ]
+        try:
+            nodes = ",".join("%s:%d" % server.address for server in servers)
+            cluster = f"cluster://{nodes}?replicas=2"
+            data = self._data()
+            trips = {}
+            for steps in (1, 6):
+                service = RetrievalService.open(cluster)
+                try:
+                    for t in range(steps):
+                        service.ingest(data, method="pmgard_hb", timestep=t, workers=0)
+                finally:
+                    service.close()
+                with open_store("tiered://?slow=" + cluster) as store:
+                    manifest = DatasetManifest.load_from(store)
+                    assert len(manifest.variables) == 3 * steps
+                    trips[steps] = (store.round_trips, store.stats().slow_round_trips)
+            assert trips == {1: (2, 2), 6: (2, 2)}
+        finally:
+            for server in servers:
+                server.stop()
 
 
 class TestServerIngest:

@@ -1,12 +1,80 @@
 """Tests for fragment stores and dataset manifests."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.storage.metadata import DatasetManifest, VariableMetadata
+from repro.storage.metadata import (
+    MANIFEST_SEGMENT,
+    MANIFEST_VARIABLE,
+    DatasetManifest,
+    VariableMetadata,
+)
 from repro.storage.store import DiskFragmentStore, FragmentStore, ShardedDiskStore
+from test_round_trips import CountingStore
+
+#: ``DatasetManifest.to_json()`` of the last format-1 revision, verbatim:
+#: what every archive written before the per-variable records holds at
+#: ``(_dataset, manifest.json)``.
+FORMAT1_MANIFEST = """{
+  "dataset": "legacy",
+  "variables": {
+    "p": {
+      "compressor": "pmgard_hb",
+      "dtype": "float64",
+      "name": "p",
+      "segments": [
+        "_index.json",
+        "coarse",
+        "L00_signs",
+        "L00_p00"
+      ],
+      "shape": [
+        1,
+        3
+      ],
+      "total_bytes": 321,
+      "value_max": 4.0,
+      "value_min": 1.0
+    },
+    "q@t0003": {
+      "compressor": "psz3",
+      "dtype": "float64",
+      "name": "q@t0003",
+      "segments": [
+        "_index.json",
+        "snapshot_000"
+      ],
+      "shape": [
+        2
+      ],
+      "total_bytes": 77,
+      "value_max": 0.5,
+      "value_min": -2.0
+    }
+  }
+}"""
+
+
+class CallLogStore(CountingStore):
+    """:class:`CountingStore` that logs writes (and their keys) as well."""
+
+    def put(self, variable, segment, payload):
+        self.calls.append(("put", [(variable, segment)]))
+        super().put(variable, segment, payload)
+
+    def put_many(self, items):
+        items = list(items)
+        self.calls.append(("put_many", [(v, s) for v, s, _ in items]))
+        super().put_many(items)
+
+
+def meta(name, lo=0.0, hi=1.0, total_bytes=10, segments=("_index.json", "coarse")):
+    return VariableMetadata.from_array(
+        name, np.array([lo, hi]), "pmgard_hb", total_bytes, segments=list(segments)
+    )
 
 
 class TestFragmentStore:
@@ -186,3 +254,187 @@ class TestManifest:
         assert meta.shape == (2, 3)
         assert meta.total_bytes == 42
         assert meta.segments == ["s0", "s1"]
+
+
+class TestManifestRecords:
+    """The archived form: a header plus one record per variable."""
+
+    def test_save_load_roundtrip(self):
+        store = FragmentStore()
+        manifest = DatasetManifest("demo")
+        manifest.add(meta("p", 1.0, 4.0, segments=["s0", "s1"]))
+        manifest.add(meta("q@t0003", -2.0, 0.5))
+        manifest.save_to(store)
+        header = json.loads(store.get(MANIFEST_VARIABLE, MANIFEST_SEGMENT))
+        assert header == {"dataset": "demo", "format": 2}
+        assert len(store.segments(MANIFEST_VARIABLE)) == 3
+        back = DatasetManifest.load_from(store)
+        assert back == manifest
+        assert back.variables["p"].shape == (2,)
+        assert back.value_ranges() == {"p": 3.0, "q@t0003": 2.5}
+
+    def test_save_writes_one_batch_of_what_changed(self):
+        store = CallLogStore()
+        manifest = DatasetManifest("demo")
+        for k in range(5):
+            manifest.add(meta(f"v{k}"))
+        manifest.save_to(store)
+        assert [call for call, _ in store.calls] == ["put_many"]
+        assert len(store.calls[0][1]) == 6  # five records and the header
+        store.calls.clear()
+        manifest.add(meta("v3", hi=9.0))
+        manifest.add(meta("v5"))
+        manifest.save_to(store)
+        assert store.calls == [
+            ("put_many", [(MANIFEST_VARIABLE, "var.v3.json"),
+                          (MANIFEST_VARIABLE, "var.v5.json")])
+        ]
+        store.calls.clear()
+        manifest.save_to(store)  # nothing changed: nothing written
+        assert store.calls == []
+        assert DatasetManifest.load_from(store) == manifest
+
+    def test_saving_to_another_store_writes_everything(self):
+        first, second = FragmentStore(), FragmentStore()
+        manifest = DatasetManifest("demo")
+        manifest.add(meta("p"))
+        manifest.save_to(first)
+        manifest.add(meta("q"))
+        manifest.save_to(second)
+        assert DatasetManifest.load_from(second) == manifest
+        assert sorted(DatasetManifest.load_from(first).variables) == ["p"]
+
+    def test_two_handles_do_not_lose_each_others_update(self):
+        # `repro ingest` from two shells: at the parent the second
+        # writer's whole-file rewrite dropped the first's variable
+        store = FragmentStore()
+        seed = DatasetManifest("demo")
+        seed.add(meta("base"))
+        seed.save_to(store)
+        one = DatasetManifest.load_from(store)
+        two = DatasetManifest.load_from(store)
+        one.add(meta("from_one"))
+        two.add(meta("from_two"))
+        one.save_to(store)
+        two.save_to(store)
+        assert sorted(DatasetManifest.load_from(store).variables) == [
+            "base", "from_one", "from_two",
+        ]
+
+    def test_fresh_manifest_leaves_other_records_in_place(self):
+        store = FragmentStore()
+        old = DatasetManifest("demo")
+        old.add(meta("kept"))
+        old.add(meta("replaced", hi=1.0))
+        old.save_to(store)
+        fresh = DatasetManifest("demo")
+        fresh.add(meta("replaced", hi=7.0))
+        fresh.save_to(store)
+        back = DatasetManifest.load_from(store)
+        assert sorted(back.variables) == ["kept", "replaced"]
+        assert back.variables["replaced"].value_max == 7.0
+
+    @pytest.mark.parametrize("count", [1, 5, 40])
+    def test_load_is_one_get_and_one_get_many(self, count):
+        store = CallLogStore()
+        manifest = DatasetManifest("demo")
+        for k in range(count):
+            manifest.add(meta(f"v{k:02d}"))
+        manifest.save_to(store)
+        store.calls.clear()
+        back = DatasetManifest.load_from(store)
+        assert len(back.variables) == count
+        assert [call for call, _ in store.calls] == ["get", "get_many"]
+        assert store.round_trips == 2
+
+    def test_absent_manifest_is_key_error(self):
+        with pytest.raises(KeyError):
+            DatasetManifest.load_from(FragmentStore())
+
+
+class TestManifestFormat1:
+    def _legacy_store(self):
+        store = FragmentStore()
+        store.put(MANIFEST_VARIABLE, MANIFEST_SEGMENT, FORMAT1_MANIFEST.encode())
+        return store
+
+    def test_literal_loads_and_serves_value_ranges(self):
+        manifest = DatasetManifest.load_from(self._legacy_store())
+        assert manifest.dataset == "legacy"
+        assert manifest.value_ranges() == {"p": 3.0, "q@t0003": 2.5}
+        assert manifest.variables["p"].shape == (1, 3)
+        assert manifest.variables["q@t0003"].segments == ["_index.json", "snapshot_000"]
+        # and it is still what to_json exports
+        assert manifest.to_json() == FORMAT1_MANIFEST
+
+    def test_next_save_migrates_to_records(self):
+        store = self._legacy_store()
+        manifest = DatasetManifest.load_from(store)
+        manifest.add(meta("r"))
+        manifest.save_to(store)
+        header = json.loads(store.get(MANIFEST_VARIABLE, MANIFEST_SEGMENT))
+        assert header == {"dataset": "legacy", "format": 2}
+        assert sorted(store.segments(MANIFEST_VARIABLE)) == [
+            "manifest.json", "var.p.json", "var.q@t0003.json", "var.r.json",
+        ]
+        assert DatasetManifest.load_from(store) == manifest
+
+    def test_record_wins_over_inline_entry(self):
+        # a batch torn on a store without atomic batches: records are
+        # written ahead of the header, so the header is still format 1
+        store = self._legacy_store()
+        scratch = FragmentStore()
+        newer = DatasetManifest("legacy")
+        newer.add(meta("p", 0.0, 10.0, total_bytes=999))
+        newer.save_to(scratch)
+        store.put(MANIFEST_VARIABLE, "var.p.json", scratch.get(MANIFEST_VARIABLE, "var.p.json"))
+        back = DatasetManifest.load_from(store)
+        assert back.variables["p"].total_bytes == 999
+        assert back.value_ranges() == {"p": 10.0, "q@t0003": 2.5}
+
+
+class TestManifestCorruption:
+    """Untrusted metadata fails with a ValueError that names the segment."""
+
+    def _store(self):
+        store = FragmentStore()
+        manifest = DatasetManifest("demo")
+        manifest.add(meta("p"))
+        manifest.add(meta("q"))
+        manifest.save_to(store)
+        return store
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: len(raw) // 2],                 # truncated
+            lambda raw: b"\xff\xfe" + raw,                     # not UTF-8
+            lambda raw: b"[1, 2, 3]",                          # not an object
+            lambda raw: raw.replace(b'"shape"', b'"shapes"'),  # field missing
+            lambda raw: raw.replace(b'"total_bytes":10', b'"total_bytes":null'),
+        ],
+        ids=["truncated", "not-utf8", "not-object", "missing-field", "null-field"],
+    )
+    def test_corrupt_record_names_the_record(self, damage):
+        store = self._store()
+        raw = store.get(MANIFEST_VARIABLE, "var.q.json")
+        store.put(MANIFEST_VARIABLE, "var.q.json", damage(raw))
+        with pytest.raises(ValueError, match=r"var\.q\.json") as caught:
+            DatasetManifest.load_from(store)
+        assert type(caught.value) is ValueError  # not a bare JSONDecodeError
+
+    def test_corrupt_header_names_the_header(self):
+        store = self._store()
+        for payload in (b'{"dataset": "demo", "form', b'{"format": 2}',
+                        b'{"dataset": "demo", "format": 3}'):
+            store.put(MANIFEST_VARIABLE, MANIFEST_SEGMENT, payload)
+            with pytest.raises(ValueError, match=r"manifest\.json") as caught:
+                DatasetManifest.load_from(store)
+            assert type(caught.value) is ValueError
+
+    def test_corrupt_inline_entry_names_the_variable(self):
+        store = FragmentStore()
+        store.put(MANIFEST_VARIABLE, MANIFEST_SEGMENT,
+                  FORMAT1_MANIFEST.replace('"value_min": -2.0', '"value_min": "low"').encode())
+        with pytest.raises(ValueError, match="q@t0003"):
+            DatasetManifest.load_from(store)
