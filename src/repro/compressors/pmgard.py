@@ -27,14 +27,20 @@ import zlib
 import numpy as np
 
 from repro.compressors.base import ProgressiveReader, Refactored, Refactorer
-from repro.encoding.bitplane import BitplaneDecoder, BitplaneEncoder
+from repro.encoding.bitplane import (
+    BitplaneEncoder,
+    CoefficientLayout,
+    FusedBitplaneDecoder,
+)
 from repro.utils.fragment_keys import (
     COARSE_SEGMENT,
-    pmgard_plane_segment,
+    pmgard_plane_segments,
     pmgard_signs_segment,
 )
 from repro.transforms.multilevel import HIERARCHICAL, MultilevelTransform
 from repro.utils.validation import as_float_array, check_error_bound
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class PMGARDRefactored(Refactored):
@@ -74,6 +80,23 @@ class PMGARDRefactored(Refactored):
             self._plan_table = table
         return table
 
+    def coefficient_layout(self) -> CoefficientLayout:
+        """Shared geometry of the readers' fused coefficient buffers
+        (built once, cached, like :meth:`plan_table`)."""
+        layout = getattr(self, "_layout", None)
+        if layout is None:
+            layout = self._layout = CoefficientLayout(self.streams)
+        return layout
+
+    def _fused_decoder(self) -> FusedBitplaneDecoder:
+        return FusedBitplaneDecoder(
+            self.streams, self.coefficient_layout(), backend=self.backend
+        )
+
+    def _decode_coarse(self) -> np.ndarray:
+        raw = zlib.decompress(self.coarse_payload)
+        return np.frombuffer(raw, dtype=np.float64).reshape(self.coarse_shape).copy()
+
     def reader(self) -> "PMGARDReader":
         return PMGARDReader(self)
 
@@ -95,9 +118,12 @@ class PlanTable:
     cumulative reductions instead of an O(planes) Python loop per round.
 
     Floating-point summation order differs from the greedy loop's
-    running ``sum(bounds)``, so callers re-run the greedy loop from the
-    planned state as a mop-up; it converges in at most a step or two and
-    keeps the stopping condition bit-identical to the original.
+    running ``sum(bounds)``, so :meth:`planes_for` stops short of the
+    fixed point by the rounding slack of the two sums and callers re-run
+    the greedy loop from the planned state as a mop-up.  The peel order
+    is fixed, so a shorter prefix plus the exact mop-up *is* the greedy
+    plan; it converges in a step or two and keeps the stopping condition
+    bit-identical to the original.
     """
 
     def __init__(self, streams, kappa: float):
@@ -135,7 +161,14 @@ class PlanTable:
         """Planes per level after greedily peeling until the bound fits."""
         if self.ev_level.size == 0 or self.total <= eb:
             return np.zeros(self.num_levels, dtype=np.int64)
-        need = self.total - eb
+        # ``total - eb`` and the cumsum each round by up to an ulp of
+        # ``total`` per term, differently from the greedy running sum; a
+        # seed past the greedy stop would fetch a plane for nothing (the
+        # mop-up only adds).  Every event whose cumulative reduction is
+        # short of ``need`` by more than that slack is one greedy surely
+        # peels, and so is the one after them.
+        slack = (self.ev_level.size + self.num_levels + 2) * _EPS * self.total
+        need = self.total - eb - slack
         m = int(np.searchsorted(self.cum_delta, need, side="left")) + 1
         m = min(m, self.ev_level.size)
         return np.bincount(self.ev_level[:m], minlength=self.num_levels)
@@ -146,12 +179,14 @@ class PMGARDReader(ProgressiveReader):
 
     def __init__(self, refactored: PMGARDRefactored):
         self._ref = refactored
-        self._decoders = [BitplaneDecoder(s, backend=refactored.backend) for s in refactored.streams]
+        self._levels = refactored._fused_decoder()
+        self._decoders = self._levels.decoders
         self._bytes = 0
         self._coarse: np.ndarray | None = None
         self._requested = False
         self._dirty = True
         self._rec: np.ndarray | None = None
+        self._plans: tuple = (None, {})  # (planes consumed, {eb: planes per level})
 
     # -- byte/bound accounting ----------------------------------------------
 
@@ -173,15 +208,27 @@ class PMGARDReader(ProgressiveReader):
 
     def _fetch_coarse(self) -> None:
         if self._coarse is None:
-            ref = self._ref
-            self._bytes += len(ref.coarse_payload)
-            raw = zlib.decompress(ref.coarse_payload)
-            self._coarse = (
-                np.frombuffer(raw, dtype=np.float64).reshape(ref.coarse_shape).copy()
-            )
+            self._bytes += len(self._ref.coarse_payload)
+            self._coarse = self._ref._decode_coarse()
 
     def _plan(self, eb: float) -> list:
-        """Planes per level meeting *eb*: closed-form seed + greedy mop-up."""
+        """Planes per level meeting *eb*: closed-form seed + greedy mop-up.
+
+        A round plans the same state up to three times (the round's
+        segments, the widened segments, then the request itself), so
+        plans are kept until a level moves — keyed on the exact float
+        *eb*, never quantized, like the shared planner's memo.
+        """
+        consumed = self._consumed()
+        if self._plans[0] != consumed:
+            self._plans = (consumed, {})
+        plans = self._plans[1]
+        planned = plans.get(eb)
+        if planned is None:
+            planned = plans[eb] = self._plan_uncached(eb)
+        return planned
+
+    def _plan_uncached(self, eb: float) -> list:
         decs = self._decoders
         kappa = self._ref.kappa
         seed = self._ref.plan_table().planes_for(eb)
@@ -220,19 +267,16 @@ class PMGARDReader(ProgressiveReader):
                     continue
                 if dec.planes_consumed == 0:
                     segments.append(pmgard_signs_segment(level))
-                segments.extend(
-                    pmgard_plane_segment(level, p)
-                    for p in range(dec.planes_consumed, k)
-                )
+                names = pmgard_plane_segments(level, dec.stream.num_planes)
+                segments.extend(names[dec.planes_consumed : k])
         return segments
+
+    def _consumed(self) -> tuple:
+        return tuple(dec.planes_consumed for dec in self._decoders)
 
     def plan_token(self) -> tuple:
         """Plan-cache state token: coarse fetched? + planes consumed per level."""
-        return (
-            "pmgard",
-            self._coarse is None,
-            tuple(dec.planes_consumed for dec in self._decoders),
-        )
+        return ("pmgard", self._coarse is None, self._consumed())
 
     def use_executor(self, executor) -> None:
         """Run plane decode through *executor* (bit-identical to inline)."""
@@ -243,21 +287,13 @@ class PMGARDReader(ProgressiveReader):
         eb = check_error_bound(eb)
         self._fetch_coarse()
         self._requested = True
-        decs = self._decoders
-        if decs:
-            # two-phase across levels: submit every level's plane chunks
-            # before collecting any, so an executor's workers decode all
-            # levels concurrently (inline decoders complete in "begin")
-            pending = [
-                (l, decs[l].begin_advance(k)) for l, k in enumerate(self._plan(eb))
-            ]
-            for l, token in pending:
-                if token is None:
-                    continue
-                fetched = decs[l].finish_advance(token)
-                if fetched:
-                    self._dirty = True
-                    self._bytes += fetched
+        if self._decoders:
+            planned = self._plan(eb)
+            if any(k > d.planes_consumed for k, d in zip(planned, self._decoders)):
+                # flagged before decoding: a fetch that fails part-way may
+                # already have merged some levels' planes
+                self._dirty = True
+                self._bytes += self._levels.advance_to(planned)
         return self.reconstruct()
 
     def reconstruct(self) -> np.ndarray:
@@ -265,8 +301,9 @@ class PMGARDReader(ProgressiveReader):
             return self._rec
         ref = self._ref
         self._fetch_coarse()
-        coeffs = [d.reconstruct() for d in self._decoders]
-        self._rec = ref.transform.recompose(ref.decomp, coefficients=coeffs, coarse=self._coarse)
+        self._rec = ref.transform.recompose(
+            ref.decomp, coefficients=self._levels.reconstruct(), coarse=self._coarse
+        )
         self._dirty = False
         return self._rec
 
@@ -285,9 +322,8 @@ class PMGARDResolutionReader:
 
     def __init__(self, refactored: "PMGARDRefactored"):
         self._ref = refactored
-        self._decoders = [
-            BitplaneDecoder(s, backend=refactored.backend) for s in refactored.streams
-        ]
+        self._levels = refactored._fused_decoder()
+        self._decoders = self._levels.decoders
         self._bytes = 0
         self._coarse: np.ndarray | None = None
         self._levels_fetched = 0  # counted from the coarsest end
@@ -323,23 +359,23 @@ class PMGARDResolutionReader:
             raise ValueError("levels must be >= 0")
         if self._coarse is None:
             self._bytes += len(self._ref.coarse_payload)
-            raw = zlib.decompress(self._ref.coarse_payload)
-            self._coarse = (
-                np.frombuffer(raw, dtype=np.float64)
-                .reshape(self._ref.coarse_shape)
-                .copy()
-            )
+            self._coarse = self._ref._decode_coarse()
         target = min(int(levels), self.num_levels)
-        for i in range(self.num_levels - 1, self.num_levels - 1 - target, -1):
-            dec = self._decoders[i]
-            self._bytes += dec.advance_to(dec.stream.num_planes)
+        first = self.num_levels - target
+        self._bytes += self._levels.advance_to(
+            [
+                dec.stream.num_planes if i >= first else 0
+                for i, dec in enumerate(self._decoders)
+            ]
+        )
         self._levels_fetched = max(self._levels_fetched, target)
         return self.reconstruct()
 
     def reconstruct(self) -> np.ndarray:
-        coeffs = [d.reconstruct() for d in self._decoders]
         return self._ref.transform.recompose(
-            self._ref.decomp, coefficients=coeffs, coarse=self._coarse
+            self._ref.decomp,
+            coefficients=self._levels.reconstruct(),
+            coarse=self._coarse,
         )
 
 

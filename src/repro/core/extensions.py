@@ -23,16 +23,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from repro.core.expressions import QoI, _coerce
+from repro.core.expressions import _Node, _coerce
 
 
-class Abs(QoI):
+class Abs(_Node):
     """Absolute value: ``| |x'| - |x| | <= |x' - x| <= eps``."""
 
     def __init__(self, child):
         self.child = _coerce(child)
+        self._identify((self.child,))
 
-    def evaluate(self, env):
+    def _compute(self, env):
         v, e = self.child.evaluate(env)
         return np.abs(np.asarray(v, dtype=np.float64)), np.asarray(e, dtype=np.float64)
 
@@ -43,7 +44,7 @@ class Abs(QoI):
         return f"Abs({self.child!r})"
 
 
-class _Binary1Lipschitz(QoI):
+class _Binary1Lipschitz(_Node):
     """Common base for min/max: 1-Lipschitz in each argument jointly."""
 
     _op = None
@@ -52,8 +53,9 @@ class _Binary1Lipschitz(QoI):
     def __init__(self, left, right):
         self.left = _coerce(left)
         self.right = _coerce(right)
+        self._identify((self.left, self.right))
 
-    def evaluate(self, env):
+    def _compute(self, env):
         v1, e1 = self.left.evaluate(env)
         v2, e2 = self.right.evaluate(env)
         value = self._op(np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64))
@@ -82,7 +84,7 @@ class Maximum(_Binary1Lipschitz):
     _name = "Maximum"
 
 
-class Clip(QoI):
+class Clip(_Node):
     """Clamp to ``[lo, hi]`` — 1-Lipschitz, so the child bound passes through."""
 
     def __init__(self, child, lo: float | None = None, hi: float | None = None):
@@ -93,8 +95,9 @@ class Clip(QoI):
         self.child = _coerce(child)
         self.lo = lo
         self.hi = hi
+        self._identify((self.child,), lo, hi)
 
-    def evaluate(self, env):
+    def _compute(self, env):
         v, e = self.child.evaluate(env)
         value = np.clip(np.asarray(v, dtype=np.float64), self.lo, self.hi)
         return value, np.asarray(e, dtype=np.float64)
@@ -106,7 +109,7 @@ class Clip(QoI):
         return f"Clip({self.child!r}, lo={self.lo}, hi={self.hi})"
 
 
-class DomainReduce(QoI):
+class DomainReduce(_Node):
     """Global weighted reduction ``sum_i w_i f(x_i)`` over the domain.
 
     A direct application of Theorem 4 across the whole array: the bound
@@ -121,8 +124,11 @@ class DomainReduce(QoI):
         self.child = _coerce(child)
         self.kind = kind
         self.weights = None if weights is None else np.asarray(weights, dtype=np.float64)
+        self._identify((self.child,), kind)
+        if weights is not None:
+            self.key = None  # a weight array has no cheap structural name
 
-    def evaluate(self, env):
+    def _compute(self, env):
         v, e = self.child.evaluate(env)
         v = np.asarray(v, dtype=np.float64)
         e = np.broadcast_to(np.asarray(e, dtype=np.float64), v.shape)
@@ -146,7 +152,7 @@ class DomainReduce(QoI):
         return f"DomainReduce({self.child!r}, kind={self.kind!r})"
 
 
-class MovingAverage(QoI):
+class MovingAverage(_Node):
     """Box-filter smoothing along one axis (a common posthoc operator).
 
     The filter is a convex combination per output point, so by Theorem 4
@@ -161,8 +167,9 @@ class MovingAverage(QoI):
         self.child = _coerce(child)
         self.window = int(window)
         self.axis = int(axis)
+        self._identify((self.child,), self.window, self.axis)
 
-    def evaluate(self, env):
+    def _compute(self, env):
         v, e = self.child.evaluate(env)
         v = np.asarray(v, dtype=np.float64)
         e = np.broadcast_to(np.asarray(e, dtype=np.float64), v.shape)

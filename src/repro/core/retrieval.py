@@ -32,7 +32,7 @@ import numpy as np
 from repro.compressors.base import Refactored, Refactorer
 from repro.core.assigner import DEFAULT_REDUCTION_FACTOR, reassign_eb
 from repro.core.estimators import fetch_mask, seed_bounds
-from repro.core.expressions import QoI
+from repro.core.expressions import MemoEnv, QoI
 from repro.core.masking import ZeroMask
 from repro.core.pipeline import (
     DEFAULT_MAX_WORKERS,
@@ -260,17 +260,31 @@ class QoIRetriever:
 
     # -- helpers -------------------------------------------------------------
 
-    def _environment(self, recon: dict, achieved: dict) -> dict:
-        """Environment for QoI evaluation: masked points carry eps = 0."""
-        env = {}
-        for v, rec in recon.items():
-            eps = achieved[v]
-            mask = self._masks.get(v)
-            if mask is not None and np.isfinite(eps):
-                env[v] = (rec, mask.pointwise_eps(eps, rec.shape))
-            else:
-                env[v] = (rec, eps)
-        return env
+    def _eps_field(self, variable: str, eps: float, shape: tuple):
+        """The bound QoI estimation sees: masked points carry eps = 0."""
+        mask = self._masks.get(variable)
+        if mask is not None and np.isfinite(eps):
+            return mask.pointwise_eps(eps, shape)
+        return eps
+
+
+def _estimate(req: QoIRequest, env) -> tuple:
+    """``(estimate, worst index)`` of one request: lines 13-24 of Algorithm 2.
+
+    The estimate is the largest bound inside the request's region; the
+    worst index (flat, whole-domain) is where Algorithm 4 tightens, and
+    is only located when the tolerance is missed.
+    """
+    _, bound = req.qoi.evaluate(env)
+    bound = np.asarray(bound)
+    masked = req.masked_bound(bound)
+    est = float(np.max(masked)) if masked.size else 0.0
+    if est <= req.absolute_tolerance:
+        return est, None
+    region_idx = req.region_indices(bound.shape)
+    if region_idx is None:
+        return est, int(np.argmax(bound.ravel()))
+    return est, int(region_idx[int(np.argmax(masked))])
 
 
 class RetrievalSession:
@@ -491,6 +505,14 @@ class RetrievalSession:
         compute_s = 0.0  # this round's reader compute
         decoded: set = set()  # variables this round has decoded
         planned: dict = {}  # variable -> segments this round's decode needs
+        # what a round re-estimates is what moved: the environment versions
+        # every variable, repeated subtrees of the request forest are
+        # computed once per version, and a request keeps its verdict while
+        # none of its variables move.  All of it dies with this call.
+        env = MemoEnv([req.qoi for req in requests])
+        request_vars = [tuple(sorted(req.qoi.variables())) for req in requests]
+        verdicts: list = [None] * len(requests)  # (stamp, estimate, worst index)
+        returned: dict = {}  # variable -> array its reader last returned
 
         def decode(v: str) -> None:
             # a reader only moves when asked for a *tighter* bound, and by
@@ -503,9 +525,13 @@ class RetrievalSession:
             bound = reader.current_error_bound
             if bound < achieved[v]:
                 progressed = True
+            if rec is returned.get(v) and bound == achieved[v]:
+                return  # same array, same bound: nothing downstream moved
+            returned[v] = rec
             achieved[v] = bound
             mask = retriever._masks.get(v)
             recon[v] = mask.pin(rec.copy()) if mask is not None else rec
+            env.bind(v, recon[v], retriever._eps_field(v, bound, rec.shape))
 
         def decode_timed(v: str) -> None:
             nonlocal compute_s
@@ -585,26 +611,20 @@ class RetrievalSession:
             if pipe is not None:
                 pipe.record_round(io_wait_s, compute_s)
 
-            env = retriever._environment(recon, {v: achieved[v] for v in involved})
             all_met = True
             worst: dict = {}
             with sw.section("estimate"):
-                for req in requests:
-                    _, bound = req.qoi.evaluate(env)
-                    bound = np.asarray(bound)
-                    masked = req.masked_bound(bound)
-                    est = float(np.max(masked)) if masked.size else 0.0
+                for i, req in enumerate(requests):
+                    stamp = env.stamp(request_vars[i])
+                    if verdicts[i] is None or verdicts[i][0] != stamp:
+                        verdicts[i] = (stamp, *_estimate(req, env))
+                    _, est, worst_index = verdicts[i]
                     estimated[req.name] = est
                     met = est <= req.absolute_tolerance
                     satisfied[req.name] = met
                     if not met:
                         all_met = False
-                        region_idx = req.region_indices(bound.shape)
-                        local = int(np.argmax(masked))
-                        worst[req.name] = (
-                            int(region_idx[local]) if region_idx is not None else
-                            int(np.argmax(bound.ravel()))
-                        )
+                        worst[req.name] = worst_index
             if all_met or degraded_reason is not None:
                 break
             if not progressed and rounds > 1:

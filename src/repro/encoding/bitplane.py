@@ -35,7 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.encoding.lossless import get_backend
-from repro.utils.bits import accumulate_bitplanes, element_byte_width, pack_bitplanes
+from repro.utils.bits import (
+    accumulate_bitplanes,
+    element_byte_width,
+    or_bit_rows,
+    pack_bitplanes,
+)
 
 #: Segment framing markers: stored raw vs. backend-compressed.
 _SEG_RAW = b"\x00"
@@ -115,11 +120,11 @@ class BitplaneStream:
     num_planes: int
     sign_segment: bytes
     plane_segments: list = field(default_factory=list)
+    #: Number of coefficients in the group.
+    size: int = field(init=False)
 
-    @property
-    def size(self) -> int:
-        """Number of coefficients in the group."""
-        return int(np.prod(self.shape)) if self.shape else 1
+    def __post_init__(self):
+        self.size = int(np.prod(self.shape)) if self.shape else 1
 
     def error_bound(self, planes: int) -> float:
         """Guaranteed coefficient L-infinity bound after *planes* planes."""
@@ -230,13 +235,33 @@ class BitplaneDecoder:
     """
 
     def __init__(self, stream: BitplaneStream, backend: str = "zlib"):
+        width = element_byte_width(stream.num_planes)
+        self._bind(
+            stream,
+            backend,
+            np.zeros((stream.size, width), dtype=np.uint8),
+            np.zeros(stream.size, dtype=bool),
+        )
+
+    @classmethod
+    def _over(cls, stream, backend, mag_bytes, signs) -> "BitplaneDecoder":
+        """A decoder over storage the caller owns (views of a
+        :class:`FusedBitplaneDecoder`'s buffers), allocating none."""
+        decoder = cls.__new__(cls)
+        decoder._bind(stream, backend, mag_bytes, signs)
+        return decoder
+
+    def _bind(self, stream, backend, mag_bytes, signs) -> None:
         self.stream = stream
         self.backend = get_backend(backend)
         self.executor = None
         self.planes_consumed = 0
-        self._width = element_byte_width(stream.num_planes)
-        self._mag_bytes = np.zeros((stream.size, self._width), dtype=np.uint8)
-        self._signs: np.ndarray | None = None
+        #: ``(size, width)`` big-endian magnitude bytes, ``width`` the
+        #: smallest power-of-two byte count holding ``num_planes`` bits
+        self._mag_bytes = mag_bytes
+        self._width = mag_bytes.shape[1]
+        #: all-False until the sign segment is decoded with the first plane
+        self._signs = signs
 
     @property
     def _mags(self) -> np.ndarray:
@@ -254,6 +279,22 @@ class BitplaneDecoder:
             return 0
         return self.finish_advance(pending)
 
+    def _new_planes(self, planes: int):
+        """The ``range`` of planes a request for *planes* has yet to decode."""
+        stream = self.stream
+        target = min(int(planes), stream.num_planes)
+        if stream.exponent is None or target <= self.planes_consumed:
+            return None
+        return range(self.planes_consumed, target)
+
+    def _offloads(self) -> bool:
+        """Whether plane decode goes to the executor (task overhead
+        dominates below :data:`OFFLOAD_MIN_ELEMENTS`)."""
+        return (
+            self.executor is not None
+            and self.stream.size >= _offload_min_elements()
+        )
+
     def begin_advance(self, planes: int):
         """Start consuming planes up to *planes*; None when nothing new.
 
@@ -263,20 +304,15 @@ class BitplaneDecoder:
         tasks carrying zero-copy payload handles where the stream offers
         them.  Pass the token to :meth:`finish_advance` to merge.
         """
-        stream = self.stream
-        target = min(int(planes), stream.num_planes)
-        if stream.exponent is None or target <= self.planes_consumed:
+        span = self._new_planes(planes)
+        if span is None:
             return None
-        fetched = stream.segment_bytes(self.planes_consumed, target)
-        backend = self.backend
-        if self._signs is None:
-            raw = _decompress_segment(backend, stream.sign_segment)
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-            self._signs = bits[: stream.size].astype(bool)
-        start = self.planes_consumed
-        executor = self.executor
-        if executor is not None and stream.size >= _offload_min_elements():
-            span = list(range(start, target))
+        stream = self.stream
+        fetched = stream.segment_bytes(span.start, span.stop)
+        if span.start == 0:
+            self._signs[:] = self._decode_signs()
+        if self._offloads():
+            executor = self.executor
             per_task = -(-len(span) // max(1, executor.workers))
             chunks = []
             for i in range(0, len(span), per_task):
@@ -287,13 +323,13 @@ class BitplaneDecoder:
                     items,
                     stream.num_planes,
                     stream.size,
-                    backend.name,
+                    self.backend.name,
                 )
                 chunks.append((task, chunk))
-            return _PendingAdvance(fetched, target, chunks)
-        self._accumulate_inline(range(start, target))
-        self.planes_consumed = target
-        return _PendingAdvance(fetched, target, [])
+            return _PendingAdvance(fetched, span.stop, chunks)
+        self._accumulate_inline(span)
+        self.planes_consumed = span.stop
+        return _PendingAdvance(fetched, span.stop, [])
 
     def finish_advance(self, pending) -> int:
         """Merge a :meth:`begin_advance` token; returns bytes newly fetched."""
@@ -313,14 +349,25 @@ class BitplaneDecoder:
             self.planes_consumed = max(self.planes_consumed, pending.target)
         return pending.fetched
 
-    def _accumulate_inline(self, planes) -> None:
+    def _decode_signs(self) -> np.ndarray:
+        raw = _decompress_segment(self.backend, self.stream.sign_segment)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        return bits[: self.stream.size].astype(bool)
+
+    def _plane_rows(self, planes) -> list:
+        """``(plane, packed row)`` for each of *planes*, inflated."""
         stream = self.stream
         nb = (stream.size + 7) // 8
         rows = []
         for p in planes:
             raw = _decompress_segment(self.backend, stream.plane_segments[p])
             rows.append((p, np.frombuffer(raw, dtype=np.uint8, count=nb)))
-        accumulate_bitplanes(rows, stream.num_planes, self._mag_bytes)
+        return rows
+
+    def _accumulate_inline(self, planes) -> None:
+        accumulate_bitplanes(
+            self._plane_rows(planes), self.stream.num_planes, self._mag_bytes
+        )
 
     def _plane_payload(self, plane: int):
         """Best payload argument for a kernel: handle if available, else bytes."""
@@ -331,24 +378,25 @@ class BitplaneDecoder:
                 return handle
         return self.stream.plane_segments[plane]
 
+    def _midpoint(self) -> float:
+        """Offset added to coefficients already known non-zero: halves the
+        expected truncation error without weakening the ``2**(e-k)``
+        guarantee (0.0 before the first and after the last plane)."""
+        P = self.stream.num_planes
+        k = self.planes_consumed
+        return float(2 ** (P - k - 1)) if 0 < k < P else 0.0
+
     def reconstruct(self) -> np.ndarray:
         """Current best reconstruction of the coefficient group."""
         stream = self.stream
         if stream.exponent is None:
             return np.zeros(stream.shape, dtype=np.float64)
-        P = stream.num_planes
-        k = self.planes_consumed
-        mags = self._mags
-        vals = mags.astype(np.float64)
-        if 0 < k < P:
-            # midpoint offset for coefficients already known non-zero:
-            # halves the expected truncation error without weakening the
-            # 2**(e-k) guarantee.
-            offset = float(2 ** (P - k - 1))
-            vals[mags > 0] += offset
-        vals = np.ldexp(vals, stream.exponent - P)
-        if self._signs is not None:
-            np.negative(vals, where=self._signs, out=vals)
+        vals = _dequantize(
+            self._mags,
+            self._signs,
+            np.full(stream.size, self._midpoint()),
+            stream.exponent - stream.num_planes,
+        )
         return vals.reshape(stream.shape)
 
     @property
@@ -357,3 +405,142 @@ class BitplaneDecoder:
         if self.planes_consumed == 0 and self.stream.exponent is not None:
             return float(2.0 ** self.stream.exponent)
         return self.stream.error_bound(self.planes_consumed)
+
+
+def _dequantize(mags: np.ndarray, signs: np.ndarray, midpoint: np.ndarray, scale) -> np.ndarray:
+    """Fixed-point magnitudes to float64 coefficients, one pass each.
+
+    *midpoint* holds one float64 per coefficient and is used up as
+    scratch; *scale* (``exponent - P``) is a scalar for one group or a
+    per-coefficient vector for several groups sharing a buffer: the
+    float64 operations per element are the same either way.  The
+    midpoint goes to coefficients already known non-zero, the sign bit
+    is flipped where *signs* is set (so a zero becomes ``-0.0``) — both
+    without ``where=`` loops, which crawl on masks as irregular as these.
+    """
+    vals = mags.astype(np.float64)
+    np.multiply(midpoint, vals > 0.0, out=midpoint)
+    vals += midpoint  # x + 0.0 is x: zeros stay untouched
+    np.ldexp(vals, scale, out=vals)
+    flip = midpoint.view(np.uint64)
+    np.copyto(flip, signs)
+    flip <<= np.uint64(63)
+    bits = vals.view(np.uint64)
+    bits ^= flip
+    return vals
+
+
+class CoefficientLayout:
+    """Static geometry of several coefficient groups sharing one buffer.
+
+    Group *l* owns the first ``streams[l].size`` rows of the slot
+    ``[starts[l], starts[l] + slots[l])``; each slot is padded to a
+    multiple of 8 coefficients so the packed plane rows of every group
+    sit on byte boundaries of one bit-transpose pass.  Built once per
+    refactored variable and shared, read-only, by its readers; it holds
+    per-group numbers only, so it costs the same however large the
+    variable is.
+    """
+
+    def __init__(self, streams):
+        self.slots = [-(-s.size // 8) * 8 for s in streams]
+        self.starts = [sum(self.slots[:l]) for l in range(len(self.slots))]
+        self.total = sum(self.slots)
+        self.width = element_byte_width(
+            max((s.num_planes for s in streams), default=1)
+        )
+        #: ``exponent - P`` per group (``ldexp`` scale); padding and all-zero
+        #: groups hold zero magnitudes, so 0 does for them.
+        self.scales = np.array(
+            [0 if s.exponent is None else s.exponent - s.num_planes for s in streams],
+            dtype=np.int32,
+        )
+
+
+class FusedBitplaneDecoder:
+    """Progressive decoder of several streams over one coefficient buffer.
+
+    The per-stream :class:`BitplaneDecoder` s in :attr:`decoders` keep
+    their public behaviour but decode into views of one ``(total, W)``
+    magnitude matrix and one sign vector, so a round merges the new
+    planes of every group in one bit-transpose pass per byte column and
+    dequantizes the whole buffer with one pass per operation — the work
+    is independent of how many groups the coefficients are split into.
+    """
+
+    def __init__(self, streams, layout: CoefficientLayout, backend: str = "zlib"):
+        self.layout = layout
+        self._mag_bytes = np.zeros((layout.total, layout.width), dtype=np.uint8)
+        self._signs = np.zeros(layout.total, dtype=bool)
+        self.decoders = []
+        for stream, start in zip(streams, layout.starts):
+            rows = slice(start, start + stream.size)
+            # a narrower group's big-endian bytes are the low-order columns
+            low = layout.width - element_byte_width(stream.num_planes)
+            self.decoders.append(
+                BitplaneDecoder._over(
+                    stream, backend, self._mag_bytes[rows, low:], self._signs[rows]
+                )
+            )
+
+    def advance_to(self, planes) -> int:
+        """Consume planes up to ``planes[l]`` of every group *l*; returns
+        bytes newly fetched.  Nothing is merged unless every inline
+        group's new segments were fetched and inflated."""
+        offloaded = []
+        inline = []
+        for l, (dec, k) in enumerate(zip(self.decoders, planes)):
+            if dec._offloads():
+                # submitted before the inline merge so workers overlap it
+                pending = dec.begin_advance(k)
+                if pending is not None:
+                    offloaded.append((dec, pending))
+            else:
+                span = dec._new_planes(k)
+                if span is not None:
+                    inline.append((l, dec, span))
+        fetched = self._advance_inline(inline) if inline else 0
+        for dec, pending in offloaded:
+            fetched += dec.finish_advance(pending)
+        return fetched
+
+    def _advance_inline(self, moving) -> int:
+        layout = self.layout
+        top = 8 * layout.width
+        # byte span of the moving groups' slots (groups come in slot order)
+        lo = layout.starts[moving[0][0]] // 8
+        last = moving[-1][0]
+        hi = (layout.starts[last] + layout.slots[last]) // 8
+        fetched = 0
+        signs = []
+        by_col: dict = {}
+        for l, dec, span in moving:
+            stream = dec.stream
+            fetched += stream.segment_bytes(span.start, span.stop)
+            if span.start == 0:
+                signs.append((dec, dec._decode_signs()))
+            first = layout.starts[l] // 8 - lo
+            for p, row in dec._plane_rows(span):
+                bitpos = top - stream.num_planes + p
+                by_col.setdefault(bitpos >> 3, []).append((bitpos & 7, first, row))
+        for dec, bits in signs:
+            dec._signs[:] = bits
+        or_bit_rows(by_col, self._mag_bytes[8 * lo : 8 * hi])
+        for _, dec, span in moving:
+            dec.planes_consumed = span.stop
+        return fetched
+
+    def reconstruct(self) -> list:
+        """Current coefficients of every group: views of one fresh vector."""
+        layout = self.layout
+        decoders = self.decoders
+        vals = _dequantize(
+            self._mag_bytes.view(f">u{layout.width}").ravel(),
+            self._signs,
+            np.repeat([dec._midpoint() for dec in decoders], layout.slots),
+            np.repeat(layout.scales, layout.slots),
+        )
+        return [
+            vals[start : start + dec.stream.size].reshape(dec.stream.shape)
+            for dec, start in zip(decoders, layout.starts)
+        ]

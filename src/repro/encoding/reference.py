@@ -2,7 +2,8 @@
 
 These are faithful copies of the original per-plane / per-symbol
 implementations that :mod:`repro.encoding.bitplane`,
-:mod:`repro.encoding.huffman` and the PMGARD plane planner replaced with
+:mod:`repro.encoding.huffman`, the PMGARD plane planner and the PMGARD
+reader's per-level reconstruct + boolean-mask recompose replaced with
 array-at-a-time kernels.  They are kept for two reasons:
 
 * the property tests assert the vectorized kernels are **bit-exact**
@@ -21,6 +22,7 @@ decoded *outputs*, which is the contract that matters.
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from repro.encoding.bitplane import (
     _SEG_COMPRESSED,
     _SEG_RAW,
     BitplaneStream,
+    _decompress_segment,
 )
 from repro.encoding.huffman import (
     _MAX_CODE_LEN,
@@ -37,6 +40,8 @@ from repro.encoding.huffman import (
     _limited_code_lengths,
 )
 from repro.encoding.lossless import get_backend
+from repro.transforms.interpolation import fine_node_mask, split_even_odd
+from repro.transforms.l2projection import l2_correction_along_axis
 from repro.utils.bits import pack_varlen_codes
 
 _RHC1_MAGIC = b"RHC1"
@@ -107,6 +112,9 @@ class ReferenceBitplaneDecoder:
         self._mags = np.zeros(stream.size, dtype=np.uint64)
         self._signs: np.ndarray | None = None
 
+    def _inflate(self, segment: bytes) -> bytes:
+        return self.backend.decompress_bytes(segment)
+
     def advance_to(self, planes: int) -> int:
         stream = self.stream
         target = min(int(planes), stream.num_planes)
@@ -114,12 +122,12 @@ class ReferenceBitplaneDecoder:
             return 0
         fetched = stream.segment_bytes(self.planes_consumed, target)
         if self._signs is None:
-            raw = self.backend.decompress_bytes(stream.sign_segment)
+            raw = self._inflate(stream.sign_segment)
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
             self._signs = bits[: stream.size].astype(bool)
         P = stream.num_planes
         for p in range(self.planes_consumed, target):
-            raw = self.backend.decompress_bytes(stream.plane_segments[p])
+            raw = self._inflate(stream.plane_segments[p])
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: stream.size]
             self._mags |= bits.astype(np.uint64) << np.uint64(P - 1 - p)
         self.planes_consumed = target
@@ -145,6 +153,70 @@ class ReferenceBitplaneDecoder:
         if self.planes_consumed == 0 and self.stream.exponent is not None:
             return float(2.0 ** self.stream.exponent)
         return self.stream.error_bound(self.planes_consumed)
+
+
+# -- PMGARD reconstruction ----------------------------------------------------
+
+
+class _FramedReferenceDecoder(ReferenceBitplaneDecoder):
+    """The plane-at-a-time decoder over production (marker-framed) segments."""
+
+    def _inflate(self, segment: bytes) -> bytes:
+        return _decompress_segment(self.backend, segment)
+
+
+def reference_predict_along_axis(even: np.ndarray, axis: int, odd_size: int) -> np.ndarray:
+    """Original odd-node prediction: clamped right-neighbour gather."""
+    ce = even.shape[axis]
+    index = [slice(None)] * even.ndim
+    index[axis] = slice(0, odd_size)
+    left = even[tuple(index)]
+    right_idx = np.minimum(np.arange(1, odd_size + 1), ce - 1)
+    right = np.take(even, right_idx, axis=axis)
+    return 0.5 * (left + right)
+
+
+def reference_recompose(decomp, coefficients, coarse) -> np.ndarray:
+    """Original recomposition: a boolean fine-node mask rebuilt, counted
+    and scattered through per level, then the inverse lifting."""
+    a = np.array(coarse, dtype=np.float64)
+    for level in range(len(decomp.shapes) - 1, -1, -1):
+        shape = decomp.shapes[level]
+        full = np.empty(shape, dtype=np.float64)
+        full[tuple(slice(0, None, 2) for _ in shape)] = a
+        mask = fine_node_mask(shape)
+        coeffs = np.asarray(coefficients[level], dtype=np.float64)
+        if coeffs.size != int(mask.sum()):
+            raise ValueError(f"level {level}: coefficient count mismatch")
+        full[mask] = coeffs
+        for axis in range(full.ndim - 1, -1, -1):
+            if full.shape[axis] < 2:
+                continue
+            even, odd = split_even_odd(full, axis)
+            if decomp.basis == "orthogonal":
+                even -= l2_correction_along_axis(odd, axis, even.shape[axis])
+            odd += reference_predict_along_axis(even, axis, odd.shape[axis])
+        a = full
+    return a
+
+
+def reference_pmgard_reconstruct(refactored, planes) -> np.ndarray:
+    """A PMGARD variable after ``planes[l]`` planes of each level, the
+    original way: one plane-at-a-time decode and one ``astype`` / midpoint
+    / ``ldexp`` / sign pass per level, then :func:`reference_recompose`.
+
+    The oracle for the reader's fused coefficient buffer — built from the
+    streams alone, sharing no state and no decode code with it.
+    """
+    coefficients = []
+    for stream, k in zip(refactored.streams, planes):
+        decoder = _FramedReferenceDecoder(stream, backend=refactored.backend)
+        decoder.advance_to(k)
+        coefficients.append(decoder.reconstruct())
+    coarse = np.frombuffer(
+        zlib.decompress(refactored.coarse_payload), dtype=np.float64
+    ).reshape(refactored.coarse_shape)
+    return reference_recompose(refactored.decomp, coefficients, coarse)
 
 
 # -- Huffman ------------------------------------------------------------------

@@ -47,6 +47,7 @@ from repro.utils.fragment_keys import (
     INDEX_SEGMENT,
     LOSSLESS_SEGMENT,
     pmgard_plane_segment,
+    pmgard_plane_segments,
     pmgard_signs_segment,
     snapshot_segment,
 )
@@ -259,49 +260,47 @@ def prefetch_plans(plans) -> int:
 class _LazyPlaneList:
     """Sequence of one PMGARD level's plane payloads, fetched on access."""
 
-    def __init__(self, source: FragmentSource, level: int, num_planes: int):
+    def __init__(self, source: FragmentSource, names: tuple):
         self._source = source
-        self._level = level
-        self._n = int(num_planes)
+        self._names = names
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._names)
 
     def __getitem__(self, plane: int):
-        if not 0 <= plane < self._n:
+        if not 0 <= plane < len(self._names):
             raise IndexError(plane)
-        return self._source.get(pmgard_plane_segment(self._level, plane))
+        return self._source.get(self._names[plane])
 
 
 class _LazyBitplaneStream(BitplaneStream):
     """Archive-backed stream: plane payloads load lazily, sizes do not."""
 
     def __init__(self, shape, exponent, num_planes, sign_segment, source, level):
+        names = pmgard_plane_segments(level, int(num_planes))
         super().__init__(
             tuple(shape),
             exponent,
             int(num_planes),
             sign_segment,
-            _LazyPlaneList(source, level, num_planes),
+            _LazyPlaneList(source, names),
         )
         self._source = source
-        self._level = level
+        self._names = names
 
     def segment_bytes(self, start_plane: int, stop_plane: int) -> int:
         # size queries must not pull payloads: answer from the store index
         if self.exponent is None:
             return 0
-        total = sum(
-            self._source.size_of(pmgard_plane_segment(self._level, p))
-            for p in range(start_plane, min(stop_plane, self.num_planes))
-        )
+        size_of = self._source.size_of
+        total = sum(size_of(name) for name in self._names[start_plane:stop_plane])
         if start_plane == 0 and stop_plane > 0:
             total += len(self.sign_segment)
         return total
 
     def plane_handle(self, plane: int):
         """Zero-copy handle for one plane payload (see FragmentSource.handle)."""
-        return self._source.handle(pmgard_plane_segment(self._level, plane))
+        return self._source.handle(self._names[plane])
 
 
 class _LazyBlob:

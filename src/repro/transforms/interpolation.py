@@ -60,8 +60,10 @@ def predict_along_axis(even: np.ndarray, axis: int, odd_size: int) -> np.ndarray
     if odd_size > ce:
         raise ValueError("odd_size cannot exceed even size for a valid split")
     left = even[_axis_slice(even.ndim, axis, slice(0, odd_size))]
-    right_idx = np.minimum(np.arange(1, odd_size + 1), ce - 1)
-    right = np.take(even, right_idx, axis=axis)
+    right = even[_axis_slice(even.ndim, axis, slice(1, odd_size + 1))]
+    if odd_size == ce:  # even axis length: the last odd node has no right neighbour
+        last = even[_axis_slice(even.ndim, axis, slice(ce - 1, ce))]
+        right = np.concatenate([right, last], axis=axis)
     return 0.5 * (left + right)
 
 

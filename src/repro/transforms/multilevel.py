@@ -185,11 +185,13 @@ class MultilevelTransform:
             full = np.empty(shape, dtype=np.float64)
             corner = tuple(slice(0, None, 2) for _ in shape)
             full[corner] = a
-            mask = fine_node_mask(shape)
-            coeffs = np.asarray(coefficients[level], dtype=np.float64)
-            if coeffs.size != int(mask.sum()):
+            coeffs = np.asarray(coefficients[level], dtype=np.float64).ravel()
+            if coeffs.size != full.size - a.size:
                 raise ValueError(f"level {level}: coefficient count mismatch")
-            full[mask] = coeffs
+            if len(shape) == 1:
+                full[1::2] = coeffs  # the fine nodes of a line are its odd ones
+            else:
+                full[fine_node_mask(shape)] = coeffs
             self._unlift_level(full)
             a = full
         return a

@@ -162,17 +162,30 @@ def accumulate_bitplanes(rows, num_planes: int, out_bytes: np.ndarray) -> None:
     a handful of vector passes per byte column instead of a uint64
     shift/OR chain per plane.
     """
-    n, W = out_bytes.shape
+    W = out_bytes.shape[1]
     P = int(num_planes)
-    nb = (n + 7) // 8
     by_col: dict = {}
     for p, row in rows:
         bitpos = 8 * W - P + int(p)
-        by_col.setdefault(bitpos >> 3, []).append((bitpos & 7, row))
+        by_col.setdefault(bitpos >> 3, []).append((bitpos & 7, 0, row))
+    or_bit_rows(by_col, out_bytes)
+
+
+def or_bit_rows(by_col: dict, out_bytes: np.ndarray) -> None:
+    """OR packed bit rows into the byte columns of *out_bytes*, in place.
+
+    *by_col* maps a byte column ``j`` to ``(bit, first_byte, packed_row)``
+    entries: ``packed_row`` holds, MSB-first, bit ``7 - bit`` of column
+    ``j`` for the elements starting at ``8 * first_byte``.  Rows of
+    several coefficient groups laid out back to back on 8-element
+    boundaries therefore share one transpose pass per byte column.
+    """
+    n = out_bytes.shape[0]
+    nb = (n + 7) // 8
     for j, entries in by_col.items():
         grp = np.zeros((8, nb), dtype=np.uint8)
-        for r, row in entries:
-            grp[r] = row
+        for r, first, row in entries:
+            grp[r, first : first + row.size] = row
         # little-endian word build (reversed lanes) + transpose puts element
         # i's byte at reversed position i%8 within word i//8
         words = np.ascontiguousarray(grp[::-1].T).view(np.uint64).ravel()

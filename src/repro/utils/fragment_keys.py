@@ -5,10 +5,12 @@ The archive layer stores every fragment of a refactored variable under a
 fragments a round needs before fetching any of them) requires the readers
 to speak the same segment names.  Centralizing the naming here keeps
 :mod:`repro.storage.archive` and the compressor readers in lockstep
-without an import cycle — this module imports nothing.
+without an import cycle — this module imports nothing from the package.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 #: JSON index describing how a variable was refactored.
 INDEX_SEGMENT = "_index.json"
@@ -45,3 +47,13 @@ def pmgard_signs_segment(level: int) -> str:
 def pmgard_plane_segment(level: int, plane: int) -> str:
     """Segment name of one PMGARD level's bitplane *plane* (MSB first)."""
     return f"L{level:02d}_p{plane:02d}"
+
+
+@lru_cache(maxsize=1024)
+def pmgard_plane_segments(level: int, num_planes: int) -> tuple:
+    """Every plane segment name of one PMGARD level, MSB plane first.
+
+    Planning and size queries name the same few hundred segments every
+    round; the (immutable) tuple is built once per ``(level, planes)``.
+    """
+    return tuple(pmgard_plane_segment(level, p) for p in range(num_planes))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.encoding.bitplane as bitplane
 from repro.compressors.pmgard import PMGARDReader, PMGARDRefactorer
 
 
@@ -142,3 +143,87 @@ class TestTinyInputs:
         np.testing.assert_allclose(rec, data, atol=1e-10)
         # all coefficient groups are zero -> only the coarse corner moves
         assert reader.bytes_retrieved == len(ref.coarse_payload)
+
+
+class TestRoundCost:
+    """A round's decode cost does not depend on the level count."""
+
+    def test_dirty_round_dequantizes_once_per_variable(self, monkeypatch):
+        ref = PMGARDRefactorer().refactor(field(n=3000))
+        assert len(ref.streams) >= 8
+        reader = ref.reader()
+        calls = {"dequantize": 0, "ldexp": 0}
+        dequantize, ldexp = bitplane._dequantize, np.ldexp
+
+        def counting_dequantize(*args):
+            calls["dequantize"] += 1
+            return dequantize(*args)
+
+        def counting_ldexp(*args, **kwargs):
+            calls["ldexp"] += 1
+            return ldexp(*args, **kwargs)
+
+        monkeypatch.setattr(bitplane, "_dequantize", counting_dequantize)
+        monkeypatch.setattr(np, "ldexp", counting_ldexp)
+        for rounds, eb in enumerate([1e-1, 1e-3, 1e-6], start=1):
+            reader.request(eb)
+            assert calls == {"dequantize": rounds, "ldexp": rounds}
+        reader.request(1e-2)  # looser: nothing moved, nothing recomputed
+        assert calls == {"dequantize": 3, "ldexp": 3}
+
+    def test_readers_share_the_static_vectors(self):
+        ref = PMGARDRefactorer().refactor(field())
+        r1, r2 = ref.reader(), ref.reader()
+        assert r1._levels.layout is r2._levels.layout is ref.coefficient_layout()
+        # every level decodes into a view of the reader's one buffer
+        for reader in (r1, r2):
+            for dec in reader._decoders:
+                assert np.shares_memory(dec._mag_bytes, reader._levels._mag_bytes)
+        assert not np.shares_memory(r1._levels._mag_bytes, r2._levels._mag_bytes)
+
+    def test_round_plans_its_state_once(self, monkeypatch):
+        ref = PMGARDRefactorer().refactor(field())
+        reader = ref.reader()
+        planned = []
+        plan_uncached = reader._plan_uncached
+        monkeypatch.setattr(
+            reader, "_plan_uncached", lambda eb: planned.append(eb) or plan_uncached(eb)
+        )
+        # a round asks three times: its segments, the widened ones, the request
+        first = reader.plan_segments(1e-3)
+        reader.plan_segments(1e-3 / 2.25)
+        assert reader.plan_segments(1e-3) == first
+        reader.request(1e-3)
+        assert planned == [1e-3, 1e-3 / 2.25]
+        # the state moved: the next plan is computed against the new state
+        assert reader.plan_segments(1e-3) == []
+        assert planned == [1e-3, 1e-3 / 2.25, 1e-3]
+        # exact float keys: a neighbouring eb is a different plan
+        reader.plan_segments(np.nextafter(1e-3, 0.0))
+        assert len(planned) == 4
+
+    def test_failed_fetch_merges_nothing(self):
+        ref = PMGARDRefactorer().refactor(field())
+        reader = ref.reader()
+        reader.request(1e-2)
+        before = reader._levels._mag_bytes.copy()
+        consumed = [d.planes_consumed for d in reader._decoders]
+
+        class Broken(list):
+            def __getitem__(self, plane):
+                raise OSError("store down")
+
+        # the coarsest moving level cannot be fetched: no level may advance
+        moving = [
+            l for l, (k, d) in enumerate(zip(reader._plan(1e-6), reader._decoders))
+            if k > d.planes_consumed
+        ]
+        stream = ref.streams[moving[-1]]
+        planes, stream.plane_segments = stream.plane_segments, Broken(stream.plane_segments)
+        with pytest.raises(OSError):
+            reader.request(1e-6)
+        stream.plane_segments = planes
+        assert [d.planes_consumed for d in reader._decoders] == consumed
+        assert np.array_equal(reader._levels._mag_bytes, before)
+        fresh = ref.reader()
+        assert reader.request(1e-6).tobytes() == fresh.request(1e-6).tobytes()

@@ -9,14 +9,20 @@ from repro.core.expressions import (
     Add,
     Const,
     Div,
+    MemoEnv,
     Mul,
     Pow,
+    QoI,
     Radical,
     Sqrt,
     Var,
     polynomial,
     product,
+    shared_subtrees,
 )
+from repro.core.extensions import Abs, Clip, DomainReduce, Maximum, Minimum, MovingAverage
+from repro.core.masking import ZeroMask
+from repro.core.qois import GE_QOIS, total_velocity
 
 
 def env_of(**kwargs):
@@ -171,3 +177,128 @@ class TestDomainFailures:
         expr = Sqrt(Div(Const(1.0), Var("d")))
         _, bound = expr.evaluate(env_of(d=([0.001], 0.5)))
         assert np.isinf(bound.item())
+
+
+def _ge_state(n=257, seed=3):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 4 * np.pi, n)
+    fields = dict(
+        velocity_x=120 * np.sin(t) + 30 + rng.normal(size=n),
+        velocity_y=60 * np.cos(t) + rng.normal(size=n),
+        velocity_z=20 * np.sin(2 * t) + rng.normal(size=n),
+        pressure=1e5 + 2e4 * np.sin(t / 2) + 100 * rng.normal(size=n),
+        density=1.2 + 0.2 * np.cos(t / 3) + 0.002 * rng.normal(size=n),
+    )
+    walls = slice(0, n, 16)
+    for name in ("velocity_x", "velocity_y", "velocity_z"):
+        fields[name][walls] = 0.0
+    return fields
+
+
+def _eps_cases(fields):
+    """Scalar, per-point (zero-masked) and unbounded eps for every field."""
+    mask = ZeroMask.from_fields(
+        fields["velocity_x"], fields["velocity_y"], fields["velocity_z"]
+    )
+    scalar = {k: 1e-3 * float(np.ptp(v)) for k, v in fields.items()}
+    pointwise = {
+        k: mask.pointwise_eps(e, fields[k].shape) if k.startswith("velocity") else e
+        for k, e in scalar.items()
+    }
+    unbounded = dict(scalar, pressure=np.inf, velocity_y=np.inf)
+    return {"scalar": scalar, "pointwise": pointwise, "inf": unbounded}
+
+
+def _bitwise_equal(a, b):
+    return all(
+        np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        and np.asarray(x).shape == np.asarray(y).shape
+        for x, y in zip(a, b)
+    )
+
+
+class TestMemoizedEvaluation:
+    """A :class:`MemoEnv` returns the bytes a plain ``dict`` returns."""
+
+    def _forest(self):
+        vtot, t = GE_QOIS["VTOT"], GE_QOIS["T"]
+        forest = dict(GE_QOIS)
+        forest.update(
+            abs=Abs(vtot - 50.0),
+            minimum=Minimum(vtot, t),
+            maximum=Maximum(vtot, t),
+            clip=Clip(t, lo=250.0, hi=400.0),
+            mean=DomainReduce(GE_QOIS["Mach"], kind="mean"),
+            weighted=DomainReduce(vtot, weights=np.linspace(0.0, 1.0, 257)),
+            smooth=MovingAverage(GE_QOIS["C"], window=5),
+        )
+        return forest
+
+    @pytest.mark.parametrize("case", ["scalar", "pointwise", "inf"])
+    def test_bitwise_equal_to_plain_evaluate(self, case):
+        fields = _ge_state()
+        eps = _eps_cases(fields)[case]
+        forest = self._forest()
+        plain = {k: (v, eps[k]) for k, v in fields.items()}
+        env = MemoEnv(forest.values())
+        assert env.shared  # the forest does repeat subtrees
+        for k, v in fields.items():
+            env.bind(k, v, eps[k])
+        with np.errstate(all="ignore"):
+            for _ in range(2):  # the second pass is served from the memo
+                for name, qoi in forest.items():
+                    assert _bitwise_equal(qoi.evaluate(env), qoi.evaluate(plain)), name
+            # re-binding a variable recomputes exactly what depends on it
+            moved = fields["pressure"] * 1.01
+            env.bind("pressure", moved, eps["pressure"])
+            plain["pressure"] = (moved, eps["pressure"])
+            for name, qoi in forest.items():
+                assert _bitwise_equal(qoi.evaluate(env), qoi.evaluate(plain)), name
+
+    def test_only_maximal_repeated_subtrees_are_kept(self):
+        vtot, t, mach = GE_QOIS["VTOT"], GE_QOIS["T"], GE_QOIS["Mach"]
+        shared = shared_subtrees([vtot, t, mach])
+        assert shared == {
+            vtot.key: ("velocity_x", "velocity_y", "velocity_z"),
+            t.key: ("density", "pressure"),
+        }
+        # one tree on its own repeats nothing worth keeping ...
+        assert shared_subtrees([vtot]) == {}
+        # ... unless it uses a subtree twice: x**3.5 is x**3 * sqrt(x)
+        pt = GE_QOIS["PT"]
+        assert any(key.startswith("Add(") for key in shared_subtrees([pt]))
+
+    def test_keys_are_structural(self):
+        assert GE_QOIS["VTOT"].key == total_velocity().key != total_velocity(vz="w").key
+        # the same function, summed in another association, is another tree
+        assert GE_QOIS["VTOT"].key != Sqrt(
+            Var("velocity_x") ** 2 + Var("velocity_y") ** 2 + Var("velocity_z") ** 2
+        ).key
+        assert Radical(Var("x"), c=1.0).key != Radical(Var("x"), c=2.0).key
+        assert Add([Var("x"), Var("y")], weights=[1, -1]).key != (Var("x") + Var("y")).key
+        assert Minimum(Var("x"), Var("y")).key != Maximum(Var("x"), Var("y")).key
+
+    def test_user_defined_node_without_a_key_still_evaluates(self):
+        class Halved(QoI):  # declares no key: evaluated afresh every time
+            calls = 0
+
+            def __init__(self, child):
+                self.child = child
+
+            def evaluate(self, env):
+                type(self).calls += 1
+                v, e = self.child.evaluate(env)
+                return 0.5 * np.asarray(v), 0.5 * np.asarray(e)
+
+            def variables(self):
+                return self.child.variables()
+
+        node = Halved(Sqrt(Var("x")))
+        parent = Sqrt(node) + Sqrt(node)
+        assert node.key is None and parent.key is None
+        values = np.array([4.0, 16.0])
+        plain = {"x": (values, 0.25)}
+        env = MemoEnv([parent, parent])
+        env.bind("x", values, 0.25)
+        assert _bitwise_equal(parent.evaluate(env), parent.evaluate(plain))
+        assert Halved.calls == 4  # nothing of it was memoized
