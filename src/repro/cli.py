@@ -83,8 +83,7 @@ from repro.storage.archive import Archive
 from repro.storage.cache import DEFAULT_CACHE_BYTES
 from repro.storage.metadata import DatasetManifest, VariableMetadata
 from repro.storage.store import (
-    DiskFragmentStore,
-    ShardedDiskStore,
+    open_directory_store,
     open_store,
     parse_bytes,
     split_store_url,
@@ -121,8 +120,7 @@ def _cmd_archive(args) -> int:
         store = open_store(args.out)
         dataset = os.path.basename(rest.partition("?")[0].rstrip("/")) or "dataset"
     else:
-        store_cls = ShardedDiskStore if getattr(args, "sharded", False) else DiskFragmentStore
-        store = store_cls(args.out)
+        store = open_directory_store(args.out, sharded=getattr(args, "sharded", False))
         dataset = os.path.basename(args.out.rstrip("/")) or "dataset"
     archive = Archive(store)
     manifest = DatasetManifest(dataset=dataset)

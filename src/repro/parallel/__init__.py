@@ -30,7 +30,6 @@ from repro.parallel.executor import (
     ArenaRef,
     ArenaStats,
     ExecutorStats,
-    HAVE_NUMBA,
     KERNELS,
     KernelExecutor,
     KernelTask,
@@ -49,7 +48,6 @@ __all__ = [
     "ArenaStats",
     "BlockedDataset",
     "ExecutorStats",
-    "HAVE_NUMBA",
     "KERNELS",
     "KernelExecutor",
     "KernelTask",

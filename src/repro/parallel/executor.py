@@ -27,10 +27,6 @@ pool-infrastructure failures (:class:`BrokenProcessPool`, a severed result
 pipe) are replayed inline on the submitting thread and the executor
 degrades permanently to in-process execution, counting the event in
 ``stats().fallbacks``.  Genuine kernel exceptions propagate unchanged.
-
-An optional numba fast path for the hot byte-OR merge is enabled when
-numba is importable; the numpy implementation is the fallback and the
-reference.
 """
 
 from __future__ import annotations
@@ -54,20 +50,11 @@ except ImportError:  # pragma: no cover - shared_memory ships with CPython 3.8+
     _resource_tracker = None
     _shared_memory = None
 
-try:  # optional accelerator; the numpy path below is the reference
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    _numba = None
-    HAVE_NUMBA = False
-
 __all__ = [
     "ArenaLookupError",
     "ArenaRef",
     "ArenaStats",
     "ExecutorStats",
-    "HAVE_NUMBA",
     "KERNELS",
     "KernelTask",
     "ProcessKernelExecutor",
@@ -367,20 +354,6 @@ class SlabArena:
 # ---------------------------------------------------------------------------
 
 
-def _or_inplace(dst: np.ndarray, src: np.ndarray) -> None:
-    np.bitwise_or(dst, src, out=dst)
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @_numba.njit(cache=True)
-    def _or_inplace(dst, src):  # noqa: F811
-        flat_dst = dst.reshape(-1)
-        flat_src = src.reshape(-1)
-        for i in range(flat_dst.size):
-            flat_dst[i] |= flat_src[i]
-
-
 def merge_magnitude_bytes(dst: np.ndarray, payload) -> None:
     """OR a worker's partial magnitude-byte matrix into *dst* in place.
 
@@ -388,7 +361,7 @@ def merge_magnitude_bytes(dst: np.ndarray, payload) -> None:
     bit position, so the byte-wise OR is commutative and associative.
     """
     partial = np.frombuffer(payload, dtype=np.uint8).reshape(dst.shape)
-    _or_inplace(dst, partial)
+    np.bitwise_or(dst, partial, out=dst)
 
 
 def _as_f64(data, shape):

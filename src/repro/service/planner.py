@@ -36,7 +36,7 @@ rounds:
   Results are demultiplexed to the waiting sessions as their stores
   complete.  This extends single-flight from per-key to whole rounds:
   rounds that queue while a fetch (or a
-  :class:`~repro.storage.resilience.TripBudget` wait) is in flight
+  :class:`~repro.storage.resilience.TokenBucket` wait) is in flight
   accumulate and merge into the next tick for free.
 
 Sessions widen a fetching round with the fragments the next round is
@@ -95,7 +95,7 @@ class PlannerStats:
     ``coalesced_round_trips`` is the store ``get_many`` calls the
     scheduler actually issued across ``scheduler_ticks`` ticks.  The
     ``slow_tier_throttle_*`` triple mirrors the service's
-    :class:`~repro.storage.resilience.TripBudget` (zeros when no budget
+    :class:`~repro.storage.resilience.TokenBucket` (zeros when no budget
     is configured).
     """
 
@@ -344,7 +344,7 @@ class FetchScheduler:
     Sessions call :meth:`fetch` (blocking) from their pipeline's fetch
     workers; a dedicated daemon thread drains the whole queue each tick,
     so rounds that arrive while a fetch is in flight — or while a
-    :class:`~repro.storage.resilience.TripBudget` gates the slow tier —
+    :class:`~repro.storage.resilience.TokenBucket` gates the slow tier —
     accumulate and merge into the next tick without any added idle
     latency.  Per tick the merged plan is claimed atomically through the
     shared :class:`~repro.storage.archive.FragmentSource` registry

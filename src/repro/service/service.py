@@ -27,7 +27,8 @@ counters, so sessions may run on concurrent threads.
 
 Under heavy traffic the service applies *admission control* rather than
 unbounded queueing: a bounded in-flight budget (``max_inflight``),
-per-client :class:`TokenBucket` rate limits, and per-request priorities —
+per-client :class:`~repro.storage.resilience.TokenBucket` rate limits,
+and per-request priorities —
 a request that cannot be admitted is shed immediately with
 :class:`OverloadedError` carrying a ``retry_after_ms`` hint, leaving no
 server-side state behind.  Admitted requests may still come back
@@ -40,7 +41,6 @@ overload is always an explicit, observable contract, never a hang.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.core.assigner import DEFAULT_REDUCTION_FACTOR
@@ -59,8 +59,8 @@ from repro.storage.cache import CacheStats, CachingFragmentStore, DEFAULT_CACHE_
 from repro.storage.cluster import ClusterFragmentStore, ClusterStats
 from repro.service.planner import FetchScheduler, PlannerStats, QueryPlanner
 from repro.storage.metadata import MANIFEST_SEGMENT, MANIFEST_VARIABLE, DatasetManifest
-from repro.storage.resilience import ResilienceStats, TripBudget
-from repro.storage.store import DiskFragmentStore, FragmentStore, ShardedDiskStore, open_store
+from repro.storage.resilience import ResilienceStats, TokenBucket
+from repro.storage.store import FragmentStore, open_directory_store, open_store
 from repro.storage.tiered import TieredStore, TierStats
 from repro.storage.wal import CompactionReport, DurabilityStats
 from repro.utils.fragment_keys import timestep_variable
@@ -89,39 +89,6 @@ class OverloadedError(RuntimeError):
         super().__init__(f"overloaded ({reason}); retry after {retry_after_ms:.0f} ms")
         self.reason = reason
         self.retry_after_ms = float(retry_after_ms)
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
-
-    ``try_acquire`` either takes one token and returns ``0.0`` or takes
-    nothing and returns the seconds until a token will be available —
-    the natural ``retry_after`` hint for a shed response.  Not thread
-    safe on its own; callers serialize access (the service holds its
-    admission lock).
-    """
-
-    def __init__(self, rate: float, burst: float, clock=time.monotonic):
-        if rate <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be positive")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._clock = clock
-        self._tokens = float(burst)
-        self._stamp = clock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        self._tokens = min(self.burst, self._tokens + (now - self._stamp) * self.rate)
-        self._stamp = now
-
-    def try_acquire(self) -> float:
-        """Take one token (return 0.0) or return seconds until one exists."""
-        self._refill()
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return 0.0
-        return (1.0 - self._tokens) / self.rate
 
 
 @dataclass
@@ -233,9 +200,9 @@ class RetrievalService:
         instead of queued, and low-priority requests are shed earlier
         (at ``LOW_PRIORITY_WATERMARK`` of the budget).
     client_rate / client_burst:
-        Per-client :class:`TokenBucket` parameters (requests/second and
-        burst size).  ``client_rate=None`` (default) disables per-client
-        rate limiting.
+        Per-client :class:`~repro.storage.resilience.TokenBucket`
+        parameters (requests/second and burst size, at least 1).
+        ``client_rate=None`` (default) disables per-client rate limiting.
     hedge_delay_s:
         Straggler hedging delay for every client session's fetch
         pipeline (see :class:`~repro.core.pipeline.PipelineConfig`).
@@ -256,7 +223,7 @@ class RetrievalService:
     slow_trip_rate / slow_trip_burst:
         Budget slow-tier round trips (tiered backend's capacity tier,
         cluster shard fan-outs) to *rate* trips/second with *burst*
-        headroom via a :class:`~repro.storage.resilience.TripBudget`.
+        headroom via a blocking :class:`~repro.storage.resilience.TokenBucket`.
         Over-budget rounds *wait* (they are admitted work), and queued
         rounds keep merging in the scheduler while they do.  ``None``
         (default) disables budgeting.
@@ -320,12 +287,11 @@ class RetrievalService:
         self._compute_seconds = 0.0
         self._retrieval_rounds = 0
         self.max_inflight = None if max_inflight is None else int(max_inflight)
-        self.client_rate = None if client_rate is None else float(client_rate)
-        self.client_burst = (
-            max(1.0, self.client_rate)
-            if client_burst is None and self.client_rate is not None
-            else (None if client_burst is None else float(client_burst))
-        )
+        self.client_rate = self.client_burst = None
+        if client_rate is not None:
+            # built once to validate the pair here, not on the first request
+            limits = TokenBucket(client_rate, client_burst)
+            self.client_rate, self.client_burst = limits.rate, limits.burst
         self._buckets: dict = {}  # client_id -> TokenBucket
         self._inflight = 0
         self._requests_admitted = 0
@@ -343,26 +309,23 @@ class RetrievalService:
             self.scheduler = FetchScheduler(self.planner, **scheduler_kwargs)
         self.trip_budget = None
         if slow_trip_rate is not None:
-            self.trip_budget = TripBudget(float(slow_trip_rate), slow_trip_burst)
+            self.trip_budget = TokenBucket(float(slow_trip_rate), slow_trip_burst)
             self._install_trip_budget(store)
 
     def _install_trip_budget(self, store) -> None:
-        """Hook the service's TripBudget onto every slow-trip layer.
+        """Hand the service's trip budget to the layer that spends it.
 
-        Walks the ``.inner`` decoration chain (resilience wrappers etc.)
-        and sets ``trip_budget`` on any layer that exposes the attribute
-        — :class:`~repro.storage.tiered.TieredStore` (slow-tier gets) and
+        :class:`~repro.storage.tiered.TieredStore` (slow-tier gets) and
         :class:`~repro.storage.cluster.ClusterFragmentStore` (per-shard
-        fan-outs).  A cluster of tiered nodes would budget at the
-        cluster layer only; node-local tiers are behind the network hop.
+        fan-outs) expose ``trip_budget``; every
+        :class:`~repro.storage.store.StoreWrapper` forwards the attribute
+        down its ``inner`` chain, so setting it on the outermost store
+        reaches them through resilience wrappers and the like.  A cluster
+        of tiered nodes budgets at the cluster layer only; node-local
+        tiers are behind the network hop.
         """
-        seen: set = set()
-        layer = store
-        while layer is not None and id(layer) not in seen:
-            seen.add(id(layer))
-            if hasattr(layer, "trip_budget"):
-                layer.trip_budget = self.trip_budget
-            layer = getattr(layer, "inner", None)
+        if hasattr(store, "trip_budget"):
+            store.trip_budget = self.trip_budget
 
     @classmethod
     def open(
@@ -372,7 +335,7 @@ class RetrievalService:
 
         *archive_dir* accepts everything :func:`open_store` does —
         a plain directory (``sharded=None`` auto-detects the layout from
-        the persisted index a :class:`ShardedDiskStore` leaves behind)
+        the persisted index the sharded layout leaves behind)
         or a ``file://``/``sharded://``/``http://``/``tiered://``/
         ``cluster://`` URL.  A tiered backend's transfer thread is
         started so promotion runs for the life of the service; a cluster
@@ -381,10 +344,8 @@ class RetrievalService:
         """
         if sharded is None:
             store = open_store(archive_dir)
-        elif sharded:
-            store = ShardedDiskStore(archive_dir)
         else:
-            store = DiskFragmentStore(archive_dir)
+            store = open_directory_store(archive_dir, sharded=sharded)
         if isinstance(store, TieredStore):
             store.start_transfer()
         if isinstance(store, ClusterFragmentStore):

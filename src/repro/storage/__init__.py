@@ -1,7 +1,9 @@
 """Storage and data-movement substrates.
 
-* :mod:`repro.storage.store` — local fragment stores (in-memory /
-  on-disk / sharded) with byte accounting, plus :func:`open_store`, the
+* :mod:`repro.storage.store` — the two-primitive store interface, the
+  local fragment stores (in-memory, and the WAL-backed on-disk store in
+  its flat and sharded layouts) with byte accounting, the
+  :class:`StoreWrapper` base of every decorating store, plus :func:`open_store`, the
   URL entry point over every backend (``file://``, ``sharded://``,
   ``memory://``, ``http://``, ``tiered://``, ``cluster://``).
 * :mod:`repro.storage.remote` — the remote tier: in-process HTTP
@@ -39,6 +41,7 @@ from repro.storage.store import (
     DiskFragmentStore,
     FragmentStore,
     ShardedDiskStore,
+    StoreWrapper,
     open_directory_store,
     open_store,
 )
@@ -55,7 +58,6 @@ from repro.storage.remote import (
     InMemoryObjectBucket,
     KeyValueFragmentStore,
     ObjectBucket,
-    RemoteFragmentStore,
 )
 from repro.storage.cluster import (
     ClusterFragmentStore,
@@ -74,6 +76,7 @@ __all__ = [
     "FragmentStore",
     "DiskFragmentStore",
     "ShardedDiskStore",
+    "StoreWrapper",
     "open_store",
     "open_directory_store",
     "FragmentCache",
@@ -83,7 +86,6 @@ __all__ = [
     "DatasetManifest",
     "MANIFEST_VARIABLE",
     "MANIFEST_SEGMENT",
-    "RemoteFragmentStore",
     "HTTPFragmentServer",
     "HTTPFragmentStore",
     "ObjectBucket",

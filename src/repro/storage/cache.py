@@ -60,7 +60,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from repro.storage.store import FragmentStore
+from repro.storage.store import FragmentStore, StoreWrapper
 
 #: Default cache budget: 256 MiB, plenty for the laptop-scale archives the
 #: benchmarks generate while still small enough to exercise eviction.
@@ -219,7 +219,8 @@ class FragmentCache:
 
         *keys* is an iterable of ``(variable, segment)`` pairs and
         *loader_many* a callable mapping a list of keys to a ``{key:
-        payload}`` dict (typically ``store.get_many``).  Hits are served
+        payload}`` dict (typically ``store.get_many``); the result maps
+        each deduplicated key to its payload in request order.  Hits are served
         from the cache; the misses this caller *claims* are loaded with a
         single *loader_many* call outside the lock, so a retrieval
         round's fragment set costs one coalesced store pass however many
@@ -228,7 +229,7 @@ class FragmentCache:
         their results — so concurrent clients with overlapping batches
         share loads single-flight per key, exactly like ``get_or_load``.
         """
-        pending = list(dict.fromkeys((v, s) for v, s in keys))
+        keys = pending = list(dict.fromkeys((v, s) for v, s in keys))
         out: dict = {}
         pinned: set = set()  # keys this caller pinned while waiting on flights
         try:
@@ -301,7 +302,7 @@ class FragmentCache:
                 with self._lock:
                     for key in pinned:
                         self._unpin(key)
-        return out
+        return {key: out[key] for key in keys}  # request order, hits and loads alike
 
     def _evict_to_budget(self) -> None:
         """Evict LRU-first down to the byte budget, skipping pinned keys.
@@ -407,86 +408,51 @@ class FragmentCache:
             self.arena.decref(entry.ref)
 
 
-class CachingFragmentStore(FragmentStore):
-    """Read-through :class:`FragmentStore` adapter over a shared cache.
+class CachingFragmentStore(StoreWrapper):
+    """Read-through :class:`StoreWrapper` over a shared cache.
 
-    ``get`` serves from *cache*, falling back to *inner* exactly once per
-    fragment; everything else (``has``/``segments``/``nbytes``/``keys``)
-    delegates to *inner*.  Several adapters may share one cache, and one
-    adapter may serve many concurrent clients — the cache is the only
-    shared mutable state and it is lock-protected.
+    Reads serve from *cache*, falling back to *inner* exactly once per
+    fragment; writes go through to *inner* and invalidate.  Several
+    adapters may share one cache, and one adapter may serve many
+    concurrent clients — the cache is the only shared mutable state and
+    it is lock-protected.
     """
 
     def __init__(self, inner: FragmentStore, cache: FragmentCache):
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self.cache = cache
 
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Write through to the inner store, invalidating any cached copy.
-
-        Invalidation runs after the inner write and also marks loads in
-        flight, so a re-saved fragment can never serve its old payload
-        from the cache (see :meth:`FragmentCache.invalidate`).
-        """
-        self.inner.put(variable, segment, payload)
-        self.cache.invalidate(variable, segment)
-        with self._stats_lock:
-            self.put_round_trips += 1
-            self._count_write(1, len(payload))
-
-    def put_many(self, items) -> None:
-        """Batched write-through: one inner round trip, batch invalidation."""
-        batch = self._check_batch(items)
-        self.inner.put_many(batch)
-        self.cache.invalidate_many([(v, s) for v, s, _ in batch])
-        with self._stats_lock:
-            self.put_round_trips += 1
-            self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Delete from the inner store, invalidating any cached copy."""
-        self.inner.delete(variable, segment)
-        self.cache.invalidate(variable, segment)
-
     def transact(self, puts, deletes=()) -> None:
-        """Forward the whole transaction to the inner store in one call.
+        """Write through to the inner store, invalidating every touched key.
 
-        Keeps the inner store's atomicity (one WAL commit record on the
-        disk stores) and invalidates every touched key — written and
-        deleted — in one batched cache pass.
+        Invalidation (one batched cache pass over written and deleted
+        keys) runs after the inner write and also marks loads in flight,
+        so a re-saved fragment can never serve its old payload from the
+        cache (see :meth:`FragmentCache.invalidate`).
         """
         batch = self._check_batch(puts)
         doomed = list(deletes)
         self.inner.transact(batch, doomed)
-        self.cache.invalidate_many(
-            [(v, s) for v, s, _ in batch] + [(v, s) for v, s in doomed]
-        )
-        with self._stats_lock:
-            if batch:
-                self.put_round_trips += 1
-                self._count_write(len(batch), sum(len(p) for _, _, p in batch))
+        self.cache.invalidate_many([(v, s) for v, s, _ in batch] + doomed)
+        if batch:
+            self._count_writes(batch)
 
     def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment through the cache (at most one inner read)."""
+        """Read one fragment through the cache (at most one inner read).
+
+        Not derived from :meth:`get_many`: this is the cache-hit path
+        every decoder's ``FragmentSource.get`` lands on.
+        """
         payload = self.cache.get_or_load(
             variable, segment, lambda: self.inner.get(variable, segment)
         )
-        # the adapter's counters are uniformly *client-visible*: requests
-        # this client issued, whether the cache or the inner store served
-        # them (the inner store's own counters hold the store-side truth)
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
+        self._count_reads({(variable, segment): payload})
         return payload
 
     def get_many(self, keys) -> dict:
         """Batched read-through: one inner round trip for the batch's misses."""
         out = self.cache.get_many(keys, self.inner.get_many)
-        with self._stats_lock:
-            self.round_trips += 1
-            for payload in out.values():
-                self._count_read(len(payload))  # client-visible traffic
+        self._count_reads(out)
         return out
 
     def fragment_handle(self, variable: str, segment: str):
@@ -496,44 +462,3 @@ class CachingFragmentStore(FragmentStore):
         zero-copy payload handles to ship to process-backend workers.
         """
         return self.cache.handle(variable, segment)
-
-    def has(self, variable: str, segment: str) -> bool:
-        """Delegate to the inner store's index."""
-        return self.inner.has(variable, segment)
-
-    def keys(self) -> list:
-        """Delegate to the inner store's index."""
-        return self.inner.keys()
-
-    def variables(self) -> list:
-        """Delegate to the inner store's index."""
-        return self.inner.variables()
-
-    def size_of(self, variable: str, segment: str) -> int:
-        """Delegate to the inner store's index."""
-        return self.inner.size_of(variable, segment)
-
-    def segments(self, variable: str) -> list:
-        """Delegate to the inner store's index."""
-        return self.inner.segments(variable)
-
-    def nbytes(self, variable: str | None = None) -> int:
-        """Delegate to the inner store's index."""
-        return self.inner.nbytes(variable)
-
-    def compact(self):
-        """Compact the inner store (cached payloads are never dead bytes).
-
-        Compaction only reclaims tombstoned files, and every delete on
-        this adapter already invalidated its cached copy — so no cache
-        interaction is needed beyond delegating.
-        """
-        return self.inner.compact()
-
-    def durability(self):
-        """Delegate to the inner store's durability counters."""
-        return self.inner.durability()
-
-    def close(self) -> None:
-        """Close the inner store (the shared cache may outlive it)."""
-        self.inner.close()

@@ -11,7 +11,7 @@ processes — behind the ordinary
   maps every ``(variable, segment)`` key to an ordered owner list; the
   same key always lands on the same nodes, load spreads evenly (vnodes
   smooth the arcs), and a membership change moves only ~1/N of the keys.
-* **K-way replication.**  ``put``/``put_many``/``transact`` write each
+* **K-way replication.**  ``transact`` (and so every put) writes each
   fragment to its ``replicas`` owners (batched per node, all nodes in
   parallel); a write succeeds as long as every fragment lands on at
   least one owner, counting the under-replicated remainder as
@@ -342,7 +342,7 @@ class ClusterFragmentStore(FragmentStore):
             max_workers=max(2, min(len(self._nodes) + 2, int(max_parallel))),
             thread_name_prefix="repro-cluster",
         )
-        # Optional TripBudget: one token per shard round trip, acquired on
+        # Optional TokenBucket: one token per shard round trip, acquired on
         # the calling thread before dispatch.  Rebalance copies are exempt.
         self.trip_budget = None
         self.rebalancer = Rebalancer(self)
@@ -548,17 +548,6 @@ class ClusterFragmentStore(FragmentStore):
                     pending.difference_update(group)
         return out
 
-    def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment from its primary, failing over to replicas."""
-        key = (variable, segment)
-        if key not in self._sizes:
-            raise KeyError(key)
-        payload = self._fetch([key])[key]
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
-
     def get_many(self, keys) -> dict:
         """Read a batch: one parallel coalesced round trip per live shard.
 
@@ -573,27 +562,17 @@ class ClusterFragmentStore(FragmentStore):
         missing = [k for k in keys if k not in self._sizes]
         if missing:
             raise KeyError(missing)
-        out = self._fetch(keys)
-        with self._stats_lock:
-            self.round_trips += 1
-            for payload in out.values():
-                self._count_read(len(payload))
-        return {k: out[k] for k in keys}
+        fetched = self._fetch(keys)
+        out = {k: fetched[k] for k in keys}
+        self._count_reads(out)
+        return out
 
     # -- writes ----------------------------------------------------------------
-
-    def _apply_node(self, node: _Node, puts: list, deletes: list) -> None:
-        if puts and deletes:
-            node.store.transact(puts, deletes)
-        elif puts:
-            node.store.put_many(puts)
-        elif deletes:
-            node.store.transact((), deletes)
 
     def _replicate(self, batch, deletes=()) -> None:
         """Write each fragment to all its owners, all nodes in parallel.
 
-        One batched request per node carries everything that node
+        One ``transact`` per node carries everything that node
         replicates.  A node failing transiently under a pure put batch
         is tolerated as long as every fragment still reached at least
         one owner (the miss is counted as ``write_failovers``); a node
@@ -614,8 +593,7 @@ class ClusterFragmentStore(FragmentStore):
         names = set(puts_by) | set(dels_by)
         futures = {
             self._pool.submit(
-                self._apply_node,
-                self._by_name[name],
+                self._by_name[name].store.transact,
                 puts_by.get(name, []),
                 dels_by.get(name, []),
             ): name
@@ -649,38 +627,13 @@ class ClusterFragmentStore(FragmentStore):
         if lost_keys:
             raise failures[0][1] if failures else AssertionError("unreachable")
 
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Replicate one fragment to its owners (a singleton batch)."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        self.put_many([(variable, segment, payload)])
-
-    def put_many(self, items) -> None:
-        """Replicate a batch: one batched request per owning node.
-
-        Each node receives one ``put_many`` carrying every fragment it
-        replicates, all nodes written in parallel — a K-replicated batch
-        costs K·(bytes) of traffic but only ``nodes`` round trips.
-        Client-visible accounting matches :meth:`FragmentStore.put_many`
-        (one write round trip, per-fragment ``puts``).
-        """
-        batch = self._check_batch(items)
-        with self._mutate_lock:
-            if batch:
-                self._replicate(batch)
-            with self._stats_lock:
-                for variable, segment, payload in batch:
-                    self._record_put(variable, segment, len(payload))
-                self.put_round_trips += 1
-                self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Remove one fragment from every owner holding it."""
-        self.transact((), [(variable, segment)])
-
     def transact(self, puts, deletes=()) -> None:
         """Apply puts then deletes, grouped per node, as one parallel pass.
 
+        Each node receives one ``transact`` carrying every fragment it
+        replicates, all nodes written in parallel — a K-replicated batch
+        costs K·(bytes) of traffic but only ``nodes`` round trips, and
+        one client-visible write round trip.
         Per-node atomicity is that of each backend's own ``transact``
         (one WAL commit record on the disk-backed servers); cross-node
         atomicity is not promised — a failed node's deletes fail the
@@ -703,11 +656,8 @@ class ClusterFragmentStore(FragmentStore):
                     self._record_put(variable, segment, len(payload))
                 for variable, segment in doomed:
                     self._record_delete(variable, segment)
-                if batch:
-                    self.put_round_trips += 1
-                    self._count_write(
-                        len(batch), sum(len(p) for _, _, p in batch)
-                    )
+            if batch:
+                self._count_writes(batch)
 
     # -- membership ------------------------------------------------------------
 

@@ -3,16 +3,17 @@
 PR 3 proved the retrieval engine's economics against a *simulated*
 remote tier (:class:`~repro.storage.transfer.LatencyFragmentStore`);
 this module provides real ones.  Two backends implement the
-:class:`RemoteFragmentStore` protocol — the read/write surface the rest
-of the stack (archive, cache, tiering, service) composes over:
+:class:`~repro.storage.store.FragmentStore` primitives (``get_many`` and
+``transact``) the rest of the stack (archive, cache, tiering, service)
+composes over:
 
 * :class:`HTTPFragmentServer` / :class:`HTTPFragmentStore` — an
   in-process HTTP object-store server over any local
   :class:`~repro.storage.store.FragmentStore`, and the client that
   speaks to it.  The wire protocol is five endpoints (index, single
-  fragment with HTTP ``Range`` support, a coalesced ``/batch`` read
+  fragment read with HTTP ``Range`` support, a coalesced ``/batch`` read
   moving a whole fragment set in **one** round trip, its write-side
-  mirror ``/batch_put``, and put/delete), so a batched retrieval round
+  mirror ``/batch_put``, and delete), so a batched retrieval round
   — or a batched ingestion flush — costs one HTTP request however many
   fragments it spans, the same economy the pipelined engines exploit
   locally.
@@ -43,54 +44,6 @@ from repro.storage.wal import CompactionReport, DurabilityStats
 
 #: URL path prefix of the fragment protocol (versioned for evolution).
 API_PREFIX = "/v1"
-
-
-@runtime_checkable
-class RemoteFragmentStore(Protocol):
-    """The store surface a remote backend must provide.
-
-    Structural (``isinstance`` works via ``runtime_checkable``): any
-    object with these methods composes with :class:`Archive`,
-    :class:`~repro.storage.cache.CachingFragmentStore`, and
-    :class:`~repro.storage.tiered.TieredStore`.  ``get_many`` is the
-    load-bearing method — it must move its whole batch in one backend
-    round trip, because that is what the pipelined retrieval engine and
-    the tiering layer coalesce misses into.
-    """
-
-    def get(self, variable: str, segment: str) -> bytes:
-        """Fetch one fragment payload; KeyError when absent."""
-
-    def get_many(self, keys) -> dict:
-        """Fetch a batch of fragments in one backend round trip."""
-
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Durably store one fragment."""
-
-    def put_many(self, items) -> None:
-        """Durably store a batch of fragments in one backend round trip.
-
-        The write-side mirror of ``get_many``: what the streaming
-        ingestion engine coalesces its flushes into.
-        """
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Remove one fragment; KeyError when absent."""
-
-    def has(self, variable: str, segment: str) -> bool:
-        """Whether a fragment is indexed (no payload movement)."""
-
-    def size_of(self, variable: str, segment: str) -> int:
-        """Payload size in bytes without fetching."""
-
-    def keys(self) -> list:
-        """All indexed ``(variable, segment)`` keys."""
-
-    def segments(self, variable: str) -> list:
-        """Segment names indexed for one variable."""
-
-    def nbytes(self, variable: str | None = None) -> int:
-        """Total indexed bytes (optionally for one variable)."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +212,6 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         self._store.put_many(items)
         self._send_json(200, {"stored": len(items)})
 
-    def do_PUT(self) -> None:  # noqa: N802
-        """Store one fragment (the request body is the payload)."""
-        if self._route() != API_PREFIX + "/frag":
-            self._send_json(404, {"error": f"no route {self._route()!r}"})
-            return
-        key = self._key()
-        if key is None:
-            return
-        payload = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        self._store.put(key[0], key[1], payload)
-        self._send_json(200, {"stored": len(payload)})
-
     def do_DELETE(self) -> None:  # noqa: N802
         """Delete one fragment (404 when absent)."""
         if self._route() != API_PREFIX + "/frag":
@@ -355,8 +296,9 @@ class HTTPFragmentStore(FragmentStore):
     Opens by pulling the server's index once, so every metadata query
     (``has``/``segments``/``size_of``/``nbytes``) is answered locally;
     call :meth:`refresh` to re-pull after another writer changes the
-    archive.  ``get`` costs one request, :meth:`get_many` moves a whole
-    batch in **one** request via the ``/batch`` endpoint.  Connections
+    archive.  :meth:`get_many` moves a whole batch in **one** request via
+    the ``/batch`` endpoint (a ``get`` is a batch of one), and
+    :meth:`transact` a whole write batch via ``/batch_put``.  Connections
     are per-thread and kept alive, so concurrent retrieval sessions don't
     serialize on a shared socket; a stale keep-alive (server restarted,
     idle socket reaped) is re-dialed transparently exactly once per
@@ -474,28 +416,19 @@ class HTTPFragmentStore(FragmentStore):
 
     # -- reads ----------------------------------------------------------------
 
-    def get(self, variable: str, segment: str) -> bytes:
-        """Fetch one fragment in one HTTP round trip."""
-        status, payload = self._request(
-            "GET", f"{API_PREFIX}/frag?{_frag_query(variable, segment)}"
-        )
-        self._raise_for(status, payload, key=(variable, segment))
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
-
     def get_range(self, variable: str, segment: str, start: int, stop: int) -> bytes:
-        """Fetch ``payload[start:stop]`` via an HTTP ``Range`` request."""
+        """Fetch ``payload[start:stop]`` via an HTTP ``Range`` request.
+
+        The one read a batch cannot express: one round trip, one
+        fragment, only the ranged bytes counted.
+        """
         status, payload = self._request(
             "GET",
             f"{API_PREFIX}/frag?{_frag_query(variable, segment)}",
             headers={"Range": f"bytes={int(start)}-{int(stop) - 1}"},
         )
         self._raise_for(status, payload, key=(variable, segment))
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
+        self._count_reads({(variable, segment): payload})
         return payload
 
     def get_many(self, keys) -> dict:
@@ -515,54 +448,39 @@ class HTTPFragmentStore(FragmentStore):
             offset += length
         if offset != len(payload):
             raise ConnectionError("batch response length mismatch")
-        with self._stats_lock:
-            self.round_trips += 1
-            for fragment in out.values():
-                self._count_read(len(fragment))
+        self._count_reads(out)
         return out
 
     # -- writes ---------------------------------------------------------------
 
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Store one fragment on the server (write-through, synchronous)."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        status, answer = self._request(
-            "PUT", f"{API_PREFIX}/frag?{_frag_query(variable, segment)}", body=bytes(payload)
-        )
-        self._raise_for(status, answer)
-        with self._stats_lock:
-            self._record_put(variable, segment, len(payload))
-            self.put_round_trips += 1
-            self._count_write(1, len(payload))
+    def transact(self, puts, deletes=()) -> None:
+        """Store the puts in one ``/batch_put`` round trip, then delete.
 
-    def put_many(self, items) -> None:
-        """Store a whole batch in one ``/batch_put`` HTTP round trip."""
-        batch = self._check_batch(items)
-        if not batch:
-            return
-        header = json.dumps({
-            "keys": [[v, s] for v, s, _ in batch],
-            "lengths": [len(p) for _, _, p in batch],
-        }).encode() + b"\n"
-        body = header + b"".join(p for _, _, p in batch)
-        status, answer = self._request("POST", API_PREFIX + "/batch_put", body=body)
-        self._raise_for(status, answer)
-        with self._stats_lock:
-            for variable, segment, payload in batch:
-                self._record_put(variable, segment, len(payload))
-            self.put_round_trips += 1
-            self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Delete one fragment on the server; KeyError when absent."""
-        status, answer = self._request(
-            "DELETE", f"{API_PREFIX}/frag?{_frag_query(variable, segment)}"
-        )
-        self._raise_for(status, answer, key=(variable, segment))
-        with self._stats_lock:
-            if (variable, segment) in self._sizes:
-                self._record_delete(variable, segment)
+        Each delete is its own request (``KeyError`` when the server
+        does not hold the key); atomicity is the server-side store's,
+        per request.
+        """
+        batch = self._check_batch(puts)
+        if batch:
+            header = json.dumps({
+                "keys": [[v, s] for v, s, _ in batch],
+                "lengths": [len(p) for _, _, p in batch],
+            }).encode() + b"\n"
+            body = header + b"".join(p for _, _, p in batch)
+            status, answer = self._request("POST", API_PREFIX + "/batch_put", body=body)
+            self._raise_for(status, answer)
+            with self._stats_lock:
+                for variable, segment, payload in batch:
+                    self._record_put(variable, segment, len(payload))
+            self._count_writes(batch)
+        for variable, segment in deletes:
+            status, answer = self._request(
+                "DELETE", f"{API_PREFIX}/frag?{_frag_query(variable, segment)}"
+            )
+            self._raise_for(status, answer, key=(variable, segment))
+            with self._stats_lock:
+                if (variable, segment) in self._sizes:
+                    self._record_delete(variable, segment)
 
     # -- durability -----------------------------------------------------------
 
@@ -711,50 +629,28 @@ class KeyValueFragmentStore(FragmentStore):
                 continue  # not ours; buckets may hold unrelated objects
             self._record_put(variable, segment, int(nbytes))
 
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Write one fragment object to the bucket."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        self.bucket.put_object(object_key(variable, segment), bytes(payload))
-        with self._stats_lock:
-            self._record_put(variable, segment, len(payload))
-            self.put_round_trips += 1
-            self._count_write(1, len(payload))
-
-    def put_many(self, items) -> None:
-        """Batched write; one bucket round trip when the bucket supports it."""
-        batch = self._check_batch(items)
-        put_objects = getattr(self.bucket, "put_objects", None)
-        trips = 1
-        if put_objects is not None:
-            put_objects({object_key(v, s): p for v, s, p in batch})
-        else:
-            for variable, segment, payload in batch:
-                self.bucket.put_object(object_key(variable, segment), payload)
-            trips = max(1, len(batch))  # honest accounting, like get_many
-        with self._stats_lock:
-            for variable, segment, payload in batch:
-                self._record_put(variable, segment, len(payload))
-            self.put_round_trips += trips
-            self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Delete one fragment object; KeyError when absent."""
-        if (variable, segment) not in self._sizes:
-            raise KeyError((variable, segment))
-        self.bucket.delete_object(object_key(variable, segment))
-        with self._stats_lock:
-            self._record_delete(variable, segment)
-
-    def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment object (one bucket round trip)."""
-        if (variable, segment) not in self._sizes:
-            raise KeyError((variable, segment))
-        payload = self.bucket.get_object(object_key(variable, segment))
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
+    def transact(self, puts, deletes=()) -> None:
+        """Write the puts (one bucket round trip when it batches), then delete."""
+        batch = self._check_batch(puts)
+        if batch:
+            put_objects = getattr(self.bucket, "put_objects", None)
+            trips = 1
+            if put_objects is not None:
+                put_objects({object_key(v, s): p for v, s, p in batch})
+            else:
+                for variable, segment, payload in batch:
+                    self.bucket.put_object(object_key(variable, segment), payload)
+                trips = len(batch)  # honest accounting, like get_many
+            with self._stats_lock:
+                for variable, segment, payload in batch:
+                    self._record_put(variable, segment, len(payload))
+            self._count_writes(batch, trips)
+        for variable, segment in deletes:
+            if (variable, segment) not in self._sizes:
+                raise KeyError((variable, segment))
+            self.bucket.delete_object(object_key(variable, segment))
+            with self._stats_lock:
+                self._record_delete(variable, segment)
 
     def get_many(self, keys) -> dict:
         """Batched read; one bucket round trip when the bucket supports it."""
@@ -770,8 +666,5 @@ class KeyValueFragmentStore(FragmentStore):
         else:
             out = {key: self.bucket.get_object(object_key(*key)) for key in keys}
             trips = len(keys)  # honest accounting for non-batching buckets
-        with self._stats_lock:
-            self.round_trips += trips
-            for payload in out.values():
-                self._count_read(len(payload))
+        self._count_reads(out, trips)
         return out

@@ -42,7 +42,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.storage.store import FragmentStore
+from repro.storage.store import FragmentStore, StoreWrapper
 
 __all__ = [
     "FaultStoreError",
@@ -54,32 +54,36 @@ __all__ = [
     "CircuitBreaker",
     "ResilienceStats",
     "ResilientStore",
-    "TripBudget",
+    "TokenBucket",
     "policy_from_params",
     "wrap_with_resilience",
 ]
 
 
-class TripBudget:
-    """Blocking token bucket rate-limiting slow-path store round trips.
+class TokenBucket:
+    """Thread-safe token bucket: ``rate`` tokens/second, ``burst`` capacity.
 
-    The admission-control token bucket (PR 8) guards the service's front
-    door — requests per client.  This is the same idea pushed *down* the
-    stack: each token admits one slow-backend round trip (a
+    One refill rule, two ways to take a token.  :meth:`try_acquire`
+    never waits — it takes a token and returns ``0.0``, or takes nothing
+    and returns the seconds until one will exist, the natural
+    ``retry_after`` of a shed response: the service's front door, one
+    bucket per client.  :meth:`acquire` *blocks* until the bucket
+    refills, because what it gates is already admitted work: each token
+    is one slow-backend round trip (a
     :class:`~repro.storage.tiered.TieredStore` slow-tier read, one
     shard's ``get_many`` in a cluster fetch), so however many sessions a
     service serves, the archive of record sees at most ``rate`` trips
-    per second with ``burst`` of headroom.  Unlike the front-door bucket
-    it *blocks* instead of shedding: a round trip is already admitted
-    work, so the right behavior under pressure is to queue — and while a
-    fetch queues here, the service's round scheduler keeps accumulating
-    concurrent sessions' plans, so budget pressure literally makes
-    rounds merge harder rather than fail.
+    per second with ``burst`` of headroom — and while a fetch queues
+    here, the service's round scheduler keeps accumulating concurrent
+    sessions' plans, so budget pressure makes rounds merge harder
+    rather than fail.
 
-    Thread-safe.  ``acquire`` returns the seconds it waited (0.0 for a
-    free token); ``waits``/``wait_seconds``/``acquires`` are the
-    counters the service surfaces as ``slow_tier_throttle_*`` stats.
-    *clock* and *sleep* are injectable for deterministic tests.
+    *burst* defaults to ``max(1, rate)`` and must be at least one token:
+    a bucket capped below one can never be acquired (``acquire`` would
+    spin, ``try_acquire`` would quote a ``retry_after`` that never comes
+    true).  ``waits``/``wait_seconds``/``acquires`` are the counters the
+    service surfaces as ``slow_tier_throttle_*`` stats.  *clock* and
+    *sleep* are injectable for deterministic tests.
     """
 
     def __init__(
@@ -100,37 +104,42 @@ class TripBudget:
         self._lock = threading.Lock()
         self._tokens = self.burst
         self._stamp = clock()
-        #: Acquires that had to wait at least one refill.
+        #: Blocking acquires that had to wait at least one refill.
         self.waits = 0
-        #: Total seconds spent waiting across all acquires.
+        #: Total seconds spent waiting across all blocking acquires.
         self.wait_seconds = 0.0
-        #: Round trips admitted (every acquire eventually succeeds).
+        #: Tokens taken, by either call.
         self.acquires = 0
 
-    def acquire(self) -> float:
-        """Take one trip token, sleeping until the bucket refills it.
+    def try_acquire(self) -> float:
+        """Take one token (return 0.0) or return seconds until one exists."""
+        with self._lock:
+            now = self._clock()
+            self._tokens = min(self.burst, self._tokens + (now - self._stamp) * self.rate)
+            self._stamp = now
+            if self._tokens < 1.0:
+                return (1.0 - self._tokens) / self.rate
+            self._tokens -= 1.0
+            self.acquires += 1
+            return 0.0
 
-        Returns the seconds this call waited.  Fair enough in practice:
-        sleeping callers re-contend on wakeup, and the service's round
-        scheduler is typically the only caller anyway (one thread
-        draining a merge queue).
+    def acquire(self) -> float:
+        """Take one token, sleeping until the bucket refills it.
+
+        Returns the seconds this call waited (0.0 for a free token).
+        Fair enough in practice: sleeping callers re-contend on wakeup,
+        and the service's round scheduler is typically the only caller
+        anyway (one thread draining a merge queue).
         """
         waited = 0.0
         while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(
-                    self.burst, self._tokens + (now - self._stamp) * self.rate
-                )
-                self._stamp = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    self.acquires += 1
-                    if waited > 0.0:
+            shortfall = self.try_acquire()
+            if shortfall == 0.0:
+                if waited > 0.0:
+                    with self._lock:
                         self.waits += 1
                         self.wait_seconds += waited
-                    return waited
-                shortfall = (1.0 - self._tokens) / self.rate
+                return waited
             self._sleep(shortfall)
             waited += shortfall
 
@@ -479,23 +488,23 @@ class ResilienceStats:
         return self
 
 
-class ResilientStore(FragmentStore):
+class ResilientStore(StoreWrapper):
     """Retry + circuit-breaker wrapper around any fragment store.
 
-    Every operation that talks to the backend — reads, writes, deletes,
-    index queries on remote stores, compaction — runs under *retry* (a
-    :class:`RetryPolicy`) and, when given, *breaker* (a shared
-    :class:`CircuitBreaker` gating the whole backend).  Counters mirror
-    the wrapped traffic exactly like the other wrapper stores
-    (:class:`~repro.storage.cache.CachingFragmentStore` et al.), and
+    Every call forwarded to the backend — the two primitives, index
+    queries (remote stores do I/O there), compaction — runs under
+    *retry* (a :class:`RetryPolicy`) and, when given, *breaker* (a
+    shared :class:`CircuitBreaker` gating the whole backend); only
+    ``close`` is never retried.  Counters mirror the wrapped traffic
+    like every :class:`~repro.storage.store.StoreWrapper`, and
     :meth:`resilience` snapshots the retry/breaker counters for
     ``ServiceStats`` and the metrics exporter.
 
-    Retry safety: fragment reads are pure; ``put``/``put_many`` rewrite
-    identical payloads (idempotent); a ``delete`` replayed across an
-    ambiguous failure can report ``KeyError`` for work the first attempt
-    already did — callers treating delete-of-absent as success (the
-    tiering layer does) are unaffected.
+    Retry safety: fragment reads are pure; puts rewrite identical
+    payloads (idempotent); a delete replayed across an ambiguous failure
+    can report ``KeyError`` for work the first attempt already did —
+    callers treating delete-of-absent as success (the tiering layer
+    does) are unaffected.
     """
 
     def __init__(
@@ -504,39 +513,28 @@ class ResilientStore(FragmentStore):
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
     ):
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker
-        self._attempts = 0
-        self._failures = 0
-        self._retries = 0
-        self._giveups = 0
-
-    # -- plumbing -------------------------------------------------------------
+        self._events = dict.fromkeys(("attempt", "failure", "retry", "giveup"), 0)
 
     def _note(self, event: str) -> None:
         with self._stats_lock:
-            if event == "attempt":
-                self._attempts += 1
-            elif event == "failure":
-                self._failures += 1
-            elif event == "retry":
-                self._retries += 1
-            elif event == "giveup":
-                self._giveups += 1
+            self._events[event] += 1
 
-    def _call(self, fn):
-        return self.retry.run(fn, breaker=self.breaker, observer=self._note)
+    def _forward(self, fn, *args):
+        return self.retry.run(
+            lambda: fn(*args), breaker=self.breaker, observer=self._note
+        )
 
     def resilience(self) -> ResilienceStats:
         """Snapshot the retry and breaker counters of this wrapper."""
         with self._stats_lock:
             stats = ResilienceStats(
-                attempts=self._attempts,
-                failures=self._failures,
-                retries=self._retries,
-                giveups=self._giveups,
+                attempts=self._events["attempt"],
+                failures=self._events["failure"],
+                retries=self._events["retry"],
+                giveups=self._events["giveup"],
             )
         breaker = self.breaker
         if breaker is not None:
@@ -548,114 +546,6 @@ class ResilientStore(FragmentStore):
             stats.breaker_probes = breaker.probes
             stats.breaker_rejections = breaker.rejections
         return stats
-
-    # -- reads ----------------------------------------------------------------
-
-    def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment, retrying transient backend faults."""
-        payload = self._call(lambda: self.inner.get(variable, segment))
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
-
-    def get_many(self, keys) -> dict:
-        """Read a batch, retrying the whole (idempotent) batch on faults."""
-        keys = list(dict.fromkeys((v, s) for v, s in keys))
-        out = self._call(lambda: self.inner.get_many(keys))
-        with self._stats_lock:
-            self.round_trips += 1
-            for payload in out.values():
-                self._count_read(len(payload))
-        return out
-
-    # -- writes ---------------------------------------------------------------
-
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Write one fragment, retrying transient backend faults."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        payload = bytes(payload)
-        self._call(lambda: self.inner.put(variable, segment, payload))
-        with self._stats_lock:
-            self._record_put(variable, segment, len(payload))
-            self.put_round_trips += 1
-            self._count_write(1, len(payload))
-
-    def put_many(self, items) -> None:
-        """Write a batch, retrying the whole (idempotent) batch on faults."""
-        batch = self._check_batch(items)
-        self._call(lambda: self.inner.put_many(batch))
-        with self._stats_lock:
-            for variable, segment, payload in batch:
-                self._record_put(variable, segment, len(payload))
-            self.put_round_trips += 1
-            self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Delete one fragment, retrying transient backend faults."""
-        self._call(lambda: self.inner.delete(variable, segment))
-        with self._stats_lock:
-            if (variable, segment) in self._sizes:
-                self._record_delete(variable, segment)
-
-    def transact(self, puts, deletes=()) -> None:
-        """Apply puts+deletes, retrying the transaction as one unit."""
-        batch = self._check_batch(puts)
-        deletes = list(deletes)
-        self._call(lambda: self.inner.transact(batch, deletes))
-        with self._stats_lock:
-            if batch:
-                for variable, segment, payload in batch:
-                    self._record_put(variable, segment, len(payload))
-                self.put_round_trips += 1
-                self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    # -- index (delegated; retried — remote stores do I/O here) ---------------
-
-    def has(self, variable: str, segment: str) -> bool:
-        """Delegate to the inner store under the retry policy."""
-        return self._call(lambda: self.inner.has(variable, segment))
-
-    def keys(self) -> list:
-        """Delegate to the inner store under the retry policy."""
-        return self._call(self.inner.keys)
-
-    def variables(self) -> list:
-        """Delegate to the inner store under the retry policy."""
-        return self._call(self.inner.variables)
-
-    def segments(self, variable: str) -> list:
-        """Delegate to the inner store under the retry policy."""
-        return self._call(lambda: self.inner.segments(variable))
-
-    def size_of(self, variable: str, segment: str) -> int:
-        """Delegate to the inner store under the retry policy."""
-        return self._call(lambda: self.inner.size_of(variable, segment))
-
-    def nbytes(self, variable: str | None = None) -> int:
-        """Delegate to the inner store under the retry policy."""
-        return self._call(lambda: self.inner.nbytes(variable))
-
-    # -- durability / lifecycle ------------------------------------------------
-
-    def refresh(self) -> None:
-        """Re-pull the inner store's index snapshot (remote stores)."""
-        refresh = getattr(self.inner, "refresh", None)
-        if refresh is not None:
-            self._call(refresh)
-
-    def compact(self):
-        """Delegate compaction (idempotent) under the retry policy."""
-        return self._call(self.inner.compact)
-
-    def durability(self):
-        """Durability counters of the inner store, under the retry policy."""
-        return self._call(self.inner.durability)
-
-    def close(self) -> None:
-        """Close the inner store (never retried; best effort by contract)."""
-        self.inner.close()
 
 
 def policy_from_params(params: dict, prefix: str = ""):

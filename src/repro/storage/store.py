@@ -1,51 +1,43 @@
 """Keyed fragment stores.
 
 Progressive fragments are opaque byte strings addressed by
-``(variable, segment)`` keys.  The in-memory store backs unit tests and
-benchmarks; the on-disk stores demonstrate the archival layouts a real
-deployment would use (one file per fragment, so partial retrieval maps to
-partial reads).  :class:`ShardedDiskStore` additionally fans fragments out
-over hashed subdirectories — the layout that keeps directory operations
-flat when an archive holds millions of fragments — and persists an
-append-only index so a reopened store serves everything archived before.
+``(variable, segment)`` keys.  A store implements two primitives —
+:meth:`FragmentStore.get_many` (fetch a batch in one round trip) and
+:meth:`FragmentStore.transact` (commit a batch of puts plus deletes) —
+and the base class derives ``get``/``put``/``put_many``/``delete`` from
+them, so every backend answers all six data-path calls with the same
+accounting.  :class:`FragmentStore` itself is the in-memory store (unit
+tests, ``memory://``, the default tiered fast tier);
+:class:`ShardedDiskStore` and its flat-layout form
+:class:`DiskFragmentStore` are the one WAL-backed on-disk store (one
+file per fragment, so partial retrieval maps to partial reads);
+:class:`StoreWrapper` is the base of every store that decorates another.
 
-Every store counts the reads it serves (``reads`` / ``bytes_read``) and
-the *round trips* those reads cost (``round_trips``): a ``get`` is one
-round trip for one fragment, a :meth:`FragmentStore.get_many` is one
-round trip for a whole batch.  The pipelined retrieval engine exists to
-shrink the round-trip count without changing the fragment traffic, so the
-two counters are tracked separately.  Writes are accounted symmetrically
-(``puts`` / ``bytes_written`` / ``put_round_trips``): a ``put`` is one
-write round trip for one fragment, a :meth:`FragmentStore.put_many`
-batch is one write round trip however many fragments it carries — the
-economy the streaming ingestion engine (:mod:`repro.core.ingest`)
-exploits.  On the disk stores a ``put_many`` batch also costs a single
-index append, not one per fragment.
+Every store counts the fragments it serves (``reads`` / ``bytes_read``)
+and the *round trips* they cost (``round_trips``): one per ``get_many``
+however many fragments the batch holds, so a ``get`` is one trip for one
+fragment.  The pipelined retrieval engine exists to shrink the trip
+count without changing the fragment traffic, hence two counters.
+Writes mirror that (``puts`` / ``bytes_written`` / ``put_round_trips``):
+one write trip per ``transact`` that carries puts — the economy the
+streaming ingestion engine (:mod:`repro.core.ingest`) exploits.  Byte
+totals and per-variable segment lists are maintained incrementally —
+``nbytes``/``segments``/``size_of`` never rescan the index, which keeps
+them safe to call on retrieval hot paths.
 
-Byte totals and per-variable segment lists are maintained incrementally
-by ``put`` and ``delete`` — ``nbytes``/``segments``/``size_of`` never
-rescan the index, which keeps them safe to call on retrieval hot paths.
-``delete`` exists for the tiering layer (:mod:`repro.storage.tiered`):
-demoting a cold fragment out of a fast tier un-indexes it with a
-tombstone in the persisted log, so a reopened store stays consistent.
-
-The on-disk stores are crash-atomic: every write routes through the
-commit log of :mod:`repro.storage.wal` (stage the payload files, commit
-the batch with one fsync'd log record, publish), so a process killed at
-any point leaves a reopened store on exactly the pre- or post-state of
-the interrupted batch.  Deleted payload files are *not* unlinked eagerly
-— they sit as dead bytes until :meth:`FragmentStore.compact` rewrites
-the log to its live entries and reclaims them, returning a
-:class:`~repro.storage.wal.CompactionReport`.
-:meth:`FragmentStore.durability` exposes the WAL/tombstone counters.
+The on-disk store is crash-atomic: every write is one record of the
+commit log of :mod:`repro.storage.wal`, so a process killed at any point
+leaves a reopened store on exactly the pre- or post-state of the
+interrupted batch; deletes only tombstone, and
+:meth:`FragmentStore.compact` reclaims the dead payload files.
 ``docs/durability.md`` specifies the full protocol.
 
 :func:`open_store` is the one entry point deployments need: it accepts a
 plain directory path or a store URL (``file://``, ``sharded://``,
 ``memory://``, ``http://``, ``tiered://``, ``cluster://`` — see
-``docs/storage.md``) and
-returns the right backend, auto-detecting on-disk layouts.  On-disk URLs
-accept ``?fsync=always|commit|off`` to pick the WAL's fsync discipline.
+``docs/storage.md``) and returns the right backend, auto-detecting
+on-disk layouts.  On-disk URLs accept ``?fsync=always|commit|off`` to
+pick the WAL's fsync discipline.
 """
 
 from __future__ import annotations
@@ -61,25 +53,17 @@ from repro.storage.wal import CommitLog, CompactionReport, DurabilityStats, cras
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]")
 
-#: Append-only sidecar recording the original (un-sanitized) fragment keys
-#: of a :class:`DiskFragmentStore`, one JSON object per line.
+#: Commit log of the flat layout (:class:`DiskFragmentStore`); it records
+#: the original fragment keys that filename sanitization would lose.
 DISK_INDEX_LOG = ".repro-index.jsonl"
 
-#: Append-only persisted index of a :class:`ShardedDiskStore`.
+#: Commit log of the sharded layout (:class:`ShardedDiskStore`).
 SHARD_INDEX_LOG = "index.jsonl"
 
 #: Layout marker written once per on-disk store so :func:`open_store` can
-#: identify (and correctly parameterize) the store class that wrote the
+#: identify (and correctly parameterize) the layout that wrote the
 #: directory without guessing from its contents.
 LAYOUT_MARKER = ".repro-store.json"
-
-
-def _write_atomic(path: str, payload: bytes) -> None:
-    """Write *payload* so concurrent readers see old-or-new, never partial."""
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 
 def _read_layout_marker(archive_dir: str) -> dict | None:
@@ -129,24 +113,27 @@ def _split_query(rest: str) -> tuple:
     return path, dict(parse_qsl(query, keep_blank_values=True))
 
 
-def open_directory_store(archive_dir: str, fsync: str = "commit") -> "FragmentStore":
-    """Open an on-disk archive directory, auto-detecting its layout.
+def open_directory_store(
+    archive_dir: str, fsync: str = "commit", sharded: bool | None = None
+) -> "FragmentStore":
+    """Open an on-disk archive directory in its flat or sharded layout.
 
-    A directory is sharded when it holds the persisted shard index or a
-    :data:`LAYOUT_MARKER` saying so (the marker, written on first
-    ``put``, also restores the fan-out width, which filenames alone
-    cannot); anything else opens as a flat :class:`DiskFragmentStore`.
+    With ``sharded=None`` the layout is detected: a directory is sharded
+    when it holds the persisted shard index or a :data:`LAYOUT_MARKER`
+    saying so (the marker, written on first ``put``, also restores the
+    fan-out width, which filenames alone cannot); anything else is flat.
     The shard index outranks the marker, so a directory that somehow
     carries both layouts still opens the way pre-marker revisions did.
-    *fsync* picks the commit log's discipline (see :mod:`.wal`).
+    ``sharded=True``/``False`` names the layout instead (a caller
+    creating an archive).  *fsync* picks the commit log's discipline.
     """
-    marker = _read_layout_marker(archive_dir)
-    if os.path.isfile(os.path.join(archive_dir, SHARD_INDEX_LOG)) or (
-        marker is not None and marker.get("layout") == "sharded"
-    ):
-        # fan-out restored from the marker
-        return ShardedDiskStore(archive_dir, fsync=fsync)
-    return DiskFragmentStore(archive_dir, fsync=fsync)
+    if sharded is None:
+        marker = _read_layout_marker(archive_dir)
+        sharded = os.path.isfile(os.path.join(archive_dir, SHARD_INDEX_LOG)) or (
+            marker is not None and marker.get("layout") == "sharded"
+        )
+    store_cls = ShardedDiskStore if sharded else DiskFragmentStore
+    return store_cls(archive_dir, fsync=fsync)
 
 
 def open_store(url: str) -> "FragmentStore":
@@ -209,27 +196,36 @@ def open_store(url: str) -> "FragmentStore":
 
 
 class FragmentStore:
-    """In-memory fragment store with byte and round-trip accounting."""
+    """In-memory fragment store, and the base of every other backend.
+
+    A backend implements the two primitives :meth:`get_many` and
+    :meth:`transact`; ``get``/``put``/``put_many``/``delete`` are derived
+    from them here and carry the same accounting on every store (a
+    subclass overrides a derived method only where it is measurably hot
+    or does what a batch cannot).  Subclasses that keep a local index
+    snapshot reuse ``_record_put``/``_record_delete`` and inherit the
+    index queries below.
+    """
 
     def __init__(self):
         self._data: dict = {}
-        #: Number of fragments served by ``get``/``get_many``.
+        #: Number of fragments served (``get`` counts one).
         self.reads = 0
         #: Total payload bytes served (the store-side traffic).
         self.bytes_read = 0
-        #: Number of store requests issued: one per ``get`` call and one
-        #: per ``get_many`` call, however many fragments the batch holds.
+        #: Number of read requests issued: one per ``get_many`` (and so
+        #: per ``get``) call, however many fragments the batch holds.
         self.round_trips = 0
-        #: Number of fragments written by ``put``/``put_many``.
+        #: Number of fragments written.
         self.puts = 0
         #: Total payload bytes written (the store-side write traffic).
         self.bytes_written = 0
-        #: Number of write requests issued: one per ``put`` call and one
-        #: per ``put_many`` call, however many fragments the batch holds.
+        #: Number of write requests issued: one per ``transact`` that
+        #: carries puts (so one per ``put`` / ``put_many`` call).
         self.put_round_trips = 0
-        # counters are read-modify-write and every store may serve
-        # concurrent clients; the disk stores reuse their own wider lock
-        self._stats_lock = threading.Lock()
+        # the store's one lock: counters and index totals are
+        # read-modify-write and every store may serve concurrent clients
+        self._stats_lock = threading.RLock()
         # running index totals, maintained by _record_put (satisfies
         # nbytes/segments/size_of without a full index scan per call)
         self._sizes: dict = {}  # (variable, segment) -> payload bytes
@@ -239,17 +235,23 @@ class FragmentStore:
 
     # -- accounting -----------------------------------------------------------
 
-    def _count_read(self, nbytes: int) -> None:
-        self.reads += 1
-        self.bytes_read += int(nbytes)
+    def _count_reads(self, out: dict, trips: int = 1) -> None:
+        """Account the read round trip(s) that served the payloads of *out*."""
+        with self._stats_lock:
+            self.round_trips += trips
+            self.reads += len(out)
+            self.bytes_read += sum(len(payload) for payload in out.values())
 
-    def _count_write(self, fragments: int, nbytes: int) -> None:
-        self.puts += int(fragments)
-        self.bytes_written += int(nbytes)
+    def _count_writes(self, batch: list, trips: int = 1) -> None:
+        """Account the write round trip(s) that carried *batch*."""
+        with self._stats_lock:
+            self.put_round_trips += trips
+            self.puts += len(batch)
+            self.bytes_written += sum(len(payload) for _, _, payload in batch)
 
     @staticmethod
     def _check_batch(items) -> list:
-        """Validate and materialize a ``put_many`` batch.
+        """Validate and materialize a batch of puts.
 
         *items* is an iterable of ``(variable, segment, payload)``
         triples; payload types are checked for the whole batch before
@@ -288,96 +290,76 @@ class FragmentStore:
             del self._var_segments[variable]
             del self._var_bytes[variable]
 
-    # -- write ----------------------------------------------------------------
-
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Archive one fragment (one write round trip)."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        self._data[(variable, segment)] = bytes(payload)
-        self._record_put(variable, segment, len(payload))
-        with self._stats_lock:
-            self.put_round_trips += 1
-            self._count_write(1, len(payload))
-
-    def put_many(self, items) -> None:
-        """Archive a batch of fragments in one store round trip.
-
-        *items* is an iterable of ``(variable, segment, payload)``
-        triples, written in order (duplicate keys: last write wins).
-        Per-fragment ``puts``/``bytes_written`` accounting is identical
-        to ``put``; only ``put_round_trips`` records the coalescing —
-        the exact write-side mirror of :meth:`get_many`.
-        """
-        batch = self._check_batch(items)
-        for variable, segment, payload in batch:
-            self._data[(variable, segment)] = payload
-            self._record_put(variable, segment, len(payload))
-        with self._stats_lock:
-            self.put_round_trips += 1
-            self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Remove one fragment; KeyError when absent.
-
-        Exists for the tiering layer: demotion removes a fragment from a
-        fast tier once the slow tier durably holds it.
-        """
-        if (variable, segment) not in self._sizes:
-            raise KeyError((variable, segment))
-        self._data.pop((variable, segment), None)
-        self._record_delete(variable, segment)
-
-    def transact(self, puts, deletes=()) -> None:
-        """Apply a batch of puts and then deletes as one transaction.
-
-        *puts* is a ``put_many`` batch; *deletes* is an iterable of
-        ``(variable, segment)`` keys, which must exist and must not
-        collide with the batch's keys.  On the WAL-backed disk stores
-        the whole transaction is a single fsync'd commit record, so a
-        crash leaves either none or all of it — this is what makes
-        ``Archive.save`` (new fragments in, superseded segments out)
-        atomic.  This base implementation — inherited by the in-memory
-        store and the wrapper stores, where the delegated operations
-        are individually safe — applies the parts sequentially without
-        a joint atomicity guarantee.
-        """
-        if puts:
-            self.put_many(puts)
-        for variable, segment in deletes:
-            self.delete(variable, segment)
-
-    # -- read -----------------------------------------------------------------
-
-    def get(self, variable: str, segment: str) -> bytes:
-        """Fetch one fragment; KeyError when absent."""
-        payload = self._data[(variable, segment)]
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
+    # -- the two primitives ----------------------------------------------------
 
     def get_many(self, keys) -> dict:
         """Fetch a batch of fragments in one store round trip.
 
         *keys* is an iterable of ``(variable, segment)`` pairs; the result
-        maps each (deduplicated) key to its payload.  All keys are checked
-        against the index in a single pass before any payload is read, so
-        a missing key raises ``KeyError`` (listing every missing key)
-        without serving a partial batch.  Per-fragment ``reads`` /
-        ``bytes_read`` accounting is identical to ``get``; only
-        ``round_trips`` records the coalescing.
+        maps each (deduplicated) key to its payload, in request order.
+        All keys are checked against the index in a single pass before
+        any payload is read, so a missing key raises ``KeyError`` (listing
+        every missing key) without serving a partial batch.  Accounting:
+        one ``round_trips``, one ``reads`` per fragment.
         """
         keys = list(dict.fromkeys((v, s) for v, s in keys))
-        missing = [k for k in keys if k not in self._data]
-        if missing:
-            raise KeyError(missing)
-        out = {key: self._data[key] for key in keys}
-        with self._stats_lock:
-            self.round_trips += 1
-            for payload in out.values():
-                self._count_read(len(payload))
+        with self._stats_lock:  # a snapshot no concurrent transact can tear
+            missing = [k for k in keys if k not in self._data]
+            if missing:
+                raise KeyError(missing)
+            out = {key: self._data[key] for key in keys}
+        self._count_reads(out)
         return out
+
+    def transact(self, puts, deletes=()) -> None:
+        """Apply a batch of puts and then deletes as one transaction.
+
+        *puts* is an iterable of ``(variable, segment, payload)`` triples,
+        written in order (duplicate keys: last write wins) and accounted
+        as one write round trip; *deletes* is an iterable of ``(variable,
+        segment)`` keys, which must exist (``KeyError``) and must not
+        collide with the batch's keys.  On the WAL-backed disk store the
+        whole transaction is a single fsync'd commit record, so a crash
+        leaves either none or all of it — this is what makes
+        ``Archive.save`` (new fragments in, superseded segments out)
+        atomic.  Stores without cross-key atomicity (this in-memory one,
+        the remote and composite backends) apply one batched put trip,
+        then the deletes.
+        """
+        batch = self._check_batch(puts)
+        with self._stats_lock:  # payloads and totals move together
+            for variable, segment, payload in batch:
+                self._data[(variable, segment)] = payload
+                self._record_put(variable, segment, len(payload))
+            if batch:
+                self._count_writes(batch)
+            for variable, segment in deletes:
+                if (variable, segment) not in self._sizes:
+                    raise KeyError((variable, segment))
+                self._data.pop((variable, segment), None)
+                self._record_delete(variable, segment)
+
+    # -- derived from the primitives -------------------------------------------
+
+    def get(self, variable: str, segment: str) -> bytes:
+        """Fetch one fragment (a singleton ``get_many``); KeyError when absent."""
+        key = (variable, segment)
+        try:
+            return self.get_many([key])[key]
+        except KeyError:
+            raise KeyError(key) from None
+
+    def put(self, variable: str, segment: str, payload: bytes) -> None:
+        """Archive one fragment: a singleton batch, one write round trip."""
+        self.transact([(variable, segment, payload)])
+
+    def put_many(self, items) -> None:
+        """Archive a batch in one write round trip (a ``transact`` of puts)."""
+        self.transact(items)
+
+    def delete(self, variable: str, segment: str) -> None:
+        """Remove one fragment (a ``transact`` of one delete); KeyError when absent."""
+        self.transact((), [(variable, segment)])
 
     # -- index ----------------------------------------------------------------
 
@@ -403,9 +385,10 @@ class FragmentStore:
 
     def nbytes(self, variable: str | None = None) -> int:
         """Total archived bytes (optionally for a single variable)."""
-        if variable is None:
-            return self._total_bytes
-        return self._var_bytes.get(variable, 0)
+        with self._stats_lock:  # never a total caught mid-overwrite
+            if variable is None:
+                return self._total_bytes
+            return self._var_bytes.get(variable, 0)
 
     # -- durability ------------------------------------------------------------
 
@@ -414,17 +397,17 @@ class FragmentStore:
 
         The in-memory store has nothing to reclaim (deletes free payloads
         immediately), so this base implementation is a zero no-op report.
-        The on-disk stores rewrite their commit log to its live entries
-        and unlink dead payload files; composite stores (tiered, caching,
-        HTTP) delegate and merge per-backend reports.
+        The on-disk store rewrites its commit log to its live entries
+        and unlinks dead payload files; composite stores (tiered, cluster)
+        merge per-backend reports and wrappers forward.
         """
         return CompactionReport()
 
     def durability(self) -> DurabilityStats:
         """Durability counters of this handle (WAL traffic, dead bytes).
 
-        All-zero for backends without a commit log; the on-disk stores
-        report real counters and composite stores aggregate them.
+        All-zero for backends without a commit log; the on-disk store
+        reports real counters and composite stores aggregate them.
         """
         return DurabilityStats()
 
@@ -444,344 +427,149 @@ class FragmentStore:
         self.close()
 
 
-class DiskFragmentStore(FragmentStore):
-    """One-file-per-fragment store rooted at a flat directory.
+def _forwarded(name: str):
+    def method(self, *args):
+        return self._forward(getattr(self.inner, name), *args)
 
-    The fragment index survives process restarts: ``__init__`` rescans
-    ``root`` for fragment files and replays the append-only key log (which
-    preserves the original keys that filename sanitization would lose), so
-    ``has``/``get``/``segments``/``nbytes`` work on a reopened store.
+    method.__name__ = name
+    method.__doc__ = f"``inner.{name}(...)``, through :meth:`StoreWrapper._forward`."
+    return method
 
-    All writes follow the stage → commit → publish protocol of
-    :mod:`repro.storage.wal`, so a kill anywhere leaves a reopened store
-    on the batch's pre- or post-state.  Deletes tombstone without
-    unlinking; :meth:`compact` reclaims the dead files.
+
+class StoreWrapper(FragmentStore):
+    """Base of every store that decorates another one, *inner*.
+
+    A wrapper's own counters are uniformly *client-visible* — the
+    requests issued to it, however they were served — while ``inner``'s
+    keep the backend truth.  The two primitives forward by default, and
+    ``has``/``keys``/``variables``/``segments``/``size_of``/``nbytes``/
+    ``compact``/``durability``/``refresh`` always do, each through
+    :meth:`_forward` — so a subclass adds its behaviour in one place
+    (:class:`~repro.storage.resilience.ResilientStore` retries there)
+    and otherwise overrides only the primitives it changes.
     """
 
-    def __init__(self, root: str, fsync: str = "commit"):
+    has, keys, variables, segments, size_of, nbytes, compact, durability = map(
+        _forwarded,
+        ("has", "keys", "variables", "segments", "size_of", "nbytes", "compact", "durability"),
+    )
+
+    def __init__(self, inner: FragmentStore):
         super().__init__()
-        self.root = root
-        self._lock = threading.Lock()
-        # serializes writers (file content and index-log appends land in
-        # the same order per key) without making readers — who only take
-        # self._lock briefly — wait behind batch file I/O
-        self._write_lock = threading.Lock()
-        self._log = CommitLog(os.path.join(root, DISK_INDEX_LOG), fsync=fsync)
-        self._dead: dict = {}  # dead file name -> reclaimable bytes
-        self._compactions = 0
-        self._reclaimed_bytes = 0
-        os.makedirs(root, exist_ok=True)
-        self._reindex()
+        self.inner = inner
 
-    def _write_marker(self) -> None:
-        # written on first put, never on open: opening must work on
-        # read-only mounts, and an empty directory must not get pinned
-        # to a layout it may never hold
-        path = os.path.join(self.root, LAYOUT_MARKER)
-        try:
-            if not os.path.isfile(path):
-                _write_atomic(path, json.dumps({"layout": "flat"}).encode())
-        except OSError:
-            pass  # best-effort: open_store falls back to index heuristics
-
-    def _reindex(self) -> None:
-        log_existed = self._log.exists()
-        file_txn: dict = {}  # file name -> last committed writer txn
-        for txn, entries in self._log.replay():
-            for entry in entries:
-                var, seg = entry["variable"], entry["segment"]
-                if entry.get("deleted"):
-                    if (var, seg) in self._sizes:
-                        self._data.pop((var, seg), None)
-                        self._record_delete(var, seg)
-                    continue
-                nbytes = entry.get("nbytes")
-                if nbytes is None:  # log predates size tracking
-                    try:
-                        nbytes = os.path.getsize(
-                            os.path.join(self.root, entry["file"])
-                        )
-                    except OSError:
-                        # dangling entry (file cleaned up externally):
-                        # keep the key indexed — size 0, unreadable on
-                        # access — rather than failing the whole open
-                        nbytes = 0
-                self._data[(var, seg)] = None
-                self._record_put(var, seg, int(nbytes))
-                file_txn[entry["file"]] = 0 if txn is None else txn
-        # Resolve staged files an interrupted batch left behind: publish
-        # a staged payload whose transaction committed and is still the
-        # path's latest writer; discard everything else (the batch never
-        # committed, or a later batch superseded it).
-        listing = sorted(os.listdir(self.root))
-        for fname in listing:
-            parsed = wal.split_staged(fname)
-            if parsed is None:
-                continue
-            final, txn = parsed
-            staged = os.path.join(self.root, fname)
-            if txn in self._log.committed and file_txn.get(final) == txn:
-                wal.publish_staged(staged, os.path.join(self.root, final))
-            else:
-                wal.discard_staged(staged)
-        if log_existed:
-            # The log is authoritative: any fragment file it does not
-            # index live is dead weight (a delete awaiting reclaim, or a
-            # compaction interrupted before its unlink pass) — never
-            # resurrect it, earmark it for the next compact().
-            live_files = {
-                os.path.basename(self._path(var, seg)) for var, seg in self._sizes
-            }
-            for fname in listing:
-                if not fname.endswith(".bin") or fname in live_files:
-                    continue
-                try:
-                    self._dead[fname] = os.path.getsize(
-                        os.path.join(self.root, fname)
-                    )
-                except OSError:
-                    continue  # vanished between listdir and stat
-            return
-        # Legacy directories (written before the key log existed) are
-        # recovered from filenames; sanitization is idempotent, so lookups
-        # on the recovered keys resolve to the same files.
-        for fname in listing:
-            if not fname.endswith(".bin") or "__" not in fname:
-                continue
-            var, seg = fname[:-4].split("__", 1)
-            try:
-                nbytes = os.path.getsize(os.path.join(self.root, fname))
-            except OSError:
-                continue  # vanished between listdir and stat
-            self._data[(var, seg)] = None
-            self._record_put(var, seg, nbytes)
-
-    def _path(self, variable: str, segment: str) -> str:
-        safe_var = _KEY_RE.sub("_", variable)
-        safe_seg = _KEY_RE.sub("_", segment)
-        return os.path.join(self.root, f"{safe_var}__{safe_seg}.bin")
-
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Archive one fragment via stage → commit → publish.
-
-        A singleton batch: identical accounting (one put, one write
-        round trip) and the identical crash-atomicity protocol.
-        """
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        self.put_many([(variable, segment, payload)])
-
-    def put_many(self, items) -> None:
-        """Archive a batch crash-atomically with one fsync'd commit record.
-
-        Stage → commit → publish: every payload lands in a staged sibling
-        file first, one log append commits the whole batch, then each
-        staged file is atomically renamed live.  A kill before the commit
-        record leaves the store exactly as it was; a kill after it leaves
-        a batch that recovery finishes publishing on reopen — never a
-        torn mix.  Files land in batch order — preserving each variable's
-        segment insertion order, so a batched archive indexes identically
-        to a serial one.  The batch holds the writer lock but not the
-        reader lock, so concurrent reads never stall behind batch I/O,
-        and the log grows by one append for the whole batch.
-        """
-        self.transact(items)
-
-    def transact(self, puts, deletes=()) -> None:
-        """Commit a batch of puts plus tombstones in one WAL record.
-
-        The puts follow the stage → commit → publish protocol of
-        :meth:`put_many`; each *deletes* key contributes a tombstone
-        entry to the **same** fsync'd commit record, so the whole
-        transaction — e.g. an ``Archive.save`` replacing a variable's
-        segment set — is atomic across a crash: the reopened store
-        holds either none of it or all of it.  Delete keys must exist
-        and must not collide with the batch (ValueError), and the
-        tombstoned files wait for :meth:`compact` as usual.
-        """
-        batch = self._check_batch(puts)
-        doomed = list(dict.fromkeys((str(v), str(s)) for v, s in deletes))
-        overlap = {(v, s) for v, s, _ in batch} & set(doomed)
-        if overlap:
-            raise ValueError(f"keys both written and deleted: {sorted(overlap)}")
-        entries = []
-        staged: dict = {}  # final path -> staged path (last write wins)
-        total = 0
-        with self._write_lock:
-            dead_names: dict = {}  # doomed key -> (file name, nbytes)
-            if doomed:
-                with self._lock:
-                    missing = [k for k in doomed if k not in self._data]
-                    if missing:
-                        raise KeyError(missing[0] if len(missing) == 1 else missing)
-                    dead_names = {
-                        (v, s): (
-                            os.path.basename(self._path(v, s)),
-                            self._sizes[(v, s)],
-                        )
-                        for v, s in doomed
-                    }
-            txn = self._log.reserve()
-            crash_point("disk.stage")
-            for variable, segment, payload in batch:
-                path = self._path(variable, segment)
-                staged[path] = wal.write_staged(
-                    path, payload, txn, fsync=self._log.fsync_payloads
-                )
-                total += len(payload)
-                entries.append({
-                    "variable": variable,
-                    "segment": segment,
-                    "file": os.path.basename(path),
-                    "nbytes": len(payload),
-                })
-                crash_point("disk.staged")
-            for variable, segment in doomed:
-                crash_point("disk.tombstone")
-                entries.append({
-                    "variable": variable,
-                    "segment": segment,
-                    "file": dead_names[(variable, segment)][0],
-                    "deleted": True,
-                })
-            self._log.append(entries, txn=txn)  # the atomicity point
-            for path, spath in staged.items():
-                crash_point("disk.publish")
-                wal.publish_staged(spath, path)
-            with self._lock:
-                self._write_marker()
-                for variable, segment, payload in batch:
-                    self._dead.pop(os.path.basename(self._path(variable, segment)), None)
-                    self._data[(variable, segment)] = None
-                    self._record_put(variable, segment, len(payload))
-                for variable, segment in doomed:
-                    fname, nbytes = dead_names[(variable, segment)]
-                    del self._data[(variable, segment)]
-                    self._record_delete(variable, segment)
-                    self._dead[fname] = nbytes
-                if batch:
-                    self.put_round_trips += 1
-                    self._count_write(len(batch), total)
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Tombstone one fragment; its file waits for :meth:`compact`.
-
-        Only the fsync'd tombstone record is written — the payload file
-        stays on disk as dead bytes (invisible to the index, so reads
-        raise ``KeyError`` immediately) until compaction reclaims it.
-        """
-        self.transact((), [(variable, segment)])
-
-    def compact(self) -> CompactionReport:
-        """Rewrite the log to live entries and unlink dead payload files.
-
-        Holds the writer lock for the whole pass (writers queue briefly;
-        readers are never blocked — live files are untouched and the log
-        rewrite is an atomic rename).  Crash-safe: a kill before the
-        rewrite leaves the old log; one after it leaves orphaned dead
-        files that the next reopen re-earmarks and the next compact
-        reclaims.
-        """
-        with self._write_lock:
-            report = CompactionReport(log_bytes_before=self._log.nbytes())
-            with self._lock:
-                entries = [
-                    {
-                        "variable": var,
-                        "segment": seg,
-                        "file": os.path.basename(self._path(var, seg)),
-                        "nbytes": nbytes,
-                    }
-                    for (var, seg), nbytes in self._sizes.items()
-                ]
-                dead = dict(self._dead)
-            crash_point("compact.begin")
-            self._log.rewrite(entries)
-            crash_point("compact.rewritten")
-            removed = reclaimed = 0
-            for fname, nbytes in dead.items():
-                try:
-                    os.remove(os.path.join(self.root, fname))
-                except OSError:
-                    continue  # already gone; nothing reclaimed
-                removed += 1
-                reclaimed += nbytes
-                crash_point("compact.unlink")
-            with self._lock:
-                for fname in dead:
-                    self._dead.pop(fname, None)
-                self._compactions += 1
-                self._reclaimed_bytes += reclaimed
-            report.compactions = 1
-            report.removed_files = removed
-            report.reclaimed_bytes = reclaimed
-            report.log_bytes_after = self._log.nbytes()
-            report.live_fragments = len(entries)
-            return report
-
-    def durability(self) -> DurabilityStats:
-        """WAL and tombstone counters of this handle."""
-        with self._lock:
-            return DurabilityStats(
-                wal_commits=self._log.commits,
-                wal_entries=self._log.entries_appended,
-                log_bytes=self._log.nbytes(),
-                tombstones=len(self._dead),
-                dead_bytes=sum(self._dead.values()),
-                compactions=self._compactions,
-                reclaimed_bytes=self._reclaimed_bytes,
-            )
-
-    def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment file; KeyError when unindexed."""
-        if (variable, segment) not in self._data:
-            raise KeyError((variable, segment))
-        with open(self._path(variable, segment), "rb") as fh:
-            payload = fh.read()
-        with self._lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
+    def _forward(self, fn, *args):
+        """Call one bound method of *inner* (the hook subclasses override)."""
+        return fn(*args)
 
     def get_many(self, keys) -> dict:
-        """Read a batch in filename order (one accounted round trip)."""
-        keys = list(dict.fromkeys((v, s) for v, s in keys))
-        with self._lock:
-            missing = [k for k in keys if k not in self._data]
-        if missing:
-            raise KeyError(missing)
-        # one pass over the directory in filename order: sequential reads
-        # on spinning media, and a stable order for the accounting below
-        ordered = sorted(keys, key=lambda k: self._path(*k))
-        out = {}
-        total = 0
-        for key in ordered:
-            with open(self._path(*key), "rb") as fh:
-                payload = fh.read()
-            out[key] = payload
-            total += len(payload)
-        with self._lock:
-            self.round_trips += 1
-            self.reads += len(out)
-            self.bytes_read += total
+        """Fetch the batch from *inner* in one call."""
+        out = self._forward(self.inner.get_many, list(keys))
+        self._count_reads(out)
         return out
 
-    def nbytes(self, variable: str | None = None) -> int:
-        """Total archived bytes (lock-protected; maintained incrementally)."""
-        with self._lock:
-            return super().nbytes(variable)
+    def transact(self, puts, deletes=()) -> None:
+        """Hand the whole transaction to *inner* in one call, keeping its atomicity."""
+        batch = self._check_batch(puts)
+        self._forward(self.inner.transact, batch, list(deletes))
+        if batch:
+            self._count_writes(batch)
+
+    def refresh(self) -> None:
+        """Re-pull the inner store's index snapshot, where it keeps one."""
+        refresh = getattr(self.inner, "refresh", None)
+        if refresh is not None:
+            self._forward(refresh)
+
+    def close(self) -> None:
+        """Close the inner store (directly: closing is best effort)."""
+        self.inner.close()
+
+    @property
+    def trip_budget(self):
+        """The inner chain's slow-trip budget (see ``RetrievalService``)."""
+        return getattr(self.inner, "trip_budget", None)
+
+    @trip_budget.setter
+    def trip_budget(self, budget) -> None:
+        """Hand *budget* down the chain; dropped where no layer spends one."""
+        if hasattr(self.inner, "trip_budget"):
+            self.inner.trip_budget = budget
+
+
+def _safe_name(variable: str, segment: str) -> str:
+    return f"{_KEY_RE.sub('_', variable)}__{_KEY_RE.sub('_', segment)}"
+
+
+class _ShardedLayout:
+    """``<shard>/<var>__<seg>__<digest>.bin`` under ``fanout`` hashed shards.
+
+    A short digest suffix keeps distinct keys distinct even when
+    sanitization would collide them (``a/b`` vs. ``a_b``); tombstone
+    records carry no path.
+    """
+
+    log_name = SHARD_INDEX_LOG
+    field = "path"  # the log-entry field naming a fragment's file
+    names_tombstones = False
+
+    def __init__(self, fanout: int):
+        self.fanout = fanout
+        self.marker = {"layout": "sharded", "fanout": fanout}
+
+    def relpath(self, variable: str, segment: str) -> str:
+        digest = hashlib.sha1(f"{variable}\x00{segment}".encode()).hexdigest()
+        shard = f"{int(digest[:8], 16) % self.fanout:03x}"
+        return os.path.join(shard, f"{_safe_name(variable, segment)}__{digest[:8]}.bin")
+
+    def dirs(self, root: str) -> list:
+        """The shard directories (relative, with trailing separator)."""
+        try:
+            return sorted(e.name + os.sep for e in os.scandir(root) if e.is_dir())
+        except OSError:
+            return []
+
+    recover = staticmethod(lambda rel: None)  # no key survives without the log
+
+
+class _FlatLayout:
+    """``<var>__<seg>.bin`` directly under the root, beside the log."""
+
+    log_name = DISK_INDEX_LOG
+    field = "file"
+    names_tombstones = True
+    marker = {"layout": "flat"}
+
+    def relpath(self, variable: str, segment: str) -> str:
+        return f"{_safe_name(variable, segment)}.bin"
+
+    def dirs(self, root: str) -> list:
+        """The root itself: payloads sit beside the log and the marker."""
+        return [""]
+
+    def recover(self, name: str):
+        """Key of a payload file in a directory written before the key log.
+
+        Sanitization is idempotent, so lookups on the recovered keys
+        resolve to the same files.
+        """
+        if "__" not in name:
+            return None
+        return tuple(name[:-4].split("__", 1))
 
 
 class ShardedDiskStore(FragmentStore):
-    """Fan-out fragment store with a persisted append-only index.
+    """The WAL-backed on-disk store, in its fan-out layout.
 
-    Fragments are hashed into ``fanout`` subdirectories so no single
-    directory grows with the archive (the layout object stores and
-    parallel file systems want), and every ``put`` appends one JSON line
-    to ``index.jsonl``.  Reopening replays the index, so a restarted
-    service immediately serves everything previously archived.  A short
-    digest suffix in each filename keeps distinct keys distinct even when
-    sanitization would collide them (``a/b`` vs. ``a_b``).
+    One file per fragment plus an append-only commit log, which a reopen
+    replays — a restarted service immediately serves everything archived
+    before.  Writes are crash-atomic (:meth:`transact`); deletes
+    tombstone without unlinking and :meth:`compact` reclaims the dead
+    files.  Where the files and the log live is the *layout*: here
+    fragments are hashed into ``fanout`` subdirectories so no single
+    directory grows with the archive (what object stores and parallel
+    file systems want); :class:`DiskFragmentStore` is the same store
+    over one flat directory.
 
     The layout marker records the fan-out width; when reopening a
     directory whose marker disagrees with the *fanout* argument, the
@@ -790,25 +578,30 @@ class ShardedDiskStore(FragmentStore):
     """
 
     def __init__(self, root: str, fanout: int = 256, fsync: str = "commit"):
-        super().__init__()
-        self.root = root
-        self._lock = threading.Lock()
-        # serializes writers (file content and index appends in the same
-        # order per key) without stalling readers behind batch file I/O
-        self._write_lock = threading.Lock()
-        self._index: dict = {}  # (variable, segment) -> relpath
-        self._log_path = os.path.join(root, SHARD_INDEX_LOG)
-        self._log = CommitLog(self._log_path, fsync=fsync)
-        self._dead: dict = {}  # dead relpath -> reclaimable bytes
-        self._compactions = 0
-        self._reclaimed_bytes = 0
-        os.makedirs(root, exist_ok=True)
         marker = _read_layout_marker(root)
         if marker is not None and marker.get("layout") == "sharded":
             fanout = int(marker.get("fanout", fanout))
         if fanout < 1:  # validate the *effective* width, marker included
             raise ValueError("fanout must be >= 1")
         self.fanout = int(fanout)
+        self._open(root, _ShardedLayout(self.fanout), fsync)
+
+    def _open(self, root: str, layout, fsync: str) -> None:
+        FragmentStore.__init__(self)
+        self.root = root
+        self._layout = layout
+        # the reader lock: index, dead-file table and counters
+        self._lock = self._stats_lock
+        # serializes writers (file content and log appends land in the
+        # same order per key) without making readers — who only take
+        # self._lock briefly — wait behind batch file I/O
+        self._write_lock = threading.Lock()
+        self._index: dict = {}  # (variable, segment) -> relpath
+        self._log = CommitLog(os.path.join(root, layout.log_name), fsync=fsync)
+        self._dead: dict = {}  # dead relpath -> reclaimable bytes
+        self._compactions = 0
+        self._reclaimed_bytes = 0
+        os.makedirs(root, exist_ok=True)
         self._reindex()
 
     def _reindex(self) -> None:
@@ -822,17 +615,29 @@ class ShardedDiskStore(FragmentStore):
                         del self._index[(var, seg)]
                         self._record_delete(var, seg)
                     continue
-                self._index[(var, seg)] = entry["path"]
-                self._record_put(var, seg, int(entry["nbytes"]))
-                file_txn[entry["path"]] = 0 if txn is None else txn
-        if not log_existed:
-            return
-        # One pass over the shard directories: resolve staged leftovers
-        # (publish iff committed and still the path's latest writer) and
-        # earmark dead payload files — anything the log does not index
-        # live — for the next compact().
+                rel = entry[self._layout.field]
+                nbytes = entry.get("nbytes")
+                if nbytes is None:  # log predates size tracking
+                    try:
+                        nbytes = os.path.getsize(os.path.join(self.root, rel))
+                    except OSError:
+                        # dangling entry (file cleaned up externally):
+                        # keep the key indexed — size 0, unreadable on
+                        # access — rather than failing the whole open
+                        nbytes = 0
+                self._index[(var, seg)] = rel
+                self._record_put(var, seg, int(nbytes))
+                file_txn[rel] = 0 if txn is None else txn
+        # One pass over the payload directories.  A staged file an
+        # interrupted batch left behind is published if its transaction
+        # committed and is still the path's latest writer, else
+        # discarded.  The log is authoritative: a payload file it does
+        # not index live is dead weight (a delete awaiting reclaim, an
+        # interrupted compaction) — never resurrected, earmarked for the
+        # next compact().  Only a directory without any log is
+        # recovered from its file names, where the layout can.
         live = set(self._index.values())
-        for rel, size in self._scan_shards():
+        for rel, nbytes in self._scan():
             parsed = wal.split_staged(rel)
             if parsed is not None:
                 final, txn = parsed
@@ -841,99 +646,90 @@ class ShardedDiskStore(FragmentStore):
                     wal.publish_staged(staged, os.path.join(self.root, final))
                 else:
                     wal.discard_staged(staged)
-                continue
-            if rel not in live:
-                self._dead[rel] = size
+            elif log_existed:
+                if rel not in live:
+                    self._dead[rel] = nbytes
+            else:
+                key = self._layout.recover(rel)
+                if key is not None:
+                    self._index[key] = rel
+                    self._record_put(*key, nbytes)
 
-    def _scan_shards(self):
-        """Yield ``(relpath, nbytes)`` for every file under a shard dir."""
-        try:
-            top = sorted(os.scandir(self.root), key=lambda e: e.name)
-        except OSError:
-            return
-        for shard in top:
-            if not shard.is_dir():
-                continue
+    def _scan(self):
+        """Yield ``(relpath, nbytes)`` per payload or staged file, path order."""
+        for prefix in self._layout.dirs(self.root):
             try:
-                files = sorted(os.scandir(shard.path), key=lambda e: e.name)
+                entries = sorted(
+                    os.scandir(os.path.join(self.root, prefix)), key=lambda e: e.name
+                )
             except OSError:
                 continue
-            for item in files:
-                try:
-                    yield os.path.join(shard.name, item.name), item.stat().st_size
-                except OSError:
-                    continue  # vanished between scandir and stat
+            for entry in entries:
+                name = entry.name
+                if name.endswith(".bin") or wal.split_staged(name) is not None:
+                    try:
+                        yield prefix + name, entry.stat().st_size
+                    except OSError:
+                        continue  # vanished between scandir and stat
 
     def _write_marker(self) -> None:
-        # on first put, never on open (read-only mounts must stay openable)
+        # written on first put, never on open: opening must work on
+        # read-only mounts, and an empty directory must not get pinned
+        # to a layout it may never hold
         path = os.path.join(self.root, LAYOUT_MARKER)
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         try:
             if not os.path.isfile(path):
-                _write_atomic(
-                    path,
-                    json.dumps({"layout": "sharded", "fanout": self.fanout}).encode(),
-                )
+                with open(tmp, "w") as fh:
+                    json.dump(self._layout.marker, fh)
+                os.replace(tmp, path)  # readers see none-or-whole, never partial
         except OSError:
-            pass  # best-effort: the shard index is the detection fallback
+            pass  # best-effort: open_store falls back to index heuristics
 
-    def _relpath(self, variable: str, segment: str) -> str:
-        digest = hashlib.sha1(f"{variable}\x00{segment}".encode()).hexdigest()
-        shard = f"{int(digest[:8], 16) % self.fanout:03x}"
-        safe_var = _KEY_RE.sub("_", variable)
-        safe_seg = _KEY_RE.sub("_", segment)
-        return os.path.join(shard, f"{safe_var}__{safe_seg}__{digest[:8]}.bin")
-
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Archive one fragment into its hashed shard (a singleton batch)."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        self.put_many([(variable, segment, payload)])
-
-    def put_many(self, items) -> None:
-        """Archive a batch crash-atomically, grouped per shard.
-
-        The stage → commit → publish protocol of the flat store, plus the
-        shard grouping: shard directories are created once per distinct
-        shard, files land in batch order (each variable's segment
-        insertion order matches a serial sequence of ``put`` calls), and
-        the persisted index grows by one fsync'd commit record for the
-        whole batch.  The batch holds the writer lock but takes the
-        reader lock only for the index update, so concurrent reads never
-        stall behind batch file I/O.
-        """
-        self.transact(items)
+    def _entry(self, variable: str, segment: str, rel: str, nbytes: int) -> dict:
+        return {
+            "variable": variable,
+            "segment": segment,
+            self._layout.field: rel,
+            "nbytes": nbytes,
+        }
 
     def transact(self, puts, deletes=()) -> None:
         """Commit a batch of puts plus tombstones in one WAL record.
 
-        The sharded twin of :meth:`DiskFragmentStore.transact`: puts
-        stage → commit → publish into their hashed shards, and each
-        *deletes* key adds a tombstone entry to the same fsync'd commit
-        record — one atomic transaction across a crash.  Delete keys
-        must exist and must not collide with the batch (ValueError).
+        Stage → commit → publish: every payload lands in a staged sibling
+        file first, one fsync'd log append commits the whole batch —
+        puts and one tombstone entry per *deletes* key alike — then each
+        staged file is atomically renamed live.  A kill before the commit
+        record leaves the store exactly as it was; a kill after it leaves
+        a transaction that recovery finishes publishing on reopen — never
+        a torn mix, which is what makes an ``Archive.save`` replacing a
+        variable's segment set atomic.  Files land in batch order, so a
+        batched archive indexes identically to a serial one.  Delete keys
+        must exist and must not collide with the batch (ValueError);
+        tombstoned files stay on disk as dead bytes (invisible to the
+        index) until :meth:`compact`.  The batch holds the writer lock but
+        takes the reader lock only for the index update, so concurrent
+        reads never stall behind batch file I/O.
         """
         batch = self._check_batch(puts)
         doomed = list(dict.fromkeys((str(v), str(s)) for v, s in deletes))
         overlap = {(v, s) for v, s, _ in batch} & set(doomed)
         if overlap:
             raise ValueError(f"keys both written and deleted: {sorted(overlap)}")
-        rels = [self._relpath(v, s) for v, s, _ in batch]
+        rels = [self._layout.relpath(v, s) for v, s, _ in batch]
         for shard in {os.path.dirname(rel) for rel in rels}:
             os.makedirs(os.path.join(self.root, shard), exist_ok=True)
         entries = []
         staged: dict = {}  # final path -> staged path (last write wins)
-        total = 0
         with self._write_lock:
-            dead_rels: dict = {}  # doomed key -> (relpath, nbytes)
+            dead: dict = {}  # doomed key -> (relpath, nbytes)
             if doomed:
                 with self._lock:
                     missing = [k for k in doomed if k not in self._index]
                     if missing:
                         raise KeyError(missing[0] if len(missing) == 1 else missing)
-                    dead_rels = {
-                        (v, s): (self._index[(v, s)], self._sizes[(v, s)])
-                        for v, s in doomed
-                    }
+                    dead = {k: (self._index[k], self._sizes[k]) for k in doomed}
             txn = self._log.reserve()
             crash_point("disk.stage")
             for (variable, segment, payload), rel in zip(batch, rels):
@@ -941,19 +737,14 @@ class ShardedDiskStore(FragmentStore):
                 staged[path] = wal.write_staged(
                     path, payload, txn, fsync=self._log.fsync_payloads
                 )
-                total += len(payload)
-                entries.append({
-                    "variable": variable,
-                    "segment": segment,
-                    "path": rel,
-                    "nbytes": len(payload),
-                })
+                entries.append(self._entry(variable, segment, rel, len(payload)))
                 crash_point("disk.staged")
             for variable, segment in doomed:
                 crash_point("disk.tombstone")
-                entries.append(
-                    {"variable": variable, "segment": segment, "deleted": True}
-                )
+                entry = {"variable": variable, "segment": segment}
+                if self._layout.names_tombstones:
+                    entry[self._layout.field] = dead[(variable, segment)][0]
+                entries.append({**entry, "deleted": True})
             self._log.append(entries, txn=txn)  # the atomicity point
             for path, spath in staged.items():
                 crash_point("disk.publish")
@@ -964,37 +755,47 @@ class ShardedDiskStore(FragmentStore):
                     self._dead.pop(rel, None)
                     self._index[(variable, segment)] = rel
                     self._record_put(variable, segment, len(payload))
-                for variable, segment in doomed:
-                    rel, nbytes = dead_rels[(variable, segment)]
-                    del self._index[(variable, segment)]
-                    self._record_delete(variable, segment)
+                for key in doomed:
+                    rel, nbytes = dead[key]
+                    del self._index[key]
+                    self._record_delete(*key)
                     self._dead[rel] = nbytes
                 if batch:
-                    self.put_round_trips += 1
-                    self._count_write(len(batch), total)
+                    self._count_writes(batch)
 
-    def delete(self, variable: str, segment: str) -> None:
-        """Tombstone one fragment; its file waits for :meth:`compact`."""
-        self.transact((), [(variable, segment)])
+    def get_many(self, keys) -> dict:
+        """Read a batch in relpath order: one directory's worth of
+        sequential reads at a time on spinning media."""
+        keys = list(dict.fromkeys((v, s) for v, s in keys))
+        with self._lock:  # single index pass resolves every path up front
+            missing = [k for k in keys if k not in self._index]
+            if missing:
+                raise KeyError(missing)
+            rels = sorted((self._index[k], k) for k in keys)
+        payloads = {}
+        for rel, key in rels:
+            with open(os.path.join(self.root, rel), "rb") as fh:
+                payloads[key] = fh.read()
+        out = {k: payloads[k] for k in keys}
+        self._count_reads(out)
+        return out
 
     def compact(self) -> CompactionReport:
-        """Rewrite the index log to live entries and reclaim dead files.
+        """Rewrite the log to live entries and unlink dead payload files.
 
-        Identical protocol and guarantees to
-        :meth:`DiskFragmentStore.compact`, with the dead-file pass
-        walking only the relpaths earmarked at delete/reopen time (no
-        full shard scan — reopen already did one).
+        Holds the writer lock for the whole pass (writers queue briefly;
+        readers are never blocked — live files are untouched and the log
+        rewrite is an atomic rename).  Only the relpaths earmarked at
+        delete/reopen time are walked, never the whole tree.  Crash-safe:
+        a kill before the rewrite leaves the old log; one after it leaves
+        orphaned dead files that the next reopen re-earmarks and the
+        next compact reclaims.
         """
         with self._write_lock:
             report = CompactionReport(log_bytes_before=self._log.nbytes())
             with self._lock:
                 entries = [
-                    {
-                        "variable": var,
-                        "segment": seg,
-                        "path": rel,
-                        "nbytes": self._sizes[(var, seg)],
-                    }
+                    self._entry(var, seg, rel, self._sizes[(var, seg)])
                     for (var, seg), rel in self._index.items()
                 ]
                 dead = dict(self._dead)
@@ -1035,57 +836,15 @@ class ShardedDiskStore(FragmentStore):
                 reclaimed_bytes=self._reclaimed_bytes,
             )
 
-    def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment via the persisted index; KeyError when absent."""
-        with self._lock:
-            if (variable, segment) not in self._index:
-                raise KeyError((variable, segment))
-            rel = self._index[(variable, segment)]
-        with open(os.path.join(self.root, rel), "rb") as fh:
-            payload = fh.read()
-        with self._lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
 
-    def get_many(self, keys) -> dict:
-        """Read a batch grouped per shard, each shard in filename order."""
-        keys = list(dict.fromkeys((v, s) for v, s in keys))
-        with self._lock:  # single index pass resolves every path up front
-            missing = [k for k in keys if k not in self._index]
-            if missing:
-                raise KeyError(missing)
-            rels = {k: self._index[k] for k in keys}
-        # group by shard directory and read each shard's files in filename
-        # order: one directory's worth of sequential reads at a time
-        by_shard: dict = {}
-        for key, rel in rels.items():
-            by_shard.setdefault(os.path.dirname(rel), []).append((rel, key))
-        out = {}
-        total = 0
-        for shard in sorted(by_shard):
-            for rel, key in sorted(by_shard[shard]):
-                with open(os.path.join(self.root, rel), "rb") as fh:
-                    payload = fh.read()
-                out[key] = payload
-                total += len(payload)
-        with self._lock:
-            self.round_trips += 1
-            self.reads += len(out)
-            self.bytes_read += total
-        return {k: out[k] for k in keys}
+class DiskFragmentStore(ShardedDiskStore):
+    """The WAL-backed on-disk store over one flat directory.
 
-    def has(self, variable: str, segment: str) -> bool:
-        """Whether the persisted index holds this key (no payload read)."""
-        with self._lock:
-            return (variable, segment) in self._index
+    Everything :class:`ShardedDiskStore` does, with every fragment file
+    directly under ``root`` and the key log beside them (it preserves the
+    original keys that filename sanitization would lose).  A directory
+    written before the key log existed is recovered from its file names.
+    """
 
-    def keys(self) -> list:
-        """All indexed ``(variable, segment)`` keys, replay-ordered."""
-        with self._lock:
-            return list(self._index)
-
-    def nbytes(self, variable: str | None = None) -> int:
-        """Total archived bytes (lock-protected; maintained incrementally)."""
-        with self._lock:
-            return super().nbytes(variable)
+    def __init__(self, root: str, fsync: str = "commit"):
+        self._open(root, _FlatLayout(), fsync)

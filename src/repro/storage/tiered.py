@@ -6,7 +6,7 @@ the hot fragment prefix — the coarse levels every retrieval touches —
 lives on fast storage near the analysts.  :class:`TieredStore` is that
 composition as one :class:`~repro.storage.store.FragmentStore`:
 
-* **Reads go fast-tier-first.**  ``get``/``get_many`` serve fast-tier
+* **Reads go fast-tier-first.**  ``get_many`` serves fast-tier
   residents locally; the misses of a batch move in **one** coalesced
   slow-tier ``get_many`` — so the pipelined retrieval engine's per-round
   batches cost one slow round trip however many fragments they span.
@@ -156,7 +156,7 @@ class TieredStore(FragmentStore):
             None if fast_budget_bytes is None else int(fast_budget_bytes)
         )
         self.promote_after = int(promote_after)
-        # serializes client mutations (put/put_many/delete) with each
+        # serializes client mutations (transact) with each
         # demotion victim's read-put-delete sequence: without it a
         # write-back put landing between demote's fast.get and its
         # fast.delete would lose the newer payload silently.  Lock
@@ -173,7 +173,7 @@ class TieredStore(FragmentStore):
         self._tstats = TierStats(
             fast_budget_bytes=self.fast_budget_bytes or 0,
         )
-        #: Optional :class:`~repro.storage.resilience.TripBudget` gating
+        #: Optional :class:`~repro.storage.resilience.TokenBucket` gating
         #: client-visible slow-tier round trips (the service installs
         #: one when ``slow_trip_rate`` is configured).  Background
         #: transfer traffic is deliberately exempt — throttling
@@ -295,38 +295,6 @@ class TieredStore(FragmentStore):
             self._tstats.slow_hits += len(keys)
             self._tstats.slow_bytes_served += nbytes
 
-    def get(self, variable: str, segment: str) -> bytes:
-        """Serve one fragment, fast tier first.
-
-        Fast residents keep flowing even while the slow tier is down; a
-        fragment only the slow tier holds raises :class:`DegradedError`
-        (see :meth:`_degrade`) instead of the raw backend error.
-        """
-        key = (variable, segment)
-        if key not in self._sizes:
-            raise KeyError(key)
-        payload = None
-        if key in self._resident:
-            try:
-                payload = self.fast.get(variable, segment)
-            except (KeyError, OSError):
-                payload = None  # demotion raced us; the slow tier has it
-        if payload is not None:
-            self._note_fast([key], len(payload))
-        else:
-            if self.trip_budget is not None:
-                self.trip_budget.acquire()
-            try:
-                payload = self.slow.get(variable, segment)
-            except Exception as exc:
-                self._degrade([key], exc)
-                raise
-            self._note_slow([key], len(payload))
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
-
     def get_many(self, keys) -> dict:
         """Serve a batch: fast residents locally, all misses in one
         coalesced slow-tier round trip.
@@ -334,8 +302,8 @@ class TieredStore(FragmentStore):
         While the slow tier is unavailable (transient failure after
         retries, or its circuit breaker open), batches fully covered by
         the fast tier still succeed — *degraded mode*; batches needing
-        the slow tier raise :class:`DegradedError` naming exactly the
-        keys that could not be served.
+        the slow tier raise :class:`DegradedError` (see :meth:`_degrade`)
+        naming exactly the keys that could not be served.
         """
         keys = list(dict.fromkeys((v, s) for v, s in keys))
         missing = [k for k in keys if k not in self._sizes]
@@ -365,36 +333,14 @@ class TieredStore(FragmentStore):
                 raise
             out.update(served)
             self._note_slow(slow_keys, sum(len(p) for p in served.values()))
-        with self._stats_lock:
-            self.round_trips += 1
-            for payload in out.values():
-                self._count_read(len(payload))
-        return {k: out[k] for k in keys}
+        out = {k: out[k] for k in keys}
+        self._count_reads(out)
+        return out
 
     # -- writes ----------------------------------------------------------------
 
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Store one fragment under the configured write policy."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("fragment payload must be bytes")
-        payload = bytes(payload)
-        key = (variable, segment)
-        with self._mutate_lock:  # never interleaves with a demotion victim
-            self.fast.put(variable, segment, payload)
-            if self.policy == "write-through":
-                self.slow.put(variable, segment, payload)
-            with self._tier_lock:
-                self._resident.add(key)
-                if self.policy == "write-back":
-                    self._dirty.add(key)
-                    self._dirty_epoch[key] = self._dirty_epoch.get(key, 0) + 1
-            with self._stats_lock:
-                self._record_put(variable, segment, len(payload))
-                self.put_round_trips += 1
-                self._count_write(1, len(payload))
-
-    def put_many(self, items) -> None:
-        """Store a batch under the configured write policy (batched per tier).
+    def transact(self, puts, deletes=()) -> None:
+        """Store a batch under the write policy, then delete, batched per tier.
 
         The batch lands on the fast tier with one ``put_many``;
         write-through forwards the same batch to the slow tier with one
@@ -402,61 +348,52 @@ class TieredStore(FragmentStore):
         while write-back marks every key dirty in one bookkeeping pass
         and leaves the slow-tier copy to :meth:`flush` / the transfer
         thread — so an ingestion flush costs one round trip per tier it
-        must touch *now*, never one per fragment.
+        must touch *now*, never one per fragment.  Each *deletes* key is
+        then removed from every tier holding it.  Everything runs under
+        one mutation-lock hold, so tier bookkeeping stays consistent
+        against concurrent demotions; per-tier WAL atomicity is that of
+        the underlying stores' own operations (the slow tier sees one
+        ``put_many`` record plus one tombstone record per delete).
         """
-        batch = self._check_batch(items)
+        batch = self._check_batch(puts)
         with self._mutate_lock:  # never interleaves with a demotion victim
-            self.fast.put_many(batch)
-            if self.policy == "write-through":
-                self.slow.put_many(batch)
-            keys = [(v, s) for v, s, _ in batch]
-            with self._tier_lock:
-                self._resident.update(keys)
-                if self.policy == "write-back":
-                    self._dirty.update(keys)
-                    for key in keys:
-                        self._dirty_epoch[key] = self._dirty_epoch.get(key, 0) + 1
-            with self._stats_lock:
-                for variable, segment, payload in batch:
-                    self._record_put(variable, segment, len(payload))
-                self.put_round_trips += 1
-                self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Remove one fragment from every tier holding it."""
-        key = (variable, segment)
-        with self._mutate_lock:  # never interleaves with a demotion victim
-            if key not in self._sizes:
-                raise KeyError(key)
-            with self._tier_lock:
-                resident = key in self._resident
-                self._resident.discard(key)
-                self._dirty.discard(key)
-                self._dirty_epoch.pop(key, None)
-                self._access.pop(key, None)
-                self._last_touch.pop(key, None)
-            if resident:
+            if batch:
+                self.fast.put_many(batch)
+                if self.policy == "write-through":
+                    self.slow.put_many(batch)
+                keys = [(v, s) for v, s, _ in batch]
+                with self._tier_lock:
+                    self._resident.update(keys)
+                    if self.policy == "write-back":
+                        self._dirty.update(keys)
+                        for key in keys:
+                            self._dirty_epoch[key] = self._dirty_epoch.get(key, 0) + 1
+                with self._stats_lock:
+                    for variable, segment, payload in batch:
+                        self._record_put(variable, segment, len(payload))
+                self._count_writes(batch)
+            for variable, segment in deletes:
+                key = (variable, segment)
+                if key not in self._sizes:
+                    raise KeyError(key)
+                with self._tier_lock:
+                    resident = key in self._resident
+                    self._resident.discard(key)
+                    self._dirty.discard(key)
+                    self._dirty_epoch.pop(key, None)
+                    self._access.pop(key, None)
+                    self._last_touch.pop(key, None)
+                if resident:
+                    try:
+                        self.fast.delete(variable, segment)
+                    except KeyError:
+                        pass
                 try:
-                    self.fast.delete(variable, segment)
+                    self.slow.delete(variable, segment)
                 except KeyError:
-                    pass
-            try:
-                self.slow.delete(variable, segment)
-            except KeyError:
-                pass  # write-back key never flushed
-            with self._stats_lock:
-                self._record_delete(variable, segment)
-
-    def transact(self, puts, deletes=()) -> None:
-        """Apply puts then deletes under one mutation-lock hold.
-
-        Tier bookkeeping stays consistent against concurrent demotions;
-        per-tier WAL atomicity is that of the underlying stores' own
-        operations (the slow tier sees one ``put_many`` record plus one
-        tombstone record per delete).
-        """
-        with self._mutate_lock:
-            super().transact(puts, deletes)
+                    pass  # write-back key never flushed
+                with self._stats_lock:
+                    self._record_delete(variable, segment)
 
     def flush(self) -> int:
         """Push every dirty write-back fragment to the slow tier.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.storage.store import FragmentStore
+from repro.storage.store import FragmentStore, StoreWrapper
 from repro.utils.validation import check_positive
 
 #: Aggregate WAN bandwidth calibrated to the paper's baseline
@@ -141,22 +141,24 @@ class GlobusTransferModel:
         return self.transfer([per_block] * num_blocks, rounds_per_block=1)
 
 
-class LatencyFragmentStore(FragmentStore):
-    """A :class:`FragmentStore` behind a simulated slow link (real sleeps).
+class LatencyFragmentStore(StoreWrapper):
+    """A :class:`StoreWrapper` putting a simulated slow link (real sleeps)
+    in front of any store.
 
-    Wraps any store and charges every *round trip* a fixed latency plus a
-    bandwidth cost proportional to the bytes it moves — the cost model of
-    an object store or parallel file system reached over a network.  A
-    batched :meth:`get_many` pays the latency **once** for the whole
-    batch, which is exactly the economy the pipelined retrieval engine's
+    Charges every *round trip* a fixed latency plus a bandwidth cost
+    proportional to the bytes it moves — the cost model of an object
+    store or parallel file system reached over a network.  A batched
+    :meth:`get_many` pays the latency **once** for the whole batch,
+    which is exactly the economy the pipelined retrieval engine's
     coalesced fetches exploit; the benchmarks use this wrapper to measure
-    that effect end to end without needing a real remote tier.
+    that effect end to end without needing a real remote tier.  Index
+    and durability queries are metadata-sized and not delayed.
 
     Sleeps are real (``time.sleep``), so concurrent clients overlap their
     waits like real network requests would.  Writes are not delayed by
     default (archival happens once and is not what the retrieval
     benchmarks time); pass ``write_latency`` to charge each write round
-    trip too — a batched :meth:`put_many` then pays it **once** for the
+    trip too — a batched ``put_many`` then pays it **once** for the
     whole flush, the economy the ingestion benchmarks measure.
     """
 
@@ -167,8 +169,7 @@ class LatencyFragmentStore(FragmentStore):
         bandwidth: float = 2e9,
         write_latency: float | None = None,
     ):
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self.latency = float(latency)
         self.bandwidth = check_positive(bandwidth, name="bandwidth")
         if self.latency < 0:
@@ -180,88 +181,22 @@ class LatencyFragmentStore(FragmentStore):
     def _charge(self, nbytes: int) -> None:
         time.sleep(self.latency + nbytes / self.bandwidth)
 
-    def _charge_write(self, nbytes: int) -> None:
-        if self.write_latency is not None:
-            time.sleep(self.write_latency + nbytes / self.bandwidth)
-
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Write one fragment, charging one write round trip (if enabled)."""
-        self.inner.put(variable, segment, payload)
-        self._charge_write(len(payload))
-        with self._stats_lock:
-            self.put_round_trips += 1
-            self._count_write(1, len(payload))
-
-    def put_many(self, items) -> None:
-        """Write a batch, charging the write latency **once** for all of it."""
-        batch = self._check_batch(items)
-        self.inner.put_many(batch)
-        self._charge_write(sum(len(p) for _, _, p in batch))
-        with self._stats_lock:
-            self.put_round_trips += 1
-            self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Delete from the inner store (metadata-sized; not delayed)."""
-        self.inner.delete(variable, segment)
-
     def transact(self, puts, deletes=()) -> None:
-        """Commit puts+tombstones on the inner store, one write round trip."""
+        """Commit on the inner store, charging one write round trip.
+
+        Only the puts are charged (and only when ``write_latency`` is
+        set); tombstones are metadata-sized.
+        """
         batch = self._check_batch(puts)
         self.inner.transact(batch, deletes)
-        self._charge_write(sum(len(p) for _, _, p in batch))
-        with self._stats_lock:
-            if batch:
-                self.put_round_trips += 1
-                self._count_write(len(batch), sum(len(p) for _, _, p in batch))
-
-    def compact(self):
-        """Delegate compaction to the inner store (not delayed)."""
-        return self.inner.compact()
-
-    def durability(self):
-        """Durability counters of the inner store."""
-        return self.inner.durability()
-
-    def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment, charging one latency + bandwidth sleep."""
-        payload = self.inner.get(variable, segment)
-        self._charge(len(payload))
-        with self._stats_lock:
-            self.round_trips += 1
-            self._count_read(len(payload))
-        return payload
+        if batch:
+            if self.write_latency is not None:
+                nbytes = sum(len(payload) for _, _, payload in batch)
+                time.sleep(self.write_latency + nbytes / self.bandwidth)
+            self._count_writes(batch)
 
     def get_many(self, keys) -> dict:
         """Read a batch, charging the latency **once** for all of it."""
-        out = self.inner.get_many(keys)
+        out = super().get_many(keys)
         self._charge(sum(len(p) for p in out.values()))
-        with self._stats_lock:
-            self.round_trips += 1
-            for payload in out.values():
-                self._count_read(len(payload))
         return out
-
-    def has(self, variable: str, segment: str) -> bool:
-        """Delegate to the inner store (metadata is not delayed)."""
-        return self.inner.has(variable, segment)
-
-    def keys(self) -> list:
-        """Delegate to the inner store (metadata is not delayed)."""
-        return self.inner.keys()
-
-    def variables(self) -> list:
-        """Delegate to the inner store (metadata is not delayed)."""
-        return self.inner.variables()
-
-    def segments(self, variable: str) -> list:
-        """Delegate to the inner store (metadata is not delayed)."""
-        return self.inner.segments(variable)
-
-    def size_of(self, variable: str, segment: str) -> int:
-        """Delegate to the inner store (metadata is not delayed)."""
-        return self.inner.size_of(variable, segment)
-
-    def nbytes(self, variable: str | None = None) -> int:
-        """Delegate to the inner store (metadata is not delayed)."""
-        return self.inner.nbytes(variable)

@@ -35,7 +35,7 @@ import time
 
 from repro.storage import wal
 from repro.storage.resilience import FaultStoreError
-from repro.storage.store import FragmentStore
+from repro.storage.store import FragmentStore, StoreWrapper
 
 
 class SimulatedCrash(RuntimeError):
@@ -110,7 +110,7 @@ def crash_everywhere(make_operation) -> int:
     return len(points)
 
 
-class FaultyFragmentStore(FragmentStore):
+class FaultyFragmentStore(StoreWrapper):
     """A wrapping store that fails deterministically on command.
 
     Parameters
@@ -118,11 +118,12 @@ class FaultyFragmentStore(FragmentStore):
     inner:
         The real store every successful operation reaches.
     fail_after:
-        Mutating operations (``put`` / ``put_many`` / ``delete``) to
-        allow; the next one raises :class:`SimulatedCrash`.  ``None``
-        never fails.
+        Mutating operations to allow — a ``transact`` spends one for its
+        put batch and one per delete, so ``put`` / ``put_many`` /
+        ``delete`` each cost one; the next one raises
+        :class:`SimulatedCrash`.  ``None`` never fails.
     torn_writes:
-        When the failing operation is a ``put_many``, first write the
+        When the failing operation is a put batch, first write the
         first half of its batch through — a torn batched write, the
         exact anomaly the WAL exists to mask.  (Without it the failing
         operation aborts cleanly before touching the inner store.)
@@ -150,8 +151,7 @@ class FaultyFragmentStore(FragmentStore):
         seed: int = 0,
         latency_s: float = 0.0,
     ):
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self.fail_after = fail_after
         self.torn_writes = bool(torn_writes)
         self.short_reads = short_reads
@@ -192,7 +192,8 @@ class FaultyFragmentStore(FragmentStore):
         """Consume one mutation from the budget; die when exhausted."""
         if self.fail_after is not None and self.mutations >= self.fail_after:
             if self.torn_writes and batch:
-                self.inner.put_many(batch[: max(1, len(batch) // 2)])
+                # the first half only; a singleton has no prefix to tear
+                self.inner.put_many(batch[: len(batch) // 2])
             raise SimulatedCrash(
                 f"store failed after {self.mutations} mutating operation(s)"
             )
@@ -204,64 +205,22 @@ class FaultyFragmentStore(FragmentStore):
             return payload[: self.short_reads]
         return payload
 
-    def put(self, variable: str, segment: str, payload: bytes) -> None:
-        """Write one fragment, spending one unit of the failure budget."""
-        self._spend()
-        self.inner.put(variable, segment, payload)
+    def transact(self, puts, deletes=()) -> None:
+        """Write the batch, then each delete, spending the failure budget.
 
-    def put_many(self, items) -> None:
-        """Write a batch; on budget exhaustion optionally tear it."""
-        batch = self._check_batch(items)
-        self._spend(batch=batch)
-        self.inner.put_many(batch)
-
-    def delete(self, variable: str, segment: str) -> None:
-        """Delete one fragment, spending one unit of the failure budget."""
-        self._spend()
-        self.inner.delete(variable, segment)
-
-    def get(self, variable: str, segment: str) -> bytes:
-        """Read one fragment (transient faults and truncation apply)."""
-        self._flake()
-        return self._maim(self.inner.get(variable, segment))
+        One unit for the put batch (torn on exhaustion when configured)
+        and one per delete, each checked just before it reaches the
+        inner store.
+        """
+        batch = self._check_batch(puts)
+        if batch:
+            self._spend(batch=batch)
+            self.inner.put_many(batch)
+        for variable, segment in deletes:
+            self._spend()
+            self.inner.delete(variable, segment)
 
     def get_many(self, keys) -> dict:
         """Read a batch (transient faults and truncation apply)."""
         self._flake()
         return {k: self._maim(p) for k, p in self.inner.get_many(keys).items()}
-
-    def has(self, variable: str, segment: str) -> bool:
-        """Delegate to the inner store."""
-        return self.inner.has(variable, segment)
-
-    def keys(self) -> list:
-        """Delegate to the inner store."""
-        return self.inner.keys()
-
-    def variables(self) -> list:
-        """Delegate to the inner store."""
-        return self.inner.variables()
-
-    def segments(self, variable: str) -> list:
-        """Delegate to the inner store."""
-        return self.inner.segments(variable)
-
-    def size_of(self, variable: str, segment: str) -> int:
-        """Delegate to the inner store (sizes are not truncated)."""
-        return self.inner.size_of(variable, segment)
-
-    def nbytes(self, variable: str | None = None) -> int:
-        """Delegate to the inner store."""
-        return self.inner.nbytes(variable)
-
-    def compact(self):
-        """Delegate to the inner store."""
-        return self.inner.compact()
-
-    def durability(self):
-        """Delegate to the inner store."""
-        return self.inner.durability()
-
-    def close(self) -> None:
-        """Close the inner store."""
-        self.inner.close()

@@ -357,10 +357,10 @@ class TestIngestPipeline:
         seen = []
 
         class Recorder(FragmentStore):
-            def put_many(self, items):
-                items = list(items)
-                seen.extend((v, s) for v, s, _ in items)
-                super().put_many(items)
+            def transact(self, puts, deletes=()):
+                puts = list(puts)
+                seen.extend((v, s) for v, s, _ in puts)
+                super().transact(puts, deletes)
 
         fields = make_fields(n=2)
         ingest_dataset(

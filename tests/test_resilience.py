@@ -15,11 +15,7 @@ from repro.service.server import (
     RetrievalServer,
     ServiceClient,
 )
-from repro.service.service import (
-    OverloadedError,
-    RetrievalService,
-    TokenBucket,
-)
+from repro.service.service import OverloadedError, RetrievalService
 from repro.storage.archive import Archive
 from repro.storage.resilience import (
     CircuitBreaker,
@@ -28,6 +24,7 @@ from repro.storage.resilience import (
     FaultStoreError,
     ResilientStore,
     RetryPolicy,
+    TokenBucket,
     is_transient,
     wrap_with_resilience,
 )
@@ -488,6 +485,28 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0.0)
+
+    def test_burst_below_one_token_is_rejected(self):
+        # a bucket capped below one token can never be acquired: at the
+        # parent TokenBucket(5, 0.5).try_acquire() quoted 0.1 s forever,
+        # so such a service shed every request
+        with pytest.raises(ValueError):
+            TokenBucket(rate=5.0, burst=0.5)
+        with pytest.raises(ValueError):
+            RetrievalService(FragmentStore(), client_rate=5.0, client_burst=0.5)
+        service = RetrievalService(FragmentStore(), client_rate=0.5)
+        assert service.client_burst == 1.0  # the default never dips below one
+
+    def test_both_acquires_draw_on_one_bucket(self):
+        clock = FakeClock()
+        bucket = TokenBucket(rate=10.0, burst=2.0, clock=clock, sleep=clock.advance)
+        assert bucket.acquire() == 0.0
+        assert bucket.try_acquire() == 0.0
+        assert bucket.try_acquire() == pytest.approx(0.1)  # empty: shed, not wait
+        assert bucket.acquire() == pytest.approx(0.1)  # empty: wait, not shed
+        assert bucket.snapshot() == {
+            "waits": 1, "wait_seconds": pytest.approx(0.1), "acquires": 3,
+        }
 
 
 @pytest.fixture(scope="module")

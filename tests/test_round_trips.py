@@ -29,20 +29,26 @@ LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
 class CountingStore(FragmentStore):
-    """In-memory store that logs every read call and the keys it carried."""
+    """In-memory store that logs every read trip and the keys it carried.
+
+    The log sits on the read primitive, so every trip is seen however it
+    was issued; a singleton ``get`` is logged under its own name and
+    served by the same primitive, once.
+    """
 
     def __init__(self):
         super().__init__()
         self.calls: list = []  # ("get" | "get_many", [keys])
 
+    def _logged(self, kind, keys):
+        self.calls.append((kind, keys))
+        return super().get_many(keys)
+
     def get(self, variable, segment):
-        self.calls.append(("get", [(variable, segment)]))
-        return super().get(variable, segment)
+        return self._logged("get", [(variable, segment)])[(variable, segment)]
 
     def get_many(self, keys):
-        keys = list(keys)
-        self.calls.append(("get_many", keys))
-        return super().get_many(keys)
+        return self._logged("get_many", list(keys))
 
     def count(self, kind: str) -> int:
         return sum(1 for call, _ in self.calls if call == kind)

@@ -15,7 +15,7 @@ Four layers of guarantees:
   1-client run's), overlapping ladders cut slow-store round trips >= 2x
   versus per-session planning, and every mode — identical, overlapping,
   disjoint — is **bit-identical** to ``shared_planner=False``.
-* :class:`repro.storage.resilience.TripBudget` — blocking token-bucket
+* :class:`repro.storage.resilience.TokenBucket` — blocking token-bucket
   semantics with injected clocks, the tiered slow-path hook, the
   service's ``.inner``-chain installation walk, and the stats fold.
 
@@ -38,7 +38,7 @@ from repro.service.service import RetrievalService
 from repro.storage.archive import Archive, FragmentSource
 from repro.storage.metadata import DatasetManifest, VariableMetadata
 from repro.storage.remote import HTTPFragmentServer
-from repro.storage.resilience import TripBudget
+from repro.storage.resilience import TokenBucket
 from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
 from repro.storage.tiered import TieredStore
 
@@ -696,7 +696,7 @@ class _FakeClock:
 class TestTripBudget:
     def test_burst_then_block(self):
         clock = _FakeClock()
-        budget = TripBudget(rate=2.0, burst=2.0, clock=clock, sleep=clock.sleep)
+        budget = TokenBucket(rate=2.0, burst=2.0, clock=clock, sleep=clock.sleep)
         assert budget.acquire() == 0.0
         assert budget.acquire() == 0.0
         waited = budget.acquire()  # bucket empty: must wait 1/rate
@@ -708,16 +708,16 @@ class TestTripBudget:
 
     def test_refills_with_time(self):
         clock = _FakeClock()
-        budget = TripBudget(rate=1.0, burst=1.0, clock=clock, sleep=clock.sleep)
+        budget = TokenBucket(rate=1.0, burst=1.0, clock=clock, sleep=clock.sleep)
         budget.acquire()
         clock.now += 5.0  # plenty of refill (capped at burst)
         assert budget.acquire() == 0.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            TripBudget(rate=0.0)
+            TokenBucket(rate=0.0)
         with pytest.raises(ValueError):
-            TripBudget(rate=1.0, burst=0.5)
+            TokenBucket(rate=1.0, burst=0.5)
 
     def test_tiered_slow_path_acquires(self):
         fast, slow = FragmentStore(), FragmentStore()
@@ -725,7 +725,7 @@ class TestTripBudget:
         slow.put("v", "s1", b"payload")
         tiered = TieredStore(fast, slow)
         clock = _FakeClock()
-        tiered.trip_budget = TripBudget(
+        tiered.trip_budget = TokenBucket(
             rate=100.0, burst=1.0, clock=clock, sleep=clock.sleep
         )
         tiered.get("v", "s0")

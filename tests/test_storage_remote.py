@@ -10,7 +10,6 @@ from repro.storage.remote import (
     InMemoryObjectBucket,
     KeyValueFragmentStore,
     ObjectBucket,
-    RemoteFragmentStore,
     fragment_key,
     object_key,
 )
@@ -32,8 +31,11 @@ def http_pair():
 
 class TestHTTPFragmentStore:
     def test_satisfies_remote_protocol(self, http_pair):
+        # the store interface is FragmentStore itself: a backend is one
+        # that brings its own two primitives (the rest is derived)
         _, _, client = http_pair
-        assert isinstance(client, RemoteFragmentStore)
+        assert isinstance(client, FragmentStore)
+        assert {"get_many", "transact"} <= set(vars(HTTPFragmentStore))
 
     def test_index_snapshot_serves_metadata_locally(self, http_pair):
         inner, _, client = http_pair
@@ -150,7 +152,8 @@ class TestObjectKeyCodec:
 
 class TestKeyValueFragmentStore:
     def test_satisfies_remote_protocol(self):
-        assert isinstance(KeyValueFragmentStore(InMemoryObjectBucket()), RemoteFragmentStore)
+        assert isinstance(KeyValueFragmentStore(InMemoryObjectBucket()), FragmentStore)
+        assert {"get_many", "transact"} <= set(vars(KeyValueFragmentStore))
         assert isinstance(InMemoryObjectBucket(), ObjectBucket)
 
     def test_roundtrip_and_reopen_from_listing(self):

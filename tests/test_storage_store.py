@@ -12,7 +12,12 @@ from repro.storage.metadata import (
     DatasetManifest,
     VariableMetadata,
 )
-from repro.storage.store import DiskFragmentStore, FragmentStore, ShardedDiskStore
+from repro.storage.store import (
+    DiskFragmentStore,
+    FragmentStore,
+    ShardedDiskStore,
+    open_store,
+)
 from test_round_trips import CountingStore
 
 #: ``DatasetManifest.to_json()`` of the last format-1 revision, verbatim:
@@ -59,16 +64,18 @@ FORMAT1_MANIFEST = """{
 
 
 class CallLogStore(CountingStore):
-    """:class:`CountingStore` that logs writes (and their keys) as well."""
+    """:class:`CountingStore` that logs write trips (and their keys) too.
 
-    def put(self, variable, segment, payload):
-        self.calls.append(("put", [(variable, segment)]))
-        super().put(variable, segment, payload)
+    The log sits on the write primitive: each batch of puts is one
+    ``"put_many"`` entry whether it arrived as ``put``, ``put_many`` or
+    ``transact``, directly or through a wrapper.
+    """
 
-    def put_many(self, items):
-        items = list(items)
-        self.calls.append(("put_many", [(v, s) for v, s, _ in items]))
-        super().put_many(items)
+    def transact(self, puts, deletes=()):
+        puts = list(puts)
+        if puts:
+            self.calls.append(("put_many", [(v, s) for v, s, _ in puts]))
+        super().transact(puts, deletes)
 
 
 def meta(name, lo=0.0, hi=1.0, total_bytes=10, segments=("_index.json", "coarse")):
@@ -228,6 +235,148 @@ class TestShardedDiskStore:
     def test_rejects_bad_fanout(self, tmp_path):
         with pytest.raises(ValueError):
             ShardedDiskStore(str(tmp_path / "frags"), fanout=0)
+
+
+#: Every byte two ``put_many`` calls and one ``delete`` leave behind, per
+#: layout, written out by hand (not by the code under test): the payload
+#: files, the layout marker, and the commit log with its field names.
+ON_DISK = {
+    DiskFragmentStore: {
+        "a_b__L0_p3.bin": b"abc",
+        "a_b__L0_p4.bin": b"de",
+        "vx__idx.bin": b"hello",
+        ".repro-store.json": b'{"layout": "flat"}',
+        ".repro-index.jsonl": (
+            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+            b' "file": "a_b__L0_p3.bin", "nbytes": 3}, {"variable": "vx",'
+            b' "segment": "idx", "file": "vx__idx.bin", "nbytes": 5}]}\n'
+            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+            b' "file": "a_b__L0_p4.bin", "nbytes": 2}]}\n'
+            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+            b' "file": "vx__idx.bin", "deleted": true}]}\n'
+        ),
+    },
+    ShardedDiskStore: {
+        "035/a_b__L0_p3__155b2e35.bin": b"abc",
+        "034/a_b__L0_p4__6389b834.bin": b"de",
+        "04c/vx__idx__8db4664c.bin": b"hello",
+        ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
+        "index.jsonl": (
+            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+            b' "path": "035/a_b__L0_p3__155b2e35.bin", "nbytes": 3},'
+            b' {"variable": "vx", "segment": "idx",'
+            b' "path": "04c/vx__idx__8db4664c.bin", "nbytes": 5}]}\n'
+            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+            b' "path": "034/a_b__L0_p4__6389b834.bin", "nbytes": 2}]}\n'
+            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+            b' "deleted": true}]}\n'
+        ),
+    },
+}
+
+LAYOUTS = pytest.mark.parametrize(
+    "store_cls", [DiskFragmentStore, ShardedDiskStore], ids=["flat", "sharded"]
+)
+
+
+def write_tree(root, files):
+    for rel, payload in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(payload)
+
+
+def read_tree(root):
+    tree = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, root)] = fh.read()
+    return tree
+
+
+class TestOnDiskFormat:
+    """Both layouts of the one disk store, pinned by literal directories."""
+
+    @LAYOUTS
+    def test_hand_written_directory_opens(self, tmp_path, store_cls):
+        root = str(tmp_path / "ar")
+        write_tree(root, ON_DISK[store_cls])
+        for store in (store_cls(root), open_store(root)):
+            assert type(store) is store_cls
+            assert store.keys() == [("a/b", "L0:p3"), ("a/b", "L0:p4")]
+            assert store.get_many(store.keys()) == {
+                ("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de",
+            }
+            assert store.nbytes() == store.nbytes("a/b") == 5
+            assert not store.has("vx", "idx") and store.variables() == ["a/b"]
+            # the tombstoned payload is still on disk, as reclaimable debt
+            debt = store.durability()
+            assert (debt.tombstones, debt.dead_bytes) == (1, 5)
+        assert read_tree(root) == ON_DISK[store_cls]  # opening wrote nothing
+        report = store.compact()
+        assert (report.removed_files, report.reclaimed_bytes) == (1, 5)
+        dead = "vx__idx.bin" if store_cls is DiskFragmentStore else "04c/vx__idx__8db4664c.bin"
+        assert sorted(read_tree(root)) == sorted(set(ON_DISK[store_cls]) - {dead})
+
+    @LAYOUTS
+    def test_the_store_writes_exactly_these_bytes(self, tmp_path, store_cls):
+        root = str(tmp_path / "ar")
+        store = store_cls(root)
+        store.put_many([("a/b", "L0:p3", b"abc"), ("vx", "idx", b"hello")])
+        store.put_many([("a/b", "L0:p4", b"de")])
+        store.delete("vx", "idx")
+        assert read_tree(root) == ON_DISK[store_cls]
+
+    def test_flat_directory_without_a_log_recovers_keys_from_file_names(self, tmp_path):
+        root = str(tmp_path / "ar")
+        write_tree(root, {"a_b__L0_p3.bin": b"abc", "vx__idx.bin": b"hello",
+                          "notes.txt": b"not a fragment", "stray.bin": b"no key"})
+        store = DiskFragmentStore(root)
+        assert store.keys() == [("a_b", "L0_p3"), ("vx", "idx")]
+        assert store.get("a_b", "L0_p3") == b"abc" and store.size_of("vx", "idx") == 5
+        assert store.durability().tombstones == 0
+
+    def test_flat_log_entry_without_a_size_takes_it_from_the_file(self, tmp_path):
+        root = str(tmp_path / "ar")
+        write_tree(root, {
+            "vx__idx.bin": b"hello",
+            ".repro-index.jsonl": (
+                b'{"variable": "vx", "segment": "idx", "file": "vx__idx.bin"}\n'
+                b'{"variable": "vy", "segment": "idx", "file": "vy__idx.bin"}\n'
+            ),
+        })
+        store = DiskFragmentStore(root)
+        assert store.size_of("vx", "idx") == 5 and store.get("vx", "idx") == b"hello"
+        # a dangling entry stays indexed (size 0) instead of failing the open
+        assert store.has("vy", "idx") and store.size_of("vy", "idx") == 0
+        assert store.nbytes() == 5
+
+    @LAYOUTS
+    def test_staged_leftovers_are_published_or_discarded(self, tmp_path, store_cls):
+        root = str(tmp_path / "ar")
+        files = dict(ON_DISK[store_cls])
+        p4 = next(rel for rel in files if "L0_p4" in rel)
+        p3 = next(rel for rel in files if "L0_p3" in rel)
+        # txn 2 committed but died before publishing; txn 9 never committed
+        files[p4 + ".stg2"] = files.pop(p4)
+        files[p3 + ".stg9"] = b"never committed"
+        write_tree(root, files)
+        store = store_cls(root)
+        assert store.get("a/b", "L0:p4") == b"de"
+        assert store.get("a/b", "L0:p3") == b"abc"
+        assert read_tree(root) == ON_DISK[store_cls]
+
+    def test_marker_fanout_outranks_the_constructor_argument(self, tmp_path):
+        root = str(tmp_path / "ar")
+        write_tree(root, ON_DISK[ShardedDiskStore])
+        store = ShardedDiskStore(root, fanout=16)
+        assert store.fanout == 256
+        store.put("vx", "idx", b"again")  # lands in its 256-way shard
+        assert read_tree(root)["04c/vx__idx__8db4664c.bin"] == b"again"
+        assert store.durability().tombstones == 0  # the dead file came back live
 
 
 class TestManifest:

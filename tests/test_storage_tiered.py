@@ -123,11 +123,11 @@ class TestTieredWrites:
         holder = {}
 
         class RacingSlow(FragmentStore):
-            def put_many(self, items):
-                items = list(items)
-                super().put_many(items)
+            def transact(self, puts, deletes=()):
+                puts = list(puts)
+                super().transact(puts, deletes)
                 tiered = holder.get("store")
-                for variable, segment, _ in items:
+                for variable, segment, _ in puts:
                     if tiered is not None and tiered.has(variable, segment):
                         tiered.delete(variable, segment)  # client delete mid-flush
 
@@ -146,9 +146,8 @@ class TestTieredWrites:
         holder = {}
 
         class RacingSlow(FragmentStore):
-            def put_many(self, items):
-                items = list(items)
-                super().put_many(items)
+            def transact(self, puts, deletes=()):
+                super().transact(puts, deletes)
                 tiered = holder.get("store")
                 if tiered is not None and not holder.get("raced"):
                     holder["raced"] = True
@@ -169,11 +168,13 @@ class TestTieredWrites:
         holder = {}
 
         class RacingFast(FragmentStore):
-            def put(self, variable, segment, payload):
-                super().put(variable, segment, payload)
+            def transact(self, puts, deletes=()):
+                puts = list(puts)
+                super().transact(puts, deletes)
                 tiered = holder.get("store")
-                if tiered is not None and tiered.has(variable, segment):
-                    tiered.delete(variable, segment)  # client delete mid-promotion
+                for variable, segment, _ in puts:
+                    if tiered is not None and tiered.has(variable, segment):
+                        tiered.delete(variable, segment)  # client delete mid-promotion
 
         slow = seeded_slow({("v", "s0"): b"payload"})
         store = TieredStore(RacingFast(), slow, promote_after=1)
