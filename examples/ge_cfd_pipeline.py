@@ -27,11 +27,10 @@ def main():
     env0 = {k: (v, 0.0) for k, v in fields.items()}
 
     # wall nodes (all velocity components exactly zero) would make the
-    # sqrt estimator blow up -> record them in the paper's zero bitmap
-    vel_names = ("velocity_x", "velocity_y", "velocity_z")
-    mask = repro.ZeroMask.from_fields(*(fields[k] for k in vel_names))
-    masks = {k: mask for k in vel_names}
-    print(f"{mask.count} wall nodes masked ({mask.nbytes} B bitmap)\n")
+    # sqrt estimator blow up -> refactor_dataset records each variable's
+    # exact zeros in the paper's zero bitmap, and the retriever applies it
+    mask = repro.ZeroMask.of(fields["velocity_x"])
+    print(f"{mask.count} wall nodes masked ({mask.nbytes} B bitmap per component)\n")
 
     requests = []
     for name, qoi in repro.GE_QOIS.items():
@@ -42,7 +41,7 @@ def main():
     rows = []
     for method in ("pmgard_hb", "psz3_delta", "psz3"):
         refactored = repro.refactor_dataset(fields, repro.make_refactorer(method))
-        retriever = repro.QoIRetriever(refactored, ranges, masks=masks)
+        retriever = repro.QoIRetriever(refactored, ranges)
         result = retriever.retrieve(requests)
         worst = max(
             result.estimated_errors[r.name] / r.qoi_range for r in requests

@@ -70,6 +70,20 @@ class ProgressiveReader(abc.ABC):
         """
         return None
 
+    def bound_after(self, eb: float) -> float:
+        """The bound :attr:`current_error_bound` would report after ``request(eb)``.
+
+        Algorithm 4 runs on this *before* anything is fetched: the
+        retrieval loop prices a candidate bound by what the reader would
+        actually achieve for it, not by the bound asked for.  Like
+        :meth:`plan_segments` it must be computed from metadata alone
+        (no payload access, no state mutation).  The default is the
+        guarantee every reader gives — it achieves *eb* or better, and
+        never loses what it already holds; readers whose achieved bound
+        is a function of their plan override it with the exact value.
+        """
+        return min(float(eb), self.current_error_bound)
+
     def plan_token(self) -> tuple | None:
         """Hashable snapshot of the state :meth:`plan_segments` depends on.
 
@@ -93,6 +107,12 @@ class ProgressiveReader(abc.ABC):
 
 class Refactored(abc.ABC):
     """Archived progressive representation of one variable."""
+
+    #: The variable's exact-zero set (§V-A), a
+    #: :class:`~repro.core.masking.ZeroMask` or None.  Recorded at
+    #: refactor time, archived with the fragments, and applied by every
+    #: retriever the representation is handed to.
+    zero_mask = None
 
     @property
     @abc.abstractmethod

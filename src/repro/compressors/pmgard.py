@@ -271,6 +271,20 @@ class PMGARDReader(ProgressiveReader):
                 segments.extend(names[dec.planes_consumed : k])
         return segments
 
+    def bound_after(self, eb: float) -> float:
+        """The exact bound ``request(eb)`` would achieve (no fetching).
+
+        The plan fixes the planes every level ends on, and a level's
+        bound is a function of its plane count alone — summed exactly as
+        :attr:`current_error_bound` sums them, so the two agree to the
+        bit once the request has run.
+        """
+        kappa = self._ref.kappa
+        planned = self._plan(check_error_bound(eb))
+        return float(sum(
+            kappa * dec.stream.error_bound(k) for dec, k in zip(self._decoders, planned)
+        ))
+
     def _consumed(self) -> tuple:
         return tuple(dec.planes_consumed for dec in self._decoders)
 

@@ -4,11 +4,12 @@
 QoIs gets the most conservative (smallest) of their relative tolerances,
 scaled by the variable's value range.
 
-``reassign_eb`` runs between rounds: at the data point exhibiting the
-largest estimated QoI error, the bounds of every variable the QoI touches
-are divided by the constant factor ``c`` (1.5 in the paper) until the
-re-estimated point error drops below the tolerance.  Evaluating only the
-worst point keeps the number of outer retrieval rounds small (§V-A).
+``reassign_eb`` runs before a round fetches: at the data points
+exhibiting the largest estimated QoI error, the bounds of every variable
+the QoI touches are divided by the constant factor ``c`` (1.5 in the
+paper) until the re-estimated point errors drop below the tolerance.
+Evaluating only the worst points keeps the number of outer retrieval
+rounds small (§V-A).
 """
 
 from __future__ import annotations
@@ -54,18 +55,20 @@ def reassign_eb(
     current_ebs: dict,
     c: float = DEFAULT_REDUCTION_FACTOR,
     max_iterations: int = 200,
+    exact: dict | None = None,
 ) -> dict:
-    """Algorithm 4: tighten bounds until the worst point satisfies *tolerance*.
+    """Algorithm 4: tighten bounds until the probed points satisfy *tolerance*.
 
     Parameters
     ----------
     qoi:
         The QoI whose estimated error exceeded its tolerance.
     tolerance:
-        Absolute QoI tolerance at this point.
+        Absolute QoI tolerance at the probed points.
     point_values:
-        Reconstructed scalar value of each involved variable at the
-        worst-error point.
+        Reconstructed value of each involved variable at the probed
+        points: a scalar (the paper's single worst-error point) or an
+        array of K points, all of which must pass.
     current_ebs:
         Current absolute bounds per variable (only involved ones used).
     c:
@@ -73,6 +76,10 @@ def reassign_eb(
     max_iterations:
         Safety valve for points where no finite bound is reachable (e.g.
         an exact zero that should have been masked).
+    exact:
+        Optional ``{variable: bool array}`` over the probed points: True
+        where the value is known exactly (§V-A mask), so ``eps = 0``
+        there whatever the variable's bound.
 
     Returns
     -------
@@ -83,9 +90,20 @@ def reassign_eb(
         raise ValueError("reduction factor c must be > 1")
     involved = sorted(qoi.variables())
     ebs = {v: float(current_ebs[v]) for v in involved}
-    env = {v: (np.asarray([point_values[v]], dtype=np.float64), ebs[v]) for v in involved}
-    _, est = qoi.evaluate(env)
-    est = float(np.max(est))
+    values = {
+        v: np.atleast_1d(np.asarray(point_values[v], dtype=np.float64)) for v in involved
+    }
+    exact = exact or {}
+
+    def estimate() -> float:
+        env = {}
+        for v in involved:
+            known = exact.get(v)
+            eps = ebs[v] if known is None else np.where(known, 0.0, ebs[v])
+            env[v] = (values[v], eps)
+        return float(np.max(qoi.evaluate(env)[1]))
+
+    est = estimate()
     iterations = 0
     while est > tolerance:
         iterations += 1
@@ -96,7 +114,5 @@ def reassign_eb(
             )
         for v in involved:
             ebs[v] /= c
-        env = {v: (env[v][0], ebs[v]) for v in involved}
-        _, est = qoi.evaluate(env)
-        est = float(np.max(est))
+        est = estimate()
     return ebs

@@ -24,12 +24,13 @@ import numpy as np
 
 
 def _nonfinite_ok() -> np.errstate:
-    """Silence the FP warnings the root, radical and quotient bounds expect.
+    """Silence the FP warnings the bounds expect on non-finite inputs.
 
     They meet inf and NaN intermediates on legitimate inputs: ``inf -
-    inf`` once an upstream bound is ``inf``, an overflowing product of
-    two huge values, ``eps / 0`` on a denominator that straddles zero.
-    Each bound's final ``np.where`` turns every such point into ``inf``.
+    inf`` once an upstream bound is ``inf``, ``0 * inf`` at a masked
+    point under one, an overflowing product of two huge values,
+    ``eps / 0`` on a denominator that straddles zero.  Each bound's
+    final ``np.where`` turns every such point into ``inf``.
     """
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
@@ -41,6 +42,17 @@ def _where_sound(valid, out, den) -> np.ndarray:
     0, and ``0/0`` or ``inf/inf`` as NaN; neither is a bound.
     """
     return np.where(valid & (den < np.inf) & ~np.isnan(out), out, np.inf)
+
+
+def _nan_unbounded(out) -> np.ndarray:
+    """*out* with every NaN read as ``inf``: ``0 * inf`` is no bound.
+
+    The polynomial, sum and product bounds meet it once a masked point
+    (value 0, ``eps`` 0: §V-A) sits under a singular subtree whose bound
+    is ``inf``.
+    """
+    nan = np.isnan(out)
+    return np.where(nan, np.inf, out) if nan.any() else out
 
 
 def bound_power(x: np.ndarray, eps, n: int) -> np.ndarray:
@@ -55,9 +67,10 @@ def bound_power(x: np.ndarray, eps, n: int) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     ax = np.abs(x)
     total = np.zeros(np.broadcast(x, eps).shape, dtype=np.float64)
-    for i in range(1, n + 1):
-        total += comb(n, i) * ax ** (n - i) * eps**i
-    return total
+    with _nonfinite_ok():
+        for i in range(1, n + 1):
+            total += comb(n, i) * ax ** (n - i) * eps**i
+    return _nan_unbounded(total)
 
 
 def bound_sqrt(x: np.ndarray, eps) -> np.ndarray:
@@ -116,7 +129,9 @@ def bound_add(eps_list, weights=None) -> np.ndarray:
     stack = np.stack(
         np.broadcast_arrays(*(np.asarray(e, dtype=np.float64) for e in eps_list))
     )
-    return np.tensordot(np.abs(np.asarray(weights, dtype=np.float64)), stack, axes=1)
+    with _nonfinite_ok():
+        total = np.tensordot(np.abs(np.asarray(weights, dtype=np.float64)), stack, axes=1)
+    return _nan_unbounded(total)
 
 
 def bound_mul(x1, eps1, x2, eps2) -> np.ndarray:
@@ -125,7 +140,9 @@ def bound_mul(x1, eps1, x2, eps2) -> np.ndarray:
     x2 = np.asarray(x2, dtype=np.float64)
     eps1 = np.asarray(eps1, dtype=np.float64)
     eps2 = np.asarray(eps2, dtype=np.float64)
-    return np.abs(x1) * eps2 + np.abs(x2) * eps1 + eps1 * eps2
+    with _nonfinite_ok():
+        total = np.abs(x1) * eps2 + np.abs(x2) * eps1 + eps1 * eps2
+    return _nan_unbounded(total)
 
 
 def seed_bounds(value_ranges, incidence, tolerances) -> np.ndarray:

@@ -257,7 +257,8 @@ class Add(_Node):
 
     def _compute(self, env: Env):
         values, bounds = zip(*(c.evaluate(env) for c in self.children))
-        total = sum(a * v for a, v in zip(self.weights, values))
+        with np.errstate(invalid="ignore"):  # 0 * inf under a singular child
+            total = sum(a * v for a, v in zip(self.weights, values))
         return np.asarray(total, dtype=np.float64), bound_add(bounds, self.weights)
 
     def variables(self):
@@ -278,7 +279,9 @@ class Mul(_Node):
     def _compute(self, env: Env):
         v1, e1 = self.left.evaluate(env)
         v2, e2 = self.right.evaluate(env)
-        return np.asarray(v1 * v2, dtype=np.float64), bound_mul(v1, e1, v2, e2)
+        with np.errstate(invalid="ignore"):  # 0 * inf under a singular child
+            value = np.asarray(v1 * v2, dtype=np.float64)
+        return value, bound_mul(v1, e1, v2, e2)
 
     def variables(self):
         return self.left.variables() | self.right.variables()

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.masking import refactor_masked
 from repro.storage.archive import encode_fragments
 from repro.utils.fragment_keys import INDEX_SEGMENT, timestep_variable
 
@@ -140,7 +141,7 @@ class IngestPipeline:
     def _encode(refactorer, name: str, data):
         """One worker task: refactor + enumerate one variable's fragments."""
         start = time.perf_counter()
-        refactored = refactorer.refactor(data)
+        refactored = refactor_masked(refactorer, data)
         fragments, index = encode_fragments(refactored)
         return (
             name,

@@ -3,13 +3,19 @@
 The retriever owns a set of progressive readers (one per variable) and
 iterates:
 
-1. request every variable at its current error bound,
-2. evaluate every requested QoI over the whole domain — vectorized, this
+1. *probe*: run Algorithm 4 at the points the session already knows to
+   be worst — the :data:`PROBE_POINTS` largest bounds of each request's
+   last whole-field estimate — on the values in hand, pricing a
+   candidate bound by what its reader *would* achieve for it (plane
+   metadata, no payload), and tighten until those points pass,
+2. request every variable at its current error bound (one real round:
+   fetch, decode),
+3. evaluate every requested QoI over the whole domain — vectorized, this
    is lines 13–24 of Algorithm 2 — keeping the worst estimated error and
-   its location,
-3. if any QoI misses its tolerance, tighten the involved variables'
-   bounds with Algorithm 4 at the worst point and go again.
+   where the largest bounds are; every tolerance met is the accept test.
 
+The probe only chooses what to ask for: an answer is accepted on the
+whole-field estimate of the data actually decoded, never on a probe.
 The loop terminates when every QoI tolerance is met, when the progressive
 representations bottom out (nothing left to fetch), or after
 ``max_rounds``.  Because readers are incremental, later rounds only move
@@ -33,7 +39,7 @@ from repro.compressors.base import Refactored, Refactorer
 from repro.core.assigner import DEFAULT_REDUCTION_FACTOR, reassign_eb
 from repro.core.estimators import fetch_mask, seed_bounds
 from repro.core.expressions import MemoEnv, QoI
-from repro.core.masking import ZeroMask
+from repro.core.masking import refactor_masked
 from repro.core.pipeline import (
     DEFAULT_MAX_WORKERS,
     DEFAULT_PIPELINE_DEPTH,
@@ -44,6 +50,19 @@ from repro.core.pipeline import (
 from repro.storage.resilience import DegradedError, TRANSIENT_ERRORS
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_positive
+
+
+#: Points per request Algorithm 4 probes: the largest bounds of the
+#: request's last whole-field estimate.  From a measured sweep
+#: (``docs/performance.md``): on the GE and hurricane ladders 1, 8, 64
+#: and 512 points take the same rounds and end on the same bytes; on 201
+#: random QoI trees over noisy fields, where the worst point moves
+#: between rounds, 1 / 4 / 8 / 16 / 64 points take 1230 / 1160 / 1148 /
+#: 1145 / 1142 rounds for the same bytes (within 0.06%).  8 is the knee:
+#: it buys 82 of the 88 rounds there are to save, a probe of 8 points
+#: costs what a probe of 1 does, and every further point is one more
+#: stale value that all have to pass.
+PROBE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -138,10 +157,11 @@ class RetrievalResult:
 def refactor_dataset(variables: dict, refactorer: Refactorer) -> dict:
     """Algorithm 1: refactor every variable of a dataset.
 
-    Returns ``{name: Refactored}``; value ranges needed by Algorithm 3 can
-    be computed from the originals before archiving.
+    Returns ``{name: Refactored}``, each carrying its variable's
+    exact-zero mask (§V-A) when it has one; value ranges needed by
+    Algorithm 3 can be computed from the originals before archiving.
     """
-    return {name: refactorer.refactor(data) for name, data in variables.items()}
+    return {name: refactor_masked(refactorer, data) for name, data in variables.items()}
 
 
 class QoIRetriever:
@@ -156,8 +176,10 @@ class QoIRetriever:
         metadata; required by Algorithm 3).
     masks:
         Optional ``{variable name: ZeroMask}`` pinning known-exact points
-        (§V-A).  Masked points get ``eps = 0`` in QoI estimation and their
-        bitmap cost is charged to the retrieval size.
+        (§V-A), overriding the mask a variable's representation carries
+        (``Refactored.zero_mask``, recorded at refactor time and archived
+        with it).  Masked points get ``eps = 0`` in QoI estimation and
+        their bitmap cost is charged to the retrieval size.
     reduction_factor:
         Algorithm 4's ``c`` (paper default 1.5).
     pipeline_depth / max_workers:
@@ -200,7 +222,12 @@ class QoIRetriever:
             check_positive(value_ranges[name], name=f"range of {name}")
         self._refactored = dict(refactored)
         self._ranges = {k: float(v) for k, v in value_ranges.items()}
-        self._masks = dict(masks or {})
+        self._masks = {
+            name: ref.zero_mask
+            for name, ref in self._refactored.items()
+            if ref.zero_mask is not None
+        }
+        self._masks.update(masks or {})
         self.reduction_factor = float(reduction_factor)
         self.executor = make_executor(executor, workers=workers)
         self.pipeline = PipelineConfig(
@@ -229,12 +256,19 @@ class QoIRetriever:
         The service layer resolves variables lazily — a client session may
         reference variables its first request never touched — so the
         retriever must be extensible.  Sessions opened earlier see the new
-        variable on their next ``retrieve``.
+        variable on their next ``retrieve``.  Re-registering a name
+        replaces everything held for it, the mask included: *mask*, else
+        the one *refactored* carries, else none — a bitmap of the
+        superseded data must never pin the new data's points.
         """
         check_positive(value_range, name=f"range of {name}")
         self._refactored[name] = refactored
         self._ranges[name] = float(value_range)
-        if mask is not None:
+        if mask is None:
+            mask = refactored.zero_mask
+        if mask is None:
+            self._masks.pop(name, None)
+        else:
             self._masks[name] = mask
 
     def session(self) -> "RetrievalSession":
@@ -269,22 +303,23 @@ class QoIRetriever:
 
 
 def _estimate(req: QoIRequest, env) -> tuple:
-    """``(estimate, worst index)`` of one request: lines 13-24 of Algorithm 2.
+    """``(estimate, worst points)`` of one request: lines 13-24 of Algorithm 2.
 
     The estimate is the largest bound inside the request's region; the
-    worst index (flat, whole-domain) is where Algorithm 4 tightens, and
-    is only located when the tolerance is missed.
+    worst points (flat, whole-domain indices of the region's
+    :data:`PROBE_POINTS` largest bounds) are where Algorithm 4 probes.
     """
     _, bound = req.qoi.evaluate(env)
     bound = np.asarray(bound)
     masked = req.masked_bound(bound)
-    est = float(np.max(masked)) if masked.size else 0.0
-    if est <= req.absolute_tolerance:
-        return est, None
+    if not masked.size:
+        return 0.0, np.zeros(0, dtype=np.intp)
+    if masked.size > PROBE_POINTS:
+        top = np.argpartition(masked, -PROBE_POINTS)[-PROBE_POINTS:]
+    else:
+        top = np.arange(masked.size)
     region_idx = req.region_indices(bound.shape)
-    if region_idx is None:
-        return est, int(np.argmax(bound.ravel()))
-    return est, int(region_idx[int(np.argmax(masked))])
+    return float(np.max(masked[top])), top if region_idx is None else region_idx[top]
 
 
 class RetrievalSession:
@@ -301,6 +336,11 @@ class RetrievalSession:
         self._readers: dict = {}
         self._ebs: dict = {}
         self._achieved: dict = {}
+        #: What Algorithm 4 probes before a round fetches: per variable the
+        #: reconstruction last estimated on, per request (structural QoI
+        #: key) its variables and the worst points of its last estimate.
+        self._recon: dict = {}
+        self._worst: dict = {}
 
     def _reader(self, variable: str):
         if variable not in self._readers:
@@ -325,11 +365,16 @@ class RetrievalSession:
         representation, so the next retrieve must open a fresh reader
         (paying the variable's fragments again) rather than mix
         representations.  Also drops it from the cumulative
-        ``bytes_retrieved`` totals.
+        ``bytes_retrieved`` totals, and everything remembered about the
+        superseded data: its reconstruction, and the worst points of
+        every request that read it.
         """
         self._readers.pop(variable, None)
         self._ebs.pop(variable, None)
         self._achieved.pop(variable, None)
+        self._recon.pop(variable, None)
+        for key in [k for k, (variables, _) in self._worst.items() if variable in variables]:
+            del self._worst[key]
 
     def _plan_segments(self, variable: str, reader, eb: float):
         """One variable's round plan, through the shared planner when wired.
@@ -375,6 +420,68 @@ class RetrievalSession:
             if segments:
                 entries.append((v if v in planned else None, sources[v], segments))
         return entries
+
+    def _remembered(self, req: QoIRequest):
+        """The worst points this session knows for *req*, inside its region."""
+        remembered = self._worst.get(req.qoi.key)
+        if remembered is None:
+            return None
+        points = remembered[1]
+        if req.region is not None:
+            points = points[np.asarray(req.region, dtype=bool).ravel()[points]]
+        return points
+
+    def _probe(self, requests, points, readers, ebs) -> None:
+        """Algorithm 4 before the fetch, on the points the session knows.
+
+        For every request with known worst *points*: estimate them on the
+        values in hand with ``eps`` = the bound each reader would report
+        for the current *ebs* (:meth:`ProgressiveReader.bound_after` —
+        metadata only), and while they miss the tolerance divide the
+        request's bounds by ``c`` exactly as Algorithm 4 does; repeat
+        over the requests until nothing tightens.  Run after a failed
+        round this is the paper's reassignment at the just-estimated
+        field's worst points; run at the top of a later call it walks
+        the same ``c``-ladder from the same Algorithm 3 seed without
+        paying a fetch, a decode and a whole-field estimate per step.
+        It only chooses what the round asks for.
+        """
+        masks = self._retriever._masks
+        probing = {}  # request index -> (variables, values at its points, exact there)
+        for i, at in enumerate(points):
+            if at is not None and at.size:
+                variables = sorted(requests[i].qoi.variables())
+                probing[i] = (
+                    variables,
+                    {v: self._recon[v].ravel()[at] for v in variables},
+                    {v: masks[v].mask.ravel()[at] for v in variables if v in masks},
+                )
+        while probing:
+            # one pass is one round of the paper's loop, unfetched: every
+            # request is priced at what the readers would achieve for the
+            # bounds the pass started with
+            predicted = {
+                v: readers[v].bound_after(ebs[v])
+                for v in set().union(*(variables for variables, _, _ in probing.values()))
+            }
+            tightened = {}
+            for i, (variables, values, exact) in probing.items():
+                current = {v: min(ebs[v], predicted[v]) for v in variables}
+                new_ebs = reassign_eb(
+                    requests[i].qoi, requests[i].absolute_tolerance, values, current,
+                    c=self._retriever.reduction_factor, exact=exact,
+                )
+                if new_ebs != current:
+                    tightened[i] = probing[i]
+                    for v, e in new_ebs.items():
+                        ebs[v] = min(ebs[v], e)
+            # a request whose points pass keeps passing as others tighten;
+            # one whose readers are all at their floor cannot be helped by
+            # asking for less — the round decides
+            probing = {
+                i: entry for i, entry in tightened.items()
+                if any(readers[v].bound_after(ebs[v]) < predicted[v] for v in entry[0])
+            }
 
     def retrieve(
         self,
@@ -511,7 +618,10 @@ class RetrievalSession:
         # none of its variables move.  All of it dies with this call.
         env = MemoEnv([req.qoi for req in requests])
         request_vars = [tuple(sorted(req.qoi.variables())) for req in requests]
-        verdicts: list = [None] * len(requests)  # (stamp, estimate, worst index)
+        verdicts: list = [None] * len(requests)  # (stamp, estimate, worst points)
+        # what Algorithm 4 probes: the session's memory until this call's
+        # first estimate of a request, that estimate's worst points after
+        points: list = [self._remembered(req) for req in requests]
         returned: dict = {}  # variable -> array its reader last returned
 
         def decode(v: str) -> None:
@@ -530,7 +640,7 @@ class RetrievalSession:
             returned[v] = rec
             achieved[v] = bound
             mask = retriever._masks.get(v)
-            recon[v] = mask.pin(rec.copy()) if mask is not None else rec
+            recon[v] = self._recon[v] = mask.pin(rec.copy()) if mask is not None else rec
             env.bind(v, recon[v], retriever._eps_field(v, bound, rec.shape))
 
         def decode_timed(v: str) -> None:
@@ -564,6 +674,8 @@ class RetrievalSession:
                     )
                     break
             round_started = perf_counter()
+            with sw.section("assign"):
+                self._probe(requests, points, readers, ebs)
             rounds += 1
             progressed = False
             # plan the full fragment set of every variable this round
@@ -611,42 +723,20 @@ class RetrievalSession:
             if pipe is not None:
                 pipe.record_round(io_wait_s, compute_s)
 
-            all_met = True
-            worst: dict = {}
             with sw.section("estimate"):
                 for i, req in enumerate(requests):
                     stamp = env.stamp(request_vars[i])
                     if verdicts[i] is None or verdicts[i][0] != stamp:
                         verdicts[i] = (stamp, *_estimate(req, env))
-                    _, est, worst_index = verdicts[i]
-                    estimated[req.name] = est
-                    met = est <= req.absolute_tolerance
-                    satisfied[req.name] = met
-                    if not met:
-                        all_met = False
-                        worst[req.name] = worst_index
-            if all_met or degraded_reason is not None:
+                        points[i] = verdicts[i][2]
+                        if req.qoi.key is not None:
+                            self._worst[req.qoi.key] = (request_vars[i], points[i])
+                    estimated[req.name] = verdicts[i][1]
+                    satisfied[req.name] = verdicts[i][1] <= req.absolute_tolerance
+            if all(satisfied.values()) or degraded_reason is not None:
                 break
             if not progressed and rounds > 1:
                 break  # representations exhausted; cannot improve further
-            with sw.section("assign"):
-                for req in requests:
-                    if satisfied[req.name]:
-                        continue
-                    idx = worst[req.name]
-                    point = {
-                        v: float(np.ravel(recon[v])[idx]) for v in req.qoi.variables()
-                    }
-                    current = {v: min(ebs[v], achieved[v]) for v in req.qoi.variables()}
-                    new_ebs = reassign_eb(
-                        req.qoi,
-                        req.absolute_tolerance,
-                        point,
-                        current,
-                        c=retriever.reduction_factor,
-                    )
-                    for v, e in new_ebs.items():
-                        ebs[v] = min(ebs[v], e)
             last_round_s = perf_counter() - round_started
 
         return rounds, degraded_reason

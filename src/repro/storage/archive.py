@@ -41,11 +41,13 @@ from repro.compressors.pmgard import PMGARDRefactored
 from repro.compressors.psz3 import PSZ3Refactored
 from repro.compressors.psz3_delta import PSZ3DeltaRefactored
 from repro.compressors.sz3 import SZ3Blob, SZ3Compressor
+from repro.core.masking import ZeroMask
 from repro.encoding.bitplane import BitplaneStream
 from repro.utils.fragment_keys import (
     COARSE_SEGMENT,
     INDEX_SEGMENT,
     LOSSLESS_SEGMENT,
+    ZERO_MASK_SEGMENT,
     pmgard_plane_segment,
     pmgard_plane_segments,
     pmgard_signs_segment,
@@ -369,13 +371,23 @@ def _pmgard_fragments(refactored) -> tuple:
     return fragments, index
 
 
-def _pmgard_small_segments(index: dict) -> list:
-    """Segments a lazy PMGARD open fetches eagerly: coarse + every level's signs."""
-    return [COARSE_SEGMENT] + [
-        pmgard_signs_segment(level)
-        for level, meta in enumerate(index["streams"])
-        if meta["exponent"] is not None
-    ]
+def _small_segments(index: dict) -> list:
+    """Segments a lazy open fetches eagerly, in its second trip.
+
+    A PMGARD variable's coarse approximation and every level's signs,
+    and any variable's zero mask (§V-A) when its index names one.
+    """
+    segments = []
+    if index["kind"] == "pmgard":
+        segments.append(COARSE_SEGMENT)
+        segments.extend(
+            pmgard_signs_segment(level)
+            for level, meta in enumerate(index["streams"])
+            if meta["exponent"] is not None
+        )
+    if index.get("zero_mask") is not None:
+        segments.append(ZERO_MASK_SEGMENT)
+    return segments
 
 
 def encode_fragments(refactored) -> tuple:
@@ -391,12 +403,20 @@ def encode_fragments(refactored) -> tuple:
     ``TypeError`` for representations that cannot be archived.
     """
     if isinstance(refactored, PMGARDRefactored):
-        return _pmgard_fragments(refactored)
-    if isinstance(refactored, PSZ3Refactored):
-        return _snapshot_fragments(refactored, kind="psz3")
-    if isinstance(refactored, PSZ3DeltaRefactored):
-        return _snapshot_fragments(refactored, kind="psz3_delta")
-    raise TypeError(f"cannot archive {type(refactored).__name__}")
+        fragments, index = _pmgard_fragments(refactored)
+    elif isinstance(refactored, PSZ3Refactored):
+        fragments, index = _snapshot_fragments(refactored, kind="psz3")
+    elif isinstance(refactored, PSZ3DeltaRefactored):
+        fragments, index = _snapshot_fragments(refactored, kind="psz3_delta")
+    else:
+        raise TypeError(f"cannot archive {type(refactored).__name__}")
+    mask = refactored.zero_mask
+    if mask is not None:
+        # additive: a variable without exact zeros archives exactly the
+        # fragments and index it always did
+        fragments.append((ZERO_MASK_SEGMENT, mask.payload))
+        index["zero_mask"] = list(mask.mask.shape)
+    return fragments, index
 
 
 class Archive:
@@ -529,21 +549,29 @@ class Archive:
             for name in names
         }
         if lazy:
-            # snapshot-only datasets have nothing small to open: no trip
+            # mask-free snapshot datasets have nothing small to open: no trip
             prefetch_plans(
-                (self.source(name), _pmgard_small_segments(index))
+                (self.source(name), _small_segments(index))
                 for name, index in indexes.items()
-                if index["kind"] == "pmgard"
             )
         return {name: self._build(name, indexes[name], lazy) for name in names}
 
     def _build(self, variable: str, index: dict, lazy: bool):
         kind = index["kind"]
         if kind == "pmgard":
-            return self._load_pmgard(variable, index, lazy)
-        if kind in ("psz3", "psz3_delta"):
-            return self._load_snapshots(variable, index, kind, lazy)
-        raise ValueError(f"unknown archive kind {kind!r}")
+            ref = self._load_pmgard(variable, index, lazy)
+        elif kind in ("psz3", "psz3_delta"):
+            ref = self._load_snapshots(variable, index, kind, lazy)
+        else:
+            raise ValueError(f"unknown archive kind {kind!r}")
+        shape = index.get("zero_mask")
+        if shape is not None:
+            payload = (
+                self.source(variable).get(ZERO_MASK_SEGMENT) if lazy
+                else self.store.get(variable, ZERO_MASK_SEGMENT)
+            )
+            ref.zero_mask = ZeroMask.from_payload(payload, tuple(shape), variable)
+        return ref
 
     def _load_snapshots(self, variable, index, kind, lazy=False):
         cls = PSZ3Refactored if kind == "psz3" else PSZ3DeltaRefactored

@@ -21,6 +21,11 @@ COARSE_SEGMENT = "coarse"
 #: Zlib-compressed exact tail of a PSZ3 / PSZ3-delta ladder.
 LOSSLESS_SEGMENT = "lossless"
 
+#: Packed bitmap of a variable's exact-zero points (§V-A); present only
+#: when the variable has any, and then named by the index's
+#: ``zero_mask`` field (the bitmap's shape).
+ZERO_MASK_SEGMENT = "zero_mask"
+
 
 def timestep_variable(name: str, step: int) -> str:
     """Archive key of one variable's appended timestep: ``pressure@t0042``.

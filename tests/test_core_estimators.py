@@ -237,6 +237,24 @@ class TestNonFiniteInputs:
         assert np.all(np.isinf(vector[:-1]))
         assert np.isfinite(vector[-1]) and vector[-1] == float(bound(*regular))
 
+    def test_zero_times_inf_is_inf_without_warning(self):
+        """A masked point (value 0, eps 0: §V-A) under a singular subtree
+        (bound inf) reaches the polynomial, product and sum bounds as
+        ``0 * inf``: no bound, so ``inf`` — never NaN, never a warning —
+        and the regular point beside it is untouched."""
+        inf = self.INF
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            power = bound_power(np.array([0.0, inf, 3.0]), np.array([inf, 0.0, 0.5]), 2)
+            cube = bound_power(np.array([0.0, 3.0]), np.array([inf, 0.5]), 3)
+            mul = bound_mul(np.array([0.0, inf, 0.0, 6.0]), np.array([0.0, 0.0, inf, 0.1]),
+                            np.array([5.0, 0.0, 0.0, 3.0]), np.array([inf, 0.0, inf, 0.2]))
+            add = bound_add([np.array([inf, 0.1]), np.array([1.0, 0.2])], [0.0, -2.0])
+        assert power.tolist() == [inf, inf, float(bound_power(3.0, 0.5, 2))]
+        assert cube.tolist() == [inf, float(bound_power(3.0, 0.5, 3))]
+        assert mul.tolist() == [inf, inf, inf, float(bound_mul(6.0, 0.1, 3.0, 0.2))]
+        assert add.tolist() == [inf, 0.4]
+
     def test_huge_finite_sqrt_stays_finite_and_sound(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # x + eps overflows in the x <= 0 branch

@@ -815,8 +815,10 @@ class TestCoalescedRoundFailover:
         ]
         try:
             seed_store = open_store(cluster_url(servers))
-            for var, seg in baseline_store.keys():
-                seed_store.put(var, seg, baseline_store.get(var, seg))
+            seed_store.put_many([
+                (var, seg, baseline_store.get(var, seg))
+                for var, seg in baseline_store.keys()
+            ])
             seed_store.close()
 
             store = open_store(cluster_url(servers))
@@ -824,16 +826,19 @@ class TestCoalescedRoundFailover:
             barrier = threading.Barrier(len(ladders))
             outs, errors = {}, []
             lock = threading.Lock()
-            killed = threading.Event()
 
             def work(index):
                 try:
                     with service.open_session(f"chaos-{index}") as session:
-                        barrier.wait()
+                        barrier.wait(timeout=60)
                         for step, tolerance in enumerate(ladders[index]):
-                            if index == 0 and step == 1 and not killed.is_set():
-                                killed.set()
-                                kill_server(servers[1])
+                            if step == 1:
+                                # the node dies between the rungs: every
+                                # session has read from it, none has
+                                # fetched its second rung yet
+                                if index == 0:
+                                    kill_server(servers[1])
+                                barrier.wait(timeout=60)
                             result = session.retrieve(
                                 [QoIRequest("vtot", qoi, tolerance, qrange)]
                             )
