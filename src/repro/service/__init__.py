@@ -3,9 +3,10 @@
 * :mod:`repro.service.service` — :class:`RetrievalService` multiplexing
   concurrent :class:`ClientSession`\\ s over one archive behind a shared
   :class:`~repro.storage.cache.FragmentCache`.
-* :mod:`repro.service.server` — the JSON-lines-over-TCP front end
-  (``repro serve`` / ``repro client`` in the CLI) plus a blocking
-  :class:`ServiceClient`.
+* :mod:`repro.service.server` — the TCP front end, one
+  :mod:`repro.utils.wire` frame per message (a JSON line, plus raw
+  array payloads where there are arrays; ``repro serve`` / ``repro
+  client`` in the CLI) and a blocking :class:`ServiceClient`.
 * :mod:`repro.service.metrics` — the HTTP operability sidecar serving
   Prometheus-format ``/metrics`` and a JSON ``/health`` probe
   (``repro serve --metrics-port``).

@@ -1,6 +1,6 @@
 """HTTP operability sidecar: ``/metrics`` and ``/health`` for a service.
 
-The JSON-lines protocol of :mod:`repro.service.server` is for clients;
+The framed TCP protocol of :mod:`repro.service.server` is for clients;
 operators want scrapeable endpoints.  :class:`MetricsServer` attaches a
 tiny threaded HTTP server to a running
 :class:`~repro.service.service.RetrievalService` and serves:
@@ -16,7 +16,7 @@ tiny threaded HTTP server to a running
   variable count, active sessions, durability counters) suitable for a
   load-balancer or Kubernetes probe.
 
-Started alongside the JSON-lines server by ``repro serve
+Started alongside the retrieval server by ``repro serve
 --metrics-port``; both endpoints read a consistent
 :class:`~repro.service.service.ServiceStats` snapshot per request and
 never block retrievals or ingests.

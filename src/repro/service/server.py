@@ -1,30 +1,53 @@
-"""Network front end of the retrieval service (JSON-lines over TCP).
+"""Network front end of the retrieval service (framed JSON over TCP).
 
 One :class:`RetrievalServer` wraps one
 :class:`~repro.service.service.RetrievalService`; each TCP connection
 gets its own :class:`~repro.service.service.ClientSession`, handled on
-its own thread.  The protocol is deliberately plain — one JSON object per
-line in each direction — so any language can speak it:
+its own thread.  Every message, in each direction, is one frame of
+:mod:`repro.utils.wire`::
+
+    frame   = header-line payload*
+    header  = one JSON object on one line (UTF-8, ends in b"\\n")
+    payload = exactly lengths[i] raw bytes when the header carries
+              "lengths": [n0, n1, ...]
+
+A frame without ``lengths`` is a plain JSON line, so any language can
+speak the array-free ops with a line reader.  Arrays travel as raw
+payloads, each described by a ``[name, dtype.str, shape]`` triple in
+the header (numeric and bool dtypes only, C order, ``nbytes ==
+prod(shape) * itemsize``).  Ops:
 
 * ``{"op": "info"}`` → archived variables and their metadata,
 * ``{"op": "retrieve", "qoi": "vtot", "fields": [...], "tolerance": 1e-4,
-  "qoi_range": 350.0, "include_data": true}`` → the retrieval report,
-  optionally with base64-encoded ``.npy`` payloads per variable.
+  "qoi_range": 350.0, "include_data": true}`` → the retrieval report;
+  with ``include_data`` its header carries ``"data": [[name, dtype,
+  shape], ...]`` and ``lengths``, and each reconstruction follows as
+  raw bytes, written straight from the array.
   Optional ``"priority"`` (negative = shed-first) and ``"deadline_ms"``
   engage the service's admission control and deadline-aware rounds: a
   shed request answers ``{"ok": false, "error": "overloaded",
   "retry_after_ms": ...}`` immediately, and a deadline-hit request
   answers with ``"degraded": true`` plus the best bounds achieved,
-* ``{"op": "ingest", "variables": {"p": "<b64 .npy>"}, "method":
-  "pmgard_hb"}`` → absorb new or updated variables into the live
-  archive through the streaming ingestion engine (optionally with
-  ``workers`` / ``flush_bytes`` / ``timestep``), returning its report,
+* ``{"op": "ingest", "variables": [[name, dtype, shape], ...], "method":
+  "pmgard_hb", "lengths": [...]}`` followed by the arrays → absorb new
+  or updated variables into the live archive through the streaming
+  ingestion engine (optionally with ``workers`` / ``flush_bytes`` /
+  ``timestep``), returning its report,
 * ``{"op": "stats"}`` → service/cache accounting,
 * ``{"op": "health"}`` → liveness summary (variables, sessions, WAL
   durability counters) — the same payload the sidecar
   :class:`~repro.service.metrics.MetricsServer` serves on ``/health``,
 * ``{"op": "compact"}`` → compact the backing store's commit log and
   return the :class:`~repro.storage.wal.CompactionReport`.
+
+Limits are :mod:`repro.utils.wire`'s module constants: a header line of
+at most ``MAX_HEADER_BYTES`` (16 MiB) and at most ``MAX_BODY_BYTES``
+(1 GiB) of payload per frame.  A request that fails inside a good frame
+(unknown op, bad descriptor, refused dtype) answers ``{"ok": false,
+"error": ...}`` and the connection stays open; a frame that cannot be
+parsed — over a limit, not JSON, bad lengths, cut short — answers the
+same way once and the server closes the connection, because the
+stream position is lost.
 
 Because the session persists for the life of the connection, a client
 that retrieves loosely and then tightens pays only for the incremental
@@ -37,7 +60,6 @@ from __future__ import annotations
 
 import base64
 import io
-import json
 import socket
 import socketserver
 import time
@@ -48,6 +70,14 @@ import numpy as np
 from repro.core.qois import qoi_from_spec
 from repro.core.retrieval import QoIRequest
 from repro.service.service import OverloadedError, RetrievalService
+from repro.utils.wire import (
+    FrameError,
+    frame_parts,
+    pack_arrays,
+    read_frame,
+    unpack_arrays,
+    write_frame,
+)
 
 
 def _json_safe(obj):
@@ -67,14 +97,20 @@ def _json_safe(obj):
 
 
 def encode_array(data: np.ndarray) -> str:
-    """Serialize an array as base64 ``.npy`` bytes (self-describing)."""
+    """Serialize an array as base64 ``.npy`` bytes (self-describing).
+
+    Not used on the wire: the protocol sends arrays as raw frame
+    payloads (:func:`repro.utils.wire.pack_arrays`).  Kept only because
+    the end-to-end benchmark replays this codec off the clock for its
+    ``service.server.codec_ms`` row; it goes when that replay does.
+    """
     buf = io.BytesIO()
     np.save(buf, np.asarray(data), allow_pickle=False)
     return base64.b64encode(buf.getvalue()).decode("ascii")
 
 
 def decode_array(payload: str) -> np.ndarray:
-    """Inverse of :func:`encode_array`."""
+    """Inverse of :func:`encode_array` (off the wire, like it)."""
     return np.load(io.BytesIO(base64.b64decode(payload)), allow_pickle=False)
 
 
@@ -99,27 +135,42 @@ class OverloadedResponse(ServiceError):
         self.reason = reason
 
 
+def _error(exc: BaseException) -> dict:
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
 class _ClientHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         session = self.server.service.open_session()
         try:
-            for line in self.rfile:
-                line = line.strip()
-                if not line:
-                    continue
+            while True:
                 try:
-                    request = json.loads(line)
-                    response = self._dispatch(request, session)
+                    frame = read_frame(self.rfile)
+                except (FrameError, ConnectionError) as exc:
+                    # the stream position is lost: answer once, then hang up
+                    self._reply(_error(exc))
+                    return
+                if frame is None:
+                    return
+                request, payloads = frame
+                try:
+                    response = self._dispatch(request, payloads, session)
+                    payloads = None
+                    if "data" in response:  # arrays leave as raw payloads
+                        response["data"], payloads = pack_arrays(response["data"])
                 except Exception as exc:  # malformed request must not kill the server
-                    response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                self.wfile.write(
-                    json.dumps(_json_safe(response), allow_nan=False).encode() + b"\n"
-                )
-                self.wfile.flush()
+                    response, payloads = _error(exc), None
+                self._reply(response, payloads)
         finally:
             session.close()
 
-    def _dispatch(self, request: dict, session) -> dict:
+    def _reply(self, response: dict, payloads=None) -> None:
+        try:
+            write_frame(self.wfile.write, _json_safe(response), payloads)
+        except OSError:
+            pass  # the client is gone; handle() ends on its next read
+
+    def _dispatch(self, request: dict, payloads: list, session) -> dict:
         op = request.get("op")
         service = self.server.service
         if op == "info":
@@ -192,15 +243,10 @@ class _ClientHandler(socketserver.StreamRequestHandler):
                 "hedged_fetches": result.hedged_fetches,
             }
             if request.get("include_data"):
-                response["data"] = {
-                    name: encode_array(data) for name, data in result.data.items()
-                }
+                response["data"] = result.data
             return response
         if op == "ingest":
-            arrays = {
-                str(name): decode_array(payload)
-                for name, payload in dict(request["variables"]).items()
-            }
+            arrays = unpack_arrays(request["variables"], payloads)
             workers = request.get("workers")
             flush_bytes = request.get("flush_bytes")
             timestep = request.get("timestep")
@@ -277,27 +323,39 @@ class ServiceClient:
         self._connect()
         self.reconnects += 1
 
-    def _send_recv(self, payload: dict) -> dict:
-        """One request/response round trip, re-dialing a dead socket once."""
-        data = json.dumps(payload).encode() + b"\n"
+    def _exchange(self, parts: list):
+        for part in parts:
+            self._sock.sendall(part)
         try:
-            self._sock.sendall(data)
-            line = self._rfile.readline()
-        except OSError:
-            line = b""
-        if not line:
-            self._reconnect()
-            self._sock.sendall(data)
-            line = self._rfile.readline()
-            if not line:
-                raise ConnectionError("server closed the connection")
-        return json.loads(line)
+            return read_frame(self._rfile)
+        except FrameError:
+            self.close()  # the stream position is lost; the next call re-dials
+            raise
 
-    def _call(self, payload: dict) -> dict:
+    def _send_recv(self, header: dict, payloads=None) -> tuple:
+        """One request/reply frame exchange, re-dialing a dead socket once.
+
+        The re-dial resends the whole request frame; a reply cut short
+        counts as a dead socket.  Returns the reply's ``(header,
+        payloads)``.
+        """
+        parts = frame_parts(header, payloads)
+        try:
+            frame = self._exchange(parts)
+        except OSError:  # ConnectionError included
+            frame = None
+        if frame is None:
+            self._reconnect()
+            frame = self._exchange(parts)
+            if frame is None:
+                raise ConnectionError("server closed the connection")
+        return frame
+
+    def _call(self, header: dict, payloads=None) -> tuple:
         for attempt in range(self.overload_retries + 1):
-            response = self._send_recv(payload)
+            response, data = self._send_recv(header, payloads)
             if response.get("ok"):
-                return response
+                return response, data
             if response.get("error") == "overloaded":
                 retry_after_ms = float(response.get("retry_after_ms", 50.0))
                 if attempt < self.overload_retries:
@@ -311,19 +369,19 @@ class ServiceClient:
 
     def info(self) -> dict:
         """Archived variables and their metadata."""
-        return self._call({"op": "info"})["variables"]
+        return self._call({"op": "info"})[0]["variables"]
 
     def stats(self) -> dict:
         """Service/cache accounting as plain dicts."""
-        return self._call({"op": "stats"})["stats"]
+        return self._call({"op": "stats"})[0]["stats"]
 
     def health(self) -> dict:
         """Liveness summary (status, variables, sessions, durability)."""
-        return self._call({"op": "health"})["health"]
+        return self._call({"op": "health"})[0]["health"]
 
     def compact(self) -> dict:
         """Compact the server's commit log; returns the report as a dict."""
-        return self._call({"op": "compact"})["report"]
+        return self._call({"op": "compact"})[0]["report"]
 
     def retrieve(
         self,
@@ -355,11 +413,9 @@ class ServiceClient:
             payload["priority"] = int(priority)
         if deadline_ms is not None:
             payload["deadline_ms"] = float(deadline_ms)
-        response = self._call(payload)
+        response, payloads = self._call(payload)
         if "data" in response:
-            response["data"] = {
-                name: decode_array(payload) for name, payload in response["data"].items()
-            }
+            response["data"] = unpack_arrays(response["data"], payloads)
         # non-finite errors travel as strings (see _json_safe)
         response["estimated_error"] = float(response["estimated_error"])
         return response
@@ -374,25 +430,20 @@ class ServiceClient:
     ) -> dict:
         """Push new or updated variables into the server's live archive.
 
-        *variables* maps names to arrays (serialized as base64 ``.npy``
-        on the wire); the server runs the streaming ingestion engine and
-        answers with its :class:`~repro.core.ingest.IngestReport` as a
-        plain dict.
+        *variables* maps names to numeric or bool arrays (raw payloads
+        of one frame on the wire); the server runs the streaming
+        ingestion engine and answers with its
+        :class:`~repro.core.ingest.IngestReport` as a plain dict.
         """
-        payload = {
-            "op": "ingest",
-            "variables": {
-                name: encode_array(data) for name, data in variables.items()
-            },
-            "method": method,
-        }
+        descriptors, arrays = pack_arrays(variables)
+        payload = {"op": "ingest", "variables": descriptors, "method": method}
         if workers is not None:
             payload["workers"] = int(workers)
         if flush_bytes is not None:
             payload["flush_bytes"] = int(flush_bytes)
         if timestep is not None:
             payload["timestep"] = int(timestep)
-        return self._call(payload)["report"]
+        return self._call(payload, arrays)[0]["report"]
 
     def close(self) -> None:
         """Close the connection (the server ends this client's session)."""

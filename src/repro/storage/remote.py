@@ -16,7 +16,9 @@ composes over:
   mirror ``/batch_put``, and delete), so a batched retrieval round
   — or a batched ingestion flush — costs one HTTP request however many
   fragments it spans, the same economy the pipelined engines exploit
-  locally.
+  locally.  The two batch bodies are :mod:`repro.utils.wire` frames (a
+  JSON header line, then raw payloads), parsed by the same bounded
+  reader as the retrieval service's protocol.
 * :class:`KeyValueFragmentStore` — adapts any object with S3-style
   bucket semantics (:class:`ObjectBucket`: get/put/delete/list by string
   key) to the fragment-store interface.  :class:`InMemoryObjectBucket`
@@ -41,6 +43,13 @@ from dataclasses import asdict
 
 from repro.storage.store import FragmentStore, _split_query, split_store_url
 from repro.storage.wal import CompactionReport, DurabilityStats
+from repro.utils.wire import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    FrameError,
+    frame_parts,
+    read_frame,
+)
 
 #: URL path prefix of the fragment protocol (versioned for evolution).
 API_PREFIX = "/v1"
@@ -60,6 +69,10 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "ReproFragmentStore/1"
+    # a reply is at least two writes (headers, then the body or a frame's
+    # parts): without TCP_NODELAY a small write behind unacknowledged
+    # bytes waits out the client's delayed ACK, about 40 ms on Linux
+    disable_nagle_algorithm = True
 
     # -- helpers --------------------------------------------------------------
 
@@ -70,15 +83,38 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     def _store(self) -> FragmentStore:
         return self.server.inner  # type: ignore[attr-defined]
 
-    def _send(self, code: int, payload: bytes, content_type="application/octet-stream"):
+    def _send(self, code: int, parts: list, content_type="application/octet-stream",
+              close: bool = False):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(sum(len(p) for p in parts)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(payload)
+        for part in parts:
+            self.wfile.write(part)
 
-    def _send_json(self, code: int, obj) -> None:
-        self._send(code, json.dumps(obj).encode(), content_type="application/json")
+    def _send_json(self, code: int, obj, close: bool = False) -> None:
+        self._send(code, [json.dumps(obj).encode()], "application/json", close)
+
+    def _body_size(self, limit: int) -> int | None:
+        """The request's ``Content-Length``, or None once refused with a 400.
+
+        A missing, non-numeric, negative or over-*limit* length is
+        answered without reading the body, and the connection is closed
+        (the unread body has lost the stream position).
+        """
+        raw = self.headers.get("Content-Length")
+        try:
+            size = int(raw)
+        except (TypeError, ValueError):
+            size = -1
+        if 0 <= size <= limit:
+            return size
+        self._send_json(
+            400, {"error": f"Content-Length must be 0..{limit}, got {raw!r}"}, close=True
+        )
+        return None
 
     def _key(self) -> tuple | None:
         query = parse_qs(urlparse(self.path).query)
@@ -117,7 +153,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 return
             span = self._range(len(payload))
             if span is None:
-                self._send(200, payload)
+                self._send(200, [payload])
             else:
                 start, stop = span
                 self.send_response(206)
@@ -148,16 +184,19 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         """Serve ``/batch`` (coalesced read) and ``/batch_put`` (coalesced write).
 
         ``/batch``: the request body is ``{"keys": [[variable, segment],
-        ...]}``; the response is one JSON header line (per-key payload
-        lengths, in request order) followed by the concatenated raw
-        payloads.  Any missing key fails the whole batch with 404 listing
-        every missing key — mirroring :meth:`FragmentStore.get_many`'s
-        no-partial-batch contract.
+        ...]}``; the response is one :mod:`repro.utils.wire` frame — a
+        JSON header line ``{"lengths": [...]}`` (per-key payload
+        lengths, in request order) followed by the raw payloads.  Any
+        missing key fails the whole batch with 404 listing every missing
+        key — mirroring :meth:`FragmentStore.get_many`'s no-partial-batch
+        contract.
 
-        ``/batch_put`` is the mirror image: one JSON header line
-        (``keys`` + per-key ``lengths``) followed by the concatenated
-        payloads, stored with a single inner ``put_many`` — so a whole
-        ingestion flush costs one HTTP round trip and one index append.
+        ``/batch_put`` is the mirror image: one frame whose header holds
+        ``keys`` (and ``lengths``), stored with a single inner
+        ``put_many`` — so a whole ingestion flush costs one HTTP round
+        trip and one index append.  Both routes refuse a missing,
+        negative or over-limit ``Content-Length`` with a 400 before
+        reading a byte of the body.
         """
         route = self._route()
         if route == API_PREFIX + "/batch_put":
@@ -171,8 +210,11 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         if route != API_PREFIX + "/batch":
             self._send_json(404, {"error": f"no route {route!r}"})
             return
+        size = self._body_size(MAX_HEADER_BYTES)
+        if size is None:
+            return
         try:
-            body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            body = self.rfile.read(size)
             keys = [(str(v), str(s)) for v, s in json.loads(body)["keys"]]
         except (ValueError, KeyError, TypeError) as exc:
             self._send_json(400, {"error": f"malformed batch request: {exc}"})
@@ -185,32 +227,30 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 404, {"error": "missing fragments", "missing": [list(k) for k in missing]}
             )
             return
-        ordered = [payloads[k] for k in dict.fromkeys(keys)]
-        header = json.dumps({"lengths": [len(p) for p in ordered]}).encode() + b"\n"
-        self._send(200, header + b"".join(ordered))
+        self._send(200, frame_parts({}, [payloads[k] for k in dict.fromkeys(keys)]))
 
     def _do_batch_put(self) -> None:
         """Store one coalesced write batch (see :meth:`do_POST`)."""
-        try:
-            body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            header_end = body.index(b"\n")
-            header = json.loads(body[:header_end])
-            keys = [(str(v), str(s)) for v, s in header["keys"]]
-            lengths = [int(n) for n in header["lengths"]]
-            if len(keys) != len(lengths):
-                raise ValueError("keys/lengths mismatch")
-            items = []
-            offset = header_end + 1
-            for key, length in zip(keys, lengths):
-                items.append((key[0], key[1], body[offset:offset + length]))
-                offset += length
-            if offset != len(body):
-                raise ValueError("payload length mismatch")
-        except (ValueError, KeyError, TypeError) as exc:
-            self._send_json(400, {"error": f"malformed batch_put request: {exc}"})
+        size = self._body_size(MAX_HEADER_BYTES + MAX_BODY_BYTES)
+        if size is None:
             return
-        self._store.put_many(items)
-        self._send_json(200, {"stored": len(items)})
+        try:
+            header, payloads = read_frame(self.rfile, size=size)
+            keys = [(str(v), str(s)) for v, s in header["keys"]]
+            if len(keys) != len(payloads):
+                raise ValueError("keys/lengths mismatch")
+        except ConnectionError:
+            self.close_connection = True  # the client hung up mid-body
+            return
+        except (ValueError, KeyError, TypeError) as exc:
+            # after a FrameError the rest of the body is unread: hang up
+            self._send_json(400, {"error": f"malformed batch_put request: {exc}"},
+                            close=isinstance(exc, FrameError))
+            return
+        self._store.put_many(
+            [(v, s, bytes(p)) for (v, s), p in zip(keys, payloads)]
+        )
+        self._send_json(200, {"stored": len(keys)})
 
     def do_DELETE(self) -> None:  # noqa: N802
         """Delete one fragment (404 when absent)."""
@@ -365,15 +405,30 @@ class HTTPFragmentStore(FragmentStore):
             self._local.conn = conn
         return conn
 
-    def _request(self, method: str, path: str, body: bytes | None = None,
-                 headers: dict | None = None):
-        """One HTTP exchange, transparently reconnecting a stale keep-alive."""
+    def _request(self, method: str, path: str, body=None, headers: dict | None = None,
+                 frame_of: int | None = None):
+        """One HTTP exchange, transparently reconnecting a stale keep-alive.
+
+        With *frame_of*, a 200 reply is read as a :mod:`repro.utils.wire`
+        frame of exactly that many payloads and its payloads returned; a
+        reply that is not one (too few lengths, cut short, longer than
+        its ``Content-Length``) raises ``ConnectionError``.
+        """
         for attempt in (0, 1):
             conn = self._connection()
             try:
                 conn.request(method, path, body=body, headers=headers or {})
                 response = conn.getresponse()
-                return response.status, response.read()
+                if frame_of is None or response.status != 200:
+                    return response.status, response.read()
+                try:
+                    frame = read_frame(response, count=frame_of, size=response.length)
+                except FrameError as exc:
+                    raise ConnectionError(f"malformed batch reply: {exc}") from exc
+                if frame is None:
+                    raise ConnectionError("empty batch reply")
+                response.read()  # nothing is left; this frees the keep-alive
+                return response.status, frame[1]
             except (http.client.HTTPException, OSError):
                 conn.close()
                 self._local.conn = None
@@ -437,17 +492,11 @@ class HTTPFragmentStore(FragmentStore):
         if not keys:
             return {}
         body = json.dumps({"keys": [list(k) for k in keys]}).encode()
-        status, payload = self._request("POST", API_PREFIX + "/batch", body=body)
-        self._raise_for(status, payload, key=keys)
-        header_end = payload.index(b"\n")
-        lengths = json.loads(payload[:header_end])["lengths"]
-        out = {}
-        offset = header_end + 1
-        for key, length in zip(keys, lengths):
-            out[key] = payload[offset:offset + length]
-            offset += length
-        if offset != len(payload):
-            raise ConnectionError("batch response length mismatch")
+        status, payloads = self._request(
+            "POST", API_PREFIX + "/batch", body=body, frame_of=len(keys)
+        )
+        self._raise_for(status, payloads, key=keys)
+        out = {key: bytes(payload) for key, payload in zip(keys, payloads)}
         self._count_reads(out)
         return out
 
@@ -462,12 +511,13 @@ class HTTPFragmentStore(FragmentStore):
         """
         batch = self._check_batch(puts)
         if batch:
-            header = json.dumps({
-                "keys": [[v, s] for v, s, _ in batch],
-                "lengths": [len(p) for _, _, p in batch],
-            }).encode() + b"\n"
-            body = header + b"".join(p for _, _, p in batch)
-            status, answer = self._request("POST", API_PREFIX + "/batch_put", body=body)
+            parts = frame_parts(
+                {"keys": [[v, s] for v, s, _ in batch]}, [p for _, _, p in batch]
+            )
+            status, answer = self._request(
+                "POST", API_PREFIX + "/batch_put", body=parts,
+                headers={"Content-Length": str(sum(len(p) for p in parts))},
+            )
             self._raise_for(status, answer)
             with self._stats_lock:
                 for variable, segment, payload in batch:

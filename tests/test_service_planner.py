@@ -24,6 +24,7 @@ via replica failover) lives at the bottom, mirroring
 ``test_storage_cluster.TestClusterRetrievalChaos``.
 """
 
+import sys
 import threading
 import time
 
@@ -232,22 +233,40 @@ class TestQueryPlanner:
 
 
 class _GateStore(FragmentStore):
-    """Blocks its first ``get_many`` until released — the window in which
-    concurrent rounds must queue and merge."""
+    """Blocks its first ``get_many`` once armed until released — the
+    window in which concurrent rounds must queue and merge.  Built
+    disarmed (``armed=False``) it serves reads straight through until
+    :meth:`arm`, so a service can load its manifest first."""
 
-    def __init__(self):
+    def __init__(self, armed=True):
         super().__init__()
         self.entered = threading.Event()
         self.release_gate = threading.Event()
         self.served = []
+        self.armed = armed
+
+    def arm(self):
+        self.armed = True
 
     def get_many(self, keys):
+        if not self.armed:
+            return super().get_many(keys)
         first = not self.entered.is_set()
         self.entered.set()
         if first:
             self.release_gate.wait(10)
         self.served.append(sorted(keys))
         return super().get_many(keys)
+
+
+def _blocked_in(thread, function):
+    """True when *thread* waits on an event that *function* itself called."""
+    frame = sys._current_frames().get(thread.ident)
+    if frame is None or frame.f_code.co_name != "wait":
+        return False
+    while frame is not None and frame.f_code.co_name == "wait":
+        frame = frame.f_back  # Condition.wait under Event.wait
+    return frame is not None and frame.f_code.co_name == function
 
 
 def _fill(store, variable, segments):
@@ -582,10 +601,11 @@ class TestBatchedOpen:
 
     def test_concurrent_sessions_share_one_batched_open(self, setup):
         fields, store, _, _ = setup
-        inner = _GateStore()
+        inner = _GateStore(armed=False)
         for var, seg in store.keys():
             inner.put(var, seg, store.get(var, seg))
-        service = RetrievalService(inner)
+        service = RetrievalService(inner)  # reads the manifest ungated
+        inner.arm()
         trips_before = inner.round_trips
         outs, errors = [], []
 
@@ -600,7 +620,13 @@ class TestBatchedOpen:
             threads[0].start()
             assert inner.entered.wait(5)  # the first open's index batch
             threads[1].start()
-            time.sleep(0.05)  # let the second pile onto the three flights
+            # the second open waits on the first one's flights, with the
+            # first still held at the gate
+            deadline = time.monotonic() + 5
+            while not _blocked_in(threads[1], "load_many"):
+                assert time.monotonic() < deadline, "second open never waited"
+                time.sleep(0.001)
+            assert len(inner.served) == 0
         finally:
             inner.release_gate.set()
         for thread in threads:
@@ -608,6 +634,7 @@ class TestBatchedOpen:
         assert not errors
         # ONE batched open — its two get_many — served both sessions
         assert inner.round_trips - trips_before == 2
+        assert len(inner.served) == 2
         assert all(outs[0][name] is outs[1][name] for name in fields)
         stats = service.stats().planner
         assert stats.representations_loaded == 3

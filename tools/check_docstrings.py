@@ -33,6 +33,7 @@ DEFAULT_TARGETS = [
     "src/repro/service",
     "src/repro/core/pipeline.py",
     "src/repro/core/ingest.py",
+    "src/repro/utils/wire.py",
 ]
 
 
