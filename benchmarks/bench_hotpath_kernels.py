@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -221,80 +220,6 @@ def bench_retrieve(quick, repeats):
     }
 
 
-def bench_executor(quick, repeats):
-    """Huffman chunk decode offloaded through each executor backend.
-
-    Same kernel, three transports: in-process (``serial``), a thread
-    pool (``thread``, GIL-bound for pure-python spans), and the
-    shared-memory process pool (``process``).  Outputs are verified
-    bit-identical to the in-process codec; speedups are honest for
-    whatever core count the host reports (``cores`` is recorded so
-    downstream gates can skip single-core boxes).
-    """
-    from repro.parallel.executor import (
-        ProcessKernelExecutor,
-        SerialKernelExecutor,
-        ThreadKernelExecutor,
-    )
-
-    n = 50_000 if quick else 400_000
-    chunks = 8
-    rng = np.random.default_rng(7)
-    codec = HuffmanCodec()
-    streams = [
-        np.rint(rng.normal(scale=30, size=n)).astype(np.int64)
-        for _ in range(chunks)
-    ]
-    payloads = [codec.encode(sym) for sym in streams]
-    cores = os.cpu_count() or 1
-    workers = min(4, cores)
-
-    def run(executor):
-        tasks = [executor.submit("huffman_decode", p) for p in payloads]
-        return [t.result() for t in tasks]
-
-    out = {
-        "cores": cores,
-        "chunks": chunks,
-        "symbols_per_chunk": n,
-        "backends": {},
-    }
-    backends = [
-        ("serial", SerialKernelExecutor()),
-        ("thread", ThreadKernelExecutor(workers=workers)),
-    ]
-    proc = ProcessKernelExecutor(workers=workers)
-    if not proc.broken:
-        backends.append(("process", proc))
-    else:  # record the degradation instead of silently dropping the row
-        out["backends"]["process"] = {"broken": True}
-        proc.close()
-    serial_s = None
-    for name, executor in backends:
-        try:
-            t, decoded = _best_of(lambda: run(executor), repeats)
-            for got, want in zip(decoded, streams):
-                if not np.array_equal(got, want):
-                    raise AssertionError(f"executor/{name}: decode mismatch")
-            stats = executor.stats()
-            row = {
-                "huffman_decode_s": t,
-                "msym_s": chunks * n / t / 1e6,
-                "workers": stats.workers,
-                "tasks": stats.tasks,
-                "fallbacks": stats.fallbacks,
-                "identical": True,
-            }
-            if name == "serial":
-                serial_s = t
-            if serial_s is not None:
-                row["speedup_vs_serial"] = serial_s / t
-            out["backends"][name] = row
-        finally:
-            executor.close()
-    return out
-
-
 def _git_rev():
     try:
         return subprocess.run(
@@ -322,7 +247,6 @@ def main(argv=None):
         ("huffman", bench_huffman),
         ("pmgard_plan", bench_pmgard_plan),
         ("retrieve", bench_retrieve),
-        ("executor", bench_executor),
     ):
         t0 = time.perf_counter()
         metrics[name] = fn(args.quick, repeats)
@@ -364,13 +288,6 @@ def main(argv=None):
         f"retrieve {metrics['retrieve']['shape']}: "
         f"{metrics['retrieve']['output_mb_s']:.0f} MB/s reconstructed"
     )
-    ex = metrics["executor"]
-    rows = ", ".join(
-        f"{name} {row['msym_s']:.1f} Msym/s"
-        for name, row in ex["backends"].items()
-        if "msym_s" in row
-    )
-    print(f"executor ({ex['cores']} cores): {rows}")
     print(f"trajectory appended to {args.out}")
     return 0
 

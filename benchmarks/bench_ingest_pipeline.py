@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -253,60 +252,6 @@ def bench_incremental(tmp, quick) -> dict:
     }
 
 
-def bench_executor_encode(quick) -> dict:
-    """Encode scaling: thread-pool workers vs the process kernel executor.
-
-    Same dataset, same manifest bookkeeping; one archive is encoded by
-    the in-process thread pool, the other by shared-memory process
-    workers running the ``ingest_encode`` kernel (arrays handed over as
-    arena slabs, not pickles).  Archives must be bit-identical;
-    ``cores`` is recorded so scaling gates can skip single-core boxes.
-    """
-    from repro.parallel.executor import ProcessKernelExecutor
-
-    fields = _fields(quick)
-    method = "pmgard_hb"
-    cores = os.cpu_count() or 1
-    workers = min(4, cores)
-
-    def run(executor):
-        store = FragmentStore()
-        t0 = time.perf_counter()
-        report = ingest_dataset(
-            store, fields, make_refactorer(method),
-            workers=WORKERS, flush_bytes=FLUSH_BYTES, executor=executor,
-        )
-        manifest = DatasetManifest(dataset="bench")
-        update_manifest(manifest, store, fields, method, report)
-        manifest.save_to(store)
-        return store, time.perf_counter() - t0
-
-    thread_store, thread_s = run(None)
-    executor = ProcessKernelExecutor(workers=workers)
-    try:
-        proc_store, proc_s = run(executor)
-        stats = executor.stats()
-    finally:
-        executor.close()
-    _assert_identical(
-        _contents(thread_store), _contents(proc_store), "executor_encode"
-    )
-    return {
-        "variables": len(fields),
-        "cores": cores,
-        "workers": workers,
-        "fragments": len(thread_store.keys()),
-        "thread_pool": {"seconds": thread_s},
-        "process_executor": {
-            "seconds": proc_s,
-            "tasks": stats.tasks,
-            "fallbacks": stats.fallbacks,
-        },
-        "speedup": thread_s / proc_s,
-        "identical": True,
-    }
-
-
 def _git_rev():
     try:
         return subprocess.run(
@@ -332,7 +277,6 @@ def main(argv=None):
             ("identity", lambda: bench_identity(args.quick)),
             ("remote_ingest", lambda: bench_remote(tmp, args.quick)),
             ("incremental_update", lambda: bench_incremental(tmp, args.quick)),
-            ("executor_encode", lambda: bench_executor_encode(args.quick)),
         ]
         for name, fn in scenarios:
             t0 = time.perf_counter()
@@ -373,12 +317,6 @@ def main(argv=None):
         f"incremental_update: {inc['replace_superseded']} superseded fragment(s) "
         f"tombstoned on replace, +{inc['append_fragments']} appended as "
         f"{inc['append_variable']}"
-    )
-    ee = metrics["executor_encode"]
-    print(
-        f"executor_encode: {ee['speedup']:.2f}x process executor vs thread pool "
-        f"({ee['workers']} workers on {ee['cores']} cores), "
-        f"{ee['process_executor']['fallbacks']} fallbacks"
     )
     print(f"identity: bit-identical for {', '.join(COMPRESSORS)}")
     print(f"trajectory appended to {args.out}")

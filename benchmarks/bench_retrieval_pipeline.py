@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -239,82 +238,6 @@ def bench_service(archive_dir, fields, ranges, qoi, qoi_range, quick, num_client
     }
 
 
-def bench_multicore(archive_dir, fields, ranges, qoi, qoi_range, quick):
-    """Pipelined local retrieval: in-process decode vs the process executor.
-
-    Both sides run the full fetch/decode pipeline; the multicore side
-    additionally routes decode kernels through a shared-memory
-    :class:`ProcessKernelExecutor` with fragments cached in arena slabs
-    (zero-copy between fetch, cache, and worker decode).  Results are
-    verified bit-identical and ``cores`` is recorded so speedup gates
-    can skip single-core boxes, where the extra IPC is pure overhead.
-    """
-    from repro.parallel.executor import ProcessKernelExecutor
-    from repro.storage.cache import CachingFragmentStore, FragmentCache
-
-    ladder = _ladder(quick)
-    cores = os.cpu_count() or 1
-    workers = min(4, cores)
-
-    def run(executor):
-        store = ShardedDiskStore(archive_dir)
-        arena = getattr(executor, "arena", None)
-        if arena is not None:
-            store = CachingFragmentStore(
-                store, FragmentCache(256 << 20, arena=arena)
-            )
-        archive = Archive(store)
-        t0 = time.perf_counter()
-        loaded = archive.load_dataset(fields, lazy=True)
-        retriever = QoIRetriever(
-            loaded, ranges,
-            pipeline_depth=PIPELINE_DEPTH,
-            max_workers=MAX_WORKERS,
-            executor=executor,
-        )
-        session = retriever.session()
-        results = [
-            session.retrieve([QoIRequest("vtot", qoi, tol, qoi_range)])
-            for tol in ladder
-        ]
-        return results, time.perf_counter() - t0
-
-    base_res, base_s = run(None)
-    _, base_s2 = run(None)
-    base_s = min(base_s, base_s2)
-
-    executor = ProcessKernelExecutor(workers=workers)
-    try:
-        multi_res, multi_s = run(executor)
-        _, multi_s2 = run(executor)
-        multi_s = min(multi_s, multi_s2)
-        stats = executor.stats()
-        arena_stats = executor.arena.stats()
-    finally:
-        executor.close()
-    _assert_identical(base_res, multi_res, "local_multicore")
-    rounds = sum(r.rounds for r in base_res)
-    return {
-        "tolerance_ladder": ladder,
-        "cores": cores,
-        "workers": workers,
-        "rounds": rounds,
-        "all_satisfied": all(r.all_satisfied for r in base_res),
-        "retrieved_bytes": base_res[-1].total_bytes,
-        "inprocess": {"seconds": base_s, "rounds_per_s": rounds / base_s},
-        "process_executor": {
-            "seconds": multi_s,
-            "rounds_per_s": rounds / multi_s,
-            "tasks": stats.tasks,
-            "fallbacks": stats.fallbacks,
-            "broken": executor.broken,
-            "arena_bytes_written": arena_stats.bytes_written,
-        },
-        "speedup": base_s / multi_s,
-        "identical": True,
-    }
-
-
 def _git_rev():
     try:
         return subprocess.run(
@@ -340,8 +263,6 @@ def main(argv=None):
         scenarios = [
             ("local_single", lambda: bench_single(
                 archive_dir, fields, ranges, qoi, qoi_range, args.quick, remote=False)),
-            ("local_multicore", lambda: bench_multicore(
-                archive_dir, fields, ranges, qoi, qoi_range, args.quick)),
             ("remote_single", lambda: bench_single(
                 archive_dir, fields, ranges, qoi, qoi_range, args.quick, remote=True)),
             ("remote_service_1client", lambda: bench_service(
@@ -385,13 +306,6 @@ def main(argv=None):
             f"({m['round_trip_reduction']:.0f}x), "
             f"{m['pipelined']['rounds_per_s']:.1f} rounds/s"
         )
-    mc = metrics["local_multicore"]
-    print(
-        f"local_multicore: {mc['speedup']:.2f}x with process executor "
-        f"({mc['workers']} workers on {mc['cores']} cores), "
-        f"{mc['process_executor']['tasks']} offloaded tasks, "
-        f"{mc['process_executor']['fallbacks']} fallbacks"
-    )
     for name in ("remote_service_1client", "remote_service_6clients"):
         m = metrics[name]
         print(

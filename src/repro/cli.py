@@ -28,11 +28,6 @@ QoI-preserved retrieval loop against the archive — lazily loaded and
 driven by the pipelined engine (``--pipeline-depth`` /
 ``--fetch-workers`` tune it, ``--serial`` disables it) — and writes the
 reconstructed variables plus a JSON report of the guaranteed errors.
-``retrieve``, ``serve``, and ``ingest`` all take ``--executor
-serial|thread|process`` (and ``retrieve``/``serve`` ``--workers N``) to
-run the decode/encode kernels on the pluggable kernel executor; the
-process backend reads fragment payloads zero-copy out of shared-memory
-arena slabs (see docs/architecture.md).
 ``serve`` exposes the archive to many concurrent clients over TCP behind
 a shared fragment cache (``--metrics-port`` adds the HTTP operability
 sidecar serving Prometheus ``/metrics`` and a JSON ``/health`` probe);
@@ -159,7 +154,6 @@ def _cmd_ingest(args) -> int:
         workers=args.workers,
         flush_bytes=parse_bytes(args.flush_bytes),
         timestep=args.timestep,
-        executor=args.executor,
     )
     update_manifest(
         manifest, store, variables, args.method, report, timestep=args.timestep
@@ -222,18 +216,6 @@ def _cmd_retrieve(args) -> int:
     missing = [f for f in fields if f not in manifest.variables]
     if missing:
         raise SystemExit(f"fields not in archive: {missing}")
-    from repro.parallel.executor import make_executor
-
-    executor = make_executor(args.executor, workers=args.workers)
-    arena = getattr(executor, "arena", None)
-    if arena is not None:
-        # route fragments through an arena-backed cache so decode
-        # workers read payloads in place (the zero-copy path)
-        from repro.storage.cache import CachingFragmentStore, FragmentCache
-
-        store = CachingFragmentStore(
-            store, FragmentCache(DEFAULT_CACHE_BYTES, arena=arena)
-        )
     archive = Archive(store)
     lazy = not args.serial
     refactored = archive.load_dataset(fields, lazy=lazy)
@@ -243,7 +225,6 @@ def _cmd_retrieve(args) -> int:
         pipeline_depth=args.pipeline_depth,
         max_workers=args.fetch_workers,
         hedge_delay_s=None if args.hedge_ms is None else args.hedge_ms / 1000.0,
-        executor=executor,
     )
     request = QoIRequest(args.qoi, qoi, args.tolerance, args.qoi_range)
     result = retriever.retrieve(
@@ -383,14 +364,6 @@ def _cmd_stats(args) -> int:
               f"{stats['io_wait_seconds']:.3f}s I/O wait "
               f"({100.0 * stats['compute_seconds'] / total:.1f}% compute) "
               f"over {stats['retrieval_rounds']} round(s)")
-    executor = stats.get("executor")
-    if executor:
-        print(f"executor: {executor['backend']} x{executor['workers']} worker(s), "
-              f"{executor['tasks']} task(s), {executor['fallbacks']} inline fallback(s)")
-    slab_entries = cache.get("slab_entries", 0)
-    if slab_entries:
-        print(f"  arena: {slab_entries} slab entrie(s), "
-              f"{cache['slab_resident_bytes']} B resident in shared memory")
     admitted = stats.get("requests_admitted", 0)
     shed = stats.get("requests_shed", 0)
     degraded = stats.get("requests_degraded", 0)
@@ -451,8 +424,6 @@ def _cmd_serve(args) -> int:
         cache_bytes=int(args.cache_mb) << 20,
         pipeline_depth=args.pipeline_depth,
         max_workers=args.fetch_workers,
-        executor=args.executor,
-        workers=args.workers,
         max_inflight=args.max_inflight,
         client_rate=args.client_rate,
         hedge_delay_s=None if args.hedge_ms is None else args.hedge_ms / 1000.0,
@@ -640,10 +611,6 @@ def make_parser() -> argparse.ArgumentParser:
                                "(binary suffixes allowed, e.g. 4M)")
     p_ingest.add_argument("--timestep", type=int, default=None,
                           help="append variables as NAME@tNNNN timestep keys")
-    p_ingest.add_argument("--executor", default=None,
-                          choices=["serial", "thread", "process"],
-                          help="kernel executor for the transform+encode stage "
-                               "(default: REPRO_EXECUTOR env, else thread pool)")
     p_ingest.set_defaults(func=_cmd_ingest)
 
     p_info = sub.add_parser("info", help="list archived variables")
@@ -667,13 +634,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="fetch-stage threads (0 fetches synchronously)")
     p_ret.add_argument("--serial", action="store_true",
                        help="eager per-fragment loading (the pre-pipeline behavior)")
-    p_ret.add_argument("--executor", default=None,
-                       choices=["serial", "thread", "process"],
-                       help="kernel executor for decode kernels; process reads "
-                            "fragments zero-copy from shared-memory slabs "
-                            "(default: REPRO_EXECUTOR env, else inline)")
-    p_ret.add_argument("--workers", type=int, default=None,
-                       help="kernel-executor worker count (default: CPU count)")
     p_ret.add_argument("--retry", type=int, default=0,
                        help="store attempts per operation under transient "
                             "faults (0 disables retries)")
@@ -708,12 +668,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          help="also serve HTTP /metrics (Prometheus) and "
                               "/health on this port (0 picks one)")
-    p_serve.add_argument("--executor", default=None,
-                         choices=["serial", "thread", "process"],
-                         help="kernel executor every client session decodes "
-                              "through (default: REPRO_EXECUTOR env, else inline)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="kernel-executor worker count (default: CPU count)")
     p_serve.add_argument("--max-inflight", type=int, default=None,
                          help="bound on concurrent retrievals; beyond it "
                               "requests are shed with a retry_after hint "

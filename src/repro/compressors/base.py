@@ -46,16 +46,6 @@ class ProgressiveReader(abc.ABC):
         reconstruction is returned; check :attr:`current_error_bound`.
         """
 
-    def use_executor(self, executor) -> None:
-        """Route decode kernels through a parallel executor, if supported.
-
-        *executor* is a :class:`repro.parallel.executor.KernelExecutor`
-        (or None to revert to inline decode).  The default is a no-op:
-        offloading is purely a performance feature and every reader is
-        correct without it — readers that support it override and must
-        stay bit-identical to their inline path.
-        """
-
     def plan_segments(self, eb: float) -> list | None:
         """Archive segments a ``request(eb)`` would consume from here.
 

@@ -292,11 +292,6 @@ class PMGARDReader(ProgressiveReader):
         """Plan-cache state token: coarse fetched? + planes consumed per level."""
         return ("pmgard", self._coarse is None, self._consumed())
 
-    def use_executor(self, executor) -> None:
-        """Run plane decode through *executor* (bit-identical to inline)."""
-        for dec in self._decoders:
-            dec.use_executor(executor)
-
     def request(self, eb: float) -> np.ndarray:
         eb = check_error_bound(eb)
         self._fetch_coarse()

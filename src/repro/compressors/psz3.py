@@ -86,36 +86,6 @@ class PSZ3Refactored(SnapshotLadderRefactored):
         return PSZ3Reader(self)
 
 
-def decompress_snapshot(executor, compressor, blob) -> np.ndarray:
-    """Decompress one snapshot blob, through *executor* when it pays.
-
-    Large blobs ship to a kernel worker as a zero-copy arena handle when
-    the blob offers one (lazy blobs over an arena-backed cache), or as
-    payload bytes otherwise; small blobs and stale handles decompress
-    inline.  Bit-identical to ``compressor.decompress`` in every case —
-    the kernel rebuilds the same compressor from its parameters.
-    """
-    if executor is not None:
-        from repro.parallel.executor import OFFLOAD_MIN_BYTES, ArenaLookupError
-
-        if blob.nbytes >= OFFLOAD_MIN_BYTES:
-            handle = getattr(blob, "handle", None)
-            payload = handle() if handle is not None else None
-            if payload is None:
-                payload = blob.payload
-            task = executor.submit(
-                "sz3_decompress",
-                payload,
-                compressor.backend.name,
-                compressor.quantizer.max_code,
-            )
-            try:
-                return task.result()
-            except ArenaLookupError:
-                pass  # handle evicted between fetch and decode: go inline
-    return compressor.decompress(blob)
-
-
 class PSZ3Reader(ProgressiveReader):
     """Fetches whole snapshots; redundant across successive requests."""
 
@@ -125,11 +95,6 @@ class PSZ3Reader(ProgressiveReader):
         self._fetched: set = set()
         self._bound = np.inf
         self._rec: np.ndarray | None = None
-        self._executor = None
-
-    def use_executor(self, executor) -> None:
-        """Run snapshot decompress through *executor* (bit-identical)."""
-        self._executor = executor
 
     @property
     def bytes_retrieved(self) -> int:
@@ -171,9 +136,7 @@ class PSZ3Reader(ProgressiveReader):
         if snap not in self._fetched:
             self._bytes += ref.blobs[snap].nbytes
             self._fetched.add(snap)
-        self._rec = decompress_snapshot(
-            self._executor, self._ref._compressor, ref.blobs[snap]
-        )
+        self._rec = ref._compressor.decompress(ref.blobs[snap])
         self._bound = ref.ebs[snap]
         return self._rec
 

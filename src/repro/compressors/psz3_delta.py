@@ -20,7 +20,6 @@ from repro.compressors.psz3 import (
     DEFAULT_RELATIVE_BOUNDS,
     SnapshotLadderRefactored,
     _value_range,
-    decompress_snapshot,
 )
 from repro.compressors.sz3 import SZ3Compressor
 from repro.utils.fragment_keys import LOSSLESS_SEGMENT, snapshot_segment
@@ -44,11 +43,6 @@ class PSZ3DeltaReader(ProgressiveReader):
         self._lossless_used = False
         self._bound = np.inf
         self._rec = np.zeros(refactored.shape, dtype=np.float64)
-        self._executor = None
-
-    def use_executor(self, executor) -> None:
-        """Run residual decompress through *executor* (bit-identical)."""
-        self._executor = executor
 
     @property
     def bytes_retrieved(self) -> int:
@@ -84,9 +78,7 @@ class PSZ3DeltaReader(ProgressiveReader):
         ref = self._ref
         for i in range(self._consumed, target + 1):
             self._bytes += ref.blobs[i].nbytes
-            self._rec += decompress_snapshot(
-                self._executor, ref._compressor, ref.blobs[i]
-            )
+            self._rec += ref._compressor.decompress(ref.blobs[i])
             self._bound = ref.ebs[i]
         self._consumed = max(self._consumed, target + 1)
         return self._rec

@@ -46,8 +46,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.masking import refactor_masked
 from repro.storage.archive import encode_fragments
 from repro.utils.fragment_keys import INDEX_SEGMENT, timestep_variable
@@ -124,16 +122,9 @@ class IngestPipeline:
     ``put_many`` per tier the policy touches.
     """
 
-    def __init__(self, store, config: IngestConfig | None = None, executor=None):
+    def __init__(self, store, config: IngestConfig | None = None):
         self.store = store
         self.config = config or IngestConfig()
-        #: Optional :class:`~repro.parallel.executor.KernelExecutor`.  A
-        #: ``thread``/``process`` backend takes over the transform+encode
-        #: stage from the built-in thread pool — with the process backend
-        #: the refactor/entropy-code kernels escape the GIL entirely, and
-        #: input arrays ship to workers through the executor's
-        #: shared-memory arena instead of being pickled.
-        self.executor = executor
 
     # -- internals ------------------------------------------------------------
 
@@ -150,42 +141,6 @@ class IngestPipeline:
             index,
             time.perf_counter() - start,
         )
-
-    def _encode_via_executor(self, executor, named, refactorer, consume) -> None:
-        """Run the transform+encode stage through a kernel executor.
-
-        Input arrays travel to process workers through the executor's
-        shared-memory arena when one is available (written once, never
-        pickled); encoded variables still stream out in *completion*
-        order, so flushing overlaps encoding exactly as with the
-        built-in thread pool.  The archive bytes are identical either
-        way — the kernel runs the same ``_encode``.
-        """
-        from repro.parallel.executor import as_completed_tasks
-
-        arena = getattr(executor, "arena", None)
-        tasks = []
-        refs = {}  # id(task) -> ArenaRef to release once consumed
-        for name, data in named.items():
-            arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-            payload = arr
-            if arena is not None and arr.nbytes >= getattr(arena, "min_bytes", 0):
-                try:
-                    payload = arena.write(arr)
-                except Exception:
-                    payload = arr  # arena closed/full: pickling still correct
-            task = executor.submit(
-                "ingest_encode", refactorer, name, payload, arr.shape
-            )
-            tasks.append(task)
-            if payload is not arr:
-                refs[id(task)] = payload
-        try:
-            for task in as_completed_tasks(tasks):
-                consume(task.result())
-        finally:
-            for ref in refs.values():
-                arena.decref(ref)
 
     def ingest(self, variables: dict, refactorer, timestep: int | None = None) -> IngestReport:
         """Refactor and archive *variables*, overlapping encode with I/O.
@@ -268,14 +223,7 @@ class IngestPipeline:
             report.archived_bytes[name] = total_bytes
             emit(name, fragments, index)
 
-        executor = self.executor
-        if (
-            executor is not None
-            and getattr(executor, "backend", "serial") != "serial"
-            and len(named) > 1
-        ):
-            self._encode_via_executor(executor, named, refactorer, consume)
-        elif config.workers > 0 and len(named) > 1:
+        if config.workers > 0 and len(named) > 1:
             width = min(config.workers, len(named))
             with ThreadPoolExecutor(
                 max_workers=width, thread_name_prefix="repro-ingest"
@@ -352,7 +300,6 @@ def ingest_dataset(
     workers: int = DEFAULT_INGEST_WORKERS,
     flush_bytes: int = DEFAULT_FLUSH_BYTES,
     timestep: int | None = None,
-    executor=None,
 ) -> IngestReport:
     """One-call streaming ingest (the write-side ``refactor_dataset``).
 
@@ -361,15 +308,8 @@ def ingest_dataset(
     and bit-identical, archive-wise, to the serial
     :func:`~repro.core.retrieval.refactor_dataset` +
     :meth:`~repro.storage.archive.Archive.save` loop it replaces.
-
-    *executor* selects the kernel executor for the transform+encode
-    stage: an instance, a backend name (``"serial"``/``"thread"``/
-    ``"process"``), or None to follow the ``REPRO_EXECUTOR`` environment
-    default (unset means the built-in thread pool).
     """
-    from repro.parallel.executor import make_executor
-
     config = IngestConfig(workers=int(workers), flush_bytes=int(flush_bytes))
-    return IngestPipeline(store, config, executor=make_executor(executor)).ingest(
+    return IngestPipeline(store, config).ingest(
         variables, refactorer, timestep=timestep
     )

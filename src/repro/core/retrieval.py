@@ -192,14 +192,6 @@ class QoIRetriever:
         in-memory representations the pipeline is inert — the loop is
         identical either way, which is what keeps pipelined and serial
         retrieval bit-identical.
-    executor / workers:
-        Kernel executor for the *decode* stage (see
-        :mod:`repro.parallel.executor`): ``"serial"``, ``"thread"``,
-        ``"process"``, an executor instance, or None (the default) to
-        decode inline — subject to the ``REPRO_EXECUTOR`` environment
-        variable.  ``workers`` sizes the kernel pool (defaults to the
-        core count).  All backends are bit-identical; ``process`` breaks
-        the GIL compute ceiling on multi-core hosts.
     """
 
     def __init__(
@@ -211,11 +203,7 @@ class QoIRetriever:
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         max_workers: int = DEFAULT_MAX_WORKERS,
         hedge_delay_s: float | None = None,
-        executor=None,
-        workers: int | None = None,
     ):
-        from repro.parallel.executor import make_executor
-
         for name in refactored:
             if name not in value_ranges:
                 raise ValueError(f"missing value range for variable {name!r}")
@@ -229,7 +217,6 @@ class QoIRetriever:
         }
         self._masks.update(masks or {})
         self.reduction_factor = float(reduction_factor)
-        self.executor = make_executor(executor, workers=workers)
         self.pipeline = PipelineConfig(
             pipeline_depth=int(pipeline_depth),
             max_workers=int(max_workers),
@@ -344,10 +331,7 @@ class RetrievalSession:
 
     def _reader(self, variable: str):
         if variable not in self._readers:
-            reader = self._retriever._refactored[variable].reader()
-            if self._retriever.executor is not None:
-                reader.use_executor(self._retriever.executor)
-            self._readers[variable] = reader
+            self._readers[variable] = self._retriever._refactored[variable].reader()
             self._achieved[variable] = np.inf
         return self._readers[variable]
 

@@ -55,13 +55,6 @@ _PROBE_BYTES = 4096
 _PROBE_RATIO = 0.97
 
 
-def _offload_min_elements() -> int:
-    """Executor offload floor (lazy import dodges the package cycle)."""
-    from repro.parallel.executor import OFFLOAD_MIN_ELEMENTS
-
-    return OFFLOAD_MIN_ELEMENTS
-
-
 def _compress_segment(backend, raw: bytes) -> bytes:
     """Frame *raw* as a segment: compressed when the backend earns its keep."""
     comp = None
@@ -204,17 +197,6 @@ class BitplaneEncoder:
         return BitplaneStream(shape, e, P, sign_segment, planes)
 
 
-class _PendingAdvance:
-    """In-flight :meth:`BitplaneDecoder.begin_advance` state."""
-
-    __slots__ = ("fetched", "target", "chunks")
-
-    def __init__(self, fetched, target, chunks):
-        self.fetched = fetched
-        self.target = target
-        self.chunks = chunks  # [(KernelTask, [plane, ...])]; empty = done inline
-
-
 class BitplaneDecoder:
     """Stateful progressive decoder for one :class:`BitplaneStream`.
 
@@ -223,15 +205,6 @@ class BitplaneDecoder:
     property required by Definition 1 of the paper).  Magnitudes are
     held as a big-endian byte matrix so newly fetched planes merge via
     :func:`repro.utils.bits.accumulate_bitplanes` in a few vector passes.
-
-    With an *executor* (see :mod:`repro.parallel.executor`) the per-plane
-    decompress-and-accumulate runs as parallel kernel tasks: workers each
-    build a partial magnitude matrix for a chunk of planes, and the
-    partials OR together here — bit-identical to the serial path because
-    every plane occupies a disjoint bit.  The two-phase
-    :meth:`begin_advance`/:meth:`finish_advance` split lets a reader
-    submit all levels' chunks before collecting any, keeping every worker
-    busy across levels.
     """
 
     def __init__(self, stream: BitplaneStream, backend: str = "zlib"):
@@ -254,7 +227,6 @@ class BitplaneDecoder:
     def _bind(self, stream, backend, mag_bytes, signs) -> None:
         self.stream = stream
         self.backend = get_backend(backend)
-        self.executor = None
         self.planes_consumed = 0
         #: ``(size, width)`` big-endian magnitude bytes, ``width`` the
         #: smallest power-of-two byte count holding ``num_planes`` bits
@@ -268,16 +240,19 @@ class BitplaneDecoder:
         """Accumulated fixed-point magnitudes (big-endian view, no copy)."""
         return self._mag_bytes.view(f">u{self._width}").ravel()
 
-    def use_executor(self, executor) -> None:
-        """Route future plane decodes through *executor* (None = inline)."""
-        self.executor = executor
-
     def advance_to(self, planes: int) -> int:
         """Consume planes up to *planes*; returns bytes newly fetched."""
-        pending = self.begin_advance(planes)
-        if pending is None:
+        span = self._new_planes(planes)
+        if span is None:
             return 0
-        return self.finish_advance(pending)
+        fetched = self.stream.segment_bytes(span.start, span.stop)
+        if span.start == 0:
+            self._signs[:] = self._decode_signs()
+        accumulate_bitplanes(
+            self._plane_rows(span), self.stream.num_planes, self._mag_bytes
+        )
+        self.planes_consumed = span.stop
+        return fetched
 
     def _new_planes(self, planes: int):
         """The ``range`` of planes a request for *planes* has yet to decode."""
@@ -286,68 +261,6 @@ class BitplaneDecoder:
         if stream.exponent is None or target <= self.planes_consumed:
             return None
         return range(self.planes_consumed, target)
-
-    def _offloads(self) -> bool:
-        """Whether plane decode goes to the executor (task overhead
-        dominates below :data:`OFFLOAD_MIN_ELEMENTS`)."""
-        return (
-            self.executor is not None
-            and self.stream.size >= _offload_min_elements()
-        )
-
-    def begin_advance(self, planes: int):
-        """Start consuming planes up to *planes*; None when nothing new.
-
-        Without an executor (or for small groups, where task overhead
-        dominates) the planes are decoded here and the returned token is
-        already complete; otherwise plane chunks are submitted as kernel
-        tasks carrying zero-copy payload handles where the stream offers
-        them.  Pass the token to :meth:`finish_advance` to merge.
-        """
-        span = self._new_planes(planes)
-        if span is None:
-            return None
-        stream = self.stream
-        fetched = stream.segment_bytes(span.start, span.stop)
-        if span.start == 0:
-            self._signs[:] = self._decode_signs()
-        if self._offloads():
-            executor = self.executor
-            per_task = -(-len(span) // max(1, executor.workers))
-            chunks = []
-            for i in range(0, len(span), per_task):
-                chunk = span[i : i + per_task]
-                items = [(p, self._plane_payload(p)) for p in chunk]
-                task = executor.submit(
-                    "bitplane_accumulate",
-                    items,
-                    stream.num_planes,
-                    stream.size,
-                    self.backend.name,
-                )
-                chunks.append((task, chunk))
-            return _PendingAdvance(fetched, span.stop, chunks)
-        self._accumulate_inline(span)
-        self.planes_consumed = span.stop
-        return _PendingAdvance(fetched, span.stop, [])
-
-    def finish_advance(self, pending) -> int:
-        """Merge a :meth:`begin_advance` token; returns bytes newly fetched."""
-        if pending.chunks:
-            from repro.parallel.executor import ArenaLookupError, merge_magnitude_bytes
-
-            for task, chunk in pending.chunks:
-                try:
-                    payload = task.result()
-                except ArenaLookupError:
-                    # the cache evicted a handled payload between fetch and
-                    # decode: re-read through the stream (one extra store
-                    # round trip, never a wrong answer) and decode inline
-                    self._accumulate_inline(chunk)
-                    continue
-                merge_magnitude_bytes(self._mag_bytes, payload)
-            self.planes_consumed = max(self.planes_consumed, pending.target)
-        return pending.fetched
 
     def _decode_signs(self) -> np.ndarray:
         raw = _decompress_segment(self.backend, self.stream.sign_segment)
@@ -363,20 +276,6 @@ class BitplaneDecoder:
             raw = _decompress_segment(self.backend, stream.plane_segments[p])
             rows.append((p, np.frombuffer(raw, dtype=np.uint8, count=nb)))
         return rows
-
-    def _accumulate_inline(self, planes) -> None:
-        accumulate_bitplanes(
-            self._plane_rows(planes), self.stream.num_planes, self._mag_bytes
-        )
-
-    def _plane_payload(self, plane: int):
-        """Best payload argument for a kernel: handle if available, else bytes."""
-        probe = getattr(self.stream, "plane_handle", None)
-        if probe is not None:
-            handle = probe(plane)
-            if handle is not None:
-                return handle
-        return self.stream.plane_segments[plane]
 
     def _midpoint(self) -> float:
         """Offset added to coefficients already known non-zero: halves the
@@ -485,26 +384,15 @@ class FusedBitplaneDecoder:
 
     def advance_to(self, planes) -> int:
         """Consume planes up to ``planes[l]`` of every group *l*; returns
-        bytes newly fetched.  Nothing is merged unless every inline
+        bytes newly fetched.  Nothing is merged unless every moving
         group's new segments were fetched and inflated."""
-        offloaded = []
-        inline = []
+        moving = []
         for l, (dec, k) in enumerate(zip(self.decoders, planes)):
-            if dec._offloads():
-                # submitted before the inline merge so workers overlap it
-                pending = dec.begin_advance(k)
-                if pending is not None:
-                    offloaded.append((dec, pending))
-            else:
-                span = dec._new_planes(k)
-                if span is not None:
-                    inline.append((l, dec, span))
-        fetched = self._advance_inline(inline) if inline else 0
-        for dec, pending in offloaded:
-            fetched += dec.finish_advance(pending)
-        return fetched
-
-    def _advance_inline(self, moving) -> int:
+            span = dec._new_planes(k)
+            if span is not None:
+                moving.append((l, dec, span))
+        if not moving:
+            return 0
         layout = self.layout
         top = 8 * layout.width
         # byte span of the moving groups' slots (groups come in slot order)

@@ -106,10 +106,7 @@ class ServiceStats:
     without a commit log).  ``io_wait_seconds`` / ``compute_seconds`` /
     ``retrieval_rounds`` aggregate the per-round compute-vs-I/O
     wall-time split every client retrieval records (see
-    :meth:`~repro.core.pipeline.FetchPipeline.record_round`), and
-    ``executor`` carries the kernel executor's task/fallback counters
-    (:class:`~repro.parallel.executor.ExecutorStats`) when the service
-    runs one.
+    :meth:`~repro.core.pipeline.FetchPipeline.record_round`).
 
     The admission-control triple makes every overload outcome visible:
     ``requests_admitted`` / ``requests_shed`` / ``requests_degraded``
@@ -144,7 +141,6 @@ class ServiceStats:
     io_wait_seconds: float = 0.0
     compute_seconds: float = 0.0
     retrieval_rounds: int = 0
-    executor: "ExecutorStats | None" = None
     requests_admitted: int = 0
     requests_shed: int = 0
     requests_degraded: int = 0
@@ -185,14 +181,6 @@ class RetrievalService:
         variables costs two small store round trips in all and fragments
         move only when a client's retrieval plan demands them.  Set False to restore the
         eager fetch-everything-at-load behavior.
-    executor / workers:
-        Kernel executor every client session decodes through — an
-        instance, a backend name (``"serial"``/``"thread"``/
-        ``"process"``), or None to follow the ``REPRO_EXECUTOR``
-        environment default.  With the process backend the service's
-        fragment cache is arena-backed: payloads land in shared-memory
-        slabs on fetch and decode workers read them in place, so cross-
-        client cache hits *and* kernel inputs are zero-copy.
     max_inflight:
         Bound on concurrently-executing retrievals.  ``None`` (default)
         disables admission control entirely; with a bound, a request
@@ -240,8 +228,6 @@ class RetrievalService:
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         max_workers: int = DEFAULT_MAX_WORKERS,
         lazy_loading: bool = True,
-        executor=None,
-        workers: int | None = None,
         max_inflight: int | None = None,
         client_rate: float | None = None,
         client_burst: float | None = None,
@@ -251,14 +237,8 @@ class RetrievalService:
         slow_trip_rate: float | None = None,
         slow_trip_burst: float | None = None,
     ):
-        from repro.parallel.executor import make_executor
-
         self._inner = store
-        self.executor = make_executor(executor, workers=workers)
-        arena = getattr(self.executor, "arena", None)
-        self.cache = (
-            cache if cache is not None else FragmentCache(cache_bytes, arena=arena)
-        )
+        self.cache = cache if cache is not None else FragmentCache(cache_bytes)
         self.store = CachingFragmentStore(store, self.cache)
         self.archive = Archive(self.store)
         self.reduction_factor = float(reduction_factor)
@@ -460,7 +440,7 @@ class RetrievalService:
         )
         refactorer = make_refactorer(method)
         with self._ingest_lock:
-            report = IngestPipeline(self.store, config, executor=self.executor).ingest(
+            report = IngestPipeline(self.store, config).ingest(
                 variables, refactorer, timestep=timestep
             )
             with self._lock:
@@ -580,12 +560,7 @@ class RetrievalService:
         return self._inner.compact()
 
     def close(self) -> None:
-        """Close the backing store (flushes and stops a tiered backend).
-
-        The kernel executor is *not* closed here: string-spec executors
-        are process-wide shared instances (released atexit), and an
-        instance passed in belongs to its caller.
-        """
+        """Close the backing store (flushes and stops a tiered backend)."""
         if self.scheduler is not None:
             self.scheduler.close()
         self._inner.close()
@@ -626,9 +601,6 @@ class RetrievalService:
                 io_wait_seconds=self._io_wait_seconds,
                 compute_seconds=self._compute_seconds,
                 retrieval_rounds=self._retrieval_rounds,
-                executor=(
-                    self.executor.stats() if self.executor is not None else None
-                ),
                 requests_admitted=self._requests_admitted,
                 requests_shed=self._requests_shed,
                 requests_degraded=self._requests_degraded,
@@ -662,7 +634,6 @@ class ClientSession:
             pipeline_depth=service.pipeline.pipeline_depth,
             max_workers=service.pipeline.max_workers,
             hedge_delay_s=service.pipeline.hedge_delay_s,
-            executor=service.executor,
         )
         self._session = RetrievalSession(self._retriever)
         self._generations: dict = {}  # variable -> generation loaded at

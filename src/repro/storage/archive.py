@@ -141,24 +141,6 @@ class FragmentSource:
             return len(payload)
         return self.store.size_of(self.variable, segment)
 
-    def handle(self, segment: str):
-        """Zero-copy payload handle for *segment*, or None (no store I/O).
-
-        Returns the memoized payload when this source retains payloads,
-        or an :class:`~repro.parallel.executor.ArenaRef` when the backing
-        caching store has the fragment slab-resident — the handle a
-        process-backend decode worker can resolve without the bytes ever
-        crossing a pipe.  None means the caller must :meth:`get`.
-        """
-        with self._lock:
-            payload = self._payloads.get(segment)
-        if payload is not None:
-            return payload
-        probe = getattr(self.store, "fragment_handle", None)
-        if probe is not None:
-            return probe(self.variable, segment)
-        return None
-
     def absorb(self, payloads: dict) -> None:
         """Merge ``{segment: payload}`` results of a batched fetch."""
         with self._arrived:
@@ -300,10 +282,6 @@ class _LazyBitplaneStream(BitplaneStream):
             total += len(self.sign_segment)
         return total
 
-    def plane_handle(self, plane: int):
-        """Zero-copy handle for one plane payload (see FragmentSource.handle)."""
-        return self._source.handle(self._names[plane])
-
 
 class _LazyBlob:
     """Duck-typed :class:`SZ3Blob` whose payload fetches on first access."""
@@ -319,10 +297,6 @@ class _LazyBlob:
     @property
     def nbytes(self) -> int:
         return self._source.size_of(self._segment)
-
-    def handle(self):
-        """Zero-copy payload handle, or None (see FragmentSource.handle)."""
-        return self._source.handle(self._segment)
 
 
 def _snapshot_fragments(refactored, kind) -> tuple:
@@ -542,10 +516,8 @@ class Archive:
         if not names:
             return {}
         fetched = self.store.get_many([(name, INDEX_SEGMENT) for name in names])
-        # bytes() is a no-op for raw stores and materializes the (small)
-        # index when an arena-backed cache serves it as a memoryview
         indexes = {
-            name: json.loads(bytes(fetched[(name, INDEX_SEGMENT)]).decode())
+            name: json.loads(fetched[(name, INDEX_SEGMENT)].decode())
             for name in names
         }
         if lazy:

@@ -38,20 +38,6 @@ payload from the store is marked stale, and the landing payload is
 served to that reader but never cached — so a re-saved variable can
 never pin its old bytes into the cache, however the write races the
 read.
-
-With an *arena* (a :class:`~repro.parallel.executor.SlabArena`), large
-payloads are written once into a shared-memory slab at load time and the
-cache stores only the slab reference; ``get``/``get_many`` then serve
-read-only memoryviews over the slab, and decode workers in other
-processes attach the same slab by name — the payload bytes are never
-copied again between fetch, cache and decode.  A slab-backed entry is
-charged against the byte budget exactly once, by its slab residency
-(``ArenaRef.length``), no matter how many views of it are outstanding.
-Eviction drops the entry's arena refcount rather than freeing bytes; the
-arena reclaims a slab only when every entry in it is gone, and even then
-live views stay readable (the slab is unlinked but kept mapped until the
-last view is released), so eviction can never invalidate a memoryview a
-client still holds.
 """
 
 from __future__ import annotations
@@ -78,8 +64,6 @@ class CacheStats:
     bytes_from_store: int = 0
     current_bytes: int = 0
     capacity_bytes: int = 0
-    slab_resident_bytes: int = 0
-    slab_entries: int = 0
 
     @property
     def requests(self) -> int:
@@ -92,40 +76,18 @@ class CacheStats:
         return self.hits / self.requests if self.requests else 0.0
 
 
-class _SlabEntry:
-    """Cache entry whose payload lives in a shared-memory arena slab."""
-
-    __slots__ = ("ref",)
-
-    def __init__(self, ref):
-        self.ref = ref
-
-
-def _entry_size(entry) -> int:
-    """Budget charge of an entry: slab residency for slab-backed ones."""
-    if isinstance(entry, _SlabEntry):
-        return entry.ref.length
-    return len(entry)
-
-
 class FragmentCache:
     """Thread-safe LRU cache of fragment payloads with a byte budget.
 
     Keys are ``(variable, segment)`` pairs; values are the fragment
     payloads.  Payloads larger than the whole budget are served but never
     cached (they would evict everything for a single entry).
-
-    When *arena* is given (a :class:`~repro.parallel.executor.SlabArena`),
-    payloads at least ``arena.min_bytes`` long are stored in shared-memory
-    slabs and served as read-only memoryviews; smaller payloads stay plain
-    ``bytes``.  See the module docstring for the accounting rules.
     """
 
-    def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES, arena=None):
+    def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = int(capacity_bytes)
-        self.arena = arena
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
         self._inflight: dict = {}  # key -> Event set when its load finishes
@@ -172,8 +134,8 @@ class FragmentCache:
                     entry = self._entries.pop(key)
                     self._entries[key] = entry  # move to MRU position
                     self._stats.hits += 1
-                    self._stats.bytes_from_cache += _entry_size(entry)
-                    return self._serve(entry)
+                    self._stats.bytes_from_cache += len(entry)
+                    return entry
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = threading.Event()
@@ -202,17 +164,13 @@ class FragmentCache:
             # payload to this caller but never cache it (the next request
             # re-reads the store and sees the overwritten bytes)
             if len(payload) <= self.capacity_bytes and key not in self._stale:
-                entry = self._admit(payload)
-                self._entries[key] = entry
-                self._stats.current_bytes += _entry_size(entry)
+                self._entries[key] = payload
+                self._stats.current_bytes += len(payload)
                 self._evict_to_budget()
-                result = self._serve(entry)
-            else:
-                result = bytes(payload)
             self._stale.discard(key)
             del self._inflight[key]
         flight.set()
-        return result
+        return payload
 
     def get_many(self, keys, loader_many) -> dict:
         """Batched :meth:`get_or_load`: one store round trip for all misses.
@@ -248,8 +206,8 @@ class FragmentCache:
                             entry = self._entries.pop(key)
                             self._entries[key] = entry  # move to MRU position
                             self._stats.hits += 1
-                            self._stats.bytes_from_cache += _entry_size(entry)
-                            out[key] = self._serve(entry)
+                            self._stats.bytes_from_cache += len(entry)
+                            out[key] = entry
                         elif key in self._inflight:
                             waits.append((key, self._inflight[key]))
                             self._pin(key)  # the landing entry must outlive the wait
@@ -260,13 +218,13 @@ class FragmentCache:
                             owned.append((key, flight))
                 if owned:
                     # whatever happens — loader failure, a partial result
-                    # dict, a non-bytes payload — every claimed flight must
-                    # be released and signalled, or waiters block forever
+                    # dict — every claimed flight must be released and
+                    # signalled, or waiters block forever
                     try:
                         loaded = loader_many([k for k, _ in owned])
                         with self._lock:
                             for key, flight in owned:
-                                payload = loaded[key]
+                                payload = out[key] = loaded[key]
                                 self._stats.misses += 1
                                 self._stats.bytes_from_store += len(payload)
                                 # stale = overwritten while in flight: serve
@@ -275,12 +233,8 @@ class FragmentCache:
                                     len(payload) <= self.capacity_bytes
                                     and key not in self._stale
                                 ):
-                                    entry = self._admit(payload)
-                                    self._entries[key] = entry
-                                    self._stats.current_bytes += _entry_size(entry)
-                                    out[key] = self._serve(entry)
-                                else:
-                                    out[key] = bytes(payload)
+                                    self._entries[key] = payload
+                                    self._stats.current_bytes += len(payload)
                             self._evict_to_budget()
                     finally:
                         with self._lock:
@@ -318,10 +272,8 @@ class FragmentCache:
             )
             if victim is None:
                 break  # every resident entry is pinned right now
-            evicted = self._entries.pop(victim)
-            self._stats.current_bytes -= _entry_size(evicted)
+            self._stats.current_bytes -= len(self._entries.pop(victim))
             self._stats.evictions += 1
-            self._discard(evicted)
 
     def invalidate(self, variable: str, segment: str) -> None:
         """Drop one entry after its fragment was overwritten or deleted.
@@ -343,69 +295,20 @@ class FragmentCache:
     def _invalidate_locked(self, key) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self._stats.current_bytes -= _entry_size(entry)
-            self._discard(entry)
+            self._stats.current_bytes -= len(entry)
         if key in self._inflight:
             self._stale.add(key)
 
     def clear(self) -> None:
         """Drop every entry (counters other than residency are kept)."""
         with self._lock:
-            for entry in self._entries.values():
-                self._discard(entry)
             self._entries.clear()
             self._stats.current_bytes = 0
 
-    def handle(self, variable: str, segment: str):
-        """Arena reference for a resident slab-backed entry, else None.
-
-        A peek: no LRU touch, no hit/miss accounting.  The returned
-        :class:`~repro.parallel.executor.ArenaRef` lets a decode worker in
-        another process attach the payload without any bytes crossing the
-        pipe.  It does not pin the entry — if eviction wins the race the
-        worker raises ``ArenaLookupError`` and the caller re-fetches, one
-        extra read but never a wrong answer.
-        """
-        with self._lock:
-            entry = self._entries.get((variable, segment))
-            if isinstance(entry, _SlabEntry):
-                return entry.ref
-            return None
-
     def stats(self) -> CacheStats:
-        """Snapshot of the accounting counters.
-
-        For an arena-backed cache, ``slab_resident_bytes``/``slab_entries``
-        report the arena's live residency (which may include entries of
-        other caches sharing the arena).
-        """
+        """Snapshot of the accounting counters."""
         with self._lock:
-            snapshot = replace(self._stats)
-            if self.arena is not None:
-                arena_stats = self.arena.stats()
-                snapshot.slab_resident_bytes = arena_stats.resident_bytes
-                snapshot.slab_entries = arena_stats.entries
-            return snapshot
-
-    # -- arena-backed entries (callers hold self._lock) ------------------------
-
-    def _admit(self, payload):
-        """Choose the entry representation for a loaded payload."""
-        if self.arena is not None and len(payload) >= getattr(self.arena, "min_bytes", 0):
-            try:
-                return _SlabEntry(self.arena.write(payload))
-            except Exception:
-                pass  # arena closing mid-request: fall back to a bytes entry
-        return bytes(payload)
-
-    def _serve(self, entry):
-        if isinstance(entry, _SlabEntry):
-            return self.arena.view(entry.ref)
-        return entry
-
-    def _discard(self, entry) -> None:
-        if isinstance(entry, _SlabEntry):
-            self.arena.decref(entry.ref)
+            return replace(self._stats)
 
 
 class CachingFragmentStore(StoreWrapper):
@@ -454,11 +357,3 @@ class CachingFragmentStore(StoreWrapper):
         out = self.cache.get_many(keys, self.inner.get_many)
         self._count_reads(out)
         return out
-
-    def fragment_handle(self, variable: str, segment: str):
-        """Arena reference for a cached fragment, else None (no store I/O).
-
-        See :meth:`FragmentCache.handle` — this is how decoders obtain
-        zero-copy payload handles to ship to process-backend workers.
-        """
-        return self.cache.handle(variable, segment)

@@ -96,9 +96,7 @@ def _dumps(obj: dict) -> bytes:
 def _loads(payload, segment: str) -> dict:
     """Parse one archived manifest object; ValueError naming *segment*."""
     try:
-        # bytes() materializes the payload when an arena-backed cache
-        # serves it as a memoryview; a no-op for raw stores
-        raw = json.loads(bytes(payload))
+        raw = json.loads(payload)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"corrupt manifest segment {segment!r}: {exc}") from None
     if not isinstance(raw, dict):

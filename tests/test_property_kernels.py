@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import repro.parallel.executor as executor_module
 from repro.compressors.pmgard import PlanTable, PMGARDRefactorer
 from repro.encoding.bitplane import BitplaneDecoder, BitplaneEncoder
 from repro.encoding.huffman import HuffmanCodec
@@ -27,7 +26,6 @@ from repro.encoding.reference import (
     reference_plane_plan,
     reference_pmgard_reconstruct,
 )
-from repro.parallel.executor import make_executor
 
 # ordinary magnitudes plus denormal-era values around the 2**-1000 archive cutoff
 _coeff = st.one_of(
@@ -217,10 +215,9 @@ class TestFusedDecodeMatchesOracle:
         st.sampled_from(["hierarchical", "orthogonal"]),
         st.sampled_from([8, 31, 48]),
         st.integers(0, 2**32 - 1),
-        st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_every_request_is_bytes_equal(self, shape, basis, num_planes, seed, offload):
+    def test_every_request_is_bytes_equal(self, shape, basis, num_planes, seed):
         rng = np.random.default_rng(seed)
         data = np.cumsum(rng.normal(size=shape), axis=-1) * 10.0 ** float(rng.integers(-6, 7))
         refactorer = PMGARDRefactorer(basis=basis, num_planes=num_planes, min_size=3)
@@ -229,34 +226,26 @@ class TestFusedDecodeMatchesOracle:
             if rng.random() < 0.25:  # an all-zero level: no exponent, no segments
                 ref.streams[level] = refactorer.encoder.encode(np.zeros(stream.shape))
         reader = ref.reader()
-        with pytest.MonkeyPatch.context() as patch:
-            if offload:
-                # under the CI ``process`` leg this is the process pool
-                reader.use_executor(
-                    make_executor(None, workers=2) or make_executor("thread", workers=2)
-                )
-                # large levels go to the workers, small ones merge inline
-                patch.setattr(executor_module, "OFFLOAD_MIN_ELEMENTS", 32)
-            planes = [0] * len(ref.streams)
-            returned = []
-            for _ in range(4):
-                for level in range(len(planes)):
-                    if rng.random() < 0.6:  # the others keep their planes; a
-                        # level still at 0 has not fetched its signs yet
-                        planes[level] = min(
-                            num_planes, planes[level] + int(rng.integers(0, num_planes // 2 + 2))
-                        )
-                rec = _request_planes(reader, list(planes))
-                consumed = [d.planes_consumed for d in reader._decoders]
-                assert consumed == [
-                    0 if s.exponent is None else k for s, k in zip(ref.streams, planes)
-                ]
-                assert rec.tobytes() == reference_pmgard_reconstruct(ref, consumed).tobytes()
-                returned.append((rec, rec.tobytes()))
-            del reader._plan  # back to the real planner, down to the floor
-            rec = reader.request(1e-300)
+        planes = [0] * len(ref.streams)
+        returned = []
+        for _ in range(4):
+            for level in range(len(planes)):
+                if rng.random() < 0.6:  # the others keep their planes; a
+                    # level still at 0 has not fetched its signs yet
+                    planes[level] = min(
+                        num_planes, planes[level] + int(rng.integers(0, num_planes // 2 + 2))
+                    )
+            rec = _request_planes(reader, list(planes))
             consumed = [d.planes_consumed for d in reader._decoders]
+            assert consumed == [
+                0 if s.exponent is None else k for s, k in zip(ref.streams, planes)
+            ]
             assert rec.tobytes() == reference_pmgard_reconstruct(ref, consumed).tobytes()
+            returned.append((rec, rec.tobytes()))
+        del reader._plan  # back to the real planner, down to the floor
+        rec = reader.request(1e-300)
+        consumed = [d.planes_consumed for d in reader._decoders]
+        assert rec.tobytes() == reference_pmgard_reconstruct(ref, consumed).tobytes()
         # a reconstruction handed out by one rung is never touched by a later one
         for rec, snapshot in returned:
             assert rec.tobytes() == snapshot

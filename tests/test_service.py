@@ -4,6 +4,7 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestRetrievalService:
         assert stats.sessions_active == 0  # all closed
         # single-flight misses: the store never served a fragment twice
         assert inner.reads == stats.cache.misses
+
+    def test_service_surfaces_round_breakdown(self, setup):
+        _, _, qoi, _, qrange = setup
+        service, _ = fresh_service(setup)
+        with service.open_session() as session:
+            session.retrieve([QoIRequest("VTOT", qoi, 1e-4, qrange)])
+        stats = service.stats()
+        assert stats.retrieval_rounds > 0
+        assert stats.compute_seconds + stats.io_wait_seconds > 0
+        # the wire format (dataclasses.asdict) carries the split
+        assert "io_wait_seconds" in asdict(stats)
 
     def test_unknown_variable_message_names_known(self, setup):
         service, _ = fresh_service(setup)

@@ -62,6 +62,31 @@ class TestFragmentCache:
         assert len(cache) == 0
         assert cache.stats().current_bytes == 0
 
+    def test_invalidate_releases_residency(self):
+        cache = FragmentCache(capacity_bytes=1024)
+        cache.get_or_load("v", "a", lambda: b"a" * 100)
+        cache.get_or_load("v", "b", lambda: b"b" * 30)
+        cache.invalidate("v", "a")
+        assert cache.stats().current_bytes == 30
+        cache.invalidate("v", "a")  # a second invalidate charges nothing back
+        cache.invalidate("v", "never-loaded")
+        assert cache.stats().current_bytes == 30
+        again = cache.get_or_load("v", "a", lambda: b"A" * 50)
+        assert again == b"A" * 50 and cache.stats().current_bytes == 80
+
+    def test_get_many_admits_misses_and_charges_each_once(self):
+        inner = make_store({("v", "a"): b"A" * 64, ("v", "b"): b"B" * 16})
+        cache = FragmentCache(capacity_bytes=1 << 20)
+        keys = [("v", "a"), ("v", "b")]
+        first = cache.get_many(keys, inner.get_many)
+        second = cache.get_many(keys, lambda missing: pytest.fail("must hit"))
+        assert first == second == {("v", "a"): b"A" * 64, ("v", "b"): b"B" * 16}
+        assert inner.round_trips == 1
+        stats = cache.stats()
+        assert stats.misses == 2 and stats.hits == 2
+        assert stats.current_bytes == 80  # the hits added no residency
+        assert stats.bytes_from_store == stats.bytes_from_cache == 80
+
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             FragmentCache(capacity_bytes=0)
@@ -235,112 +260,3 @@ class TestCachingFragmentStore:
         assert inner.reads == 1
         assert cache.stats().hits == 1
 
-
-class TestArenaBackedCache:
-    """Slab-residency accounting of an arena-backed cache (zero-copy path)."""
-
-    def _arena(self, slab_bytes=1 << 16):
-        from repro.parallel.executor import SlabArena
-
-        return SlabArena(slab_bytes=slab_bytes)
-
-    def test_slab_entry_charged_once_by_residency(self):
-        arena = self._arena()
-        cache = FragmentCache(capacity_bytes=1 << 20, arena=arena)
-        payload = b"x" * 8192  # above the arena floor -> slab entry
-        served = cache.get_or_load("v", "s", lambda: payload)
-        assert isinstance(served, memoryview) and bytes(served) == payload
-        stats = cache.stats()
-        # the entry is charged exactly its slab residency — the served
-        # memoryview must not double-count against the byte budget
-        assert stats.current_bytes == len(payload)
-        assert stats.slab_resident_bytes == len(payload)
-        assert stats.slab_entries == 1
-        # a hit serves another view over the same slab range, no new charge
-        again = cache.get_or_load("v", "s", lambda: pytest.fail("must hit"))
-        assert bytes(again) == payload
-        assert cache.stats().current_bytes == len(payload)
-        arena.close()
-
-    def test_small_payloads_stay_plain_bytes(self):
-        arena = self._arena()
-        cache = FragmentCache(capacity_bytes=1 << 20, arena=arena)
-        served = cache.get_or_load("v", "s", lambda: b"tiny")
-        assert isinstance(served, bytes)
-        stats = cache.stats()
-        assert stats.slab_entries == 0 and stats.slab_resident_bytes == 0
-        assert stats.current_bytes == 4
-        arena.close()
-
-    def test_eviction_releases_slab_but_live_views_survive(self):
-        arena = self._arena(slab_bytes=1 << 13)
-        cache = FragmentCache(capacity_bytes=20000, arena=arena)
-        first = b"a" * 8192
-        view = cache.get_or_load("v", "a", lambda: first)  # live view held
-        cache.get_or_load("v", "b", lambda: b"b" * 8192)
-        cache.get_or_load("v", "c", lambda: b"c" * 8192)  # evicts ("v","a")
-        assert ("v", "a") not in cache
-        assert cache.stats().evictions >= 1
-        # the evicted entry's slab may only be reclaimed as a zombie —
-        # the handed-out view keeps reading the original bytes
-        assert bytes(view) == first
-        assert cache.stats().current_bytes <= 20000
-        arena.close()
-
-    def test_invalidate_decrefs_slab_entry(self):
-        arena = self._arena()
-        cache = FragmentCache(capacity_bytes=1 << 20, arena=arena)
-        cache.get_or_load("v", "s", lambda: b"z" * 8192)
-        assert cache.stats().slab_entries == 1
-        cache.invalidate("v", "s")
-        stats = cache.stats()
-        assert stats.current_bytes == 0
-        assert stats.slab_entries == 0 and stats.slab_resident_bytes == 0
-        arena.close()
-
-    def test_handle_peek_returns_ref_without_touching_lru(self):
-        from repro.parallel.executor import ArenaRef
-
-        arena = self._arena()
-        cache = FragmentCache(capacity_bytes=1 << 20, arena=arena)
-        cache.get_or_load("v", "s", lambda: b"h" * 8192)
-        ref = cache.handle("v", "s")
-        assert isinstance(ref, ArenaRef) and ref.length == 8192
-        assert bytes(arena.view(ref)) == b"h" * 8192
-        assert cache.handle("v", "missing") is None
-        # bytes-entry payloads have no handle
-        cache.get_or_load("v", "t", lambda: b"small")
-        assert cache.handle("v", "t") is None
-        # a hit did not count for the peek
-        hits_before = cache.stats().hits
-        cache.handle("v", "s")
-        assert cache.stats().hits == hits_before
-        arena.close()
-
-    def test_clear_releases_all_slab_entries(self):
-        arena = self._arena()
-        cache = FragmentCache(capacity_bytes=1 << 20, arena=arena)
-        cache.get_or_load("v", "a", lambda: b"1" * 8192)
-        cache.get_or_load("v", "b", lambda: b"2" * 8192)
-        cache.clear()
-        stats = cache.stats()
-        assert stats.current_bytes == 0
-        assert stats.slab_entries == 0 and stats.slab_resident_bytes == 0
-        arena.close()
-
-    def test_get_many_admits_slab_entries(self):
-        arena = self._arena()
-        cache = FragmentCache(capacity_bytes=1 << 20, arena=arena)
-        keys = [("v", "a"), ("v", "b")]
-        payloads = {("v", "a"): b"A" * 8192, ("v", "b"): b"B" * 2048}
-
-        def loader(missing):
-            return {k: payloads[k] for k in missing}
-
-        out = cache.get_many(keys, loader)
-        assert bytes(out[("v", "a")]) == payloads[("v", "a")]
-        assert bytes(out[("v", "b")]) == payloads[("v", "b")]
-        stats = cache.stats()
-        assert stats.slab_entries == 1  # only the 8 KiB payload went to a slab
-        assert stats.slab_resident_bytes == 8192
-        arena.close()

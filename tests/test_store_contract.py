@@ -114,6 +114,30 @@ class TestReads:
         }
         assert delta(read_counters(store), before) == (3, 9, 1)
 
+    def test_payloads_are_bytes(self, store):
+        # readers parse payloads as they come (json.loads, .decode()):
+        # no store may serve a memoryview or a bytearray, warm or cold
+        store.put_many(SEED)
+        for _ in range(2):  # the second pass is all hits for the caching store
+            assert all(type(store.get(v, s)) is bytes for v, s, _ in SEED)
+            batch = store.get_many([(v, s) for v, s, _ in SEED])
+            assert all(type(payload) is bytes for payload in batch.values())
+
+    def test_empty_and_large_binary_payloads_come_back_whole(self, store):
+        # every byte value, far past any framing or chunk boundary, plus
+        # the empty fragment an all-zero level may archive
+        big, empty = bytes(range(256)) * 257, b""
+        store.put_many([("v", "big", big), ("v", "empty", empty)])
+        assert [store.size_of("v", s) for s in ("big", "empty")] == [len(big), 0]
+        before = read_counters(store)
+        for _ in range(2):  # cold, then warm for the caching store
+            assert store.get("v", "big") == big and store.get("v", "empty") == empty
+            assert store.get_many([("v", "empty"), ("v", "big")]) == {
+                ("v", "empty"): empty,
+                ("v", "big"): big,
+            }
+        assert delta(read_counters(store), before) == (8, 4 * len(big), 6)
+
     def test_absent_key_names_itself(self, store):
         store.put_many(SEED)
         with pytest.raises(KeyError) as caught:
@@ -180,6 +204,25 @@ class TestWrites:
             store.put("v", "bad", 7)
         assert not store.has("v", "ok") and store.has("m", "s0")
         assert write_counters(store) == before
+
+    def test_overwrite_serves_the_latest_payload_and_size(self, store):
+        store.put("v", "a", b"old")
+        assert store.get("v", "a") == b"old"  # warms the caching store
+        store.put("v", "a", b"newer!")
+        assert store.get("v", "a") == b"newer!"
+        store.transact([("v", "a", b"newest payload")])
+        assert store.get_many([("v", "a")]) == {("v", "a"): b"newest payload"}
+        assert store.segments("v") == ["a"] and store.size_of("v", "a") == 14
+        assert store.nbytes() == store.nbytes("v") == 14
+
+    def test_written_buffer_is_copied_not_aliased(self, store):
+        buffer = bytearray(b"before")
+        store.put("v", "a", buffer)
+        store.put_many([("v", "b", buffer)])
+        buffer[:] = b"AFTER!"  # the caller reuses its buffer
+        for _ in range(2):
+            assert store.get("v", "a") == b"before"
+            assert store.get_many([("v", "b")]) == {("v", "b"): b"before"}
 
     def test_delete_of_an_absent_key_is_key_error(self, store):
         store.put_many(SEED)
