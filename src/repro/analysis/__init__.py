@@ -5,7 +5,7 @@
   progressive readers / QoI retrievers (the raw series behind every
   figure).
 * :mod:`repro.analysis.reporting` — plain-text tables and curve dumps the
-  benchmark harness prints.
+  examples print.
 """
 
 from repro.analysis.metrics import bitrate, max_abs_error, relative_linf_error, value_range

@@ -1,6 +1,6 @@
-"""Plain-text reporting for the benchmark harness.
+"""Plain-text reporting for the examples.
 
-The harness regenerates each paper table/figure as text: tables as
+The examples print paper tables and figures as text: tables as
 aligned columns, figures as their underlying (x, y) series — enough to
 compare shapes and crossovers against the paper without a plotting
 dependency.

@@ -4,8 +4,8 @@ The paper's compressors finish with an entropy stage (custom Huffman +
 zstd).  In pure Python the pragmatic default is :mod:`zlib` — DEFLATE is
 itself LZ77 followed by Huffman coding and runs in C — while a true
 canonical-Huffman backend is available for the entropy ablation study
-(``benchmarks/bench_ablation_entropy.py``) and a raw pass-through backend
-serves as the no-entropy baseline.
+(``tests/test_paper_claims.py``) and a raw pass-through backend serves as
+the no-entropy baseline.
 """
 
 from __future__ import annotations

@@ -4,12 +4,8 @@ These are faithful copies of the original per-plane / per-symbol
 implementations that :mod:`repro.encoding.bitplane`,
 :mod:`repro.encoding.huffman`, the PMGARD plane planner and the PMGARD
 reader's per-level reconstruct + boolean-mask recompose replaced with
-array-at-a-time kernels.  They are kept for two reasons:
-
-* the property tests assert the vectorized kernels are **bit-exact**
-  against them on randomized inputs, and
-* ``benchmarks/bench_hotpath_kernels.py`` measures the before/after
-  throughput ratio recorded in ``BENCH_kernels.json``.
+array-at-a-time kernels.  They are kept because the property tests assert the vectorized
+kernels are **bit-exact** against them on randomized inputs.
 
 They are *not* wired into any production path.  Note the container
 formats differ: the reference Huffman coder emits the legacy ``RHC1``

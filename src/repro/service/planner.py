@@ -10,7 +10,7 @@ seeding, re-computes ``plan_segments`` per round, and drives its own
 fetch round trips.  With N clients asking overlapping tolerance ladders
 that is N planning passes and up to N store round trips per round for
 one round's worth of work — and round trips, not bytes, dominate
-cold-remote wall time (``BENCH_retrieval.json``: 621→26 trips = 24x).
+cold-remote wall time.
 
 This module moves the dedup one layer up, from bytes to plans and
 rounds:

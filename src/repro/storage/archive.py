@@ -450,7 +450,7 @@ class Archive:
         mix and never with leftover superseded segments.
         ``atomic=False`` restores the serial one-``put``-per-fragment
         path (the index segment still written last, stale segments
-        deleted afterwards), which the benchmarks use to measure what
+        deleted afterwards), which the tests use to count what
         batching saves.
         """
         fragments, index = encode_fragments(refactored)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.compressors.base import make_refactorer
-from repro.core.ingest import IngestConfig, ingest_dataset
+from repro.core.ingest import IngestConfig, ingest_dataset, update_manifest
 from repro.core.qois import qoi_from_spec
 from repro.core.retrieval import QoIRequest, refactor_dataset
 from repro.service.service import RetrievalService
@@ -343,6 +343,17 @@ class TestIngestPipeline:
         assert report.bytes_written == parallel.nbytes()
         assert parallel.put_round_trips == report.flushes < report.fragments
 
+    def test_batched_ingest_needs_a_fifth_of_the_per_fragment_trips(self):
+        fields = make_fields()
+        serial = FragmentStore()
+        archive = Archive(serial)
+        for name, rep in refactor_dataset(fields, make_refactorer("pmgard_hb")).items():
+            archive.save(name, rep, atomic=False)  # one put per fragment
+        batched = FragmentStore()
+        ingest_dataset(batched, fields, make_refactorer("pmgard_hb"), workers=2)
+        assert serial.put_round_trips == len(serial.keys())
+        assert serial.put_round_trips >= 5 * batched.put_round_trips
+
     def test_workers_zero_is_serial_but_still_batched(self):
         fields = make_fields(n=2)
         store = FragmentStore()
@@ -602,6 +613,22 @@ class TestManifestGrowth:
             1.5 * float(np.ptp(data["u"]))
         )
         assert reopened.value_range("v@t0007") == pytest.approx(float(np.ptp(data["v"])))
+
+    def test_twentieth_library_append_writes_what_the_second_did(self):
+        """``ingest_dataset`` + ``update_manifest`` + ``save_to``, as a script does."""
+        store = FragmentStore()
+        manifest = DatasetManifest(dataset="growth")
+        step = {"u": self._data()["u"]}
+        written = []
+        for timestep in range(1, 21):
+            before = store.bytes_written
+            report = ingest_dataset(
+                store, step, make_refactorer("pmgard_hb"), workers=0, timestep=timestep
+            )
+            update_manifest(manifest, store, step, "pmgard_hb", report, timestep=timestep)
+            manifest.save_to(store)
+            written.append(store.bytes_written - before)
+        assert written[19] == written[1]  # manifest included, not growing
 
     def test_format1_archive_takes_an_ingest_and_reopens(self):
         store = FragmentStore()

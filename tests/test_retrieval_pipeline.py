@@ -307,8 +307,12 @@ class TestPipelinedEqualsSerial:
             assert a.bytes_per_variable == b.bytes_per_variable
             for name in a.data:
                 assert np.array_equal(a.data[name], b.data[name])
-        # coalescing must show up in the round-trip accounting
+        # coalescing must show up in the round-trip accounting, and lazy
+        # loading never reads a fragment the eager load would not
         assert piped_store.round_trips < serial_store.round_trips
+        assert piped_store.reads <= serial_store.reads
+        if method == "pmgard_hb":  # hundreds of planes, a handful of batches
+            assert serial_store.round_trips >= 5 * piped_store.round_trips
 
     def test_plan_matches_consumption(self, tmp_path, seeded_fields, method):
         """plan_segments(eb) names exactly the fragments request(eb) uses."""

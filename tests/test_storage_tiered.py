@@ -362,3 +362,39 @@ class TestTieredRetrievalIntegration:
         # promotion reads cost one batch; the warm run itself needs at
         # most stray trips for fragments promotion could not see
         assert warm_slow_trips <= max(2, cold_slow_trips // 2)
+
+    def test_budget_promotion_and_demotion_keep_the_ladder_identical(self, archived):
+        archive_dir, ranges, qoi, qoi_range = archived
+
+        def ladder(store):
+            service = RetrievalService(store, value_ranges=ranges)
+            with service.open_session() as session:
+                return [
+                    session.retrieve([QoIRequest("vtot", qoi, tol, qoi_range)])
+                    for tol in (1e-2, 1e-4)
+                ]
+
+        unbounded = TieredStore(FragmentStore(), ShardedDiskStore(archive_dir), promote_after=1)
+        ladder(unbounded)
+        unbounded.transfer.run_once()
+        # a budget below what the ladder promotes, then an operator halving it
+        budget = int(unbounded.stats().promoted_bytes * 0.6)
+        tiered = TieredStore(
+            FragmentStore(), ShardedDiskStore(archive_dir),
+            fast_budget_bytes=budget, promote_after=1,
+        )
+        cold = ladder(tiered)
+        tiered.transfer.run_once()
+        promoted = ladder(tiered)
+        tiered.fast_budget_bytes = budget // 2
+        tiered.transfer.run_once()
+        assert tiered.fast.nbytes() <= budget // 2
+        shrunk = ladder(tiered)
+        stats = tiered.stats()
+        assert stats.promotions > 0 and stats.demotions > 0
+        for run in (promoted, shrunk):
+            for a, b in zip(cold, run):
+                assert a.total_bytes == b.total_bytes
+                assert a.estimated_errors == b.estimated_errors
+                for name in a.data:
+                    assert np.array_equal(a.data[name], b.data[name])
