@@ -384,6 +384,8 @@ def _cmd_stats(args) -> int:
               f"({100.0 * rate:.1f}% of {lookups} lookup(s)); "
               f"{planner['representations_shared']} shared / "
               f"{planner['representations_loaded']} loaded representation(s)")
+        print(f"  answers: {planner.get('states_shared', 0)} reader state(s) and "
+              f"{planner.get('verdicts_shared', 0)} verdict(s) shared")
         print(f"  scheduler: {planner['merged_rounds']} merged round(s) over "
               f"{planner['scheduler_ticks']} tick(s) -> "
               f"{planner['coalesced_round_trips']} coalesced trip(s); "

@@ -90,6 +90,28 @@ class ProgressiveReader(abc.ABC):
         """
         return None
 
+    def state_after(self, eb: float) -> tuple | None:
+        """The :meth:`plan_token` a ``request(eb)`` would leave, if shareable.
+
+        A reader returns a token here only when its reconstruction is a
+        pure function of that state, so that two readers of the same
+        representation reaching the same token hold bit-identical
+        arrays; such a reader also implements :meth:`adopt`.  Computed
+        from metadata alone, like :meth:`plan_segments`.  ``None`` (the
+        default) means states are not shared: every request decodes.
+        """
+        return None
+
+    def adopt(self, eb: float, reconstruction: np.ndarray) -> np.ndarray:
+        """Move to the state ``request(eb)`` would leave without decoding.
+
+        *reconstruction* is that state's array, decoded by another reader
+        of the same representation; bytes and bounds advance exactly as
+        the request would advance them.  Only readers whose
+        :meth:`state_after` returns a token implement this.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not share states")
+
     @abc.abstractmethod
     def reconstruct(self) -> np.ndarray:
         """Current reconstruction without fetching anything new."""

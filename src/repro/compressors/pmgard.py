@@ -175,18 +175,26 @@ class PlanTable:
 
 
 class PMGARDReader(ProgressiveReader):
-    """Greedy most-significant-plane-first progressive reader."""
+    """Greedy most-significant-plane-first progressive reader.
+
+    The reader's state is the planes it holds per level (``_held``) and
+    whether it holds the coarse approximation.  Normally its decoder has
+    decoded exactly those planes; after :meth:`adopt` the decoder lags
+    behind (it decoded nothing for the adopted state) and catches up from
+    the fragments the next time a request goes beyond it.
+    """
 
     def __init__(self, refactored: PMGARDRefactored):
         self._ref = refactored
         self._levels = refactored._fused_decoder()
         self._decoders = self._levels.decoders
+        self._held = [0] * len(self._decoders)  # planes per level the state holds
         self._bytes = 0
-        self._coarse: np.ndarray | None = None
+        self._has_coarse = False  # coarse bytes counted (fetched or adopted)
+        self._coarse: np.ndarray | None = None  # decoded coarse approximation
         self._requested = False
-        self._dirty = True
-        self._rec: np.ndarray | None = None
-        self._plans: tuple = (None, {})  # (planes consumed, {eb: planes per level})
+        self._rec: np.ndarray | None = None  # reconstruction of the state, once built
+        self._plans: tuple = (None, {})  # (planes held, {eb: planes per level})
 
     # -- byte/bound accounting ----------------------------------------------
 
@@ -195,8 +203,7 @@ class PMGARDReader(ProgressiveReader):
         return self._bytes
 
     def _level_bound(self, level: int) -> float:
-        dec = self._decoders[level]
-        return self._ref.kappa * dec.error_bound
+        return self._ref.kappa * self._decoders[level].stream.error_bound(self._held[level])
 
     @property
     def current_error_bound(self) -> float:
@@ -206,10 +213,22 @@ class PMGARDReader(ProgressiveReader):
 
     # -- retrieval ------------------------------------------------------------
 
-    def _fetch_coarse(self) -> None:
-        if self._coarse is None:
+    def _hold_coarse(self) -> None:
+        if not self._has_coarse:
             self._bytes += len(self._ref.coarse_payload)
-            self._coarse = self._ref._decode_coarse()
+            self._has_coarse = True
+
+    def _hold(self, planned) -> None:
+        """Move the state to *planned* planes per level, counting their bytes."""
+        moved = False
+        for l, (dec, k) in enumerate(zip(self._decoders, planned)):
+            held = self._held[l]
+            if k > held and dec.stream.exponent is not None:
+                self._bytes += dec.stream.segment_bytes(held, k)
+                moved = True
+        if moved:
+            self._held = list(planned)
+            self._rec = None
 
     def _plan(self, eb: float) -> list:
         """Planes per level meeting *eb*: closed-form seed + greedy mop-up.
@@ -219,9 +238,9 @@ class PMGARDReader(ProgressiveReader):
         plans are kept until a level moves — keyed on the exact float
         *eb*, never quantized, like the shared planner's memo.
         """
-        consumed = self._consumed()
-        if self._plans[0] != consumed:
-            self._plans = (consumed, {})
+        held = self._consumed()
+        if self._plans[0] != held:
+            self._plans = (held, {})
         plans = self._plans[1]
         planned = plans.get(eb)
         if planned is None:
@@ -232,7 +251,7 @@ class PMGARDReader(ProgressiveReader):
         decs = self._decoders
         kappa = self._ref.kappa
         seed = self._ref.plan_table().planes_for(eb)
-        planned = [max(int(seed[l]), d.planes_consumed) for l, d in enumerate(decs)]
+        planned = [max(int(seed[l]), k) for l, k in enumerate(self._held)]
         bounds = [kappa * d.stream.error_bound(planned[l]) for l, d in enumerate(decs)]
         num_planes = [d.stream.num_planes for d in decs]
         # greedy mop-up: peel the most significant outstanding plane of the
@@ -258,17 +277,17 @@ class PMGARDReader(ProgressiveReader):
         """Archive segments ``request(eb)`` would consume (no fetching)."""
         eb = check_error_bound(eb)
         segments = []
-        if self._coarse is None:
+        if not self._has_coarse:
             segments.append(COARSE_SEGMENT)
         if self._decoders:
             for level, k in enumerate(self._plan(eb)):
-                dec = self._decoders[level]
-                if dec.stream.exponent is None or k <= dec.planes_consumed:
+                stream, held = self._decoders[level].stream, self._held[level]
+                if stream.exponent is None or k <= held:
                     continue
-                if dec.planes_consumed == 0:
+                if held == 0:
                     segments.append(pmgard_signs_segment(level))
-                names = pmgard_plane_segments(level, dec.stream.num_planes)
-                segments.extend(names[dec.planes_consumed : k])
+                names = pmgard_plane_segments(level, stream.num_planes)
+                segments.extend(names[held:k])
         return segments
 
     def bound_after(self, eb: float) -> float:
@@ -286,34 +305,58 @@ class PMGARDReader(ProgressiveReader):
         ))
 
     def _consumed(self) -> tuple:
-        return tuple(dec.planes_consumed for dec in self._decoders)
+        return tuple(self._held)
 
     def plan_token(self) -> tuple:
         """Plan-cache state token: coarse fetched? + planes consumed per level."""
-        return ("pmgard", self._coarse is None, self._consumed())
+        return ("pmgard", not self._has_coarse, self._consumed())
+
+    def state_after(self, eb: float) -> tuple:
+        """The :meth:`plan_token` ``request(eb)`` leaves (no fetching).
+
+        The reconstruction is a pure function of it: one coarse
+        approximation plus the planes per level, and decode is
+        bit-identical however the planes arrived.
+        """
+        return ("pmgard", False, tuple(self._plan(check_error_bound(eb))))
 
     def request(self, eb: float) -> np.ndarray:
         eb = check_error_bound(eb)
-        self._fetch_coarse()
+        self._hold_coarse()
         self._requested = True
-        if self._decoders:
-            planned = self._plan(eb)
-            if any(k > d.planes_consumed for k, d in zip(planned, self._decoders)):
-                # flagged before decoding: a fetch that fails part-way may
-                # already have merged some levels' planes
-                self._dirty = True
-                self._bytes += self._levels.advance_to(planned)
+        planned = self._plan(eb)
+        if any(k > held for k, held in zip(planned, self._held)):
+            # decode first: a fetch that fails part-way merges nothing,
+            # and the state does not move
+            self._levels.advance_to(planned)
+            self._hold(planned)
         return self.reconstruct()
 
+    def adopt(self, eb: float, reconstruction: np.ndarray) -> np.ndarray:
+        """Take the state ``request(eb)`` leaves, with its reconstruction given.
+
+        Bytes and bounds are counted exactly as the request would count
+        them; nothing is fetched or decoded.  The decoder catches up from
+        the fragments only when a later request goes beyond this state.
+        """
+        eb = check_error_bound(eb)
+        self._hold_coarse()
+        self._requested = True
+        self._hold(self._plan(eb))
+        self._rec = reconstruction
+        return reconstruction
+
     def reconstruct(self) -> np.ndarray:
-        if not self._dirty and self._rec is not None:
+        if self._rec is not None:
             return self._rec
         ref = self._ref
-        self._fetch_coarse()
+        self._hold_coarse()
+        if self._coarse is None:
+            self._coarse = ref._decode_coarse()
+        self._levels.advance_to(self._held)  # catches up after an adopt
         self._rec = ref.transform.recompose(
             ref.decomp, coefficients=self._levels.reconstruct(), coarse=self._coarse
         )
-        self._dirty = False
         return self._rec
 
 

@@ -223,9 +223,10 @@ class QoIRetriever:
             hedge_delay_s=None if hedge_delay_s is None else float(hedge_delay_s),
         )
         #: Optional shared :class:`~repro.service.planner.QueryPlanner`
-        #: memoizing estimation seeds and ``plan_segments`` results
-        #: across sessions; the service layer wires it (duck-typed so
-        #: the core never imports the service tier).
+        #: memoizing estimation seeds, ``plan_segments`` results, decoded
+        #: reader states and QoI verdicts across sessions; the service
+        #: layer wires it (duck-typed so the core never imports the
+        #: service tier).
         self.planner = None
         #: Per-variable generation the planner keys its memos on (the
         #: service aliases its session's generation map here).
@@ -373,6 +374,43 @@ class RetrievalSession:
         return planner.plan_segments(
             reader, variable,
             self._retriever.plan_generations.get(variable, 0), eb,
+        )
+
+    def _request(self, variable: str, reader, eb: float) -> tuple:
+        """``(reader.request(eb), state key)``, through the shared planner.
+
+        The planner hands the reader a state another session already
+        decoded (:meth:`~repro.service.planner.QueryPlanner.request`);
+        the array and the counts are bit-identical to decoding it here.
+        The state key ``(variable, generation, token)`` names where the
+        request left the reader; it is None without a planner or for a
+        reader that does not share states.
+        """
+        planner = self._retriever.planner
+        token = None if planner is None else reader.state_after(eb)
+        if token is None:
+            return reader.request(eb), None
+        state = (variable, self._retriever.plan_generations.get(variable, 0), token)
+        return planner.request(reader, state, eb), state
+
+    def _verdict(self, req: QoIRequest, env, variables, states) -> tuple:
+        """:func:`_estimate`, shared across sessions through the planner.
+
+        *states* maps each variable to the ``(variable, generation,
+        state token)`` its bound reconstruction was decoded at; without
+        a planner, a structural QoI key, or a token for every variable,
+        the request is estimated here.
+        """
+        planner = self._retriever.planner
+        keys = tuple(states.get(v) for v in variables)
+        if planner is None or req.qoi.key is None or None in keys:
+            return _estimate(req, env)
+        region = None
+        if req.region is not None:
+            region = np.asarray(req.region, dtype=bool)
+            region = (region.shape, np.packbits(region).tobytes())
+        return planner.verdict(
+            (req.qoi.key, region) + keys, variables, lambda: _estimate(req, env)
         )
 
     def _round_entries(self, involved, readers, ebs, sources, planned, widen) -> list:
@@ -607,6 +645,9 @@ class RetrievalSession:
         # first estimate of a request, that estimate's worst points after
         points: list = [self._remembered(req) for req in requests]
         returned: dict = {}  # variable -> array its reader last returned
+        # variable -> (variable, generation, state token) its reader is
+        # at, the key its verdicts are shared under (planner only)
+        states: dict = {}
 
         def decode(v: str) -> None:
             # a reader only moves when asked for a *tighter* bound, and by
@@ -614,7 +655,7 @@ class RetrievalSession:
             # memoized (batch-fetched), so this stage is pure compute
             nonlocal progressed
             reader = readers[v]
-            rec = reader.request(ebs[v])
+            rec, states[v] = self._request(v, reader, ebs[v])
             requested[v] = ebs[v]
             bound = reader.current_error_bound
             if bound < achieved[v]:
@@ -711,7 +752,9 @@ class RetrievalSession:
                 for i, req in enumerate(requests):
                     stamp = env.stamp(request_vars[i])
                     if verdicts[i] is None or verdicts[i][0] != stamp:
-                        verdicts[i] = (stamp, *_estimate(req, env))
+                        verdicts[i] = (
+                            stamp, *self._verdict(req, env, request_vars[i], states)
+                        )
                         points[i] = verdicts[i][2]
                         if req.qoi.key is not None:
                             self._worst[req.qoi.key] = (request_vars[i], points[i])

@@ -25,8 +25,12 @@ rounds:
   ``plan_segments`` results memoize on
   ``(variable, generation, reader state token, exact error bound)`` —
   the *exact* ``eb`` float, never a quantized rung, which is what keeps
-  memoized plans bit-identical to per-session planning.  Every memo
-  invalidates on the per-variable generation bump a live ingest makes.
+  memoized plans bit-identical to per-session planning.  An *answer
+  memo* shares the expensive half too: decoded reader states, keyed on
+  ``(variable, generation, state token)`` and adopted by a reader
+  instead of decoding, and QoI verdicts (largest bound, worst points)
+  keyed on the QoI and the states it reads.  Every memo invalidates on
+  the per-variable generation bump a live ingest makes.
 * :class:`FetchScheduler` — **cross-request round merging**.  Sessions
   submit whole round plans; a dedicated scheduler thread drains the
   queue each tick, merges every concurrent round, claims segments
@@ -59,7 +63,10 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.estimators import seed_bounds
+from repro.storage.cache import DEFAULT_CACHE_BYTES
 
 #: Bound on memoized plans / estimation seeds: reader state tokens advance
 #: monotonically per session generation, so old entries go cold — an LRU
@@ -76,9 +83,39 @@ MAX_PLAN_MEMO = 4096
 DEFAULT_COALESCE_WINDOW_S = 0.002
 
 
+#: Share of a service's cache budget its answer memo (decoded reader
+#: states and QoI verdicts) takes: ``cache bytes // ANSWER_SHARE``.  At
+#: the default 256 MiB that is 16 MiB; three (16, 48, 48) variables at
+#: four states each over three timesteps hold about 10.6 MB.
+ANSWER_SHARE = 16
+
+#: The answer memo's byte budget at the default cache budget.
+DEFAULT_ANSWER_BYTES = DEFAULT_CACHE_BYTES // ANSWER_SHARE
+
+#: Bytes charged per memoized verdict on top of its worst points.
+_VERDICT_OVERHEAD = 64
+
+
 def _freeze(segments):
     """Immutable memo form of a ``plan_segments`` result."""
     return None if segments is None else tuple(segments)
+
+
+def _read_only(array) -> np.ndarray:
+    """A private, read-only copy of *array* for the answer memo."""
+    array = np.array(array, copy=True)
+    array.flags.writeable = False
+    return array
+
+
+class _Flight:
+    """One answer being computed; sessions missing on its key wait here."""
+
+    __slots__ = ("done", "value")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.value = None  # the memo form, set when the computation succeeded
 
 
 @dataclass
@@ -96,13 +133,18 @@ class PlannerStats:
     scheduler actually issued across ``scheduler_ticks`` ticks.  The
     ``slow_tier_throttle_*`` triple mirrors the service's
     :class:`~repro.storage.resilience.TokenBucket` (zeros when no budget
-    is configured).
+    is configured).  ``states_shared`` counts reader requests answered by
+    adopting another session's decoded state, and ``verdicts_shared``
+    QoI estimates answered from another session's verdict (memo hits and
+    waits on an in-flight computation alike).
     """
 
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     representations_shared: int = 0
     representations_loaded: int = 0
+    states_shared: int = 0
+    verdicts_shared: int = 0
     merged_rounds: int = 0
     scheduler_ticks: int = 0
     coalesced_round_trips: int = 0
@@ -129,8 +171,12 @@ class QueryPlanner:
     the same variable wait on one archive load).
     """
 
-    def __init__(self, max_plan_memo: int = MAX_PLAN_MEMO):
+    def __init__(
+        self, max_plan_memo: int = MAX_PLAN_MEMO,
+        answer_bytes: int = DEFAULT_ANSWER_BYTES,
+    ):
         self.max_plan_memo = int(max_plan_memo)
+        self.answer_bytes = max(0, int(answer_bytes))
         self._lock = threading.Lock()
         self._reps: dict = {}  # (variable, generation) -> Refactored
         self._rep_flights: dict = {}  # key -> Event set when its load lands
@@ -138,6 +184,11 @@ class QueryPlanner:
         self._plan_flights: dict = {}  # key -> Event (in-flight computation)
         self._seeds: OrderedDict = OrderedDict()  # Algorithm 3 seed memo (LRU)
         self._seed_flights: dict = {}
+        # answer memo: key -> (value, bytes, variables), LRU under answer_bytes
+        self._answers: OrderedDict = OrderedDict()
+        self._answers_held = 0
+        self._answer_flights: dict = {}  # key -> (_Flight, variables)
+        self._answers_seen: OrderedDict = OrderedDict()  # computed once: key -> variables
         self._stats = PlannerStats()
 
     def _count(self, field: str, n: int = 1) -> None:
@@ -294,6 +345,114 @@ class QueryPlanner:
         flight.set()
         return value
 
+    # -- answer memo -----------------------------------------------------------
+
+    def request(self, reader, state: tuple, eb: float):
+        """``reader.request(eb)``, sharing decoded states across sessions.
+
+        *state* is ``(variable, generation, reader.state_after(eb))``.
+        A reader state is a pure function of ``(variable, generation,
+        planes per level)`` and decode is bit-identical however the
+        planes arrived, so a reader whose request would land on a state
+        another session already decoded adopts that reconstruction
+        (:meth:`~repro.compressors.base.ProgressiveReader.adopt`) and
+        decodes nothing; concurrent sessions heading for the same state
+        decode it once.  A request that does not move the reader, and
+        any request on a zero-byte memo, is the plain request.
+        """
+        if not self.answer_bytes or state[2] == reader.plan_token():
+            return reader.request(eb)
+        value, shared = self._answer(
+            ("state",) + tuple(state), (state[0],),
+            lambda: reader.request(eb),
+            lambda rec: (_read_only(rec), rec.nbytes),
+            "states_shared",
+        )
+        return reader.adopt(eb, value.copy()) if shared else value
+
+    def verdict(self, key, variables, estimate) -> tuple:
+        """Memoized ``(estimate, worst points)`` of one QoI on shared states.
+
+        *key* must identify every input of the estimate: the QoI's
+        structural key, its region, and per variable the
+        ``(variable, generation, state token)`` its reconstruction was
+        decoded at.  Every session of a service applies the same zero
+        masks to a variable, so that fixes the values and the bounds the
+        QoI is evaluated on.  *estimate* computes the verdict on a miss.
+        """
+        if not self.answer_bytes:
+            return estimate()
+        value, _ = self._answer(
+            ("verdict",) + tuple(key), tuple(variables), estimate,
+            lambda v: (
+                (v[0], _read_only(v[1])), v[1].nbytes + _VERDICT_OVERHEAD
+            ),
+            "verdicts_shared",
+        )
+        return value
+
+    def _answer(self, key, variables, compute, freeze, shared_field: str):
+        """Single-flight lookup of one answer: ``(value, shared?)``.
+
+        A hit, or a wait on another session's computation, returns the
+        memo form (read-only) with ``True``; otherwise this thread runs
+        *compute* and returns its own result with ``False``.  Only an
+        answer computed a second time is memoized: a state or verdict
+        nobody asks for again (a timestep read once) never takes memo
+        bytes.  A racing :meth:`invalidate` drops the flight, so a stale
+        answer is handed to its waiters but never memoized.
+        """
+        while True:
+            with self._lock:
+                hit = self._answers.get(key)
+                if hit is not None:
+                    self._answers.move_to_end(key)
+                    setattr(self._stats, shared_field, getattr(self._stats, shared_field) + 1)
+                    return hit[0], True
+                entry = self._answer_flights.get(key)
+                if entry is None:
+                    flight = _Flight()
+                    self._answer_flights[key] = (flight, variables)
+                    break
+            flight = entry[0]
+            flight.done.wait()
+            if flight.value is not None:
+                self._count(shared_field)
+                return flight.value, True
+            # the computation failed: compute it here, or join a retry
+        try:
+            value = compute()
+            frozen, nbytes = freeze(value)
+        except BaseException:
+            with self._lock:
+                if self._answer_flights.get(key, (None,))[0] is flight:
+                    del self._answer_flights[key]
+            flight.done.set()
+            raise
+        flight.value = frozen
+        with self._lock:
+            if self._answer_flights.get(key, (None,))[0] is flight:
+                del self._answer_flights[key]
+                self._keep(key, frozen, nbytes, variables)
+        flight.done.set()
+        return value, False
+
+    def _keep(self, key, frozen, nbytes: int, variables) -> None:
+        # caller holds self._lock
+        seen = self._answers_seen
+        if seen.pop(key, None) is None:
+            seen[key] = variables
+            while len(seen) > self.max_plan_memo:
+                seen.popitem(last=False)
+            return
+        if nbytes > self.answer_bytes:
+            return
+        self._answers[key] = (frozen, nbytes, variables)
+        self._answers_held += nbytes
+        while self._answers_held > self.answer_bytes:
+            _, (_, dropped, _) = self._answers.popitem(last=False)
+            self._answers_held -= dropped
+
     # -- staleness -------------------------------------------------------------
 
     def invalidate(self, variable: str) -> None:
@@ -303,9 +462,10 @@ class QueryPlanner:
         :meth:`~repro.storage.archive.Archive.invalidate_source`:
         memoized representations would keep serving the superseded
         fragments to new sessions, and memoized plans name segments of
-        the old layout.  In-flight loads of the variable are left to
-        land (their waiters get a usable representation) but are never
-        memoized afterwards.
+        the old layout.  Shared reader states and every verdict computed
+        on one of them go too.  In-flight loads and answers of the
+        variable are left to land (their waiters get a usable value) but
+        are never memoized afterwards.
         """
         with self._lock:
             for key in [k for k in self._reps if k[0] == variable]:
@@ -316,6 +476,16 @@ class QueryPlanner:
                 del self._plans[key]
             for key in [k for k in self._plan_flights if k[0] == variable]:
                 del self._plan_flights[key]
+            for key, (_, nbytes, variables) in list(self._answers.items()):
+                if variable in variables:
+                    del self._answers[key]
+                    self._answers_held -= nbytes
+            flights = self._answer_flights
+            for key in [k for k, (_, names) in flights.items() if variable in names]:
+                del flights[key]
+            seen = self._answers_seen
+            for key in [k for k, names in seen.items() if variable in names]:
+                del seen[key]
 
     def stats(self) -> PlannerStats:
         """Snapshot of the planner/scheduler counters."""

@@ -57,7 +57,7 @@ from repro.core.retrieval import QoIRetriever, RetrievalResult, RetrievalSession
 from repro.storage.archive import Archive
 from repro.storage.cache import CacheStats, CachingFragmentStore, DEFAULT_CACHE_BYTES, FragmentCache
 from repro.storage.cluster import ClusterFragmentStore, ClusterStats
-from repro.service.planner import FetchScheduler, PlannerStats, QueryPlanner
+from repro.service.planner import ANSWER_SHARE, FetchScheduler, PlannerStats, QueryPlanner
 from repro.storage.metadata import MANIFEST_SEGMENT, MANIFEST_VARIABLE, DatasetManifest
 from repro.storage.resilience import ResilienceStats, TokenBucket
 from repro.storage.store import FragmentStore, open_directory_store, open_store
@@ -169,7 +169,10 @@ class RetrievalService:
         (§V-A).
     cache / cache_bytes:
         Share an existing :class:`FragmentCache` across services, or size
-        a private one.
+        a private one.  With the shared planner on, ``1 /``
+        :data:`~repro.service.planner.ANSWER_SHARE` of the budget goes
+        to the planner's answer memo (decoded reader states and QoI
+        verdicts) and the rest to the fragment cache.
     pipeline_depth / max_workers:
         Fetch/decode pipeline knobs every client session retrieves with
         (see :class:`~repro.core.pipeline.PipelineConfig`).  Sessions
@@ -197,8 +200,10 @@ class RetrievalService:
     shared_planner:
         Run the cross-request :class:`~repro.service.planner.QueryPlanner`
         and :class:`~repro.service.planner.FetchScheduler` (the default):
-        concurrent sessions share one plan cache, and their fetch rounds
-        merge into one coalesced store round trip per tick.  Results are
+        concurrent sessions share one plan cache and one answer memo (a
+        warm re-read adopts decoded states and estimates instead of
+        recomputing them), and their fetch rounds merge into one
+        coalesced store round trip per tick.  Results are
         bit-identical either way; set False to restore fully independent
         per-session planning.
     coalesce_ms:
@@ -238,7 +243,14 @@ class RetrievalService:
         slow_trip_burst: float | None = None,
     ):
         self._inner = store
-        self.cache = cache if cache is not None else FragmentCache(cache_bytes)
+        # the planner's answer memo is carved out of the cache budget
+        answer_bytes = 0
+        if shared_planner:
+            budget = cache.capacity_bytes if cache is not None else int(cache_bytes)
+            answer_bytes = budget // ANSWER_SHARE
+        self.cache = (
+            cache if cache is not None else FragmentCache(int(cache_bytes) - answer_bytes)
+        )
         self.store = CachingFragmentStore(store, self.cache)
         self.archive = Archive(self.store)
         self.reduction_factor = float(reduction_factor)
@@ -280,7 +292,7 @@ class RetrievalService:
         self._hedged_fetches = 0
         self._worst_degraded_ratio = 0.0
         self._latency_ewma_s = 0.0  # recent retrieval wall time
-        self.planner = QueryPlanner() if shared_planner else None
+        self.planner = QueryPlanner(answer_bytes=answer_bytes) if shared_planner else None
         self.scheduler = None
         if shared_planner:
             scheduler_kwargs = {}
