@@ -82,7 +82,6 @@ from repro.storage import (
     KeyValueFragmentStore,
     ShardedDiskStore,
     TieredStore,
-    TransferManager,
     open_store,
 )
 from repro.compressors import PZFPRefactorer
@@ -110,6 +109,6 @@ __all__ = [
     "RetrievalService", "ClientSession", "RetrievalServer", "ServiceClient",
     "FragmentCache", "ShardedDiskStore",
     # storage fabric
-    "open_store", "TieredStore", "TransferManager",
+    "open_store", "TieredStore",
     "HTTPFragmentServer", "HTTPFragmentStore", "KeyValueFragmentStore",
 ]

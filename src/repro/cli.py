@@ -33,7 +33,7 @@ a shared fragment cache (``--metrics-port`` adds the HTTP operability
 sidecar serving Prometheus ``/metrics`` and a JSON ``/health`` probe);
 ``client`` runs one retrieval against a running server; ``stats`` prints
 either a running server's live counters (store reads/round trips and
-puts/bytes written, cache hit/miss/eviction rates, per-tier promotion
+puts/bytes written, cache hit/miss/eviction rates, per-tier hit
 counters for tiered backends, WAL durability counters) or a static
 summary of an archive.  ``compact`` rewrites an archive's commit log
 and unlinks tombstoned fragment files (dead bytes accumulate from
@@ -128,7 +128,7 @@ def _cmd_archive(args) -> int:
             )
         )
     manifest.save_to(store)
-    store.close()  # flushes write-back tiers; no-op for local stores
+    store.close()  # releases connections; no-op for local stores
     total = sum(m.total_bytes for m in manifest.variables.values())
     raw = sum(v.nbytes for v in variables.values())
     print(f"archived {len(variables)} variable(s) with {args.method}: "
@@ -159,7 +159,7 @@ def _cmd_ingest(args) -> int:
         manifest, store, variables, args.method, report, timestep=args.timestep
     )
     manifest.save_to(store)
-    store.close()  # flushes write-back tiers; no-op for local stores
+    store.close()  # releases connections; no-op for local stores
     superseded = (
         f", {report.superseded} superseded fragment(s) tombstoned"
         if report.superseded else ""
@@ -268,15 +268,8 @@ def _print_tier_stats(tiers: dict) -> None:
           f"({tiers['fast_bytes_served']} B, {tiers['fast_round_trips']} trip(s)) / "
           f"slow {tiers['slow_hits']} hit(s) "
           f"({tiers['slow_bytes_served']} B, {tiers['slow_round_trips']} trip(s))")
-    budget = (
-        f"{tiers['fast_budget_bytes']} B" if tiers["fast_budget_bytes"] else "unbounded"
-    )
-    print(f"  fast resident: {tiers['fast_resident_bytes']} B / {budget}; "
-          f"{tiers['promotions']} promotion(s) ({tiers['promoted_bytes']} B), "
-          f"{tiers['demotions']} demotion(s) ({tiers['demoted_bytes']} B)")
-    print(f"  write-back: {tiers['dirty_fragments']} dirty, "
-          f"{tiers['writebacks_flushed']} flushed; "
-          f"{tiers['transfer_cycles']} transfer cycle(s)")
+    print(f"  fast resident: {tiers['fast_resident_bytes']} B; "
+          f"{tiers['degraded_batches']} degraded batch(es)")
 
 
 def _print_cluster_stats(cluster: dict) -> None:
@@ -417,8 +410,6 @@ def _cmd_serve(args) -> int:
 
     store = open_store(args.archive)
     store = wrap_with_resilience(store, *_resilience_from_args(args))
-    if isinstance(store, TieredStore):
-        store.start_transfer()
     if isinstance(store, ClusterFragmentStore):
         store.start_rebalancer()
     service = RetrievalService(
@@ -453,7 +444,7 @@ def _cmd_serve(args) -> int:
         if metrics is not None:
             metrics.stop()
         server.server_close()
-        service.close()  # stops tiered transfer / cluster rebalance threads
+        service.close()  # stops a cluster backend's rebalance thread
     return 0
 
 

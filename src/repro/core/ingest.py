@@ -119,7 +119,7 @@ class IngestPipeline:
     :class:`~repro.storage.cache.CachingFragmentStore` the batched
     writes invalidate stale cache entries, and on a
     :class:`~repro.storage.tiered.TieredStore` each flush lands with one
-    ``put_many`` per tier the policy touches.
+    ``put_many`` per tier.
     """
 
     def __init__(self, store, config: IngestConfig | None = None):

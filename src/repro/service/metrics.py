@@ -6,7 +6,7 @@ tiny threaded HTTP server to a running
 :class:`~repro.service.service.RetrievalService` and serves:
 
 * ``GET /metrics`` — the full ``repro stats`` counter set (sessions,
-  store reads/writes, cache hit rate, tier occupancy when tiered, the
+  store reads/writes, cache hit rate, per-tier hits when tiered, the
   WAL durability counters, and the resilience surface: admitted / shed /
   degraded request counts, hedged fetches, and the backing store's
   retry/breaker counters including the numeric

@@ -329,17 +329,13 @@ class RetrievalService:
         a plain directory (``sharded=None`` auto-detects the layout from
         the persisted index the sharded layout leaves behind)
         or a ``file://``/``sharded://``/``http://``/``tiered://``/
-        ``cluster://`` URL.  A tiered backend's transfer thread is
-        started so promotion runs for the life of the service; a cluster
-        backend's rebalancer thread likewise, so membership changes
-        migrate in the background.
+        ``cluster://`` URL.  A cluster backend's rebalancer thread is
+        started so membership changes migrate in the background.
         """
         if sharded is None:
             store = open_store(archive_dir)
         else:
             store = open_directory_store(archive_dir, sharded=sharded)
-        if isinstance(store, TieredStore):
-            store.start_transfer()
         if isinstance(store, ClusterFragmentStore):
             store.start_rebalancer()
         return cls(store, **kwargs)
@@ -572,7 +568,7 @@ class RetrievalService:
         return self._inner.compact()
 
     def close(self) -> None:
-        """Close the backing store (flushes and stops a tiered backend)."""
+        """Close the backing store (stops a cluster backend's rebalancer)."""
         if self.scheduler is not None:
             self.scheduler.close()
         self._inner.close()

@@ -14,10 +14,9 @@
   with per-node circuit breakers, transparent read failover, and a
   background rebalancer for membership changes.  See
   ``docs/cluster.md``.
-* :mod:`repro.storage.tiered` — the tiered fabric: fast tier over slow
-  tier with write-through/write-back puts and a background transfer
-  manager promoting hot fragments and demoting cold ones under a byte
-  budget.
+* :mod:`repro.storage.tiered` — the tiered fabric: a write-through fast
+  tier over a slow tier, reads fast-tier-first with the misses of a
+  batch in one slow-tier trip.
 * :mod:`repro.storage.cache` — the shared, byte-budgeted LRU fragment
   cache that lets many clients retrieve through one archive without
   re-reading overlapping fragments from disk.
@@ -67,7 +66,7 @@ from repro.storage.cluster import (
     Rebalancer,
 )
 from repro.storage.snapshot import SnapshotReport, restore_store, snapshot_store
-from repro.storage.tiered import TieredStore, TierStats, TransferManager
+from repro.storage.tiered import TieredStore, TierStats
 from repro.storage.wal import CommitLog, CompactionReport, DurabilityStats
 from repro.storage.transfer import GlobusTransferModel, LatencyFragmentStore, TransferReport
 from repro.storage.archive import Archive, FragmentSource, prefetch_plans
@@ -93,7 +92,6 @@ __all__ = [
     "KeyValueFragmentStore",
     "TieredStore",
     "TierStats",
-    "TransferManager",
     "ClusterFragmentStore",
     "ClusterStats",
     "HashRing",

@@ -27,10 +27,9 @@ processes — behind the ordinary
   :class:`~repro.storage.resilience.DegradedError`.
 * **Rebalancing.**  :meth:`ClusterFragmentStore.add_node` /
   :meth:`ClusterFragmentStore.remove_node` stage a membership change;
-  :class:`Rebalancer` (the cluster twin of the tiered
-  :class:`~repro.storage.tiered.TransferManager`) migrates fragments in
-  coalesced byte-bounded batches.  Reads stay correct mid-move via
-  old-then-new placement lookup: until a migration finalizes, lookups
+  :class:`Rebalancer` (the one background data mover of the storage
+  fabric) migrates fragments in coalesced byte-bounded batches.  Reads
+  stay correct mid-move via old-then-new placement lookup: until a migration finalizes, lookups
   consult the pre-change ring first (where the data is guaranteed to
   live) and the post-change ring as additional failover candidates, and
   writes land on the union — so a kill mid-rebalance loses nothing and
@@ -87,8 +86,8 @@ DEFAULT_RETRY_MAX = 0.25
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN = 2.0
 
-#: Byte bound of one coalesced rebalance copy batch (the cluster twin of
-#: the tiered store's ``FLUSH_CHUNK_BYTES``).
+#: Byte bound of one coalesced rebalance copy batch: keeps a large move
+#: from materializing in memory as one oversized request.
 REBALANCE_CHUNK_BYTES = 32 << 20
 
 #: Period of the background rebalance thread (it only acts while a
@@ -821,13 +820,12 @@ class ClusterFragmentStore(FragmentStore):
 class Rebalancer:
     """Background shard migration of one :class:`ClusterFragmentStore`.
 
-    The cluster twin of the tiered
-    :class:`~repro.storage.tiered.TransferManager`: one pass
-    (:meth:`run_once`) copies every fragment a post-change owner lacks
-    onto it in coalesced byte-bounded ``put_many`` batches (sourcing
-    through the cluster's failover-aware reads, so a dead node's share
-    migrates from its surviving replicas), finalizes the ring swap, and
-    only then garbage-collects the copies that no longer own their keys.
+    One pass (:meth:`run_once`) copies every fragment a post-change
+    owner lacks onto it in coalesced byte-bounded ``put_many`` batches
+    (sourcing through the cluster's failover-aware reads, so a dead
+    node's share migrates from its surviving replicas), finalizes the
+    ring swap, and only then garbage-collects the copies that no longer
+    own their keys.
     A crash or node death anywhere mid-pass leaves the staged old+new
     lookup in place — every fragment stays readable and a retried pass
     completes idempotently.  :meth:`start` runs passes on a daemon

@@ -548,15 +548,19 @@ class ResilientStore(StoreWrapper):
         return stats
 
 
+#: The URL query keys :func:`policy_from_params` reads.
+POLICY_KEYS = ("retries", "retry_base", "retry_max", "breaker", "cooldown")
+
+
 def policy_from_params(params: dict, prefix: str = ""):
     """Build ``(RetryPolicy | None, CircuitBreaker | None)`` from URL params.
 
-    Recognized keys (optionally prefixed, e.g. ``slow_retries``):
-    ``retries`` (total attempts), ``retry_base`` / ``retry_max``
-    (backoff window, seconds), ``breaker`` (consecutive-failure
-    threshold), ``cooldown`` (breaker cooldown, seconds).  Returns
-    ``(None, None)`` when no resilience keys are present, so URL
-    grammars can stay zero-cost by default.
+    Recognized keys (:data:`POLICY_KEYS`, optionally prefixed, e.g.
+    ``slow_retries``): ``retries`` (total attempts), ``retry_base`` /
+    ``retry_max`` (backoff window, seconds), ``breaker``
+    (consecutive-failure threshold), ``cooldown`` (breaker cooldown,
+    seconds).  Returns ``(None, None)`` when no resilience keys are
+    present, so URL grammars can stay zero-cost by default.
     """
 
     def value(key):

@@ -416,8 +416,8 @@ class FragmentStore:
     def close(self) -> None:
         """Release backend resources (no-op for local stores).
 
-        Remote clients close their connections and tiered stores stop
-        their transfer thread here; callers may always call it.
+        Remote clients close their connections and composite stores
+        close their backends here; callers may always call it.
         """
 
     def __enter__(self) -> "FragmentStore":

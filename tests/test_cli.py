@@ -131,3 +131,34 @@ class TestEndToEnd:
             "--out", str(tmp_path / "o3"),
         ])
         assert rc == 2
+
+    def test_stats_prints_tier_block_for_tiered_archive(self, npy_fields, capsys):
+        fields, paths, tmp_path = npy_fields
+        url = f"tiered://{tmp_path / 'fast'}?slow=sharded://{tmp_path / 'slow'}"
+        assert main(["archive", "--out", url, f"vx={paths['vx']}"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--archive", url]) == 0
+        out = capsys.readouterr().out
+        assert "(TieredStore)" in out
+        tier_lines = [line for line in out.splitlines() if line.startswith("tiers: fast ")]
+        assert len(tier_lines) == 1 and " / slow " in tier_lines[0]
+        assert "fast resident: " in out
+        for removed in ("promotion", "demotion", "write-back", "transfer cycle"):
+            assert removed not in out
+
+    def test_compact_reclaims_both_tiers_of_a_tiered_archive(self, tmp_path, capsys):
+        from repro.storage.store import open_store
+
+        url = f"tiered://{tmp_path / 'fast'}?slow=sharded://{tmp_path / 'slow'}"
+        store = open_store(url)
+        store.put_many([("v", f"s{i}", bytes([i]) * 32) for i in range(3)])
+        store.delete("v", "s0")
+        store.close()
+        assert main(["compact", "--archive", url]) == 0
+        # the deleted fragment was written through, so each tier drops a copy
+        assert "2 dead file(s) unlinked, 64 B reclaimed" in capsys.readouterr().out
+        reopened = open_store(url)
+        assert reopened.durability().dead_bytes == 0
+        assert set(reopened.keys()) == {("v", "s1"), ("v", "s2")}
+        assert reopened.get("v", "s2") == bytes([2]) * 32
+        reopened.close()

@@ -10,15 +10,16 @@ either.  These tests hammer those promises with real threads:
   the model;
 * a live streaming ingest racing retrieval and compaction through a
   :class:`RetrievalService`;
-* the tiered write-back demotion race from the transfer manager
-  (demote's read-put-delete vs a concurrent overwrite) — a lost update
-  here silently serves stale bytes, which is exactly what the
-  ``_mutate_lock`` serialization exists to prevent.
+* concurrent overwrites and deletes of the same keys through a tiered
+  store — without the ``_mutate_lock`` serialization the two tiers end
+  up holding different payloads for one key, or only one tier keeps it.
 
 Failures here are race conditions: rerun counts are kept high enough
 to make the windows real but runtimes stay a few seconds per test.
 """
 
+import functools
+import sys
 import threading
 
 import numpy as np
@@ -27,7 +28,7 @@ import pytest
 from repro.core.qois import qoi_from_spec
 from repro.core.retrieval import QoIRequest
 from repro.service.service import RetrievalService
-from repro.storage.store import DiskFragmentStore, ShardedDiskStore
+from repro.storage.store import DiskFragmentStore, FragmentStore, ShardedDiskStore
 from repro.storage.tiered import TieredStore
 
 LAYOUTS = [
@@ -165,53 +166,92 @@ class TestConcurrentServiceIngest:
         service.close()
 
 
-class TestTieredWriteBackRace:
-    def test_demotion_never_loses_a_concurrent_overwrite(self, tmp_path):
-        """The PR-5 write-back race: demote vs overwrite of the same key.
+class TestTieredMutationLock:
+    def test_tiers_agree_after_concurrent_overwrites_and_deletes(self):
+        """Writers overwrite and delete the same keys through ``transact``.
 
-        With a tiny fast budget every transfer cycle demotes victims via
-        read → slow.put → fast.delete.  An overwrite landing between
-        those steps must win: afterwards every key serves its *latest*
-        payload.  Without the mutation lock this test loses updates
-        within a few cycles.
+        Every transaction lands on the fast tier, then the slow tier.
+        Two unserialized writers of one key can land in opposite orders
+        per tier, and a delete can slip between a put's two halves; the
+        mutation lock makes each transaction whole on both tiers, so
+        after every round each key is on both tiers with one payload or
+        on neither.
+        """
+        store = TieredStore(FragmentStore(), FragmentStore())
+        keys = [("v", "s0"), ("v", "s1")]
+        writers, rounds = 4, 150
+        split = []
+
+        def check():  # runs once per round, while every writer waits
+            for key in keys:
+                fast, slow = store.fast.has(*key), store.slow.has(*key)
+                if fast != slow or slow != store.has(*key):
+                    split.append(f"{key}: on one tier only")
+                elif fast and store.fast.get(*key) != store.slow.get(*key):
+                    split.append(f"{key}: tiers disagree")
+
+        barrier = threading.Barrier(writers, action=check)
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for step in range(rounds):
+                for key in keys:
+                    if rng.random() < 0.25:
+                        try:
+                            store.transact((), [key])
+                        except KeyError:
+                            pass  # another writer deleted it first
+                    else:
+                        store.transact([(*key, bytes([seed, step % 251]) * 16)])
+                barrier.wait(timeout=60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleavings inside every transact
+        try:
+            _run_threads([functools.partial(work, w) for w in range(writers)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not split, split[:5]
+
+    def test_reads_racing_overwrites_serve_only_written_payloads(self, tmp_path):
+        """Readers of disk tiers never see a torn or unwritten payload.
+
+        Writers overwrite the same keys while readers fetch them in
+        batches; every payload a reader gets must be one some writer put,
+        whether the fast tier served it or a failed fast read fell back
+        to the slow tier.
         """
         store = TieredStore(
             DiskFragmentStore(str(tmp_path / "fast")),
             ShardedDiskStore(str(tmp_path / "slow"), fanout=8),
-            fast_budget_bytes=512,
-            policy="write-back",
         )
-        keys = [("v", f"s{i}") for i in range(8)]
-        stop = threading.Event()
-        versions = {key: 0 for key in keys}
+        keys = [("v", f"s{i}") for i in range(4)]
+        writers, rounds = 2, 60
 
-        def writer():
-            for version in range(1, 40):
-                for i, key in enumerate(keys):
-                    store.put(*key, bytes([i, version % 251]) * 40)
-                    versions[key] = version
+        def payload(key, seed, step):
+            return bytes([int(key[1][1:]), seed, step % 251]) * 24
 
-        def demoter():
-            while not stop.is_set():
-                store.transfer.run_once()
+        store.put_many([(*key, payload(key, 0, 0)) for key in keys])
+        written = {key: {payload(key, 0, 0)} for key in keys}
+        for key in keys:
+            for seed in range(writers):
+                written[key].update(payload(key, seed, step) for step in range(rounds))
+        finished = []
 
-        threads = [threading.Thread(target=writer)]
-        demote_thread = threading.Thread(target=demoter)
-        threads[0].start()
-        demote_thread.start()
-        threads[0].join(timeout=60)
-        stop.set()
-        demote_thread.join(timeout=60)
-        assert not demote_thread.is_alive()
+        def write(seed):
+            try:
+                for step in range(rounds):
+                    store.transact([(*key, payload(key, seed, step)) for key in keys])
+            finally:
+                finished.append(seed)
 
-        for i, key in enumerate(keys):
-            expected = bytes([i, versions[key] % 251]) * 40
-            assert store.get(*key) == expected, f"lost update on {key}"
-        store.flush()
+        def read():
+            while len(finished) < writers:
+                for key, got in store.get_many(keys).items():
+                    assert got in written[key], f"{key}: unwritten payload {got[:6]!r}"
+
+        _run_threads(
+            [functools.partial(write, w) for w in range(writers)] + [read, read]
+        )
+        assert store.fast.get_many(keys) == store.slow.get_many(keys)
         store.close()
-
-        # the durable slow tier holds the final versions too
-        slow = ShardedDiskStore(str(tmp_path / "slow"), fanout=8)
-        for i, key in enumerate(keys):
-            assert slow.get(*key) == bytes([i, versions[key] % 251]) * 40
-        slow.close()

@@ -118,23 +118,12 @@ class TestPutMany:
 
     def test_tiered_write_through(self):
         fast, slow = FragmentStore(), FragmentStore()
-        store = TieredStore(fast, slow, policy="write-through")
+        store = TieredStore(fast, slow)
         store.put_many(BATCH)
         assert fast.put_round_trips == 1 and slow.put_round_trips == 1
         for variable, segment, payload in BATCH:
             assert slow.get(variable, segment) == payload
             assert store.resident(variable, segment)
-
-    def test_tiered_write_back_flushes_in_one_batch(self):
-        fast, slow = FragmentStore(), FragmentStore()
-        store = TieredStore(fast, slow, policy="write-back")
-        store.put_many(BATCH)
-        assert slow.puts == 0  # nothing durable on the slow tier yet
-        assert store.stats().dirty_fragments == len(BATCH)
-        assert store.flush() == len(BATCH)
-        assert slow.put_round_trips == 1  # the whole dirty set, coalesced
-        for variable, segment, payload in BATCH:
-            assert slow.get(variable, segment) == payload
 
     def test_caching_adapter_invalidates_batch(self):
         inner = FragmentStore()
@@ -264,7 +253,6 @@ def store_factories(tmp_path):
         "tiered": lambda: TieredStore(
             FragmentStore(),
             ShardedDiskStore(str(tmp_path / "tslow"), fanout=4),
-            policy="write-through",
         ),
     }
 

@@ -197,37 +197,6 @@ class TestDurabilityOverURLSchemes:
         assert set(reopened.keys()) == {("v", "s2"), ("v", "s3")}
         reopened.close()
 
-    def test_tiered_compact_dead_url_param(self, tmp_path):
-        """``?compact_dead=`` arms background compaction per cycle."""
-        url = (
-            f"tiered://{tmp_path / 'fast'}?compact_dead=1"
-            f"&slow=file://{tmp_path / 'slow'}"
-        )
-        store = open_store(url)
-        assert store.transfer.compact_dead_bytes == 1
-        store.put("v", "s0", b"x" * 64)
-        store.put("v", "s1", b"y" * 64)
-        store.delete("v", "s0")
-        assert store.durability().dead_bytes > 0
-        cycle = store.transfer.run_once()
-        assert cycle["reclaimed_bytes"] > 0
-        assert store.durability().dead_bytes == 0
-        store.close()
-
-    def test_tiered_compact_dead_zero_disables(self, tmp_path):
-        url = (
-            f"tiered://{tmp_path / 'fast'}?compact_dead=0"
-            f"&slow=file://{tmp_path / 'slow'}"
-        )
-        store = open_store(url)
-        assert store.transfer.compact_dead_bytes is None
-        store.put("v", "s0", b"x" * 64)
-        store.delete("v", "s0")
-        cycle = store.transfer.run_once()
-        assert cycle["reclaimed_bytes"] == 0
-        assert store.durability().dead_bytes > 0  # left for explicit compact()
-        store.close()
-
     def test_snapshot_between_schemes(self, tmp_path):
         """snapshot/restore copy verbatim across any two URL schemes."""
         from repro.storage.snapshot import restore_store, snapshot_store
@@ -271,14 +240,9 @@ class TestLayoutAutoDetection:
         assert isinstance(open_store(f"file://{tmp_path / 'ar'}"), DiskFragmentStore)
 
     def test_tiered_reopen_autodetects_fast_layout(self, tmp_path):
-        url = (
-            f"tiered://{tmp_path / 'fast'}?slow=sharded://{tmp_path / 'slow'}"
-            f"&promote_after=1"
-        )
+        url = f"tiered://{tmp_path / 'fast'}?slow=sharded://{tmp_path / 'slow'}"
         store = open_store(url)
-        store.put("v", "s0", b"payload")
-        store.get("v", "s0")
-        store.transfer.run_once()
+        store.put("v", "s0", b"payload")  # write-through: lands on both tiers
         store.close()
         reopened = open_store(url)
         assert isinstance(reopened, TieredStore)
@@ -419,6 +383,17 @@ class TestURLParsing:
     def test_windows_style_drive_is_a_path(self):
         scheme, rest = split_store_url("C://not-a-scheme")
         assert scheme is None
+
+    @pytest.mark.parametrize(
+        "query", ["budget=4g", "policy=write-back", "promote_after=1",
+                  "interval=1", "start=1", "compact_dead=0"],
+    )
+    def test_tiered_rejects_removed_keys(self, tmp_path, query):
+        """Keys of the removed promotion/write-back machinery fail at open."""
+        key = query.partition("=")[0]
+        url = f"tiered://?slow=sharded://{tmp_path / 'slow'}&{query}"
+        with pytest.raises(ValueError, match=rf"unknown tiered:// key\(s\) {key} "):
+            open_store(url)
 
     def test_split_store_url(self):
         assert split_store_url("/plain/path") == (None, "/plain/path")

@@ -1,16 +1,30 @@
-"""Tests for the tiered storage fabric (TieredStore + TransferManager)."""
+"""Tests for the tiered storage fabric (a write-through TieredStore)."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.compressors.base import make_refactorer
-from repro.core.qois import qoi_from_spec
+from repro.core.qois import qoi_from_spec, total_velocity
 from repro.core.retrieval import QoIRequest, refactor_dataset
+from repro.data import generators
 from repro.service.service import RetrievalService
 from repro.storage.archive import Archive
-from repro.storage.remote import InMemoryObjectBucket, KeyValueFragmentStore
-from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
-from repro.storage.tiered import TieredStore, TransferManager
+from repro.storage.remote import (
+    HTTPFragmentServer,
+    InMemoryObjectBucket,
+    KeyValueFragmentStore,
+)
+from repro.storage.resilience import ResilienceStats
+from repro.storage.store import (
+    DiskFragmentStore,
+    FragmentStore,
+    ShardedDiskStore,
+    open_store,
+)
+from repro.storage.tiered import TieredStore
+from repro.utils.fragment_keys import timestep_variable
 
 
 def seeded_slow(entries):
@@ -48,15 +62,15 @@ class TestTieredReads:
 
     def test_mixed_batch_splits_between_tiers(self):
         slow = seeded_slow(PAYLOADS)
-        store = TieredStore(FragmentStore(), slow, promote_after=1)
-        store.get_many([("v", "s0"), ("v", "s1")])
-        store.transfer.run_once()  # s0/s1 now resident
+        store = TieredStore(FragmentStore(), slow)
+        store.put_many([(v, s, PAYLOADS[v, s]) for v, s in (("v", "s0"), ("v", "s1"))])
+        assert store.resident("v", "s0") and store.resident("v", "s1")
         before = slow.round_trips
         out = store.get_many([("v", "s0"), ("v", "s1"), ("v", "s2"), ("v", "s3")])
         assert out == {k: PAYLOADS[k] for k in out}
         assert slow.round_trips == before + 1  # only the two misses went slow
         stats = store.stats()
-        assert stats.fast_hits >= 2
+        assert stats.fast_hits == 2 and stats.slow_hits == 2
 
     def test_missing_key_raises_without_touching_tiers(self):
         slow = seeded_slow(PAYLOADS)
@@ -68,204 +82,109 @@ class TestTieredReads:
         assert ("v", "nope") in exc.value.args[0]
         assert slow.reads == 0
 
-    def test_demotion_racing_get_falls_back_to_slow(self):
-        slow = seeded_slow(PAYLOADS)
-        store = TieredStore(FragmentStore(), slow, promote_after=1)
-        store.get("v", "s0")
-        store.transfer.run_once()
+    def test_failed_fast_read_falls_back_to_slow(self):
+        class FailingFast(FragmentStore):
+            failing = False
+
+            def get_many(self, keys):
+                if self.failing:
+                    raise OSError("fast tier read failed")
+                return super().get_many(keys)
+
+        slow, fast = FragmentStore(), FailingFast()
+        store = TieredStore(fast, slow)
+        store.put("v", "s0", b"payload")  # write-through: resident on both
         assert store.resident("v", "s0")
-        # simulate a demotion the residency snapshot missed
-        store.fast.delete("v", "s0")
-        assert store.get("v", "s0") == PAYLOADS[("v", "s0")]
+        fast.failing = True
+        assert store.get("v", "s0") == b"payload"
+        stats = store.stats()
+        assert stats.fast_hits == 0 and stats.slow_hits == 1
+
+    def test_resilience_is_all_zero_over_an_unwrapped_slow_tier(self):
+        store = TieredStore(FragmentStore(), seeded_slow(PAYLOADS))
+        assert store.get_many(list(PAYLOADS)) == PAYLOADS
+        assert store.resilience() == ResilienceStats()
 
 
 class TestTieredWrites:
     def test_write_through_lands_on_both_tiers(self):
         slow, fast = FragmentStore(), FragmentStore()
-        store = TieredStore(fast, slow, policy="write-through")
+        store = TieredStore(fast, slow)
         store.put("w", "s0", b"abc")
         assert slow.get("w", "s0") == b"abc"
         assert fast.get("w", "s0") == b"abc"
-        assert store.stats().dirty_fragments == 0
-
-    def test_write_back_defers_slow_tier_until_flush(self):
-        slow, fast = FragmentStore(), FragmentStore()
-        store = TieredStore(fast, slow, policy="write-back")
-        store.put("w", "s0", b"abc")
-        assert not slow.has("w", "s0")
-        assert store.get("w", "s0") == b"abc"  # served from fast meanwhile
-        assert store.stats().dirty_fragments == 1
-        assert store.flush() == 1
-        assert slow.get("w", "s0") == b"abc"
-        assert store.stats().dirty_fragments == 0
-
-    def test_close_flushes_write_backs(self):
-        slow = FragmentStore()
-        store = TieredStore(FragmentStore(), slow, policy="write-back")
-        store.put("w", "s0", b"abc")
-        store.close()
-        assert slow.get("w", "s0") == b"abc"
+        assert store.get("w", "s0") == b"abc"
+        assert store.stats().fast_hits == 1 and slow.reads == 1
 
     def test_delete_removes_from_both_tiers(self):
         slow = seeded_slow(PAYLOADS)
-        store = TieredStore(FragmentStore(), slow, promote_after=1)
-        store.get("v", "s0")
-        store.transfer.run_once()
+        store = TieredStore(FragmentStore(), slow)
+        store.put("v", "s0", b"resident")
         store.delete("v", "s0")
         assert not store.has("v", "s0")
+        assert not store.fast.has("v", "s0")
         assert not slow.has("v", "s0")
         with pytest.raises(KeyError):
             store.get("v", "s0")
 
-    def test_delete_racing_flush_does_not_resurrect_in_slow_tier(self):
-        """A delete landing mid-flush must not leave a copy in the slow
-        tier (which would resurrect the fragment on reopen)."""
-        holder = {}
-
-        class RacingSlow(FragmentStore):
-            def transact(self, puts, deletes=()):
-                puts = list(puts)
-                super().transact(puts, deletes)
-                tiered = holder.get("store")
-                for variable, segment, _ in puts:
-                    if tiered is not None and tiered.has(variable, segment):
-                        tiered.delete(variable, segment)  # client delete mid-flush
-
-        slow = RacingSlow()
-        store = TieredStore(FragmentStore(), slow, policy="write-back")
-        holder["store"] = store
-        store.put("w", "s0", b"abc")
-        store.flush()
-        assert not store.has("w", "s0")
-        assert not slow.has("w", "s0")  # the flushed copy was undone
-
-    def test_reput_racing_flush_keeps_dirty_mark(self):
-        """A re-put landing while its old payload is being flushed must
-        keep the key dirty, so the newer bytes reach the slow tier on
-        the next cycle instead of being silently dropped."""
-        holder = {}
-
-        class RacingSlow(FragmentStore):
-            def transact(self, puts, deletes=()):
-                super().transact(puts, deletes)
-                tiered = holder.get("store")
-                if tiered is not None and not holder.get("raced"):
-                    holder["raced"] = True
-                    tiered.put("w", "s0", b"NEWER")  # client re-put mid-flush
-
-        slow = RacingSlow()
-        store = TieredStore(FragmentStore(), slow, policy="write-back")
-        holder["store"] = store
+    def test_overwrite_replaces_the_payload_on_both_tiers(self):
+        slow, fast = FragmentStore(), FragmentStore()
+        store = TieredStore(fast, slow)
         store.put("w", "s0", b"old")
-        assert store.flush() == 0  # the staged payload was superseded mid-flight
-        assert store.stats().dirty_fragments == 1
-        assert store.flush() == 1
-        assert slow.get("w", "s0") == b"NEWER"
+        store.put("w", "s0", b"newer")
+        assert fast.get("w", "s0") == slow.get("w", "s0") == b"newer"
+        assert store.get("w", "s0") == b"newer"
+        assert store.size_of("w", "s0") == len(b"newer")
 
-    def test_delete_racing_promotion_leaves_no_fast_orphan(self):
-        """A delete landing mid-promotion must not leave an unreachable
-        fast-tier copy eating the byte budget."""
-        holder = {}
+    def test_transact_is_one_put_round_trip_per_tier(self):
+        slow, fast = seeded_slow(PAYLOADS), FragmentStore()
+        store = TieredStore(fast, slow)
+        before = slow.put_round_trips
+        doomed = [("v", "s0"), ("v", "s1")]
+        store.transact([("w", "s0", b"a"), ("w", "s1", b"bb")], doomed)
+        assert fast.put_round_trips == 1 and slow.put_round_trips == before + 1
+        expected = (set(PAYLOADS) - set(doomed)) | {("w", "s0"), ("w", "s1")}
+        assert set(store.keys()) == set(slow.keys()) == expected
+        assert set(fast.keys()) == {("w", "s0"), ("w", "s1")}
 
-        class RacingFast(FragmentStore):
-            def transact(self, puts, deletes=()):
-                puts = list(puts)
-                super().transact(puts, deletes)
-                tiered = holder.get("store")
-                for variable, segment, _ in puts:
-                    if tiered is not None and tiered.has(variable, segment):
-                        tiered.delete(variable, segment)  # client delete mid-promotion
+    def test_delete_of_a_fast_only_key_leaves_the_slow_tier_alone(self):
+        slow, fast = seeded_slow(PAYLOADS), FragmentStore()
+        fast.put("pre", "warm", b"fast-only")
+        store = TieredStore(fast, slow)
+        store.delete("pre", "warm")
+        assert not store.has("pre", "warm") and not fast.has("pre", "warm")
+        assert set(slow.keys()) == set(PAYLOADS)
 
-        slow = seeded_slow({("v", "s0"): b"payload"})
-        store = TieredStore(RacingFast(), slow, promote_after=1)
-        holder["store"] = store
-        store.get("v", "s0")
-        store.transfer.run_once()
-        assert not store.has("v", "s0")
-        assert not store.resident("v", "s0")
-        assert not store.fast.has("v", "s0")  # no orphan copy
-        assert store.stats().promotions == 0
+    def test_delete_of_an_unknown_key_raises_and_touches_no_tier(self):
+        slow = seeded_slow(PAYLOADS)
+        store = TieredStore(FragmentStore(), slow)
+        with pytest.raises(KeyError):
+            store.delete("v", "nope")
+        assert set(store.keys()) == set(slow.keys()) == set(PAYLOADS)
+
+    def test_close_leaves_every_write_durable_on_the_slow_tier(self, tmp_path):
+        slow_dir = str(tmp_path / "slow")
+        store = TieredStore(
+            DiskFragmentStore(str(tmp_path / "fast")),
+            ShardedDiskStore(slow_dir, fanout=4),
+        )
+        store.put_many([(v, s, p) for (v, s), p in PAYLOADS.items()])
+        store.delete("v", "s0")
+        store.close()
+        # no flush step: the slow tier alone reopens with every write
+        slow = ShardedDiskStore(slow_dir, fanout=4)
+        expected = {k: p for k, p in PAYLOADS.items() if k != ("v", "s0")}
+        assert set(slow.keys()) == set(expected)
+        assert slow.get_many(list(expected)) == expected
+        slow.close()
 
     def test_rejects_unknown_policy_and_bad_knobs(self):
-        with pytest.raises(ValueError):
-            TieredStore(FragmentStore(), FragmentStore(), policy="write-around")
-        with pytest.raises(ValueError):
-            TieredStore(FragmentStore(), FragmentStore(), promote_after=0)
-        with pytest.raises(ValueError):
-            TransferManager(
-                TieredStore(FragmentStore(), FragmentStore()), interval=0
-            )
-
-
-class TestPromotionDemotion:
-    def test_hot_fragments_promote_in_one_coalesced_batch(self):
-        slow = seeded_slow(PAYLOADS)
-        store = TieredStore(FragmentStore(), slow, promote_after=2)
-        for _ in range(2):
-            store.get_many([("v", "s0"), ("v", "s1")])
-        store.get("v", "s7")  # only one access: below the threshold
-        before = slow.round_trips
-        moved = store.transfer.run_once()
-        assert moved["promoted"] == 2
-        assert slow.round_trips == before + 1  # one batched promotion read
-        assert store.resident("v", "s0") and store.resident("v", "s1")
-        assert not store.resident("v", "s7")
-
-    def test_promotion_respects_byte_budget(self):
-        slow = seeded_slow(PAYLOADS)
-        budget = len(PAYLOADS[("v", "s0")]) + len(PAYLOADS[("v", "s1")])
-        store = TieredStore(
-            FragmentStore(), slow, fast_budget_bytes=budget, promote_after=1
-        )
-        store.get_many(list(PAYLOADS))
-        store.transfer.run_once()
-        assert store.fast.nbytes() <= budget
-        assert store.stats().promotions >= 1
-
-    def test_demotion_evicts_coldest_first_and_preserves_data(self):
-        slow, fast = FragmentStore(), FragmentStore()
-        store = TieredStore(fast, slow, policy="write-back", fast_budget_bytes=8)
-        store.put("w", "cold", b"0123")
-        store.put("w", "warm", b"4567")
-        store.put("w", "hot", b"89ab")  # 12 B resident > 8 B budget
-        store.get("w", "warm")
-        store.get("w", "hot")
-        store.transfer.run_once()
-        assert store.fast.nbytes() <= 8
-        assert not store.resident("w", "cold")  # least recently touched
-        # demotion flushed the dirty fragment before deleting the fast copy
-        assert store.get("w", "cold") == b"0123"
-        assert store.stats().demotions >= 1
-
-    def test_promotion_tallies_reset_after_promotion(self):
-        slow = seeded_slow(PAYLOADS)
-        store = TieredStore(FragmentStore(), slow, promote_after=1)
-        store.get("v", "s0")
-        store.transfer.run_once()
-        # demote it again; without fresh traffic it must not re-promote
-        store.fast_budget_bytes = 0
-        store.transfer.run_once()
-        assert not store.resident("v", "s0")
-        store.fast_budget_bytes = None
-        moved = store.transfer.run_once()
-        assert moved["promoted"] == 0
-
-    def test_background_thread_lifecycle(self):
-        store = TieredStore(
-            FragmentStore(), seeded_slow(PAYLOADS), transfer_interval=0.01,
-            promote_after=1,
-        )
-        manager = store.start_transfer()
-        assert manager.running
-        store.get("v", "s0")
-        import time
-
-        deadline = time.monotonic() + 5.0
-        while not store.resident("v", "s0") and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert store.resident("v", "s0")  # the thread promoted it
-        store.close()
-        assert not manager.running
+        # the store is write-through with no budget and no mover: the
+        # knobs of those mechanisms are gone, not silently ignored
+        for knob in ("fast_budget_bytes", "policy", "promote_after",
+                     "transfer_interval", "compact_dead_bytes"):
+            with pytest.raises(TypeError):
+                TieredStore(FragmentStore(), FragmentStore(), **{knob: 1})
 
 
 class TestTieredURL:
@@ -274,13 +193,9 @@ class TestTieredURL:
         slow = ShardedDiskStore(slow_dir)
         slow.put("v", "s0", b"payload")
         store = open_store(
-            f"tiered://{tmp_path / 'fast'}?slow={slow_dir}&budget=1k"
-            f"&promote_after=3&policy=write-back"
+            f"tiered://{tmp_path / 'fast'}?slow={slow_dir}"
         )
         assert isinstance(store, TieredStore)
-        assert store.fast_budget_bytes == 1024
-        assert store.promote_after == 3
-        assert store.policy == "write-back"
         assert store.get("v", "s0") == b"payload"
         store.close()
 
@@ -325,7 +240,7 @@ class TestTieredRetrievalIntegration:
         slow = KeyValueFragmentStore(InMemoryObjectBucket())
         for var, seg in ShardedDiskStore(archive_dir).keys():
             slow.put(var, seg, ShardedDiskStore(archive_dir).get(var, seg))
-        tiered = TieredStore(FragmentStore(), slow, promote_after=1)
+        tiered = TieredStore(FragmentStore(), slow)
         service = RetrievalService(tiered, value_ranges=ranges)
         with service.open_session() as session:
             result = session.retrieve(
@@ -340,31 +255,12 @@ class TestTieredRetrievalIntegration:
         assert stats.tiers is not None
         assert stats.tiers.slow_hits == slow.reads
 
-    def test_promoted_rerun_is_bit_identical_and_mostly_fast(self, archived):
+    def test_written_through_archive_serves_the_ladder_from_the_fast_tier(self, archived):
         archive_dir, ranges, qoi, qoi_range = archived
-        slow = ShardedDiskStore(archive_dir)
-        tiered = TieredStore(FragmentStore(), slow, promote_after=1)
-
-        def run():
-            service = RetrievalService(tiered, value_ranges=ranges)
-            with service.open_session() as session:
-                return session.retrieve([QoIRequest("vtot", qoi, 1e-3, qoi_range)])
-
-        cold = run()
-        cold_slow_trips = tiered.stats().slow_round_trips
-        tiered.transfer.run_once()
-        warm = run()
-        warm_slow_trips = tiered.stats().slow_round_trips - cold_slow_trips
-        assert warm.total_bytes == cold.total_bytes
-        assert warm.estimated_errors == cold.estimated_errors
-        for name in cold.data:
-            assert np.array_equal(cold.data[name], warm.data[name])
-        # promotion reads cost one batch; the warm run itself needs at
-        # most stray trips for fragments promotion could not see
-        assert warm_slow_trips <= max(2, cold_slow_trips // 2)
-
-    def test_budget_promotion_and_demotion_keep_the_ladder_identical(self, archived):
-        archive_dir, ranges, qoi, qoi_range = archived
+        source = ShardedDiskStore(archive_dir)
+        slow = FragmentStore()
+        tiered = TieredStore(FragmentStore(), slow)
+        tiered.put_many([(v, s, source.get(v, s)) for v, s in source.keys()])
 
         def ladder(store):
             service = RetrievalService(store, value_ranges=ranges)
@@ -374,27 +270,62 @@ class TestTieredRetrievalIntegration:
                     for tol in (1e-2, 1e-4)
                 ]
 
-        unbounded = TieredStore(FragmentStore(), ShardedDiskStore(archive_dir), promote_after=1)
-        ladder(unbounded)
-        unbounded.transfer.run_once()
-        # a budget below what the ladder promotes, then an operator halving it
-        budget = int(unbounded.stats().promoted_bytes * 0.6)
-        tiered = TieredStore(
-            FragmentStore(), ShardedDiskStore(archive_dir),
-            fast_budget_bytes=budget, promote_after=1,
-        )
-        cold = ladder(tiered)
-        tiered.transfer.run_once()
-        promoted = ladder(tiered)
-        tiered.fast_budget_bytes = budget // 2
-        tiered.transfer.run_once()
-        assert tiered.fast.nbytes() <= budget // 2
-        shrunk = ladder(tiered)
+        for direct, through in zip(ladder(source), ladder(tiered)):
+            assert through.total_bytes == direct.total_bytes
+            assert through.estimated_errors == direct.estimated_errors
+            for name in direct.data:
+                assert np.array_equal(direct.data[name], through.data[name])
+        # every fragment was written through, so the slow tier serves none
         stats = tiered.stats()
-        assert stats.promotions > 0 and stats.demotions > 0
-        for run in (promoted, shrunk):
-            for a, b in zip(cold, run):
-                assert a.total_bytes == b.total_bytes
-                assert a.estimated_errors == b.estimated_errors
-                for name in a.data:
-                    assert np.array_equal(a.data[name], b.data[name])
+        assert stats.fast_hits > 0 and stats.slow_hits == 0
+        assert slow.reads == 0
+
+
+class TestNoBackgroundReads:
+    def test_tiered_service_reads_only_what_requests_miss(self, tmp_path):
+        """Over a two-node cluster, every node-disk read is a slow-tier hit.
+
+        The service's fragment cache keeps the hot set, so the tiered
+        store copies nothing into its fast tier and runs no thread: after
+        a ladder run twice, the fast tier is empty and the node disks
+        served exactly the fragments the tiered store fetched.
+        """
+        disks = [ShardedDiskStore(str(tmp_path / f"node{i}")) for i in range(2)]
+        servers = [HTTPFragmentServer(disk).start() for disk in disks]
+        try:
+            nodes = ",".join("%s:%d" % server.address for server in servers)
+            cluster = f"cluster://{nodes}?replicas=2"
+            data = generators.hurricane(shape=(6, 16, 16), seed=1)
+            ingest = RetrievalService.open(cluster)
+            ingest.ingest(data, method="pmgard_hb", timestep=0)
+            ingest.close()
+
+            wind = ("velocity_x", "velocity_y", "velocity_z")
+            names = [timestep_variable(f, 0) for f in wind]
+            qoi = total_velocity(*names)
+            qrange = float(np.ptp(qoi.value({n: (data[f], 0.0) for n, f in zip(names, wind)})))
+            disk_reads = sum(disk.reads for disk in disks)
+            service = RetrievalService.open("tiered://?slow=" + cluster)
+            try:
+                for _ in range(2):
+                    with service.open_session() as session:
+                        for tolerance in (1e-1, 1e-2, 1e-3):
+                            result = session.retrieve(
+                                [QoIRequest("vtot", qoi, tolerance, qrange)]
+                            )
+                            assert result.all_satisfied
+                tiers = service.stats().tiers
+                assert service.store.inner.fast.nbytes() == 0
+                assert not any(
+                    thread.name == "repro-tier-transfer" and thread.is_alive()
+                    for thread in threading.enumerate()
+                )
+                assert tiers.slow_hits > 0 and tiers.fast_hits == 0
+                assert sum(disk.reads for disk in disks) - disk_reads == tiers.slow_hits
+            finally:
+                service.close()
+        finally:
+            for server in servers:
+                server.stop()
+            for disk in disks:
+                disk.close()

@@ -287,9 +287,9 @@ class TestInMemoryConcurrency:
 
     At the parent its index totals were updated outside any lock, and 8
     threads of puts lost bytes from ``nbytes()`` in 4 of 5 trials — on the
-    store that is the default tiered fast tier (whose byte budget reads
-    ``nbytes()``) and what ``memory://`` serves behind the threaded HTTP
-    server.
+    store that is the default tiered fast tier (whose ``nbytes()`` is the
+    ``fast_resident_bytes`` of its stats) and what ``memory://`` serves
+    behind the threaded HTTP server.
     """
 
     WRITERS, PUTS, DOOMED = 8, 4000, 2000
