@@ -26,7 +26,7 @@ adding or replacing variables — or appending ``--timestep`` qualified
 steps — without rewriting untouched fragments.  ``retrieve`` runs the
 QoI-preserved retrieval loop against the archive — lazily loaded and
 driven by the pipelined engine (``--pipeline-depth`` /
-``--fetch-workers`` tune it, ``--serial`` disables it) — and writes the
+``--fetch-workers`` tune it) — and writes the
 reconstructed variables plus a JSON report of the guaranteed errors.
 ``serve`` exposes the archive to many concurrent clients over TCP behind
 a shared fragment cache (``--metrics-port`` adds the HTTP operability
@@ -216,15 +216,12 @@ def _cmd_retrieve(args) -> int:
     missing = [f for f in fields if f not in manifest.variables]
     if missing:
         raise SystemExit(f"fields not in archive: {missing}")
-    archive = Archive(store)
-    lazy = not args.serial
-    refactored = archive.load_dataset(fields, lazy=lazy)
+    refactored = Archive(store).load_dataset(fields, lazy=True)
     retriever = QoIRetriever(
         refactored,
         manifest.value_ranges(),
         pipeline_depth=args.pipeline_depth,
         max_workers=args.fetch_workers,
-        hedge_delay_s=None if args.hedge_ms is None else args.hedge_ms / 1000.0,
     )
     request = QoIRequest(args.qoi, qoi, args.tolerance, args.qoi_range)
     result = retriever.retrieve(
@@ -363,8 +360,7 @@ def _cmd_stats(args) -> int:
     if admitted or shed or degraded:
         print(f"admission: {admitted} admitted / {shed} shed / "
               f"{degraded} degraded "
-              f"({stats.get('requests_inflight', 0)} in flight, "
-              f"{stats.get('hedged_fetches', 0)} hedged fetch(es))")
+              f"({stats.get('requests_inflight', 0)} in flight)")
         if stats.get("worst_degraded_ratio", 0.0) > 0:
             print(f"  worst degraded error/tolerance ratio: "
                   f"{stats['worst_degraded_ratio']:.2f}x")
@@ -419,7 +415,6 @@ def _cmd_serve(args) -> int:
         max_workers=args.fetch_workers,
         max_inflight=args.max_inflight,
         client_rate=args.client_rate,
-        hedge_delay_s=None if args.hedge_ms is None else args.hedge_ms / 1000.0,
         shared_planner=not args.no_shared_planner,
         coalesce_ms=args.coalesce_ms,
         slow_trip_rate=args.slow_trips_per_s,
@@ -625,8 +620,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="reduction steps a fetching round is widened by (0 disables)")
     p_ret.add_argument("--fetch-workers", type=int, default=DEFAULT_MAX_WORKERS,
                        help="fetch-stage threads (0 fetches synchronously)")
-    p_ret.add_argument("--serial", action="store_true",
-                       help="eager per-fragment loading (the pre-pipeline behavior)")
     p_ret.add_argument("--retry", type=int, default=0,
                        help="store attempts per operation under transient "
                             "faults (0 disables retries)")
@@ -638,9 +631,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_ret.add_argument("--deadline-ms", type=float, default=None,
                        help="retrieval wall-time budget; on expiry the best "
                             "bounds achieved so far are returned (degraded)")
-    p_ret.add_argument("--hedge-ms", type=float, default=None,
-                       help="duplicate a round's last straggler fetch after "
-                            "this many ms (tail-latency hedging)")
     p_ret.set_defaults(func=_cmd_retrieve)
 
     p_serve = sub.add_parser(
@@ -676,8 +666,6 @@ def make_parser() -> argparse.ArgumentParser:
                               "backing store (0 disables the breaker)")
     p_serve.add_argument("--breaker-cooldown", type=float, default=5.0,
                          help="seconds an open breaker waits before probing")
-    p_serve.add_argument("--hedge-ms", type=float, default=None,
-                         help="per-session straggler-fetch hedging delay in ms")
     p_serve.add_argument("--no-shared-planner", action="store_true",
                          help="disable the cross-request plan cache and "
                               "round-merging fetch scheduler (results are "

@@ -45,7 +45,6 @@ from repro.core.pipeline import (
     DEFAULT_PIPELINE_DEPTH,
     FetchPipeline,
     PipelineConfig,
-    pipeline_sources,
 )
 from repro.storage.resilience import DegradedError, TRANSIENT_ERRORS
 from repro.utils.timing import Stopwatch
@@ -94,6 +93,7 @@ class QoIRequest:
 
     @property
     def absolute_tolerance(self) -> float:
+        """The tolerance in QoI units: ``tolerance * qoi_range``."""
         return float(self.tolerance) * float(self.qoi_range)
 
     def masked_bound(self, bound):
@@ -142,15 +142,18 @@ class RetrievalResult:
     degraded: bool = False
     #: Why the result is degraded (None when it is not).
     degraded_reason: str | None = None
-    #: Straggler fetches the pipeline hedged with a duplicate read.
+    #: Always 0: the fetch stage no longer hedges.  Kept because the
+    #: benchmark's workloads read it.
     hedged_fetches: int = 0
 
     @property
     def total_bytes(self) -> int:
+        """Bytes moved for this answer, summed over its variables."""
         return int(sum(self.bytes_per_variable.values()))
 
     @property
     def all_satisfied(self) -> bool:
+        """Whether every requested QoI met its tolerance."""
         return all(self.satisfied.values())
 
 
@@ -184,14 +187,9 @@ class QoIRetriever:
         Algorithm 4's ``c`` (paper default 1.5).
     pipeline_depth / max_workers:
         Fetch/decode pipeline knobs (see
-        :class:`~repro.core.pipeline.PipelineConfig`), effective for
-        variables loaded lazily from an archive: a round that has
-        fragments to fetch moves them in coalesced batches, widened by
-        ``pipeline_depth`` reduction steps so the predicted next
-        round(s) find theirs already arrived.  For purely
-        in-memory representations the pipeline is inert — the loop is
-        identical either way, which is what keeps pipelined and serial
-        retrieval bit-identical.
+        :class:`~repro.core.pipeline.PipelineConfig`) for variables loaded
+        lazily from an archive; for in-memory representations the
+        pipeline is inert and the loop identical.
     """
 
     def __init__(
@@ -202,7 +200,6 @@ class QoIRetriever:
         reduction_factor: float = DEFAULT_REDUCTION_FACTOR,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         max_workers: int = DEFAULT_MAX_WORKERS,
-        hedge_delay_s: float | None = None,
     ):
         for name in refactored:
             if name not in value_ranges:
@@ -218,9 +215,7 @@ class QoIRetriever:
         self._masks.update(masks or {})
         self.reduction_factor = float(reduction_factor)
         self.pipeline = PipelineConfig(
-            pipeline_depth=int(pipeline_depth),
-            max_workers=int(max_workers),
-            hedge_delay_s=None if hedge_delay_s is None else float(hedge_delay_s),
+            pipeline_depth=int(pipeline_depth), max_workers=int(max_workers)
         )
         #: Optional shared :class:`~repro.service.planner.QueryPlanner`
         #: memoizing estimation seeds, ``plan_segments`` results, decoded
@@ -509,15 +504,9 @@ class RetrievalSession:
         self,
         requests,
         max_rounds: int = 100,
-        pipeline_depth: int | None = None,
-        max_workers: int | None = None,
         deadline_s: float | None = None,
-        hedge_delay_s: float | None = None,
     ) -> RetrievalResult:
         """Run the QoI-preserved retrieval loop for *requests*.
-
-        ``pipeline_depth`` / ``max_workers`` / ``hedge_delay_s`` override
-        the retriever's fetch/decode pipeline knobs for this call only.
 
         *deadline_s* bounds this call's wall time: the loop always runs
         at least one round, then stops tightening once the deadline has
@@ -563,16 +552,16 @@ class RetrievalSession:
         ebs = self._ebs
         achieved = self._achieved
 
-        config = retriever.pipeline
-        if pipeline_depth is not None or max_workers is not None or hedge_delay_s is not None:
-            config = PipelineConfig(
-                pipeline_depth=config.pipeline_depth if pipeline_depth is None else int(pipeline_depth),
-                max_workers=config.max_workers if max_workers is None else int(max_workers),
-                hedge_delay_s=config.hedge_delay_s if hedge_delay_s is None else float(hedge_delay_s),
-            )
-        sources = pipeline_sources({v: retriever._refactored[v] for v in involved})
+        # the archive fragment sources of lazily loaded variables; eager or
+        # in-memory representations have none and decode without prefetch
+        sources = {
+            v: retriever._refactored[v].fragment_source
+            for v in involved
+            if getattr(retriever._refactored[v], "fragment_source", None) is not None
+        }
         pipe = (
-            FetchPipeline(config, sink=retriever.fetch_sink) if sources else None
+            FetchPipeline(retriever.pipeline, sink=retriever.fetch_sink)
+            if sources else None
         )
         c = retriever.reduction_factor
         deadline = None if deadline_s is None else perf_counter() + float(deadline_s)
@@ -606,7 +595,6 @@ class RetrievalSession:
             stopwatch=sw,
             degraded=degraded,
             degraded_reason=degraded_reason if degraded else None,
-            hedged_fetches=pipe.hedged_fetches if pipe is not None else 0,
         )
 
     def _run_rounds(
@@ -712,8 +700,7 @@ class RetrievalSession:
             fetch_vars = [v for v, m in zip(involved, need) if m]
             # the fetch/decode stage is timed by hand: "decode" is the
             # reader compute, "fetch" everything else the stage blocked
-            # on (pure I/O wait) — the per-round split surfaces in
-            # FetchPipeline stats and ServiceStats
+            # on (pure I/O wait) — ServiceStats sums the split
             stage_started = perf_counter()
             compute_s = 0.0
             decoded.clear()
@@ -726,8 +713,8 @@ class RetrievalSession:
                             segments = self._plan_segments(v, readers[v], ebs[v])
                             if segments is not None:
                                 planned[v] = segments
-                    # fetch stage: coalesced, byte-balanced get_many batches;
-                    # decode stage: consume variables in completion order
+                    # fetch stage: the round's coalesced get_many (through the
+                    # sink, or in pool batches); decode in completion order
                     groups = pipe.submit_round(self._round_entries(
                         involved, readers, ebs, sources, planned,
                         c ** pipe.config.pipeline_depth,
@@ -742,11 +729,8 @@ class RetrievalSession:
                 if not degradable(exc):
                     raise
                 degraded_reason = f"store unavailable: {exc}"
-            io_wait_s = perf_counter() - stage_started - compute_s
-            sw.add("fetch", io_wait_s)
+            sw.add("fetch", perf_counter() - stage_started - compute_s)
             sw.add("decode", compute_s)
-            if pipe is not None:
-                pipe.record_round(io_wait_s, compute_s)
 
             with sw.section("estimate"):
                 for i, req in enumerate(requests):

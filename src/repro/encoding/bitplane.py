@@ -145,21 +145,26 @@ class BitplaneStream:
         return self.segment_bytes(0, self.num_planes)
 
 
+#: Most bitplanes a stream can carry: the encoder's fixed-point
+#: precision limit, so no archived stream holds more.
+MAX_PLANES = 62
+
+
 class BitplaneEncoder:
     """Encode/decode coefficient groups as progressive bitplanes.
 
     Parameters
     ----------
     num_planes:
-        Fixed-point precision ``P`` (<= 62).  60 makes double data
-        effectively lossless at full retrieval.
+        Fixed-point precision ``P`` (<= :data:`MAX_PLANES`).  60 makes
+        double data effectively lossless at full retrieval.
     backend:
         Lossless backend name for the per-plane payloads.
     """
 
     def __init__(self, num_planes: int = 32, backend: str = "zlib"):
-        if not 1 <= num_planes <= 62:
-            raise ValueError("num_planes must be in [1, 62]")
+        if not 1 <= num_planes <= MAX_PLANES:
+            raise ValueError(f"num_planes must be in [1, {MAX_PLANES}]")
         self.num_planes = int(num_planes)
         self.backend = get_backend(backend)
 

@@ -8,7 +8,7 @@ tiny threaded HTTP server to a running
 * ``GET /metrics`` — the full ``repro stats`` counter set (sessions,
   store reads/writes, cache hit rate, per-tier hits when tiered, the
   WAL durability counters, and the resilience surface: admitted / shed /
-  degraded request counts, hedged fetches, and the backing store's
+  degraded request counts, and the backing store's
   retry/breaker counters including the numeric
   ``repro_resilience_breaker_is_open``) in Prometheus text exposition
   format, every sample prefixed ``repro_``;

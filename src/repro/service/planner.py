@@ -32,16 +32,14 @@ rounds:
   keyed on the QoI and the states it reads.  Every memo invalidates on
   the per-variable generation bump a live ingest makes.
 * :class:`FetchScheduler` — **cross-request round merging**.  Sessions
-  submit whole round plans; a dedicated scheduler thread drains the
-  queue each tick, merges every concurrent round, claims segments
-  atomically through the shared fragment sources (dropping duplicates),
-  and issues ONE coalesced ``get_many`` per backing store — per shard
-  on a cluster backend, whose ``get_many`` fans out internally.
-  Results are demultiplexed to the waiting sessions as their stores
-  complete.  This extends single-flight from per-key to whole rounds:
-  rounds that queue while a fetch (or a
+  submit whole round plans; a scheduler thread drains the queue each
+  tick and runs the merged plan through the read path's one fetch
+  routine, :func:`~repro.storage.archive.prefetch_plans`: duplicates
+  drop at the shared fragment sources' claims, and each backing store
+  gets ONE coalesced ``get_many`` (per shard on a cluster backend).
+  Rounds that queue while a fetch (or a
   :class:`~repro.storage.resilience.TokenBucket` wait) is in flight
-  accumulate and merge into the next tick for free.
+  merge into the next tick for free.
 
 Sessions widen a fetching round with the fragments the next round is
 predicted to need (see :mod:`repro.core.pipeline`); the widening arrives
@@ -66,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.estimators import seed_bounds
+from repro.storage.archive import prefetch_plans
 from repro.storage.cache import DEFAULT_CACHE_BYTES
 
 #: Bound on memoized plans / estimation seeds: reader state tokens advance
@@ -498,36 +497,30 @@ class QueryPlanner:
 class _FetchRequest:
     """One session's round fetch awaiting the scheduler."""
 
-    __slots__ = ("plans", "event", "fetched", "error", "pending_stores")
+    __slots__ = ("plans", "event", "fetched", "error")
 
     def __init__(self, plans):
         self.plans = plans  # [(FragmentSource, [segment, ...]), ...]
         self.event = threading.Event()
         self.fetched = 0
         self.error: BaseException | None = None
-        self.pending_stores: set = set()  # store ids still owing this request
 
 
 class FetchScheduler:
     """Merge concurrent sessions' round fetches into coalesced store passes.
 
-    Sessions call :meth:`fetch` (blocking) from their pipeline's fetch
-    workers; a dedicated daemon thread drains the whole queue each tick,
-    so rounds that arrive while a fetch is in flight — or while a
+    Sessions call :meth:`fetch` (blocking) from their retrieval threads;
+    a dedicated daemon thread drains the whole queue each tick, so rounds
+    that arrive while a fetch is in flight — or while a
     :class:`~repro.storage.resilience.TokenBucket` gates the slow tier —
-    accumulate and merge into the next tick without any added idle
-    latency.  Per tick the merged plan is claimed atomically through the
-    shared :class:`~repro.storage.archive.FragmentSource` registry
-    (cross-request duplicates drop here) and fetched with one
-    ``get_many`` per backing store; a cluster store's ``get_many`` fans
-    out per shard internally, with replica failover, so a merged round
-    spanning a dead node still completes.
-
-    Failure semantics mirror :func:`~repro.storage.archive.prefetch_plans`:
-    a store error releases every still-claimed segment (its fragments
-    become refetchable immediately) and surfaces to exactly the
-    requests whose plans touched an unserved store;
-    requests fully served by earlier stores in the same tick succeed.
+    merge into the next tick without any added idle latency.  A tick is
+    one :func:`~repro.storage.archive.prefetch_plans` pass over the
+    merged plan: cross-request duplicates drop at the shared
+    :class:`~repro.storage.archive.FragmentSource` claims, and each
+    backing store gets one ``get_many`` (a cluster store fans it out per
+    shard, with replica failover).  A store error releases every
+    still-claimed segment and surfaces to exactly the requests that
+    claimed a segment which did not arrive.
     """
 
     def __init__(
@@ -573,11 +566,7 @@ class FetchScheduler:
         return request.fetched
 
     def fetch_speculative(self, plans) -> int:
-        """Alias of :meth:`fetch`, kept for callers that wrap it by name.
-
-        Speculation now travels inside the round's own plan (see
-        :mod:`repro.core.pipeline`); nothing in the program calls this.
-        """
+        """Alias of :meth:`fetch`; nothing calls it, the benchmark's tracer wraps it."""
         return self.fetch(plans)
 
     # -- the scheduling tick ---------------------------------------------------
@@ -607,56 +596,39 @@ class FetchScheduler:
                     request.event.set()  # no waiter may hang, whatever happened
 
     def _dispatch(self, batch) -> None:
-        planner = self._planner
-        with planner._lock:
-            planner._stats.scheduler_ticks += 1
-            planner._stats.merged_rounds += max(0, len(batch) - 1)
+        # one prefetch_plans pass over the merged plan, claimed in arrival
+        # order: the first round to plan a segment fetches it, later rounds
+        # ride along (their decode awaits the absorb)
+        claims: list = []
+        error = None
+        try:
+            prefetch_plans([plan for request in batch for plan in request.plans], claims)
+        except BaseException as exc:
+            error = exc
+        # demultiplex: a request owns what it claimed and fails iff some of
+        # that did not arrive; a store whose claims all arrived was one trip
+        owned = iter(claims)
+        served: dict = {}  # store id -> every segment claimed from it arrived
         deduped = 0
-        # claim in arrival order: the first round to plan a segment fetches
-        # it, later rounds ride along (their decode awaits the absorb)
-        by_store: dict = {}
         for request in batch:
             for source, segments in request.plans:
-                wanted = source.claim(segments)
-                deduped += len(segments) - len(wanted)
-                if wanted:
+                claimed = next(owned, [])
+                arrived = sum(map(source.fetched, claimed))
+                deduped += len(segments) - len(claimed)
+                request.fetched += arrived
+                if arrived < len(claimed):
+                    request.error = error
+                if claimed:
                     sid = id(source.store)
-                    request.pending_stores.add(sid)
-                    by_store.setdefault(sid, (source.store, []))[1].append(
-                        (request, source, wanted)
-                    )
-        if deduped:
-            planner._count("deduped_fragments", deduped)
-        outstanding = list(by_store.items())
-        while outstanding:
-            sid, (store, entries) = outstanding[0]
-            try:
-                payloads = store.get_many(
-                    [(source.variable, seg) for _, source, segs in entries for seg in segs]
-                )
-            except BaseException as exc:
-                # release every still-claimed segment — this store's and
-                # every unfetched one's — and attribute the error to the
-                # requests an unserved store was owing
-                for _, (_, failed_entries) in outstanding:
-                    for request, source, segs in failed_entries:
-                        source.release(segs)
-                        request.error = exc
-                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                    raise
-                return
-            per_source: dict = {}
-            for request, source, segs in entries:
-                request.fetched += len(segs)
-                bucket = per_source.setdefault(id(source), (source, {}))[1]
-                for seg in segs:
-                    bucket[seg] = payloads[(source.variable, seg)]
-            for source, arrived in per_source.values():
-                source.absorb(arrived)
-            for request, _, _ in entries:
-                request.pending_stores.discard(sid)
-            planner._count("coalesced_round_trips")
-            outstanding.pop(0)
+                    served[sid] = served.get(sid, True) and arrived == len(claimed)
+        with self._planner._lock:
+            stats = self._planner._stats
+            stats.scheduler_ticks += 1
+            stats.merged_rounds += len(batch) - 1
+            stats.deduped_fragments += deduped
+            stats.coalesced_round_trips += sum(served.values())
+        if isinstance(error, (KeyboardInterrupt, SystemExit)):
+            raise error
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -104,16 +104,15 @@ class ServiceStats:
     ``durability`` carries the backing store's WAL/compaction counters
     (:class:`~repro.storage.wal.DurabilityStats`; all zeros on backends
     without a commit log).  ``io_wait_seconds`` / ``compute_seconds`` /
-    ``retrieval_rounds`` aggregate the per-round compute-vs-I/O
-    wall-time split every client retrieval records (see
-    :meth:`~repro.core.pipeline.FetchPipeline.record_round`).
+    ``retrieval_rounds`` aggregate the compute-vs-I/O wall-time split
+    every client retrieval books on its
+    :class:`~repro.utils.timing.Stopwatch` (``"decode"`` / ``"fetch"``).
 
     The admission-control triple makes every overload outcome visible:
     ``requests_admitted`` / ``requests_shed`` / ``requests_degraded``
     partition traffic into the three explicit contracts (served at full
     tolerance, rejected with a retry hint, served with looser-but-valid
-    bounds).  ``requests_inflight`` is the instantaneous concurrency,
-    ``hedged_fetches`` counts duplicated straggler reads, and
+    bounds).  ``requests_inflight`` is the instantaneous concurrency, and
     ``worst_degraded_ratio`` is the largest achieved-error /
     requested-tolerance ratio any degraded request returned (1.0 would
     mean it met tolerance after all).  ``resilience`` carries the backing
@@ -145,7 +144,6 @@ class ServiceStats:
     requests_shed: int = 0
     requests_degraded: int = 0
     requests_inflight: int = 0
-    hedged_fetches: int = 0
     worst_degraded_ratio: float = 0.0
     resilience: ResilienceStats | None = None
     cluster: ClusterStats | None = None
@@ -175,15 +173,10 @@ class RetrievalService:
         verdicts) and the rest to the fragment cache.
     pipeline_depth / max_workers:
         Fetch/decode pipeline knobs every client session retrieves with
-        (see :class:`~repro.core.pipeline.PipelineConfig`).  Sessions
-        plan each round's fragment set up front and pull it through the
-        shared cache with single-flight *batched* loads, so concurrent
-        clients' overlapping rounds coalesce into shared store passes.
-    lazy_loading:
-        Load archived variables lazily (the default): opening a request's
-        variables costs two small store round trips in all and fragments
-        move only when a client's retrieval plan demands them.  Set False to restore the
-        eager fetch-everything-at-load behavior.
+        (see :class:`~repro.core.pipeline.PipelineConfig`).  With the
+        shared planner a session hands each round to the scheduler
+        inline, so ``max_workers`` only sizes the pool of
+        ``shared_planner=False`` sessions.
     max_inflight:
         Bound on concurrently-executing retrievals.  ``None`` (default)
         disables admission control entirely; with a bound, a request
@@ -194,9 +187,6 @@ class RetrievalService:
         Per-client :class:`~repro.storage.resilience.TokenBucket`
         parameters (requests/second and burst size, at least 1).
         ``client_rate=None`` (default) disables per-client rate limiting.
-    hedge_delay_s:
-        Straggler hedging delay for every client session's fetch
-        pipeline (see :class:`~repro.core.pipeline.PipelineConfig`).
     shared_planner:
         Run the cross-request :class:`~repro.service.planner.QueryPlanner`
         and :class:`~repro.service.planner.FetchScheduler` (the default):
@@ -232,11 +222,9 @@ class RetrievalService:
         reduction_factor: float = DEFAULT_REDUCTION_FACTOR,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         max_workers: int = DEFAULT_MAX_WORKERS,
-        lazy_loading: bool = True,
         max_inflight: int | None = None,
         client_rate: float | None = None,
         client_burst: float | None = None,
-        hedge_delay_s: float | None = None,
         shared_planner: bool = True,
         coalesce_ms: float | None = None,
         slow_trip_rate: float | None = None,
@@ -255,11 +243,8 @@ class RetrievalService:
         self.archive = Archive(self.store)
         self.reduction_factor = float(reduction_factor)
         self.pipeline = PipelineConfig(
-            pipeline_depth=int(pipeline_depth),
-            max_workers=int(max_workers),
-            hedge_delay_s=None if hedge_delay_s is None else float(hedge_delay_s),
+            pipeline_depth=int(pipeline_depth), max_workers=int(max_workers)
         )
-        self.lazy_loading = bool(lazy_loading)
         self._masks = dict(masks or {})
         self.manifest: DatasetManifest | None = None
         self._ranges: dict = {}
@@ -289,7 +274,6 @@ class RetrievalService:
         self._requests_admitted = 0
         self._requests_shed = 0
         self._requests_degraded = 0
-        self._hedged_fetches = 0
         self._worst_degraded_ratio = 0.0
         self._latency_ewma_s = 0.0  # recent retrieval wall time
         self.planner = QueryPlanner(answer_bytes=answer_bytes) if shared_planner else None
@@ -369,24 +353,12 @@ class RetrievalService:
             )
         return self._ranges[variable]
 
-    def load_refactored(self, variable: str, lazy: bool | None = None):
-        """Load one archived variable through the shared cache.
-
-        ``lazy=None`` follows the service's ``lazy_loading`` default and
-        is the one-variable form of :meth:`load_variables`; an explicit
-        *lazy* override bypasses the planner memo (it changes the load
-        shape).
-        """
-        if lazy is None:
-            return self.load_variables([variable])[variable]
-        with self._lock:
-            self._variables_loaded += 1
-        return self.archive.load(variable, lazy=lazy)
-
     def load_variables(self, variables) -> dict:
         """Open several archived variables as one batch; ``{name: Refactored}``.
 
-        The whole batch costs the archive's two open round trips (see
+        Loads are lazy: fragments move only when a client's retrieval
+        plan demands them, and the whole batch costs the archive's two
+        open round trips (see
         :meth:`~repro.storage.archive.Archive.load_dataset`) instead of
         two per variable.  With the shared planner on, loads memoize on
         ``(variable, generation)`` with single-flight, so N concurrent
@@ -400,7 +372,7 @@ class RetrievalService:
             generations = {name: self._generations.get(name, 0) for name in names}
 
         def loader(misses):
-            return self.archive.load_dataset(misses, lazy=self.lazy_loading)
+            return self.archive.load_dataset(misses, lazy=True)
 
         if self.planner is not None:
             return self.planner.load_many(generations, loader)
@@ -543,7 +515,6 @@ class RetrievalService:
             self._io_wait_seconds += result.stopwatch.get("fetch")
             self._compute_seconds += result.stopwatch.get("decode")
             self._retrieval_rounds += result.rounds
-            self._hedged_fetches += getattr(result, "hedged_fetches", 0)
             if getattr(result, "degraded", False):
                 self._requests_degraded += 1
                 self._worst_degraded_ratio = max(
@@ -613,7 +584,6 @@ class RetrievalService:
                 requests_shed=self._requests_shed,
                 requests_degraded=self._requests_degraded,
                 requests_inflight=self._inflight,
-                hedged_fetches=self._hedged_fetches,
                 worst_degraded_ratio=self._worst_degraded_ratio,
                 resilience=resilience,
                 cluster=cluster,
@@ -641,7 +611,6 @@ class ClientSession:
             reduction_factor=service.reduction_factor,
             pipeline_depth=service.pipeline.pipeline_depth,
             max_workers=service.pipeline.max_workers,
-            hedge_delay_s=service.pipeline.hedge_delay_s,
         )
         self._session = RetrievalSession(self._retriever)
         self._generations: dict = {}  # variable -> generation loaded at

@@ -69,7 +69,7 @@ from repro.storage.snapshot import SnapshotReport, restore_store, snapshot_store
 from repro.storage.tiered import TieredStore, TierStats
 from repro.storage.wal import CommitLog, CompactionReport, DurabilityStats
 from repro.storage.transfer import GlobusTransferModel, LatencyFragmentStore, TransferReport
-from repro.storage.archive import Archive, FragmentSource, prefetch_plans
+from repro.storage.archive import Archive, ArchiveIndexError, FragmentSource, prefetch_plans
 
 __all__ = [
     "FragmentStore",
@@ -107,6 +107,7 @@ __all__ = [
     "LatencyFragmentStore",
     "TransferReport",
     "Archive",
+    "ArchiveIndexError",
     "FragmentSource",
     "prefetch_plans",
 ]

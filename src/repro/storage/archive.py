@@ -42,7 +42,7 @@ from repro.compressors.psz3 import PSZ3Refactored
 from repro.compressors.psz3_delta import PSZ3DeltaRefactored
 from repro.compressors.sz3 import SZ3Blob, SZ3Compressor
 from repro.core.masking import ZeroMask
-from repro.encoding.bitplane import BitplaneStream
+from repro.encoding.bitplane import MAX_PLANES, BitplaneStream
 from repro.utils.fragment_keys import (
     COARSE_SEGMENT,
     INDEX_SEGMENT,
@@ -55,6 +55,86 @@ from repro.utils.fragment_keys import (
 )
 from repro.storage.store import FragmentStore
 from repro.transforms.multilevel import MultilevelDecomposition, MultilevelTransform
+
+
+class ArchiveIndexError(ValueError):
+    """A variable's archived index is malformed; nothing was built from it.
+
+    ``variable`` and ``field`` name what is wrong (``field`` is None when
+    the segment is not a JSON object at all).
+    """
+
+    def __init__(self, variable: str, field: str | None, problem: str):
+        self.variable, self.field = variable, field
+        where = "" if field is None else f" field {field!r}"
+        super().__init__(f"archive index of {variable!r}:{where} {problem}")
+
+
+def _int(v, low=None, high=None) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and (low is None or v >= low) and (high is None or v <= high))
+
+
+def _shape(v) -> bool:
+    return isinstance(v, list) and all(_int(n, 0) for n in v)
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_SHAPE = (_shape, "a shape")
+_COUNT = (lambda v: _int(v, 0), "a count")
+#: What the encoder writes: ``{field: (valid, what a valid value is)}``.
+_INDEX_FIELDS = {
+    "pmgard": {
+        "basis": _STRING, "max_levels": (lambda v: v is None or _int(v, 0), "null or a count"),
+        "min_size": _COUNT, "backend": _STRING, "coarse_shape": _SHAPE,
+        "level_shapes": (lambda v: isinstance(v, list) and all(map(_shape, v)), "a list of shapes"),
+        "streams": (lambda v: isinstance(v, list) and all(isinstance(m, dict) for m in v),
+                    "a list of objects"),
+    },
+    "stream": {
+        "shape": _SHAPE, "exponent": (lambda v: v is None or _int(v), "null or an integer"),
+        "num_planes": (lambda v: _int(v, 1, MAX_PLANES), f"an integer in [1, {MAX_PLANES}]"),
+    },
+    "snapshots": {
+        "shape": _SHAPE, "num_snapshots": _COUNT,
+        "has_lossless": (lambda v: isinstance(v, bool), "a boolean"),
+        "ebs": (lambda v: isinstance(v, list) and all(_int(e) or isinstance(e, float) for e in v),
+                "a list of numbers"),
+    },
+}
+
+
+def _parse_index(variable: str, payload: bytes) -> dict:
+    """Decode one variable's index segment, or raise :class:`ArchiveIndexError`."""
+
+    def check(obj, fields, prefix=""):
+        for name, (valid, what) in fields.items():
+            if name not in obj:
+                raise ArchiveIndexError(variable, prefix + name, "is missing")
+            if not valid(obj[name]):
+                raise ArchiveIndexError(variable, prefix + name, f"is {obj[name]!r}, not {what}")
+
+    try:
+        index = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
+        raise ArchiveIndexError(variable, None, f"is not UTF-8 JSON ({exc})") from None
+    if not isinstance(index, dict):
+        raise ArchiveIndexError(variable, None, f"is a JSON {type(index).__name__}, not an object")
+    kind = index.get("kind")
+    if kind not in ("pmgard", "psz3", "psz3_delta"):
+        problem = "is missing" if "kind" not in index else f"names an unknown archive kind {kind!r}"
+        raise ArchiveIndexError(variable, "kind", problem)
+    if kind == "pmgard":
+        check(index, _INDEX_FIELDS["pmgard"])
+        for level, meta in enumerate(index["streams"]):
+            check(meta, _INDEX_FIELDS["stream"], f"streams[{level}].")
+    else:
+        check(index, _INDEX_FIELDS["snapshots"])
+        if index["num_snapshots"] != len(index["ebs"]):
+            raise ArchiveIndexError(variable, "num_snapshots", f"does not match 'ebs' ({len(index['ebs'])})")
+    if index.get("zero_mask") is not None:
+        check(index, {"zero_mask": _SHAPE})
+    return index
 
 
 class FragmentSource:
@@ -158,27 +238,14 @@ class FragmentSource:
                 if s not in self._seen and s not in self._pending
             ]
 
-    def unarrived(self, segments) -> list:
-        """The subset of *segments* not yet arrived, claimed or not.
-
-        Where :meth:`missing` excludes segments an in-flight batch has
-        claimed (dedup for cooperating prefetches), this keeps them — it
-        is the planning view of a *hedged* fetch, which deliberately
-        duplicates a straggling batch's reads rather than queueing
-        behind it.
-        """
-        with self._lock:
-            return [s for s in segments if s not in self._seen]
-
     def claim(self, segments) -> list:
         """Atomically claim the fetchable subset of *segments*.
 
-        Concurrent batched fetches (two clients sharing the source, or a
-        round fetch racing a hedge) would otherwise both
-        pass a plain ``missing`` check and read the same fragments from
-        the store twice.  Claimed segments are excluded from later
-        claims until :meth:`absorb` lands them or :meth:`release` gives
-        them up (failed fetch).
+        Concurrent batched fetches (two clients sharing the source) would
+        otherwise both pass a plain ``missing`` check and read the same
+        fragments from the store twice.  Claimed segments are excluded
+        from later claims until :meth:`absorb` lands them or
+        :meth:`release` gives them up (failed fetch).
         """
         with self._lock:
             out = [
@@ -195,9 +262,11 @@ class FragmentSource:
             self._arrived.notify_all()
 
 
-def prefetch_plans(plans) -> int:
+def prefetch_plans(plans, claims: list | None = None) -> int:
     """Fetch many variables' planned segments in one pass per store.
 
+    The one fetch routine of the read path: lazy opens, the retrieval
+    pipeline's rounds and the service scheduler's ticks all come here.
     *plans* is an iterable of ``(FragmentSource, [segment, ...])`` pairs.
     Segments already fetched or claimed by a concurrent batch are
     skipped (atomically, via :meth:`FragmentSource.claim` — a fragment
@@ -205,12 +274,21 @@ def prefetch_plans(plans) -> int:
     fetches plan it); the remainder are grouped by backing store and
     fetched with a single ``get_many`` each (one store round trip — and,
     behind a shared cache, one single-flight batch that concurrent
-    clients' overlapping plans coalesce into).  Returns the number of
+    clients' overlapping plans coalesce into).  A store error releases
+    every still-claimed segment and propagates.  Returns the number of
     fragments actually fetched.
+
+    *claims*, when given, receives each plan's claimed segments, in plan
+    order, before any store is asked: a caller merging several
+    requesters' plans (the service's scheduler) reads who owned what
+    from it, even after an error — a claimed segment that is not
+    :meth:`~FragmentSource.fetched` afterwards did not arrive.
     """
     by_store: dict = {}
     for source, segments in plans:
         wanted = source.claim(segments)
+        if claims is not None:
+            claims.append(wanted)
         if wanted:
             by_store.setdefault(id(source.store), (source.store, []))[1].extend(
                 (source, seg) for seg in wanted
@@ -511,14 +589,16 @@ class Archive:
         shared sources already hold their small segments).  Each returned object
         carries its source as ``fragment_source`` so the retrieval
         engine can batch-prefetch planned fragments.
+
+        Every index is validated before anything is built: a malformed
+        one raises :class:`ArchiveIndexError`.
         """
         names = list(dict.fromkeys(variables))
         if not names:
             return {}
         fetched = self.store.get_many([(name, INDEX_SEGMENT) for name in names])
         indexes = {
-            name: json.loads(fetched[(name, INDEX_SEGMENT)].decode())
-            for name in names
+            name: _parse_index(name, fetched[(name, INDEX_SEGMENT)]) for name in names
         }
         if lazy:
             # mask-free snapshot datasets have nothing small to open: no trip
@@ -532,10 +612,8 @@ class Archive:
         kind = index["kind"]
         if kind == "pmgard":
             ref = self._load_pmgard(variable, index, lazy)
-        elif kind in ("psz3", "psz3_delta"):
-            ref = self._load_snapshots(variable, index, kind, lazy)
         else:
-            raise ValueError(f"unknown archive kind {kind!r}")
+            ref = self._load_snapshots(variable, index, kind, lazy)
         shape = index.get("zero_mask")
         if shape is not None:
             payload = (

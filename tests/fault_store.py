@@ -20,7 +20,7 @@ Two independent instruments:
   *transiently* (``fail_next`` — raises
   :class:`~repro.storage.resilience.FaultStoreError`, the retryable
   kind, then recovers), drop reads at a seeded ``fault_rate``, or add
-  ``latency_s`` of per-read delay (straggler/hedging experiments).
+  ``latency_s`` of per-read delay (straggler experiments).
 
 Both are deterministic: the same schedule produces the same failure,
 which is what lets hypothesis shrink a failing crash schedule to its
@@ -138,7 +138,7 @@ class FaultyFragmentStore(StoreWrapper):
         attempt sees a healthy store.
     latency_s:
         Sleep this long before serving each read — a uniformly slow
-        backend for deadline and straggler-hedging tests.
+        backend for deadline and straggler tests.
     """
 
     def __init__(

@@ -162,7 +162,7 @@ class TestConcurrentServiceIngest:
         assert stats.durability.compactions >= 6
         # every ingested timestep is whole and loadable afterwards
         for step in range(4):
-            service.load_refactored(f"live@t{step:04d}", lazy=False)
+            service.archive.load(f"live@t{step:04d}", lazy=False)
         service.close()
 
 

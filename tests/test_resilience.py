@@ -345,8 +345,7 @@ def retrieve_over(store, setup, tolerance=1e-4, **retrieve_kwargs):
     fields, _, qoi, _, qrange, ranges = setup
     archive = Archive(store)
     loaded = {name: archive.load(name, lazy=True) for name in fields}
-    hedge = retrieve_kwargs.pop("hedge_delay_s", None)
-    retriever = QoIRetriever(loaded, ranges, hedge_delay_s=hedge)
+    retriever = QoIRetriever(loaded, ranges)
     request = QoIRequest("VTOT", qoi, tolerance, qrange)
     return retriever.retrieve([request], **retrieve_kwargs)
 
@@ -415,58 +414,6 @@ class TestRetrievalUnderFaults:
         result = retrieve_over(tiered, small_setup, tolerance=1e-4)
         assert result.all_satisfied
         assert not result.degraded
-
-    def test_hedged_fetch_duplicates_stragglers(self, small_setup):
-        fields, store, qoi, _, qrange, ranges = small_setup
-        clean = retrieve_over(copy_store(store), small_setup, tolerance=1e-4)
-
-        stalling = copy_store(store, into=StallOneBatchStore())
-        loaded = Archive(stalling).load_dataset(list(fields), lazy=True)
-        stalling.armed = True  # the open's own batches pass untouched
-        retriever = QoIRetriever(loaded, ranges, hedge_delay_s=0.02)
-        result = retriever.retrieve([QoIRequest("VTOT", qoi, 1e-4, qrange)])
-
-        # the stalled batch was hedged, and only the hedge freed it
-        assert result.hedged_fetches >= 1
-        assert stalling.rescued.is_set() and not stalling.abandoned
-        # the hedge changed traffic, not results
-        assert result.all_satisfied
-        assert result.estimated_errors == clean.estimated_errors
-        for name, data in clean.data.items():
-            assert np.array_equal(result.data[name], data)
-        # the superseded straggler was joined by close(), not left running
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("repro-fetch")
-        ]
-
-
-class StallOneBatchStore(FragmentStore):
-    """Stalls its first batch (once armed) until the same keys are re-asked.
-
-    The stalled ``get_many`` is the straggler; the only caller that asks
-    for its keys again while it hangs is the pipeline's hedge, which
-    releases it.  ``abandoned`` is set if no hedge came within 10 s.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.armed = False
-        self.rescued = threading.Event()
-        self.abandoned = False
-        self._gate = threading.Lock()
-        self._stalled = None  # keys of the one stalled batch
-
-    def get_many(self, keys):
-        keys = list(keys)
-        with self._gate:
-            stall = self.armed and self._stalled is None
-            if stall:
-                self._stalled = set(keys)
-            elif self._stalled and self._stalled.intersection(keys):
-                self.rescued.set()
-        if stall and not self.rescued.wait(10):
-            self.abandoned = True
-        return super().get_many(keys)
 
 
 class TestTokenBucket:

@@ -395,7 +395,6 @@ class TestFetchPipeline:
             release.set()
             assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
             assert v.fetched("s0") and v.fetched("s1") and w.fetched("s0")
-            assert pipe.fragments_prefetched == 3
             trips = store.round_trips
         assert store.round_trips == trips  # close() had nothing to drain
 
@@ -450,6 +449,26 @@ class TestFetchPipeline:
                 assert s_good.claim(["s0"]) == ["s0"]
             else:  # fetched before the failure: nothing left to claim
                 assert s_good.missing(["s0"]) == []
+
+    def test_sink_round_is_fetched_inline_without_a_pool(self):
+        """With a round sink the whole round is one inline request."""
+        from repro.storage.archive import FragmentSource
+
+        class RecordingSink:
+            def __init__(self):
+                self.calls = []
+
+            def fetch(self, plans):
+                self.calls.append((threading.current_thread(), plans))
+
+        store = _filled(FragmentStore())
+        v, w = FragmentSource(store, "v"), FragmentSource(store, "w")
+        sink = RecordingSink()
+        with FetchPipeline(PipelineConfig(max_workers=2), sink=sink) as pipe:
+            assert pipe._pool is None
+            groups = pipe.submit_round([("v", v, ["s0"]), (None, w, ["s0"])])
+            assert sink.calls == [(threading.current_thread(), [(v, ["s0"]), (w, ["s0"])])]
+            assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
 
     def test_duplicate_speculation_is_skipped(self):
         from repro.storage.archive import FragmentSource

@@ -428,7 +428,7 @@ def run_fleet(setup_data, ladders, shared, delay_s=0.0, **service_kwargs):
         shared_planner=shared, **service_kwargs,
     )
     for name in fields:
-        service.load_refactored(name)
+        service.load_variables([name])
     trips_before = inner.round_trips
     barrier = threading.Barrier(len(ladders))
     outs, errors = {}, []

@@ -98,3 +98,70 @@ class TestBulkHelpers:
         store.put("v", "_index.json", b'{"kind": "martian"}')
         with pytest.raises(ValueError, match="unknown archive kind"):
             Archive(store).load("v")
+
+
+def _index_of(method):
+    """An archive holding one 32x32 variable, and its index as a dict."""
+    import json
+
+    rng = np.random.default_rng(0)
+    store = FragmentStore()
+    Archive(store).save("v", make_refactorer(method).refactor(rng.normal(size=(32, 32))))
+    return store, json.loads(store.get("v", "_index.json"))
+
+
+def _last_stream(key, value):
+    return lambda index: index["streams"][-1].__setitem__(key, value)
+
+
+#: ``(method, case, payload or index mutation, offending field)``; a
+#: field of None means the segment is not a JSON object at all.
+MALFORMED_INDEXES = [
+    ("pmgard_hb", "not utf-8", b"\xff\xfe\x00", None),
+    ("pmgard_hb", "not json", b"{nope", None),
+    ("pmgard_hb", "json list", b"[1, 2]", None),
+    ("pmgard_hb", "no kind", lambda index: index.pop("kind"), "kind"),
+    ("pmgard_hb", "no streams", lambda index: index.pop("streams"), "streams"),
+    ("pmgard_hb", "num_planes x", _last_stream("num_planes", "x"), "streams[3].num_planes"),
+    ("pmgard_hb", "num_planes huge", _last_stream("num_planes", 1000), "streams[3].num_planes"),
+    ("pmgard_hb", "num_planes negative", _last_stream("num_planes", -3), "streams[3].num_planes"),
+    ("pmgard_hb", "stream not object", lambda index: index["streams"].append(7), "streams"),
+    ("psz3", "no ebs", lambda index: index.pop("ebs"), "ebs"),
+    ("psz3", "num_snapshots x", lambda index: index.__setitem__("num_snapshots", "x"), "num_snapshots"),
+    ("psz3", "num_snapshots huge", lambda index: index.__setitem__("num_snapshots", 1000), "num_snapshots"),
+]
+
+
+class TestMalformedIndex:
+    """A corrupt ``_index.json`` fails with one typed error, on both load modes."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize(
+        "method, case, corrupt, field", MALFORMED_INDEXES,
+        ids=[case for _, case, _, _ in MALFORMED_INDEXES],
+    )
+    def test_raises_archive_index_error(self, method, case, corrupt, field, lazy):
+        import json
+
+        from repro.storage import ArchiveIndexError
+
+        store, index = _index_of(method)
+        if callable(corrupt):
+            corrupt(index)
+            corrupt = json.dumps(index).encode()
+        store.put("v", "_index.json", corrupt)
+        with pytest.raises(ArchiveIndexError) as caught:
+            Archive(store).load_dataset(["v"], lazy=lazy)
+        assert isinstance(caught.value, ValueError)
+        assert caught.value.variable == "v"
+        assert caught.value.field == field
+        assert "'v'" in str(caught.value)
+        if field is not None:
+            assert repr(field) in str(caught.value)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_valid_indexes_pass(self, method, lazy):
+        store, _ = _index_of(method)
+        reader = Archive(store).load_dataset(["v"], lazy=lazy)["v"].reader()
+        assert np.isfinite(reader.request(1e-3)).all()

@@ -32,6 +32,7 @@ DEFAULT_TARGETS = [
     "src/repro/storage",
     "src/repro/service",
     "src/repro/core/pipeline.py",
+    "src/repro/core/retrieval.py",
     "src/repro/core/ingest.py",
     "src/repro/utils/wire.py",
 ]
