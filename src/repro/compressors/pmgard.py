@@ -30,8 +30,10 @@ from repro.compressors.base import ProgressiveReader, Refactored, Refactorer
 from repro.encoding.bitplane import (
     BitplaneEncoder,
     CoefficientLayout,
+    CorruptSegmentError,
     FusedBitplaneDecoder,
 )
+from repro.encoding.lossless import ZlibBackend
 from repro.utils.fragment_keys import (
     COARSE_SEGMENT,
     pmgard_plane_segments,
@@ -45,6 +47,10 @@ _EPS = float(np.finfo(np.float64).eps)
 
 class PMGARDRefactored(Refactored):
     """Per-level bitplane streams + verbatim coarse approximation."""
+
+    #: The archived variable this was loaded as (set by the archive), so
+    #: a corrupt segment's error can name it; ``None`` in memory.
+    variable = None
 
     def __init__(self, decomp, streams, coarse_payload, transform, backend, coarse_shape=None):
         self.decomp = decomp  # shapes/basis metadata; exact coeffs unused by readers
@@ -90,11 +96,21 @@ class PMGARDRefactored(Refactored):
 
     def _fused_decoder(self) -> FusedBitplaneDecoder:
         return FusedBitplaneDecoder(
-            self.streams, self.coefficient_layout(), backend=self.backend
+            self.streams, self.coefficient_layout(), backend=self.backend,
+            variable=self.variable,
         )
 
     def _decode_coarse(self) -> np.ndarray:
-        raw = zlib.decompress(self.coarse_payload)
+        expected = 8 * int(np.prod(self.coarse_shape, dtype=np.int64))
+        try:
+            raw = ZlibBackend().decompress_bytes(self.coarse_payload, expected)
+        except (ValueError, zlib.error) as exc:
+            raise CorruptSegmentError(str(exc), self.variable, part="coarse") from None
+        if len(raw) != expected:
+            raise CorruptSegmentError(
+                f"inflates to {len(raw)} bytes, expected {expected}",
+                self.variable, part="coarse",
+            )
         return np.frombuffer(raw, dtype=np.float64).reshape(self.coarse_shape).copy()
 
     def reader(self) -> "PMGARDReader":

@@ -30,6 +30,7 @@ error bounds not at all.)
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,22 +73,55 @@ def _compress_segment(backend, raw: bytes) -> bytes:
     return _SEG_COMPRESSED + comp
 
 
-def _decompress_segment(backend, segment: bytes) -> bytes:
-    """Inverse of :func:`_compress_segment`."""
+class CorruptSegmentError(ValueError):
+    """An archived segment that does not inflate to its expected length.
+
+    Raised for a plane or sign segment of a bitplane stream (``⌈n/8⌉``
+    bytes for ``n`` coefficients) and for a PMGARD coarse segment
+    (``8 × prod(shape)`` bytes): a bad marker, a body the backend cannot
+    inflate, or one that inflates short or long.  Inflation stops just
+    past the expected length, so an oversized body costs no more than a
+    good one.  The message names the level and plane (or ``signs`` /
+    ``coarse``) and the variable, where the caller knows it.
+    """
+
+    def __init__(self, problem: str, variable=None, level=None, part: str = ""):
+        where = " ".join(
+            bit for bit in (
+                None if variable is None else f"variable {variable!r}",
+                None if level is None else f"level {level}",
+                part or None,
+            ) if bit
+        )
+        super().__init__(f"corrupt segment ({where}): {problem}")
+
+
+def _decompress_segment(backend, segment: bytes, expected: int | None = None) -> bytes:
+    """Inverse of :func:`_compress_segment`.
+
+    With *expected*, the result is exactly that many bytes or a
+    ``ValueError`` (or ``zlib.error``) says why not; the backend stops
+    inflating just past *expected*.
+    """
     if not segment:
-        return b""
-    marker, body = segment[:1], segment[1:]
-    if marker == _SEG_RAW:
-        return body
-    if marker == _SEG_COMPRESSED:
-        return backend.decompress_bytes(body)
-    # legacy fallback: segments written before the framing marker existed
-    # are whole-segment backend payloads (zlib streams start 0x?8, never
-    # 0x00/0x01), so archives from older revisions stay readable
-    try:
-        return backend.decompress_bytes(segment)
-    except Exception:
-        raise ValueError(f"unknown bitplane segment marker {marker!r}") from None
+        raw = b""
+    else:
+        marker, body = segment[:1], segment[1:]
+        if marker == _SEG_RAW:
+            raw = body
+        elif marker == _SEG_COMPRESSED:
+            raw = backend.decompress_bytes(body, expected)
+        else:
+            # legacy fallback: segments written before the framing marker
+            # existed are whole-segment backend payloads (zlib streams
+            # start 0x?8, never 0x00/0x01), so older archives stay readable
+            try:
+                raw = backend.decompress_bytes(segment, expected)
+            except Exception:
+                raise ValueError(f"unknown bitplane segment marker {marker!r}") from None
+    if expected is not None and len(raw) != expected:
+        raise ValueError(f"inflates to {len(raw)} bytes, expected {expected}")
+    return raw
 
 
 @dataclass
@@ -142,6 +176,7 @@ class BitplaneStream:
 
     @property
     def total_bytes(self) -> int:
+        """Byte cost of every segment: all planes plus the signs."""
         return self.segment_bytes(0, self.num_planes)
 
 
@@ -222,16 +257,18 @@ class BitplaneDecoder:
         )
 
     @classmethod
-    def _over(cls, stream, backend, mag_bytes, signs) -> "BitplaneDecoder":
+    def _over(cls, stream, backend, mag_bytes, signs, level, variable) -> "BitplaneDecoder":
         """A decoder over storage the caller owns (views of a
-        :class:`FusedBitplaneDecoder`'s buffers), allocating none."""
+        :class:`FusedBitplaneDecoder`'s buffers), allocating none; its
+        errors name *level* and *variable*."""
         decoder = cls.__new__(cls)
-        decoder._bind(stream, backend, mag_bytes, signs)
+        decoder._bind(stream, backend, mag_bytes, signs, level, variable)
         return decoder
 
-    def _bind(self, stream, backend, mag_bytes, signs) -> None:
+    def _bind(self, stream, backend, mag_bytes, signs, level=None, variable=None) -> None:
         self.stream = stream
         self.backend = get_backend(backend)
+        self._where = (variable, level)
         self.planes_consumed = 0
         #: ``(size, width)`` big-endian magnitude bytes, ``width`` the
         #: smallest power-of-two byte count holding ``num_planes`` bits
@@ -267,20 +304,23 @@ class BitplaneDecoder:
             return None
         return range(self.planes_consumed, target)
 
+    def _inflate(self, segment: bytes, part: str) -> np.ndarray:
+        """One plane or sign segment as its ``⌈n/8⌉`` packed bytes, or a
+        :class:`CorruptSegmentError`."""
+        try:
+            raw = _decompress_segment(self.backend, segment, (self.stream.size + 7) // 8)
+        except (ValueError, zlib.error) as exc:
+            raise CorruptSegmentError(str(exc), *self._where, part) from None
+        return np.frombuffer(raw, dtype=np.uint8)
+
     def _decode_signs(self) -> np.ndarray:
-        raw = _decompress_segment(self.backend, self.stream.sign_segment)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        bits = np.unpackbits(self._inflate(self.stream.sign_segment, "signs"))
         return bits[: self.stream.size].astype(bool)
 
     def _plane_rows(self, planes) -> list:
         """``(plane, packed row)`` for each of *planes*, inflated."""
-        stream = self.stream
-        nb = (stream.size + 7) // 8
-        rows = []
-        for p in planes:
-            raw = _decompress_segment(self.backend, stream.plane_segments[p])
-            rows.append((p, np.frombuffer(raw, dtype=np.uint8, count=nb)))
-        return rows
+        segments = self.stream.plane_segments
+        return [(p, self._inflate(segments[p], f"plane {p}")) for p in planes]
 
     def _midpoint(self) -> float:
         """Offset added to coefficients already known non-zero: halves the
@@ -372,18 +412,21 @@ class FusedBitplaneDecoder:
     is independent of how many groups the coefficients are split into.
     """
 
-    def __init__(self, streams, layout: CoefficientLayout, backend: str = "zlib"):
+    def __init__(
+        self, streams, layout: CoefficientLayout, backend: str = "zlib", variable=None
+    ):
         self.layout = layout
         self._mag_bytes = np.zeros((layout.total, layout.width), dtype=np.uint8)
         self._signs = np.zeros(layout.total, dtype=bool)
         self.decoders = []
-        for stream, start in zip(streams, layout.starts):
+        for level, (stream, start) in enumerate(zip(streams, layout.starts)):
             rows = slice(start, start + stream.size)
             # a narrower group's big-endian bytes are the low-order columns
             low = layout.width - element_byte_width(stream.num_planes)
             self.decoders.append(
                 BitplaneDecoder._over(
-                    stream, backend, self._mag_bytes[rows, low:], self._signs[rows]
+                    stream, backend, self._mag_bytes[rows, low:], self._signs[rows],
+                    level, variable,
                 )
             )
 

@@ -32,8 +32,17 @@ class ZlibBackend:
     def compress_bytes(self, payload: bytes) -> bytes:
         return zlib.compress(payload, self.level)
 
-    def decompress_bytes(self, payload: bytes) -> bytes:
-        return zlib.decompress(payload)
+    def decompress_bytes(self, payload: bytes, max_length: int | None = None) -> bytes:
+        """Inflate *payload*; past *max_length* bytes, stop and raise ``ValueError``."""
+        if max_length is None:
+            return zlib.decompress(payload)
+        inflater = zlib.decompressobj()
+        out = inflater.decompress(payload, max_length + 1)
+        if len(out) > max_length:
+            raise ValueError(f"inflates past {max_length} bytes")
+        if not inflater.eof:
+            raise ValueError("incomplete or truncated zlib stream")
+        return out
 
     def compress_ints(self, values: np.ndarray) -> bytes:
         return self.compress_bytes(encode_ints(values))
@@ -50,7 +59,10 @@ class RawBackend:
     def compress_bytes(self, payload: bytes) -> bytes:
         return payload
 
-    def decompress_bytes(self, payload: bytes) -> bytes:
+    def decompress_bytes(self, payload: bytes, max_length: int | None = None) -> bytes:
+        """*payload* itself; longer than *max_length* raises ``ValueError``."""
+        if max_length is not None and len(payload) > max_length:
+            raise ValueError(f"inflates past {max_length} bytes")
         return payload
 
     def compress_ints(self, values: np.ndarray) -> bytes:
@@ -73,8 +85,14 @@ class HuffmanBackend:
         encoded = self._codec.encode(symbols)
         return struct.pack("<Q", len(payload)) + encoded
 
-    def decompress_bytes(self, payload: bytes) -> bytes:
+    def decompress_bytes(self, payload: bytes, max_length: int | None = None) -> bytes:
+        """Decode *payload*; a header claiming over *max_length* bytes raises
+        ``ValueError`` before anything is decoded."""
+        if len(payload) < 8:
+            raise ValueError("Huffman byte stream shorter than its header")
         (n,) = struct.unpack_from("<Q", payload, 0)
+        if max_length is not None and n > max_length:
+            raise ValueError(f"inflates past {max_length} bytes")
         symbols = self._codec.decode(payload[8:])
         if symbols.size != n:
             raise ValueError("Huffman byte-stream length mismatch")

@@ -531,8 +531,8 @@ class RetrievalService:
         """Compact the backing store's commit log, reclaiming dead bytes.
 
         Safe to call while clients retrieve and ingests run — the disk
-        stores compact under their write locks and readers never touch
-        dead files.  Returns the store's
+        stores compact under their write locks, and a read that loses a
+        file to the compaction looks its keys up again.  Returns the store's
         :class:`~repro.storage.wal.CompactionReport` (all zeros on
         backends without a commit log).
         """

@@ -21,8 +21,8 @@
   cache that lets many clients retrieve through one archive without
   re-reading overlapping fragments from disk.
 * :mod:`repro.storage.wal` — the append-only commit log behind the
-  on-disk stores: crash-atomic multi-fragment writes (stage → one
-  fsync'd commit record → publish), tombstones, and log compaction.
+  on-disk store: crash-atomic multi-fragment writes (one pack file per
+  commit → one fsync'd commit record), tombstones, and compaction.
   See ``docs/durability.md``.
 * :mod:`repro.storage.snapshot` — batched snapshot/restore of a whole
   store between any two ``open_store`` URLs, with byte-for-byte

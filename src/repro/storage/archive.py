@@ -710,6 +710,7 @@ class Archive:
             index["backend"],
             coarse_shape=tuple(index["coarse_shape"]),
         )
+        ref.variable = variable
         if lazy:
             ref.fragment_source = source
         return ref

@@ -10,7 +10,8 @@ accounting.  :class:`FragmentStore` itself is the in-memory store (unit
 tests, ``memory://``, the default tiered fast tier);
 :class:`ShardedDiskStore` and its flat-layout form
 :class:`DiskFragmentStore` are the one WAL-backed on-disk store (one
-file per fragment, so partial retrieval maps to partial reads);
+pack file per commit, read by offset, so partial retrieval maps to
+partial reads);
 :class:`StoreWrapper` is the base of every store that decorates another.
 
 Every store counts the fragments it serves (``reads`` / ``bytes_read``)
@@ -29,7 +30,7 @@ The on-disk store is crash-atomic: every write is one record of the
 commit log of :mod:`repro.storage.wal`, so a process killed at any point
 leaves a reopened store on exactly the pre- or post-state of the
 interrupted batch; deletes only tombstone, and
-:meth:`FragmentStore.compact` reclaims the dead payload files.
+:meth:`FragmentStore.compact` reclaims the dead payload bytes.
 ``docs/durability.md`` specifies the full protocol.
 
 :func:`open_store` is the one entry point deployments need: it accepts a
@@ -43,6 +44,7 @@ pick the WAL's fsync discipline.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -51,10 +53,7 @@ import threading
 from repro.storage import wal
 from repro.storage.wal import CommitLog, CompactionReport, DurabilityStats, crash_point
 
-_KEY_RE = re.compile(r"[^A-Za-z0-9._-]")
-
-#: Commit log of the flat layout (:class:`DiskFragmentStore`); it records
-#: the original fragment keys that filename sanitization would lose.
+#: Commit log of the flat layout (:class:`DiskFragmentStore`).
 DISK_INDEX_LOG = ".repro-index.jsonl"
 
 #: Commit log of the sharded layout (:class:`ShardedDiskStore`).
@@ -397,9 +396,10 @@ class FragmentStore:
 
         The in-memory store has nothing to reclaim (deletes free payloads
         immediately), so this base implementation is a zero no-op report.
-        The on-disk store rewrites its commit log to its live entries
-        and unlinks dead payload files; composite stores (tiered, cluster)
-        merge per-backend reports and wrappers forward.
+        The on-disk store repacks the live fragments of partly dead
+        packs, rewrites its commit log to its live entries and unlinks
+        the files left without a live fragment; composite stores
+        (tiered, cluster) merge per-backend reports and wrappers forward.
         """
         return CompactionReport()
 
@@ -497,30 +497,37 @@ class StoreWrapper(FragmentStore):
             self.inner.trip_budget = budget
 
 
-def _safe_name(variable: str, segment: str) -> str:
-    return f"{_KEY_RE.sub('_', variable)}__{_KEY_RE.sub('_', segment)}"
+class ShortReadError(ValueError):
+    """A payload file holds fewer bytes than an index entry places in it.
+
+    Raised by the disk store's reads for a truncated pack or an entry
+    pointing past the end of its file; it names the key and the file,
+    and no short payload is ever returned.
+    """
 
 
 class _ShardedLayout:
-    """``<shard>/<var>__<seg>__<digest>.bin`` under ``fanout`` hashed shards.
+    """Packs hashed by transaction id into ``fanout`` shard directories.
 
-    A short digest suffix keeps distinct keys distinct even when
-    sanitization would collide them (``a/b`` vs. ``a_b``); tombstone
-    records carry no path.
+    A pack lives at ``<shard>/<txn>.pack``, so no single directory grows
+    with the archive (what object stores and parallel file systems
+    want).  Parent-format archives hold one ``<shard>/<var>__<seg>__
+    <digest>.bin`` file per fragment; those entries replay as
+    one-fragment packs.
     """
 
     log_name = SHARD_INDEX_LOG
     field = "path"  # the log-entry field naming a fragment's file
-    names_tombstones = False
 
     def __init__(self, fanout: int):
         self.fanout = fanout
         self.marker = {"layout": "sharded", "fanout": fanout}
 
-    def relpath(self, variable: str, segment: str) -> str:
-        digest = hashlib.sha1(f"{variable}\x00{segment}".encode()).hexdigest()
+    def pack(self, txn: int) -> str:
+        """Relative path of transaction *txn*'s pack."""
+        digest = hashlib.sha1(str(txn).encode()).hexdigest()
         shard = f"{int(digest[:8], 16) % self.fanout:03x}"
-        return os.path.join(shard, f"{_safe_name(variable, segment)}__{digest[:8]}.bin")
+        return os.path.join(shard, wal.pack_name(txn))
 
     def dirs(self, root: str) -> list:
         """The shard directories (relative, with trailing separator)."""
@@ -533,15 +540,17 @@ class _ShardedLayout:
 
 
 class _FlatLayout:
-    """``<var>__<seg>.bin`` directly under the root, beside the log."""
+    """``<txn>.pack`` directly under the root, beside the log.
+
+    Parent-format archives hold one ``<var>__<seg>.bin`` file per
+    fragment there.
+    """
 
     log_name = DISK_INDEX_LOG
     field = "file"
-    names_tombstones = True
     marker = {"layout": "flat"}
 
-    def relpath(self, variable: str, segment: str) -> str:
-        return f"{_safe_name(variable, segment)}.bin"
+    pack = staticmethod(wal.pack_name)
 
     def dirs(self, root: str) -> list:
         """The root itself: payloads sit beside the log and the marker."""
@@ -561,20 +570,19 @@ class _FlatLayout:
 class ShardedDiskStore(FragmentStore):
     """The WAL-backed on-disk store, in its fan-out layout.
 
-    One file per fragment plus an append-only commit log, which a reopen
-    replays — a restarted service immediately serves everything archived
-    before.  Writes are crash-atomic (:meth:`transact`); deletes
-    tombstone without unlinking and :meth:`compact` reclaims the dead
-    files.  Where the files and the log live is the *layout*: here
-    fragments are hashed into ``fanout`` subdirectories so no single
-    directory grows with the archive (what object stores and parallel
-    file systems want); :class:`DiskFragmentStore` is the same store
-    over one flat directory.
+    Each transaction's payloads go into one pack file, and an
+    append-only commit log records every fragment's pack, offset and
+    size; a reopen replays the log, so a restarted service immediately
+    serves everything archived before.  Writes are crash-atomic
+    (:meth:`transact`); deletes and overwrites leave dead bytes, which
+    :meth:`compact` reclaims.  Where the packs and the log live is the
+    *layout*: here packs are hashed into ``fanout`` subdirectories;
+    :class:`DiskFragmentStore` is the same store over one flat
+    directory.
 
     The layout marker records the fan-out width; when reopening a
     directory whose marker disagrees with the *fanout* argument, the
-    marker wins — new fragments must land in the shard their digest
-    already points at.
+    marker wins, so every handle places packs by the same rule.
     """
 
     def __init__(self, root: str, fanout: int = 256, fsync: str = "commit"):
@@ -590,30 +598,62 @@ class ShardedDiskStore(FragmentStore):
         FragmentStore.__init__(self)
         self.root = root
         self._layout = layout
-        # the reader lock: index, dead-file table and counters
+        # the reader lock: index, file tables and counters
         self._lock = self._stats_lock
-        # serializes writers (file content and log appends land in the
-        # same order per key) without making readers — who only take
-        # self._lock briefly — wait behind batch file I/O
+        # serializes writers (packs and log appends land in one order)
+        # without making readers — who only take self._lock briefly —
+        # wait behind batch file I/O
         self._write_lock = threading.Lock()
-        self._index: dict = {}  # (variable, segment) -> relpath
+        self._index: dict = {}  # (variable, segment) -> (relpath, offset)
+        self._live: dict = {}  # relpath -> live fragments in that file
+        self._dead: dict = {}  # relpath -> [dead fragments, dead bytes]
         self._log = CommitLog(os.path.join(root, layout.log_name), fsync=fsync)
-        self._dead: dict = {}  # dead relpath -> reclaimable bytes
         self._compactions = 0
         self._reclaimed_bytes = 0
         os.makedirs(root, exist_ok=True)
         self._reindex()
+
+    # -- the file tables (callers hold self._lock, or are opening) ---------------
+
+    def _place(self, key, rel: str, offset: int, nbytes: int) -> None:
+        """Index *key* at *offset* of *rel*; the bytes it replaces die."""
+        old = self._index.get(key)
+        if old is None or old[0] != rel:  # same file: a parent-format rewrite
+            if old is not None:
+                self._retire(old[0], self._sizes[key])
+            if rel not in self._live:  # a dead parent-format file written again
+                self._dead.pop(rel, None)
+            self._live[rel] = self._live.get(rel, 0) + 1
+        self._index[key] = (rel, offset)
+        self._record_put(*key, nbytes)
+
+    def _unplace(self, key) -> None:
+        """Drop *key* from the index; its bytes become dead debt."""
+        rel, _ = self._index.pop(key)
+        self._retire(rel, self._sizes[key])
+        self._record_delete(*key)
+
+    def _retire(self, rel: str, nbytes: int) -> None:
+        left = self._live[rel] - 1
+        if left:
+            self._live[rel] = left
+        else:
+            del self._live[rel]
+        debt = self._dead.setdefault(rel, [0, 0])
+        debt[0] += 1
+        debt[1] += nbytes
+
+    # -- open ------------------------------------------------------------------
 
     def _reindex(self) -> None:
         log_existed = self._log.exists()
         file_txn: dict = {}  # relpath -> last committed writer txn
         for txn, entries in self._log.replay():
             for entry in entries:
-                var, seg = entry["variable"], entry["segment"]
+                key = (entry["variable"], entry["segment"])
                 if entry.get("deleted"):
-                    if (var, seg) in self._index:
-                        del self._index[(var, seg)]
-                        self._record_delete(var, seg)
+                    if key in self._index:
+                        self._unplace(key)
                     continue
                 rel = entry[self._layout.field]
                 nbytes = entry.get("nbytes")
@@ -625,52 +665,64 @@ class ShardedDiskStore(FragmentStore):
                         # keep the key indexed — size 0, unreadable on
                         # access — rather than failing the whole open
                         nbytes = 0
-                self._index[(var, seg)] = rel
-                self._record_put(var, seg, int(nbytes))
+                self._place(key, rel, int(entry.get("offset", 0)), int(nbytes))
                 file_txn[rel] = 0 if txn is None else txn
-        # One pass over the payload directories.  A staged file an
-        # interrupted batch left behind is published if its transaction
-        # committed and is still the path's latest writer, else
-        # discarded.  The log is authoritative: a payload file it does
-        # not index live is dead weight (a delete awaiting reclaim, an
-        # interrupted compaction) — never resurrected, earmarked for the
-        # next compact().  Only a directory without any log is
-        # recovered from its file names, where the layout can.
-        live = set(self._index.values())
-        for rel, nbytes in self._scan():
+        # One pass over the payload directory names; only a file the log
+        # does not account for costs a stat.  A pack no entry names never
+        # committed (or a compaction moved its last live fragment away):
+        # it is discarded.  A parent-format staged file is published if
+        # its transaction committed and is still the path's latest
+        # writer, else discarded.  Any other payload file the log does
+        # not index is dead weight (an interrupted compaction), never
+        # resurrected, earmarked for the next compact().  Only a
+        # directory without any log is recovered from its file names,
+        # where the layout can.
+        seen = set()
+        for rel in self._scan():
+            if rel in self._live or rel in self._dead:
+                seen.add(rel)
+                continue
+            path = os.path.join(self.root, rel)
             parsed = wal.split_staged(rel)
             if parsed is not None:
                 final, txn = parsed
-                staged = os.path.join(self.root, rel)
                 if txn in self._log.committed and file_txn.get(final) == txn:
-                    wal.publish_staged(staged, os.path.join(self.root, final))
+                    os.replace(path, os.path.join(self.root, final))
+                    seen.add(final)
                 else:
-                    wal.discard_staged(staged)
-            elif log_existed:
-                if rel not in live:
-                    self._dead[rel] = nbytes
+                    wal.discard(path)
+                continue
+            seen.add(rel)
+            if wal.is_pack(os.path.basename(rel)):
+                wal.discard(path)
+                continue
+            try:
+                nbytes = os.path.getsize(path)
+            except OSError:
+                continue  # vanished between listing and stat
+            if log_existed:
+                self._dead[rel] = [1, nbytes]
             else:
                 key = self._layout.recover(rel)
                 if key is not None:
-                    self._index[key] = rel
-                    self._record_put(*key, nbytes)
+                    self._place(key, rel, 0, nbytes)
+        for rel in [r for r in self._dead if r not in seen and r not in self._live]:
+            del self._dead[rel]  # already gone from disk: nothing to reclaim
 
     def _scan(self):
-        """Yield ``(relpath, nbytes)`` per payload or staged file, path order."""
+        """Yield the relpath of every payload or staged file, path order."""
         for prefix in self._layout.dirs(self.root):
             try:
-                entries = sorted(
-                    os.scandir(os.path.join(self.root, prefix)), key=lambda e: e.name
-                )
+                names = sorted(os.listdir(os.path.join(self.root, prefix)))
             except OSError:
                 continue
-            for entry in entries:
-                name = entry.name
-                if name.endswith(".bin") or wal.split_staged(name) is not None:
-                    try:
-                        yield prefix + name, entry.stat().st_size
-                    except OSError:
-                        continue  # vanished between scandir and stat
+            for name in names:
+                if (
+                    name.endswith(".bin")
+                    or wal.is_pack(name)
+                    or wal.split_staged(name) is not None
+                ):
+                    yield prefix + name
 
     def _write_marker(self) -> None:
         # written on first put, never on open: opening must work on
@@ -686,134 +738,190 @@ class ShardedDiskStore(FragmentStore):
         except OSError:
             pass  # best-effort: open_store falls back to index heuristics
 
-    def _entry(self, variable: str, segment: str, rel: str, nbytes: int) -> dict:
+    def _entry(self, key, rel: str, offset: int, nbytes: int) -> dict:
         return {
-            "variable": variable,
-            "segment": segment,
+            "variable": key[0],
+            "segment": key[1],
             self._layout.field: rel,
+            "offset": offset,
             "nbytes": nbytes,
         }
+
+    def _write_pack(self, payloads: dict, fsync: bool) -> tuple:
+        """Pack *payloads* (key -> bytes) into a new file under a fresh
+        txn; returns ``(txn, {key: (relpath, offset)})``."""
+        while True:
+            txn = self._log.reserve()
+            rel = self._layout.pack(txn)
+            path = os.path.join(self.root, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            try:
+                offsets = wal.write_pack(path, payloads.values(), fsync=fsync)
+            except FileExistsError:
+                continue  # another handle on this directory took the txn
+            return txn, {key: (rel, off) for key, off in zip(payloads, offsets)}
+
+    # -- the two primitives ----------------------------------------------------
 
     def transact(self, puts, deletes=()) -> None:
         """Commit a batch of puts plus tombstones in one WAL record.
 
-        Stage → commit → publish: every payload lands in a staged sibling
-        file first, one fsync'd log append commits the whole batch —
-        puts and one tombstone entry per *deletes* key alike — then each
-        staged file is atomically renamed live.  A kill before the commit
-        record leaves the store exactly as it was; a kill after it leaves
-        a transaction that recovery finishes publishing on reopen — never
-        a torn mix, which is what makes an ``Archive.save`` replacing a
-        variable's segment set atomic.  Files land in batch order, so a
-        batched archive indexes identically to a serial one.  Delete keys
-        must exist and must not collide with the batch (ValueError);
-        tombstoned files stay on disk as dead bytes (invisible to the
-        index) until :meth:`compact`.  The batch holds the writer lock but
-        takes the reader lock only for the index update, so concurrent
-        reads never stall behind batch file I/O.
+        Pack → commit: the batch's payloads (the last one per repeated
+        key) go into one new pack file, then one fsync'd log append
+        commits the whole batch — an entry per put naming its pack,
+        offset and size, and one tombstone entry per *deletes* key.  A
+        kill before the commit record leaves the store exactly as it was
+        (the reopen discards the orphaned pack); a kill after it leaves
+        the whole batch — never a torn mix, which is what makes an
+        ``Archive.save`` replacing a variable's segment set atomic.
+        Delete keys must exist and must not collide with the batch
+        (ValueError); deleted and overwritten bytes stay on disk as
+        dead bytes (invisible to the index) until :meth:`compact`.  The
+        batch holds the writer lock but takes the reader lock only for
+        the index update, so concurrent reads never stall behind the
+        pack write.
         """
         batch = self._check_batch(puts)
+        payloads = {(v, s): p for v, s, p in batch}  # last write wins
         doomed = list(dict.fromkeys((str(v), str(s)) for v, s in deletes))
-        overlap = {(v, s) for v, s, _ in batch} & set(doomed)
+        overlap = set(payloads) & set(doomed)
         if overlap:
             raise ValueError(f"keys both written and deleted: {sorted(overlap)}")
-        rels = [self._layout.relpath(v, s) for v, s, _ in batch]
-        for shard in {os.path.dirname(rel) for rel in rels}:
-            os.makedirs(os.path.join(self.root, shard), exist_ok=True)
-        entries = []
-        staged: dict = {}  # final path -> staged path (last write wins)
         with self._write_lock:
-            dead: dict = {}  # doomed key -> (relpath, nbytes)
             if doomed:
                 with self._lock:
                     missing = [k for k in doomed if k not in self._index]
-                    if missing:
-                        raise KeyError(missing[0] if len(missing) == 1 else missing)
-                    dead = {k: (self._index[k], self._sizes[k]) for k in doomed}
-            txn = self._log.reserve()
-            crash_point("disk.stage")
-            for (variable, segment, payload), rel in zip(batch, rels):
-                path = os.path.join(self.root, rel)
-                staged[path] = wal.write_staged(
-                    path, payload, txn, fsync=self._log.fsync_payloads
-                )
-                entries.append(self._entry(variable, segment, rel, len(payload)))
-                crash_point("disk.staged")
+                if missing:
+                    raise KeyError(missing[0] if len(missing) == 1 else missing)
+            placed: dict = {}
+            if payloads:
+                txn, placed = self._write_pack(payloads, self._log.fsync_payloads)
+            else:
+                txn = self._log.reserve()
+            entries = [
+                self._entry(key, rel, off, len(payloads[key]))
+                for key, (rel, off) in placed.items()
+            ]
             for variable, segment in doomed:
                 crash_point("disk.tombstone")
-                entry = {"variable": variable, "segment": segment}
-                if self._layout.names_tombstones:
-                    entry[self._layout.field] = dead[(variable, segment)][0]
-                entries.append({**entry, "deleted": True})
+                entries.append({"variable": variable, "segment": segment, "deleted": True})
             self._log.append(entries, txn=txn)  # the atomicity point
-            for path, spath in staged.items():
-                crash_point("disk.publish")
-                wal.publish_staged(spath, path)
             with self._lock:
                 self._write_marker()
-                for (variable, segment, payload), rel in zip(batch, rels):
-                    self._dead.pop(rel, None)
-                    self._index[(variable, segment)] = rel
-                    self._record_put(variable, segment, len(payload))
+                for key, (rel, off) in placed.items():
+                    self._place(key, rel, off, len(payloads[key]))
                 for key in doomed:
-                    rel, nbytes = dead[key]
-                    del self._index[key]
-                    self._record_delete(*key)
-                    self._dead[rel] = nbytes
+                    self._unplace(key)
                 if batch:
                     self._count_writes(batch)
 
     def get_many(self, keys) -> dict:
-        """Read a batch in relpath order: one directory's worth of
-        sequential reads at a time on spinning media."""
+        """Read a batch: each file opened once, its fragments ``pread``
+        in offset order, adjacent ones in one call.
+
+        A file a concurrent :meth:`compact` unlinked after this read
+        looked its keys up is looked up again, once, under the reader
+        lock — which holds off the next move — and read there.
+        """
         keys = list(dict.fromkeys((v, s) for v, s in keys))
-        with self._lock:  # single index pass resolves every path up front
-            missing = [k for k in keys if k not in self._index]
-            if missing:
-                raise KeyError(missing)
-            rels = sorted((self._index[k], k) for k in keys)
-        payloads = {}
-        for rel, key in rels:
-            with open(os.path.join(self.root, rel), "rb") as fh:
-                payloads[key] = fh.read()
+        try:
+            payloads = self._read(keys)
+        except FileNotFoundError:
+            with self._lock:
+                payloads = self._read(keys)
         out = {k: payloads[k] for k in keys}
         self._count_reads(out)
         return out
 
-    def compact(self) -> CompactionReport:
-        """Rewrite the log to live entries and unlink dead payload files.
+    def _locate(self, keys) -> list:
+        """``(relpath, offset, nbytes, key)`` per key, file and offset order."""
+        with self._lock:  # single index pass resolves every key up front
+            missing = [k for k in keys if k not in self._index]
+            if missing:
+                raise KeyError(missing)
+            return sorted((*self._index[k], self._sizes[k], k) for k in keys)
 
-        Holds the writer lock for the whole pass (writers queue briefly;
-        readers are never blocked — live files are untouched and the log
-        rewrite is an atomic rename).  Only the relpaths earmarked at
-        delete/reopen time are walked, never the whole tree.  Crash-safe:
-        a kill before the rewrite leaves the old log; one after it leaves
-        orphaned dead files that the next reopen re-earmarks and the
-        next compact reclaims.
+    def _read(self, keys) -> dict:
+        payloads = {}
+        for rel, group in itertools.groupby(self._locate(keys), key=lambda loc: loc[0]):
+            fd = os.open(os.path.join(self.root, rel), os.O_RDONLY)
+            try:
+                run: list = []
+                for loc in group:
+                    if run and loc[1] != run[-1][1] + run[-1][2]:
+                        self._read_run(fd, rel, run, payloads)
+                        run = []
+                    run.append(loc)
+                self._read_run(fd, rel, run, payloads)
+            finally:
+                os.close(fd)
+        return payloads
+
+    def _read_run(self, fd: int, rel: str, run: list, payloads: dict) -> None:
+        """``pread`` adjacent fragments of one file in one call."""
+        start = run[0][1]
+        data = os.pread(fd, run[-1][1] + run[-1][2] - start, start)
+        for _, offset, nbytes, key in run:
+            lo = offset - start
+            if lo + nbytes > len(data):
+                raise ShortReadError(
+                    f"fragment {key!r}: {os.path.join(self.root, rel)!r} holds "
+                    f"{max(len(data) - lo, 0)} of its {nbytes} bytes at offset {offset}"
+                )
+            payloads[key] = data if len(run) == 1 else data[lo:lo + nbytes]
+
+    # -- durability ------------------------------------------------------------
+
+    def compact(self) -> CompactionReport:
+        """Reclaim every dead byte: repack, rewrite the log, unlink.
+
+        The live fragments of partly dead files are rewritten into one
+        new pack (fsync'd unless ``fsync="off"``: its bytes are already
+        durable elsewhere), the log is atomically rewritten to the live
+        entries, and then every file without a live fragment is
+        unlinked.  Holds the writer lock for the whole pass (writers
+        queue briefly); readers are never blocked — a read that loses
+        its file to the unlink re-resolves (:meth:`get_many`).  Only the
+        files earmarked at delete/reopen time are touched, never the
+        whole tree.  Crash-safe: a kill before the rewrite leaves the
+        old log (the reopen discards the new pack); one after it leaves
+        orphaned files that the reopen discards (packs) or re-earmarks
+        (parent-format files).
         """
         with self._write_lock:
             report = CompactionReport(log_bytes_before=self._log.nbytes())
             with self._lock:
-                entries = [
-                    self._entry(var, seg, rel, self._sizes[(var, seg)])
-                    for (var, seg), rel in self._index.items()
-                ]
-                dead = dict(self._dead)
+                dead = {rel: tuple(debt) for rel, debt in self._dead.items()}
+                moving = [k for k, (rel, _) in self._index.items() if rel in dead]
             crash_point("compact.begin")
+            moved: dict = {}
+            if moving:  # the live fragments of partly dead files
+                live = self._read(moving)
+                _, moved = self._write_pack(
+                    {key: live[key] for key in moving}, self._log.fsync_commits
+                )
+            with self._lock:
+                entries = [
+                    self._entry(key, *moved.get(key, loc), self._sizes[key])
+                    for key, loc in self._index.items()
+                ]
             self._log.rewrite(entries)
             crash_point("compact.rewritten")
+            with self._lock:
+                for key, (rel, off) in moved.items():
+                    self._place(key, rel, off, self._sizes[key])
+                for rel in dead:
+                    self._dead.pop(rel, None)
             removed = reclaimed = 0
-            for rel, nbytes in dead.items():
+            for rel, (fragments, nbytes) in dead.items():
                 try:
                     os.remove(os.path.join(self.root, rel))
                 except OSError:
                     continue  # already gone; nothing reclaimed
-                removed += 1
+                removed += fragments
                 reclaimed += nbytes
                 crash_point("compact.unlink")
             with self._lock:
-                for rel in dead:
-                    self._dead.pop(rel, None)
                 self._compactions += 1
                 self._reclaimed_bytes += reclaimed
             report.compactions = 1
@@ -824,14 +932,14 @@ class ShardedDiskStore(FragmentStore):
             return report
 
     def durability(self) -> DurabilityStats:
-        """WAL and tombstone counters of this handle."""
+        """WAL and dead-byte counters of this handle."""
         with self._lock:
             return DurabilityStats(
                 wal_commits=self._log.commits,
                 wal_entries=self._log.entries_appended,
                 log_bytes=self._log.nbytes(),
-                tombstones=len(self._dead),
-                dead_bytes=sum(self._dead.values()),
+                tombstones=sum(debt[0] for debt in self._dead.values()),
+                dead_bytes=sum(debt[1] for debt in self._dead.values()),
                 compactions=self._compactions,
                 reclaimed_bytes=self._reclaimed_bytes,
             )
@@ -840,10 +948,10 @@ class ShardedDiskStore(FragmentStore):
 class DiskFragmentStore(ShardedDiskStore):
     """The WAL-backed on-disk store over one flat directory.
 
-    Everything :class:`ShardedDiskStore` does, with every fragment file
-    directly under ``root`` and the key log beside them (it preserves the
-    original keys that filename sanitization would lose).  A directory
-    written before the key log existed is recovered from its file names.
+    Everything :class:`ShardedDiskStore` does, with every pack directly
+    under ``root`` and the key log beside them.  A directory written
+    before the key log existed (one ``<var>__<seg>.bin`` file per
+    fragment) is recovered from its file names.
     """
 
     def __init__(self, root: str, fsync: str = "commit"):

@@ -1,48 +1,53 @@
-"""Write-ahead commit log: crash atomicity for the on-disk fragment stores.
+"""Write-ahead commit log: crash atomicity for the on-disk fragment store.
 
-The disk stores' index logs (``.repro-index.jsonl`` / ``index.jsonl``)
-were append-only from the start, but a batch ``put_many`` wrote its
-fragment *files* before its index lines — a kill in between left some
-keys' bytes new and some old under the old index, and nothing recorded
-which.  :class:`CommitLog` turns those logs into a real WAL with a
-three-step protocol every write follows:
+The disk store's index log (``.repro-index.jsonl`` flat /
+``index.jsonl`` sharded) is a WAL, and every write follows one protocol:
 
-1. **Stage.**  Each payload lands in a *staged* file next to its final
-   path (``<final>.stg<txn>``); the live file — and therefore every
-   concurrent reader — is untouched.
-2. **Commit.**  One fsync'd log record carries the whole batch's index
-   entries: ``{"txn": N, "commit": [entry, ...]}``.  This single append
-   is the atomicity point — before it the batch does not exist, after
-   it the batch is durable however far publishing got.
-3. **Publish.**  Each staged file is ``os.replace``d onto its final
-   path (atomic per file, idempotent on replay).
+1. **Pack.**  The batch's payloads land back to back in one new *pack*
+   file named by the transaction id (:func:`pack_name`), created
+   exclusively, so no live byte is ever overwritten and no concurrent
+   reader can see a half-written payload under a live name.  Under
+   ``fsync="always"`` the pack is fsync'd before step 2.
+2. **Commit.**  One log record carries the whole batch's index entries:
+   ``{"txn": N, "commit": [entry, ...]}``, each put entry naming its
+   pack, ``offset`` and ``nbytes``.  This single fsync'd append is the
+   atomicity point — before it the batch does not exist, after it the
+   batch is durable.
 
 Recovery on reopen replays the log (tolerating a torn final line, which
-is truncated away — an append can only tear at the tail), then resolves
-leftover staged files: a staged file whose transaction committed *and*
-is still that path's latest writer is published, everything else is
-discarded.  Any kill point therefore lands the store on exactly the
-pre- or post-state of the interrupted batch, which
-``tests/test_failure_injection.py`` asserts over randomized crash
-schedules via :func:`crash_point` hooks placed through the protocol.
+is truncated away — an append can only tear at the tail) and then
+resolves what the log does not index: a pack no replayed entry names
+belongs to a transaction that never committed (or to one a compaction
+already moved every live fragment out of) and is discarded.  Any kill
+point therefore lands the store on exactly the pre- or post-state of
+the interrupted batch, which ``tests/test_failure_injection.py``
+asserts over randomized crash schedules via :func:`crash_point` hooks
+placed through the protocol.
 
-Deletes only append a tombstone record — the payload file *stays on
-disk* as dead bytes until :meth:`~repro.storage.store.FragmentStore.compact`
-reclaims it by rewriting the log to its live entries
-(:meth:`CommitLog.rewrite`, itself atomic) and unlinking the dead
-files.  :class:`CompactionReport` is the accounting every ``compact``
-implementation returns.
+Deletes and overwrites only append records — the superseded bytes stay
+on disk as dead bytes until :meth:`~repro.storage.store.FragmentStore.compact`
+reclaims them: it rewrites the live fragments of partly dead packs into
+one new pack, rewrites the log to its live entries
+(:meth:`CommitLog.rewrite`, itself atomic) and unlinks every file left
+without a live fragment.  :class:`CompactionReport` is the accounting
+every ``compact`` implementation returns.
 
-Legacy logs (entry-per-line, no transaction framing) replay unchanged:
-a line without a ``commit`` key is one committed entry.
+Parent-format archives (one payload file per fragment, entries without
+an ``offset``) replay unchanged: such an entry is a one-fragment pack
+at offset 0.  Those writers staged each payload as ``<final>.stg<txn>``
+and renamed it live after the commit record, so recovery still
+publishes a staged file whose transaction committed and is its path's
+latest writer, and discards any other.  Entry-per-line logs without
+transaction framing replay too: a line without a ``commit`` key is one
+committed entry.
 
 fsync discipline (the ``fsync`` constructor/URL parameter):
 
 * ``"commit"`` (default) — fsync the log on every commit record.  Full
   atomicity across process kill; an OS crash can lose the very last
-  staged payloads but never tear a batch.
-* ``"always"`` — additionally fsync every staged payload file before
-  its commit record, surviving OS/power loss at higher write cost.
+  packed payloads but never tear a batch.
+* ``"always"`` — additionally fsync every pack before its commit
+  record, surviving OS/power loss at higher write cost.
 * ``"off"`` — flush without fsync; atomic across process kill only.
 """
 
@@ -52,8 +57,11 @@ import json
 import os
 from dataclasses import dataclass
 
-#: Marker splicing a staged file's name: ``<final>.stg<txn>``.
+#: Marker splicing a parent-format staged file's name: ``<final>.stg<txn>``.
 STAGED_MARKER = ".stg"
+
+#: Suffix of a pack file, the one payload file of a transaction.
+PACK_SUFFIX = ".pack"
 
 #: Accepted values of the ``fsync`` knob, strictest first.
 FSYNC_MODES = ("always", "commit", "off")
@@ -90,9 +98,37 @@ def crash_point(name: str) -> None:
         _crash_hook(name)
 
 
-def staged_path(final_path: str, txn: int) -> str:
-    """The staging path of *final_path* under transaction *txn*."""
-    return f"{final_path}{STAGED_MARKER}{txn}"
+def pack_name(txn: int) -> str:
+    """The file name of transaction *txn*'s pack."""
+    return f"{txn:06d}{PACK_SUFFIX}"
+
+
+def is_pack(name: str) -> bool:
+    """Whether file *name* is a pack's (``<digits>.pack``)."""
+    return name.endswith(PACK_SUFFIX) and name[: -len(PACK_SUFFIX)].isdigit()
+
+
+def write_pack(path: str, payloads, fsync: bool = False) -> list:
+    """Write *payloads* back to back into a new pack file at *path*.
+
+    The file is created exclusively (``FileExistsError`` if the name is
+    taken), so a pack never replaces bytes anything may still read.
+    Returns each payload's offset.  With *fsync* the pack is durable
+    before this returns.
+    """
+    offsets = []
+    offset = 0
+    with open(path, "xb") as fh:
+        for payload in payloads:
+            crash_point("pack.write")
+            fh.write(payload)
+            offsets.append(offset)
+            offset += len(payload)
+        if fsync:
+            fh.flush()
+            os.fsync(fh.fileno())
+    crash_point("pack.written")
+    return offsets
 
 
 def split_staged(name: str):
@@ -103,24 +139,8 @@ def split_staged(name: str):
     return head, int(tail)
 
 
-def write_staged(final_path: str, payload: bytes, txn: int, fsync: bool = False) -> str:
-    """Write *payload* to the staged file of *final_path*; returns its path."""
-    path = staged_path(final_path, txn)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
-    return path
-
-
-def publish_staged(staged: str, final_path: str) -> None:
-    """Atomically move a staged file onto its final path."""
-    os.replace(staged, final_path)
-
-
-def discard_staged(path: str) -> None:
-    """Best-effort removal of an abandoned staged file."""
+def discard(path: str) -> None:
+    """Best-effort removal of an abandoned staged file or pack."""
     try:
         os.remove(path)
     except OSError:
@@ -131,9 +151,10 @@ def discard_staged(path: str) -> None:
 class CompactionReport:
     """Outcome of one ``compact()`` call (summable across tiers).
 
-    ``reclaimed_bytes`` counts dead payload bytes actually unlinked;
-    log shrinkage is visible separately as ``log_bytes_before`` vs
-    ``log_bytes_after``.  Stores without tombstone debt return an
+    ``removed_files`` counts the dead fragments whose bytes left the
+    disk (one per unlinked file in the parent one-file-per-fragment
+    format) and ``reclaimed_bytes`` those bytes; log shrinkage is
+    visible separately as ``log_bytes_before`` vs ``log_bytes_after``.  Stores without tombstone debt return an
     all-zero report with ``compactions=0`` (the call is a no-op there).
     """
 
@@ -161,9 +182,9 @@ class DurabilityStats:
 
     ``wal_commits``/``wal_entries`` count this handle's appended commit
     records and index entries; ``tombstones``/``dead_bytes`` describe
-    the reclaimable debt compaction would collect *right now*;
-    ``compactions``/``reclaimed_bytes`` total what compaction has
-    collected through this handle.
+    the reclaimable debt compaction would collect *right now* (dead
+    fragments and their bytes); ``compactions``/``reclaimed_bytes``
+    total what compaction has collected through this handle.
     """
 
     wal_commits: int = 0
@@ -188,8 +209,8 @@ class CommitLog:
     ``(txn, entries)`` records — legacy entry-per-line logs come back
     as single-entry records with ``txn=None`` — truncating a torn final
     line when the file is writable.  :meth:`reserve` hands out the next
-    transaction id (staged file names need it before the commit
-    record), :meth:`append` writes one fsync'd commit record, and
+    transaction id (pack names need it before the commit record),
+    :meth:`append` writes one fsync'd commit record, and
     :meth:`rewrite` atomically replaces the whole log with a compacted
     entry set.
     """
@@ -214,7 +235,7 @@ class CommitLog:
 
     @property
     def fsync_payloads(self) -> bool:
-        """Whether staged payload files must fsync before their commit."""
+        """Whether packs must fsync before their commit record."""
         return self.fsync == "always"
 
     @property
@@ -297,8 +318,8 @@ class CommitLog:
 
         The append is flushed (and fsync'd under the ``commit`` /
         ``always`` disciplines) before returning — when this method
-        returns, the transaction is durable and recovery will treat its
-        staged files as publishable.
+        returns, the transaction is durable and recovery will index its
+        pack.
         """
         if txn is None:
             txn = self.reserve()

@@ -21,7 +21,6 @@ The crash harness lives in ``tests/fault_store.py``; see
 ``docs/durability.md`` for the protocol being exercised.
 """
 
-import os
 import zlib
 
 import numpy as np
@@ -40,12 +39,13 @@ from repro.compressors.base import make_refactorer
 from repro.compressors.sz3 import SZ3Blob, SZ3Compressor
 from repro.core.ingest import ingest_dataset
 from repro.core.retrieval import refactor_dataset
-from repro.encoding.bitplane import BitplaneDecoder, BitplaneEncoder
+from repro.encoding.bitplane import BitplaneDecoder, BitplaneEncoder, CorruptSegmentError
 from repro.encoding.bytecodec import encode_ints
 from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.lossless import get_backend
 from repro.storage.archive import Archive
 from repro.storage.store import DiskFragmentStore, ShardedDiskStore
+from test_storage_store import read_tree
 
 # Both persistent layouts recover through the same WAL protocol but
 # with different reindex paths (flat root scan vs sharded shard walk);
@@ -69,6 +69,11 @@ def _contents(store) -> dict:
 
 def _put_batch(store, batch: dict) -> None:
     store.put_many([(v, s, p) for (v, s), p in batch.items()])
+
+
+def _payload_files(root) -> dict:
+    """Every payload file under *root* (packs and parent-format files)."""
+    return {rel: data for rel, data in read_tree(root).items() if rel.endswith((".pack", ".bin"))}
 
 
 @st.composite
@@ -224,14 +229,17 @@ class TestTornLogTail:
         with open(log_path, "wb") as fh:
             fh.write(head + last[: max(0, keep)])
 
+        # on disk: one pack per batch, each exactly its payloads in order
+        first_pack, torn_pack = b"".join(first.values()), b"".join(second.values())
+        assert sorted(_payload_files(root).values()) == sorted([first_pack, torn_pack])
+
         reopened = make(root)
         assert _contents(reopened) == before, f"{layout}: torn tail leaked"
-        # the published-but-uncommitted payloads became reclaimable orphans
-        assert reopened.durability().dead_bytes == sum(
-            len(p) for p in second.values()
-        )
+        # the torn txn never committed: the reopen discarded its pack
+        assert list(_payload_files(root).values()) == [first_pack]
+        assert reopened.durability().dead_bytes == 0
         report = reopened.compact()
-        assert report.removed_files == len(second)
+        assert (report.removed_files, report.reclaimed_bytes) == (0, 0)
         assert _contents(reopened) == before
         reopened.close()
 
@@ -406,11 +414,10 @@ class TestCrashAtomicCompaction:
         reopened.compact()  # re-running finishes the reclaim
         assert _contents(reopened) == live
         assert reopened.durability().dead_bytes == 0
-        # dead payload files are truly gone from disk
-        bins = []
-        for dirpath, _, names in os.walk(root):
-            bins += [n for n in names if n.endswith(".bin")]
-        assert len(bins) == len(live)
+        # every dead byte is gone from disk: one pack holds exactly the
+        # live payloads, in index order
+        expected = [b"".join(live[key] for key in reopened.keys())] if live else []
+        assert list(_payload_files(root).values()) == expected
         reopened.close()
 
 
@@ -481,12 +488,12 @@ class TestCorruptedStreams:
 
     def test_bitplane_corrupted_plane(self):
         stream = BitplaneEncoder(num_planes=16).encode(np.linspace(-1, 1, 64))
-        # bad marker byte -> ValueError; bad compressed body -> zlib.error
+        # bad marker byte or bad compressed body -> the one typed error
         stream.plane_segments[0] = b"not zlib data"
-        with pytest.raises(ValueError, match="segment marker"):
+        with pytest.raises(CorruptSegmentError, match="plane 0.*segment marker"):
             BitplaneDecoder(stream).advance_to(4)
         stream.plane_segments[0] = b"\x01not zlib data"
-        with pytest.raises(zlib.error):
+        with pytest.raises(CorruptSegmentError, match="plane 0"):
             BitplaneDecoder(stream).advance_to(4)
 
     def test_huffman_truncated(self):

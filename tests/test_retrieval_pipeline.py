@@ -181,17 +181,21 @@ class TestOpenStoreMarkers:
 
     def test_dangling_legacy_log_entry_degrades_per_key(self, tmp_path):
         root = str(tmp_path / "flat")
-        store = _filled(DiskFragmentStore(root))
-        # rewrite the log without sizes (pre-size-tracking format) and
-        # delete one fragment file out from under it
-        log = os.path.join(root, ".repro-index.jsonl")
-        entries = [json.loads(line) for line in open(log) if line.strip()]
-        with open(log, "w") as fh:
-            for e in entries:
-                e.pop("nbytes", None)
-                fh.write(json.dumps(e) + "\n")
-        os.remove(os.path.join(root, "v__s0.bin"))
+        os.makedirs(root)
+        # a pre-size-tracking legacy directory, written by hand: one file
+        # per fragment, entry-per-line log without sizes; then one
+        # fragment file is deleted out from under the log
+        files = {"v__s0.bin": b"aaaa", "v__s1.bin": b"bb", "w__s0.bin": b"cccccc"}
+        with open(os.path.join(root, ".repro-index.jsonl"), "w") as fh:
+            for name in files:
+                var, seg = name[:-4].split("__")
+                fh.write(json.dumps({"variable": var, "segment": seg, "file": name}) + "\n")
+        for name, payload in files.items():
+            if name != "v__s0.bin":
+                with open(os.path.join(root, name), "wb") as fh:
+                    fh.write(payload)
         reopened = DiskFragmentStore(root)  # must not raise
+        assert reopened.size_of("w", "s0") == 6  # sizes come from the files
         assert reopened.has("v", "s0")  # indexed, size unknown (0)
         assert reopened.get("v", "s1") == b"bb"  # the rest stays readable
         with pytest.raises(OSError):

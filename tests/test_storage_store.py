@@ -1,5 +1,6 @@
 """Tests for fragment stores and dataset manifests."""
 
+import hashlib
 import json
 import os
 
@@ -162,11 +163,10 @@ class TestDiskStore:
     def test_reopen_legacy_directory_without_log(self, tmp_path):
         """Directories written before the key log existed are rescanned."""
         root = str(tmp_path / "frags")
-        store = DiskFragmentStore(root)
-        store.put("v", "s0", b"abcd")
-        os.remove(os.path.join(root, ".repro-index.jsonl"))
+        write_tree(root, {"v__s0.bin": b"abcd"})  # what such a writer left
         reopened = DiskFragmentStore(root)
         assert reopened.get("v", "s0") == b"abcd"
+        assert reopened.keys() == [("v", "s0")] and reopened.nbytes() == 4
 
     def test_read_accounting(self, tmp_path):
         store = DiskFragmentStore(str(tmp_path / "frags"))
@@ -192,10 +192,22 @@ class TestShardedDiskStore:
         for i in range(32):
             store.put("v", f"s{i:02d}", bytes([i]))
         shard_dirs = [p for p in root.iterdir() if p.is_dir()]
-        assert len(shard_dirs) > 1          # fragments spread over shards
+        assert len(shard_dirs) > 1          # packs spread over shards
         assert all(len(p.name) == 3 for p in shard_dirs)
-        files = [f for d in shard_dirs for f in d.iterdir()]
-        assert len(files) == 32             # one file per fragment
+
+        def shard(txn):  # the layout's rule: sha1 of the txn id, mod fanout
+            digest = hashlib.sha1(str(txn).encode()).hexdigest()
+            return f"{int(digest[:8], 16) % 16:03x}"
+
+        files = {f"{d.name}/{f.name}" for d in shard_dirs for f in d.iterdir()}
+        # one file per commit, named by its txn, in the shard it hashes to
+        assert files == {f"{shard(t)}/{t:06d}.pack" for t in range(1, 33)}
+        store.put_many([("w", f"s{i:02d}", bytes([i]) * 3) for i in range(32)])
+        after = {str(p.relative_to(root)) for p in root.rglob("*.pack")}
+        assert after - files == {f"{shard(33)}/000033.pack"}  # 32 fragments, one file
+        assert (root / shard(33) / "000033.pack").read_bytes() == b"".join(
+            bytes([i]) * 3 for i in range(32)
+        )
 
     def test_reopen_serves_previous_fragments(self, tmp_path):
         root = str(tmp_path / "frags")
@@ -237,9 +249,11 @@ class TestShardedDiskStore:
             ShardedDiskStore(str(tmp_path / "frags"), fanout=0)
 
 
-#: Every byte two ``put_many`` calls and one ``delete`` leave behind, per
-#: layout, written out by hand (not by the code under test): the payload
-#: files, the layout marker, and the commit log with its field names.
+#: Every byte two ``put_many`` calls and one ``delete`` left behind in the
+#: parent format (one payload file per fragment, entries without an
+#: offset), per layout, written out by hand (not by the code under test):
+#: the payload files, the layout marker, and the commit log with its
+#: field names.  The store still opens, reads, writes and compacts it.
 ON_DISK = {
     DiskFragmentStore: {
         "a_b__L0_p3.bin": b"abc",
@@ -270,6 +284,70 @@ ON_DISK = {
             b' "path": "034/a_b__L0_p4__6389b834.bin", "nbytes": 2}]}\n'
             b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
             b' "deleted": true}]}\n'
+        ),
+    },
+}
+
+#: What the store writes for the same three operations: one pack per
+#: commit that carries puts, named by its txn (hashed over the shards in
+#: the sharded layout), and entries that place each fragment by offset.
+PACKED = {
+    DiskFragmentStore: {
+        "000001.pack": b"abchello",
+        "000002.pack": b"de",
+        ".repro-store.json": b'{"layout": "flat"}',
+        ".repro-index.jsonl": (
+            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+            b' "file": "000001.pack", "offset": 0, "nbytes": 3}, {"variable":'
+            b' "vx", "segment": "idx", "file": "000001.pack", "offset": 3,'
+            b' "nbytes": 5}]}\n'
+            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+            b' "file": "000002.pack", "offset": 0, "nbytes": 2}]}\n'
+            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+            b' "deleted": true}]}\n'
+        ),
+    },
+    ShardedDiskStore: {
+        "02b/000001.pack": b"abchello",
+        "037/000002.pack": b"de",
+        ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
+        "index.jsonl": (
+            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+            b' "path": "02b/000001.pack", "offset": 0, "nbytes": 3},'
+            b' {"variable": "vx", "segment": "idx", "path": "02b/000001.pack",'
+            b' "offset": 3, "nbytes": 5}]}\n'
+            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+            b' "path": "037/000002.pack", "offset": 0, "nbytes": 2}]}\n'
+            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+            b' "deleted": true}]}\n'
+        ),
+    },
+}
+
+#: ``PACKED`` after ``compact()``: the live fragment of the partly dead
+#: first pack moved into pack 4, the first pack unlinked, and the log
+#: rewritten to its live entries as one record (txn 5).
+COMPACTED = {
+    DiskFragmentStore: {
+        "000002.pack": b"de",
+        "000004.pack": b"abc",
+        ".repro-store.json": b'{"layout": "flat"}',
+        ".repro-index.jsonl": (
+            b'{"txn": 5, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+            b' "file": "000004.pack", "offset": 0, "nbytes": 3}, {"variable":'
+            b' "a/b", "segment": "L0:p4", "file": "000002.pack", "offset": 0,'
+            b' "nbytes": 2}]}\n'
+        ),
+    },
+    ShardedDiskStore: {
+        "037/000002.pack": b"de",
+        "089/000004.pack": b"abc",
+        ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
+        "index.jsonl": (
+            b'{"txn": 5, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+            b' "path": "089/000004.pack", "offset": 0, "nbytes": 3},'
+            b' {"variable": "a/b", "segment": "L0:p4", "path": "037/000002.pack",'
+            b' "offset": 0, "nbytes": 2}]}\n'
         ),
     },
 }
@@ -328,7 +406,24 @@ class TestOnDiskFormat:
         store.put_many([("a/b", "L0:p3", b"abc"), ("vx", "idx", b"hello")])
         store.put_many([("a/b", "L0:p4", b"de")])
         store.delete("vx", "idx")
-        assert read_tree(root) == ON_DISK[store_cls]
+        assert read_tree(root) == PACKED[store_cls]
+        debt = store.durability()
+        assert (debt.tombstones, debt.dead_bytes) == (1, 5)
+        for handle in (store, store_cls(root)):  # the reopen reads the same debt
+            assert handle.durability().dead_bytes == 5
+            assert handle.get_many(handle.keys()) == {
+                ("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de",
+            }
+        assert read_tree(root) == PACKED[store_cls]  # opening wrote nothing
+        report = store.compact()
+        assert (report.removed_files, report.reclaimed_bytes) == (1, 5)
+        assert read_tree(root) == COMPACTED[store_cls]
+        assert store.durability().dead_bytes == 0
+        reopened = store_cls(root)
+        assert reopened.get_many(reopened.keys()) == {
+            ("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de",
+        }
+        assert reopened.durability().dead_bytes == 0
 
     def test_flat_directory_without_a_log_recovers_keys_from_file_names(self, tmp_path):
         root = str(tmp_path / "ar")
@@ -374,9 +469,14 @@ class TestOnDiskFormat:
         write_tree(root, ON_DISK[ShardedDiskStore])
         store = ShardedDiskStore(root, fanout=16)
         assert store.fanout == 256
-        store.put("vx", "idx", b"again")  # lands in its 256-way shard
-        assert read_tree(root)["04c/vx__idx__8db4664c.bin"] == b"again"
-        assert store.durability().tombstones == 0  # the dead file came back live
+        store.put("vx", "idx", b"again")  # txn 4's pack, in its 256-way shard
+        tree = read_tree(root)
+        assert tree["089/000004.pack"] == b"again"  # (its 16-way shard is 009)
+        assert set(tree) == set(ON_DISK[ShardedDiskStore]) | {"089/000004.pack"}
+        assert tree["04c/vx__idx__8db4664c.bin"] == b"hello"  # no file is rewritten
+        assert store.get("vx", "idx") == b"again"
+        debt = store.durability()  # the parent-format file stays dead
+        assert (debt.tombstones, debt.dead_bytes) == (1, 5)
 
 
 class TestManifest:

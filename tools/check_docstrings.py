@@ -34,6 +34,7 @@ DEFAULT_TARGETS = [
     "src/repro/core/pipeline.py",
     "src/repro/core/retrieval.py",
     "src/repro/core/ingest.py",
+    "src/repro/encoding/bitplane.py",
     "src/repro/utils/wire.py",
 ]
 
