@@ -364,26 +364,19 @@ def _cmd_stats(args) -> int:
         if stats.get("worst_degraded_ratio", 0.0) > 0:
             print(f"  worst degraded error/tolerance ratio: "
                   f"{stats['worst_degraded_ratio']:.2f}x")
-    planner = stats.get("planner")
-    if planner:
-        lookups = planner["plan_cache_hits"] + planner["plan_cache_misses"]
-        rate = planner["plan_cache_hits"] / lookups if lookups else 0.0
-        print(f"planner: {planner['plan_cache_hits']} plan hit(s) / "
-              f"{planner['plan_cache_misses']} miss(es) "
-              f"({100.0 * rate:.1f}% of {lookups} lookup(s)); "
-              f"{planner['representations_shared']} shared / "
-              f"{planner['representations_loaded']} loaded representation(s)")
-        print(f"  answers: {planner.get('states_shared', 0)} reader state(s) and "
-              f"{planner.get('verdicts_shared', 0)} verdict(s) shared")
-        print(f"  scheduler: {planner['merged_rounds']} merged round(s) over "
-              f"{planner['scheduler_ticks']} tick(s) -> "
-              f"{planner['coalesced_round_trips']} coalesced trip(s); "
-              f"{planner['deduped_fragments']} fragment(s) deduped")
-        if planner["slow_tier_trips_budgeted"]:
-            print(f"  slow-tier budget: "
-                  f"{planner['slow_tier_trips_budgeted']} trip(s) budgeted, "
-                  f"{planner['slow_tier_throttle_waits']} throttled "
-                  f"({planner['slow_tier_throttle_wait_seconds']:.3f}s waited)")
+    planner = stats["planner"]
+    lookups = planner["plan_cache_hits"] + planner["plan_cache_misses"]
+    print(f"planner: {planner['plan_cache_hits']} plan hit(s) / "
+          f"{planner['plan_cache_misses']} miss(es) "
+          f"({100.0 * planner['plan_cache_hit_rate']:.1f}% of {lookups} lookup(s)); "
+          f"{planner['representations_shared']} shared / "
+          f"{planner['representations_loaded']} loaded representation(s)")
+    print(f"  answers: {planner['states_shared']} reader state(s) and "
+          f"{planner['verdicts_shared']} verdict(s) shared")
+    print(f"  scheduler: {planner['merged_rounds']} merged round(s) over "
+          f"{planner['scheduler_ticks']} tick(s) -> "
+          f"{planner['coalesced_round_trips']} coalesced trip(s); "
+          f"{planner['deduped_fragments']} fragment(s) deduped")
     resilience = stats.get("resilience")
     if resilience and resilience.get("attempts"):
         print(f"resilience: {resilience['attempts']} store attempt(s), "
@@ -411,13 +404,8 @@ def _cmd_serve(args) -> int:
     service = RetrievalService(
         store,
         cache_bytes=int(args.cache_mb) << 20,
-        pipeline_depth=args.pipeline_depth,
-        max_workers=args.fetch_workers,
         max_inflight=args.max_inflight,
         client_rate=args.client_rate,
-        shared_planner=not args.no_shared_planner,
-        coalesce_ms=args.coalesce_ms,
-        slow_trip_rate=args.slow_trips_per_s,
     )
     server = RetrievalServer(service, args.host, args.port)
     host, port = server.address
@@ -563,6 +551,7 @@ def _cmd_client(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """Build the ``repro`` argument parser: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="repro", description="QoI-preserving progressive retrieval"
     )
@@ -644,10 +633,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-mb", type=int,
                          default=DEFAULT_CACHE_BYTES >> 20,
                          help="shared fragment-cache budget in MiB")
-    p_serve.add_argument("--pipeline-depth", type=int, default=DEFAULT_PIPELINE_DEPTH,
-                         help="per-session reduction steps a fetching round is widened by")
-    p_serve.add_argument("--fetch-workers", type=int, default=DEFAULT_MAX_WORKERS,
-                         help="per-session fetch-stage threads")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          help="also serve HTTP /metrics (Prometheus) and "
                               "/health on this port (0 picks one)")
@@ -666,18 +651,6 @@ def make_parser() -> argparse.ArgumentParser:
                               "backing store (0 disables the breaker)")
     p_serve.add_argument("--breaker-cooldown", type=float, default=5.0,
                          help="seconds an open breaker waits before probing")
-    p_serve.add_argument("--no-shared-planner", action="store_true",
-                         help="disable the cross-request plan cache and "
-                              "round-merging fetch scheduler (results are "
-                              "bit-identical either way)")
-    p_serve.add_argument("--coalesce-ms", type=float, default=None,
-                         help="scheduler tick hold window for merging "
-                              "concurrent rounds (default ~2 ms; size to "
-                              "one fast-store round trip)")
-    p_serve.add_argument("--slow-trips-per-s", type=float, default=None,
-                         help="budget slow-tier / cluster-shard round trips "
-                              "to this many per second (over-budget rounds "
-                              "wait and keep merging; default unlimited)")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_stats = sub.add_parser(
@@ -757,6 +730,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse *argv* (default ``sys.argv[1:]``), run the command, return its exit code."""
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -42,7 +42,7 @@ def assign_eb(value_range: float, tolerances) -> float:
     eb = 1.0  # maximal possible relative bound
     for tau in tolerances:
         tau = float(tau)
-        if tau <= 0:
+        if not tau > 0:  # NaN fails too
             raise ValueError(f"QoI tolerance must be > 0, got {tau}")
         eb = min(eb, tau)
     return eb * value_range

@@ -169,8 +169,8 @@ def seed_bounds(value_ranges, incidence, tolerances) -> np.ndarray:
     value_ranges = np.asarray(value_ranges, dtype=np.float64)
     incidence = np.asarray(incidence, dtype=bool)
     tolerances = np.asarray(tolerances, dtype=np.float64)
-    if np.any(tolerances <= 0.0):
-        bad = float(tolerances[tolerances <= 0.0][0])
+    if np.any(~(tolerances > 0.0)):  # NaN fails too
+        bad = float(tolerances[~(tolerances > 0.0)][0])
         raise ValueError(f"QoI tolerance must be > 0, got {bad}")
     if np.any(~(value_ranges > 0.0)):
         bad = float(value_ranges[~(value_ranges > 0.0)][0])

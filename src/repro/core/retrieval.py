@@ -48,7 +48,7 @@ from repro.core.pipeline import (
 )
 from repro.storage.resilience import DegradedError, TRANSIENT_ERRORS
 from repro.utils.timing import Stopwatch
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_error_bound, check_positive
 
 
 #: Points per request Algorithm 4 probes: the largest bounds of the
@@ -83,6 +83,11 @@ class QoIRequest:
         enforced only where the mask is True — region-of-interest
         retrieval in the spirit of the RoI-preserving compressors the
         paper cites [23].  Bounds outside the region are ignored.
+
+    Construction raises :class:`ValueError` naming the field unless
+    ``tolerance > 0`` (NaN fails) and ``qoi_range`` is finite and > 0:
+    either would otherwise surface rounds later as a non-converging
+    Algorithm 4 or an answer that can never be satisfied.
     """
 
     name: str
@@ -90,6 +95,10 @@ class QoIRequest:
     tolerance: float
     qoi_range: float = 1.0
     region: object = None
+
+    def __post_init__(self):
+        check_positive(self.tolerance, name="tolerance")
+        check_error_bound(self.qoi_range, name="qoi_range")
 
     @property
     def absolute_tolerance(self) -> float:

@@ -63,10 +63,12 @@ class BlockedDataset:
 
     @classmethod
     def from_fields(cls, fields: dict, num_blocks: int) -> "BlockedDataset":
+        """Decompose *fields* into *num_blocks* blocks (see :func:`split_fields`)."""
         return cls(split_fields(fields, num_blocks))
 
     @property
     def num_blocks(self) -> int:
+        """How many blocks the dataset is split into."""
         return len(self.blocks)
 
     def merge(self, per_block: list) -> dict:
@@ -113,6 +115,7 @@ class BlockRetrievalResult:
 
     @property
     def total_bytes(self) -> int:
+        """Bytes moved for the answer, summed over its blocks."""
         return int(sum(self.per_block_bytes))
 
 
@@ -264,15 +267,12 @@ def blockwise_retrieve_service(
         loaded = service.load_variables(names.values())
         refactored = {n: loaded[v] for n, v in names.items()}
         ranges = {n: service.value_range(v) for n, v in names.items()}
-        # each worker runs the pipelined engine with the service's knobs:
-        # lazily loaded blocks plan whole rounds and batch-fetch them
-        # through the shared cache, so concurrent blocks (and re-runs)
-        # coalesce their overlapping fragment demand into shared batches
+        # each worker runs the pipelined engine: lazily loaded blocks
+        # plan whole rounds and batch-fetch them through the shared cache,
+        # so concurrent blocks (and re-runs) coalesce their overlapping
+        # fragment demand into shared batches
         retriever = QoIRetriever(
-            refactored, ranges,
-            reduction_factor=service.reduction_factor,
-            pipeline_depth=service.pipeline.pipeline_depth,
-            max_workers=service.pipeline.max_workers,
+            refactored, ranges, reduction_factor=service.reduction_factor
         )
         start = time.perf_counter()
         result = retriever.retrieve([QoIRequest(qoi_name, qoi, tolerance, qoi_range)])

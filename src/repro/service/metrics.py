@@ -49,15 +49,11 @@ def render_metrics(stats: ServiceStats) -> str:
     Every counter of the ``repro stats`` surface becomes one
     ``repro_<path>`` sample (nested dataclasses flatten with ``_``
     separators, e.g. ``repro_durability_dead_bytes``); the derived cache
-    hit rate is added as ``repro_cache_hit_rate`` (and the planner's as
-    ``repro_planner_plan_cache_hit_rate`` when the shared planner runs).
+    hit rate is added as ``repro_cache_hit_rate`` and the planner's as
+    ``repro_planner_plan_cache_hit_rate``.
     """
-    payload = asdict(stats)
-    payload["cache"]["hit_rate"] = stats.cache.hit_rate
-    if stats.planner is not None:
-        payload["planner"]["plan_cache_hit_rate"] = stats.planner.plan_cache_hit_rate
     samples: list = []
-    _flatten("repro", payload, samples)
+    _flatten("repro", stats.payload(), samples)
     lines = []
     for name, value in samples:
         lines.append(f"# TYPE {name} gauge")

@@ -37,21 +37,21 @@ rounds:
   routine, :func:`~repro.storage.archive.prefetch_plans`: duplicates
   drop at the shared fragment sources' claims, and each backing store
   gets ONE coalesced ``get_many`` (per shard on a cluster backend).
-  Rounds that queue while a fetch (or a
-  :class:`~repro.storage.resilience.TokenBucket` wait) is in flight
-  merge into the next tick for free.
+  Rounds that queue while a fetch is in flight merge into the next tick
+  for free.
 
 Sessions widen a fetching round with the fragments the next round is
 predicted to need (see :mod:`repro.core.pipeline`); the widening arrives
-here as part of the round's own plan, so it is merged, deduplicated and
-budgeted exactly like the rest of the round.
+here as part of the round's own plan, so it is merged and deduplicated
+exactly like the rest of the round.
 
 Bit-identity: planning is read-only (``plan_segments`` computes from
 metadata, never mutates), merged fetches only *warm* sources and the
 shared cache (``absorb`` is idempotent, decode consumes exactly what its
 own plan demands), and memo keys capture the full reader state — so a
-service with the planner on returns byte-for-byte the results of one
-with it off, which ``tests/test_service_planner.py`` asserts.
+service session returns byte-for-byte what a library
+:class:`~repro.core.retrieval.QoIRetriever` session over the same
+archive returns, which ``tests/test_service_planner.py`` asserts.
 """
 
 from __future__ import annotations
@@ -73,12 +73,13 @@ from repro.storage.cache import DEFAULT_CACHE_BYTES
 MAX_PLAN_MEMO = 4096
 
 #: How long a scheduling tick holds its first round for concurrent rounds
-#: to join before dispatching.  Concurrent sessions' rounds are never
-#: perfectly aligned; a hold of roughly one fast-store round trip lets
-#: unaligned rounds coalesce into one ``get_many`` instead of each paying
-#: its own — the difference between ~1.5x and >2x trip reduction on an
-#: 8-client overlapping workload.  A solo session pays at most this much
-#: extra latency per round, negligible against any remote store hop.
+#: to join before dispatching; a constant, no caller tunes it.
+#: Concurrent sessions' rounds are never perfectly aligned; a hold of
+#: roughly one fast-store round trip lets unaligned rounds coalesce into
+#: one ``get_many`` instead of each paying its own — the difference
+#: between ~1.5x and >2x trip reduction on an 8-client overlapping
+#: workload.  A solo session pays at most this much extra latency per
+#: round, negligible against any remote store hop.
 DEFAULT_COALESCE_WINDOW_S = 0.002
 
 
@@ -129,10 +130,8 @@ class PlannerStats:
     carried one round); ``deduped_fragments`` counts segments dropped at
     merge time because a concurrent request already claimed them.
     ``coalesced_round_trips`` is the store ``get_many`` calls the
-    scheduler actually issued across ``scheduler_ticks`` ticks.  The
-    ``slow_tier_throttle_*`` triple mirrors the service's
-    :class:`~repro.storage.resilience.TokenBucket` (zeros when no budget
-    is configured).  ``states_shared`` counts reader requests answered by
+    scheduler actually issued across ``scheduler_ticks`` ticks.
+    ``states_shared`` counts reader requests answered by
     adopting another session's decoded state, and ``verdicts_shared``
     QoI estimates answered from another session's verdict (memo hits and
     waits on an in-flight computation alike).
@@ -148,9 +147,6 @@ class PlannerStats:
     scheduler_ticks: int = 0
     coalesced_round_trips: int = 0
     deduped_fragments: int = 0
-    slow_tier_trips_budgeted: int = 0
-    slow_tier_throttle_waits: int = 0
-    slow_tier_throttle_wait_seconds: float = 0.0
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -511,24 +507,20 @@ class FetchScheduler:
 
     Sessions call :meth:`fetch` (blocking) from their retrieval threads;
     a dedicated daemon thread drains the whole queue each tick, so rounds
-    that arrive while a fetch is in flight — or while a
-    :class:`~repro.storage.resilience.TokenBucket` gates the slow tier —
-    merge into the next tick without any added idle latency.  A tick is
-    one :func:`~repro.storage.archive.prefetch_plans` pass over the
-    merged plan: cross-request duplicates drop at the shared
-    :class:`~repro.storage.archive.FragmentSource` claims, and each
-    backing store gets one ``get_many`` (a cluster store fans it out per
-    shard, with replica failover).  A store error releases every
+    that arrive while a fetch is in flight merge into the next tick
+    without any added idle latency.  Each tick first holds the queue
+    open for :data:`DEFAULT_COALESCE_WINDOW_S` so unaligned rounds join
+    it.  A tick is one :func:`~repro.storage.archive.prefetch_plans`
+    pass over the merged plan: cross-request duplicates drop at the
+    shared :class:`~repro.storage.archive.FragmentSource` claims, and
+    each backing store gets one ``get_many`` (a cluster store fans it
+    out per shard, with replica failover).  A store error releases every
     still-claimed segment and surfaces to exactly the requests that
     claimed a segment which did not arrive.
     """
 
-    def __init__(
-        self, planner: QueryPlanner,
-        coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
-    ):
+    def __init__(self, planner: QueryPlanner):
         self._planner = planner
-        self._window = max(0.0, float(coalesce_window_s))
         self._cv = threading.Condition()
         self._queue: deque = deque()
         self._thread: threading.Thread | None = None
@@ -578,15 +570,14 @@ class FetchScheduler:
                     self._cv.wait()
                 if not self._queue:
                     return  # closed and drained
-                if self._window > 0.0 and not self._closed:
-                    # hold the tick open briefly so concurrent sessions'
-                    # unaligned rounds land in this batch, not the next
-                    deadline = time.monotonic() + self._window
-                    while not self._closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0.0:
-                            break
-                        self._cv.wait(timeout=remaining)
+                # hold the tick open briefly so concurrent sessions'
+                # unaligned rounds land in this batch, not the next
+                deadline = time.monotonic() + DEFAULT_COALESCE_WINDOW_S
+                while not self._closed:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0:
+                        break
+                    self._cv.wait(timeout=remaining)
                 batch = list(self._queue)
                 self._queue.clear()
             try:

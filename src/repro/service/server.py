@@ -190,14 +190,7 @@ class _ClientHandler(socketserver.StreamRequestHandler):
                     variables[name] = {}
             return {"ok": True, "variables": variables}
         if op == "stats":
-            stats = service.stats()
-            payload = asdict(stats)
-            payload["cache"]["hit_rate"] = stats.cache.hit_rate
-            if stats.planner is not None:
-                payload["planner"]["plan_cache_hit_rate"] = (
-                    stats.planner.plan_cache_hit_rate
-                )
-            return {"ok": True, "stats": payload}
+            return {"ok": True, "stats": service.stats().payload()}
         if op == "health":
             from repro.service.metrics import health_payload
 

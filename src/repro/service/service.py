@@ -12,7 +12,8 @@ store for one client is served from memory to every other.
 Layering::
 
     ClientSession  (one per client; per-client reader state)
-        └── RetrievalService  (shared; value ranges, masks, accounting)
+        └── RetrievalService  (shared; value ranges, accounting)
+              ├── QueryPlanner + FetchScheduler  (shared plans, merged rounds)
               └── Archive over CachingFragmentStore
                     ├── FragmentCache   (shared LRU, byte budget)
                     └── FragmentStore   (disk / sharded / in-memory)
@@ -21,9 +22,10 @@ Each :class:`ClientSession` keeps the full incremental economics of
 :class:`~repro.core.retrieval.RetrievalSession` — successive, tighter
 requests from the same client only move incremental fragments — while the
 cache collapses the *cross-client* redundancy that sessions alone cannot
-see.  ``ClientSession.retrieve`` is self-contained per client; the only
-state shared between threads is the lock-protected cache and the service
-counters, so sessions may run on concurrent threads.
+see.  ``ClientSession.retrieve`` is self-contained per client; the
+state shared between threads — the cache, the planner's memos, the
+scheduler's queue and the service counters — is lock-protected, so
+sessions may run on concurrent threads.
 
 Under heavy traffic the service applies *admission control* rather than
 unbounded queueing: a bounded in-flight budget (``max_inflight``),
@@ -32,7 +34,7 @@ and per-request priorities —
 a request that cannot be admitted is shed immediately with
 :class:`OverloadedError` carrying a ``retry_after_ms`` hint, leaving no
 server-side state behind.  Admitted requests may still come back
-*degraded* (deadline hit, slow tier down — see
+*degraded* (deadline hit, store down — see
 :class:`~repro.core.retrieval.RetrievalResult`); every outcome —
 admitted, shed, degraded — is counted in :class:`ServiceStats`, so
 overload is always an explicit, observable contract, never a hang.
@@ -41,7 +43,7 @@ overload is always an explicit, observable contract, never a hang.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 from repro.core.assigner import DEFAULT_REDUCTION_FACTOR
 from repro.core.ingest import (
@@ -52,7 +54,6 @@ from repro.core.ingest import (
     IngestReport,
     update_manifest,
 )
-from repro.core.pipeline import DEFAULT_MAX_WORKERS, DEFAULT_PIPELINE_DEPTH, PipelineConfig
 from repro.core.retrieval import QoIRetriever, RetrievalResult, RetrievalSession
 from repro.storage.archive import Archive
 from repro.storage.cache import CacheStats, CachingFragmentStore, DEFAULT_CACHE_BYTES, FragmentCache
@@ -122,6 +123,8 @@ class ServiceStats:
     carries the scale-out fabric's aggregate and per-node counters
     (requests, bytes, failovers, rebalanced fragments) when the backing
     store is a :class:`~repro.storage.cluster.ClusterFragmentStore`.
+    ``planner`` carries the counters of the service's planner and fetch
+    scheduler (:class:`~repro.service.planner.PlannerStats`).
     """
 
     sessions_opened: int
@@ -147,7 +150,19 @@ class ServiceStats:
     worst_degraded_ratio: float = 0.0
     resilience: ResilienceStats | None = None
     cluster: ClusterStats | None = None
-    planner: PlannerStats | None = None
+    planner: PlannerStats = field(default_factory=PlannerStats)
+
+    def payload(self) -> dict:
+        """The snapshot as plain data, with the derived hit rates added.
+
+        What the ``stats`` op answers and ``/metrics`` renders:
+        ``cache.hit_rate`` and ``planner.plan_cache_hit_rate`` join the
+        dataclass fields.
+        """
+        payload = asdict(self)
+        payload["cache"]["hit_rate"] = self.cache.hit_rate
+        payload["planner"]["plan_cache_hit_rate"] = self.planner.plan_cache_hit_rate
+        return payload
 
 
 class RetrievalService:
@@ -162,21 +177,13 @@ class RetrievalService:
     value_ranges:
         Extra/override ``{variable: max - min}`` entries (Algorithm 3's
         input) for archives without a manifest.
-    masks:
-        Optional ``{variable: ZeroMask}`` applied in every client session
-        (§V-A).
-    cache / cache_bytes:
-        Share an existing :class:`FragmentCache` across services, or size
-        a private one.  With the shared planner on, ``1 /``
-        :data:`~repro.service.planner.ANSWER_SHARE` of the budget goes
-        to the planner's answer memo (decoded reader states and QoI
-        verdicts) and the rest to the fragment cache.
-    pipeline_depth / max_workers:
-        Fetch/decode pipeline knobs every client session retrieves with
-        (see :class:`~repro.core.pipeline.PipelineConfig`).  With the
-        shared planner a session hands each round to the scheduler
-        inline, so ``max_workers`` only sizes the pool of
-        ``shared_planner=False`` sessions.
+    cache_bytes:
+        The service's memory budget.  ``1 /``
+        :data:`~repro.service.planner.ANSWER_SHARE` of it goes to the
+        planner's answer memo (decoded reader states and QoI verdicts)
+        and the rest to the shared fragment cache.
+    reduction_factor:
+        Algorithm 4's ``c`` every client session retrieves with.
     max_inflight:
         Bound on concurrently-executing retrievals.  ``None`` (default)
         disables admission control entirely; with a bound, a request
@@ -187,65 +194,34 @@ class RetrievalService:
         Per-client :class:`~repro.storage.resilience.TokenBucket`
         parameters (requests/second and burst size, at least 1).
         ``client_rate=None`` (default) disables per-client rate limiting.
-    shared_planner:
-        Run the cross-request :class:`~repro.service.planner.QueryPlanner`
-        and :class:`~repro.service.planner.FetchScheduler` (the default):
-        concurrent sessions share one plan cache and one answer memo (a
-        warm re-read adopts decoded states and estimates instead of
-        recomputing them), and their fetch rounds merge into one
-        coalesced store round trip per tick.  Results are
-        bit-identical either way; set False to restore fully independent
-        per-session planning.
-    coalesce_ms:
-        How long a scheduling tick holds its first round open for
-        concurrent rounds to join (``None`` follows
-        :data:`~repro.service.planner.DEFAULT_COALESCE_WINDOW_S`).
-        Size it to roughly one fast-store round trip: larger windows
-        merge unaligned rounds harder at the cost of that much added
-        per-round latency for a solo client.
-    slow_trip_rate / slow_trip_burst:
-        Budget slow-tier round trips (tiered backend's capacity tier,
-        cluster shard fan-outs) to *rate* trips/second with *burst*
-        headroom via a blocking :class:`~repro.storage.resilience.TokenBucket`.
-        Over-budget rounds *wait* (they are admitted work), and queued
-        rounds keep merging in the scheduler while they do.  ``None``
-        (default) disables budgeting.
+
+    Every service runs one cross-request
+    :class:`~repro.service.planner.QueryPlanner` and one
+    :class:`~repro.service.planner.FetchScheduler`: concurrent sessions
+    share one plan cache and one answer memo (a warm re-read adopts
+    decoded states and estimates instead of recomputing them), and their
+    fetch rounds merge into one coalesced store round trip per tick.
+    Each session applies the §V-A zero mask its variables were archived
+    with.
     """
 
     def __init__(
         self,
         store: FragmentStore,
         value_ranges: dict | None = None,
-        masks: dict | None = None,
-        cache: FragmentCache | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         reduction_factor: float = DEFAULT_REDUCTION_FACTOR,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
-        max_workers: int = DEFAULT_MAX_WORKERS,
         max_inflight: int | None = None,
         client_rate: float | None = None,
         client_burst: float | None = None,
-        shared_planner: bool = True,
-        coalesce_ms: float | None = None,
-        slow_trip_rate: float | None = None,
-        slow_trip_burst: float | None = None,
     ):
         self._inner = store
         # the planner's answer memo is carved out of the cache budget
-        answer_bytes = 0
-        if shared_planner:
-            budget = cache.capacity_bytes if cache is not None else int(cache_bytes)
-            answer_bytes = budget // ANSWER_SHARE
-        self.cache = (
-            cache if cache is not None else FragmentCache(int(cache_bytes) - answer_bytes)
-        )
+        answer_bytes = int(cache_bytes) // ANSWER_SHARE
+        self.cache = FragmentCache(int(cache_bytes) - answer_bytes)
         self.store = CachingFragmentStore(store, self.cache)
         self.archive = Archive(self.store)
         self.reduction_factor = float(reduction_factor)
-        self.pipeline = PipelineConfig(
-            pipeline_depth=int(pipeline_depth), max_workers=int(max_workers)
-        )
-        self._masks = dict(masks or {})
         self.manifest: DatasetManifest | None = None
         self._ranges: dict = {}
         if store.has(MANIFEST_VARIABLE, MANIFEST_SEGMENT):
@@ -276,32 +252,8 @@ class RetrievalService:
         self._requests_degraded = 0
         self._worst_degraded_ratio = 0.0
         self._latency_ewma_s = 0.0  # recent retrieval wall time
-        self.planner = QueryPlanner(answer_bytes=answer_bytes) if shared_planner else None
-        self.scheduler = None
-        if shared_planner:
-            scheduler_kwargs = {}
-            if coalesce_ms is not None:
-                scheduler_kwargs["coalesce_window_s"] = float(coalesce_ms) / 1000.0
-            self.scheduler = FetchScheduler(self.planner, **scheduler_kwargs)
-        self.trip_budget = None
-        if slow_trip_rate is not None:
-            self.trip_budget = TokenBucket(float(slow_trip_rate), slow_trip_burst)
-            self._install_trip_budget(store)
-
-    def _install_trip_budget(self, store) -> None:
-        """Hand the service's trip budget to the layer that spends it.
-
-        :class:`~repro.storage.tiered.TieredStore` (slow-tier gets) and
-        :class:`~repro.storage.cluster.ClusterFragmentStore` (per-shard
-        fan-outs) expose ``trip_budget``; every
-        :class:`~repro.storage.store.StoreWrapper` forwards the attribute
-        down its ``inner`` chain, so setting it on the outermost store
-        reaches them through resilience wrappers and the like.  A cluster
-        of tiered nodes budgets at the cluster layer only; node-local
-        tiers are behind the network hop.
-        """
-        if hasattr(store, "trip_budget"):
-            store.trip_budget = self.trip_budget
+        self.planner = QueryPlanner(answer_bytes=answer_bytes)
+        self.scheduler = FetchScheduler(self.planner)
 
     @classmethod
     def open(
@@ -360,7 +312,7 @@ class RetrievalService:
         plan demands them, and the whole batch costs the archive's two
         open round trips (see
         :meth:`~repro.storage.archive.Archive.load_dataset`) instead of
-        two per variable.  With the shared planner on, loads memoize on
+        two per variable.  Loads memoize in the planner on
         ``(variable, generation)`` with single-flight, so N concurrent
         sessions opening the same variables cost one batched archive
         load, and a session whose variables are partly memoized loads
@@ -370,13 +322,9 @@ class RetrievalService:
         with self._lock:
             self._variables_loaded += len(names)
             generations = {name: self._generations.get(name, 0) for name in names}
-
-        def loader(misses):
-            return self.archive.load_dataset(misses, lazy=True)
-
-        if self.planner is not None:
-            return self.planner.load_many(generations, loader)
-        return loader(names)
+        return self.planner.load_many(
+            generations, lambda misses: self.archive.load_dataset(misses, lazy=True)
+        )
 
     def ingest(
         self,
@@ -440,8 +388,7 @@ class RetrievalService:
                     # payloads to later lazy loads — drop it, and every
                     # planner memo (representation, plans, seeds) with it
                     self.archive.invalidate_source(archived)
-                    if self.planner is not None:
-                        self.planner.invalidate(archived)
+                    self.planner.invalidate(archived)
                     self._ranges[archived] = (
                         self.manifest.variables[archived].value_range
                     )
@@ -540,8 +487,7 @@ class RetrievalService:
 
     def close(self) -> None:
         """Close the backing store (stops a cluster backend's rebalancer)."""
-        if self.scheduler is not None:
-            self.scheduler.close()
+        self.scheduler.close()
         self._inner.close()
 
     def stats(self) -> ServiceStats:
@@ -554,14 +500,6 @@ class RetrievalService:
             cluster = self._inner.stats()
         resilience_of = getattr(self._inner, "resilience", None)
         resilience = resilience_of() if callable(resilience_of) else None
-        planner_stats = self.planner.stats() if self.planner is not None else None
-        if self.trip_budget is not None:
-            if planner_stats is None:
-                planner_stats = PlannerStats()
-            budget = self.trip_budget.snapshot()
-            planner_stats.slow_tier_trips_budgeted = budget["acquires"]
-            planner_stats.slow_tier_throttle_waits = budget["waits"]
-            planner_stats.slow_tier_throttle_wait_seconds = budget["wait_seconds"]
         with self._lock:
             return ServiceStats(
                 sessions_opened=self._sessions_opened,
@@ -587,7 +525,7 @@ class RetrievalService:
                 worst_degraded_ratio=self._worst_degraded_ratio,
                 resilience=resilience,
                 cluster=cluster,
-                planner=planner_stats,
+                planner=self.planner.stats(),
             )
 
 
@@ -607,21 +545,17 @@ class ClientSession:
         self.client_id = client_id
         self._service = service
         self._retriever = QoIRetriever(
-            {}, {},
-            reduction_factor=service.reduction_factor,
-            pipeline_depth=service.pipeline.pipeline_depth,
-            max_workers=service.pipeline.max_workers,
+            {}, {}, reduction_factor=service.reduction_factor
         )
         self._session = RetrievalSession(self._retriever)
         self._generations: dict = {}  # variable -> generation loaded at
-        if service.planner is not None:
-            # share the service planner's memos and route this session's
-            # fetch rounds through the merging scheduler; the retriever's
-            # generation map aliases ours so _ensure_variables keeps the
-            # planner's memo keys current for free
-            self._retriever.planner = service.planner
-            self._retriever.fetch_sink = service.scheduler
-            self._retriever.plan_generations = self._generations
+        # share the service planner's memos and route this session's
+        # fetch rounds through the merging scheduler; the retriever's
+        # generation map aliases ours so _ensure_variables keeps the
+        # planner's memo keys current for free
+        self._retriever.planner = service.planner
+        self._retriever.fetch_sink = service.scheduler
+        self._retriever.plan_generations = self._generations
         self._closed = False
 
     def _ensure_variables(self, requests) -> None:
@@ -639,9 +573,7 @@ class ClientSession:
         # one batched open for everything this request newly touches
         loaded = self._service.load_variables(list(stale))
         for name, (generation, value_range) in stale.items():
-            self._retriever.add_variable(
-                name, loaded[name], value_range, mask=self._service._masks.get(name)
-            )
+            self._retriever.add_variable(name, loaded[name], value_range)
             if name in self._generations:
                 # a live ingest replaced this variable since it was
                 # loaded: the old reader decodes superseded fragments,

@@ -341,9 +341,6 @@ class ClusterFragmentStore(FragmentStore):
             max_workers=max(2, min(len(self._nodes) + 2, int(max_parallel))),
             thread_name_prefix="repro-cluster",
         )
-        # Optional TokenBucket: one token per shard round trip, acquired on
-        # the calling thread before dispatch.  Rebalance copies are exempt.
-        self.trip_budget = None
         self.rebalancer = Rebalancer(self)
         self._reindex()
 
@@ -503,13 +500,11 @@ class ClusterFragmentStore(FragmentStore):
             if exhausted:
                 reason = f"all replicas unavailable: {last_error or 'breakers open'}"
                 raise DegradedError(sorted(exhausted), reason=reason)
-            futures = {}
-            for name, group in groups.items():
-                if self.trip_budget is not None:
-                    self.trip_budget.acquire()
-                futures[
-                    self._pool.submit(self._by_name[name].store.get_many, group)
-                ] = (self._by_name[name], group)
+            futures = {
+                self._pool.submit(self._by_name[name].store.get_many, group):
+                    (self._by_name[name], group)
+                for name, group in groups.items()
+            }
             for future in as_completed(futures):
                 node, group = futures[future]
                 try:

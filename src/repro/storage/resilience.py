@@ -63,36 +63,18 @@ __all__ = [
 class TokenBucket:
     """Thread-safe token bucket: ``rate`` tokens/second, ``burst`` capacity.
 
-    One refill rule, two ways to take a token.  :meth:`try_acquire`
-    never waits — it takes a token and returns ``0.0``, or takes nothing
-    and returns the seconds until one will exist, the natural
-    ``retry_after`` of a shed response: the service's front door, one
-    bucket per client.  :meth:`acquire` *blocks* until the bucket
-    refills, because what it gates is already admitted work: each token
-    is one slow-backend round trip (a
-    :class:`~repro.storage.tiered.TieredStore` slow-tier read, one
-    shard's ``get_many`` in a cluster fetch), so however many sessions a
-    service serves, the archive of record sees at most ``rate`` trips
-    per second with ``burst`` of headroom — and while a fetch queues
-    here, the service's round scheduler keeps accumulating concurrent
-    sessions' plans, so budget pressure makes rounds merge harder
-    rather than fail.
+    :meth:`try_acquire` never waits — it takes a token and returns
+    ``0.0``, or takes nothing and returns the seconds until one will
+    exist, the natural ``retry_after`` of a shed response: the service's
+    front door keeps one bucket per client.
 
     *burst* defaults to ``max(1, rate)`` and must be at least one token:
-    a bucket capped below one can never be acquired (``acquire`` would
-    spin, ``try_acquire`` would quote a ``retry_after`` that never comes
-    true).  ``waits``/``wait_seconds``/``acquires`` are the counters the
-    service surfaces as ``slow_tier_throttle_*`` stats.  *clock* and
-    *sleep* are injectable for deterministic tests.
+    a bucket capped below one can never be acquired (``try_acquire``
+    would quote a ``retry_after`` that never comes true).  *clock* is
+    injectable for deterministic tests.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        burst: float | None = None,
-        clock=time.monotonic,
-        sleep=time.sleep,
-    ):
+    def __init__(self, rate: float, burst: float | None = None, clock=time.monotonic):
         self.rate = float(rate)
         if self.rate <= 0:
             raise ValueError("rate must be positive")
@@ -100,16 +82,9 @@ class TokenBucket:
         if self.burst < 1.0:
             raise ValueError("burst must be >= 1")
         self._clock = clock
-        self._sleep = sleep
         self._lock = threading.Lock()
         self._tokens = self.burst
         self._stamp = clock()
-        #: Blocking acquires that had to wait at least one refill.
-        self.waits = 0
-        #: Total seconds spent waiting across all blocking acquires.
-        self.wait_seconds = 0.0
-        #: Tokens taken, by either call.
-        self.acquires = 0
 
     def try_acquire(self) -> float:
         """Take one token (return 0.0) or return seconds until one exists."""
@@ -120,37 +95,7 @@ class TokenBucket:
             if self._tokens < 1.0:
                 return (1.0 - self._tokens) / self.rate
             self._tokens -= 1.0
-            self.acquires += 1
             return 0.0
-
-    def acquire(self) -> float:
-        """Take one token, sleeping until the bucket refills it.
-
-        Returns the seconds this call waited (0.0 for a free token).
-        Fair enough in practice: sleeping callers re-contend on wakeup,
-        and the service's round scheduler is typically the only caller
-        anyway (one thread draining a merge queue).
-        """
-        waited = 0.0
-        while True:
-            shortfall = self.try_acquire()
-            if shortfall == 0.0:
-                if waited > 0.0:
-                    with self._lock:
-                        self.waits += 1
-                        self.wait_seconds += waited
-                return waited
-            self._sleep(shortfall)
-            waited += shortfall
-
-    def snapshot(self) -> dict:
-        """Counters as a plain dict (for stats plumbing)."""
-        with self._lock:
-            return {
-                "waits": self.waits,
-                "wait_seconds": self.wait_seconds,
-                "acquires": self.acquires,
-            }
 
 
 class FaultStoreError(ConnectionError):

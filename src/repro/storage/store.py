@@ -485,17 +485,6 @@ class StoreWrapper(FragmentStore):
         """Close the inner store (directly: closing is best effort)."""
         self.inner.close()
 
-    @property
-    def trip_budget(self):
-        """The inner chain's slow-trip budget (see ``RetrievalService``)."""
-        return getattr(self.inner, "trip_budget", None)
-
-    @trip_budget.setter
-    def trip_budget(self, budget) -> None:
-        """Hand *budget* down the chain; dropped where no layer spends one."""
-        if hasattr(self.inner, "trip_budget"):
-            self.inner.trip_budget = budget
-
 
 class ShortReadError(ValueError):
     """A payload file holds fewer bytes than an index entry places in it.

@@ -98,10 +98,6 @@ class TieredStore(FragmentStore):
         # delete can interleave with a put so one tier keeps the key
         self._mutate_lock = threading.RLock()
         self._tstats = TierStats()
-        #: Optional :class:`~repro.storage.resilience.TokenBucket` gating
-        #: client-visible slow-tier round trips (the service installs
-        #: one when ``slow_trip_rate`` is configured).
-        self.trip_budget = None
         # the union index: slow tier first, fast-tier-only keys (a
         # pre-seeded fast tier, or one whose slow copy never landed) on top
         for variable, segment in slow.keys():
@@ -203,8 +199,6 @@ class TieredStore(FragmentStore):
                     self._tstats.fast_bytes_served += sum(len(p) for p in out.values())
         slow_keys = [k for k in keys if k not in out]
         if slow_keys:
-            if self.trip_budget is not None:
-                self.trip_budget.acquire()
             try:
                 served = self.slow.get_many(slow_keys)
             except Exception as exc:

@@ -497,6 +497,3 @@ def test_service_carves_the_memo_out_of_its_cache_budget(ge_archive):
     assert service.planner.answer_bytes == budget // ANSWER_SHARE
     assert service.cache.capacity_bytes + service.planner.answer_bytes == budget
     service.close()
-    plain = RetrievalService(copy_of(store), cache_bytes=budget, shared_planner=False)
-    assert plain.cache.capacity_bytes == budget
-    plain.close()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.assigner import assign_eb, reassign_eb
+from repro.core.estimators import seed_bounds
 from repro.core.qois import total_velocity
 from repro.core.expressions import Div, Var
 
@@ -22,6 +23,10 @@ class TestAssignEb:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             assign_eb(1.0, [0.0])
+        with pytest.raises(ValueError, match="got nan"):
+            assign_eb(1.0, [float("nan")])  # `tau <= 0` let NaN through
+        with pytest.raises(ValueError, match="got nan"):
+            seed_bounds([1.0], [[True]], [float("nan")])  # the vectorized twin
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

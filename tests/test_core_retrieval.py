@@ -157,6 +157,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="missing value range"):
             QoIRetriever(refactored, {})
 
+    # at the parent, qoi_range 0 / -1 ended in "reassign_eb did not
+    # converge", NaN in an unsatisfied answer after two rounds, and a NaN
+    # tolerance in an error about an infinite bound
+    @pytest.mark.parametrize(
+        "tolerance, qoi_range, message",
+        [
+            (float("nan"), 1.0, "tolerance must be > 0, got nan"),
+            (0.0, 1.0, "tolerance must be > 0, got 0.0"),
+            (-1e-3, 1.0, "tolerance must be > 0, got -0.001"),
+            (1e-3, 0.0, "qoi_range must be finite and > 0, got 0.0"),
+            (1e-3, -1.0, "qoi_range must be finite and > 0, got -1.0"),
+            (1e-3, float("nan"), "qoi_range must be finite and > 0, got nan"),
+            (1e-3, float("inf"), "qoi_range must be finite and > 0, got inf"),
+        ],
+    )
+    def test_request_is_validated_at_construction(self, tolerance, qoi_range, message):
+        with pytest.raises(ValueError) as raised:
+            QoIRequest("VTOT", total_velocity(), tolerance, qoi_range)
+        assert str(raised.value) == message
+
     def test_result_metadata(self, retriever_setup):
         fields, retriever = retriever_setup
         qoi = total_velocity()

@@ -513,8 +513,7 @@ class TestServiceIngest:
         drop on the per-variable generation bump a live ingest makes —
         a stale memoized plan would name segments of the superseded
         layout and a stale representation would decode old bytes."""
-        service = self._service()  # shared_planner defaults on
-        assert service.planner is not None
+        service = self._service()
         old = np.linspace(0.0, 1.0, 240).reshape(16, 15)
         service.ingest({"p": old}, method="pmgard_hb")
         self._retrieve_identity(service, "p")  # memoize rep + plans

@@ -165,6 +165,19 @@ class TestRetrievalService:
         # the wire format (dataclasses.asdict) carries the split
         assert "io_wait_seconds" in asdict(stats)
 
+    def test_every_session_fetches_through_the_scheduler(self, setup):
+        _, _, qoi, _, qrange = setup
+        service, inner = fresh_service(setup)
+        with service.open_session() as session:
+            trips_before = inner.round_trips
+            result = session.retrieve([QoIRequest("VTOT", qoi, 1e-4, qrange)])
+        planner = service.stats().planner
+        service.close()
+        assert result.all_satisfied
+        assert planner.scheduler_ticks > 0
+        # the lazy open's two trips, then one coalesced trip per tick
+        assert inner.round_trips - trips_before == 2 + planner.coalesced_round_trips
+
     def test_unknown_variable_message_names_known(self, setup):
         service, _ = fresh_service(setup)
         session = service.open_session()
@@ -259,6 +272,21 @@ class TestServer:
         assert response["ok"] and not response["satisfied"]
         assert float(response["estimated_error"]) == np.inf
 
+    def test_stats_op_and_metrics_render_one_payload(self, setup, server):
+        from repro.service.metrics import render_metrics
+
+        _, _, _, _, qrange = setup
+        host, port = server.address
+        with ServiceClient(host, port) as client:
+            client.retrieve("vtot", ["velocity_x", "velocity_y", "velocity_z"], 1e-3, qrange)
+            stats = client.stats()
+        snapshot = server.service.stats()
+        assert stats["planner"]["plan_cache_hit_rate"] == snapshot.planner.plan_cache_hit_rate
+        assert stats["cache"]["hit_rate"] == snapshot.cache.hit_rate
+        text = render_metrics(snapshot)
+        assert f"repro_planner_plan_cache_hit_rate {snapshot.planner.plan_cache_hit_rate}" in text
+        assert f"repro_cache_hit_rate {snapshot.cache.hit_rate}" in text
+
     def test_bad_request_keeps_connection_alive(self, setup, server):
         host, port = server.address
         with ServiceClient(host, port) as client:
@@ -267,6 +295,16 @@ class TestServer:
             with pytest.raises(ServiceError, match="identity expects"):
                 client.retrieve("identity", ["a", "b"], 1e-3)
             assert client.stats()["sessions_active"] >= 1  # still connected
+
+    def test_nan_qoi_range_is_refused_naming_the_field(self, setup, server):
+        # the wire's JSON accepts NaN; at the parent this request came back
+        # ok with an answer that could never be satisfied
+        host, port = server.address
+        fields = ["velocity_x", "velocity_y", "velocity_z"]
+        with ServiceClient(host, port) as client:
+            with pytest.raises(ServiceError, match="qoi_range must be finite and > 0, got nan"):
+                client.retrieve("vtot", fields, 1e-3, qoi_range=float("nan"))
+            assert client.stats()["requests_admitted"] == 0  # refused before admission
 
     def test_cli_client_against_server(self, setup, server, tmp_path, capsys):
         from repro.cli import main

@@ -13,11 +13,10 @@ Four layers of guarantees:
   :class:`~repro.service.service.RetrievalService`: identical ladders
   cost ONE planning pass (the 8-client run's plan-cache misses equal a
   1-client run's), overlapping ladders cut slow-store round trips >= 2x
-  versus per-session planning, and every mode — identical, overlapping,
-  disjoint — is **bit-identical** to ``shared_planner=False``.
-* :class:`repro.storage.resilience.TokenBucket` — blocking token-bucket
-  semantics with injected clocks, the tiered slow-path hook, the
-  service's ``.inner``-chain installation walk, and the stats fold.
+  versus a fleet of library :class:`~repro.core.retrieval.QoIRetriever`
+  sessions over one shared cache and archive, overlapping and disjoint
+  fleets are **bit-identical** to that library fleet, and every answer
+  of every mode is checked against ground truth.
 
 The cluster chaos case (a coalesced round spanning a killed node serves
 via replica failover) lives at the bottom, mirroring
@@ -33,15 +32,14 @@ import pytest
 
 from repro.compressors.base import make_refactorer
 from repro.core.qois import total_velocity
-from repro.core.retrieval import QoIRequest, refactor_dataset
-from repro.service.planner import FetchScheduler, PlannerStats, QueryPlanner
+from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
+from repro.service.planner import FetchScheduler, QueryPlanner
 from repro.service.service import RetrievalService
 from repro.storage.archive import Archive, FragmentSource
+from repro.storage.cache import CachingFragmentStore, FragmentCache
 from repro.storage.metadata import DatasetManifest, VariableMetadata
 from repro.storage.remote import HTTPFragmentServer
-from repro.storage.resilience import TokenBucket
 from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
-from repro.storage.tiered import TieredStore
 
 
 def make_fields(n=4000, seed=0):
@@ -287,9 +285,9 @@ def _fetch_on_thread(scheduler, plans, errors):
 
 
 class TestFetchScheduler:
-    def _scheduler(self, window=0.0):
+    def _scheduler(self):
         planner = QueryPlanner()
-        return planner, FetchScheduler(planner, coalesce_window_s=window)
+        return planner, FetchScheduler(planner)
 
     def test_rounds_queued_behind_a_fetch_merge_into_one_pass(self):
         planner, scheduler = self._scheduler()
@@ -414,42 +412,33 @@ OVERLAPPING_LADDERS = [
 DISJOINT_LADDERS = [[3e-2 / (1.7 ** i)] for i in range(8)]
 
 
-def run_fleet(setup_data, ladders, shared, delay_s=0.0, **service_kwargs):
-    """N concurrent clients, client *i* walking ``ladders[i]``.
+def _drive_fleet(setup_data, ladders, open_session):
+    """Client *i* walks ``ladders[i]`` on its own thread.
 
-    Returns per-(client, tolerance) results, the raw store's round trips
-    during the retrieval phase (variable loads warmed first, so the two
-    planning modes are compared on fetch traffic alone), and the stats.
+    *open_session(i)* returns the client's ``retrieve`` callable and
+    runs before the start barrier.  Returns
+    ``{(client, tolerance): (data, estimated errors, bytes)}``.
     """
-    fields, store, qoi, qrange = setup_data
-    inner = copy_store(store)
-    service = RetrievalService(
-        SlowStore(inner, delay_s) if delay_s else inner,
-        shared_planner=shared, **service_kwargs,
-    )
-    for name in fields:
-        service.load_variables([name])
-    trips_before = inner.round_trips
+    _, _, qoi, qrange = setup_data
     barrier = threading.Barrier(len(ladders))
     outs, errors = {}, []
     lock = threading.Lock()
 
     def work(index):
         try:
-            with service.open_session(f"client-{index}") as session:
-                barrier.wait()
-                for tolerance in ladders[index]:
-                    result = session.retrieve(
-                        [QoIRequest("vtot", qoi, tolerance, qrange)]
+            retrieve = open_session(index)
+            barrier.wait()
+            for tolerance in ladders[index]:
+                result = retrieve([QoIRequest("vtot", qoi, tolerance, qrange)])
+                with lock:
+                    outs[(index, tolerance)] = (
+                        {k: v.copy() for k, v in result.data.items()},
+                        dict(result.estimated_errors),
+                        result.total_bytes,
                     )
-                    with lock:
-                        outs[(index, tolerance)] = (
-                            {k: v.copy() for k, v in result.data.items()},
-                            dict(result.estimated_errors),
-                            result.total_bytes,
-                        )
         except BaseException as exc:  # surfaced to the main thread
             errors.append(exc)
+            barrier.abort()
 
     threads = [
         threading.Thread(target=work, args=(i,)) for i in range(len(ladders))
@@ -459,9 +448,66 @@ def run_fleet(setup_data, ladders, shared, delay_s=0.0, **service_kwargs):
     for thread in threads:
         thread.join()
     assert not errors, errors
+    return outs
+
+
+def run_fleet(setup_data, ladders, delay_s=0.0):
+    """N concurrent clients of one service, client *i* walking ``ladders[i]``.
+
+    Returns per-(client, tolerance) results, the raw store's round trips
+    during the retrieval phase (variable loads warmed first, so fleets
+    are compared on fetch traffic alone), and the stats.
+    """
+    fields, store, _, _ = setup_data
+    inner = copy_store(store)
+    service = RetrievalService(SlowStore(inner, delay_s) if delay_s else inner)
+    for name in fields:
+        service.load_variables([name])
+    trips_before = inner.round_trips
+    sessions = []
+
+    def open_session(index):
+        session = service.open_session(f"client-{index}")
+        sessions.append(session)
+        return session.retrieve
+
+    try:
+        outs = _drive_fleet(setup_data, ladders, open_session)
+    finally:
+        for session in sessions:
+            session.close()
     stats = service.stats()
     service.close()
     return outs, inner.round_trips - trips_before, stats
+
+
+def run_library_fleet(setup_data, ladders, delay_s=0.0):
+    """The same fleet as library sessions: no planner, no scheduler.
+
+    Each client runs its own :class:`~repro.core.retrieval.QoIRetriever`
+    session with a private fetch pipeline; all of them read through one
+    shared :class:`~repro.storage.cache.CachingFragmentStore` and one
+    :class:`~repro.storage.archive.Archive` (whose fragment sources
+    dedup concurrent claims).  Returns the results and the raw store's
+    round trips during the retrieval phase, loads warmed first.
+    """
+    fields, store, _, _ = setup_data
+    inner = copy_store(store)
+    cached = CachingFragmentStore(
+        SlowStore(inner, delay_s) if delay_s else inner, FragmentCache()
+    )
+    archive = Archive(cached)
+    ranges = DatasetManifest.load_from(cached).value_ranges()
+    for name in fields:
+        archive.load_dataset([name], lazy=True)
+    trips_before = inner.round_trips
+
+    def open_session(index):
+        loaded = archive.load_dataset(sorted(fields), lazy=True)
+        return QoIRetriever(loaded, ranges).session().retrieve
+
+    outs = _drive_fleet(setup_data, ladders, open_session)
+    return outs, inner.round_trips - trips_before
 
 
 def assert_bit_identical(got, want):
@@ -474,15 +520,22 @@ def assert_bit_identical(got, want):
             assert np.array_equal(data[name], want_data[name]), (key, name)
 
 
+def assert_truth(setup_data, outs):
+    """The paper's promise, against ground truth, for every answer:
+    true VTOT L-inf error <= reported bound <= tolerance x range."""
+    fields, _, qoi, qrange = setup_data
+    truth = qoi.value({k: (v, 0.0) for k, v in fields.items()})
+    for (_, tolerance), (data, errors, _) in outs.items():
+        got = qoi.value({k: (v, 0.0) for k, v in data.items()})
+        bound = errors["vtot"]
+        assert np.max(np.abs(got - truth)) <= bound <= tolerance * qrange
+
+
 class TestSharedPlannerService:
     def test_identical_ladders_cost_one_planning_pass(self, setup):
-        # both fleets widen fetching rounds by the same single c-step, so
-        # their memo-key walks are comparable
         ladders = [list(IDENTICAL_LADDER) for _ in range(8)]
-        outs8, _, stats8 = run_fleet(setup, ladders, shared=True,
-                                     pipeline_depth=1)
-        outs1, _, stats1 = run_fleet(setup, ladders[:1], shared=True,
-                                     pipeline_depth=1)
+        outs8, _, stats8 = run_fleet(setup, ladders)
+        outs1, _, stats1 = run_fleet(setup, ladders[:1])
         # 8 identical clients planned exactly what 1 client plans: every
         # session's (state token, bound) walk lands on the same memo keys
         assert (
@@ -498,53 +551,47 @@ class TestSharedPlannerService:
                     {(0, tolerance): outs8[(index, tolerance)]},
                     {(0, tolerance): outs1[(0, tolerance)]},
                 )
+        assert_truth(setup, outs8)
 
     def test_overlapping_ladders_halve_round_trips_bit_identical(self, setup):
-        # bit-identity is asserted on every attempt; the >= 2x round-trip
-        # economy is a timing property (merging depends on how rounds
-        # interleave), so it gets best-of-3 like any latency assertion
+        # bit-identity and truth are asserted on every attempt; the >= 2x
+        # round-trip economy is a timing property (merging depends on how
+        # rounds interleave), so it gets best-of-3 like any latency
+        # assertion
         best = 0.0
         for _ in range(3):
-            outs_on, trips_on, stats_on = run_fleet(
-                setup, OVERLAPPING_LADDERS, shared=True,
-                delay_s=0.003, coalesce_ms=5.0,
+            outs, trips, stats = run_fleet(
+                setup, OVERLAPPING_LADDERS, delay_s=0.003
             )
-            outs_off, trips_off, _ = run_fleet(
-                setup, OVERLAPPING_LADDERS, shared=False, delay_s=0.003
+            outs_lib, trips_lib = run_library_fleet(
+                setup, OVERLAPPING_LADDERS, delay_s=0.003
             )
-            assert_bit_identical(outs_on, outs_off)
-            planner = stats_on.planner
+            assert_bit_identical(outs, outs_lib)
+            assert_truth(setup, outs)
+            planner = stats.planner
             assert planner.plan_cache_hits > 0
             assert planner.merged_rounds > 0
             assert planner.deduped_fragments > 0
-            best = max(best, trips_off / trips_on)
+            best = max(best, trips_lib / trips)
             if best >= 2.0:
                 break
         assert best >= 2.0, f"round-trip reduction only {best:.2f}x"
 
     def test_disjoint_ladders_stay_correct_and_bit_identical(self, setup):
-        outs_on, _, _ = run_fleet(setup, DISJOINT_LADDERS, shared=True)
-        outs_off, _, _ = run_fleet(setup, DISJOINT_LADDERS, shared=False)
-        assert_bit_identical(outs_on, outs_off)
+        outs, _, _ = run_fleet(setup, DISJOINT_LADDERS)
+        outs_lib, _ = run_library_fleet(setup, DISJOINT_LADDERS)
+        assert_bit_identical(outs, outs_lib)
+        assert_truth(setup, outs)
 
     def test_sequential_sessions_hit_the_plan_cache(self, setup):
         fields, store, qoi, qrange = setup
-        service = RetrievalService(copy_store(store), shared_planner=True)
+        service = RetrievalService(copy_store(store))
         for client in range(2):
             with service.open_session(f"seq-{client}") as session:
                 session.retrieve([QoIRequest("vtot", qoi, 1e-3, qrange)])
         stats = service.stats()
-        assert stats.planner is not None
         assert stats.planner.plan_cache_hits > 0
         assert stats.planner.representations_shared >= 3
-        service.close()
-
-    def test_planner_disabled_reports_no_planner_stats(self, setup):
-        fields, store, qoi, qrange = setup
-        service = RetrievalService(copy_store(store), shared_planner=False)
-        with service.open_session() as session:
-            session.retrieve([QoIRequest("vtot", qoi, 1e-3, qrange)])
-        assert service.stats().planner is None
         service.close()
 
 
@@ -703,108 +750,6 @@ class TestBatchedOpen:
 
 
 # ---------------------------------------------------------------------------
-# Slow-tier trip budgeting
-# ---------------------------------------------------------------------------
-
-
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-        self.slept = []
-
-    def __call__(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.slept.append(seconds)
-        self.now += seconds
-
-
-class TestTripBudget:
-    def test_burst_then_block(self):
-        clock = _FakeClock()
-        budget = TokenBucket(rate=2.0, burst=2.0, clock=clock, sleep=clock.sleep)
-        assert budget.acquire() == 0.0
-        assert budget.acquire() == 0.0
-        waited = budget.acquire()  # bucket empty: must wait 1/rate
-        assert waited == pytest.approx(0.5)
-        snapshot = budget.snapshot()
-        assert snapshot["acquires"] == 3
-        assert snapshot["waits"] == 1
-        assert snapshot["wait_seconds"] == pytest.approx(0.5)
-
-    def test_refills_with_time(self):
-        clock = _FakeClock()
-        budget = TokenBucket(rate=1.0, burst=1.0, clock=clock, sleep=clock.sleep)
-        budget.acquire()
-        clock.now += 5.0  # plenty of refill (capped at burst)
-        assert budget.acquire() == 0.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=0.5)
-
-    def test_tiered_slow_path_acquires(self):
-        fast, slow = FragmentStore(), FragmentStore()
-        slow.put("v", "s0", b"payload")
-        slow.put("v", "s1", b"payload")
-        tiered = TieredStore(fast, slow)
-        clock = _FakeClock()
-        tiered.trip_budget = TokenBucket(
-            rate=100.0, burst=1.0, clock=clock, sleep=clock.sleep
-        )
-        tiered.get("v", "s0")
-        tiered.get_many([("v", "s1")])
-        snapshot = tiered.trip_budget.snapshot()
-        assert snapshot["acquires"] == 2
-        assert snapshot["waits"] == 1  # burst of 1: the second trip waited
-
-    def test_service_installs_budget_down_the_inner_chain(self, setup):
-        fields, store, qoi, qrange = setup
-        fast, slow = FragmentStore(), copy_store(store)
-        tiered = TieredStore(fast, slow)
-        service = RetrievalService(tiered, slow_trip_rate=10_000.0)
-        assert tiered.trip_budget is service.trip_budget
-        with service.open_session() as session:
-            session.retrieve([QoIRequest("vtot", qoi, 1e-3, qrange)])
-        stats = service.stats()
-        assert stats.planner is not None
-        assert stats.planner.slow_tier_trips_budgeted > 0
-        service.close()
-
-    def test_budget_stats_survive_planner_off(self, setup):
-        fields, store, qoi, qrange = setup
-        fast, slow = FragmentStore(), copy_store(store)
-        tiered = TieredStore(fast, slow)
-        service = RetrievalService(
-            tiered, shared_planner=False, slow_trip_rate=10_000.0
-        )
-        with service.open_session() as session:
-            session.retrieve([QoIRequest("vtot", qoi, 1e-3, qrange)])
-        stats = service.stats()
-        assert stats.planner is not None  # budget counters still reported
-        assert stats.planner.slow_tier_trips_budgeted > 0
-        assert stats.planner.plan_cache_hits == 0
-        service.close()
-
-    def test_throttled_rounds_wait_instead_of_shedding(self, setup):
-        fields, store, qoi, qrange = setup
-        fast, slow = FragmentStore(), copy_store(store)
-        tiered = TieredStore(fast, slow)
-        service = RetrievalService(tiered, slow_trip_rate=200.0,
-                                   slow_trip_burst=1.0)
-        with service.open_session() as session:
-            result = session.retrieve([QoIRequest("vtot", qoi, 1e-3, qrange)])
-        assert result.all_satisfied  # budgeted, degraded never
-        stats = service.stats()
-        assert stats.planner.slow_tier_throttle_waits > 0
-        assert stats.planner.slow_tier_throttle_wait_seconds > 0.0
-        service.close()
-
-
-# ---------------------------------------------------------------------------
 # Chaos: a coalesced round spanning a killed cluster node
 # ---------------------------------------------------------------------------
 
@@ -832,9 +777,7 @@ class TestCoalescedRoundFailover:
         qrange = float(truth.max() - truth.min())
         ladders = [[1e-2, 1e-4], [2e-2, 1e-4], [1e-2, 5e-4], [5e-2, 1e-4]]
 
-        baseline, _, _ = run_fleet(
-            (fields, baseline_store, qoi, qrange), ladders, shared=True
-        )
+        baseline, _, _ = run_fleet((fields, baseline_store, qoi, qrange), ladders)
 
         node_dirs = [str(tmp_path / f"node{i}") for i in range(3)]
         servers = [
@@ -849,7 +792,7 @@ class TestCoalescedRoundFailover:
             seed_store.close()
 
             store = open_store(cluster_url(servers))
-            service = RetrievalService(store, shared_planner=True)
+            service = RetrievalService(store)
             barrier = threading.Barrier(len(ladders))
             outs, errors = {}, []
             lock = threading.Lock()

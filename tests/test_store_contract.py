@@ -269,17 +269,6 @@ class TestWrappers:
         assert store.durability() == inner.durability()
         assert store.compact() == inner.compact()
         store.refresh()  # no snapshot to re-pull on a memory store: a no-op
-        assert store.trip_budget is None
-
-    def test_trip_budget_reaches_the_layer_that_spends_it(self):
-        tiered = TieredStore(FragmentStore(), FragmentStore())
-        chain = ResilientStore(LatencyFragmentStore(tiered, latency=0.0))
-        budget = object()
-        chain.trip_budget = budget
-        assert tiered.trip_budget is budget and chain.trip_budget is budget
-        plain = ResilientStore(FragmentStore())
-        plain.trip_budget = budget  # nothing below spends one: dropped
-        assert plain.trip_budget is None
 
 
 class TestInMemoryConcurrency:

@@ -36,6 +36,8 @@ DEFAULT_TARGETS = [
     "src/repro/core/ingest.py",
     "src/repro/encoding/bitplane.py",
     "src/repro/utils/wire.py",
+    "src/repro/parallel",
+    "src/repro/cli.py",
 ]
 
 
