@@ -24,9 +24,8 @@ refactored on ``--workers`` parallel encode threads and flushed with
 byte-balanced coalesced ``put_many`` batches (``--flush-bytes``),
 adding or replacing variables — or appending ``--timestep`` qualified
 steps — without rewriting untouched fragments.  ``retrieve`` runs the
-QoI-preserved retrieval loop against the archive — lazily loaded and
-driven by the pipelined engine (``--pipeline-depth`` /
-``--fetch-workers`` tune it) — and writes the
+QoI-preserved retrieval loop against the archive — lazily loaded, one
+coalesced store round trip per fetching round — and writes the
 reconstructed variables plus a JSON report of the guaranteed errors.
 ``serve`` exposes the archive to many concurrent clients over TCP behind
 a shared fragment cache (``--metrics-port`` adds the HTTP operability
@@ -69,7 +68,6 @@ from repro.core.ingest import (
     ingest_dataset,
     update_manifest,
 )
-from repro.core.pipeline import DEFAULT_MAX_WORKERS, DEFAULT_PIPELINE_DEPTH
 from repro.core.qois import qoi_from_spec
 from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
 from repro.service.server import RetrievalServer, ServiceClient
@@ -217,12 +215,7 @@ def _cmd_retrieve(args) -> int:
     if missing:
         raise SystemExit(f"fields not in archive: {missing}")
     refactored = Archive(store).load_dataset(fields, lazy=True)
-    retriever = QoIRetriever(
-        refactored,
-        manifest.value_ranges(),
-        pipeline_depth=args.pipeline_depth,
-        max_workers=args.fetch_workers,
-    )
+    retriever = QoIRetriever(refactored, manifest.value_ranges())
     request = QoIRequest(args.qoi, qoi, args.tolerance, args.qoi_range)
     result = retriever.retrieve(
         [request],
@@ -373,10 +366,6 @@ def _cmd_stats(args) -> int:
           f"{planner['representations_loaded']} loaded representation(s)")
     print(f"  answers: {planner['states_shared']} reader state(s) and "
           f"{planner['verdicts_shared']} verdict(s) shared")
-    print(f"  scheduler: {planner['merged_rounds']} merged round(s) over "
-          f"{planner['scheduler_ticks']} tick(s) -> "
-          f"{planner['coalesced_round_trips']} coalesced trip(s); "
-          f"{planner['deduped_fragments']} fragment(s) deduped")
     resilience = stats.get("resilience")
     if resilience and resilience.get("attempts"):
         print(f"resilience: {resilience['attempts']} store attempt(s), "
@@ -605,10 +594,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_ret.add_argument("--qoi-range", type=float, default=1.0,
                        help="QoI value range; 1.0 means --tolerance is absolute")
     p_ret.add_argument("--out", required=True, help="output directory")
-    p_ret.add_argument("--pipeline-depth", type=int, default=DEFAULT_PIPELINE_DEPTH,
-                       help="reduction steps a fetching round is widened by (0 disables)")
-    p_ret.add_argument("--fetch-workers", type=int, default=DEFAULT_MAX_WORKERS,
-                       help="fetch-stage threads (0 fetches synchronously)")
     p_ret.add_argument("--retry", type=int, default=0,
                        help="store attempts per operation under transient "
                             "faults (0 disables retries)")

@@ -13,8 +13,8 @@
 * :mod:`repro.core.masking` — the zero-value bitmap outlier filter (§V-A).
 * :mod:`repro.core.retrieval` — Algorithms 1 and 2: the QoI-preserved
   progressive retrieval loop.
-* :mod:`repro.core.pipeline` — the batched fetch/decode pipeline the
-  retrieval loop drives: coalesced ``get_many`` round fetches, widened
+* :mod:`repro.core.pipeline` — the fetch stage the retrieval loop
+  drives: one inline coalesced ``get_many`` per store per round, widened
   by the predicted next round so speculation costs no trip of its own.
 * :mod:`repro.core.ingest` — the write-side mirror: the streaming
   ingestion engine (parallel transform+encode workers feeding
@@ -56,7 +56,7 @@ from repro.core.extensions import Abs, Clip, DomainReduce, Maximum, Minimum, Mov
 from repro.core.assigner import assign_eb, reassign_eb
 from repro.core.masking import ZeroMask
 from repro.core.ingest import IngestConfig, IngestPipeline, IngestReport, ingest_dataset
-from repro.core.pipeline import FetchPipeline, PipelineConfig
+from repro.core.pipeline import FetchPipeline
 from repro.core.retrieval import (
     QoIRequest,
     QoIRetriever,
@@ -104,7 +104,6 @@ __all__ = [
     "QoIRetriever",
     "RetrievalSession",
     "refactor_dataset",
-    "PipelineConfig",
     "FetchPipeline",
     "IngestConfig",
     "IngestPipeline",

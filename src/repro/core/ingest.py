@@ -2,10 +2,10 @@
 
 The paper's progressive workflow has two halves: *refactor* data into
 prioritized fragments at generation time, then *retrieve* them
-incrementally at analysis time.  :mod:`repro.core.pipeline` made the
-retrieval half overlap fetching with decoding; this module does the same
-for ingestion, which run naively is a strictly serial loop — refactor one
-variable, then block on one ``store.put`` per fragment.
+incrementally at analysis time.  :mod:`repro.core.pipeline` makes the
+retrieval half pay one coalesced store round trip per round; this module
+batches ingestion likewise, which run naively is a strictly serial loop —
+refactor one variable, then block on one ``store.put`` per fragment.
 
 :class:`IngestPipeline` breaks that alternation:
 

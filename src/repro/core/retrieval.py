@@ -40,12 +40,7 @@ from repro.core.assigner import DEFAULT_REDUCTION_FACTOR, reassign_eb
 from repro.core.estimators import fetch_mask, seed_bounds
 from repro.core.expressions import MemoEnv, QoI
 from repro.core.masking import refactor_masked
-from repro.core.pipeline import (
-    DEFAULT_MAX_WORKERS,
-    DEFAULT_PIPELINE_DEPTH,
-    FetchPipeline,
-    PipelineConfig,
-)
+from repro.core.pipeline import DEFAULT_PIPELINE_DEPTH, FetchPipeline
 from repro.storage.resilience import DegradedError, TRANSIENT_ERRORS
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_error_bound, check_positive
@@ -194,11 +189,11 @@ class QoIRetriever:
         their bitmap cost is charged to the retrieval size.
     reduction_factor:
         Algorithm 4's ``c`` (paper default 1.5).
-    pipeline_depth / max_workers:
-        Fetch/decode pipeline knobs (see
-        :class:`~repro.core.pipeline.PipelineConfig`) for variables loaded
-        lazily from an archive; for in-memory representations the
-        pipeline is inert and the loop identical.
+    pipeline_depth:
+        How many Algorithm 4 reduction steps ahead a fetching round is
+        widened (see :mod:`repro.core.pipeline`; 0 fetches exactly the
+        round's plan) for variables loaded lazily from an archive; for
+        in-memory representations it is inert and the loop identical.
     """
 
     def __init__(
@@ -208,7 +203,6 @@ class QoIRetriever:
         masks: dict | None = None,
         reduction_factor: float = DEFAULT_REDUCTION_FACTOR,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
-        max_workers: int = DEFAULT_MAX_WORKERS,
     ):
         for name in refactored:
             if name not in value_ranges:
@@ -223,9 +217,9 @@ class QoIRetriever:
         }
         self._masks.update(masks or {})
         self.reduction_factor = float(reduction_factor)
-        self.pipeline = PipelineConfig(
-            pipeline_depth=int(pipeline_depth), max_workers=int(max_workers)
-        )
+        if pipeline_depth < 0:
+            raise ValueError("pipeline_depth must be >= 0")
+        self.pipeline_depth = int(pipeline_depth)
         #: Optional shared :class:`~repro.service.planner.QueryPlanner`
         #: memoizing estimation seeds, ``plan_segments`` results, decoded
         #: reader states and QoI verdicts across sessions; the service
@@ -235,10 +229,6 @@ class QoIRetriever:
         #: Per-variable generation the planner keys its memos on (the
         #: service aliases its session's generation map here).
         self.plan_generations: dict = {}
-        #: Optional round sink for the fetch pipeline (the service's
-        #: :class:`~repro.service.planner.FetchScheduler`) merging this
-        #: session's round fetches with other sessions' concurrently.
-        self.fetch_sink = None
 
     def add_variable(
         self, name: str, refactored, value_range: float, mask=None
@@ -568,10 +558,6 @@ class RetrievalSession:
             for v in involved
             if getattr(retriever._refactored[v], "fragment_source", None) is not None
         }
-        pipe = (
-            FetchPipeline(retriever.pipeline, sink=retriever.fetch_sink)
-            if sources else None
-        )
         c = retriever.reduction_factor
         deadline = None if deadline_s is None else perf_counter() + float(deadline_s)
 
@@ -579,15 +565,10 @@ class RetrievalSession:
         estimated = {r.name: np.inf for r in requests}
         satisfied = {r.name: False for r in requests}
         requested: dict = {}  # eb each reader was last asked for, this call
-        try:
-            rounds, degraded_reason = self._run_rounds(
-                requests, involved, readers, ebs, achieved, requested,
-                recon, estimated, satisfied, sources, pipe, c, sw, max_rounds,
-                deadline,
-            )
-        finally:
-            if pipe is not None:
-                pipe.close()
+        rounds, degraded_reason = self._run_rounds(
+            requests, involved, readers, ebs, achieved, requested,
+            recon, estimated, satisfied, sources, c, sw, max_rounds, deadline,
+        )
 
         bytes_per_var = {v: readers[v].bytes_retrieved for v in involved}
         for v, mask in retriever._masks.items():
@@ -608,7 +589,7 @@ class RetrievalSession:
 
     def _run_rounds(
         self, requests, involved, readers, ebs, achieved, requested,
-        recon, estimated, satisfied, sources, pipe, c, sw, max_rounds,
+        recon, estimated, satisfied, sources, c, sw, max_rounds,
         deadline=None,
     ) -> tuple:
         """Algorithm 2's round loop over the fetch/decode pipeline.
@@ -624,6 +605,7 @@ class RetrievalSession:
         actually being returned.
         """
         retriever = self._retriever
+        pipe = FetchPipeline()
         rounds = 0
         progressed = False
         degraded_reason = None
@@ -716,17 +698,17 @@ class RetrievalSession:
             planned.clear()
 
             try:
-                if pipe is not None:
+                if sources:
                     for v in fetch_vars:
                         if v in sources:
                             segments = self._plan_segments(v, readers[v], ebs[v])
                             if segments is not None:
                                 planned[v] = segments
-                    # fetch stage: the round's coalesced get_many (through the
-                    # sink, or in pool batches); decode in completion order
+                    # fetch stage: the round's one coalesced get_many per
+                    # store, inline; then decode what it planned
                     groups = pipe.submit_round(self._round_entries(
                         involved, readers, ebs, sources, planned,
-                        c ** pipe.config.pipeline_depth,
+                        c ** retriever.pipeline_depth,
                     ))
                     for keys in pipe.iter_groups(groups):
                         for v in keys:

@@ -127,17 +127,12 @@ def blockwise_retrieve(
     tolerance: float,
     qoi_range: float = 1.0,
     max_workers: int = 4,
-    pipeline_depth: int | None = None,
-    fetch_workers: int | None = None,
 ) -> BlockRetrievalResult:
     """QoI-preserved retrieval of every block, merged back together.
 
     Each block satisfies the tolerance independently, so the merged
-    reconstruction satisfies it globally (L-infinity is a max).  Each
-    block runs the pipelined retrieval engine; ``pipeline_depth`` /
-    ``fetch_workers`` tune its per-block fetch/decode overlap for
-    archive-backed (lazily loaded) blocks and are inert for in-memory
-    refactored blocks.
+    reconstruction satisfies it globally (L-infinity is a max).
+    ``max_workers`` blocks retrieve at once, each on its own thread.
     """
 
     def work(args):
@@ -145,12 +140,7 @@ def blockwise_retrieve(
         ranges = {
             k: (float(np.max(v) - np.min(v)) or 1.0) for k, v in block.items()
         }
-        kwargs = {}
-        if pipeline_depth is not None:
-            kwargs["pipeline_depth"] = pipeline_depth
-        if fetch_workers is not None:
-            kwargs["max_workers"] = fetch_workers
-        retriever = QoIRetriever(refactored, ranges, **kwargs)
+        retriever = QoIRetriever(refactored, ranges)
         start = time.perf_counter()
         result = retriever.retrieve(
             [QoIRequest(qoi_name, qoi, tolerance, qoi_range)]

@@ -1,19 +1,17 @@
-"""Cross-request query planning and round-merged fetch scheduling.
+"""Cross-request query planning.
 
 The storage layers already dedup *bytes* across concurrent clients (the
 shared single-flight :class:`~repro.storage.cache.FragmentCache`, the
 per-variable claim registry of
 :class:`~repro.storage.archive.FragmentSource`), but every
-:class:`~repro.service.service.ClientSession` still *plans* alone: it
-re-loads its own representation, re-runs Algorithm 3's estimation
-seeding, re-computes ``plan_segments`` per round, and drives its own
-fetch round trips.  With N clients asking overlapping tolerance ladders
-that is N planning passes and up to N store round trips per round for
-one round's worth of work — and round trips, not bytes, dominate
-cold-remote wall time.
+:class:`~repro.service.service.ClientSession` would still *plan* alone:
+re-load its own representation, re-run Algorithm 3's estimation
+seeding, re-compute ``plan_segments`` per round, and decode and estimate
+what another session already has.  With N clients asking overlapping
+tolerance ladders that is N passes for one pass's worth of work.
 
 This module moves the dedup one layer up, from bytes to plans and
-rounds:
+answers:
 
 * :class:`QueryPlanner` — a generation-aware **plan cache**.  Archived
   representations memoize on ``(variable, generation)`` with
@@ -31,23 +29,16 @@ rounds:
   instead of decoding, and QoI verdicts (largest bound, worst points)
   keyed on the QoI and the states it reads.  Every memo invalidates on
   the per-variable generation bump a live ingest makes.
-* :class:`FetchScheduler` — **cross-request round merging**.  Sessions
-  submit whole round plans; a scheduler thread drains the queue each
-  tick and runs the merged plan through the read path's one fetch
-  routine, :func:`~repro.storage.archive.prefetch_plans`: duplicates
-  drop at the shared fragment sources' claims, and each backing store
-  gets ONE coalesced ``get_many`` (per shard on a cluster backend).
-  Rounds that queue while a fetch is in flight merge into the next tick
-  for free.
 
-Sessions widen a fetching round with the fragments the next round is
-predicted to need (see :mod:`repro.core.pipeline`); the widening arrives
-here as part of the round's own plan, so it is merged and deduplicated
-exactly like the rest of the round.
+Fetches stay per session: each round is one inline
+:func:`~repro.storage.archive.prefetch_plans` call on the session's
+thread, and concurrent sessions' overlapping rounds dedup at the shared
+:class:`~repro.storage.archive.FragmentSource` claims and the cache's
+single-flight.
 
 Bit-identity: planning is read-only (``plan_segments`` computes from
-metadata, never mutates), merged fetches only *warm* sources and the
-shared cache (``absorb`` is idempotent, decode consumes exactly what its
+metadata, never mutates), fetches only *warm* sources and the shared
+cache (``absorb`` is idempotent, decode consumes exactly what its
 own plan demands), and memo keys capture the full reader state — so a
 service session returns byte-for-byte what a library
 :class:`~repro.core.retrieval.QoIRetriever` session over the same
@@ -57,8 +48,7 @@ archive returns, which ``tests/test_service_planner.py`` asserts.
 from __future__ import annotations
 
 import threading
-import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +61,6 @@ from repro.storage.cache import DEFAULT_CACHE_BYTES
 #: monotonically per session generation, so old entries go cold — an LRU
 #: keeps a long-lived service's memo from growing without bound.
 MAX_PLAN_MEMO = 4096
-
-#: How long a scheduling tick holds its first round for concurrent rounds
-#: to join before dispatching; a constant, no caller tunes it.
-#: Concurrent sessions' rounds are never perfectly aligned; a hold of
-#: roughly one fast-store round trip lets unaligned rounds coalesce into
-#: one ``get_many`` instead of each paying its own — the difference
-#: between ~1.5x and >2x trip reduction on an 8-client overlapping
-#: workload.  A solo session pays at most this much extra latency per
-#: round, negligible against any remote store hop.
-DEFAULT_COALESCE_WINDOW_S = 0.002
-
 
 #: Share of a service's cache budget its answer memo (decoded reader
 #: states and QoI verdicts) takes: ``cache bytes // ANSWER_SHARE``.  At
@@ -120,21 +99,15 @@ class _Flight:
 
 @dataclass
 class PlannerStats:
-    """Counters of one service's planner + scheduler (all numeric → /metrics).
+    """Counters of one service's planner (all numeric → /metrics).
 
     The plan-cache pair counts memo lookups (``plan_segments`` and
     estimation-seed computations together); ``representations_shared`` /
     ``representations_loaded`` split variable opens into memo hits and
-    actual archive loads.  ``merged_rounds`` counts round fetches that
-    rode along in another round's scheduling tick (0 when every tick
-    carried one round); ``deduped_fragments`` counts segments dropped at
-    merge time because a concurrent request already claimed them.
-    ``coalesced_round_trips`` is the store ``get_many`` calls the
-    scheduler actually issued across ``scheduler_ticks`` ticks.
-    ``states_shared`` counts reader requests answered by
-    adopting another session's decoded state, and ``verdicts_shared``
-    QoI estimates answered from another session's verdict (memo hits and
-    waits on an in-flight computation alike).
+    actual archive loads.  ``states_shared`` counts reader requests
+    answered by adopting another session's decoded state, and
+    ``verdicts_shared`` QoI estimates answered from another session's
+    verdict (memo hits and waits on an in-flight computation alike).
     """
 
     plan_cache_hits: int = 0
@@ -143,10 +116,6 @@ class PlannerStats:
     representations_loaded: int = 0
     states_shared: int = 0
     verdicts_shared: int = 0
-    merged_rounds: int = 0
-    scheduler_ticks: int = 0
-    coalesced_round_trips: int = 0
-    deduped_fragments: int = 0
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -483,155 +452,29 @@ class QueryPlanner:
                 del seen[key]
 
     def stats(self) -> PlannerStats:
-        """Snapshot of the planner/scheduler counters."""
+        """Snapshot of the planner counters."""
         with self._lock:
             from dataclasses import replace
 
             return replace(self._stats)
 
 
-class _FetchRequest:
-    """One session's round fetch awaiting the scheduler."""
-
-    __slots__ = ("plans", "event", "fetched", "error")
-
-    def __init__(self, plans):
-        self.plans = plans  # [(FragmentSource, [segment, ...]), ...]
-        self.event = threading.Event()
-        self.fetched = 0
-        self.error: BaseException | None = None
-
-
 class FetchScheduler:
-    """Merge concurrent sessions' round fetches into coalesced store passes.
+    """A name kept for the end-to-end benchmark's tracer; nothing builds one.
 
-    Sessions call :meth:`fetch` (blocking) from their retrieval threads;
-    a dedicated daemon thread drains the whole queue each tick, so rounds
-    that arrive while a fetch is in flight merge into the next tick
-    without any added idle latency.  Each tick first holds the queue
-    open for :data:`DEFAULT_COALESCE_WINDOW_S` so unaligned rounds join
-    it.  A tick is one :func:`~repro.storage.archive.prefetch_plans`
-    pass over the merged plan: cross-request duplicates drop at the
-    shared :class:`~repro.storage.archive.FragmentSource` claims, and
-    each backing store gets one ``get_many`` (a cluster store fans it
-    out per shard, with replica failover).  A store error releases every
-    still-claimed segment and surfaces to exactly the requests that
-    claimed a segment which did not arrive.
+    Service sessions fetch each round inline on their retrieval thread,
+    exactly as library sessions do (see :mod:`repro.core.pipeline`), and
+    concurrent sessions share fetched fragments through the fragment
+    sources' claims and the service's single-flight cache.  The
+    benchmark's tracer still wraps :meth:`fetch` and
+    :meth:`fetch_speculative` by name, so both remain as the read path's
+    one fetch routine.
     """
 
-    def __init__(self, planner: QueryPlanner):
-        self._planner = planner
-        self._cv = threading.Condition()
-        self._queue: deque = deque()
-        self._thread: threading.Thread | None = None
-        self._closed = False
-
-    # -- session-facing entry points ------------------------------------------
-
     def fetch(self, plans) -> int:
-        """Submit one round's plan; block until its fragments land.
-
-        *plans* is the ``[(source, segments), ...]`` round plan.
-        Returns the number of fragments fetched *for this request* (its
-        claimed share of the merged fetch).  Store errors propagate to
-        the caller exactly as a private fetch's would.
-        """
-        plans = [
-            (source, list(segments)) for source, segments in plans if segments
-        ]
-        if not plans:
-            return 0
-        request = _FetchRequest(plans)
-        with self._cv:
-            if self._closed:
-                raise RuntimeError("fetch scheduler is closed")
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="repro-scheduler", daemon=True
-                )
-                self._thread.start()
-            self._queue.append(request)
-            self._cv.notify()
-        request.event.wait()
-        if request.error is not None:
-            raise request.error
-        return request.fetched
+        """:func:`~repro.storage.archive.prefetch_plans` over *plans*; fragments fetched."""
+        return prefetch_plans(plans)
 
     def fetch_speculative(self, plans) -> int:
-        """Alias of :meth:`fetch`; nothing calls it, the benchmark's tracer wraps it."""
-        return self.fetch(plans)
-
-    # -- the scheduling tick ---------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._closed:
-                    self._cv.wait()
-                if not self._queue:
-                    return  # closed and drained
-                # hold the tick open briefly so concurrent sessions'
-                # unaligned rounds land in this batch, not the next
-                deadline = time.monotonic() + DEFAULT_COALESCE_WINDOW_S
-                while not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        break
-                    self._cv.wait(timeout=remaining)
-                batch = list(self._queue)
-                self._queue.clear()
-            try:
-                self._dispatch(batch)
-            finally:
-                for request in batch:
-                    request.event.set()  # no waiter may hang, whatever happened
-
-    def _dispatch(self, batch) -> None:
-        # one prefetch_plans pass over the merged plan, claimed in arrival
-        # order: the first round to plan a segment fetches it, later rounds
-        # ride along (their decode awaits the absorb)
-        claims: list = []
-        error = None
-        try:
-            prefetch_plans([plan for request in batch for plan in request.plans], claims)
-        except BaseException as exc:
-            error = exc
-        # demultiplex: a request owns what it claimed and fails iff some of
-        # that did not arrive; a store whose claims all arrived was one trip
-        owned = iter(claims)
-        served: dict = {}  # store id -> every segment claimed from it arrived
-        deduped = 0
-        for request in batch:
-            for source, segments in request.plans:
-                claimed = next(owned, [])
-                arrived = sum(map(source.fetched, claimed))
-                deduped += len(segments) - len(claimed)
-                request.fetched += arrived
-                if arrived < len(claimed):
-                    request.error = error
-                if claimed:
-                    sid = id(source.store)
-                    served[sid] = served.get(sid, True) and arrived == len(claimed)
-        with self._planner._lock:
-            stats = self._planner._stats
-            stats.scheduler_ticks += 1
-            stats.merged_rounds += len(batch) - 1
-            stats.deduped_fragments += deduped
-            stats.coalesced_round_trips += sum(served.values())
-        if isinstance(error, (KeyboardInterrupt, SystemExit)):
-            raise error
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop accepting fetches; drain the queue and join the thread.
-
-        Queued requests still run (their sessions are blocked on them);
-        requests submitted after close fail fast.  Idempotent.
-        """
-        with self._cv:
-            self._closed = True
-            thread = self._thread
-            self._cv.notify_all()
-        if thread is not None:
-            thread.join(timeout=30.0)
+        """Alias of :meth:`fetch`."""
+        return prefetch_plans(plans)

@@ -13,7 +13,7 @@ Layering::
 
     ClientSession  (one per client; per-client reader state)
         └── RetrievalService  (shared; value ranges, accounting)
-              ├── QueryPlanner + FetchScheduler  (shared plans, merged rounds)
+              ├── QueryPlanner  (shared plans, decoded states, verdicts)
               └── Archive over CachingFragmentStore
                     ├── FragmentCache   (shared LRU, byte budget)
                     └── FragmentStore   (disk / sharded / in-memory)
@@ -22,10 +22,11 @@ Each :class:`ClientSession` keeps the full incremental economics of
 :class:`~repro.core.retrieval.RetrievalSession` — successive, tighter
 requests from the same client only move incremental fragments — while the
 cache collapses the *cross-client* redundancy that sessions alone cannot
-see.  ``ClientSession.retrieve`` is self-contained per client; the
-state shared between threads — the cache, the planner's memos, the
-scheduler's queue and the service counters — is lock-protected, so
-sessions may run on concurrent threads.
+see.  ``ClientSession.retrieve`` is self-contained per client and
+fetches each round inline on its own thread; the state shared between
+threads — the cache, the fragment sources' claims, the planner's memos
+and the service counters — is lock-protected, so sessions may run on
+concurrent threads.
 
 Under heavy traffic the service applies *admission control* rather than
 unbounded queueing: a bounded in-flight budget (``max_inflight``),
@@ -58,7 +59,7 @@ from repro.core.retrieval import QoIRetriever, RetrievalResult, RetrievalSession
 from repro.storage.archive import Archive
 from repro.storage.cache import CacheStats, CachingFragmentStore, DEFAULT_CACHE_BYTES, FragmentCache
 from repro.storage.cluster import ClusterFragmentStore, ClusterStats
-from repro.service.planner import ANSWER_SHARE, FetchScheduler, PlannerStats, QueryPlanner
+from repro.service.planner import ANSWER_SHARE, PlannerStats, QueryPlanner
 from repro.storage.metadata import MANIFEST_SEGMENT, MANIFEST_VARIABLE, DatasetManifest
 from repro.storage.resilience import ResilienceStats, TokenBucket
 from repro.storage.store import FragmentStore, open_directory_store, open_store
@@ -123,8 +124,8 @@ class ServiceStats:
     carries the scale-out fabric's aggregate and per-node counters
     (requests, bytes, failovers, rebalanced fragments) when the backing
     store is a :class:`~repro.storage.cluster.ClusterFragmentStore`.
-    ``planner`` carries the counters of the service's planner and fetch
-    scheduler (:class:`~repro.service.planner.PlannerStats`).
+    ``planner`` carries the counters of the service's planner
+    (:class:`~repro.service.planner.PlannerStats`).
     """
 
     sessions_opened: int
@@ -196,13 +197,13 @@ class RetrievalService:
         ``client_rate=None`` (default) disables per-client rate limiting.
 
     Every service runs one cross-request
-    :class:`~repro.service.planner.QueryPlanner` and one
-    :class:`~repro.service.planner.FetchScheduler`: concurrent sessions
+    :class:`~repro.service.planner.QueryPlanner`: concurrent sessions
     share one plan cache and one answer memo (a warm re-read adopts
-    decoded states and estimates instead of recomputing them), and their
-    fetch rounds merge into one coalesced store round trip per tick.
-    Each session applies the §V-A zero mask its variables were archived
-    with.
+    decoded states and estimates instead of recomputing them).  Each
+    session fetches its own rounds inline, one coalesced store round
+    trip per fetching round, and applies the §V-A zero mask its
+    variables were archived with.  After :meth:`close` the service
+    refuses every request with ``RuntimeError``.
     """
 
     def __init__(
@@ -253,7 +254,7 @@ class RetrievalService:
         self._worst_degraded_ratio = 0.0
         self._latency_ewma_s = 0.0  # recent retrieval wall time
         self.planner = QueryPlanner(answer_bytes=answer_bytes)
-        self.scheduler = FetchScheduler(self.planner)
+        self._closed = False
 
     @classmethod
     def open(
@@ -360,6 +361,7 @@ class RetrievalService:
         """
         from repro.compressors.base import make_refactorer
 
+        self._check_open()
         config = IngestConfig(
             workers=DEFAULT_INGEST_WORKERS if workers is None else int(workers),
             flush_bytes=(
@@ -402,6 +404,7 @@ class RetrievalService:
     def open_session(self, client_id: str | None = None) -> "ClientSession":
         """Open an independent client session (safe to use on its own thread)."""
         with self._lock:
+            self._check_open()
             self._sessions_opened += 1
             self._sessions_active += 1
             if client_id is None:
@@ -486,9 +489,24 @@ class RetrievalService:
         return self._inner.compact()
 
     def close(self) -> None:
-        """Close the backing store (stops a cluster backend's rebalancer)."""
-        self.scheduler.close()
+        """Refuse every further request, then close the backing store.
+
+        Idempotent.  Closing stops a cluster backend's rebalancer; after
+        it, :meth:`open_session`, :meth:`ingest` and an open session's
+        ``retrieve`` raise ``RuntimeError`` before admission and before
+        any store access — a request the memos or the cache could
+        answer is refused too.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
         self._inner.close()
+
+    def _check_open(self) -> None:
+        """Raise ``RuntimeError`` once :meth:`close` has run."""
+        if self._closed:
+            raise RuntimeError("retrieval service is closed")
 
     def stats(self) -> ServiceStats:
         """Snapshot of session, store, cache, tier, and cluster accounting."""
@@ -549,12 +567,10 @@ class ClientSession:
         )
         self._session = RetrievalSession(self._retriever)
         self._generations: dict = {}  # variable -> generation loaded at
-        # share the service planner's memos and route this session's
-        # fetch rounds through the merging scheduler; the retriever's
-        # generation map aliases ours so _ensure_variables keeps the
-        # planner's memo keys current for free
+        # share the service planner's memos; the retriever's generation
+        # map aliases ours so _ensure_variables keeps the planner's memo
+        # keys current for free
         self._retriever.planner = service.planner
-        self._retriever.fetch_sink = service.scheduler
         self._retriever.plan_generations = self._generations
         self._closed = False
 
@@ -590,7 +606,8 @@ class ClientSession:
     ) -> RetrievalResult:
         """Run the QoI-preserved retrieval loop for this client.
 
-        The request first passes the service's admission control
+        A closed service refuses the request with ``RuntimeError``.
+        The request then passes the service's admission control
         (:meth:`RetrievalService._admit`) — it may be shed with
         :class:`OverloadedError` before touching any session state.
         ``priority < 0`` marks the request sheddable-first;
@@ -601,6 +618,7 @@ class ClientSession:
         """
         if self._closed:
             raise RuntimeError(f"session {self.client_id!r} is closed")
+        self._service._check_open()
         requests = list(requests)
         if not requests:
             raise ValueError("at least one QoIRequest is required")

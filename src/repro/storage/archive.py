@@ -262,11 +262,11 @@ class FragmentSource:
             self._arrived.notify_all()
 
 
-def prefetch_plans(plans, claims: list | None = None) -> int:
+def prefetch_plans(plans) -> int:
     """Fetch many variables' planned segments in one pass per store.
 
-    The one fetch routine of the read path: lazy opens, the retrieval
-    pipeline's rounds and the service scheduler's ticks all come here.
+    The one fetch routine of the read path: lazy opens and every
+    retrieval round, library or service session, come here.
     *plans* is an iterable of ``(FragmentSource, [segment, ...])`` pairs.
     Segments already fetched or claimed by a concurrent batch are
     skipped (atomically, via :meth:`FragmentSource.claim` — a fragment
@@ -277,18 +277,10 @@ def prefetch_plans(plans, claims: list | None = None) -> int:
     clients' overlapping plans coalesce into).  A store error releases
     every still-claimed segment and propagates.  Returns the number of
     fragments actually fetched.
-
-    *claims*, when given, receives each plan's claimed segments, in plan
-    order, before any store is asked: a caller merging several
-    requesters' plans (the service's scheduler) reads who owned what
-    from it, even after an error — a claimed segment that is not
-    :meth:`~FragmentSource.fetched` afterwards did not arrive.
     """
     by_store: dict = {}
     for source, segments in plans:
         wanted = source.claim(segments)
-        if claims is not None:
-            claims.append(wanted)
         if wanted:
             by_store.setdefault(id(source.store), (source.store, []))[1].extend(
                 (source, seg) for seg in wanted

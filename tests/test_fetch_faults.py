@@ -1,22 +1,20 @@
-"""The scheduler's fetch tick under a store fault, checked against ground truth.
+"""A round's fetch under a store fault, checked against ground truth.
 
 Two client sessions of one :class:`RetrievalService` ask for disjoint
-variables, and their first rounds are held in the scheduler's queue
-until both wait there, so one tick merges them into a single
-``get_many``.  That ``get_many`` fails once:
+variables on concurrent threads.  Each session fetches its own rounds
+inline, so the one ``get_many`` that fails carries one session's round:
 
-* with no retry, each session raises the store's error, and every
-  segment the failed call asked for is claimable again;
+* with no retry, that session raises the store's error, every segment
+  the failed call asked for is claimable again, and the other session's
+  answer still holds;
 * behind :class:`ResilientStore` with a retry, both answers hold the
   paper's promise against the original data:
   ``true error <= reported bound <= tolerance``.
 
-Either way, no retrieve starts a ``repro-fetch`` pool thread: with the
-scheduler as its round sink, a session fetches inline.
+Either way, no retrieve starts a fetch-pool or scheduler thread.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ import pytest
 from repro.core.qois import total_velocity
 from repro.core.retrieval import QoIRequest
 from repro.service.service import RetrievalService
-from repro.storage.archive import FragmentSource
 from repro.storage.resilience import FaultStoreError, ResilientStore, RetryPolicy
 from repro.storage.store import FragmentStore, StoreWrapper
 from test_service import archive_into, make_fields
@@ -49,28 +46,17 @@ class FailOnceStore(StoreWrapper):
         self.armed = False
         self.failed_keys: list = []
         self.threads: set = set()
+        self._lock = threading.Lock()
 
     def get_many(self, keys):
         keys = list(keys)
-        self.threads.update(t.name for t in threading.enumerate())
-        if self.armed:
-            self.armed = False
-            self.failed_keys = keys
-            raise FaultStoreError("injected: the tick's get_many fails once")
-        return super().get_many(keys)
-
-
-class GateStore(FragmentStore):
-    """Blocks every ``get_many`` until :attr:`release` is set."""
-
-    def __init__(self):
-        super().__init__()
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def get_many(self, keys):
-        self.entered.set()
-        self.release.wait(10)
+        with self._lock:
+            self.threads.update(t.name for t in threading.enumerate())
+            fail, self.armed = self.armed, False
+            if fail:
+                self.failed_keys = keys
+        if fail:
+            raise FaultStoreError("injected: one round's get_many fails once")
         return super().get_many(keys)
 
 
@@ -88,8 +74,8 @@ def archived():
     return fields, store, truths
 
 
-def _two_sessions_one_failing_tick(archived, retry: bool):
-    """Run sessions A and B through one merged tick whose fetch fails once.
+def _two_sessions_one_failing_fetch(archived, retry: bool):
+    """Run sessions A and B concurrently; the first round fetch fails once.
 
     Returns ``(service, faulty, results, errors)``; the service is open.
     """
@@ -111,62 +97,60 @@ def _two_sessions_one_failing_tick(archived, retry: bool):
         except Exception as exc:
             errors[name] = exc
 
-    # occupy the scheduler with a gated tick so both first rounds queue
-    gate = GateStore()
-    gate.put("gate", "s", b"x")
-    blocker = threading.Thread(
-        target=service.scheduler.fetch, args=([(FragmentSource(gate, "gate"), ["s"])],)
-    )
-    blocker.start()
-    assert gate.entered.wait(5)
     faulty.armed = True
     clients = [threading.Thread(target=run, args=(name,)) for name in QOIS]
     for client in clients:
         client.start()
-    deadline = time.monotonic() + 10
-    while len(service.scheduler._queue) < 2 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert len(service.scheduler._queue) == 2
-    gate.release.set()
-    for thread in [blocker, *clients]:
-        thread.join(30)
-    # the failed get_many was the merged tick: it carried both sessions' rounds
-    assert {var for var, _ in faulty.failed_keys} == set(fields)
+    for client in clients:
+        client.join(30)
+        assert not client.is_alive()
+    assert faulty.failed_keys, "no get_many failed"
     return service, faulty, results, errors
 
 
-class TestUnifiedTickFaults:
-    def test_without_retry_each_session_raises_and_claims_are_released(self, archived):
-        service, faulty, results, errors = _two_sessions_one_failing_tick(archived, retry=False)
+def _assert_truth(truths, name, result):
+    qoi = QOIS[name]
+    reconstructed = qoi.value({v: (result.data[v], 0.0) for v in qoi.variables()})
+    true_error = float(np.max(np.abs(reconstructed - truths[name])))
+    bound = result.estimated_errors[name]
+    assert result.all_satisfied and not result.degraded
+    assert true_error <= bound <= TOLERANCE * float(np.ptp(truths[name]))
+
+
+def _fetch_threads(names):
+    return [n for n in names if n.startswith(("repro-fetch", "repro-scheduler"))]
+
+
+class TestRoundFetchFaults:
+    def test_without_retry_the_failed_session_raises_and_claims_are_released(self, archived):
+        truths = archived[2]
+        service, faulty, results, errors = _two_sessions_one_failing_fetch(archived, retry=False)
         try:
-            assert not results
-            assert set(errors) == set(QOIS)
-            for exc in errors.values():
-                assert isinstance(exc, FaultStoreError)
+            # the failed call was one session's round: it raises, the other answers
+            (failed,) = errors
+            assert isinstance(errors[failed], FaultStoreError)
+            assert {var for var, _ in faulty.failed_keys} <= QOIS[failed].variables()
+            (answered,) = results
+            assert answered != failed
+            _assert_truth(truths, answered, results[answered])
             by_variable: dict = {}
             for var, seg in faulty.failed_keys:
                 by_variable.setdefault(var, []).append(seg)
             for var, segments in by_variable.items():
                 assert service.archive.source(var).missing(segments) == segments
-            assert service.stats().planner.coalesced_round_trips == 1  # the gate's tick
-            assert not [t for t in faulty.threads if t.startswith("repro-fetch")]
+            assert not _fetch_threads(faulty.threads)
         finally:
             service.close()
 
     def test_with_retry_both_answers_hold_against_ground_truth(self, archived):
         truths = archived[2]
-        service, faulty, results, errors = _two_sessions_one_failing_tick(archived, retry=True)
+        service, faulty, results, errors = _two_sessions_one_failing_fetch(archived, retry=True)
         try:
             assert not errors
             assert set(results) == set(QOIS)
             for name, result in results.items():
-                qoi = QOIS[name]
-                reconstructed = qoi.value({v: (result.data[v], 0.0) for v in qoi.variables()})
-                true_error = float(np.max(np.abs(reconstructed - truths[name])))
-                bound = result.estimated_errors[name]
-                assert result.all_satisfied and not result.degraded
-                assert true_error <= bound <= TOLERANCE * float(np.ptp(truths[name]))
+                _assert_truth(truths, name, result)
             assert service.stats().resilience.retries == 1  # the one fault, retried
-            assert not [t for t in faulty.threads if t.startswith("repro-fetch")]
+            assert not _fetch_threads(faulty.threads)
         finally:
             service.close()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compressors.base import make_refactorer
-from repro.core.pipeline import FetchPipeline, PipelineConfig
+from repro.core.pipeline import FetchPipeline
 from repro.core.qois import qoi_from_spec
 from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
 from repro.storage.archive import Archive
@@ -291,20 +291,18 @@ class TestPipelinedEqualsSerial:
         qoi = qoi_from_spec("product", sorted(seeded_fields))
         ladder = [1e-2, 1e-4]
 
-        def run(lazy, depth, workers):
+        def run(lazy, depth):
             store = ShardedDiskStore(root)
             loaded = Archive(store).load_dataset(sorted(seeded_fields), lazy=lazy)
-            session = QoIRetriever(
-                loaded, ranges, pipeline_depth=depth, max_workers=workers
-            ).session()
+            session = QoIRetriever(loaded, ranges, pipeline_depth=depth).session()
             results = [
                 session.retrieve([QoIRequest("q", qoi, tol, 1.0)])
                 for tol in ladder
             ]
             return results, store
 
-        serial, serial_store = run(lazy=False, depth=0, workers=0)
-        piped, piped_store = run(lazy=True, depth=2, workers=3)
+        serial, serial_store = run(lazy=False, depth=0)
+        piped, piped_store = run(lazy=True, depth=2)
         for a, b in zip(serial, piped):
             assert a.estimated_errors == b.estimated_errors
             assert a.final_ebs == b.final_ebs
@@ -369,38 +367,38 @@ class TestLazyArchive:
 
 
 class TestFetchPipeline:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(pipeline_depth=-1)
-        with pytest.raises(ValueError):
-            PipelineConfig(max_workers=-1)
+    def test_pipeline_depth_validation(self):
+        with pytest.raises(ValueError, match="pipeline_depth"):
+            QoIRetriever({}, {}, pipeline_depth=-1)
+        assert QoIRetriever({}, {}, pipeline_depth=0).pipeline_depth == 0
 
-    def test_speculation_completes_before_close(self):
-        """Determinism: speculation rides the round's batches, so it has
-        landed when the round's groups are exhausted — close() finds
-        nothing in flight, and a ride-along entry is never decoded."""
+    def test_round_is_one_inline_fetch_with_its_speculation(self):
+        """Determinism: speculation rides the round's one ``get_many``,
+        fetched on the calling thread before ``submit_round`` returns,
+        and a ride-along entry is never decoded."""
         from repro.storage.archive import FragmentSource
 
-        release = threading.Event()
+        class RecordingStore(FragmentStore):
+            def __init__(self):
+                super().__init__()
+                self.callers = []
 
-        class SlowStore(FragmentStore):
             def get_many(self, keys):
-                release.wait(timeout=10)
+                self.callers.append(threading.current_thread())
                 return super().get_many(keys)
 
-        store = SlowStore()
+        store = RecordingStore()
         store.put("v", "s0", b"x")
         store.put("v", "s1", b"y")  # widened: the next round's plane
         store.put("w", "s0", b"z")  # rides along, decodes nothing now
         v, w = FragmentSource(store, "v"), FragmentSource(store, "w")
-        with FetchPipeline(PipelineConfig(pipeline_depth=1, max_workers=2)) as pipe:
-            groups = pipe.submit_round([("v", v, ["s0", "s1"]), (None, w, ["s0"])])
-            assert len(groups) == 2  # one variable per batch, in parallel
-            release.set()
-            assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
-            assert v.fetched("s0") and v.fetched("s1") and w.fetched("s0")
-            trips = store.round_trips
-        assert store.round_trips == trips  # close() had nothing to drain
+        pipe = FetchPipeline()
+        groups = pipe.submit_round([("v", v, ["s0", "s1"]), (None, w, ["s0"])])
+        assert store.callers == [threading.current_thread()]  # one trip, inline
+        assert v.fetched("s0") and v.fetched("s1") and w.fetched("s0")
+        assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
+        pipe.close()
+        assert store.round_trips == 1
 
     def test_concurrent_prefetches_never_double_read(self):
         """claim() makes racing round batches fetch-once."""
@@ -454,35 +452,14 @@ class TestFetchPipeline:
             else:  # fetched before the failure: nothing left to claim
                 assert s_good.missing(["s0"]) == []
 
-    def test_sink_round_is_fetched_inline_without_a_pool(self):
-        """With a round sink the whole round is one inline request."""
-        from repro.storage.archive import FragmentSource
-
-        class RecordingSink:
-            def __init__(self):
-                self.calls = []
-
-            def fetch(self, plans):
-                self.calls.append((threading.current_thread(), plans))
-
-        store = _filled(FragmentStore())
-        v, w = FragmentSource(store, "v"), FragmentSource(store, "w")
-        sink = RecordingSink()
-        with FetchPipeline(PipelineConfig(max_workers=2), sink=sink) as pipe:
-            assert pipe._pool is None
-            groups = pipe.submit_round([("v", v, ["s0"]), (None, w, ["s0"])])
-            assert sink.calls == [(threading.current_thread(), [(v, ["s0"]), (w, ["s0"])])]
-            assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
-
     def test_duplicate_speculation_is_skipped(self):
         from repro.storage.archive import FragmentSource
 
         store = _filled(FragmentStore())
         source = FragmentSource(store, "v")
-        with FetchPipeline(PipelineConfig(pipeline_depth=2, max_workers=1)) as pipe:
-            groups = pipe.submit_round([(None, source, ["s0"])])
-            assert list(pipe.iter_groups(groups)) == [[]]
-        with FetchPipeline(PipelineConfig(pipeline_depth=2, max_workers=1)) as pipe:
-            # already fetched: the entry dissolves before reaching the pool
-            assert pipe.submit_round([(None, source, ["s0"])]) == []
+        pipe = FetchPipeline()
+        groups = pipe.submit_round([(None, source, ["s0"])])
+        assert list(pipe.iter_groups(groups)) == [[]]
+        # already fetched: the entry dissolves before reaching the store
+        assert pipe.submit_round([(None, source, ["s0"])]) == []
         assert store.round_trips == 1

@@ -4,7 +4,8 @@ Behind a link the cost of a retrieval is its number of *serial* store
 round trips, so the counts are the contract: a lazy dataset open is two
 ``get_many`` however many variables it names, a fetching round carries
 its own speculation (nothing is fetched outside a round, nothing is left
-running when ``retrieve`` returns), and none of it changes a result.
+running when ``retrieve`` returns), every fetch runs on the retrieving
+thread, and none of it changes a result.
 """
 
 import threading
@@ -33,15 +34,18 @@ class CountingStore(FragmentStore):
 
     The log sits on the read primitive, so every trip is seen however it
     was issued; a singleton ``get`` is logged under its own name and
-    served by the same primitive, once.
+    served by the same primitive, once.  ``threads`` names every thread
+    alive during any trip.
     """
 
     def __init__(self):
         super().__init__()
         self.calls: list = []  # ("get" | "get_many", [keys])
+        self.threads: set = set()
 
     def _logged(self, kind, keys):
         self.calls.append((kind, keys))
+        self.threads.update(t.name for t in threading.enumerate())
         return super().get_many(keys)
 
     def get(self, variable, segment):
@@ -126,8 +130,8 @@ def parent_fetch_set(store, ranges, requests_for):
     The parent completed, for every ``reader.request(eb)``, the round's
     own plan *and* a standalone speculative fetch of ``plan(eb / c)``
     planned after the decode.  Runs the ladder serially
-    (``pipeline_depth=0, max_workers=0``) recording both; returns the key
-    set and the serial results (the bit-identity reference).
+    (``pipeline_depth=0``) recording both; returns the key set and the
+    serial results (the bit-identity reference).
     """
     loaded = Archive(store).load_dataset(FIELDS, lazy=True)
     keys = set(store.keys_read())  # the open's index + coarse/sign segments
@@ -143,9 +147,7 @@ def parent_fetch_set(store, ranges, requests_for):
 
     PMGARDReader.request = recording
     try:
-        session = QoIRetriever(
-            loaded, ranges, pipeline_depth=0, max_workers=0
-        ).session()
+        session = QoIRetriever(loaded, ranges, pipeline_depth=0).session()
         results = [session.retrieve(requests_for(tol)) for tol in LADDER]
     finally:
         PMGARDReader.request = original
@@ -162,8 +164,11 @@ def ladder_setup():
     return fields, ranges, lambda tol: [QoIRequest("VTOT", qoi, tol, qrange)]
 
 
-def fetch_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("repro-fetch")]
+def fetch_threads(names=None):
+    """Names of fetch-pool or scheduler threads among *names* (default: alive now)."""
+    if names is None:
+        names = [t.name for t in threading.enumerate()]
+    return [n for n in names if n.startswith(("repro-fetch", "repro-scheduler"))]
 
 
 class TestRoundCarriesItsSpeculation:
@@ -182,7 +187,7 @@ class TestRoundCarriesItsSpeculation:
         piped = []
         for tol in LADDER:
             piped.append(session.retrieve(requests_for(tol)))
-            # no fetch outlives retrieve(): pool joined, counters at rest
+            # no fetch outlives retrieve(): no fetch thread, counters at rest
             assert not fetch_threads()
             settled = (link.reads, link.round_trips, len(store.calls))
             time.sleep(0.01)
@@ -190,10 +195,11 @@ class TestRoundCarriesItsSpeculation:
 
         assert store.keys_read() <= parent_keys
         assert store.count("get") == 0  # decode never fell back to the store
-        # the open's two trips, then per round at most one set of
-        # parallel batches (one serial trip) and nothing in between
+        # the open's two trips, then at most one trip per round and
+        # nothing in between, all fetched on this thread
         rounds = sum(r.rounds for r in piped)
-        assert store.count("get_many") <= 2 + rounds * session._retriever.pipeline.max_workers
+        assert store.count("get_many") <= 2 + rounds
+        assert not fetch_threads(store.threads)
         for a, b in zip(serial, piped):
             assert a.rounds == b.rounds
             assert a.estimated_errors == b.estimated_errors

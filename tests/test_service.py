@@ -165,18 +165,62 @@ class TestRetrievalService:
         # the wire format (dataclasses.asdict) carries the split
         assert "io_wait_seconds" in asdict(stats)
 
-    def test_every_session_fetches_through_the_scheduler(self, setup):
-        _, _, qoi, _, qrange = setup
-        service, inner = fresh_service(setup)
+    def test_a_session_pays_one_trip_per_fetching_round_on_its_own_thread(self, setup):
+        _, store, qoi, _, qrange = setup
+        alive: set = set()  # every thread alive during any store trip
+
+        class Recording(FragmentStore):
+            def get_many(self, keys):
+                alive.update(t.name for t in threading.enumerate())
+                return super().get_many(keys)
+
+        inner = Recording()
+        for var, seg in store.keys():
+            inner.put(var, seg, store._data[(var, seg)])
+        service = RetrievalService(inner)
         with service.open_session() as session:
             trips_before = inner.round_trips
             result = session.retrieve([QoIRequest("VTOT", qoi, 1e-4, qrange)])
-        planner = service.stats().planner
+        alive.update(t.name for t in threading.enumerate())
         service.close()
         assert result.all_satisfied
-        assert planner.scheduler_ticks > 0
-        # the lazy open's two trips, then one coalesced trip per tick
-        assert inner.round_trips - trips_before == 2 + planner.coalesced_round_trips
+        # the lazy open's two trips, then at most one trip per round
+        assert inner.round_trips - trips_before <= 2 + result.rounds
+        assert not [n for n in alive if n.startswith(("repro-fetch", "repro-scheduler"))]
+        # and the answer is bit-identical to a serial, unwidened library session
+        serial = QoIRetriever(
+            Archive(store).load_dataset(list(result.data), lazy=True),
+            DatasetManifest.load_from(store).value_ranges(),
+            pipeline_depth=0,
+        ).retrieve([QoIRequest("VTOT", qoi, 1e-4, qrange)])
+        assert serial.estimated_errors == result.estimated_errors
+        assert serial.bytes_per_variable == result.bytes_per_variable
+        for name, data in serial.data.items():
+            assert np.array_equal(data, result.data[name])
+
+    def test_closed_service_refuses_warm_and_cold_requests(self, setup):
+        _, _, qoi, _, qrange = setup
+        service, inner = fresh_service(setup)
+        with service.open_session() as session:
+            assert session.retrieve([QoIRequest("VTOT", qoi, 1e-3, qrange)]).all_satisfied
+        warm = service.open_session()
+        cold = service.open_session()
+        service.close()
+        service.close()  # idempotent
+        stats = service.stats()
+        reads = inner.reads
+        # the memos and cache could answer the 1e-3 request; 1e-5 needs a fetch
+        for session, tolerance in ((warm, 1e-3), (cold, 1e-5)):
+            with pytest.raises(RuntimeError, match="retrieval service is closed"):
+                session.retrieve([QoIRequest("VTOT", qoi, tolerance, qrange)])
+        with pytest.raises(RuntimeError, match="retrieval service is closed"):
+            service.open_session()
+        with pytest.raises(RuntimeError, match="retrieval service is closed"):
+            service.ingest({"velocity_x": np.zeros(16)})
+        after = service.stats()
+        assert inner.reads == reads  # no store access
+        assert after.requests_admitted == stats.requests_admitted  # refused before admission
+        assert after.sessions_opened == stats.sessions_opened
 
     def test_unknown_variable_message_names_known(self, setup):
         service, _ = fresh_service(setup)
@@ -286,6 +330,9 @@ class TestServer:
         text = render_metrics(snapshot)
         assert f"repro_planner_plan_cache_hit_rate {snapshot.planner.plan_cache_hit_rate}" in text
         assert f"repro_cache_hit_rate {snapshot.cache.hit_rate}" in text
+        # the service has no fetch scheduler, and neither view reports one
+        gone = ("merged_rounds", "scheduler_ticks", "coalesced_round_trips", "deduped_fragments")
+        assert not [name for name in gone if name in stats["planner"] or name in text]
 
     def test_bad_request_keeps_connection_alive(self, setup, server):
         host, port = server.address

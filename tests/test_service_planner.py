@@ -1,25 +1,22 @@
-"""Cross-request query planner and round-merging fetch scheduler suite.
+"""Cross-request query planner suite.
 
-Four layers of guarantees:
+Three layers of guarantees:
 
 * :class:`repro.service.planner.QueryPlanner` unit semantics — memoized
   single-flight representation loads, exact-bound plan memoization,
   generation invalidation.
-* :class:`repro.service.planner.FetchScheduler` unit semantics — rounds
-  queued behind an in-flight fetch merge into one coalesced store pass,
-  cross-request duplicates are claimed once, store errors release every
-  claim and surface to the requesters that were owed them.
 * Service-level economics — 8 concurrent clients over one
   :class:`~repro.service.service.RetrievalService`: identical ladders
   cost ONE planning pass (the 8-client run's plan-cache misses equal a
-  1-client run's), overlapping ladders cut slow-store round trips >= 2x
-  versus a fleet of library :class:`~repro.core.retrieval.QoIRetriever`
-  sessions over one shared cache and archive, overlapping and disjoint
-  fleets are **bit-identical** to that library fleet, and every answer
-  of every mode is checked against ground truth.
+  1-client run's), overlapping and disjoint fleets are
+  **bit-identical** to a fleet of library
+  :class:`~repro.core.retrieval.QoIRetriever` sessions over one shared
+  cache and archive, and every answer of every mode is checked against
+  ground truth.
+* Batched opens through the planner's load memo.
 
-The cluster chaos case (a coalesced round spanning a killed node serves
-via replica failover) lives at the bottom, mirroring
+The cluster chaos case (concurrent sessions' rounds spanning a killed
+node serve via replica failover) lives at the bottom, mirroring
 ``test_storage_cluster.TestClusterRetrievalChaos``.
 """
 
@@ -33,9 +30,9 @@ import pytest
 from repro.compressors.base import make_refactorer
 from repro.core.qois import total_velocity
 from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
-from repro.service.planner import FetchScheduler, QueryPlanner
+from repro.service.planner import QueryPlanner
 from repro.service.service import RetrievalService
-from repro.storage.archive import Archive, FragmentSource
+from repro.storage.archive import Archive
 from repro.storage.cache import CachingFragmentStore, FragmentCache
 from repro.storage.metadata import DatasetManifest, VariableMetadata
 from repro.storage.remote import HTTPFragmentServer
@@ -226,13 +223,13 @@ class TestQueryPlanner:
 
 
 # ---------------------------------------------------------------------------
-# FetchScheduler units
+# A gated store, for the concurrent-open tests
 # ---------------------------------------------------------------------------
 
 
 class _GateStore(FragmentStore):
     """Blocks its first ``get_many`` once armed until released — the
-    window in which concurrent rounds must queue and merge.  Built
+    window in which a concurrent open must wait on the first.  Built
     disarmed (``armed=False``) it serves reads straight through until
     :meth:`arm`, so a service can load its manifest first."""
 
@@ -265,134 +262,6 @@ def _blocked_in(thread, function):
     while frame is not None and frame.f_code.co_name == "wait":
         frame = frame.f_back  # Condition.wait under Event.wait
     return frame is not None and frame.f_code.co_name == function
-
-
-def _fill(store, variable, segments):
-    for segment in segments:
-        store.put(variable, segment, segment.encode() * 3)
-
-
-def _fetch_on_thread(scheduler, plans, errors):
-    def run():
-        try:
-            scheduler.fetch(plans)
-        except Exception as exc:  # surfaced store errors land here
-            errors.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    return thread
-
-
-class TestFetchScheduler:
-    def _scheduler(self):
-        planner = QueryPlanner()
-        return planner, FetchScheduler(planner)
-
-    def test_rounds_queued_behind_a_fetch_merge_into_one_pass(self):
-        planner, scheduler = self._scheduler()
-        store = _GateStore()
-        _fill(store, "v", ["a", "b", "c"])
-        source = FragmentSource(store, "v")
-        errors = []
-        try:
-            first = _fetch_on_thread(scheduler, [(source, ["a"])], errors)
-            assert store.entered.wait(5)
-            second = _fetch_on_thread(scheduler, [(source, ["b"])], errors)
-            third = _fetch_on_thread(scheduler, [(source, ["c"])], errors)
-            deadline = time.monotonic() + 5
-            while len(scheduler._queue) < 2 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert len(scheduler._queue) == 2
-            store.release_gate.set()
-            for thread in (first, second, third):
-                thread.join(timeout=10)
-            assert not errors
-            # the two queued rounds rode one coalesced get_many
-            assert store.served == [[("v", "a")], [("v", "b"), ("v", "c")]]
-            stats = planner.stats()
-            assert stats.merged_rounds == 1
-            assert stats.scheduler_ticks == 2
-            assert stats.coalesced_round_trips == 2
-        finally:
-            store.release_gate.set()
-            scheduler.close()
-
-    def test_duplicate_segments_claimed_once(self):
-        planner, scheduler = self._scheduler()
-        store = _GateStore()
-        _fill(store, "v", ["a", "b"])
-        source = FragmentSource(store, "v")
-        errors = []
-        try:
-            first = _fetch_on_thread(scheduler, [(source, ["a", "b"])], errors)
-            assert store.entered.wait(5)
-            second = _fetch_on_thread(scheduler, [(source, ["a", "b"])], errors)
-            deadline = time.monotonic() + 5
-            while not scheduler._queue and time.monotonic() < deadline:
-                time.sleep(0.001)
-            store.release_gate.set()
-            first.join(10)
-            second.join(10)
-            assert not errors
-            # the second round found everything claimed/absorbed: no pass
-            assert store.served == [[("v", "a"), ("v", "b")]]
-            assert planner.stats().deduped_fragments == 2
-        finally:
-            store.release_gate.set()
-            scheduler.close()
-
-    def test_store_error_releases_claims_and_surfaces(self):
-        class _BrokenStore(FragmentStore):
-            def get_many(self, keys):
-                raise OSError("store down")
-
-        planner, scheduler = self._scheduler()
-        store = _BrokenStore()
-        source = FragmentSource(store, "v")
-        try:
-            with pytest.raises(OSError):
-                scheduler.fetch([(source, ["a", "b"])])
-            # every claim was released: the segments are fetchable again
-            assert source.missing(["a", "b"]) == ["a", "b"]
-        finally:
-            scheduler.close()
-
-    def test_fetch_speculative_is_an_alias_of_fetch(self):
-        # kept only for callers that wrap it by name: same fetch, same errors
-        class _BrokenStore(FragmentStore):
-            def get_many(self, keys):
-                raise OSError("store down")
-
-        planner, scheduler = self._scheduler()
-        store = FragmentStore()
-        _fill(store, "v", ["a", "b"])
-        try:
-            assert scheduler.fetch_speculative([(FragmentSource(store, "v"), ["a", "b"])]) == 2
-            assert store.round_trips == 1
-            broken = FragmentSource(_BrokenStore(), "v")
-            with pytest.raises(OSError):
-                scheduler.fetch_speculative([(broken, ["a"])])
-            assert broken.missing(["a"]) == ["a"]
-        finally:
-            scheduler.close()
-
-    def test_closed_scheduler_rejects_new_fetches(self):
-        planner, scheduler = self._scheduler()
-        scheduler.close()
-        scheduler.close()  # idempotent
-        source = FragmentSource(FragmentStore(), "v")
-        with pytest.raises(RuntimeError):
-            scheduler.fetch([(source, ["a"])])
-
-    def test_empty_plans_short_circuit(self):
-        planner, scheduler = self._scheduler()
-        try:
-            assert scheduler.fetch([]) == 0
-            assert scheduler.fetch([(FragmentSource(FragmentStore(), "v"), [])]) == 0
-            assert planner.stats().scheduler_ticks == 0
-        finally:
-            scheduler.close()
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +323,14 @@ def _drive_fleet(setup_data, ladders, open_session):
 def run_fleet(setup_data, ladders, delay_s=0.0):
     """N concurrent clients of one service, client *i* walking ``ladders[i]``.
 
-    Returns per-(client, tolerance) results, the raw store's round trips
-    during the retrieval phase (variable loads warmed first, so fleets
-    are compared on fetch traffic alone), and the stats.
+    Returns per-(client, tolerance) results and the service stats;
+    variable loads are warmed first.
     """
     fields, store, _, _ = setup_data
     inner = copy_store(store)
     service = RetrievalService(SlowStore(inner, delay_s) if delay_s else inner)
     for name in fields:
         service.load_variables([name])
-    trips_before = inner.round_trips
     sessions = []
 
     def open_session(index):
@@ -478,18 +345,17 @@ def run_fleet(setup_data, ladders, delay_s=0.0):
             session.close()
     stats = service.stats()
     service.close()
-    return outs, inner.round_trips - trips_before, stats
+    return outs, stats
 
 
 def run_library_fleet(setup_data, ladders, delay_s=0.0):
-    """The same fleet as library sessions: no planner, no scheduler.
+    """The same fleet as library sessions: no planner.
 
     Each client runs its own :class:`~repro.core.retrieval.QoIRetriever`
-    session with a private fetch pipeline; all of them read through one
-    shared :class:`~repro.storage.cache.CachingFragmentStore` and one
+    session; all of them read through one shared
+    :class:`~repro.storage.cache.CachingFragmentStore` and one
     :class:`~repro.storage.archive.Archive` (whose fragment sources
-    dedup concurrent claims).  Returns the results and the raw store's
-    round trips during the retrieval phase, loads warmed first.
+    dedup concurrent claims).  Returns the results, loads warmed first.
     """
     fields, store, _, _ = setup_data
     inner = copy_store(store)
@@ -500,14 +366,12 @@ def run_library_fleet(setup_data, ladders, delay_s=0.0):
     ranges = DatasetManifest.load_from(cached).value_ranges()
     for name in fields:
         archive.load_dataset([name], lazy=True)
-    trips_before = inner.round_trips
 
     def open_session(index):
         loaded = archive.load_dataset(sorted(fields), lazy=True)
         return QoIRetriever(loaded, ranges).session().retrieve
 
-    outs = _drive_fleet(setup_data, ladders, open_session)
-    return outs, inner.round_trips - trips_before
+    return _drive_fleet(setup_data, ladders, open_session)
 
 
 def assert_bit_identical(got, want):
@@ -534,8 +398,8 @@ def assert_truth(setup_data, outs):
 class TestSharedPlannerService:
     def test_identical_ladders_cost_one_planning_pass(self, setup):
         ladders = [list(IDENTICAL_LADDER) for _ in range(8)]
-        outs8, _, stats8 = run_fleet(setup, ladders)
-        outs1, _, stats1 = run_fleet(setup, ladders[:1])
+        outs8, stats8 = run_fleet(setup, ladders)
+        outs1, stats1 = run_fleet(setup, ladders[:1])
         # 8 identical clients planned exactly what 1 client plans: every
         # session's (state token, bound) walk lands on the same memo keys
         assert (
@@ -553,33 +417,16 @@ class TestSharedPlannerService:
                 )
         assert_truth(setup, outs8)
 
-    def test_overlapping_ladders_halve_round_trips_bit_identical(self, setup):
-        # bit-identity and truth are asserted on every attempt; the >= 2x
-        # round-trip economy is a timing property (merging depends on how
-        # rounds interleave), so it gets best-of-3 like any latency
-        # assertion
-        best = 0.0
-        for _ in range(3):
-            outs, trips, stats = run_fleet(
-                setup, OVERLAPPING_LADDERS, delay_s=0.003
-            )
-            outs_lib, trips_lib = run_library_fleet(
-                setup, OVERLAPPING_LADDERS, delay_s=0.003
-            )
-            assert_bit_identical(outs, outs_lib)
-            assert_truth(setup, outs)
-            planner = stats.planner
-            assert planner.plan_cache_hits > 0
-            assert planner.merged_rounds > 0
-            assert planner.deduped_fragments > 0
-            best = max(best, trips_lib / trips)
-            if best >= 2.0:
-                break
-        assert best >= 2.0, f"round-trip reduction only {best:.2f}x"
+    def test_overlapping_ladders_stay_bit_identical(self, setup):
+        outs, stats = run_fleet(setup, OVERLAPPING_LADDERS, delay_s=0.003)
+        outs_lib = run_library_fleet(setup, OVERLAPPING_LADDERS, delay_s=0.003)
+        assert_bit_identical(outs, outs_lib)
+        assert_truth(setup, outs)
+        assert stats.planner.plan_cache_hits > 0
 
     def test_disjoint_ladders_stay_correct_and_bit_identical(self, setup):
-        outs, _, _ = run_fleet(setup, DISJOINT_LADDERS)
-        outs_lib, _ = run_library_fleet(setup, DISJOINT_LADDERS)
+        outs, _ = run_fleet(setup, DISJOINT_LADDERS)
+        outs_lib = run_library_fleet(setup, DISJOINT_LADDERS)
         assert_bit_identical(outs, outs_lib)
         assert_truth(setup, outs)
 
@@ -763,8 +610,8 @@ def cluster_url(servers, replicas=2):
 
 
 class TestCoalescedRoundFailover:
-    """A merged round's shard fan-out spanning a dead node must serve via
-    replica failover — bit-identical, zero client-visible errors."""
+    """Concurrent rounds' shard fan-out spanning a dead node must serve
+    via replica failover — bit-identical, zero client-visible errors."""
 
     def test_merged_rounds_survive_node_death(self, tmp_path):
         from tests.test_storage_cluster import kill_server
@@ -777,7 +624,7 @@ class TestCoalescedRoundFailover:
         qrange = float(truth.max() - truth.min())
         ladders = [[1e-2, 1e-4], [2e-2, 1e-4], [1e-2, 5e-4], [5e-2, 1e-4]]
 
-        baseline, _, _ = run_fleet((fields, baseline_store, qoi, qrange), ladders)
+        baseline, _ = run_fleet((fields, baseline_store, qoi, qrange), ladders)
 
         node_dirs = [str(tmp_path / f"node{i}") for i in range(3)]
         servers = [
@@ -831,8 +678,6 @@ class TestCoalescedRoundFailover:
                 thread.join()
             assert not errors, errors
             assert_bit_identical(outs, baseline)
-            stats = service.stats()
-            assert stats.planner.merged_rounds >= 0  # scheduler ran
             assert store.stats().failovers > 0  # the dead node was re-routed
             service.close()
         finally:
