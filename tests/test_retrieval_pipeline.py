@@ -367,7 +367,7 @@ class TestLazyArchive:
 
 
 class TestFetchPipeline:
-    def test_pipeline_depth_validation(self):
+    def test_config_validation(self):
         with pytest.raises(ValueError, match="pipeline_depth"):
             QoIRetriever({}, {}, pipeline_depth=-1)
         assert QoIRetriever({}, {}, pipeline_depth=0).pipeline_depth == 0
@@ -399,6 +399,38 @@ class TestFetchPipeline:
         assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
         pipe.close()
         assert store.round_trips == 1
+
+    def test_speculation_completes_before_close(self):
+        """Speculation rides the round's fetch, so it has landed when
+        ``submit_round`` returns — close() finds nothing in flight."""
+        from repro.storage.archive import FragmentSource
+
+        store = _filled(FragmentStore())
+        v, w = FragmentSource(store, "v"), FragmentSource(store, "w")
+        pipe = FetchPipeline()
+        groups = pipe.submit_round([("v", v, ["s0"]), (None, w, ["s0"])])
+        assert v.fetched("s0") and w.fetched("s0")
+        trips = store.round_trips
+        pipe.close()
+        assert store.round_trips == trips  # close() had nothing to drain
+        assert [k for keys in pipe.iter_groups(groups) for k in keys] == ["v"]
+        assert store.round_trips == trips  # nor had the decode stage
+
+    def test_submit_round_store_error_propagates_and_releases_claims(self):
+        from repro.storage.archive import FragmentSource
+
+        class BadStore(FragmentStore):
+            def get_many(self, keys):
+                raise OSError("store down")
+
+        bad = BadStore()
+        bad.put("v", "s0", b"x")
+        source = FragmentSource(bad, "v")
+        with pytest.raises(OSError, match="store down"):
+            FetchPipeline().submit_round([("v", source, ["s0"])])
+        # the failed round left no claim behind: a retry fetches it again
+        assert source.missing(["s0"]) == ["s0"]
+        assert source.claim(["s0"]) == ["s0"]
 
     def test_concurrent_prefetches_never_double_read(self):
         """claim() makes racing round batches fetch-once."""

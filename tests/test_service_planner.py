@@ -1,10 +1,14 @@
 """Cross-request query planner suite.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * :class:`repro.service.planner.QueryPlanner` unit semantics — memoized
   single-flight representation loads, exact-bound plan memoization,
   generation invalidation.
+* :class:`repro.service.planner.FetchScheduler` unit semantics — its
+  fetch is the read path's one inline fetch: cross-request duplicates
+  are claimed once, store errors release every claim and surface to the
+  caller, and the speculative name is an alias.
 * Service-level economics — 8 concurrent clients over one
   :class:`~repro.service.service.RetrievalService`: identical ladders
   cost ONE planning pass (the 8-client run's plan-cache misses equal a
@@ -30,9 +34,9 @@ import pytest
 from repro.compressors.base import make_refactorer
 from repro.core.qois import total_velocity
 from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
-from repro.service.planner import QueryPlanner
+from repro.service.planner import FetchScheduler, QueryPlanner
 from repro.service.service import RetrievalService
-from repro.storage.archive import Archive
+from repro.storage.archive import Archive, FragmentSource
 from repro.storage.cache import CachingFragmentStore, FragmentCache
 from repro.storage.metadata import DatasetManifest, VariableMetadata
 from repro.storage.remote import HTTPFragmentServer
@@ -262,6 +266,71 @@ def _blocked_in(thread, function):
     while frame is not None and frame.f_code.co_name == "wait":
         frame = frame.f_back  # Condition.wait under Event.wait
     return frame is not None and frame.f_code.co_name == function
+
+
+def _fill(store, variable, segments):
+    for segment in segments:
+        store.put(variable, segment, segment.encode() * 3)
+
+
+class TestFetchScheduler:
+    def test_duplicate_segments_claimed_once(self):
+        scheduler = FetchScheduler()
+        store = _GateStore()
+        _fill(store, "v", ["a", "b"])
+        source = FragmentSource(store, "v")
+        fetched = []
+        first = threading.Thread(
+            target=lambda: fetched.append(scheduler.fetch([(source, ["a", "b"])]))
+        )
+        try:
+            first.start()
+            assert store.entered.wait(5)
+            # the racing round finds both segments claimed: no second pass
+            assert scheduler.fetch([(source, ["a", "b"])]) == 0
+            store.release_gate.set()
+            first.join(10)
+            assert fetched == [2]
+            assert store.served == [[("v", "a"), ("v", "b")]]
+            assert store.reads == 2
+        finally:
+            store.release_gate.set()
+            first.join(10)
+
+    def test_store_error_releases_claims_and_surfaces(self):
+        class _BrokenStore(FragmentStore):
+            def get_many(self, keys):
+                raise OSError("store down")
+
+        source = FragmentSource(_BrokenStore(), "v")
+        with pytest.raises(OSError):
+            FetchScheduler().fetch([(source, ["a", "b"])])
+        # every claim was released: the segments are fetchable again
+        assert source.missing(["a", "b"]) == ["a", "b"]
+        assert source.claim(["a", "b"]) == ["a", "b"]
+
+    def test_fetch_speculative_is_an_alias_of_fetch(self):
+        # kept only for callers that wrap it by name: same fetch, same errors
+        class _BrokenStore(FragmentStore):
+            def get_many(self, keys):
+                raise OSError("store down")
+
+        scheduler = FetchScheduler()
+        store = FragmentStore()
+        _fill(store, "v", ["a", "b"])
+        assert scheduler.fetch_speculative([(FragmentSource(store, "v"), ["a", "b"])]) == 2
+        assert store.round_trips == 1
+        broken = FragmentSource(_BrokenStore(), "v")
+        with pytest.raises(OSError):
+            scheduler.fetch_speculative([(broken, ["a"])])
+        assert broken.missing(["a"]) == ["a"]
+
+    def test_empty_plans_short_circuit(self):
+        scheduler = FetchScheduler()
+        store = FragmentStore()
+        assert scheduler.fetch([]) == 0
+        assert scheduler.fetch([(FragmentSource(store, "v"), [])]) == 0
+        assert store.round_trips == 0
 
 
 # ---------------------------------------------------------------------------
