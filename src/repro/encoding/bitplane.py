@@ -20,7 +20,9 @@ byte size feeds the bitrate accounting of the rate-distortion studies.
 Low-significance planes of real data are usually indistinguishable from
 noise, so each segment carries a one-byte marker and is stored raw when a
 sample shows the backend cannot shrink it — the entropy stage then costs
-time only where it saves bytes.
+time only where it saves bytes.  Rows whose bit and bit-transition
+densities already look like coin flips are framed raw without asking the
+backend at all (:func:`_noise_rows`).
 
 Signs are stored as one extra segment fetched together with the first
 plane.  (PMGARD embeds the sign after a coefficient's first significant
@@ -54,6 +56,13 @@ _PROBE_MIN = 4096
 _PROBE_BYTES = 4096
 #: Probe ratio above which a segment is declared incompressible.
 _PROBE_RATIO = 0.97
+#: Rows shorter than this always go to the backend: below it zlib's
+#: fixed overhead, not the bits, decides whether a row shrinks.
+_NOISE_MIN_BYTES = 64
+#: Binary entropy (bits per bit) that both the bit density and the bit
+#: transition density of a row's probe sample must reach for the row to
+#: be framed raw without a backend call.
+_NOISE_ENTROPY = 0.99
 
 
 def _compress_segment(backend, raw: bytes) -> bytes:
@@ -71,6 +80,48 @@ def _compress_segment(backend, raw: bytes) -> bytes:
     if len(comp) + 1 >= len(raw):
         return _SEG_RAW + raw
     return _SEG_COMPRESSED + comp
+
+
+def _binary_entropy(p: np.ndarray) -> np.ndarray:
+    """``H(p)`` in bits; 0 at ``p`` of 0 or 1."""
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
+def _noise_rows(rows: np.ndarray) -> np.ndarray:
+    """Which rows of a ``(k, m)`` uint8 matrix are noise to the backend.
+
+    Each row is judged on the bytes the probe of :func:`_compress_segment`
+    samples: its ones density *and* its density of bit transitions (bit
+    ``i`` differing from bit ``i + 1``, MSB first) must both carry at
+    least :data:`_NOISE_ENTROPY` bits of binary entropy.  The ones
+    density alone passes spatially correlated rows — sign rows of smooth
+    fields — that DEFLATE still shrinks; their runs show in the
+    transitions.  A row repeating one noise block passes both tests and
+    is stored raw though the backend could shrink it: lossless either
+    way, and not a shape the bitplanes of smooth fields take.
+    """
+    k, m = rows.shape
+    if m < _NOISE_MIN_BYTES:
+        return np.zeros(k, dtype=bool)
+    if m >= 4 * _PROBE_BYTES:
+        m = _PROBE_BYTES
+    # whole big-endian uint64 words, zero-padded: bit order is MSB first
+    padded = np.zeros((k, -(-m // 8) * 8), dtype=np.uint8)
+    padded[:, :m] = rows[:, :m]
+    words = padded.view(">u8").astype(np.uint64)
+    ones = np.bitwise_count(words).sum(axis=1)
+    # each bit against its successor; the top bit of the next word
+    # carries across word boundaries
+    successor = words << np.uint64(1)
+    successor[:, :-1] |= words[:, 1:] >> np.uint64(63)
+    flips = np.bitwise_count(words ^ successor).sum(axis=1)
+    # the last sampled bit was compared with a zero past the end
+    flips -= rows[:, m - 1] & 1
+    bits = 8 * m
+    return (_binary_entropy(ones / bits) >= _NOISE_ENTROPY) & (
+        _binary_entropy(flips / (bits - 1)) >= _NOISE_ENTROPY
+    )
 
 
 class CorruptSegmentError(ValueError):
@@ -229,11 +280,14 @@ class BitplaneEncoder:
         fixed = mags.astype(np.uint64)  # trunc == floor: values are >= 0
         # amax*scale can land exactly on 2**P; clamp into range
         np.minimum(fixed, np.uint64((1 << P) - 1), out=fixed)
-        signs = np.signbit(flat)
+        # the sign row, then the P plane rows; rows the screen calls
+        # noise are framed raw without a backend call
+        rows = np.vstack([np.packbits(np.signbit(flat)), pack_bitplanes(fixed, P)])
         backend = self.backend
-        sign_segment = _compress_segment(backend, np.packbits(signs).tobytes())
-        rows = pack_bitplanes(fixed, P)
-        planes = [_compress_segment(backend, rows[p].tobytes()) for p in range(P)]
+        sign_segment, *planes = [
+            _SEG_RAW + row.tobytes() if noise else _compress_segment(backend, row.tobytes())
+            for row, noise in zip(rows, _noise_rows(rows))
+        ]
         return BitplaneStream(shape, e, P, sign_segment, planes)
 
 

@@ -357,7 +357,10 @@ class RetrievalService:
         its :func:`~repro.utils.fragment_keys.timestep_variable`
         qualified name.  Concurrent ingests serialize on a lock (client
         retrievals are never blocked).  Returns the engine's
-        :class:`~repro.core.ingest.IngestReport`.
+        :class:`~repro.core.ingest.IngestReport`.  When the engine
+        raises, the error propagates after every variable of the call
+        is re-resolved as above (a flush may have committed before the
+        failure); the manifest and value ranges keep their old entries.
         """
         from repro.compressors.base import make_refactorer
 
@@ -369,35 +372,40 @@ class RetrievalService:
             ),
         )
         refactorer = make_refactorer(method)
+        names = [
+            timestep_variable(name, timestep) if timestep is not None else name
+            for name in variables
+        ]
         with self._ingest_lock:
-            report = IngestPipeline(self.store, config).ingest(
-                variables, refactorer, timestep=timestep
-            )
-            with self._lock:
-                if self.manifest is None:
-                    self.manifest = DatasetManifest(dataset="live")
-                update_manifest(
-                    self.manifest, self.store, variables, method, report,
-                    timestep=timestep,
+            try:
+                report = IngestPipeline(self.store, config).ingest(
+                    variables, refactorer, timestep=timestep
                 )
-                for name in variables:
-                    archived = (
-                        timestep_variable(name, timestep)
-                        if timestep is not None
-                        else name
+                with self._lock:
+                    if self.manifest is None:
+                        self.manifest = DatasetManifest(dataset="live")
+                    update_manifest(
+                        self.manifest, self.store, variables, method, report,
+                        timestep=timestep,
                     )
-                    # the memoized fragment source would serve superseded
-                    # payloads to later lazy loads — drop it, and every
-                    # planner memo (representation, plans, seeds) with it
-                    self.archive.invalidate_source(archived)
-                    self.planner.invalidate(archived)
-                    self._ranges[archived] = (
-                        self.manifest.variables[archived].value_range
-                    )
-                    self._generations[archived] = (
-                        self._generations.get(archived, 0) + 1
-                    )
-                    self._variables_ingested += 1
+                    for archived in names:
+                        self._ranges[archived] = (
+                            self.manifest.variables[archived].value_range
+                        )
+                    self._variables_ingested += len(names)
+            finally:
+                # a flush that committed before a failure replaced payloads
+                # too: on every exit drop the memoized fragment source (it
+                # would pair superseded indexes with the new payloads) and
+                # every planner memo, and bump the generation so open
+                # sessions re-resolve
+                with self._lock:
+                    for archived in names:
+                        self.archive.invalidate_source(archived)
+                        self.planner.invalidate(archived)
+                        self._generations[archived] = (
+                            self._generations.get(archived, 0) + 1
+                        )
             self.manifest.save_to(self.store)
         return report
 

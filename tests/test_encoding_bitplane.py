@@ -214,13 +214,15 @@ class TestSizeAccounting:
 
 
 class _CountingZlib(ZlibBackend):
-    """zlib that adds up the bytes it was asked to compress."""
+    """zlib that adds up the calls and the bytes it was asked to compress."""
 
     def __init__(self):
         super().__init__()
+        self.calls = 0
         self.seen = 0
 
     def compress_bytes(self, payload):
+        self.calls += 1
         self.seen += len(payload)
         return super().compress_bytes(payload)
 
@@ -233,6 +235,66 @@ def _payload(kind: str, size: int) -> bytes:
         return bytes(size)
     half = size // 2
     return bytes(half) + noise[half:]
+
+
+def _encode_rows(bits: np.ndarray, backend, num_planes: int = 8):
+    """Encode coefficients whose sign row and every plane row are
+    ``packbits(bits)``: ``-(1 - 2**-P)`` where a bit is set, else 0."""
+    coeffs = np.where(bits == 1, -(1.0 - 2.0**-num_planes), 0.0)
+    encoder = BitplaneEncoder(num_planes=num_planes)
+    encoder.backend = backend
+    stream = encoder.encode(coeffs)
+    row = np.packbits(bits).tobytes()
+    segments = [stream.sign_segment, *stream.plane_segments]
+    return row, segments
+
+
+class TestNoiseScreen:
+    """Rows whose bit density and bit-transition density both look like
+    noise are framed raw without a backend call; every other row goes
+    through :func:`_compress_segment` as before."""
+
+    @pytest.mark.parametrize("size", [64, 1000, 4096, 20_000])
+    def test_noise_rows_never_reach_the_backend(self, size):
+        bits = np.random.default_rng(size).integers(0, 2, 8 * size)
+        backend = _CountingZlib()
+        row, segments = _encode_rows(bits, backend)
+        assert backend.seen == 0
+        assert segments == [b"\x00" + row] * 9
+
+    @pytest.mark.parametrize("size", [64, 1000, 20_000])
+    @pytest.mark.parametrize("kind", ["alternating", "runs"])
+    def test_dense_structured_rows_are_compressed(self, size, kind):
+        if kind == "alternating":  # 0x55 repeated: p = 1/2, every bit flips
+            bits = np.unpackbits(np.full(size, 0x55, dtype=np.uint8))
+        else:  # runs of 32 equal bits at p = 1/2: few flips
+            coin = np.random.default_rng(size).integers(0, 2, size // 4)
+            bits = np.repeat(coin, 32)
+        backend = _CountingZlib()
+        _, segments = _encode_rows(bits, backend)
+        # every row once; a row of 16 KiB or more is probed first
+        assert backend.calls == 9 * (2 if size >= 16384 else 1)
+        assert all(segment[:1] == b"\x01" for segment in segments)
+
+    @pytest.mark.parametrize("size", [1, 8, 63])
+    def test_short_rows_always_reach_the_backend(self, size):
+        bits = np.random.default_rng(size).integers(0, 2, 8 * size)
+        backend = _CountingZlib()
+        row, segments = _encode_rows(bits, backend)
+        assert backend.seen == 9 * size
+        for segment in segments:
+            assert segment == _compress_segment(ZlibBackend(), row)
+
+    def test_repeated_noise_block_is_stored_raw(self):
+        # the screen's blind spot: one noise block repeated has noise
+        # densities, so it is framed raw though DEFLATE would shrink it
+        block = np.random.default_rng(1).integers(0, 2, 8 * 256)
+        bits = np.tile(block, 32)
+        backend = _CountingZlib()
+        row, segments = _encode_rows(bits, backend)
+        assert backend.seen == 0
+        assert segments == [b"\x00" + row] * 9
+        assert len(ZlibBackend().compress_bytes(row)) < len(row) // 4
 
 
 class TestSegmentProbe:
@@ -288,8 +350,10 @@ class TestSegmentProbe:
         [
             lambda: generators.hurricane(shape=(20, 100, 100), seed=0),
             lambda: generators.ge_cfd(60_000, seed=0),
+            lambda: generators.hurricane(shape=(16, 48, 48), seed=0),
+            lambda: generators.ge_cfd(10_000, seed=0),
         ],
-        ids=["hurricane", "ge_cfd"],
+        ids=["hurricane", "ge_cfd", "hurricane_fleet", "ge_cfd_wan"],
     )
     def test_benchmark_data_archives_to_the_oracles_bytes(self, fields, monkeypatch):
         from repro.compressors.base import make_refactorer
@@ -297,10 +361,18 @@ class TestSegmentProbe:
 
         fields = fields()
 
-        def total_bytes():
+        def segments():
             refactorer = make_refactorer("pmgard_hb")
-            return {name: refactorer.refactor(a).total_bytes for name, a in fields.items()}
+            return {
+                name: [
+                    (s.sign_segment, *s.plane_segments)
+                    for s in refactorer.refactor(a).streams
+                ]
+                for name, a in fields.items()
+            }
 
-        sampled = total_bytes()
+        archived = segments()
+        # the oracle: every row, noise or not, through the original probe
         monkeypatch.setattr(bitplane, "_compress_segment", reference_compress_segment)
-        assert sampled == total_bytes()
+        monkeypatch.setattr(bitplane, "_NOISE_MIN_BYTES", float("inf"))
+        assert archived == segments()

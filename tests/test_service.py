@@ -253,6 +253,48 @@ class TestRetrievalService:
         rec = qoi.value({k: (result.data[k], 0.0) for k in result.data})
         assert np.max(np.abs(rec - truth)) <= 1e-4 * qrange * (1 + 1e-9)
 
+    @pytest.mark.parametrize("failure", ["store_crash", "nan_variable"])
+    def test_failed_ingest_leaves_no_stale_index(self, failure, tmp_path):
+        """An ingest that fails after one flush committed has replaced
+        that variable's payloads: fresh and earlier sessions must decode
+        them with the new index, not a memoized old one."""
+        from fault_store import FaultyFragmentStore, SimulatedCrash
+
+        from repro.core.qois import qoi_from_spec
+
+        n = 20_000
+        t = np.linspace(0.0, 20.0, n)
+        a1 = np.sin(t) + 0.01 * np.random.default_rng(0).normal(size=n)
+        b1 = 3.0 * np.cos(t)
+        a2 = 50.0 * np.cos(3.0 * t) + 5.0
+        faulty = FaultyFragmentStore(ShardedDiskStore(str(tmp_path / "archive")))
+        service = RetrievalService(faulty)
+        service.ingest({"a": a1, "b": b1}, workers=0)
+
+        def ask(session, name):
+            request = QoIRequest(name, qoi_from_spec("identity", [name]), 1e-5)
+            return session.retrieve([request])
+
+        earlier = service.open_session()
+        for name in "ab":
+            ask(earlier, name)
+        b2 = 2.0 * a2
+        if failure == "store_crash":
+            faulty.fail_after = faulty.mutations + 1  # the second flush dies
+            expected = SimulatedCrash
+        else:
+            b2[7] = np.nan
+            expected = ValueError
+        with pytest.raises(expected):
+            service.ingest({"a": a2, "b": b2}, workers=0, flush_bytes=1)
+        faulty.fail_after = None
+        for session in (service.open_session(), earlier):
+            for name, held in (("a", a2), ("b", b1)):
+                result = ask(session, name)
+                error = np.max(np.abs(result.data[name] - held))
+                assert error <= result.estimated_errors[name], (name, error)
+        service.close()
+
 
 class TestServer:
     @pytest.fixture()
