@@ -3,9 +3,9 @@
 The variable is decomposed once by :class:`MultilevelTransform`; each
 level's coefficient set becomes one exponent-aligned bitplane group
 (:mod:`repro.encoding.bitplane`) and the coarsest approximation is stored
-verbatim.  A request for bound ``eb`` greedily fetches the next most
-significant plane of whichever level currently dominates the guaranteed
-error, until
+verbatim.  A request for bound ``eb`` fetches planes in one fixed,
+byte-priced order (:class:`PlanTable`: each level's bytes-vs-bound convex
+hull, levels merged by bound removed per byte) until
 
     sum_l  kappa * bound_l(k_l)   <=  eb,
 
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.compressors.base import ProgressiveReader, Refactored, Refactorer
 from repro.encoding.bitplane import (
+    MAX_PLANES,
     BitplaneEncoder,
     CoefficientLayout,
     CorruptSegmentError,
@@ -43,6 +44,7 @@ from repro.transforms.multilevel import HIERARCHICAL, MultilevelTransform
 from repro.utils.validation import as_float_array, check_error_bound
 
 _EPS = float(np.finfo(np.float64).eps)
+_HALVES = np.array([2.0**-k for k in range(MAX_PLANES + 1)])
 
 
 class PMGARDRefactored(Refactored):
@@ -77,8 +79,8 @@ class PMGARDRefactored(Refactored):
 
         Sessions opened by many clients against the same refactored
         variable (the service path) all plan from this one table, so a
-        retrieval round costs a binary search instead of a greedy peel
-        loop over every outstanding plane.
+        retrieval round costs a binary search plus a step or two along
+        the order.
         """
         table = getattr(self, "_plan_table", None)
         if table is None:
@@ -121,77 +123,155 @@ class PMGARDRefactored(Refactored):
         return PMGARDResolutionReader(self)
 
 
+def _hull_steps(streams, kappa: float) -> tuple:
+    """Each level's lower-convex-hull steps over its (bytes, bound) points.
+
+    Level *l*'s points are ``(bytes of planes 0..k, kappa * 2**(e - k))``
+    for ``k = 0..P``, with the sign segment counted in plane 0's cost.
+    With ``slope(i, j)`` the bound point *i* removes per byte on its way
+    to a later point *j* (``inf`` for free planes, 0 where nothing is
+    removed), point ``k > 0`` is a hull vertex when it removes bound at
+    all and no way into it is flatter than the steepest way on:
+    ``min_i slope(i, k) >= max_j slope(k, j)`` — collinear points stay
+    vertices, so steps stay as fine as the hull allows.  A step runs
+    between consecutive vertices, so within a level the step slopes never
+    rise (a vertex's way in is no flatter than its way on, in the very
+    floats compared) and the merge keeps each level's planes in order.
+    Returns ``(level, planes, slope, drop)`` arrays, one entry per step,
+    the step taking *level* to *planes* planes.  All levels are computed
+    at once, padded to the longest by repeating their last bound at a
+    byte more each (a padded point removes nothing).
+    """
+    rows = [l for l, s in enumerate(streams) if s.exponent is not None]
+    if not rows:
+        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
+    planes = np.array([streams[l].num_planes for l in rows])
+    n = 1 + int(planes.max())
+    sizes = [streams[l].plane_sizes() for l in rows]
+    for row in sizes:
+        row += [1] * (n - 1 - len(row))  # padded points: dearer, remove nothing
+    cost = np.zeros((len(rows), n))
+    np.cumsum(sizes, axis=1, out=cost[:, 1:])
+    cost[:, 1:] += np.array([len(streams[l].sign_segment) for l in rows])[:, None]
+    # == kappa * s.error_bound(k) bit for bit: 2**e * 2**-k is exact
+    scale = np.array([2.0 ** streams[l].exponent for l in rows])
+    bound = kappa * (scale[:, None] * _HALVES[np.minimum(np.arange(n), planes[:, None])])
+    drop = bound[:, :, None] - bound[:, None, :]  # [r, i, j]: removed i -> j
+    slope = cost[:, None, :] - cost[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(drop, slope, out=slope)
+    backwards = np.tri(n, dtype=bool)  # [i, j]: j <= i
+    np.copyto(slope, 0.0, where=backwards)
+    out_best = slope.max(axis=2)
+    np.copyto(slope, np.inf, where=backwards)
+    in_worst = slope.min(axis=1)
+    vertex = (in_worst >= out_best) & (in_worst > 0.0)
+    vertex[:, 0] = False  # point 0 starts, never ends, a step
+    # a step ends at a vertex and starts at the vertex before it (or 0);
+    # slope[r, i, k] with i < k is untouched by the masking above
+    start = np.maximum.accumulate(np.where(vertex, np.arange(n), 0), axis=1)
+    start[:, 1:] = start[:, :-1].copy()
+    r_idx, k_idx = np.nonzero(vertex)
+    i_idx = start[r_idx, k_idx]
+    return (
+        np.asarray(rows, dtype=np.int64)[r_idx], k_idx,
+        slope[r_idx, i_idx, k_idx], bound[r_idx, i_idx] - bound[r_idx, k_idx],
+    )
+
+
 class PlanTable:
-    """Closed-form replacement for the greedy most-significant-plane peel.
+    """The byte-priced plane order of one refactored variable.
 
-    The greedy loop always peels the level whose current bound
-    ``kappa * 2**(e_l - k_l)`` is largest (ties to the lowest level
-    index), and each peel halves that bound — so the order in which
-    planes are peeled is *fixed*: it is the list of (level, plane) pairs
-    sorted by descending pre-peel bound, ties by level.  Precomputing
-    that order plus the running sum of bound reductions turns every
-    ``request(eb)`` into one :func:`numpy.searchsorted` over the
-    cumulative reductions instead of an O(planes) Python loop per round.
+    Every level's (bytes, bound) curve is reduced to its lower convex
+    hull (:func:`_hull_steps`) and the hull steps of all levels are
+    merged by descending slope — bound removed per byte, ties by
+    (level, plane) — into one fixed order.  This is the post-compression
+    rate-distortion truncation of EBCOT (Taubman, IEEE TIP 2000) with
+    the analytic bound ``kappa * 2**(e - k)`` as the distortion: a prefix
+    ending on a step holds, for its bytes, the smallest bound any choice
+    of hull points per level reaches with as few.  Within a level the
+    slopes fall, so planes are taken in order, and because the order is
+    fixed a tighter bound only extends a plan and a looser one fetches
+    nothing.
 
-    Floating-point summation order differs from the greedy loop's
-    running ``sum(bounds)``, so :meth:`planes_for` stops short of the
-    fixed point by the rounding slack of the two sums and callers re-run
-    the greedy loop from the planned state as a mop-up.  The peel order
-    is fixed, so a shorter prefix plus the exact mop-up *is* the greedy
-    plan; it converges in a step or two and keeps the stopping condition
-    bit-identical to the original.
+    A plan for ``eb`` is the shortest prefix of the order whose bound,
+    summed in level order exactly as :attr:`PMGARDReader.current_error_bound`
+    sums it, is ``<= eb`` (or the whole order).  :meth:`planes_for`
+    seeds it with one :func:`numpy.searchsorted` over the cumulative
+    bound drops, stopping short of the stop by the rounding slack of the
+    two sums; :meth:`plan` steps on along the order from there with the
+    exact sum, so the stopping condition and the reported bound agree to
+    the bit.  Sizes come from the streams' size index; nothing is
+    fetched.
     """
 
     def __init__(self, streams, kappa: float):
-        levels = []
-        values = []
-        deltas = []
-        for l, s in enumerate(streams):
-            if s.exponent is None:
-                continue
-            bounds = np.array(
-                [kappa * s.error_bound(k) for k in range(s.num_planes + 1)]
-            )
-            pre = bounds[:-1]  # bound before peeling plane k+1
-            keep = pre > 0.0  # underflowed levels cannot shrink further
-            levels.append(np.full(int(keep.sum()), l, dtype=np.int64))
-            values.append(pre[keep])
-            deltas.append((pre - bounds[1:])[keep])
-        if levels:
-            ev_level = np.concatenate(levels)
-            ev_value = np.concatenate(values)
-            ev_delta = np.concatenate(deltas)
-            # stable order: descending bound, then level (greedy tie-break);
-            # within a level bounds strictly decrease, so plane order holds
-            order = np.lexsort((ev_level, -ev_value))
-            self.ev_level = ev_level[order]
-            self.cum_delta = np.cumsum(ev_delta[order])
-        else:
-            self.ev_level = np.zeros(0, dtype=np.int64)
-            self.cum_delta = np.zeros(0)
-        # initial bound sum, accumulated in level order like the greedy loop
-        self.total = float(sum(kappa * s.error_bound(0) for s in streams))
-        self.num_levels = len(streams)
+        self.streams = list(streams)
+        self.kappa = kappa
+        self.num_levels = len(self.streams)
+        level, planes, slope, drop = _hull_steps(self.streams, kappa)
+        order = np.lexsort((planes, level, -slope))
+        level, planes = level[order], planes[order]
+        self.cum_drop = np.cumsum(drop[order])
+        # column m: planes per level after the first m steps of the order
+        table = np.zeros((self.num_levels, order.size + 1), dtype=np.int64)
+        table[level, np.arange(1, order.size + 1)] = planes
+        self.table = np.maximum.accumulate(table, axis=1)
+        self._levels, self._planes = level.tolist(), planes.tolist()
+        self.total = self.bound_of([0] * self.num_levels)
+
+    def bound_of(self, planes) -> float:
+        """The bound with *planes* per level, summed in level order."""
+        kappa = self.kappa
+        return float(sum(kappa * s.error_bound(k) for s, k in zip(self.streams, planes)))
+
+    def _seed(self, eb: float) -> int:
+        if not self._levels or self.total <= eb:
+            return 0
+        # ``total - eb`` and the cumsum each round by up to an ulp of
+        # ``total`` per term, differently from the level-ordered sum; a
+        # seed past the stop would fetch a plane for nothing (the mop-up
+        # only adds).  Every step whose cumulative drop is short of
+        # ``need`` by more than that slack is surely taken, and so is the
+        # one after them.
+        slack = (len(self._levels) + self.num_levels + 2) * _EPS * self.total
+        need = self.total - eb - slack
+        m = int(np.searchsorted(self.cum_drop, need, side="left")) + 1
+        return min(m, len(self._levels))
 
     def planes_for(self, eb: float) -> np.ndarray:
-        """Planes per level after greedily peeling until the bound fits."""
-        if self.ev_level.size == 0 or self.total <= eb:
-            return np.zeros(self.num_levels, dtype=np.int64)
-        # ``total - eb`` and the cumsum each round by up to an ulp of
-        # ``total`` per term, differently from the greedy running sum; a
-        # seed past the greedy stop would fetch a plane for nothing (the
-        # mop-up only adds).  Every event whose cumulative reduction is
-        # short of ``need`` by more than that slack is one greedy surely
-        # peels, and so is the one after them.
-        slack = (self.ev_level.size + self.num_levels + 2) * _EPS * self.total
-        need = self.total - eb - slack
-        m = int(np.searchsorted(self.cum_delta, need, side="left")) + 1
-        m = min(m, self.ev_level.size)
-        return np.bincount(self.ev_level[:m], minlength=self.num_levels)
+        """Planes per level of the seed prefix: never past :meth:`plan`."""
+        return self.table[:, self._seed(eb)]
+
+    def plan(self, eb: float, held=()) -> list:
+        """Planes per level meeting *eb*, never fewer than *held*.
+
+        Steps along the order from the seed until the exact
+        level-ordered bound is ``<= eb``, or the order runs out (then
+        *eb* is below the variable's floor).
+        """
+        m = self._seed(eb)
+        planned = self.table[:, m].tolist()
+        for l, k in enumerate(held):
+            if k > planned[l]:
+                planned[l] = k
+        bound = self.bound_of(planned)
+        while bound > eb and m < len(self._levels):
+            l, k = self._levels[m], self._planes[m]
+            m += 1
+            if k > planned[l]:
+                planned[l] = k
+                bound = self.bound_of(planned)
+        return planned
 
 
 class PMGARDReader(ProgressiveReader):
-    """Greedy most-significant-plane-first progressive reader.
+    """Progressive reader taking planes in its variable's byte-priced order.
+
+    Every request plans with the shared :class:`PlanTable`: the shortest
+    prefix of the variable's hull order whose bound meets ``eb``, never
+    fewer planes than held.  The reported bound is ``kappa * sum_l
+    2**(e_l - k_l)`` over the planes held, whatever the order.
 
     The reader's state is the planes it holds per level (``_held``) and
     whether it holds the coarse approximation.  Normally its decoder has
@@ -247,7 +327,7 @@ class PMGARDReader(ProgressiveReader):
             self._rec = None
 
     def _plan(self, eb: float) -> list:
-        """Planes per level meeting *eb*: closed-form seed + greedy mop-up.
+        """Planes per level meeting *eb* (:meth:`PlanTable.plan`).
 
         A round plans the same state up to three times (the round's
         segments, the widened segments, then the request itself), so
@@ -264,30 +344,7 @@ class PMGARDReader(ProgressiveReader):
         return planned
 
     def _plan_uncached(self, eb: float) -> list:
-        decs = self._decoders
-        kappa = self._ref.kappa
-        seed = self._ref.plan_table().planes_for(eb)
-        planned = [max(int(seed[l]), k) for l, k in enumerate(self._held)]
-        bounds = [kappa * d.stream.error_bound(planned[l]) for l, d in enumerate(decs)]
-        num_planes = [d.stream.num_planes for d in decs]
-        # greedy mop-up: peel the most significant outstanding plane of the
-        # currently dominating level until the total bound fits.  The seed
-        # lands at (or within a rounding step of) the fixed point, so this
-        # loop runs O(1) times; it also keeps the stopping condition
-        # bit-identical to the original greedy planner.
-        while sum(bounds) > eb:
-            # only levels whose bound still shrinks are useful; all-zero
-            # groups (bound 0) or fully-fetched levels cannot help
-            candidates = [
-                l for l in range(len(decs))
-                if planned[l] < num_planes[l] and bounds[l] > 0.0
-            ]
-            if not candidates:
-                break
-            worst = max(candidates, key=lambda l: bounds[l])
-            planned[worst] += 1
-            bounds[worst] = kappa * decs[worst].stream.error_bound(planned[worst])
-        return planned
+        return self._ref.plan_table().plan(eb, self._held)
 
     def plan_segments(self, eb: float) -> list:
         """Archive segments ``request(eb)`` would consume (no fetching)."""

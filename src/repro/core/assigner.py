@@ -105,7 +105,7 @@ def reassign_eb(
 
     est = estimate()
     iterations = 0
-    while est > tolerance:
+    while not est <= tolerance:  # a NaN estimate is no pass
         iterations += 1
         if iterations > max_iterations:
             raise RuntimeError(

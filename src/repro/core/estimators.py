@@ -90,8 +90,8 @@ def bound_sqrt(x: np.ndarray, eps) -> np.ndarray:
         out = np.sqrt(np.clip(x_b, 0.0, None) + eps_b)  # x <= 0 fallback (incl. sqrt(eps) at 0)
         denom = np.sqrt(np.clip(x_b - eps_b, 0.0, None)) + np.sqrt(np.clip(x_b, 0.0, None))
         formula = np.where((denom > 0.0) & (denom < np.inf), eps_b / denom, np.inf)
-    out = np.where(pos, formula, out)
-    return out
+    # a NaN radicand (``0/0`` below) is no bound: read it as ``inf``
+    return _nan_unbounded(np.where(pos, formula, out))
 
 
 def bound_radical(x: np.ndarray, eps, c: float = 0.0) -> np.ndarray:

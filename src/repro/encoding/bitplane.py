@@ -213,6 +213,10 @@ class BitplaneStream:
             return float(2.0 ** (self.exponent - self.num_planes))
         return float(2.0 ** (self.exponent - k))
 
+    def plane_sizes(self) -> list:
+        """Byte size of each plane segment, MSB first (signs excluded)."""
+        return [len(p) for p in self.plane_segments]
+
     def segment_bytes(self, start_plane: int, stop_plane: int) -> int:
         """Byte cost of fetching planes ``[start, stop)`` (incl. signs at 0)."""
         if self.exponent is None:

@@ -2,10 +2,12 @@
 
 These are faithful copies of the original per-plane / per-symbol
 implementations that :mod:`repro.encoding.bitplane`,
-:mod:`repro.encoding.huffman`, the PMGARD plane planner and the PMGARD
-reader's per-level reconstruct + boolean-mask recompose replaced with
-array-at-a-time kernels.  They are kept because the property tests assert the vectorized
-kernels are **bit-exact** against them on randomized inputs.
+:mod:`repro.encoding.huffman` and the PMGARD reader's per-level
+reconstruct + boolean-mask recompose replaced with array-at-a-time
+kernels, plus a brute-force, one-point-pair-at-a-time form of the PMGARD
+plane planner's hull order.  They are kept because the property tests
+assert the vectorized kernels are **bit-exact** against them on
+randomized inputs.
 
 They are *not* wired into any production path.  Note the container
 formats differ: the reference Huffman coder emits the legacy ``RHC1``
@@ -278,27 +280,62 @@ def reference_huffman_decode(payload: bytes) -> np.ndarray:
 # -- PMGARD plane planning ----------------------------------------------------
 
 
+def reference_hull_steps(streams, kappa: float) -> list:
+    """Brute-force hull steps, one level and one point pair at a time.
+
+    Level *l*'s points are ``(segment_bytes(0, k), kappa *
+    error_bound(k))`` for ``k = 0..P``.  ``slope(i, j)`` is the bound
+    removed per byte from point *i* to a later point *j* (``inf`` when
+    the bytes are equal, 0 when nothing is removed).  Point ``k > 0`` is
+    a vertex when ``min_{i<k} slope(i, k) > 0`` and ``>= max_{j>k}
+    slope(k, j)``; a step runs from the previous vertex (or point 0) to
+    the next.  Returns ``(slope, level, planes, drop)`` tuples.
+    """
+    steps = []
+    for level, stream in enumerate(streams):
+        if stream.exponent is None:
+            continue
+        num = stream.num_planes
+        cost = [stream.segment_bytes(0, k) for k in range(num + 1)]
+        bound = [kappa * stream.error_bound(k) for k in range(num + 1)]
+
+        def slope(i, j):
+            drop = bound[i] - bound[j]
+            if not drop > 0.0:
+                return 0.0
+            spend = cost[j] - cost[i]
+            return drop / spend if spend else float("inf")
+
+        start = 0
+        for k in range(1, num + 1):
+            into = min(slope(i, k) for i in range(k))
+            onward = max((slope(k, j) for j in range(k + 1, num + 1)), default=0.0)
+            if into > 0.0 and into >= onward:
+                steps.append((slope(start, k), level, k, bound[start] - bound[k]))
+                start = k
+    return steps
+
+
 def reference_plane_plan(streams, kappa: float, eb: float, start=None) -> list:
-    """Original greedy planner: peel the dominating level one plane at a time.
+    """Brute-force byte-priced planner: walk the merged hull order.
 
     Parameters mirror the reader state: *streams* are the per-level
     :class:`BitplaneStream` objects (finest level first), *kappa* the
     per-level bound amplification, *start* the planes already consumed
-    per level (defaults to all zeros).  Returns the planned plane count
-    per level after which ``sum(kappa * bound_l) <= eb`` (or the
-    representations are exhausted).
+    per level (defaults to all zeros).  Every level's hull steps
+    (:func:`reference_hull_steps`) are sorted by descending slope, ties
+    by (level, plane), and taken from the first until ``sum(kappa *
+    bound_l)``, summed in level order, is ``<= eb`` (or the order runs
+    out).  Returns the planned plane count per level.
     """
     planned = list(start) if start is not None else [0] * len(streams)
-    bounds = [kappa * s.error_bound(planned[l]) for l, s in enumerate(streams)]
-    num_planes = [s.num_planes for s in streams]
-    while sum(bounds) > eb:
-        candidates = [
-            l for l in range(len(streams))
-            if planned[l] < num_planes[l] and bounds[l] > 0.0
-        ]
-        if not candidates:
+
+    def bound():
+        return float(sum(kappa * s.error_bound(k) for s, k in zip(streams, planned)))
+
+    order = sorted(reference_hull_steps(streams, kappa), key=lambda t: (-t[0], t[1], t[2]))
+    for _, level, planes, _ in order:
+        if bound() <= eb:
             break
-        worst = max(candidates, key=lambda l: bounds[l])
-        planned[worst] += 1
-        bounds[worst] = kappa * streams[worst].error_bound(planned[worst])
+        planned[level] = max(planned[level], planes)
     return planned

@@ -215,11 +215,22 @@ class FragmentSource:
 
     def size_of(self, segment: str) -> int:
         """Payload size without fetching (store indexes track sizes)."""
+        return self.sizes_of((segment,))[0]
+
+    def sizes_of(self, segments) -> list:
+        """Payload sizes of *segments*, in order, without fetching.
+
+        One lock for the whole batch (a PMGARD level's planes are sized
+        at once); segments not retained here are answered by the store
+        index, outside the lock.
+        """
         with self._lock:
-            payload = self._payloads.get(segment)
-        if payload is not None:
-            return len(payload)
-        return self.store.size_of(self.variable, segment)
+            retained = [self._payloads.get(s) for s in segments]
+        size_of, variable = self.store.size_of, self.variable
+        return [
+            size_of(variable, s) if p is None else len(p)
+            for s, p in zip(segments, retained)
+        ]
 
     def absorb(self, payloads: dict) -> None:
         """Merge ``{segment: payload}`` results of a batched fetch."""
@@ -342,12 +353,14 @@ class _LazyBitplaneStream(BitplaneStream):
         self._source = source
         self._names = names
 
-    def segment_bytes(self, start_plane: int, stop_plane: int) -> int:
+    def plane_sizes(self) -> list:
         # size queries must not pull payloads: answer from the store index
+        return self._source.sizes_of(self._names)
+
+    def segment_bytes(self, start_plane: int, stop_plane: int) -> int:
         if self.exponent is None:
             return 0
-        size_of = self._source.size_of
-        total = sum(size_of(name) for name in self._names[start_plane:stop_plane])
+        total = sum(self._source.sizes_of(self._names[start_plane:stop_plane]))
         if start_plane == 0 and stop_plane > 0:
             total += len(self.sign_segment)
         return total

@@ -178,20 +178,23 @@ def or_bit_rows(by_col: dict, out_bytes: np.ndarray) -> None:
     entries: ``packed_row`` holds, MSB-first, bit ``7 - bit`` of column
     ``j`` for the elements starting at ``8 * first_byte``.  Rows of
     several coefficient groups laid out back to back on 8-element
-    boundaries therefore share one transpose pass per byte column.
+    boundaries therefore share one transpose pass per byte column, and
+    that pass spans only the elements its own rows cover.
     """
     n = out_bytes.shape[0]
-    nb = (n + 7) // 8
     for j, entries in by_col.items():
-        grp = np.zeros((8, nb), dtype=np.uint8)
+        lo = min(first for _, first, _ in entries)
+        hi = max(first + row.size for _, first, row in entries)
+        grp = np.zeros((8, hi - lo), dtype=np.uint8)
         for r, first, row in entries:
-            grp[r, first : first + row.size] = row
+            grp[r, first - lo : first - lo + row.size] = row
         # little-endian word build (reversed lanes) + transpose puts element
         # i's byte at reversed position i%8 within word i//8
         words = np.ascontiguousarray(grp[::-1].T).view(np.uint64).ravel()
         transpose_bit_blocks(words)
-        col = words.view(np.uint8).reshape(-1, 8)[:, ::-1].reshape(-1)[:n]
-        np.bitwise_or(out_bytes[:, j], col, out=out_bytes[:, j])
+        stop = min(8 * hi, n)
+        col = words.view(np.uint8).reshape(-1, 8)[:, ::-1].reshape(-1)[: stop - 8 * lo]
+        np.bitwise_or(out_bytes[8 * lo : stop, j], col, out=out_bytes[8 * lo : stop, j])
 
 
 def pack_uint_field(values: np.ndarray, width: int) -> bytes:

@@ -89,7 +89,7 @@ class TestReaderPlanning:
 
 
 class TestPlanTable:
-    def test_plan_matches_greedy_reference_on_ladder(self):
+    def test_plan_matches_hull_reference_on_ladder(self):
         from repro.encoding.reference import reference_plane_plan
 
         ref = PMGARDRefactorer(basis="hierarchical", num_planes=40).refactor(field())

@@ -197,6 +197,8 @@ class TestNonFiniteInputs:
         (1.0, INF),
         (0.0, INF),
         (-1.0, INF),
+        (np.nan, INF),  # a 0/0 radicand upstream
+        (np.nan, 0.0),
     ]
     RADICAL = [  # (x, eps), c = 0
         (INF, INF),

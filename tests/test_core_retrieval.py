@@ -177,6 +177,18 @@ class TestValidation:
             QoIRequest("VTOT", total_velocity(), tolerance, qoi_range)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("wrap", [lambda q: q, Sqrt], ids=["div", "sqrt_div"])
+    def test_zero_over_zero_fails_the_same_under_sqrt(self, wrap):
+        # a = b = 0 at one point: both QoIs are singular there, and a NaN
+        # radicand is no bound, so both are refused alike
+        rng = np.random.default_rng(0)
+        fields = {"a": rng.uniform(1, 2, 500), "b": rng.uniform(1, 2, 500)}
+        fields["a"][100] = fields["b"][100] = 0.0
+        refactored = refactor_dataset(fields, make_refactorer("pmgard_hb"))
+        request = QoIRequest("q", wrap(Div(Var("a"), Var("b"))), 1e-3, 1.0)
+        with pytest.raises(RuntimeError, match="likely singular"):
+            QoIRetriever(refactored, ranges_of(fields)).retrieve([request])
+
     def test_result_metadata(self, retriever_setup):
         fields, retriever = retriever_setup
         qoi = total_velocity()

@@ -309,7 +309,7 @@ def test_session_ladder_cumulative_bytes(ge_small, ge_small_refactored):
 
     Over a tightening ladder PSZ3 re-fetches overlapping snapshots while
     PSZ3-delta and PMGARD-HB only fetch what they lack.  PMGARD-HB pays
-    more at 1e-1 and leads only from 1e-4 on.  A change to the plane
+    more at 1e-1 and 1e-2 and leads from 1e-3 on.  A change to the plane
     order or the bound moves these counts.
     """
     qoi = total_velocity()
@@ -327,7 +327,7 @@ def test_session_ladder_cumulative_bytes(ge_small, ge_small_refactored):
     assert trails == {
         "psz3": [8_471, 20_796, 41_703, 76_652, 118_384],
         "psz3_delta": [7_806, 16_531, 25_294, 34_046, 42_795],
-        "pmgard_hb": [17_134, 19_594, 26_534, 32_706, 38_508],
+        "pmgard_hb": [13_812, 17_015, 23_024, 29_370, 34_829],
     }
 
 
