@@ -10,7 +10,9 @@ hull, levels merged by bound removed per byte) until
     sum_l  kappa * bound_l(k_l)   <=  eb,
 
 where ``bound_l(k)`` is the coefficient bound of level *l* after *k*
-planes and ``kappa`` is the basis-dependent per-level amplification of
+planes — ``2**(e - k)``, or for a 1-D variable the tighter bound the
+encoder measured where it pays (:mod:`repro.encoding.bitplane`) — and
+``kappa`` is the basis-dependent per-level amplification of
 :meth:`MultilevelTransform.kappa`.  With ``basis="orthogonal"`` this is
 the paper's PMGARD (loose, L2-projection-contaminated bound); with
 ``basis="hierarchical"`` it is the paper's PMGARD-HB whose bound is the
@@ -28,7 +30,6 @@ import numpy as np
 
 from repro.compressors.base import ProgressiveReader, Refactored, Refactorer
 from repro.encoding.bitplane import (
-    MAX_PLANES,
     BitplaneEncoder,
     CoefficientLayout,
     CorruptSegmentError,
@@ -44,7 +45,6 @@ from repro.transforms.multilevel import HIERARCHICAL, MultilevelTransform
 from repro.utils.validation import as_float_array, check_error_bound
 
 _EPS = float(np.finfo(np.float64).eps)
-_HALVES = np.array([2.0**-k for k in range(MAX_PLANES + 1)])
 
 
 class PMGARDRefactored(Refactored):
@@ -126,8 +126,10 @@ class PMGARDRefactored(Refactored):
 def _hull_steps(streams, kappa: float) -> tuple:
     """Each level's lower-convex-hull steps over its (bytes, bound) points.
 
-    Level *l*'s points are ``(bytes of planes 0..k, kappa * 2**(e - k))``
-    for ``k = 0..P``, with the sign segment counted in plane 0's cost.
+    Level *l*'s points are ``(bytes of planes 0..k, kappa * bound_l(k))``
+    for ``k = 0..P``, with the sign segment counted in plane 0's cost and
+    ``bound_l(k)`` the stream's :meth:`~BitplaneStream.error_bound`: the
+    measured bound where the stream carries one, else ``2**(e - k)``.
     With ``slope(i, j)`` the bound point *i* removes per byte on its way
     to a later point *j* (``inf`` for free planes, 0 where nothing is
     removed), point ``k > 0`` is a hull vertex when it removes bound at
@@ -145,17 +147,16 @@ def _hull_steps(streams, kappa: float) -> tuple:
     rows = [l for l, s in enumerate(streams) if s.exponent is not None]
     if not rows:
         return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
-    planes = np.array([streams[l].num_planes for l in rows])
-    n = 1 + int(planes.max())
+    n = 1 + max(streams[l].num_planes for l in rows)
     sizes = [streams[l].plane_sizes() for l in rows]
     for row in sizes:
         row += [1] * (n - 1 - len(row))  # padded points: dearer, remove nothing
     cost = np.zeros((len(rows), n))
     np.cumsum(sizes, axis=1, out=cost[:, 1:])
     cost[:, 1:] += np.array([len(streams[l].sign_segment) for l in rows])[:, None]
-    # == kappa * s.error_bound(k) bit for bit: 2**e * 2**-k is exact
-    scale = np.array([2.0 ** streams[l].exponent for l in rows])
-    bound = kappa * (scale[:, None] * _HALVES[np.minimum(np.arange(n), planes[:, None])])
+    # == kappa * s.error_bound(k) bit for bit; padded points repeat the last
+    bounds = [b + b[-1:] * (n - len(b)) for b in (streams[l].plane_bounds() for l in rows)]
+    bound = kappa * np.array(bounds)
     drop = bound[:, :, None] - bound[:, None, :]  # [r, i, j]: removed i -> j
     slope = cost[:, None, :] - cost[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,7 +188,11 @@ class PlanTable:
     merged by descending slope — bound removed per byte, ties by
     (level, plane) — into one fixed order.  This is the post-compression
     rate-distortion truncation of EBCOT (Taubman, IEEE TIP 2000) with
-    the analytic bound ``kappa * 2**(e - k)`` as the distortion: a prefix
+    each level's reported bound ``kappa * bound_l(k)`` as the distortion:
+    the measured bound for the planes the stream carries one for
+    (``max(2**(e - k - 1), M_k)`` rounded up to 1/256 of ``2**(e - k)``,
+    ``M_k`` the largest coefficient still insignificant), ``2**(e - k)``
+    elsewhere and for streams archived without it.  A prefix
     ending on a step holds, for its bytes, the smallest bound any choice
     of hull points per level reaches with as few.  Within a level the
     slopes fall, so planes are taken in order, and because the order is
@@ -271,7 +276,8 @@ class PMGARDReader(ProgressiveReader):
     Every request plans with the shared :class:`PlanTable`: the shortest
     prefix of the variable's hull order whose bound meets ``eb``, never
     fewer planes than held.  The reported bound is ``kappa * sum_l
-    2**(e_l - k_l)`` over the planes held, whatever the order.
+    bound_l(k_l)`` over the planes held, whatever the order, with each
+    level's :meth:`~repro.encoding.bitplane.BitplaneStream.error_bound`.
 
     The reader's state is the planes it holds per level (``_held``) and
     whether it holds the coarse approximation.  Normally its decoder has
@@ -442,7 +448,8 @@ class PMGARDResolutionReader:
     levels zeroed — a band-limited approximation.  The guaranteed bound is
     still computable: unfetched levels contribute at most
     ``kappa * 2**exponent`` each (their alignment exponents live in the
-    metadata), fetched levels only their truncation floor.
+    metadata), fetched levels only their truncation floor, and a level
+    archived as zero its largest magnitude.
     """
 
     def __init__(self, refactored: "PMGARDRefactored"):
@@ -466,17 +473,11 @@ class PMGARDResolutionReader:
         if self._coarse is None:
             return np.inf
         kappa = self._ref.kappa
-        total = 0.0
-        for i, dec in enumerate(self._decoders):
-            fetched = i >= self.num_levels - self._levels_fetched
-            stream = dec.stream
-            if stream.exponent is None:
-                continue
-            planes = stream.num_planes if fetched else 0
-            total += kappa * stream.error_bound(planes) if fetched else kappa * (
-                2.0 ** stream.exponent
-            )
-        return float(total)
+        first = self.num_levels - self._levels_fetched
+        return float(sum(
+            kappa * dec.stream.error_bound(dec.stream.num_planes if i >= first else 0)
+            for i, dec in enumerate(self._decoders)
+        ))
 
     def request_levels(self, levels: int) -> np.ndarray:
         """Fetch up to *levels* coarsest coefficient levels (cumulative)."""
@@ -535,7 +536,8 @@ class PMGARDRefactorer(Refactorer):
     def refactor(self, data: np.ndarray) -> PMGARDRefactored:
         data = as_float_array(data)
         decomp = self.transform.decompose(data)
-        streams = [self.encoder.encode(c) for c in decomp.coefficients]
+        measure = self.transform.kappa_is_exact(data.ndim)
+        streams = [self.encoder.encode(c, measure) for c in decomp.coefficients]
         coarse_payload = zlib.compress(decomp.coarse.astype(np.float64).tobytes(), 6)
         # exact coefficients are archival-only; drop them so readers measure
         # retrieval honestly from the encoded streams

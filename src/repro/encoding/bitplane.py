@@ -8,6 +8,17 @@ binary exponent, converted to fixed point, and the bits are stored one
 coefficient error of at most ``2**(e - k)``; retrieving all ``P`` planes
 leaves only the fixed-point truncation error ``2**(e - P)``.
 
+The encoder also measures a tighter bound for the planes where it pays
+(:func:`_measured_window`): after ``0 < k < P`` planes a coefficient is
+either significant (``|c| >= 2**(e - k)``), and the decoder's midpoint
+leaves it within ``2**(e - k - 1)``, or it decodes to zero, and its error
+is ``|c|``.  So ``b_k = max(2**(e - k - 1), M_k)``, ``M_k`` the largest
+magnitude below ``2**(e - k)``, bounds every coefficient.  A stream
+records ``b_k / 2**(e - k)`` rounded up to 1/256, one byte per plane,
+for at most :data:`MEASURED_PLANES` planes before the plane from which
+every nonzero coefficient is significant; before them the ratio is 1
+and from that plane on it is exactly 1/2 (``docs/soundness.md``).
+
 Planes are extracted and re-assembled array-at-a-time (see
 :func:`repro.utils.bits.pack_bitplanes` /
 :func:`repro.utils.bits.accumulate_bitplanes`); the scalar per-plane loops
@@ -32,6 +43,7 @@ error bounds not at all.)
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -184,13 +196,22 @@ class BitplaneStream:
     shape:
         Original coefficient-array shape.
     exponent:
-        Alignment exponent ``e`` (``None`` when the group is all zeros).
+        Alignment exponent ``e`` (``None`` when the group is archived as
+        zero).
     num_planes:
         Total number of encoded magnitude planes ``P``.
     sign_segment:
         Compressed packed sign bits.
     plane_segments:
         ``P`` compressed packed magnitude planes, MSB first.
+    window:
+        The measured bound, ``(start, ratios)``: byte ``i`` of *ratios*
+        is ``ceil(256 * M_k / 2**(e - k))`` for plane ``k = start + i``
+        (see the module docstring); ``None`` keeps ``2**(e - k)`` for
+        every plane, as streams encoded without it do.
+    amax:
+        Largest magnitude of a group archived as zero: 0.0 when it is all
+        zeros, else below ``2**-1000``.  It is that group's bound.
     """
 
     shape: tuple
@@ -198,20 +219,31 @@ class BitplaneStream:
     num_planes: int
     sign_segment: bytes
     plane_segments: list = field(default_factory=list)
+    window: tuple | None = None
+    amax: float = 0.0
     #: Number of coefficients in the group.
     size: int = field(init=False)
 
     def __post_init__(self):
         self.size = int(np.prod(self.shape)) if self.shape else 1
 
+    def plane_bounds(self) -> tuple:
+        """:meth:`error_bound` after ``k = 0..P`` planes (built once)."""
+        bounds = self.__dict__.get("_bounds")
+        if bounds is None:
+            bounds = self._bounds = _plane_bounds(self.exponent, self.num_planes, self.window)
+        return bounds
+
     def error_bound(self, planes: int) -> float:
-        """Guaranteed coefficient L-infinity bound after *planes* planes."""
+        """Guaranteed coefficient L-infinity bound after *planes* planes.
+
+        ``2**e`` before the first plane and ``2**(e - P)`` after the
+        last; in between ``2**(e - k)``, or the measured bound where the
+        stream carries one.  It never rises with *planes*.
+        """
         if self.exponent is None:
-            return 0.0
-        k = min(int(planes), self.num_planes)
-        if k >= self.num_planes:
-            return float(2.0 ** (self.exponent - self.num_planes))
-        return float(2.0 ** (self.exponent - k))
+            return self.amax
+        return self.plane_bounds()[min(max(int(planes), 0), self.num_planes)]
 
     def plane_sizes(self) -> list:
         """Byte size of each plane segment, MSB first (signs excluded)."""
@@ -238,6 +270,73 @@ class BitplaneStream:
 #: Most bitplanes a stream can carry: the encoder's fixed-point
 #: precision limit, so no archived stream holds more.
 MAX_PLANES = 62
+#: Most planes a stream measures its bound for: the ones just before the
+#: plane from which every nonzero coefficient is significant.
+MEASURED_PLANES = 12
+#: Planes up to which the decoder's midpoint sum is exact in float64.
+#: After ``k`` planes a magnitude holds at most ``k`` significant bits
+#: and the midpoint adds one more, so up to 52 planes the sum fits a
+#: 53-bit significand and the decoded error is at most ``2**(e - k - 1)``.
+#: Past that it can round to even, a whole ``2**(e - k)`` away.
+MIDPOINT_EXACT = 52
+
+
+def _plane_bounds(exponent: int, num_planes: int, window) -> tuple:
+    """``error_bound(k)`` for ``k = 0..P`` of a stream with *window*.
+
+    The ratio to ``2**(e - k)`` is 1 before the window, ``max(q, 128) /
+    256`` for its bytes ``q`` and 1/2 after it, up to
+    :data:`MIDPOINT_EXACT` planes; 1 again past that and at ``k = 0``
+    and ``P``.  Ratios in ``[1/2, 1]`` keep the bound from rising with
+    ``k`` whatever the bytes say.  Without a window every bound is the
+    exact power of two ``2**(e - k)``.
+    """
+    P = num_planes
+    ratio = np.ones(P + 1)
+    if window is not None:
+        start, ratios = window
+        stop = start + len(ratios)
+        ratio[start:stop] = np.maximum(np.frombuffer(ratios, dtype=np.uint8), 128) / 256.0
+        ratio[stop:P] = 0.5
+        ratio[MIDPOINT_EXACT + 1 :] = 1.0
+    # q / 256 * 2**(e - k) is exact: e >= -999 keeps it above 2**-1074
+    with np.errstate(over="ignore"):
+        return tuple((ratio * np.power(2.0, exponent - np.arange(P + 1.0))).tolist())
+
+
+def _measured_window(mags: np.ndarray, e: int, P: int):
+    """The measured bound of a group with magnitudes *mags*: ``(start,
+    ratios)`` as :class:`BitplaneStream` stores it, or ``None``.
+
+    Coefficient ``c`` is significant from plane ``e - E + 1`` on, ``E``
+    its :func:`math.frexp` exponent, so every nonzero one is from the
+    smallest's plane, ``settled``, on.  The window is the
+    :data:`MEASURED_PLANES` planes before it (none past
+    :data:`MIDPOINT_EXACT`).  Only magnitudes below its first plane's
+    ``2**(e - k)`` can be any ``M_k`` in it, so they are filtered once
+    and sorted, and every plane's ``M_k`` is one binary search.  A ratio
+    that rounds up to 256 does not fit a byte, so the window starts after
+    the last plane with one.
+    """
+    top = min(P, MIDPOINT_EXACT + 1)
+    if top <= 1:
+        return None
+    smallest = float(np.min(mags, where=mags > 0.0, initial=np.inf))
+    settled = e - math.frexp(smallest)[1] + 1
+    stop = min(settled, top)
+    start = max(1, stop - MEASURED_PLANES)
+    planes = np.arange(start, stop)
+    cand = np.sort(mags[mags < math.ldexp(1.0, e - start)])
+    # M_k: the last candidate below 2**(e - k); k < settled leaves one
+    largest = cand[np.searchsorted(cand, np.ldexp(1.0, e - planes)) - 1]
+    # 256 * M_k / 2**(e - k) is a power-of-two scaling: exact
+    ratios = np.ceil(np.ldexp(largest, 8 - e + planes))
+    full = np.flatnonzero(ratios >= 256.0)
+    cut = int(full[-1]) + 1 if full.size else 0
+    start += cut
+    if start >= P:
+        return None
+    return start, ratios[cut:].astype(np.uint8).tobytes()
 
 
 class BitplaneEncoder:
@@ -258,23 +357,23 @@ class BitplaneEncoder:
         self.num_planes = int(num_planes)
         self.backend = get_backend(backend)
 
-    def encode(self, coeffs: np.ndarray) -> BitplaneStream:
-        """Refactor *coeffs* into a :class:`BitplaneStream`."""
+    def encode(self, coeffs: np.ndarray, measure: bool = True) -> BitplaneStream:
+        """Refactor *coeffs* into a :class:`BitplaneStream`; with *measure*
+        it carries the measured bound (:func:`_measured_window`)."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         shape = coeffs.shape
         flat = coeffs.ravel()
         mags = np.abs(flat)
         amax = float(mags.max()) if flat.size else 0.0
         # groups whose largest magnitude is below 2**-1000 are archived as
-        # zero: their truncation error (< 1e-301) is beyond any physically
-        # meaningful tolerance, and it keeps the fixed-point scaling inside
-        # the double-precision exponent range
-        if amax == 0.0 or amax < 2.0**-1000:
-            return BitplaneStream(shape, None, self.num_planes, b"", [])
+        # zero, with that magnitude as their bound: it keeps the
+        # fixed-point scaling inside the double-precision exponent range
+        if amax < 2.0**-1000:
+            return BitplaneStream(shape, None, self.num_planes, b"", [], amax=amax)
         # exponent e with |c| < 2**e for all coefficients
-        _, e = np.frexp(amax)
-        e = int(e)
+        e = math.frexp(amax)[1]
         P = self.num_planes
+        window = _measured_window(mags, e, P) if measure else None
         # scale by 2**(P-e) as two in-range power-of-two factors: each
         # multiply is exact (same result as ldexp) unless the value is
         # headed below 1 ulp anyway, and it runs in-place on the |c| buffer
@@ -292,7 +391,7 @@ class BitplaneEncoder:
             _SEG_RAW + row.tobytes() if noise else _compress_segment(backend, row.tobytes())
             for row, noise in zip(rows, _noise_rows(rows))
         ]
-        return BitplaneStream(shape, e, P, sign_segment, planes)
+        return BitplaneStream(shape, e, P, sign_segment, planes, window)
 
 
 class BitplaneDecoder:
@@ -381,9 +480,10 @@ class BitplaneDecoder:
         return [(p, self._inflate(segments[p], f"plane {p}")) for p in planes]
 
     def _midpoint(self) -> float:
-        """Offset added to coefficients already known non-zero: halves the
-        expected truncation error without weakening the ``2**(e-k)``
-        guarantee (0.0 before the first and after the last plane)."""
+        """Offset added to coefficients already known non-zero: it leaves
+        them within ``2**(e-k-1)``, half the interval their planes pin
+        down, which the measured bound relies on (0.0 before the first
+        and after the last plane)."""
         P = self.stream.num_planes
         k = self.planes_consumed
         return float(2 ** (P - k - 1)) if 0 < k < P else 0.0
@@ -404,8 +504,6 @@ class BitplaneDecoder:
     @property
     def error_bound(self) -> float:
         """Guaranteed bound for the current reconstruction."""
-        if self.planes_consumed == 0 and self.stream.exponent is not None:
-            return float(2.0 ** self.stream.exponent)
         return self.stream.error_bound(self.planes_consumed)
 
 

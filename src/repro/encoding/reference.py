@@ -5,7 +5,8 @@ implementations that :mod:`repro.encoding.bitplane`,
 :mod:`repro.encoding.huffman` and the PMGARD reader's per-level
 reconstruct + boolean-mask recompose replaced with array-at-a-time
 kernels, plus a brute-force, one-point-pair-at-a-time form of the PMGARD
-plane planner's hull order.  They are kept because the property tests
+plane planner's hull order and a masked-maximum-per-plane form of the
+encoder's measured coefficient bound.  They are kept because the property tests
 assert the vectorized kernels are **bit-exact** against them on
 randomized inputs.
 
@@ -25,6 +26,7 @@ import zlib
 import numpy as np
 
 from repro.encoding.bitplane import (
+    MIDPOINT_EXACT,
     _PROBE_MIN,
     _PROBE_RATIO,
     _SEG_COMPRESSED,
@@ -74,6 +76,34 @@ def reference_bitplane_encode(
         bits = ((mags >> shift) & np.uint64(1)).astype(np.uint8)
         planes.append(be.compress_bytes(np.packbits(bits).tobytes()))
     return BitplaneStream(shape, e, P, sign_segment, planes)
+
+
+def reference_coefficient_bounds(coeffs: np.ndarray, num_planes: int) -> list:
+    """Unquantized bound after ``k = 0..P`` planes, one plane at a time.
+
+    The naive masked maximum per plane: ``2**e`` at 0, ``2**(e - P)`` at
+    ``P``, and in between ``max(2**(e - k - 1), M_k)`` with ``M_k`` the
+    largest ``|c|`` below ``2**(e - k)`` — or ``2**(e - k)`` past
+    :data:`~repro.encoding.bitplane.MIDPOINT_EXACT` planes, where the
+    midpoint sum can round.  A stream's measured
+    :meth:`~BitplaneStream.error_bound` is this rounded up to 1/256 of
+    ``2**(e - k)`` inside its window, ``2**(e - k)`` before it, and equal
+    to it after.  ``None`` for a group archived as zero.
+    """
+    mags = np.abs(np.asarray(coeffs, dtype=np.float64)).ravel()
+    amax = float(mags.max()) if mags.size else 0.0
+    if amax < 2.0**-1000:
+        return None
+    e = int(np.frexp(amax)[1])
+    bounds = [2.0**e]
+    for k in range(1, num_planes):
+        below = mags[mags < 2.0 ** (e - k)]
+        if k > MIDPOINT_EXACT:
+            bounds.append(2.0 ** (e - k))
+        else:
+            bounds.append(max(2.0 ** (e - k - 1), float(below.max(initial=0.0))))
+    bounds.append(2.0 ** (e - num_planes))
+    return bounds
 
 
 def reference_compress_segment(backend, raw: bytes) -> bytes:
@@ -284,7 +314,8 @@ def reference_hull_steps(streams, kappa: float) -> list:
     """Brute-force hull steps, one level and one point pair at a time.
 
     Level *l*'s points are ``(segment_bytes(0, k), kappa *
-    error_bound(k))`` for ``k = 0..P``.  ``slope(i, j)`` is the bound
+    error_bound(k))`` for ``k = 0..P`` — the measured bound where the
+    stream carries one.  ``slope(i, j)`` is the bound
     removed per byte from point *i* to a later point *j* (``inf`` when
     the bytes are equal, 0 when nothing is removed).  Point ``k > 0`` is
     a vertex when ``min_{i<k} slope(i, k) > 0`` and ``>= max_{j>k}

@@ -42,7 +42,7 @@ from repro.compressors.psz3 import PSZ3Refactored
 from repro.compressors.psz3_delta import PSZ3DeltaRefactored
 from repro.compressors.sz3 import SZ3Blob, SZ3Compressor
 from repro.core.masking import ZeroMask
-from repro.encoding.bitplane import MAX_PLANES, BitplaneStream
+from repro.encoding.bitplane import MAX_PLANES, MEASURED_PLANES, BitplaneStream
 from repro.utils.fragment_keys import (
     COARSE_SEGMENT,
     INDEX_SEGMENT,
@@ -104,6 +104,52 @@ _INDEX_FIELDS = {
 }
 
 
+def _window_problem(meta: dict, ndim: int):
+    """What is wrong with a stream's ``window`` field, or ``None``.
+
+    ``[start, hex]``: the measured bound's ratio bytes for planes
+    ``start, start + 1, ...`` (:class:`BitplaneStream` ``window``), at
+    most :data:`MEASURED_PLANES` of them, inside ``[1, P)``, none 0, on
+    a level with planes of a variable whose ``kappa`` is exact
+    (:meth:`MultilevelTransform.kappa_is_exact`).
+    """
+    window = meta["window"]
+    if not (isinstance(window, list) and len(window) == 2 and _int(window[0])
+            and isinstance(window[1], str)):
+        return f"is {window!r}, not [a plane, a hex string]"
+    start, text = window
+    try:
+        ratios = bytes.fromhex(text)
+    except ValueError:
+        return f"holds {text!r}, not a hex string"
+    if meta["exponent"] is None:
+        return "is set on a level archived as zero"
+    if not MultilevelTransform.kappa_is_exact(ndim):
+        return f"is set on a {ndim}-D variable, whose kappa holds only for 2**(e - k)"
+    if not 1 <= start < meta["num_planes"]:
+        return f"starts at plane {start}, outside [1, {meta['num_planes']})"
+    if len(ratios) > MEASURED_PLANES or start + len(ratios) > meta["num_planes"]:
+        return f"holds {len(ratios)} bytes from plane {start} of {meta['num_planes']}"
+    if 0 in ratios:
+        return "holds a ratio of 0"
+    return None
+
+
+def _amax_problem(meta: dict, ndim: int):
+    """What is wrong with a stream's ``amax`` field, or ``None``: a level
+    archived as zero records its largest magnitude, in ``(0, 2**-1000)``."""
+    amax = meta["amax"]
+    if not (isinstance(amax, float) and 0.0 < amax < 2.0**-1000):
+        return f"is {amax!r}, not a number in (0, 2**-1000)"
+    if meta["exponent"] is not None:
+        return "is set on a level with planes"
+    return None
+
+
+#: Optional stream fields: ``{field: problem(meta, ndim), None if valid}``.
+_STREAM_OPTIONAL = {"window": _window_problem, "amax": _amax_problem}
+
+
 def _parse_index(variable: str, payload: bytes) -> dict:
     """Decode one variable's index segment, or raise :class:`ArchiveIndexError`."""
 
@@ -126,8 +172,13 @@ def _parse_index(variable: str, payload: bytes) -> dict:
         raise ArchiveIndexError(variable, "kind", problem)
     if kind == "pmgard":
         check(index, _INDEX_FIELDS["pmgard"])
+        ndim = len(index["level_shapes"][0]) if index["level_shapes"] else 0
         for level, meta in enumerate(index["streams"]):
             check(meta, _INDEX_FIELDS["stream"], f"streams[{level}].")
+            for name, problem_of in _STREAM_OPTIONAL.items():
+                problem = problem_of(meta, ndim) if name in meta else None
+                if problem is not None:
+                    raise ArchiveIndexError(variable, f"streams[{level}].{name}", problem)
     else:
         check(index, _INDEX_FIELDS["snapshots"])
         if index["num_snapshots"] != len(index["ebs"]):
@@ -341,7 +392,7 @@ class _LazyPlaneList:
 class _LazyBitplaneStream(BitplaneStream):
     """Archive-backed stream: plane payloads load lazily, sizes do not."""
 
-    def __init__(self, shape, exponent, num_planes, sign_segment, source, level):
+    def __init__(self, shape, exponent, num_planes, sign_segment, source, level, window=None):
         names = pmgard_plane_segments(level, int(num_planes))
         super().__init__(
             tuple(shape),
@@ -349,6 +400,7 @@ class _LazyBitplaneStream(BitplaneStream):
             int(num_planes),
             sign_segment,
             _LazyPlaneList(source, names),
+            window,
         )
         self._source = source
         self._names = names
@@ -409,11 +461,18 @@ def _pmgard_fragments(refactored) -> tuple:
                 (pmgard_plane_segment(level, p), seg)
                 for p, seg in enumerate(stream.plane_segments)
             )
-        stream_meta.append({
+        meta = {
             "shape": list(stream.shape),
             "exponent": stream.exponent,
             "num_planes": stream.num_planes,
-        })
+        }
+        # additive: a stream without a measured bound indexes as it always did
+        if stream.window is not None:
+            start, ratios = stream.window
+            meta["window"] = [start, ratios.hex()]
+        if stream.amax:
+            meta["amax"] = stream.amax
+        stream_meta.append(meta)
     tr = refactored.transform
     index = {
         "kind": "pmgard",
@@ -668,16 +727,20 @@ class Archive:
         streams = []
         for level, meta in enumerate(index["streams"]):
             if meta["exponent"] is None:
-                streams.append(
-                    BitplaneStream(tuple(meta["shape"]), None, meta["num_planes"], b"", [])
-                )
+                streams.append(BitplaneStream(
+                    tuple(meta["shape"]), None, meta["num_planes"], b"", [],
+                    amax=meta.get("amax", 0.0),
+                ))
                 continue
+            window = meta.get("window")
+            if window is not None:
+                window = (window[0], bytes.fromhex(window[1]))
             if lazy:
                 streams.append(
                     _LazyBitplaneStream(
                         tuple(meta["shape"]), int(meta["exponent"]),
                         meta["num_planes"], source.get(pmgard_signs_segment(level)),
-                        source, level,
+                        source, level, window,
                     )
                 )
                 continue
@@ -689,7 +752,7 @@ class Archive:
             streams.append(
                 BitplaneStream(
                     tuple(meta["shape"]), int(meta["exponent"]),
-                    meta["num_planes"], signs, planes,
+                    meta["num_planes"], signs, planes, window,
                 )
             )
         transform = MultilevelTransform(

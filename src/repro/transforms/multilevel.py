@@ -15,17 +15,24 @@ arithmetic for both bases.
 
 Error-propagation constants (used by the PMGARD compressors to convert
 per-level coefficient bounds into a guaranteed L-infinity bound on the
-reconstructed data):
+reconstructed data), the ``kappa`` of :meth:`MultilevelTransform.kappa`:
 
 * hierarchical basis: prediction is convex, so one lifted axis adds at most
-  one coefficient-bound ``e_d`` to the running error — a level of a
-  ``d``-dimensional array contributes at most ``d * e_d``;
+  one coefficient-bound ``e_d`` to the running error, and ``kappa`` is
+  ``d``;
 * orthogonal basis: undoing the update adds ``1.5 * e_d`` at the even
   nodes *before* prediction re-adds ``e_d``, so a lifted axis contributes
-  up to ``2.5 * e_d`` and a level up to ``2.5 * d * e_d``.
+  up to ``2.5 * e_d``, and ``kappa`` is ``2.5 * d`` — the loose
+  orthogonal-basis estimates of the paper's Fig. 3.
 
-These are the ``kappa`` factors returned by :meth:`MultilevelTransform.kappa`
-and explain the loose orthogonal-basis estimates of the paper's Fig. 3.
+Both are exact for one axis only.  With ``d > 1`` the axes are lifted one
+after another, so a node odd along several axes adds up the errors of
+every detail type it is predicted from: under the hierarchical basis a
+level contributes up to ``(2**d - 1) * e_d`` (3 in 2-D, 7 in 3-D, against
+``kappa`` 2 and 3).  The ``2**(e - k)`` coefficient bound's slack over the
+decoder's midpoint error is what hides that in practice, so PMGARD
+measures no tighter coefficient bound for such variables
+(:meth:`MultilevelTransform.kappa_is_exact`; ``docs/soundness.md``).
 """
 
 from __future__ import annotations
@@ -106,6 +113,14 @@ class MultilevelTransform:
         """
         per_axis = 1.0 + CORRECTION_NORM if self.basis == ORTHOGONAL else 1.0
         return per_axis * ndim
+
+    @staticmethod
+    def kappa_is_exact(ndim: int) -> bool:
+        """Whether :meth:`kappa` bounds the recomposition of *any*
+        coefficient errors up to ``e_d``: for one axis only (module
+        docstring), so only 1-D variables may report a coefficient bound
+        tighter than ``2**(e - k)``."""
+        return ndim == 1
 
     # -- forward ----------------------------------------------------------
 

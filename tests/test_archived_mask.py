@@ -149,6 +149,8 @@ def test_guarantee_holds_through_the_archive_on_every_store(expr, seed, zeros, k
 class TestFormatIsAdditive:
     #: what the commit before the mask wrote for ``(arange(40) - 13.5)**2 + 1``
     DATA = (np.arange(40.0) - 13.5) ** 2 + 1.0
+    #: ... and, less each level's "window" (below), what the commit before
+    #: the measured coefficient bound wrote
     PARENT_INDEX = {
         "pmgard_hb": (
             '{"kind": "pmgard", "basis": "hierarchical", "max_levels": null, '
@@ -172,16 +174,22 @@ class TestFormatIsAdditive:
         "psz3_delta": [f"snapshot_{i:03d}" for i in range(10)] + ["lossless"],
     }
 
+    #: the one index field added since: each 1-D PMGARD level's measured
+    #: coefficient bound (``[first plane, ratio bytes]``)
+    WINDOWS = {"pmgard_hb": [[1, "0810204080"], [1, "10204080"], [1, "204080"], [1, ""]]}
+
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3_delta"])
     def test_zero_free_variable_archives_what_the_parent_wrote(self, method):
         (refactored,) = refactor_dataset({"x": self.DATA}, make_refactorer(method)).values()
         assert refactored.zero_mask is None
         fragments, index = encode_fragments(refactored)
-        assert json.dumps(index) == self.PARENT_INDEX[method]
-        assert [segment for segment, _ in fragments] == self.PARENT_SEGMENTS[method]
         store = FragmentStore()
         Archive(store).save("x", refactored)
-        assert store.get("x", INDEX_SEGMENT) == self.PARENT_INDEX[method].encode()
+        assert store.get("x", INDEX_SEGMENT) == json.dumps(index).encode()
+        if method in self.WINDOWS:
+            assert [meta.pop("window") for meta in index["streams"]] == self.WINDOWS[method]
+        assert json.dumps(index) == self.PARENT_INDEX[method]
+        assert [segment for segment, _ in fragments] == self.PARENT_SEGMENTS[method]
         assert sorted(store.segments("x")) == sorted(
             self.PARENT_SEGMENTS[method] + [INDEX_SEGMENT]
         )

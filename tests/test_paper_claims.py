@@ -12,6 +12,7 @@ from time (Table IV, Fig. 9), the test asserts the count the time follows
 from.  ``examples/`` prints the tables through ``repro.analysis.reporting``.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,9 @@ from repro.core.qois import GE_QOIS, molar_product, total_pressure, total_veloci
 from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
 from repro.data.datasets import S3D_PRODUCTS, TABLE3, load_dataset
 from repro.encoding.lossless import get_backend
+from repro.storage.archive import Archive
+from repro.storage.store import FragmentStore
+from repro.utils.fragment_keys import INDEX_SEGMENT
 from repro.transforms.multilevel import MultilevelTransform
 
 #: PSZ3 / PSZ3-delta snapshot ladders, as in §V-B (10 bounds) and §VI-C
@@ -312,23 +316,45 @@ def test_session_ladder_cumulative_bytes(ge_small, ge_small_refactored):
     more at 1e-1 and 1e-2 and leads from 1e-3 on.  A change to the plane
     order or the bound moves these counts.
     """
-    qoi = total_velocity()
-    qrange = qoi_range_of(ge_small.fields, qoi)
-    ranges = ge_small.value_ranges()
-    trails = {}
-    for method in METHODS:
-        session = QoIRetriever(ge_small_refactored[method], ranges).session()
-        trail = []
-        for tol in SESSION_LADDER:
-            result = session.retrieve([QoIRequest("VTOT", qoi, tol, qrange)])
-            assert result.all_satisfied, (method, tol)
-            trail.append(session.bytes_retrieved())
-        trails[method] = trail
+    trails = {
+        method: _vtot_session_bytes(ge_small, ge_small_refactored[method])
+        for method in METHODS
+    }
     assert trails == {
         "psz3": [8_471, 20_796, 41_703, 76_652, 118_384],
         "psz3_delta": [7_806, 16_531, 25_294, 34_046, 42_795],
-        "pmgard_hb": [13_812, 17_015, 23_024, 29_370, 34_829],
+        "pmgard_hb": [13_451, 17_083, 22_559, 27_727, 34_312],
     }
+
+
+def _vtot_session_bytes(dataset, refactored: dict) -> list:
+    """Cumulative session bytes down :data:`SESSION_LADDER` for VTOT."""
+    qoi = total_velocity()
+    qrange = qoi_range_of(dataset.fields, qoi)
+    session = QoIRetriever(refactored, dataset.value_ranges()).session()
+    trail = []
+    for tol in SESSION_LADDER:
+        assert session.retrieve([QoIRequest("VTOT", qoi, tol, qrange)]).all_satisfied, tol
+        trail.append(session.bytes_retrieved())
+    return trail
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_archive_without_measured_bounds_plans_as_before(ge_small, ge_small_refactored, lazy):
+    """An index written before the measured coefficient bound — no
+    ``window`` on any level — opens, plans and counts bytes exactly as
+    PMGARD-HB did with ``2**(e - k)``: the trail pinned above before it."""
+    store = FragmentStore()
+    archive = Archive(store)
+    archive.save_dataset(ge_small_refactored["pmgard_hb"])
+    for name in ge_small.fields:
+        index = json.loads(store.get(name, INDEX_SEGMENT))
+        assert any("window" in meta for meta in index["streams"])
+        for meta in index["streams"]:
+            meta.pop("window", None)
+        store.put(name, INDEX_SEGMENT, json.dumps(index).encode())
+    loaded = archive.load_dataset(list(ge_small.fields), lazy=lazy)
+    assert _vtot_session_bytes(ge_small, loaded) == [13_812, 17_015, 23_024, 29_370, 34_829]
 
 
 # -- Table IV and Fig. 9: what the times follow from -------------------------------

@@ -11,16 +11,18 @@ identical bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compressors.pmgard import PlanTable, PMGARDRefactorer, _hull_steps
+from repro.compressors.pzfp import PZFPRefactorer
 from repro.encoding.bitplane import BitplaneDecoder, BitplaneEncoder
 from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.reference import (
     ReferenceBitplaneDecoder,
     reference_bitplane_encode,
+    reference_coefficient_bounds,
     reference_huffman_decode,
     reference_huffman_encode,
     reference_hull_steps,
@@ -143,7 +145,7 @@ class TestPlanTableMatchesReference:
     def _streams(self, rng, num_levels, spread, wide):
         enc = BitplaneEncoder(num_planes=int(rng.integers(4, 49)))
         streams = []
-        for _ in range(num_levels):
+        for level in range(num_levels):
             if wide:  # each level its own P: the hull pass pads the shorter
                 enc = BitplaneEncoder(num_planes=int(rng.integers(4, 49)))
             scale = 2.0 ** float(rng.integers(-spread, spread + 1))
@@ -154,7 +156,9 @@ class TestPlanTableMatchesReference:
                 # skip the points after them
                 size = int(rng.integers(1, 4000 if wide else 64))
                 data = rng.normal(size=size) * scale
-            streams.append(enc.encode(data))
+            # most levels carry a measured bound; every fourth plans with
+            # 2**(e - k), as a level archived before the bound existed
+            streams.append(enc.encode(data, measure=level % 4 != 3))
         return streams
 
     def _table(self, num_levels, seed, wide):
@@ -222,6 +226,8 @@ def _piece(kind, n, rng):
         return np.linspace(0.0, float(rng.normal()), n)
     if kind == "noise":  # high-entropy planes: rows framed raw
         return rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 4))
+    if kind == "boundary":  # values on and one ulp below powers of two
+        return _boundary_group(rng, n)
     if kind == "subnormal":  # normal-sized groups holding subnormal coefficients
         out = rng.normal(size=n) * 1e-290
         out[rng.random(n) < 0.5] = rng.choice([2.0**-1040, -(2.0**-1060), 5e-324, 0.0])
@@ -236,17 +242,17 @@ class TestHullPlansHoldAgainstTruth:
 
     Fields are stitched from stretches that produce the streams a
     planner can trip on: all-zero and constant groups (no planes at
-    all), subnormal coefficients, rows the noise screen frames raw, and
-    one-coefficient groups (fields of a few points).  For every bound of
-    a ladder the true L-inf error is at most the reported bound, and the
-    reported bound at most ``eb`` whenever the variable's floor allows.
-
-    A group whose largest magnitude is below ``2**-1000`` but not zero
-    is archived as zero with bound 0, so its error (< ``2**-1000``) is
-    outside the bound: such fields are left to the xfail below.
+    all), subnormal coefficients, values on plane boundaries, rows the
+    noise screen frames raw, and one-coefficient groups (fields of a few
+    points).  The fields are 1-D, so the encoder measures every level's
+    coefficient bound.  For every bound of a ladder the true L-inf error
+    is at most the reported bound, and the reported bound at most ``eb``
+    whenever the variable's floor allows.  A group whose largest
+    magnitude is below ``2**-1000`` but not zero is archived as zero
+    with that magnitude as its bound.
     """
 
-    KINDS = ("zeros", "constant", "ramp", "noise", "subnormal", "spike")
+    KINDS = ("zeros", "constant", "ramp", "noise", "boundary", "subnormal", "spike")
 
     @given(
         st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 700)), min_size=1, max_size=3),
@@ -259,8 +265,6 @@ class TestHullPlansHoldAgainstTruth:
         rng = np.random.default_rng(seed)
         data = np.concatenate([_piece(kind, n, rng) for kind, n in pieces])
         refactorer = PMGARDRefactorer(basis=basis, num_planes=num_planes)
-        groups = refactorer.transform.decompose(data).coefficients
-        assume(not any(0.0 < np.max(np.abs(c), initial=0.0) < 2.0**-1000 for c in groups))
         ref = refactorer.refactor(data)
         table = ref.plan_table()
         floor = table.bound_of(table.table[:, -1])
@@ -274,8 +278,9 @@ class TestHullPlansHoldAgainstTruth:
             if floor <= eb:
                 assert bound <= eb
 
-    @pytest.mark.xfail(strict=True, reason="a group below 2**-1000 archives as zero with bound 0")
     def test_group_below_archive_cutoff_escapes_the_bound(self):
+        """Levels below the cutoff decode to zero within their recorded
+        largest magnitude."""
         data = _piece("subnormal", 586, np.random.default_rng(0)) * 1e-10
         reader = PMGARDRefactorer(num_planes=9).refactor(data).reader()
         rec = reader.request(1e-320)
@@ -356,3 +361,112 @@ class TestFusedDecodeMatchesOracle:
             rec = reader.request_levels(levels)
             consumed = [d.planes_consumed for d in reader._decoders]
             assert rec.tobytes() == reference_pmgard_reconstruct(ref, consumed).tobytes()
+
+
+# -- measured coefficient bounds -----------------------------------------------
+
+
+def _boundary_group(rng, n):
+    """Magnitudes exactly on and one ulp below plane boundaries ``2**j``."""
+    out = np.ldexp(1.0, rng.integers(-30, 3, size=n))
+    below = rng.random(n) < 0.5
+    out[below] = np.nextafter(out[below], 0.0)
+    return out * rng.choice([-1.0, 1.0], size=n)
+
+
+_groups = st.one_of(
+    hnp.arrays(np.float64, st.integers(1, 200), elements=_coeff),
+    st.builds(  # lognormal magnitudes: sparse low binades, ratios well below 1
+        lambda seed, n, s: np.random.default_rng(seed).lognormal(0.0, s, n)
+        * np.random.default_rng(seed + 1).choice([-1.0, 1.0], n),
+        st.integers(0, 2**32 - 1), st.integers(1, 300), st.floats(0.5, 12.0),
+    ),
+    st.builds(lambda seed, n: _boundary_group(np.random.default_rng(seed), n),
+              st.integers(0, 2**32 - 1), st.integers(1, 64)),
+)
+
+
+def _assert_measured_bounds_hold(coeffs, num_planes):
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    stream = BitplaneEncoder(num_planes=num_planes).encode(coeffs)
+    exact = reference_coefficient_bounds(coeffs, num_planes)
+    if exact is None:  # archived as zero: its largest magnitude is the bound
+        assert stream.exponent is None
+        assert stream.error_bound(0) == float(np.max(np.abs(coeffs), initial=0.0))
+        return
+    e, P = stream.exponent, num_planes
+    start, ratios = stream.window if stream.window is not None else (P, b"")
+    stop = start + len(ratios)
+    for k in range(P + 1):
+        decoder = BitplaneDecoder(stream)
+        decoder.advance_to(k)
+        decoded = float(np.max(np.abs(decoder.reconstruct() - coeffs)))
+        bound = stream.error_bound(k)
+        assert decoded <= exact[k] <= bound <= 2.0 ** (e - k), k
+        if start <= k < stop:  # the stored byte: M_k / 2**(e - k), rounded up
+            step = 2.0 ** (e - k - 8)
+            assert bound == max(np.ceil(exact[k] / step) * step, 2.0 ** (e - k - 1))
+        elif stop <= k < P:  # every nonzero coefficient significant
+            assert bound == exact[k]
+        if k:
+            assert bound <= stream.error_bound(k - 1)
+
+
+class TestMeasuredBoundsHoldAgainstDecode:
+    """Every plane's measured bound against the decoded coefficients.
+
+    For every ``k`` the decoded maximum coefficient error is at most the
+    unquantized bound (:func:`reference_coefficient_bounds`, a masked
+    maximum per plane), which is at most the stream's ``error_bound(k)``,
+    which is at most ``2**(e - k)``; the stored bytes are that bound
+    rounded up to 1/256 of ``2**(e - k)``, and past the window it is
+    exactly ``2**(e - k - 1)``.  Groups hold coefficients exactly on and
+    one ulp below plane boundaries, subnormals beside normal maxima,
+    magnitudes below the ``2**-1000`` cutoff, one coefficient, or one
+    value repeated; precisions run past the 52 planes where the decoder's
+    midpoint stays exact.
+    """
+
+    @given(_groups, st.integers(1, 62))
+    @settings(max_examples=80, deadline=None)
+    def test_random_groups(self, coeffs, num_planes):
+        _assert_measured_bounds_hold(coeffs, num_planes)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            np.array([1.0, 0.5, 0.25, 0.125]),  # on the boundaries
+            np.nextafter(np.array([1.0, 0.5, 0.25, 0.125]), 0.0),  # an ulp below
+            np.array([1.0 + 2.0**-52, 0.75, -1.5 + 2.0**-51]),  # the midpoint rounds past 52
+            np.array([3.0, 5e-324, -(2.0**-1060), 2.0**-1040]),  # subnormals
+            np.array([-3.25]),  # one coefficient
+            np.full(33, 0.1),  # all equal
+            np.full(9, 2.0**-1040),  # below the cutoff
+            np.array([2.0**-1001, -(2.0**-1070)]),  # below the cutoff, mixed
+            np.zeros(5),
+        ],
+    )
+    def test_edge_groups(self, coeffs):
+        for num_planes in (1, 2, 9, 48, 53, 54, 62):
+            _assert_measured_bounds_hold(coeffs, num_planes)
+
+    def test_pzfp_streams_carry_the_window(self):
+        data = np.cumsum(np.random.default_rng(0).normal(size=(9, 11)), axis=-1)
+        stream = PZFPRefactorer(num_planes=32).refactor(data).stream
+        assert stream.window is not None
+        assert stream.error_bound(stream.window[0]) < 2.0 ** (stream.exponent - stream.window[0])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(60,), (9, 11), (5, 6, 7)]),
+           st.sampled_from([8, 20, 32]))
+    @settings(max_examples=20, deadline=None)
+    def test_pzfp_reports_its_measured_bound(self, seed, shape, num_planes):
+        """PZFP's one group carries the window too; ``gain**d`` bounds any
+        coefficient error, so its reported bound holds on the data."""
+        rng = np.random.default_rng(seed)
+        data = np.cumsum(rng.normal(size=shape), axis=-1) * 10.0 ** float(rng.integers(-3, 4))
+        ref = PZFPRefactorer(num_planes=num_planes).refactor(data)
+        reader = ref.reader()
+        scale = float(np.max(np.abs(data)))
+        for eb in scale * 10.0 ** -np.arange(1.0, 8.0):
+            rec = reader.request(eb)
+            assert float(np.max(np.abs(rec - data))) <= reader.current_error_bound

@@ -165,3 +165,101 @@ class TestMalformedIndex:
         store, _ = _index_of(method)
         reader = Archive(store).load_dataset(["v"], lazy=lazy)["v"].reader()
         assert np.isfinite(reader.request(1e-3)).all()
+
+
+def _first_stream(**fields):
+    return lambda index: index["streams"][0].update(fields)
+
+
+def _zero_level(**fields):
+    """Level 0 as a level archived as zero (no planes, no window), plus *fields*."""
+
+    def corrupt(index):
+        meta = index["streams"][0]
+        del meta["window"]
+        meta.update(exponent=None, **fields)
+
+    return corrupt
+
+
+#: ``(case, index mutation, offending field)`` on a 1-D PMGARD-HB index,
+#: whose levels carry the measured coefficient bound (``window``).
+MALFORMED_MEASURED = [
+    ("window not a list", _first_stream(window="80"), "window"),
+    ("window of one item", _first_stream(window=[1]), "window"),
+    ("window plane a string", _first_stream(window=["1", "80"]), "window"),
+    ("window plane a bool", _first_stream(window=[True, "80"]), "window"),
+    ("window bytes not hex", _first_stream(window=[1, "zz"]), "window"),
+    ("window at plane 0", _first_stream(window=[0, "80"]), "window"),
+    ("window at plane P", _first_stream(window=[48, ""]), "window"),
+    ("window too many bytes", _first_stream(window=[1, "80" * 13]), "window"),
+    ("window past plane P", _first_stream(window=[44, "80" * 5]), "window"),
+    ("window byte 0", _first_stream(window=[1, "8000"]), "window"),
+    ("window on a zero level", _first_stream(exponent=None), "window"),
+    ("amax a string", _zero_level(amax="x"), "amax"),
+    ("amax 0", _zero_level(amax=0.0), "amax"),
+    ("amax above the cutoff", _zero_level(amax=1e-300), "amax"),
+    ("amax on a level with planes", _first_stream(amax=1e-310), "amax"),
+]
+
+
+class TestMalformedMeasuredBound:
+    """The measured-bound fields fail the open like any other index field."""
+
+    @staticmethod
+    def _store(data):
+        import json
+
+        store = FragmentStore()
+        Archive(store).save("v", make_refactorer("pmgard_hb").refactor(data))
+        return store, json.loads(store.get("v", "_index.json"))
+
+    def _assert_fails(self, store, index, field, lazy):
+        import json
+
+        from repro.storage import ArchiveIndexError
+
+        store.put("v", "_index.json", json.dumps(index).encode())
+        with pytest.raises(ArchiveIndexError) as caught:
+            Archive(store).load_dataset(["v"], lazy=lazy)
+        assert caught.value.variable == "v"
+        assert caught.value.field == field
+        assert "'v'" in str(caught.value) and repr(field) in str(caught.value)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize(
+        "case, corrupt, name", MALFORMED_MEASURED, ids=[c for c, _, _ in MALFORMED_MEASURED]
+    )
+    def test_raises_archive_index_error(self, case, corrupt, name, lazy):
+        store, index = self._store(field())
+        assert all(isinstance(meta["window"], list) for meta in index["streams"])
+        corrupt(index)
+        self._assert_fails(store, index, f"streams[0].{name}", lazy)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_window_on_a_2d_variable_raises(self, lazy):
+        """``kappa`` holds only for ``2**(e - k)`` with more than one axis."""
+        store, index = self._store(np.random.default_rng(0).normal(size=(32, 32)))
+        assert not any("window" in meta for meta in index["streams"])
+        index["streams"][0]["window"] = [1, "80"]
+        self._assert_fails(store, index, "streams[0].window", lazy)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1040], ids=["windows", "amax"])
+    def test_measured_fields_round_trip(self, scale, lazy):
+        """Windows, and the largest magnitude of levels below ``2**-1000``,
+        load back as written: the archived reader reports the same bounds."""
+        original = make_refactorer("pmgard_hb").refactor(field() * scale)
+        if scale == 1.0:
+            assert all(s.window is not None for s in original.streams)
+        else:
+            assert all(s.exponent is None and s.amax > 0.0 for s in original.streams)
+        store = FragmentStore()
+        Archive(store).save("v", original)
+        restored = Archive(store).load_dataset(["v"], lazy=lazy)["v"]
+        for a, b in zip(original.streams, restored.streams):
+            assert (a.window, a.amax) == (b.window, b.amax)
+        for k in range(49):
+            assert [s.error_bound(k) for s in original.streams] == [
+                s.error_bound(k) for s in restored.streams
+            ]

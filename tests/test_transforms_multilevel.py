@@ -118,6 +118,30 @@ class TestErrorPropagation:
         bound = kappa * eps * dec.num_levels
         assert np.max(np.abs(rec - exact)) <= bound * (1 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (65,),
+            pytest.param((33, 33), marks=pytest.mark.xfail(
+                strict=True, reason="kappa(2) = 2 < 3: per level kappa counts d, not 2**d - 1")),
+            pytest.param((17, 17, 17), marks=pytest.mark.xfail(
+                strict=True, reason="kappa(3) = 3 < 7: per level kappa counts d, not 2**d - 1")),
+        ],
+    )
+    def test_kappa_covers_aligned_coefficient_errors(self, shape):
+        """One level's coefficients all off by +1 under the hierarchical
+        basis: a node odd along every axis sums the errors of all
+        ``2**d - 1`` detail types.  Random perturbations (above) do not
+        line up like that; decoded data can.  PMGARD reports a measured
+        coefficient bound for 1-D variables only, where ``kappa`` is exact
+        (``MultilevelTransform.kappa_is_exact``)."""
+        tr = MultilevelTransform(basis=HIERARCHICAL)
+        dec = tr.decompose(np.zeros(shape))
+        ones = [np.ones_like(c) if l == 0 else np.zeros_like(c) for l, c in enumerate(dec.coefficients)]
+        rec = tr.recompose(dec, coefficients=ones)
+        assert np.max(np.abs(rec)) == 2 ** len(shape) - 1
+        assert np.max(np.abs(rec)) <= tr.kappa(len(shape))
+
     def test_kappa_ordering(self):
         hb = MultilevelTransform(basis=HIERARCHICAL)
         ob = MultilevelTransform(basis=ORTHOGONAL)
