@@ -272,7 +272,7 @@ class BitplaneStream:
 MAX_PLANES = 62
 #: Most planes a stream measures its bound for: the ones just before the
 #: plane from which every nonzero coefficient is significant.
-MEASURED_PLANES = 12
+MEASURED_PLANES = 8
 #: Planes up to which the decoder's midpoint sum is exact in float64.
 #: After ``k`` planes a magnitude holds at most ``k`` significant bits
 #: and the midpoint adds one more, so up to 52 planes the sum fits a
@@ -329,8 +329,10 @@ def _measured_window(mags: np.ndarray, e: int, P: int):
     cand = np.sort(mags[mags < math.ldexp(1.0, e - start)])
     # M_k: the last candidate below 2**(e - k); k < settled leaves one
     largest = cand[np.searchsorted(cand, np.ldexp(1.0, e - planes)) - 1]
-    # 256 * M_k / 2**(e - k) is a power-of-two scaling: exact
-    ratios = np.ceil(np.ldexp(largest, 8 - e + planes))
+    # 256 * M_k / 2**(e - k) is a power-of-two scaling: exact, unless it
+    # falls below 2**-1074 and rounds to 0; the floor of 128 is the
+    # midpoint term 2**(e - k - 1), so the byte is never 0
+    ratios = np.maximum(np.ceil(np.ldexp(largest, 8 - e + planes)), 128.0)
     full = np.flatnonzero(ratios >= 256.0)
     cut = int(full[-1]) + 1 if full.size else 0
     start += cut

@@ -135,7 +135,7 @@ def _window_problem(meta: dict, ndim: int):
     return None
 
 
-def _amax_problem(meta: dict, ndim: int):
+def _amax_problem(meta: dict):
     """What is wrong with a stream's ``amax`` field, or ``None``: a level
     archived as zero records its largest magnitude, in ``(0, 2**-1000)``."""
     amax = meta["amax"]
@@ -145,9 +145,6 @@ def _amax_problem(meta: dict, ndim: int):
         return "is set on a level with planes"
     return None
 
-
-#: Optional stream fields: ``{field: problem(meta, ndim), None if valid}``.
-_STREAM_OPTIONAL = {"window": _window_problem, "amax": _amax_problem}
 
 
 def _parse_index(variable: str, payload: bytes) -> dict:
@@ -175,8 +172,11 @@ def _parse_index(variable: str, payload: bytes) -> dict:
         ndim = len(index["level_shapes"][0]) if index["level_shapes"] else 0
         for level, meta in enumerate(index["streams"]):
             check(meta, _INDEX_FIELDS["stream"], f"streams[{level}].")
-            for name, problem_of in _STREAM_OPTIONAL.items():
-                problem = problem_of(meta, ndim) if name in meta else None
+            problems = (
+                ("window", _window_problem(meta, ndim) if "window" in meta else None),
+                ("amax", _amax_problem(meta) if "amax" in meta else None),
+            )
+            for name, problem in problems:
                 if problem is not None:
                     raise ArchiveIndexError(variable, f"streams[{level}].{name}", problem)
     else:

@@ -176,7 +176,7 @@ class TestFormatIsAdditive:
 
     #: the one index field added since: each 1-D PMGARD level's measured
     #: coefficient bound (``[first plane, ratio bytes]``)
-    WINDOWS = {"pmgard_hb": [[1, "0810204080"], [1, "10204080"], [1, "204080"], [1, ""]]}
+    WINDOWS = {"pmgard_hb": [[1, "8080808080"], [1, "80808080"], [1, "808080"], [1, ""]]}
 
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3_delta"])
     def test_zero_free_variable_archives_what_the_parent_wrote(self, method):

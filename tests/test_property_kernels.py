@@ -405,6 +405,7 @@ def _assert_measured_bounds_hold(coeffs, num_planes):
         assert decoded <= exact[k] <= bound <= 2.0 ** (e - k), k
         if start <= k < stop:  # the stored byte: M_k / 2**(e - k), rounded up
             step = 2.0 ** (e - k - 8)
+            assert ratios[k - start] == np.ceil(exact[k] / step)  # 128..255, never 0
             assert bound == max(np.ceil(exact[k] / step) * step, 2.0 ** (e - k - 1))
         elif stop <= k < P:  # every nonzero coefficient significant
             assert bound == exact[k]
@@ -439,6 +440,7 @@ class TestMeasuredBoundsHoldAgainstDecode:
             np.nextafter(np.array([1.0, 0.5, 0.25, 0.125]), 0.0),  # an ulp below
             np.array([1.0 + 2.0**-52, 0.75, -1.5 + 2.0**-51]),  # the midpoint rounds past 52
             np.array([3.0, 5e-324, -(2.0**-1060), 2.0**-1040]),  # subnormals
+            np.array([1e30, 2.0**-1040]),  # M_k / 2**(e - k) below 2**-1074
             np.array([-3.25]),  # one coefficient
             np.full(33, 0.1),  # all equal
             np.full(9, 2.0**-1040),  # below the cutoff
