@@ -206,8 +206,8 @@ class BitplaneStream:
         ``P`` compressed packed magnitude planes, MSB first.
     window:
         The measured bound, ``(start, ratios)``: byte ``i`` of *ratios*
-        is ``ceil(256 * M_k / 2**(e - k))`` for plane ``k = start + i``
-        (see the module docstring); ``None`` keeps ``2**(e - k)`` for
+        is ``max(128, ceil(256 * M_k / 2**(e - k)))`` for plane ``k =
+        start + i`` (see the module docstring); ``None`` keeps ``2**(e - k)`` for
         every plane, as streams encoded without it do.
     amax:
         Largest magnitude of a group archived as zero: 0.0 when it is all
