@@ -146,7 +146,6 @@ def _amax_problem(meta: dict):
     return None
 
 
-
 def _parse_index(variable: str, payload: bytes) -> dict:
     """Decode one variable's index segment, or raise :class:`ArchiveIndexError`."""
 
