@@ -20,13 +20,14 @@ identically (byte accounting included) to the ones produced directly by
 the refactorers, which the round-trip tests assert.  ``lazy=True``
 defers the bulk fragments — the bitplane / snapshot payloads that
 dominate the archive — behind a :class:`FragmentSource`, and the open is
-batched across variables: ``load_dataset(names, lazy=True)`` costs two
-store round trips however many variables it names (one ``get_many`` for
-every index segment, one for every PMGARD coarse/sign segment), and
-fragments are fetched only when (and in whatever batches) the retrieval
-engine actually needs them.  :func:`prefetch_plans` is the batch entry
-point: it coalesces many variables' planned segments into one
-``get_many`` per backing store.
+batched across variables: ``load_dataset(names, lazy=True)`` costs one
+store round trip however many variables it names (one ``get_many``
+carrying every index segment and every small segment — PMGARD coarse
+and signs, zero masks — found by name in the store's local listing),
+and fragments are fetched only when (and in whatever batches) the
+retrieval engine actually needs them.  :func:`prefetch_plans` is the
+batch entry point: it coalesces many variables' planned segments into
+one ``get_many`` per backing store.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from repro.utils.fragment_keys import (
     pmgard_plane_segment,
     pmgard_plane_segments,
     pmgard_signs_segment,
+    small_segments_in,
     snapshot_segment,
 )
 from repro.storage.store import FragmentStore
@@ -487,10 +489,13 @@ def _pmgard_fragments(refactored) -> tuple:
 
 
 def _small_segments(index: dict) -> list:
-    """Segments a lazy open fetches eagerly, in its second trip.
+    """Segments a lazy open fetches eagerly, as its index names them.
 
     A PMGARD variable's coarse approximation and every level's signs,
-    and any variable's zero mask (§V-A) when its index names one.
+    and any variable's zero mask (§V-A) when its index names one.  The
+    open fetches them with the index, picked from the store's listing
+    by :func:`~repro.utils.fragment_keys.small_segments_in`; this list
+    decides what is still missing once the index has parsed.
     """
     segments = []
     if index["kind"] == "pmgard":
@@ -633,7 +638,7 @@ class Archive:
 
         The one-variable form of :meth:`load_dataset` (same trips, same
         laziness); open several variables through that instead, so they
-        share its two batched round trips.
+        share its batched round trip.
         """
         return self.load_dataset([variable], lazy=lazy)[variable]
 
@@ -642,14 +647,16 @@ class Archive:
 
         Every variable's index segment arrives in a single ``get_many``.
         With ``lazy=False`` every fragment is then fetched up front (one
-        ``get`` each — the eager seed behavior).  With ``lazy=True`` only
-        the small per-variable segments of PMGARD variables (coarse
-        approximation, sign planes) follow, in a second ``get_many``
-        shared by all of them, while bitplane / snapshot payloads are
+        ``get`` each — the eager seed behavior).  With ``lazy=True`` the
+        same ``get_many`` also carries the small segments (PMGARD coarse
+        approximation and sign planes, any zero mask) that the store's
+        local listing names, while bitplane / snapshot payloads are
         wired to a :class:`FragmentSource` and fetched on demand — a lazy
-        open is two serial store round trips for the whole dataset (one
-        when it holds snapshot variables only, or when the variables'
-        shared sources already hold their small segments).  Each returned object
+        open is one store round trip for the whole dataset.  Once the
+        indexes parse they are the authority: a small segment the
+        listing missed costs a second trip, and a listing naming a
+        segment the store no longer holds falls back to an index-only
+        trip plus that second one.  Each returned object
         carries its source as ``fragment_source`` so the retrieval
         engine can batch-prefetch planned fragments.
 
@@ -659,17 +666,48 @@ class Archive:
         names = list(dict.fromkeys(variables))
         if not names:
             return {}
-        fetched = self.store.get_many([(name, INDEX_SEGMENT) for name in names])
+        keys = [(name, INDEX_SEGMENT) for name in names]
+        fetched = self._open_trip(names, keys) if lazy else self.store.get_many(keys)
         indexes = {
             name: _parse_index(name, fetched[(name, INDEX_SEGMENT)]) for name in names
         }
         if lazy:
-            # mask-free snapshot datasets have nothing small to open: no trip
+            # the authority: a trip only for what the listing missed
             prefetch_plans(
                 (self.source(name), _small_segments(index))
                 for name, index in indexes.items()
             )
         return {name: self._build(name, indexes[name], lazy) for name in names}
+
+    def _open_trip(self, names: list, keys: list) -> dict:
+        """Fetch *keys* (the indexes) and the small segments in one trip.
+
+        The small segments are picked by name from the store's own
+        listing, which every store keeps locally, and claimed on their
+        sources as :func:`prefetch_plans` claims them, so concurrent
+        opens still share one read.  A listing that names a segment the
+        store no longer holds (a stale mirror) makes the batch raise
+        ``KeyError``: the claims are released and the indexes travel
+        alone, as before.
+        """
+        claims = []
+        for name in names:
+            source = self.source(name)
+            wanted = source.claim(small_segments_in(self.store.segments(name)))
+            if wanted:
+                claims.append((source, wanted))
+        batch = keys + [(src.variable, seg) for src, wanted in claims for seg in wanted]
+        try:
+            fetched = self.store.get_many(batch)
+        except BaseException as exc:
+            for src, wanted in claims:
+                src.release(wanted)
+            if not claims or not isinstance(exc, KeyError):
+                raise
+            return self.store.get_many(keys)
+        for src, wanted in claims:
+            src.absorb({seg: fetched[(src.variable, seg)] for seg in wanted})
+        return fetched
 
     def _build(self, variable: str, index: dict, lazy: bool):
         kind = index["kind"]

@@ -636,26 +636,7 @@ class ShardedDiskStore(FragmentStore):
 
     def _reindex(self) -> None:
         log_existed = self._log.exists()
-        file_txn: dict = {}  # relpath -> last committed writer txn
-        for txn, entries in self._log.replay():
-            for entry in entries:
-                key = (entry["variable"], entry["segment"])
-                if entry.get("deleted"):
-                    if key in self._index:
-                        self._unplace(key)
-                    continue
-                rel = entry[self._layout.field]
-                nbytes = entry.get("nbytes")
-                if nbytes is None:  # log predates size tracking
-                    try:
-                        nbytes = os.path.getsize(os.path.join(self.root, rel))
-                    except OSError:
-                        # dangling entry (file cleaned up externally):
-                        # keep the key indexed — size 0, unreadable on
-                        # access — rather than failing the whole open
-                        nbytes = 0
-                self._place(key, rel, int(entry.get("offset", 0)), int(nbytes))
-                file_txn[rel] = 0 if txn is None else txn
+        file_txn = self._replay()
         # One pass over the payload directory names; only a file the log
         # does not account for costs a stat.  A pack no entry names never
         # committed (or a compaction moved its last live fragment away):
@@ -697,6 +678,64 @@ class ShardedDiskStore(FragmentStore):
                     self._place(key, rel, 0, nbytes)
         for rel in [r for r in self._dead if r not in seen and r not in self._live]:
             del self._dead[rel]  # already gone from disk: nothing to reclaim
+
+    def _replay(self) -> dict:
+        """Index every log entry; returns ``{relpath: last committed writer txn}``.
+
+        One entry per archived fragment, so an open costs what this
+        loop costs.  The common entry, a first put of a packed fragment,
+        updates the tables inline; overwrites, deletes and parent-format
+        entries (no ``offset`` or no ``nbytes``) take :meth:`_place` /
+        :meth:`_unplace`, and both ways leave identical tables.
+        """
+        file_txn: dict = {}
+        index, sizes, live, dead = self._index, self._sizes, self._live, self._dead
+        var_segments, var_bytes = self._var_segments, self._var_bytes
+        field = self._layout.field
+        added = 0  # bytes of the fast-path puts, folded into the total at the end
+        for txn, entries in self._log.replay():
+            stamp = 0 if txn is None else txn
+            for entry in entries:
+                key = (entry["variable"], entry["segment"])
+                if entry.get("deleted"):
+                    if key in index:
+                        self._unplace(key)
+                    continue
+                rel = entry[field]
+                nbytes = entry.get("nbytes")
+                offset = entry.get("offset")
+                if key not in index and type(nbytes) is int and type(offset) is int:
+                    # a first put of a packed fragment: _place, inlined
+                    count = live.get(rel)
+                    if count is None:
+                        dead.pop(rel, None)
+                        live[rel] = 1
+                    else:
+                        live[rel] = count + 1
+                    index[key] = (rel, offset)
+                    sizes[key] = nbytes
+                    variable = key[0]
+                    listing = var_segments.get(variable)
+                    if listing is None:
+                        var_segments[variable] = [key[1]]
+                    else:
+                        listing.append(key[1])
+                    var_bytes[variable] = var_bytes.get(variable, 0) + nbytes
+                    added += nbytes
+                    file_txn[rel] = stamp
+                    continue
+                if nbytes is None:  # log predates size tracking
+                    try:
+                        nbytes = os.path.getsize(os.path.join(self.root, rel))
+                    except OSError:
+                        # dangling entry (file cleaned up externally):
+                        # keep the key indexed — size 0, unreadable on
+                        # access — rather than failing the whole open
+                        nbytes = 0
+                self._place(key, rel, int(entry.get("offset", 0)), int(nbytes))
+                file_txn[rel] = stamp
+        self._total_bytes += added
+        return file_txn
 
     def _scan(self):
         """Yield the relpath of every payload or staged file, path order."""

@@ -54,6 +54,25 @@ def pmgard_plane_segment(level: int, plane: int) -> str:
     return f"L{level:02d}_p{plane:02d}"
 
 
+_SMALL_NAMES = frozenset((COARSE_SEGMENT, ZERO_MASK_SEGMENT))
+
+
+def small_segments_in(names) -> list:
+    """The names among *names* that a lazy open fetches with the index.
+
+    A PMGARD ``coarse`` approximation, any level's ``L<ll>_signs`` and a
+    ``zero_mask``: the small segments every retrieval decodes.  A test
+    of the names alone, so the open can pick them out of a store's
+    listing before any index is parsed; one comprehension, because a
+    listing is hundreds of plane names per variable.
+    """
+    return [
+        name for name in names
+        if name in _SMALL_NAMES
+        or (name.endswith("_signs") and name[:1] == "L" and name[1:-6].isdecimal())
+    ]
+
+
 @lru_cache(maxsize=1024)
 def pmgard_plane_segments(level: int, num_planes: int) -> tuple:
     """Every plane segment name of one PMGARD level, MSB plane first.

@@ -1,7 +1,7 @@
 """Exact store round-trip counts of the read path (counts, never timings).
 
 Behind a link the cost of a retrieval is its number of *serial* store
-round trips, so the counts are the contract: a lazy dataset open is two
+round trips, so the counts are the contract: a lazy dataset open is one
 ``get_many`` however many variables it names, a fetching round carries
 its own speculation (nothing is fetched outside a round, nothing is left
 running when ``retrieve`` returns), every fetch runs on the retrieving
@@ -79,27 +79,29 @@ def archived(fields, methods):
 
 
 class TestBatchedOpen:
-    def test_pmgard_dataset_opens_in_two_batched_trips(self):
+    def test_pmgard_dataset_opens_in_one_batched_trip(self):
         fields = make_fields()
         store = archived(fields, ["pmgard_hb"] * 3)
         loaded = Archive(store).load_dataset(FIELDS, lazy=True)
         assert sorted(loaded) == sorted(FIELDS)
-        assert store.count("get_many") == 2 and store.count("get") == 0
-        assert store.round_trips == 2
-        # trip one is every index, trip two every coarse/sign segment
-        assert store.calls[0][1] == [(name, INDEX_SEGMENT) for name in FIELDS]
-        assert {name for name, _ in store.calls[1][1]} == set(FIELDS)
+        assert store.count("get_many") == 1 and store.count("get") == 0
+        assert store.round_trips == 1
+        # the one trip is every index first, then every coarse/sign segment
+        keys = store.calls[0][1]
+        assert keys[:3] == [(name, INDEX_SEGMENT) for name in FIELDS]
+        assert {name for name, _ in keys[3:]} == set(FIELDS)
+        assert all(seg == "coarse" or seg.endswith("_signs") for _, seg in keys[3:])
 
-    @pytest.mark.parametrize("methods, trips", [
-        (("psz3", "psz3", "psz3"), 1),
-        (("psz3_delta", "psz3_delta", "psz3_delta"), 1),
-        (("pmgard_hb", "psz3", "psz3_delta"), 2),
+    @pytest.mark.parametrize("methods", [
+        ("psz3", "psz3", "psz3"),
+        ("psz3_delta", "psz3_delta", "psz3_delta"),
+        ("pmgard_hb", "psz3", "psz3_delta"),
     ])
-    def test_snapshot_kinds_need_only_the_index_trip(self, methods, trips):
+    def test_every_kind_opens_in_the_index_trip(self, methods):
         fields = make_fields()
         store = archived(fields, methods)
         loaded = Archive(store).load_dataset(FIELDS, lazy=True)
-        assert store.count("get_many") == trips and store.count("get") == 0
+        assert store.count("get_many") == 1 and store.count("get") == 0
         # every kind still reads correctly through its lazy source
         for name in FIELDS:
             eb = float(np.ptp(fields[name])) * 1e-3
@@ -113,7 +115,7 @@ class TestBatchedOpen:
         name = FIELDS[0]
         eb = float(np.ptp(fields[name])) * 1e-4
         first = archive.load(name, lazy=True)
-        assert store.count("get_many") == 2 and store.count("get") == 0
+        assert store.count("get_many") == 1 and store.count("get") == 0
         assert np.max(np.abs(first.reader().request(eb) - fields[name])) <= eb
         # a re-save invalidates the memoized source: the next lazy load
         # must read (and serve) the new representation, not the old bytes

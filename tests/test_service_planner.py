@@ -595,9 +595,9 @@ class TestBatchedOpen:
         for thread in threads:
             thread.join(timeout=10)
         assert not errors
-        # ONE batched open — its two get_many — served both sessions
-        assert inner.round_trips - trips_before == 2
-        assert len(inner.served) == 2
+        # ONE batched open — its one get_many — served both sessions
+        assert inner.round_trips - trips_before == 1
+        assert len(inner.served) == 1
         assert all(outs[0][name] is outs[1][name] for name in fields)
         stats = service.stats().planner
         assert stats.representations_loaded == 3
@@ -618,7 +618,7 @@ class TestBatchedOpen:
         assert service.stats().planner.representations_loaded == 4
         service.close()
 
-    def test_cold_tiered_cluster_session_opens_in_two_trips(self, tmp_path):
+    def test_cold_tiered_cluster_session_opens_in_one_trip(self, tmp_path):
         from repro.data import generators
         from repro.utils.fragment_keys import timestep_variable
 
@@ -646,11 +646,11 @@ class TestBatchedOpen:
                         [QoIRequest("vtot", qoi, 1e-2, float(np.ptp(truth)))]
                     )
                     opened = service.stats()
-                    # three variables, two trips through tiered -> cluster
-                    assert opened.store_round_trips - before.store_round_trips == 2
+                    # three variables, one trip through tiered -> cluster
+                    assert opened.store_round_trips - before.store_round_trips == 1
                     assert (
                         opened.tiers.slow_round_trips - before.tiers.slow_round_trips
-                        == 2
+                        == 1
                     )
                     result = session.retrieve(
                         [QoIRequest("vtot", qoi, 1e-2, float(np.ptp(truth)))]
