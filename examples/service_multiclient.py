@@ -9,9 +9,10 @@ fragments read from disk for one client are served from memory to all
 others.
 
 Expected output: the archive size, then a two-row comparison — N
-concurrent clients through the shared cache vs. N independent sessions —
+concurrent clients through the shared cache vs. N independent sessions,
+each opening the archive lazily on its own —
 where the shared configuration reads several times fewer bytes from the
-store at a cache hit rate above 80%, followed by a per-client line
+store at a cache hit rate of about 75%, followed by a per-client line
 confirming every client's QoI guarantee held.
 
 Run:  python examples/service_multiclient.py
@@ -64,12 +65,14 @@ def main():
 
     # -- 3. The same clients as fully independent sessions -------------------
     indep_store = repro.ShardedDiskStore(root)
-    archive = Archive(indep_store)
     ranges = {repro.parallel.block_variable(k, 0): float(v.max() - v.min())
               for k, v in velocities.items()}
 
     def independent(_):
-        loaded = {name: archive.load(name) for name in ranges}
+        # an Archive of its own: no fragment source (and so no fetched
+        # payload) is shared with the other clients; the open is lazy,
+        # one store trip for every variable
+        loaded = Archive(indep_store).load_dataset(list(ranges))
         return ladder(repro.QoIRetriever(loaded, ranges).session())
 
     with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:

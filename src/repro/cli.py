@@ -15,13 +15,13 @@ Wires the whole pipeline into ten subcommands::
     python -m repro.cli snapshot --archive ar/ --dest file:///backups/ar
     python -m repro.cli restore  --snapshot file:///backups/ar --archive ar/
 
-``archive`` refactors each ``name=path.npy`` variable into a
+``archive`` refactors each ``name=path.npy`` variable into a fresh
 fragment-addressable archive (one object per fragment; pass
 ``--sharded`` for the hashed fan-out layout) and records the dataset
-manifest (shapes, value ranges) that Algorithm 2 needs.  ``ingest`` is
-its streaming sibling for archives that already exist: variables are
-refactored on ``--workers`` parallel encode threads and flushed with
-byte-balanced coalesced ``put_many`` batches (``--flush-bytes``),
+manifest (shapes, value ranges) that Algorithm 2 needs.  ``ingest`` runs
+the same streaming engine against archives that already exist:
+variables are refactored on ``--workers`` parallel encode threads and
+flushed with byte-balanced coalesced commits (``--flush-bytes``),
 adding or replacing variables — or appending ``--timestep`` qualified
 steps — without rewriting untouched fragments.  ``retrieve`` runs the
 QoI-preserved retrieval loop against the archive — lazily loaded, one
@@ -69,12 +69,12 @@ from repro.core.ingest import (
     update_manifest,
 )
 from repro.core.qois import qoi_from_spec
-from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
+from repro.core.retrieval import QoIRequest, QoIRetriever
 from repro.service.server import RetrievalServer, ServiceClient
 from repro.service.service import RetrievalService
 from repro.storage.archive import Archive
 from repro.storage.cache import DEFAULT_CACHE_BYTES
-from repro.storage.metadata import DatasetManifest, VariableMetadata
+from repro.storage.metadata import DatasetManifest
 from repro.storage.store import (
     open_directory_store,
     open_store,
@@ -101,8 +101,6 @@ def _load_variables(pairs) -> dict:
 
 def _cmd_archive(args) -> int:
     variables = _load_variables(args.variables)
-    refactorer = make_refactorer(args.method)
-    refactored = refactor_dataset(variables, refactorer)
     scheme, rest = split_store_url(args.out)
     if scheme is not None:  # archive straight into any URL-addressed backend
         if getattr(args, "sharded", False):
@@ -115,19 +113,12 @@ def _cmd_archive(args) -> int:
     else:
         store = open_directory_store(args.out, sharded=getattr(args, "sharded", False))
         dataset = os.path.basename(args.out.rstrip("/")) or "dataset"
-    archive = Archive(store)
     manifest = DatasetManifest(dataset=dataset)
-    for name, data in variables.items():
-        archive.save(name, refactored[name])
-        manifest.add(
-            VariableMetadata.from_array(
-                name, data, args.method, refactored[name].total_bytes,
-                segments=store.segments(name),
-            )
-        )
+    report = ingest_dataset(store, variables, make_refactorer(args.method))
+    update_manifest(manifest, store, variables, args.method, report)
     manifest.save_to(store)
     store.close()  # releases connections; no-op for local stores
-    total = sum(m.total_bytes for m in manifest.variables.values())
+    total = sum(report.archived_bytes.values())
     raw = sum(v.nbytes for v in variables.values())
     print(f"archived {len(variables)} variable(s) with {args.method}: "
           f"{total / 1e6:.2f} MB ({raw / 1e6:.2f} MB raw) -> {args.out}")
@@ -214,7 +205,7 @@ def _cmd_retrieve(args) -> int:
     missing = [f for f in fields if f not in manifest.variables]
     if missing:
         raise SystemExit(f"fields not in archive: {missing}")
-    refactored = Archive(store).load_dataset(fields, lazy=True)
+    refactored = Archive(store).load_dataset(fields)
     retriever = QoIRetriever(refactored, manifest.value_ranges())
     request = QoIRequest(args.qoi, qoi, args.tolerance, args.qoi_range)
     result = retriever.retrieve(
@@ -388,8 +379,6 @@ def _cmd_serve(args) -> int:
 
     store = open_store(args.archive)
     store = wrap_with_resilience(store, *_resilience_from_args(args))
-    if isinstance(store, ClusterFragmentStore):
-        store.start_rebalancer()
     service = RetrievalService(
         store,
         cache_bytes=int(args.cache_mb) << 20,
@@ -416,7 +405,7 @@ def _cmd_serve(args) -> int:
         if metrics is not None:
             metrics.stop()
         server.server_close()
-        service.close()  # stops a cluster backend's rebalance thread
+        service.close()
     return 0
 
 
@@ -573,7 +562,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--workers", type=int, default=DEFAULT_INGEST_WORKERS,
                           help="parallel transform+encode threads (0 encodes serially)")
     p_ingest.add_argument("--flush-bytes", default=str(DEFAULT_FLUSH_BYTES),
-                          help="coalesced put_many flush threshold "
+                          help="coalesced commit threshold "
                                "(binary suffixes allowed, e.g. 4M)")
     p_ingest.add_argument("--timestep", type=int, default=None,
                           help="append variables as NAME@tNNNN timestep keys")

@@ -14,27 +14,27 @@ refactor one variable, then block on one ``store.put`` per fragment.
   in NumPy/zlib), and finished variables are consumed in *completion*
   order — variable A's fragments flush while variable B is still
   encoding;
-* **byte-balanced coalesced flushes** buffer the encoded fragments and
-  move them with one :meth:`~repro.storage.store.FragmentStore.put_many`
-  per ``flush_bytes`` of payload — one write round trip (and, on the
-  disk stores, one WAL commit record) per batch instead of one per
-  fragment.  Flushes end on variable boundaries, so each batch carries
-  whole variables and a crash mid-ingest leaves every variable either
-  fully old or fully new (see ``docs/durability.md``);
+* **byte-balanced coalesced flushes** buffer the encoded variables and
+  write them with one :meth:`~repro.storage.archive.Archive.commit` per
+  ``flush_bytes`` of payload — one write round trip (and, on the disk
+  stores, one WAL commit record) per batch instead of one per fragment.
+  Flushes end on variable boundaries, so each batch carries whole
+  variables and a crash mid-ingest leaves every variable either fully
+  old or fully new (see ``docs/durability.md``);
 * **incremental updates**: ingesting into a non-empty archive never
   rewrites fragments of untouched variables.  Re-ingesting an existing
-  variable supersedes it — segments of the old representation the new
-  one does not overwrite are deleted afterwards (tombstoned on disk
-  stores) — and ``timestep`` appends each variable under a
+  variable supersedes it — the segments of the old representation the
+  new one does not overwrite are tombstoned in the same commit as the
+  new fragments — and ``timestep`` appends each variable under a
   :func:`~repro.utils.fragment_keys.timestep_variable` qualified name,
   the continuously-updated-archive scenario (simulation steps arriving
   while analysts retrieve).
 
 The archive the parallel path produces is **bit-identical** to the
-serial ``refactor_dataset`` + ``Archive.save`` path: both write exactly
+serial ``refactor_dataset`` + ``Archive.save`` path: both commit exactly
 the :func:`~repro.storage.archive.encode_fragments` enumeration, each
 variable's segments land in canonical order (a flush preserves buffer
-order), and every variable's index segment is queued after its payload
+order), and every variable's index segment follows its payload
 fragments.  Parallelism reshapes the write traffic — it never changes
 the bytes.
 """
@@ -47,14 +47,14 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro.core.masking import refactor_masked
-from repro.storage.archive import encode_fragments
-from repro.utils.fragment_keys import INDEX_SEGMENT, timestep_variable
+from repro.storage.archive import Archive, encode_fragments
+from repro.utils.fragment_keys import timestep_variable
 
 #: Default width of the transform+encode worker pool.
 DEFAULT_INGEST_WORKERS = 4
 
 #: Default flush threshold: buffered fragment bytes per coalesced
-#: ``put_many`` batch.  Large enough to amortize a remote round trip,
+#: commit.  Large enough to amortize a remote round trip,
 #: small enough that flushing overlaps encoding instead of trailing it.
 DEFAULT_FLUSH_BYTES = 4 << 20
 
@@ -67,7 +67,7 @@ class IngestConfig:
     synchronously on the calling thread — flushes are still coalesced,
     which is what keeps the knob orthogonal to batching).
     ``flush_bytes`` is the byte-balance target of each coalesced
-    ``put_many`` flush; flushes always end on a variable boundary (the
+    commit; flushes always end on a variable boundary (the
     per-variable atomicity guarantee), so a variable larger than the
     target makes one oversized batch rather than splitting.
     """
@@ -92,10 +92,11 @@ class IngestReport:
     fragments: int = 0
     #: Payload bytes written.
     bytes_written: int = 0
-    #: Coalesced ``put_many`` flushes issued (the write round trips the
-    #: engine itself cost; the store's ``put_round_trips`` agrees).
+    #: Coalesced commits issued (the write round trips the engine
+    #: itself cost; the store's ``put_round_trips`` agrees).
     flushes: int = 0
-    #: Superseded segments of re-ingested variables deleted afterwards.
+    #: Superseded segments of re-ingested variables, tombstoned by the
+    #: commits that wrote their replacements.
     superseded: int = 0
     #: Archived size per variable (``Refactored.total_bytes``; what the
     #: dataset manifest records).
@@ -105,7 +106,7 @@ class IngestReport:
     #: Summed per-variable refactor+encode seconds (exceeds ``seconds``
     #: when workers overlap — the parallelism actually achieved).
     encode_seconds: float = 0.0
-    #: Seconds the calling thread spent inside ``put_many`` flushes.
+    #: Seconds the calling thread spent inside the flush commits.
     flush_seconds: float = 0.0
 
 
@@ -114,17 +115,21 @@ class IngestPipeline:
 
     Created per ingest call site (thread pools are cheap next to an
     ingest); one instance may run many :meth:`ingest` calls
-    sequentially.  The store may be any
+    sequentially.  Each flush is one
+    :meth:`~repro.storage.archive.Archive.commit` of whole variables, so
+    the engine issues exactly one ``transact`` per flush and no other
+    write.  The store may be any
     :class:`~repro.storage.store.FragmentStore` — behind a
     :class:`~repro.storage.cache.CachingFragmentStore` the batched
     writes invalidate stale cache entries, and on a
     :class:`~repro.storage.tiered.TieredStore` each flush lands with one
-    ``put_many`` per tier.
+    ``transact`` per tier.
     """
 
     def __init__(self, store, config: IngestConfig | None = None):
         self.store = store
         self.config = config or IngestConfig()
+        self.archive = Archive(store)
 
     # -- internals ------------------------------------------------------------
 
@@ -160,14 +165,13 @@ class IngestPipeline:
 
         Returns an :class:`IngestReport`.  On failure the archive may
         hold a partial update, but only at variable granularity: each
-        coalesced flush ends on a variable boundary (a variable's
-        fragments plus its index segment always share one ``put_many``
-        batch), and on the WAL-backed disk stores a batch commits with a
-        single log record — so a process killed anywhere during the
-        ingest leaves every variable loading bit-identically to its old
-        or its new representation, never a torn mix; re-running the
-        ingest is always a safe repair.  Superseded segments are only
-        deleted after every new fragment and index is durably written.
+        coalesced flush is one commit of whole variables (a variable's
+        fragments, its index segment and the tombstones of its
+        superseded segments always share one ``transact``), and on the
+        WAL-backed disk stores a commit is a single log record — so a
+        process killed anywhere during the ingest leaves every variable
+        loading bit-identically to its old or its new representation,
+        never a torn mix; re-running the ingest is always a safe repair.
         """
         config = self.config
         if timestep is not None:
@@ -179,41 +183,33 @@ class IngestPipeline:
             named = dict(variables)
         report = IngestReport(variables=list(named))
         t0 = time.perf_counter()
-        # snapshot the segments each variable held before this ingest so
-        # superseded ones can be tombstoned once the new write is durable
-        old_segments = {name: list(self.store.segments(name)) for name in named}
-        written: dict = {name: set() for name in named}
-        buffer: list = []
+        entries: list = []
         buffered = 0
 
         def flush() -> None:
             nonlocal buffered
-            if not buffer:
+            if not entries:
                 return
             start = time.perf_counter()
-            self.store.put_many(buffer)
+            report.superseded += self.archive.commit(entries)
             report.flush_seconds += time.perf_counter() - start
             report.flushes += 1
-            report.fragments += len(buffer)
+            report.fragments += sum(len(fragments) + 1 for _, fragments, _ in entries)
             report.bytes_written += buffered
-            buffer.clear()
+            entries.clear()
             buffered = 0
 
         def emit(name, fragments, index) -> None:
-            # canonical order per variable, index segment last — and the
-            # flush decision only after the whole variable (index
-            # included) is buffered: every put_many batch holds whole
-            # variables, so on a WAL-backed store each variable commits
-            # atomically (a crash leaves it entirely old or entirely
-            # new).  A variable larger than flush_bytes makes one
-            # oversized batch rather than splitting.
+            # the flush decision only after the whole variable (index
+            # included) is buffered: every commit holds whole variables,
+            # so on a WAL-backed store each variable lands atomically (a
+            # crash leaves it entirely old or entirely new).  A variable
+            # larger than flush_bytes makes one oversized batch rather
+            # than splitting.
             nonlocal buffered
-            items = list(fragments)
-            items.append((INDEX_SEGMENT, json.dumps(index).encode()))
-            for segment, payload in items:
-                buffer.append((name, segment, payload))
-                buffered += len(payload)
-                written[name].add(segment)
+            entries.append((name, fragments, index))
+            buffered += sum(len(payload) for _, payload in fragments)
+            buffered += len(json.dumps(index).encode())
             if buffered >= config.flush_bytes:
                 flush()
 
@@ -243,19 +239,6 @@ class IngestPipeline:
             for name, data in named.items():
                 consume(self._encode(refactorer, name, data))
         flush()
-
-        # supersede: everything the old representation held that the new
-        # one did not overwrite stops being retrievable (tombstones on
-        # disk stores keep a reopened archive consistent)
-        for name, segments in old_segments.items():
-            for segment in segments:
-                if segment not in written[name]:
-                    try:
-                        self.store.delete(name, segment)
-                    except KeyError:
-                        pass  # superseded concurrently; not this call's tombstone
-                    else:
-                        report.superseded += 1
         report.seconds = time.perf_counter() - t0
         return report
 

@@ -551,8 +551,8 @@ class RetrievalSession:
         ebs = self._ebs
         achieved = self._achieved
 
-        # the archive fragment sources of lazily loaded variables; eager or
-        # in-memory representations have none and decode without prefetch
+        # the fragment sources of archived variables; in-memory
+        # representations have none and decode without prefetch
         sources = {
             v: retriever._refactored[v].fragment_source
             for v in involved

@@ -266,15 +266,12 @@ class RetrievalService:
         a plain directory (``sharded=None`` auto-detects the layout from
         the persisted index the sharded layout leaves behind)
         or a ``file://``/``sharded://``/``http://``/``tiered://``/
-        ``cluster://`` URL.  A cluster backend's rebalancer thread is
-        started so membership changes migrate in the background.
+        ``cluster://`` URL.
         """
         if sharded is None:
             store = open_store(archive_dir)
         else:
             store = open_directory_store(archive_dir, sharded=sharded)
-        if isinstance(store, ClusterFragmentStore):
-            store.start_rebalancer()
         return cls(store, **kwargs)
 
     def variables(self) -> list:
@@ -310,10 +307,10 @@ class RetrievalService:
         """Open several archived variables as one batch; ``{name: Refactored}``.
 
         Loads are lazy: fragments move only when a client's retrieval
-        plan demands them, and the whole batch costs the archive's two
-        open round trips (see
+        plan demands them, and the whole batch costs the archive's one
+        open round trip (see
         :meth:`~repro.storage.archive.Archive.load_dataset`) instead of
-        two per variable.  Loads memoize in the planner on
+        one per variable.  Loads memoize in the planner on
         ``(variable, generation)`` with single-flight, so N concurrent
         sessions opening the same variables cost one batched archive
         load, and a session whose variables are partly memoized loads
@@ -323,9 +320,7 @@ class RetrievalService:
         with self._lock:
             self._variables_loaded += len(names)
             generations = {name: self._generations.get(name, 0) for name in names}
-        return self.planner.load_many(
-            generations, lambda misses: self.archive.load_dataset(misses, lazy=True)
-        )
+        return self.planner.load_many(generations, self.archive.load_dataset)
 
     def ingest(
         self,
@@ -499,8 +494,7 @@ class RetrievalService:
     def close(self) -> None:
         """Refuse every further request, then close the backing store.
 
-        Idempotent.  Closing stops a cluster backend's rebalancer; after
-        it, :meth:`open_session`, :meth:`ingest` and an open session's
+        Idempotent.  After it, :meth:`open_session`, :meth:`ingest` and an open session's
         ``retrieve`` raise ``RuntimeError`` before admission and before
         any store access — a request the memos or the cache could
         answer is refused too.

@@ -7,27 +7,27 @@ variable as an individually addressable object in a
 Partial retrieval therefore maps onto partial reads of the archival tier,
 which is the deployment story behind the paper's remote-retrieval numbers.
 
-``save()`` is incremental: it writes exactly the
-:func:`encode_fragments` enumeration (the contract the streaming
-ingestion engine shares — see :mod:`repro.core.ingest`), never touches
-other variables, and tombstones the segments a re-saved variable no
-longer holds.  It is also atomic by default: the whole enumeration plus
-the index segment goes down as one ``put_many`` batch — one WAL commit
-record on the disk stores — so a crash mid-save can never leave a torn
-variable (``docs/durability.md``).  ``load()`` reconstructs a fully functional
-:class:`Refactored` object from the store; its readers behave
-identically (byte accounting included) to the ones produced directly by
-the refactorers, which the round-trip tests assert.  ``lazy=True``
-defers the bulk fragments — the bitplane / snapshot payloads that
-dominate the archive — behind a :class:`FragmentSource`, and the open is
-batched across variables: ``load_dataset(names, lazy=True)`` costs one
-store round trip however many variables it names (one ``get_many``
-carrying every index segment and every small segment — PMGARD coarse
-and signs, zero masks — found by name in the store's local listing),
-and fragments are fetched only when (and in whatever batches) the
-retrieval engine actually needs them.  :func:`prefetch_plans` is the
-batch entry point: it coalesces many variables' planned segments into
-one ``get_many`` per backing store.
+Writes go through one routine, :meth:`Archive.commit`: whole variables
+— exactly the :func:`encode_fragments` enumeration (the contract the
+streaming ingestion engine shares — see :mod:`repro.core.ingest`) plus
+each index segment — and the tombstones of the segments those variables
+no longer hold, in one ``transact``: one WAL commit record on the disk
+stores, so a crash can never leave a torn variable
+(``docs/durability.md``).  ``save()`` is one variable's commit and never
+touches other variables.
+
+Reads go through one open, :meth:`Archive.load_dataset`, which is lazy:
+``load_dataset(names)`` costs one store round trip however many
+variables it names (one ``get_many`` carrying every index segment and
+every small segment — PMGARD coarse and signs, zero masks — found by
+name in the store's local listing), while the bitplane / snapshot
+payloads that dominate the archive stay behind a :class:`FragmentSource`
+and are fetched only when (and in whatever batches) the retrieval engine
+needs them.  The loaded readers behave identically (byte accounting
+included) to the ones produced directly by the refactorers, which the
+round-trip tests assert.  :func:`prefetch_plans` is the batch entry
+point: it coalesces many variables' planned segments into one
+``get_many`` per backing store.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ import json
 import threading
 import time
 
-import numpy as np
-
 from repro.compressors.pmgard import PMGARDRefactored
 from repro.compressors.psz3 import PSZ3Refactored
 from repro.compressors.psz3_delta import PSZ3DeltaRefactored
-from repro.compressors.sz3 import SZ3Blob, SZ3Compressor
+from repro.compressors.sz3 import SZ3Compressor
 from repro.core.masking import ZeroMask
 from repro.encoding.bitplane import MAX_PLANES, MEASURED_PLANES, BitplaneStream
 from repro.utils.fragment_keys import (
@@ -420,7 +418,7 @@ class _LazyBitplaneStream(BitplaneStream):
 
 
 class _LazyBlob:
-    """Duck-typed :class:`SZ3Blob` whose payload fetches on first access."""
+    """Duck-typed :class:`~repro.compressors.sz3.SZ3Blob` whose payload fetches on first access."""
 
     def __init__(self, source: FragmentSource, segment: str):
         self._source = source
@@ -516,10 +514,10 @@ def encode_fragments(refactored) -> tuple:
     Returns ``(fragments, index)`` where *fragments* is the ordered list
     of ``(segment, payload)`` pairs and *index* the JSON-serializable
     variable index (the :data:`~repro.utils.fragment_keys.INDEX_SEGMENT`
-    payload, not included in the list).  Both the serial
-    :meth:`Archive.save` path and the parallel ingestion engine
-    (:mod:`repro.core.ingest`) write exactly this enumeration, which is
-    what makes their archives bit-identical by construction.  Raises
+    payload, not included in the list).  Both :meth:`Archive.save` and
+    the parallel ingestion engine (:mod:`repro.core.ingest`) hand
+    exactly this enumeration to :meth:`Archive.commit`, which is what
+    makes their archives bit-identical by construction.  Raises
     ``TypeError`` for representations that cannot be archived.
     """
     if isinstance(refactored, PMGARDRefactored):
@@ -540,7 +538,13 @@ def encode_fragments(refactored) -> tuple:
 
 
 class Archive:
-    """Fragment-addressable archive for refactored variables."""
+    """Fragment-addressable archive for refactored variables.
+
+    One write routine, :meth:`commit` (whole variables plus their
+    stale-segment tombstones in one transaction; :meth:`save` is one
+    entry of it), and one open, :meth:`load_dataset` (lazy, one store
+    round trip; :meth:`load` is its one-variable form).
+    """
 
     def __init__(self, store: FragmentStore):
         self.store = store
@@ -562,7 +566,7 @@ class Archive:
     def invalidate_source(self, variable: str) -> None:
         """Drop the memoized fragment source of one rewritten variable.
 
-        Called by :meth:`save` (and the ingestion paths) after a
+        Called by :meth:`commit` (and the service's ingest) after a
         variable's fragments change on the store: a retained
         :class:`FragmentSource` memoizes payloads, so keeping it would
         serve the superseded bytes to later lazy loads.  Readers opened
@@ -572,112 +576,105 @@ class Archive:
         """
         self._sources.pop(variable, None)
 
-    # -- save ----------------------------------------------------------------
+    # -- commit --------------------------------------------------------------
 
-    def save(self, variable: str, refactored, replace: bool = True,
-             atomic: bool = True) -> dict:
-        """Persist *refactored* under *variable*; returns the JSON index.
+    def commit(self, entries) -> int:
+        """Write whole variables and their tombstones in one transaction.
 
-        Incremental by construction: fragments of other variables are
-        never touched, so adding a variable (or a new timestep) to an
-        existing archive rewrites nothing.  With ``replace=True`` (the
-        default) segments left over from a previous save of the same
-        variable that the new representation does not overwrite — e.g. a
-        re-save with fewer snapshots or planes — are deleted afterwards,
-        which appends tombstones on the disk stores so a reopened
-        archive stays consistent.
-
-        With ``atomic=True`` (the default) every fragment, the
-        variable's index segment, **and** the stale-segment tombstones
-        land in one :meth:`~repro.storage.store.FragmentStore.transact`
-        call — on the WAL-backed disk stores a single commit record, so
-        a process killed mid-save leaves a reopened archive
-        bit-identical to the old version or the new one, never a torn
-        mix and never with leftover superseded segments.
-        ``atomic=False`` restores the serial one-``put``-per-fragment
-        path (the index segment still written last, stale segments
-        deleted afterwards), which the tests use to count what
-        batching saves.
+        *entries* is a list of ``(variable, fragments, index)`` triples,
+        one per variable, *fragments* and *index* as
+        :func:`encode_fragments` returns them.  One
+        :meth:`~repro.storage.store.FragmentStore.transact` carries every
+        fragment, each variable's index segment (after its fragments)
+        and a tombstone for every segment a variable held that its new
+        enumeration does not write, listed at commit time.  On the
+        WAL-backed disk stores that is a single commit record, so a
+        process killed anywhere leaves each variable bit-identical to its
+        old or its new version, never a torn mix and never with leftover
+        superseded segments.  A concurrent writer that superseded a
+        listed segment first makes the batch raise ``KeyError``; the
+        vanished segments are dropped and the batch retried.  Returns
+        the number of segments tombstoned.
         """
-        fragments, index = encode_fragments(refactored)
-        stale: list = []
-        if replace:
+        puts, stale = [], []
+        for variable, fragments, index in entries:
+            puts.extend((variable, segment, payload) for segment, payload in fragments)
+            puts.append((variable, INDEX_SEGMENT, json.dumps(index).encode()))
             keep = {segment for segment, _ in fragments}
             keep.add(INDEX_SEGMENT)
-            stale = [s for s in self.store.segments(variable) if s not in keep]
-        index_payload = json.dumps(index).encode()
-        if atomic:
-            batch = [(variable, segment, payload) for segment, payload in fragments]
-            batch.append((variable, INDEX_SEGMENT, index_payload))
-            while True:
-                try:
-                    self.store.transact(batch, [(variable, s) for s in stale])
-                    break
-                except KeyError:
-                    # a concurrent writer superseded stale segments
-                    # between listing and committing; drop the vanished
-                    # ones and retry (strictly shrinking, so this ends)
-                    live = set(self.store.segments(variable))
-                    stale = [s for s in stale if s in live]
-        else:
-            for segment, payload in fragments:
-                self.store.put(variable, segment, payload)
-            self.store.put(variable, INDEX_SEGMENT, index_payload)
-            for segment in stale:
-                try:
-                    self.store.delete(variable, segment)
-                except KeyError:
-                    pass  # a concurrent writer already superseded it
-        self.invalidate_source(variable)
+            stale.extend(
+                (variable, s) for s in self.store.segments(variable) if s not in keep
+            )
+        while True:
+            try:
+                self.store.transact(puts, stale)
+                break
+            except KeyError:
+                kept = [key for key in stale if self.store.has(*key)]
+                if len(kept) == len(stale):
+                    raise  # not a vanished tombstone: nothing to shrink
+                stale = kept
+        for variable, _, _ in entries:
+            self.invalidate_source(variable)
+        return len(stale)
+
+    def save(self, variable: str, refactored) -> dict:
+        """Persist *refactored* under *variable*; returns the JSON index.
+
+        One :meth:`commit` entry: fragments of other variables are never
+        touched, so adding a variable (or a new timestep) to an existing
+        archive rewrites nothing, and segments a previous save of the
+        same variable held that the new representation does not
+        overwrite are tombstoned in the same transaction.
+        """
+        fragments, index = encode_fragments(refactored)
+        self.commit([(variable, fragments, index)])
         return index
 
     # -- load ----------------------------------------------------------------
 
-    def load(self, variable: str, lazy: bool = False):
+    def load(self, variable: str):
         """Reconstruct the :class:`Refactored` archived under *variable*.
 
-        The one-variable form of :meth:`load_dataset` (same trips, same
-        laziness); open several variables through that instead, so they
-        share its batched round trip.
+        The one-variable form of :meth:`load_dataset` (same trip); open
+        several variables through that instead, so they share it.
         """
-        return self.load_dataset([variable], lazy=lazy)[variable]
+        return self.load_dataset([variable])[variable]
 
-    def load_dataset(self, variables, lazy: bool = False) -> dict:
-        """Reload a set of archived variables, opening them as one batch.
+    def load_dataset(self, variables, lazy: bool = True) -> dict:
+        """Reopen a set of archived variables in one store round trip.
 
-        Every variable's index segment arrives in a single ``get_many``.
-        With ``lazy=False`` every fragment is then fetched up front (one
-        ``get`` each — the eager seed behavior).  With ``lazy=True`` the
-        same ``get_many`` also carries the small segments (PMGARD coarse
-        approximation and sign planes, any zero mask) that the store's
-        local listing names, while bitplane / snapshot payloads are
-        wired to a :class:`FragmentSource` and fetched on demand — a lazy
-        open is one store round trip for the whole dataset.  Once the
-        indexes parse they are the authority: a small segment the
-        listing missed costs a second trip, and a listing naming a
-        segment the store no longer holds falls back to an index-only
-        trip plus that second one.  Each returned object
-        carries its source as ``fragment_source`` so the retrieval
-        engine can batch-prefetch planned fragments.
+        One ``get_many`` carries every variable's index segment and the
+        small segments (PMGARD coarse approximation and sign planes, any
+        zero mask) that the store's local listing names; bitplane /
+        snapshot payloads are wired to a :class:`FragmentSource` and
+        fetched on demand.  Once the indexes parse they are the
+        authority: a small segment the listing missed costs a second
+        trip, and a listing naming a segment the store no longer holds
+        falls back to an index-only trip plus that second one.  Each
+        returned object carries its source as ``fragment_source`` so the
+        retrieval engine can batch-prefetch planned fragments.
 
         Every index is validated before anything is built: a malformed
-        one raises :class:`ArchiveIndexError`.
+        one raises :class:`ArchiveIndexError`.  *lazy* is accepted for
+        callers written against the former eager open; ``True`` is its
+        only value.
         """
+        if lazy is not True:
+            raise ValueError("an archive open is always lazy; the lazy keyword accepts only True")
         names = list(dict.fromkeys(variables))
         if not names:
             return {}
-        keys = [(name, INDEX_SEGMENT) for name in names]
-        fetched = self._open_trip(names, keys) if lazy else self.store.get_many(keys)
+        fetched = self._open_trip(names, [(name, INDEX_SEGMENT) for name in names])
         indexes = {
             name: _parse_index(name, fetched[(name, INDEX_SEGMENT)]) for name in names
         }
-        if lazy:
-            # the authority: a trip only for what the listing missed
-            prefetch_plans(
-                (self.source(name), _small_segments(index))
-                for name, index in indexes.items()
-            )
-        return {name: self._build(name, indexes[name], lazy) for name in names}
+        # the authority: a trip only for what the listing missed
+        prefetch_plans(
+            (self.source(name), _small_segments(index))
+            for name, index in indexes.items()
+        )
+        return {name: self._build(name, indexes[name]) for name in names}
 
     def _open_trip(self, names: list, keys: list) -> dict:
         """Fetch *keys* (the indexes) and the small segments in one trip.
@@ -709,37 +706,24 @@ class Archive:
             src.absorb({seg: fetched[(src.variable, seg)] for seg in wanted})
         return fetched
 
-    def _build(self, variable: str, index: dict, lazy: bool):
+    def _build(self, variable: str, index: dict):
+        source = self.source(variable)
         kind = index["kind"]
         if kind == "pmgard":
-            ref = self._load_pmgard(variable, index, lazy)
+            ref = self._load_pmgard(variable, index, source)
         else:
-            ref = self._load_snapshots(variable, index, kind, lazy)
+            ref = self._load_snapshots(index, kind, source)
         shape = index.get("zero_mask")
         if shape is not None:
-            payload = (
-                self.source(variable).get(ZERO_MASK_SEGMENT) if lazy
-                else self.store.get(variable, ZERO_MASK_SEGMENT)
+            ref.zero_mask = ZeroMask.from_payload(
+                source.get(ZERO_MASK_SEGMENT), tuple(shape), variable
             )
-            ref.zero_mask = ZeroMask.from_payload(payload, tuple(shape), variable)
+        ref.fragment_source = source
         return ref
 
-    def _load_snapshots(self, variable, index, kind, lazy=False):
+    @staticmethod
+    def _load_snapshots(index, kind, source):
         cls = PSZ3Refactored if kind == "psz3" else PSZ3DeltaRefactored
-        if not lazy:
-            blobs = [
-                SZ3Blob(self.store.get(variable, snapshot_segment(i)))
-                for i in range(index["num_snapshots"])
-            ]
-            tail = (
-                self.store.get(variable, LOSSLESS_SEGMENT)
-                if index["has_lossless"]
-                else None
-            )
-            return cls(
-                tuple(index["shape"]), index["ebs"], blobs, tail, SZ3Compressor()
-            )
-        source = self.source(variable)
         blobs = [
             _LazyBlob(source, snapshot_segment(i))
             for i in range(index["num_snapshots"])
@@ -749,18 +733,16 @@ class Archive:
         if index["has_lossless"]:
             tail = lambda: source.get(LOSSLESS_SEGMENT)  # noqa: E731
             tail_nbytes = source.size_of(LOSSLESS_SEGMENT)
-        ref = cls(
+        return cls(
             tuple(index["shape"]), index["ebs"], blobs, tail, SZ3Compressor(),
             lossless_nbytes=tail_nbytes,
         )
-        ref.fragment_source = source
-        return ref
 
-    def _load_pmgard(self, variable, index, lazy=False):
-        # lazily, the small segments — coarse approximation plus every
-        # level's signs — were absorbed by load_dataset's batched round
-        # trip; the (dominant) plane payloads stay behind the source
-        source = self.source(variable) if lazy else None
+    @staticmethod
+    def _load_pmgard(variable, index, source):
+        # the small segments — coarse approximation plus every level's
+        # signs — were absorbed by load_dataset's batched round trip;
+        # the (dominant) plane payloads stay behind the source
         streams = []
         for level, meta in enumerate(index["streams"]):
             if meta["exponent"] is None:
@@ -772,24 +754,11 @@ class Archive:
             window = meta.get("window")
             if window is not None:
                 window = (window[0], bytes.fromhex(window[1]))
-            if lazy:
-                streams.append(
-                    _LazyBitplaneStream(
-                        tuple(meta["shape"]), int(meta["exponent"]),
-                        meta["num_planes"], source.get(pmgard_signs_segment(level)),
-                        source, level, window,
-                    )
-                )
-                continue
-            signs = self.store.get(variable, pmgard_signs_segment(level))
-            planes = [
-                self.store.get(variable, pmgard_plane_segment(level, p))
-                for p in range(meta["num_planes"])
-            ]
             streams.append(
-                BitplaneStream(
+                _LazyBitplaneStream(
                     tuple(meta["shape"]), int(meta["exponent"]),
-                    meta["num_planes"], signs, planes, window,
+                    meta["num_planes"], source.get(pmgard_signs_segment(level)),
+                    source, level, window,
                 )
             )
         transform = MultilevelTransform(
@@ -803,21 +772,15 @@ class Archive:
             coarse=None,
             basis=index["basis"],
         )
-        coarse = (
-            source.get(COARSE_SEGMENT) if lazy
-            else self.store.get(variable, COARSE_SEGMENT)
-        )
         ref = PMGARDRefactored(
             decomp,
             streams,
-            coarse,
+            source.get(COARSE_SEGMENT),
             transform,
             index["backend"],
             coarse_shape=tuple(index["coarse_shape"]),
         )
         ref.variable = variable
-        if lazy:
-            ref.fragment_source = source
         return ref
 
     # -- bulk helpers ----------------------------------------------------------

@@ -26,9 +26,10 @@ processes — behind the ordinary
   of a key is unavailable does the read raise a typed
   :class:`~repro.storage.resilience.DegradedError`.
 * **Rebalancing.**  :meth:`ClusterFragmentStore.add_node` /
-  :meth:`ClusterFragmentStore.remove_node` stage a membership change;
-  :class:`Rebalancer` (the one background data mover of the storage
-  fabric) migrates fragments in coalesced byte-bounded batches.  Reads
+  :meth:`ClusterFragmentStore.remove_node` stage a membership change,
+  and the caller's :meth:`ClusterFragmentStore.rebalance` (a
+  :class:`Rebalancer` pass; no thread runs it) migrates fragments in
+  coalesced byte-bounded batches.  Reads
   stay correct mid-move via old-then-new placement lookup: until a migration finalizes, lookups
   consult the pre-change ring first (where the data is guaranteed to
   live) and the post-change ring as additional failover candidates, and
@@ -89,10 +90,6 @@ DEFAULT_BREAKER_COOLDOWN = 2.0
 #: Byte bound of one coalesced rebalance copy batch: keeps a large move
 #: from materializing in memory as one oversized request.
 REBALANCE_CHUNK_BYTES = 32 << 20
-
-#: Period of the background rebalance thread (it only acts while a
-#: membership change is staged).
-DEFAULT_REBALANCE_INTERVAL = 2.0
 
 
 def _digest(text: str) -> int:
@@ -729,11 +726,6 @@ class ClusterFragmentStore(FragmentStore):
         """Run one synchronous rebalance pass (see :class:`Rebalancer`)."""
         return self.rebalancer.run_once(chunk_bytes)
 
-    def start_rebalancer(self) -> "Rebalancer":
-        """Start the background rebalance thread (idempotent)."""
-        self.rebalancer.start()
-        return self.rebalancer
-
     # -- durability / aggregation ----------------------------------------------
 
     def compact(self) -> CompactionReport:
@@ -805,15 +797,14 @@ class ClusterFragmentStore(FragmentStore):
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the rebalance thread, the fan-out pool, and every node."""
-        self.rebalancer.stop()
+        """Stop the fan-out pool and close every node."""
         self._pool.shutdown(wait=True)
         for node in self._nodes:
             node.store.close()
 
 
 class Rebalancer:
-    """Background shard migration of one :class:`ClusterFragmentStore`.
+    """Shard migration of one :class:`ClusterFragmentStore`.
 
     One pass (:meth:`run_once`) copies every fragment a post-change
     owner lacks onto it in coalesced byte-bounded ``put_many`` batches
@@ -823,29 +814,14 @@ class Rebalancer:
     own their keys.
     A crash or node death anywhere mid-pass leaves the staged old+new
     lookup in place — every fragment stays readable and a retried pass
-    completes idempotently.  :meth:`start` runs passes on a daemon
-    thread every *interval* seconds (no-ops while no move is staged);
-    tests and benchmarks call :meth:`run_once` for determinism.
+    completes idempotently.  Nothing runs a pass on its own: a staged
+    membership change waits for the caller's
+    :meth:`ClusterFragmentStore.rebalance`.
     """
 
-    def __init__(
-        self,
-        cluster: ClusterFragmentStore,
-        chunk_bytes: int = REBALANCE_CHUNK_BYTES,
-        interval: float = DEFAULT_REBALANCE_INTERVAL,
-    ):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, cluster: ClusterFragmentStore, chunk_bytes: int = REBALANCE_CHUNK_BYTES):
         self.cluster = cluster
         self.chunk_bytes = int(chunk_bytes)
-        self.interval = float(interval)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def running(self) -> bool:
-        """Whether the background thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
 
     @staticmethod
     def _holds(node: _Node, variable: str, segment: str) -> bool | None:
@@ -974,29 +950,3 @@ class Rebalancer:
             "moved_bytes": moved_bytes,
             "dropped": dropped,
         }
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.run_once()
-            except Exception:
-                # a failed pass (node briefly unreachable) must not kill
-                # rebalancing; the staged rings keep reads correct and
-                # the next pass retries everything
-                continue
-
-    def start(self) -> None:
-        """Launch the rebalance thread (idempotent)."""
-        if not self.running:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-cluster-rebalance", daemon=True
-            )
-            self._thread.start()
-
-    def stop(self) -> None:
-        """Signal the thread to exit and join it."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None

@@ -336,7 +336,9 @@ class HTTPFragmentStore(FragmentStore):
     Opens by pulling the server's index once, so every metadata query
     (``has``/``segments``/``size_of``/``nbytes``) is answered locally;
     call :meth:`refresh` to re-pull after another writer changes the
-    archive.  :meth:`get_many` moves a whole batch in **one** request via
+    archive (a ``size_of`` miss re-pulls once by itself before it raises
+    ``KeyError``).  A request the server refuses with 404 still counts
+    as a round trip, with no reads.  :meth:`get_many` moves a whole batch in **one** request via
     the ``/batch`` endpoint (a ``get`` is a batch of one), and
     :meth:`transact` a whole write batch via ``/batch_put``.  Connections
     are per-thread and kept alive, so concurrent retrieval sessions don't
@@ -469,6 +471,26 @@ class HTTPFragmentStore(FragmentStore):
                     entry["variable"], entry["segment"], int(entry["nbytes"])
                 )
 
+    def size_of(self, variable: str, segment: str) -> int:
+        """Payload size of one fragment, re-pulling the index on a miss.
+
+        A key this snapshot lacks may have been written by another
+        client since the open (a re-save with more levels): one
+        :meth:`refresh` settles it before ``KeyError``.
+        """
+        try:
+            return super().size_of(variable, segment)
+        except KeyError:
+            self.refresh()
+            with self._stats_lock:
+                return super().size_of(variable, segment)
+
+    def _refused(self, status: int, payload: bytes, key=None) -> None:
+        """Raise for a refused read; a 404 still crossed the wire."""
+        if status == 404:
+            self._count_reads({})
+        self._raise_for(status, payload, key)
+
     # -- reads ----------------------------------------------------------------
 
     def get_range(self, variable: str, segment: str, start: int, stop: int) -> bytes:
@@ -482,7 +504,7 @@ class HTTPFragmentStore(FragmentStore):
             f"{API_PREFIX}/frag?{_frag_query(variable, segment)}",
             headers={"Range": f"bytes={int(start)}-{int(stop) - 1}"},
         )
-        self._raise_for(status, payload, key=(variable, segment))
+        self._refused(status, payload, key=(variable, segment))
         self._count_reads({(variable, segment): payload})
         return payload
 
@@ -495,7 +517,7 @@ class HTTPFragmentStore(FragmentStore):
         status, payloads = self._request(
             "POST", API_PREFIX + "/batch", body=body, frame_of=len(keys)
         )
-        self._raise_for(status, payloads, key=keys)
+        self._refused(status, payloads, key=keys)
         out = {key: bytes(payload) for key, payload in zip(keys, payloads)}
         self._count_reads(out)
         return out

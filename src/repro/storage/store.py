@@ -320,7 +320,7 @@ class FragmentStore:
         collide with the batch's keys.  On the WAL-backed disk store the
         whole transaction is a single fsync'd commit record, so a crash
         leaves either none or all of it — this is what makes
-        ``Archive.save`` (new fragments in, superseded segments out)
+        ``Archive.commit`` (new fragments in, superseded segments out)
         atomic.  Stores without cross-key atomicity (this in-memory one,
         the remote and composite backends) apply one batched put trip,
         then the deletes.
@@ -801,7 +801,7 @@ class ShardedDiskStore(FragmentStore):
         kill before the commit record leaves the store exactly as it was
         (the reopen discards the orphaned pack); a kill after it leaves
         the whole batch — never a torn mix, which is what makes an
-        ``Archive.save`` replacing a variable's segment set atomic.
+        ``Archive.commit`` replacing a variable's segment set atomic.
         Delete keys must exist and must not collide with the batch
         (ValueError); deleted and overwritten bytes stay on disk as
         dead bytes (invisible to the index) until :meth:`compact`.  The

@@ -2,7 +2,7 @@
 
 The guarantee, end to end: fields with random exact-zero sets and random
 QoI trees go ``refactor_dataset -> Archive.save_dataset ->
-load_dataset(lazy=True) -> QoIRetriever`` on memory, flat and sharded
+load_dataset -> QoIRetriever`` on memory, flat and sharded
 stores, and every answer is checked against the *originals* — true error
 <= reported bound <= tolerance, masked points exactly ``0.0``.  The
 format is additive: an archive written before the mask existed opens and
@@ -115,7 +115,7 @@ def test_guarantee_holds_through_the_archive_on_every_store(expr, seed, zeros, k
 
     with open_kind(kind) as store:
         Archive(store).save_dataset(refactored)
-        loaded = Archive(store).load_dataset(list(fields), lazy=True)
+        loaded = Archive(store).load_dataset(list(fields))
         for name in fields:
             mask, back = refactored[name].zero_mask, loaded[name].zero_mask
             assert (back is None) == (mask is None)
@@ -195,8 +195,7 @@ class TestFormatIsAdditive:
         )
 
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3_delta"])
-    @pytest.mark.parametrize("lazy", [True, False])
-    def test_archive_written_before_the_mask_opens_and_answers_as_it_did(self, method, lazy):
+    def test_archive_written_before_the_mask_opens_and_answers_as_it_did(self, method):
         """A walled variable archived by the parent has fragments and an
         index without the field: it loads with no mask and retrieves
         exactly what a mask-less representation retrieves."""
@@ -208,7 +207,7 @@ class TestFormatIsAdditive:
         old = FragmentStore()
         old.put_many([("x", segment, payload) for segment, payload in fragments])
         old.put("x", INDEX_SEGMENT, json.dumps(index).encode())
-        loaded = Archive(old).load("x", lazy=lazy)
+        loaded = Archive(old).load("x")
         assert loaded.zero_mask is None
         qoi = Sqrt(Var("x") ** 2 + 1.0)
         request = [QoIRequest("q", qoi, 1e-3, float(np.ptp(np.sqrt(data**2 + 1.0))))]
@@ -218,8 +217,7 @@ class TestFormatIsAdditive:
         )
 
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3", "psz3_delta"])
-    @pytest.mark.parametrize("lazy", [True, False])
-    def test_mask_round_trips_for_every_archivable_kind(self, method, lazy):
+    def test_mask_round_trips_for_every_archivable_kind(self, method):
         data = self.DATA.copy()
         data[::7] = 0.0
         (refactored,) = refactor_dataset({"x": data}, make_refactorer(method)).values()
@@ -227,7 +225,7 @@ class TestFormatIsAdditive:
         index = Archive(store).save("x", refactored)
         assert index["zero_mask"] == [40]
         assert store.get("x", ZERO_MASK_SEGMENT) == refactored.zero_mask.payload
-        back = Archive(store).load("x", lazy=lazy).zero_mask
+        back = Archive(store).load("x").zero_mask
         np.testing.assert_array_equal(back.mask, data == 0.0)
 
     def test_corrupt_mask_segment_fails_the_open_naming_the_variable(self):
@@ -237,7 +235,7 @@ class TestFormatIsAdditive:
         Archive(store).save_dataset(refactor_dataset({"x": data}, make_refactorer("pmgard_hb")))
         store.put("x", ZERO_MASK_SEGMENT, store.get("x", ZERO_MASK_SEGMENT)[:5])
         with pytest.raises(ValueError, match="'x'"):
-            Archive(store).load("x", lazy=True)
+            Archive(store).load("x")
 
 
 class TestMaskFollowsTheGeneration:

@@ -1,4 +1,4 @@
-"""Corrupt archived segments fail with one typed error, eager and lazy.
+"""Corrupt archived segments fail with one typed error.
 
 A PMGARD variable's plane, sign and coarse segments are untrusted bytes
 once they are on disk.  Whatever is wrong with one — a bad marker, a
@@ -65,15 +65,14 @@ def variable():
     return refactor_dataset({"vx": field}, make_refactorer("pmgard_hb"))["vx"]
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_a_corrupt_segment_raises_the_typed_error(tmp_path, variable, name, lazy):
+def test_a_corrupt_segment_raises_the_typed_error(tmp_path, variable, name):
     segment, damage, part = CORRUPTIONS[name]
     store = ShardedDiskStore(str(tmp_path / "ar"), fanout=4)
     Archive(store).save("vx", variable)
     store.put("vx", segment, damage(store.get("vx", segment)))
 
-    loaded = Archive(ShardedDiskStore(str(tmp_path / "ar"))).load("vx", lazy=lazy)
+    loaded = Archive(ShardedDiskStore(str(tmp_path / "ar"))).load("vx")
     reader = loaded.reader()
     with pytest.raises(CorruptSegmentError) as caught:
         reader.request(1e-12)  # every plane of every level, and the coarse level
@@ -88,10 +87,9 @@ def test_the_undamaged_archive_decodes(tmp_path, variable):
     """The control: the same archive, untouched, reads back exactly."""
     store = ShardedDiskStore(str(tmp_path / "ar"), fanout=4)
     Archive(store).save("vx", variable)
-    for lazy in (False, True):
-        loaded = Archive(ShardedDiskStore(str(tmp_path / "ar"))).load("vx", lazy=lazy)
-        expected = variable.reader().request(1e-12)
-        assert loaded.reader().request(1e-12).tobytes() == expected.tobytes()
+    loaded = Archive(ShardedDiskStore(str(tmp_path / "ar"))).load("vx")
+    expected = variable.reader().request(1e-12)
+    assert loaded.reader().request(1e-12).tobytes() == expected.tobytes()
 
 
 def test_inflation_stops_past_the_expected_length():

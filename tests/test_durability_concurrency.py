@@ -147,11 +147,12 @@ class TestConcurrentServiceIngest:
         service = RetrievalService.open(str(tmp_path / "ar"))
         service.ingest(base)
 
+        live = {}
+
         def ingester():
             for step in range(4):
-                service.ingest(
-                    {"live": rng.standard_normal((8, 8, 8))}, timestep=step
-                )
+                live[step] = rng.standard_normal((8, 8, 8))
+                service.ingest({"live": live[step]}, timestep=step)
 
         def retriever():
             for _ in range(4):
@@ -176,9 +177,13 @@ class TestConcurrentServiceIngest:
 
         stats = service.stats()
         assert stats.durability.compactions >= 6
-        # every ingested timestep is whole and loadable afterwards
-        for step in range(4):
-            service.archive.load(f"live@t{step:04d}", lazy=False)
+        # every ingested timestep is whole: decoded at the tightest bound,
+        # the original lies within the bound the reader reports
+        assert sorted(live) == [0, 1, 2, 3]
+        for step, data in live.items():
+            reader = service.archive.load(f"live@t{step:04d}").reader()
+            rec = reader.request(1e-300)
+            assert float(np.max(np.abs(rec - data))) <= reader.current_error_bound
         service.close()
 
 

@@ -9,8 +9,9 @@ Two layers of guarantee under test:
   state before or after the interrupted batch, never a torn mix.  The
   hypothesis suites replay randomized crash schedules (hundreds of
   distinct kill sites per run) through raw ``put_many``/``delete``
-  scripts, ``Archive.save``, the streaming ingest engine, and
-  compaction, on both disk layouts, and byte-compare every reopened
+  scripts, ``Archive.save``, the streaming ingest engine (a first
+  ingest and a re-ingest that supersedes segments), and compaction, on
+  both disk layouts, and byte-compare every reopened
   store against the set of legal states.
 * **Loud corruption** (the historical suite, kept at the bottom):
   payloads damaged below the store — truncated, bit-flipped, short-read
@@ -308,8 +309,10 @@ class TestCrashAtomicArchiveSave:
         else:
             assert got == state_new
         # whichever version survived must still decode end to end
-        loaded = Archive(reopened).load("v", lazy=False)
-        assert loaded.total_bytes == (old if got == state_old else new).total_bytes
+        survivor = old if got == state_old else new
+        loaded = Archive(reopened).load("v")
+        assert loaded.total_bytes == survivor.total_bytes
+        _assert_within_reported_bound(loaded, _field(6, seed=1 if survivor is old else 2))
         reopened.close()
 
 
@@ -317,6 +320,18 @@ def _field(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     axes = np.meshgrid(*([np.linspace(0, np.pi, n)] * 3), indexing="ij")
     return sum(np.sin(a) for a in axes) + 0.1 * rng.standard_normal((n, n, n))
+
+
+#: A bound below any representation's reach: the reader decodes all it has.
+TIGHTEST = 1e-300
+
+
+def _assert_within_reported_bound(refactored, data) -> None:
+    """Decode through the (lazy) reader at the tightest bound: the
+    original field lies within the bound the reader reports."""
+    reader = refactored.reader()
+    rec = reader.request(TIGHTEST)
+    assert float(np.max(np.abs(rec - data))) <= reader.current_error_bound
 
 
 class TestCrashAtomicIngest:
@@ -365,6 +380,68 @@ class TestCrashAtomicIngest:
         if not crashed:
             assert got == reference
         assert not set(got) - set(reference), "unexpected keys after recovery"
+        reopened.close()
+
+
+class TestCrashAtomicReingest:
+    """A killed re-ingest that supersedes segments tears no variable.
+
+    The re-ingest writes fewer planes per level, so every flush also
+    tombstones the old representation's surplus planes; each variable's
+    tombstones commit with its new fragments, so a kill anywhere leaves
+    each variable bit-identical to its old or its new state.
+    """
+
+    @pytest.mark.parametrize("layout,make", LAYOUTS)
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(kill_at=st.integers(0, 120))
+    def test_each_variable_is_old_or_new_bit_identical(
+        self, tmp_path_factory, layout, make, kill_at
+    ):
+        base = tmp_path_factory.mktemp(f"reingest-{layout}")
+        fields = {f"v{k}": _field(5, seed=k) for k in range(3)}
+        old = make_refactorer("pmgard_hb")
+        new = make_refactorer("pmgard_hb", num_planes=12)
+
+        def by_var(store) -> dict:
+            out = {name: {} for name in fields}
+            for key, payload in _contents(store).items():
+                out[key[0]][key] = payload
+            return out
+
+        # the two legal states of every variable, from a twin directory
+        twin = make(str(base / "twin"))
+        ingest_dataset(twin, fields, old, workers=0, flush_bytes=1)
+        state_old = by_var(twin)
+        report = ingest_dataset(twin, fields, new, workers=0, flush_bytes=1)
+        state_new = by_var(twin)
+        twin.close()
+        assert report.superseded > 0
+        assert all(state_old[name] != state_new[name] for name in fields)
+
+        root = str(base / "main")
+        store = make(root)
+        ingest_dataset(store, fields, old, workers=0, flush_bytes=1)
+        crashed = False
+        with inject(CrashSchedule(kill_at=kill_at)):
+            try:
+                ingest_dataset(store, fields, new, workers=0, flush_bytes=1)
+            except SimulatedCrash:
+                crashed = True
+
+        reopened = make(root)
+        got = by_var(reopened)
+        for name in fields:
+            assert got[name] in (state_old[name], state_new[name]), (
+                f"{layout}: crash at {kill_at} tore variable {name!r}"
+            )
+            _assert_within_reported_bound(Archive(reopened).load(name), fields[name])
+        if not crashed:
+            assert got == state_new
         reopened.close()
 
 
@@ -458,8 +535,8 @@ class TestFaultyStoreBudget:
             )
         reopened = DiskFragmentStore(str(tmp_path / "ar"))
         present = {key[0] for key in reopened.keys()}
-        for name in present:  # whatever landed is complete and loadable
-            Archive(reopened).load(name, lazy=False)
+        for name in present:  # whatever landed is complete and decodes
+            _assert_within_reported_bound(Archive(reopened).load(name), fields[name])
 
     def test_short_reads_fail_loudly_through_the_archive(self, tmp_path):
         inner = DiskFragmentStore(str(tmp_path / "ar"))
@@ -469,7 +546,7 @@ class TestFaultyStoreBudget:
         Archive(inner).save("v", refactored["v"])
         maimed = FaultyFragmentStore(inner, short_reads=7)
         with pytest.raises(Exception):
-            Archive(maimed).load("v", lazy=False)
+            Archive(maimed).load("v").reader().request(TIGHTEST)
 
 
 class TestCorruptedStreams:

@@ -1,6 +1,6 @@
 """A lazy dataset open is one store round trip, on every store.
 
-``Archive.load_dataset(names, lazy=True)`` picks each variable's small
+``Archive.load_dataset(names)`` picks each variable's small
 segments (PMGARD ``coarse`` and ``L<ll>_signs``, any ``zero_mask``) by
 name out of the store's local listing and fetches them in the same
 ``get_many`` as the indexes.  The parsed indexes stay the authority:
@@ -11,7 +11,10 @@ name out of the store's local listing and fetches them in the same
   readers then serve what a fresh open serves;
 * a listing that names a segment the store no longer holds (a mirror
   read after another client re-saved the variable) falls back to the
-  index-only trip, with no ``KeyError`` and no claim left pending.
+  index-only trip, with no ``KeyError`` and no claim left pending;
+* a mirror opened before another client re-saved a variable with more
+  levels re-pulls its listing at the first size it lacks, and answers
+  within the bound against the original data.
 """
 
 import contextlib
@@ -98,13 +101,12 @@ class TestListingMatchesIndex:
                 assert sorted(picked) == sorted(_small_segments(index))
 
             before = (backing.round_trips, backing.reads)
-            loaded = Archive(store).load_dataset(list(fields), lazy=True)
+            loaded = Archive(store).load_dataset(list(fields))
             small = sum(len(_small_segments(index)) for index in indexes.values())
             assert (backing.round_trips - before[0], backing.reads - before[1]) == (
                 1, len(fields) + small,
             )
-            eager = Archive(store).load_dataset(list(fields))
-            got, want = decoded(loaded, fields), decoded(eager, fields)
+            got, want = decoded(loaded, fields), decoded(refactored, fields)
             for name in fields:
                 assert np.array_equal(got[name][0], want[name][0])
                 assert got[name][1] == want[name][1]
@@ -140,11 +142,11 @@ class TestStaleListings:
         fresh.put_many((v, s, store.get(v, s)) for v, s in store.keys())
 
         before = store.round_trips
-        loaded = Archive(store).load_dataset(list(fields), lazy=True)
+        loaded = Archive(store).load_dataset(list(fields))
         assert store.round_trips - before == 2
         assert all(loaded[v].fragment_source.fetched(s) for v, s in hidden)
         got = decoded(loaded, fields)
-        want = decoded(Archive(fresh).load_dataset(list(fields), lazy=True), fields)
+        want = decoded(Archive(fresh).load_dataset(list(fields)), fields)
         for name in fields:
             assert np.array_equal(got[name][0], want[name][0])
             assert got[name][1] == want[name][1]
@@ -170,11 +172,29 @@ class TestStaleListings:
 
             archive = Archive(mirror)
             before = mirror.round_trips
-            ref = archive.load_dataset(["wave"], lazy=True)["wave"]
-            # the refused batch served nothing; then the indexes, then
-            # the small segments the new index names
-            assert mirror.round_trips - before == 2
+            ref = archive.load_dataset(["wave"])["wave"]
+            # the refused batch (a trip that served nothing), then the
+            # indexes, then the small segments the new index names
+            assert mirror.round_trips - before == 3
             assert len(ref.streams) == len(index["streams"])
             source = archive.source("wave")
             assert not source._pending
             assert all(source.fetched(s) for s in _small_segments(index))
+
+    def test_a_mirror_opened_before_a_resave_with_more_levels_answers_within_the_bound(self):
+        refactorer = make_refactorer("pmgard_hb")
+        long = dataset_fields(4000)["wave"]
+        with contextlib.ExitStack() as stack:
+            server = stack.enter_context(HTTPFragmentServer(FragmentStore()))
+            writer = stack.enter_context(HTTPFragmentStore.from_url(server.url))
+            Archive(writer).save("wave", refactorer.refactor(long[:300].copy()))
+            mirror = stack.enter_context(HTTPFragmentStore.from_url(server.url))
+            Archive(writer).save("wave", refactorer.refactor(long))
+            # the mirror's listing predates the finer levels
+            assert not mirror.has("wave", "L07_p00")
+            assert writer.has("wave", "L07_p00")
+
+            reader = Archive(mirror).load("wave").reader()
+            rec = reader.request(1e-4)
+            assert float(np.max(np.abs(rec - long))) <= 1e-4
+            assert mirror.has("wave", "L07_p00")  # the listing was re-pulled

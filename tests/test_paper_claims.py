@@ -339,8 +339,7 @@ def _vtot_session_bytes(dataset, refactored: dict) -> list:
     return trail
 
 
-@pytest.mark.parametrize("lazy", [True, False])
-def test_archive_without_measured_bounds_plans_as_before(ge_small, ge_small_refactored, lazy):
+def test_archive_without_measured_bounds_plans_as_before(ge_small, ge_small_refactored):
     """An index written before the measured coefficient bound — no
     ``window`` on any level — opens, plans and counts bytes exactly as
     PMGARD-HB did with ``2**(e - k)``: the trail pinned above before it."""
@@ -353,7 +352,7 @@ def test_archive_without_measured_bounds_plans_as_before(ge_small, ge_small_refa
         for meta in index["streams"]:
             meta.pop("window", None)
         store.put(name, INDEX_SEGMENT, json.dumps(index).encode())
-    loaded = archive.load_dataset(list(ge_small.fields), lazy=lazy)
+    loaded = archive.load_dataset(list(ge_small.fields))
     assert _vtot_session_bytes(ge_small, loaded) == [13_812, 17_015, 23_024, 29_370, 34_829]
 
 

@@ -344,7 +344,7 @@ def copy_store(store, into=None):
 def retrieve_over(store, setup, tolerance=1e-4, **retrieve_kwargs):
     fields, _, qoi, _, qrange, ranges = setup
     archive = Archive(store)
-    loaded = {name: archive.load(name, lazy=True) for name in fields}
+    loaded = {name: archive.load(name) for name in fields}
     retriever = QoIRetriever(loaded, ranges)
     request = QoIRequest("VTOT", qoi, tolerance, qrange)
     return retriever.retrieve([request], **retrieve_kwargs)

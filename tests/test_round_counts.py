@@ -108,7 +108,7 @@ class TestGeLadder:
         with ShardedDiskStore(str(tmp_path)) as store:
             Archive(store).save_dataset(refactored)
         with ShardedDiskStore(str(tmp_path)) as backing:
-            loaded = Archive(backing).load_dataset(list(fields), lazy=True)
+            loaded = Archive(backing).load_dataset(list(fields))
             assert backing.round_trips == 1
             rounds, _ = walk(QoIRetriever(loaded, ranges_of(fields)).session(), ge_ladder(fields))
             assert rounds == [2, 1, 1, 1]

@@ -82,7 +82,7 @@ class TestBatchedOpen:
     def test_pmgard_dataset_opens_in_one_batched_trip(self):
         fields = make_fields()
         store = archived(fields, ["pmgard_hb"] * 3)
-        loaded = Archive(store).load_dataset(FIELDS, lazy=True)
+        loaded = Archive(store).load_dataset(FIELDS)
         assert sorted(loaded) == sorted(FIELDS)
         assert store.count("get_many") == 1 and store.count("get") == 0
         assert store.round_trips == 1
@@ -100,7 +100,7 @@ class TestBatchedOpen:
     def test_every_kind_opens_in_the_index_trip(self, methods):
         fields = make_fields()
         store = archived(fields, methods)
-        loaded = Archive(store).load_dataset(FIELDS, lazy=True)
+        loaded = Archive(store).load_dataset(FIELDS)
         assert store.count("get_many") == 1 and store.count("get") == 0
         # every kind still reads correctly through its lazy source
         for name in FIELDS:
@@ -114,14 +114,14 @@ class TestBatchedOpen:
         archive = Archive(store)
         name = FIELDS[0]
         eb = float(np.ptp(fields[name])) * 1e-4
-        first = archive.load(name, lazy=True)
+        first = archive.load(name)
         assert store.count("get_many") == 1 and store.count("get") == 0
         assert np.max(np.abs(first.reader().request(eb) - fields[name])) <= eb
         # a re-save invalidates the memoized source: the next lazy load
         # must read (and serve) the new representation, not the old bytes
         replaced = fields[name][::-1].copy()
         archive.save(name, make_refactorer("pmgard_hb").refactor(replaced))
-        fresh = archive.load(name, lazy=True)
+        fresh = archive.load(name)
         assert fresh.fragment_source is not first.fragment_source
         assert np.max(np.abs(fresh.reader().request(eb) - replaced)) <= eb
 
@@ -135,7 +135,7 @@ def parent_fetch_set(store, ranges, requests_for):
     (``pipeline_depth=0``) recording both; returns the key set and the
     serial results (the bit-identity reference).
     """
-    loaded = Archive(store).load_dataset(FIELDS, lazy=True)
+    loaded = Archive(store).load_dataset(FIELDS)
     keys = set(store.keys_read())  # the open's index + coarse/sign segments
     original = PMGARDReader.request
 
@@ -184,7 +184,7 @@ class TestRoundCarriesItsSpeculation:
 
         store = archived(fields, ["pmgard_hb"] * 3)
         link = LatencyFragmentStore(store, latency=0.0005, bandwidth=50e6)
-        loaded = Archive(link).load_dataset(FIELDS, lazy=True)
+        loaded = Archive(link).load_dataset(FIELDS)
         session = QoIRetriever(loaded, ranges).session()  # default knobs
         piped = []
         for tol in LADDER:
@@ -219,7 +219,7 @@ class TestRoundCarriesItsSpeculation:
 
         def run():
             caching = CachingFragmentStore(store, cache)
-            loaded = Archive(caching).load_dataset(FIELDS, lazy=True)
+            loaded = Archive(caching).load_dataset(FIELDS)
             session = QoIRetriever(loaded, ranges).session()
             return [session.retrieve(requests_for(tol)) for tol in LADDER]
 

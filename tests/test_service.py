@@ -189,7 +189,7 @@ class TestRetrievalService:
         assert not [n for n in alive if n.startswith(("repro-fetch", "repro-scheduler"))]
         # and the answer is bit-identical to a serial, unwidened library session
         serial = QoIRetriever(
-            Archive(store).load_dataset(list(result.data), lazy=True),
+            Archive(store).load_dataset(list(result.data)),
             DatasetManifest.load_from(store).value_ranges(),
             pipeline_depth=0,
         ).retrieve([QoIRequest("VTOT", qoi, 1e-4, qrange)])

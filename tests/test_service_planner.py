@@ -434,10 +434,10 @@ def run_library_fleet(setup_data, ladders, delay_s=0.0):
     archive = Archive(cached)
     ranges = DatasetManifest.load_from(cached).value_ranges()
     for name in fields:
-        archive.load_dataset([name], lazy=True)
+        archive.load_dataset([name])
 
     def open_session(index):
-        loaded = archive.load_dataset(sorted(fields), lazy=True)
+        loaded = archive.load_dataset(sorted(fields))
         return QoIRetriever(loaded, ranges).session().retrieve
 
     return _drive_fleet(setup_data, ladders, open_session)

@@ -133,14 +133,13 @@ MALFORMED_INDEXES = [
 
 
 class TestMalformedIndex:
-    """A corrupt ``_index.json`` fails with one typed error, on both load modes."""
+    """A corrupt ``_index.json`` fails the open with one typed error."""
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     @pytest.mark.parametrize(
         "method, case, corrupt, field", MALFORMED_INDEXES,
         ids=[case for _, case, _, _ in MALFORMED_INDEXES],
     )
-    def test_raises_archive_index_error(self, method, case, corrupt, field, lazy):
+    def test_raises_archive_index_error(self, method, case, corrupt, field):
         import json
 
         from repro.storage import ArchiveIndexError
@@ -151,7 +150,7 @@ class TestMalformedIndex:
             corrupt = json.dumps(index).encode()
         store.put("v", "_index.json", corrupt)
         with pytest.raises(ArchiveIndexError) as caught:
-            Archive(store).load_dataset(["v"], lazy=lazy)
+            Archive(store).load_dataset(["v"])
         assert isinstance(caught.value, ValueError)
         assert caught.value.variable == "v"
         assert caught.value.field == field
@@ -159,11 +158,10 @@ class TestMalformedIndex:
         if field is not None:
             assert repr(field) in str(caught.value)
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     @pytest.mark.parametrize("method", METHODS)
-    def test_valid_indexes_pass(self, method, lazy):
+    def test_valid_indexes_pass(self, method):
         store, _ = _index_of(method)
-        reader = Archive(store).load_dataset(["v"], lazy=lazy)["v"].reader()
+        reader = Archive(store).load_dataset(["v"])["v"].reader()
         assert np.isfinite(reader.request(1e-3)).all()
 
 
@@ -214,39 +212,36 @@ class TestMalformedMeasuredBound:
         Archive(store).save("v", make_refactorer("pmgard_hb").refactor(data))
         return store, json.loads(store.get("v", "_index.json"))
 
-    def _assert_fails(self, store, index, field, lazy):
+    def _assert_fails(self, store, index, field):
         import json
 
         from repro.storage import ArchiveIndexError
 
         store.put("v", "_index.json", json.dumps(index).encode())
         with pytest.raises(ArchiveIndexError) as caught:
-            Archive(store).load_dataset(["v"], lazy=lazy)
+            Archive(store).load_dataset(["v"])
         assert caught.value.variable == "v"
         assert caught.value.field == field
         assert "'v'" in str(caught.value) and repr(field) in str(caught.value)
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     @pytest.mark.parametrize(
         "case, corrupt, name", MALFORMED_MEASURED, ids=[c for c, _, _ in MALFORMED_MEASURED]
     )
-    def test_raises_archive_index_error(self, case, corrupt, name, lazy):
+    def test_raises_archive_index_error(self, case, corrupt, name):
         store, index = self._store(field())
         assert all(isinstance(meta["window"], list) for meta in index["streams"])
         corrupt(index)
-        self._assert_fails(store, index, f"streams[0].{name}", lazy)
+        self._assert_fails(store, index, f"streams[0].{name}")
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
-    def test_window_on_a_2d_variable_raises(self, lazy):
+    def test_window_on_a_2d_variable_raises(self):
         """``kappa`` holds only for ``2**(e - k)`` with more than one axis."""
         store, index = self._store(np.random.default_rng(0).normal(size=(32, 32)))
         assert not any("window" in meta for meta in index["streams"])
         index["streams"][0]["window"] = [1, "80"]
-        self._assert_fails(store, index, "streams[0].window", lazy)
+        self._assert_fails(store, index, "streams[0].window")
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     @pytest.mark.parametrize("case", ["windows", "amax", "spread"])
-    def test_measured_fields_round_trip(self, case, lazy):
+    def test_measured_fields_round_trip(self, case):
         """Windows, and the largest magnitude of levels below ``2**-1000``,
         load back as written: the archived reader reports the same bounds.
         A level holding ``1e30`` beside a subnormal (``spread``) measures
@@ -266,7 +261,7 @@ class TestMalformedMeasuredBound:
             assert set(original.streams[0].window[1]) == {128}
         store = FragmentStore()
         Archive(store).save("v", original)
-        restored = Archive(store).load_dataset(["v"], lazy=lazy)["v"]
+        restored = Archive(store).load_dataset(["v"])["v"]
         for a, b in zip(original.streams, restored.streams):
             assert (a.window, a.amax) == (b.window, b.amax)
         for k in range(49):

@@ -34,7 +34,6 @@ from repro.storage.archive import Archive
 from repro.storage.cluster import (
     ClusterFragmentStore,
     HashRing,
-    Rebalancer,
 )
 from repro.storage.remote import HTTPFragmentServer
 from repro.storage.resilience import (
@@ -553,23 +552,21 @@ class TestRebalance:
                 assert node.store.get(*victim) == b"NEWER"
         cluster.close()
 
-    def test_background_rebalancer_thread_migrates(self):
+    def test_a_staged_change_waits_for_the_callers_rebalance(self):
+        """No thread moves data: a staged node stays staged, reads stay
+        correct, and the caller's ``rebalance`` finalizes it."""
         cluster, _ = make_cluster(2)
         payloads = self.payloads(67, 30)
         cluster.put_many([(v, s, p) for (v, s), p in payloads.items()])
-        cluster.rebalancer.interval = 0.02
-        cluster.start_rebalancer()
-        assert cluster.rebalancer.running
+        threads = {t.name for t in threading.enumerate()}
         cluster.add_node(FragmentStore())
-        deadline = threading.Event()
-        for _ in range(200):
-            if cluster.stats().rebalancing == 0:
-                break
-            deadline.wait(0.02)
+        assert cluster.stats().rebalancing == 1
+        assert {t.name for t in threading.enumerate()} <= threads
+        assert cluster.get_many(list(payloads)) == payloads
+        assert cluster.rebalance()["moved_fragments"] > 0
         assert cluster.stats().rebalancing == 0
         assert cluster.get_many(list(payloads)) == payloads
         cluster.close()
-        assert not cluster.rebalancer.running
 
     def test_rebalance_without_staged_change_is_a_noop(self):
         cluster, _ = make_cluster(2)
@@ -577,12 +574,6 @@ class TestRebalance:
         assert cluster.rebalance() == {
             "moved_fragments": 0, "moved_bytes": 0, "dropped": 0,
         }
-        cluster.close()
-
-    def test_rebalancer_rejects_bad_interval(self):
-        cluster, _ = make_cluster(2)
-        with pytest.raises(ValueError):
-            Rebalancer(cluster, interval=0.0)
         cluster.close()
 
 
@@ -834,17 +825,21 @@ class TestServiceIntegration:
         assert payload["cluster"]["per_node"]["node1"]["requests"] >= 0
         service.close()
 
-    def test_service_open_starts_cluster_rebalancer(self, tmp_path):
+    def test_service_open_over_a_cluster_leaves_rebalancing_to_the_caller(self, tmp_path):
         servers = [
             HTTPFragmentServer(ShardedDiskStore(str(tmp_path / f"n{i}"))).start()
             for i in range(2)
         ]
         try:
             service = RetrievalService.open(cluster_url(servers))
-            assert isinstance(service._inner, ClusterFragmentStore)
-            assert service._inner.rebalancer.running
+            cluster = service._inner
+            assert isinstance(cluster, ClusterFragmentStore)
+            cluster.put_many([(v, s, b"x" * 8) for v, s in keyset(89, 20)])
+            cluster.add_node(FragmentStore())
+            assert service.stats().cluster.rebalancing == 1
+            cluster.rebalance()
+            assert service.stats().cluster.rebalancing == 0
             service.close()
-            assert not service._inner.rebalancer.running
         finally:
             for server in servers:
                 server.stop()
