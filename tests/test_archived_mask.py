@@ -194,8 +194,9 @@ class TestFormatIsAdditive:
             self.PARENT_SEGMENTS[method] + [INDEX_SEGMENT]
         )
 
+    @pytest.mark.parametrize("kind", ["memory", "flat"])
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3_delta"])
-    def test_archive_written_before_the_mask_opens_and_answers_as_it_did(self, method):
+    def test_archive_written_before_the_mask_opens_and_answers_as_it_did(self, method, kind):
         """A walled variable archived by the parent has fragments and an
         index without the field: it loads with no mask and retrieves
         exactly what a mask-less representation retrieves."""
@@ -204,28 +205,29 @@ class TestFormatIsAdditive:
         refactored = make_refactorer(method).refactor(data)  # the parent's write path
         fragments, index = encode_fragments(refactored)
         assert "zero_mask" not in index
-        old = FragmentStore()
-        old.put_many([("x", segment, payload) for segment, payload in fragments])
-        old.put("x", INDEX_SEGMENT, json.dumps(index).encode())
-        loaded = Archive(old).load("x")
-        assert loaded.zero_mask is None
-        qoi = Sqrt(Var("x") ** 2 + 1.0)
-        request = [QoIRequest("q", qoi, 1e-3, float(np.ptp(np.sqrt(data**2 + 1.0))))]
-        ranges = {"x": float(np.ptp(data))}
-        assert outcome(QoIRetriever({"x": loaded}, ranges).retrieve(request)) == outcome(
-            QoIRetriever({"x": refactored}, ranges).retrieve(request)
-        )
+        with open_kind(kind) as old:
+            old.put_many([("x", segment, payload) for segment, payload in fragments])
+            old.put("x", INDEX_SEGMENT, json.dumps(index).encode())
+            loaded = Archive(old).load("x")
+            assert loaded.zero_mask is None
+            qoi = Sqrt(Var("x") ** 2 + 1.0)
+            request = [QoIRequest("q", qoi, 1e-3, float(np.ptp(np.sqrt(data**2 + 1.0))))]
+            ranges = {"x": float(np.ptp(data))}
+            assert outcome(QoIRetriever({"x": loaded}, ranges).retrieve(request)) == outcome(
+                QoIRetriever({"x": refactored}, ranges).retrieve(request)
+            )
 
+    @pytest.mark.parametrize("kind", ["memory", "flat"])
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3", "psz3_delta"])
-    def test_mask_round_trips_for_every_archivable_kind(self, method):
+    def test_mask_round_trips_for_every_archivable_kind(self, method, kind):
         data = self.DATA.copy()
         data[::7] = 0.0
         (refactored,) = refactor_dataset({"x": data}, make_refactorer(method)).values()
-        store = FragmentStore()
-        index = Archive(store).save("x", refactored)
-        assert index["zero_mask"] == [40]
-        assert store.get("x", ZERO_MASK_SEGMENT) == refactored.zero_mask.payload
-        back = Archive(store).load("x").zero_mask
+        with open_kind(kind) as store:
+            index = Archive(store).save("x", refactored)
+            assert index["zero_mask"] == [40]
+            assert store.get("x", ZERO_MASK_SEGMENT) == refactored.zero_mask.payload
+            back = Archive(store).load("x").zero_mask
         np.testing.assert_array_equal(back.mask, data == 0.0)
 
     def test_corrupt_mask_segment_fails_the_open_naming_the_variable(self):

@@ -5,7 +5,8 @@ once they are on disk.  Whatever is wrong with one — a bad marker, a
 body the backend cannot inflate, a body that inflates short or long —
 decoding raises :class:`~repro.encoding.bitplane.CorruptSegmentError`
 (a ``ValueError``) naming the variable, the level and the plane, never
-a bare NumPy or zlib exception and never a silent decode.
+a bare NumPy or zlib exception and never a silent decode, on either
+on-disk layout.
 """
 
 import zlib
@@ -18,7 +19,7 @@ from repro.core.retrieval import refactor_dataset
 from repro.encoding.bitplane import CorruptSegmentError, _decompress_segment
 from repro.encoding.lossless import ZlibBackend
 from repro.storage.archive import Archive
-from repro.storage.store import ShardedDiskStore
+from repro.storage.store import DiskFragmentStore, ShardedDiskStore, open_directory_store
 from repro.utils.fragment_keys import (
     COARSE_SEGMENT,
     pmgard_plane_segment,
@@ -65,14 +66,23 @@ def variable():
     return refactor_dataset({"vx": field}, make_refactorer("pmgard_hb"))["vx"]
 
 
+#: the two on-disk layouts: a flat directory, and one sharded four ways
+LAYOUTS = {
+    "flat": lambda root: DiskFragmentStore(root),
+    "sharded": lambda root: ShardedDiskStore(root, fanout=4),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_a_corrupt_segment_raises_the_typed_error(tmp_path, variable, name):
+def test_a_corrupt_segment_raises_the_typed_error(tmp_path, variable, name, layout):
     segment, damage, part = CORRUPTIONS[name]
-    store = ShardedDiskStore(str(tmp_path / "ar"), fanout=4)
+    root = str(tmp_path / "ar")
+    store = LAYOUTS[layout](root)
     Archive(store).save("vx", variable)
     store.put("vx", segment, damage(store.get("vx", segment)))
 
-    loaded = Archive(ShardedDiskStore(str(tmp_path / "ar"))).load("vx")
+    loaded = Archive(open_directory_store(root)).load("vx")
     reader = loaded.reader()
     with pytest.raises(CorruptSegmentError) as caught:
         reader.request(1e-12)  # every plane of every level, and the coarse level

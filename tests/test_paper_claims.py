@@ -32,7 +32,7 @@ from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
 from repro.data.datasets import S3D_PRODUCTS, TABLE3, load_dataset
 from repro.encoding.lossless import get_backend
 from repro.storage.archive import Archive
-from repro.storage.store import FragmentStore
+from repro.storage.store import DiskFragmentStore, FragmentStore, open_directory_store
 from repro.utils.fragment_keys import INDEX_SEGMENT
 from repro.transforms.multilevel import MultilevelTransform
 
@@ -339,20 +339,24 @@ def _vtot_session_bytes(dataset, refactored: dict) -> list:
     return trail
 
 
-def test_archive_without_measured_bounds_plans_as_before(ge_small, ge_small_refactored):
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_archive_without_measured_bounds_plans_as_before(
+    ge_small, ge_small_refactored, kind, tmp_path
+):
     """An index written before the measured coefficient bound — no
     ``window`` on any level — opens, plans and counts bytes exactly as
-    PMGARD-HB did with ``2**(e - k)``: the trail pinned above before it."""
-    store = FragmentStore()
-    archive = Archive(store)
-    archive.save_dataset(ge_small_refactored["pmgard_hb"])
+    PMGARD-HB did with ``2**(e - k)``: the trail pinned above before it,
+    in memory and from a directory opened anew."""
+    store = FragmentStore() if kind == "memory" else DiskFragmentStore(str(tmp_path))
+    Archive(store).save_dataset(ge_small_refactored["pmgard_hb"])
     for name in ge_small.fields:
         index = json.loads(store.get(name, INDEX_SEGMENT))
         assert any("window" in meta for meta in index["streams"])
         for meta in index["streams"]:
             meta.pop("window", None)
         store.put(name, INDEX_SEGMENT, json.dumps(index).encode())
-    loaded = archive.load_dataset(list(ge_small.fields))
+    reopened = store if kind == "memory" else open_directory_store(str(tmp_path))
+    loaded = Archive(reopened).load_dataset(list(ge_small.fields))
     assert _vtot_session_bytes(ge_small, loaded) == [13_812, 17_015, 23_024, 29_370, 34_829]
 
 

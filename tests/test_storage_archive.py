@@ -5,7 +5,7 @@ import pytest
 
 from repro.compressors.base import make_refactorer
 from repro.storage.archive import Archive
-from repro.storage.store import DiskFragmentStore, FragmentStore
+from repro.storage.store import DiskFragmentStore, FragmentStore, open_directory_store
 
 METHODS = ["psz3", "psz3_delta", "pmgard", "pmgard_hb"]
 
@@ -100,14 +100,25 @@ class TestBulkHelpers:
             Archive(store).load("v")
 
 
-def _index_of(method):
-    """An archive holding one 32x32 variable, and its index as a dict."""
+@pytest.fixture(params=["memory", "disk"])
+def stores(request, tmp_path):
+    """``(store, reopen)``: a fresh store to write, and how to open it
+    anew — the same object in memory, a second handle on disk that
+    replays the directory's commit log before the archive opens."""
+    if request.param == "memory":
+        store = FragmentStore()
+        return store, lambda: store
+    root = str(tmp_path / "ar")
+    return DiskFragmentStore(root), lambda: open_directory_store(root)
+
+
+def _index_of(method, store):
+    """Save one 32x32 variable into *store*; its index as a dict."""
     import json
 
     rng = np.random.default_rng(0)
-    store = FragmentStore()
     Archive(store).save("v", make_refactorer(method).refactor(rng.normal(size=(32, 32))))
-    return store, json.loads(store.get("v", "_index.json"))
+    return json.loads(store.get("v", "_index.json"))
 
 
 def _last_stream(key, value):
@@ -133,24 +144,26 @@ MALFORMED_INDEXES = [
 
 
 class TestMalformedIndex:
-    """A corrupt ``_index.json`` fails the open with one typed error."""
+    """A corrupt ``_index.json`` fails the open with one typed error, in
+    memory and from a directory opened anew."""
 
     @pytest.mark.parametrize(
         "method, case, corrupt, field", MALFORMED_INDEXES,
         ids=[case for _, case, _, _ in MALFORMED_INDEXES],
     )
-    def test_raises_archive_index_error(self, method, case, corrupt, field):
+    def test_raises_archive_index_error(self, method, case, corrupt, field, stores):
         import json
 
         from repro.storage import ArchiveIndexError
 
-        store, index = _index_of(method)
+        store, reopen = stores
+        index = _index_of(method, store)
         if callable(corrupt):
             corrupt(index)
             corrupt = json.dumps(index).encode()
         store.put("v", "_index.json", corrupt)
         with pytest.raises(ArchiveIndexError) as caught:
-            Archive(store).load_dataset(["v"])
+            Archive(reopen()).load_dataset(["v"])
         assert isinstance(caught.value, ValueError)
         assert caught.value.variable == "v"
         assert caught.value.field == field
@@ -159,9 +172,10 @@ class TestMalformedIndex:
             assert repr(field) in str(caught.value)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_valid_indexes_pass(self, method):
-        store, _ = _index_of(method)
-        reader = Archive(store).load_dataset(["v"])["v"].reader()
+    def test_valid_indexes_pass(self, method, stores):
+        store, reopen = stores
+        _index_of(method, store)
+        reader = Archive(reopen()).load_dataset(["v"])["v"].reader()
         assert np.isfinite(reader.request(1e-3)).all()
 
 
@@ -205,21 +219,21 @@ class TestMalformedMeasuredBound:
     """The measured-bound fields fail the open like any other index field."""
 
     @staticmethod
-    def _store(data):
+    def _index(store, data):
         import json
 
-        store = FragmentStore()
         Archive(store).save("v", make_refactorer("pmgard_hb").refactor(data))
-        return store, json.loads(store.get("v", "_index.json"))
+        return json.loads(store.get("v", "_index.json"))
 
-    def _assert_fails(self, store, index, field):
+    def _assert_fails(self, stores, index, field):
         import json
 
         from repro.storage import ArchiveIndexError
 
+        store, reopen = stores
         store.put("v", "_index.json", json.dumps(index).encode())
         with pytest.raises(ArchiveIndexError) as caught:
-            Archive(store).load_dataset(["v"])
+            Archive(reopen()).load_dataset(["v"])
         assert caught.value.variable == "v"
         assert caught.value.field == field
         assert "'v'" in str(caught.value) and repr(field) in str(caught.value)
@@ -227,21 +241,21 @@ class TestMalformedMeasuredBound:
     @pytest.mark.parametrize(
         "case, corrupt, name", MALFORMED_MEASURED, ids=[c for c, _, _ in MALFORMED_MEASURED]
     )
-    def test_raises_archive_index_error(self, case, corrupt, name):
-        store, index = self._store(field())
+    def test_raises_archive_index_error(self, case, corrupt, name, stores):
+        index = self._index(stores[0], field())
         assert all(isinstance(meta["window"], list) for meta in index["streams"])
         corrupt(index)
-        self._assert_fails(store, index, f"streams[0].{name}")
+        self._assert_fails(stores, index, f"streams[0].{name}")
 
-    def test_window_on_a_2d_variable_raises(self):
+    def test_window_on_a_2d_variable_raises(self, stores):
         """``kappa`` holds only for ``2**(e - k)`` with more than one axis."""
-        store, index = self._store(np.random.default_rng(0).normal(size=(32, 32)))
+        index = self._index(stores[0], np.random.default_rng(0).normal(size=(32, 32)))
         assert not any("window" in meta for meta in index["streams"])
         index["streams"][0]["window"] = [1, "80"]
-        self._assert_fails(store, index, "streams[0].window")
+        self._assert_fails(stores, index, "streams[0].window")
 
     @pytest.mark.parametrize("case", ["windows", "amax", "spread"])
-    def test_measured_fields_round_trip(self, case):
+    def test_measured_fields_round_trip(self, case, stores):
         """Windows, and the largest magnitude of levels below ``2**-1000``,
         load back as written: the archived reader reports the same bounds.
         A level holding ``1e30`` beside a subnormal (``spread``) measures
@@ -259,9 +273,9 @@ class TestMalformedMeasuredBound:
             assert all(s.exponent is None and s.amax > 0.0 for s in original.streams)
         else:
             assert set(original.streams[0].window[1]) == {128}
-        store = FragmentStore()
+        store, reopen = stores
         Archive(store).save("v", original)
-        restored = Archive(store).load_dataset(["v"])["v"]
+        restored = Archive(reopen()).load_dataset(["v"])["v"]
         for a, b in zip(original.streams, restored.streams):
             assert (a.window, a.amax) == (b.window, b.amax)
         for k in range(49):
