@@ -46,7 +46,9 @@ accepts either a directory path or a store URL — ``file://``,
 ``HTTPFragmentServer``), ``tiered://fast?slow=...`` (the tiered
 fabric), or ``cluster://host:port,host:port?replicas=2`` (the scale-out
 fabric; see ``docs/storage.md`` and ``docs/cluster.md`` for the
-grammars).
+grammars).  Retries and circuit breakers are set in that URL too
+(``http://host:port?retries=4&breaker=5``; on ``tiered://`` they guard
+the slow tier, on ``cluster://`` each node).
 
 QoI specs: ``identity`` (1 field), ``vtot`` (3 fields), ``temperature``
 (pressure, density), ``mach`` (5 fields), ``product`` (>= 2 fields).
@@ -176,30 +178,8 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _resilience_from_args(args):
-    """Build the (RetryPolicy, CircuitBreaker) pair from --retry/--breaker.
-
-    Either may be None (flag left at 0 = disabled); callers hand the pair
-    to :func:`~repro.storage.resilience.wrap_with_resilience`.
-    """
-    from repro.storage.resilience import CircuitBreaker, RetryPolicy
-
-    retry = RetryPolicy(attempts=args.retry) if args.retry else None
-    breaker = (
-        CircuitBreaker(
-            failure_threshold=args.breaker, cooldown=args.breaker_cooldown
-        )
-        if args.breaker
-        else None
-    )
-    return retry, breaker
-
-
 def _cmd_retrieve(args) -> int:
     store, manifest = _load_manifest(args.archive)
-    from repro.storage.resilience import wrap_with_resilience
-
-    store = wrap_with_resilience(store, *_resilience_from_args(args))
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
     qoi = build_qoi(args.qoi, fields)
     missing = [f for f in fields if f not in manifest.variables]
@@ -375,10 +355,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.storage.resilience import wrap_with_resilience
-
     store = open_store(args.archive)
-    store = wrap_with_resilience(store, *_resilience_from_args(args))
     service = RetrievalService(
         store,
         cache_bytes=int(args.cache_mb) << 20,
@@ -583,14 +560,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_ret.add_argument("--qoi-range", type=float, default=1.0,
                        help="QoI value range; 1.0 means --tolerance is absolute")
     p_ret.add_argument("--out", required=True, help="output directory")
-    p_ret.add_argument("--retry", type=int, default=0,
-                       help="store attempts per operation under transient "
-                            "faults (0 disables retries)")
-    p_ret.add_argument("--breaker", type=int, default=0,
-                       help="circuit-breaker failure threshold for the store "
-                            "(0 disables the breaker)")
-    p_ret.add_argument("--breaker-cooldown", type=float, default=5.0,
-                       help="seconds an open breaker waits before probing")
     p_ret.add_argument("--deadline-ms", type=float, default=None,
                        help="retrieval wall-time budget; on expiry the best "
                             "bounds achieved so far are returned (degraded)")
@@ -617,14 +586,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--client-rate", type=float, default=None,
                          help="per-client token-bucket rate in requests/s "
                               "(default: unlimited)")
-    p_serve.add_argument("--retry", type=int, default=0,
-                         help="store attempts per operation under transient "
-                              "faults (0 disables retries)")
-    p_serve.add_argument("--breaker", type=int, default=0,
-                         help="circuit-breaker failure threshold for the "
-                              "backing store (0 disables the breaker)")
-    p_serve.add_argument("--breaker-cooldown", type=float, default=5.0,
-                         help="seconds an open breaker waits before probing")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_stats = sub.add_parser(

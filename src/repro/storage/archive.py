@@ -53,7 +53,7 @@ from repro.utils.fragment_keys import (
     small_segments_in,
     snapshot_segment,
 )
-from repro.storage.store import FragmentStore
+from repro.storage.store import FragmentStore, transact_dropping_vanished
 from repro.transforms.multilevel import MultilevelDecomposition, MultilevelTransform
 
 
@@ -605,15 +605,7 @@ class Archive:
             stale.extend(
                 (variable, s) for s in self.store.segments(variable) if s not in keep
             )
-        while True:
-            try:
-                self.store.transact(puts, stale)
-                break
-            except KeyError:
-                kept = [key for key in stale if self.store.has(*key)]
-                if len(kept) == len(stale):
-                    raise  # not a vanished tombstone: nothing to shrink
-                stale = kept
+        stale = transact_dropping_vanished(self.store, puts, stale)
         for variable, _, _ in entries:
             self.invalidate_source(variable)
         return len(stale)

@@ -333,7 +333,7 @@ class CachingFragmentStore(StoreWrapper):
         so a re-saved fragment can never serve its old payload from the
         cache (see :meth:`FragmentCache.invalidate`).
         """
-        batch = self._check_batch(puts)
+        batch, _ = self._check_batch(puts)
         doomed = list(deletes)
         self.inner.transact(batch, doomed)
         self.cache.invalidate_many([(v, s) for v, s, _ in batch] + doomed)

@@ -629,17 +629,11 @@ class ClusterFragmentStore(FragmentStore):
         (one WAL commit record on the disk-backed servers); cross-node
         atomicity is not promised — a failed node's deletes fail the
         whole call so a stale replica can never survive silently.
-        Delete keys must exist and must not collide with the batch.
+        The whole transaction is checked against the cluster's index
+        (:meth:`_check_batch`) before any node sees it.
         """
-        batch = self._check_batch(puts)
-        doomed = list(dict.fromkeys((str(v), str(s)) for v, s in deletes))
-        overlap = {(v, s) for v, s, _ in batch} & set(doomed)
-        if overlap:
-            raise ValueError(f"keys both written and deleted: {sorted(overlap)}")
         with self._mutate_lock:
-            missing = [k for k in doomed if k not in self._sizes]
-            if missing:
-                raise KeyError(missing[0] if len(missing) == 1 else missing)
+            batch, doomed = self._check_batch(puts, deletes)
             if batch or doomed:
                 self._replicate(batch, doomed)
             with self._stats_lock:

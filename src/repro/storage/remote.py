@@ -10,15 +10,17 @@ composes over:
 * :class:`HTTPFragmentServer` / :class:`HTTPFragmentStore` — an
   in-process HTTP object-store server over any local
   :class:`~repro.storage.store.FragmentStore`, and the client that
-  speaks to it.  The wire protocol is five endpoints (index, single
-  fragment read with HTTP ``Range`` support, a coalesced ``/batch`` read
-  moving a whole fragment set in **one** round trip, its write-side
-  mirror ``/batch_put``, and delete), so a batched retrieval round
-  — or a batched ingestion flush — costs one HTTP request however many
-  fragments it spans, the same economy the pipelined engines exploit
-  locally.  The two batch bodies are :mod:`repro.utils.wire` frames (a
-  JSON header line, then raw payloads), parsed by the same bounded
-  reader as the retrieval service's protocol.
+  speaks to it.  Fragments move over two endpoints: a coalesced
+  ``/batch`` read moving a whole fragment set in **one** round trip,
+  and its write-side mirror ``/batch_put``, which carries a whole
+  transaction (puts and tombstones) in one request; the index,
+  durability and compaction routes complete the protocol.  So a
+  batched retrieval round — or an ingestion flush, or an archive
+  commit — costs one HTTP request however many fragments it spans,
+  the same economy the pipelined engines exploit locally.  The two
+  batch bodies are :mod:`repro.utils.wire` frames (a JSON header line,
+  then raw payloads), parsed by the same bounded reader as the
+  retrieval service's protocol.
 * :class:`KeyValueFragmentStore` — adapts any object with S3-style
   bucket semantics (:class:`ObjectBucket`: get/put/delete/list by string
   key) to the fragment-store interface.  :class:`InMemoryObjectBucket`
@@ -37,7 +39,7 @@ import http.server
 import json
 import threading
 from typing import Protocol, runtime_checkable
-from urllib.parse import parse_qs, quote, unquote, urlparse
+from urllib.parse import quote, unquote, urlparse
 
 from dataclasses import asdict
 
@@ -58,10 +60,6 @@ API_PREFIX = "/v1"
 # ---------------------------------------------------------------------------
 # HTTP object-store server
 # ---------------------------------------------------------------------------
-
-
-def _frag_query(variable: str, segment: str) -> str:
-    return f"variable={quote(variable, safe='')}&segment={quote(segment, safe='')}"
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
@@ -116,13 +114,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         )
         return None
 
-    def _key(self) -> tuple | None:
-        query = parse_qs(urlparse(self.path).query)
-        try:
-            return unquote(query["variable"][0]), unquote(query["segment"][0])
-        except (KeyError, IndexError):
-            self._send_json(400, {"error": "variable and segment are required"})
-            return None
+    def _send_missing(self, exc: KeyError) -> None:
+        """Refuse a batch with 404 listing every key *exc* names."""
+        missing = exc.args[0] if exc.args else []
+        self._send_json(
+            404, {"error": "missing fragments", "missing": [list(k) for k in missing]}
+        )
 
     def _route(self) -> str:
         return urlparse(self.path).path
@@ -130,7 +127,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     # -- verbs ----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        """Serve the index listing or one (optionally ranged) fragment."""
+        """Serve the index listing or the durability counters."""
         route = self._route()
         if route == API_PREFIX + "/index":
             fragments = [
@@ -142,43 +139,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         if route == API_PREFIX + "/durability":
             self._send_json(200, asdict(self._store.durability()))
             return
-        if route == API_PREFIX + "/frag":
-            key = self._key()
-            if key is None:
-                return
-            try:
-                payload = self._store.get(*key)
-            except KeyError:
-                self._send_json(404, {"error": "no such fragment", "key": list(key)})
-                return
-            span = self._range(len(payload))
-            if span is None:
-                self._send(200, [payload])
-            else:
-                start, stop = span
-                self.send_response(206)
-                self.send_header("Content-Type", "application/octet-stream")
-                self.send_header(
-                    "Content-Range", f"bytes {start}-{stop - 1}/{len(payload)}"
-                )
-                self.send_header("Content-Length", str(stop - start))
-                self.end_headers()
-                self.wfile.write(payload[start:stop])
-            return
         self._send_json(404, {"error": f"no route {route!r}"})
-
-    def _range(self, total: int) -> tuple | None:
-        """Parse a ``Range: bytes=a-b`` header into a clamped [a, b+1) span."""
-        header = self.headers.get("Range", "")
-        if not header.startswith("bytes="):
-            return None
-        start_s, _, stop_s = header[len("bytes="):].partition("-")
-        try:
-            start = int(start_s)
-            stop = int(stop_s) + 1 if stop_s else total
-        except ValueError:
-            return None
-        return max(0, start), min(stop, total)
 
     def do_POST(self) -> None:  # noqa: N802
         """Serve ``/batch`` (coalesced read) and ``/batch_put`` (coalesced write).
@@ -192,11 +153,14 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         contract.
 
         ``/batch_put`` is the mirror image: one frame whose header holds
-        ``keys`` (and ``lengths``), stored with a single inner
-        ``put_many`` — so a whole ingestion flush costs one HTTP round
-        trip and one index append.  Both routes refuse a missing,
-        negative or over-limit ``Content-Length`` with a 400 before
-        reading a byte of the body.
+        ``keys`` (and ``lengths``) and, when the transaction tombstones
+        anything, ``deletes`` (``[[variable, segment], ...]``), applied
+        with a single inner ``transact`` — so a whole ingestion flush or
+        archive commit costs one HTTP round trip and one index append.
+        A delete key the store lacks refuses the whole transaction with
+        404 listing every missing key; a malformed header is a 400.
+        Both routes refuse a missing, negative or over-limit
+        ``Content-Length`` with a 400 before reading a byte of the body.
         """
         route = self._route()
         if route == API_PREFIX + "/batch_put":
@@ -222,10 +186,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         try:
             payloads = self._store.get_many(keys)
         except KeyError as exc:
-            missing = exc.args[0] if exc.args else []
-            self._send_json(
-                404, {"error": "missing fragments", "missing": [list(k) for k in missing]}
-            )
+            self._send_missing(exc)
             return
         self._send(200, frame_parts({}, [payloads[k] for k in dict.fromkeys(keys)]))
 
@@ -239,6 +200,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             keys = [(str(v), str(s)) for v, s in header["keys"]]
             if len(keys) != len(payloads):
                 raise ValueError("keys/lengths mismatch")
+            deletes = [(str(v), str(s)) for v, s in header.get("deletes", ())]
         except ConnectionError:
             self.close_connection = True  # the client hung up mid-body
             return
@@ -247,25 +209,17 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             self._send_json(400, {"error": f"malformed batch_put request: {exc}"},
                             close=isinstance(exc, FrameError))
             return
-        self._store.put_many(
-            [(v, s, bytes(p)) for (v, s), p in zip(keys, payloads)]
-        )
-        self._send_json(200, {"stored": len(keys)})
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        """Delete one fragment (404 when absent)."""
-        if self._route() != API_PREFIX + "/frag":
-            self._send_json(404, {"error": f"no route {self._route()!r}"})
-            return
-        key = self._key()
-        if key is None:
-            return
         try:
-            self._store.delete(*key)
-        except KeyError:
-            self._send_json(404, {"error": "no such fragment", "key": list(key)})
+            self._store.transact(
+                [(v, s, bytes(p)) for (v, s), p in zip(keys, payloads)], deletes
+            )
+        except KeyError as exc:
+            self._send_missing(exc)
             return
-        self._send_json(200, {"deleted": True})
+        except ValueError as exc:
+            self._send_json(400, {"error": f"refused batch_put: {exc}"})
+            return
+        self._send_json(200, {"stored": len(keys)})
 
 
 class HTTPFragmentServer:
@@ -338,9 +292,10 @@ class HTTPFragmentStore(FragmentStore):
     call :meth:`refresh` to re-pull after another writer changes the
     archive (a ``size_of`` miss re-pulls once by itself before it raises
     ``KeyError``).  A request the server refuses with 404 still counts
-    as a round trip, with no reads.  :meth:`get_many` moves a whole batch in **one** request via
-    the ``/batch`` endpoint (a ``get`` is a batch of one), and
-    :meth:`transact` a whole write batch via ``/batch_put``.  Connections
+    as a round trip, with no reads.  :meth:`get_many` moves a whole
+    batch in **one** request via the ``/batch`` endpoint (a ``get`` is
+    a batch of one), and :meth:`transact` a whole transaction, puts and
+    tombstones, via ``/batch_put``.  Connections
     are per-thread and kept alive, so concurrent retrieval sessions don't
     serialize on a shared socket; a stale keep-alive (server restarted,
     idle socket reaped) is re-dialed transparently exactly once per
@@ -493,21 +448,6 @@ class HTTPFragmentStore(FragmentStore):
 
     # -- reads ----------------------------------------------------------------
 
-    def get_range(self, variable: str, segment: str, start: int, stop: int) -> bytes:
-        """Fetch ``payload[start:stop]`` via an HTTP ``Range`` request.
-
-        The one read a batch cannot express: one round trip, one
-        fragment, only the ranged bytes counted.
-        """
-        status, payload = self._request(
-            "GET",
-            f"{API_PREFIX}/frag?{_frag_query(variable, segment)}",
-            headers={"Range": f"bytes={int(start)}-{int(stop) - 1}"},
-        )
-        self._refused(status, payload, key=(variable, segment))
-        self._count_reads({(variable, segment): payload})
-        return payload
-
     def get_many(self, keys) -> dict:
         """Fetch a whole batch in one ``/batch`` HTTP round trip."""
         keys = list(dict.fromkeys((v, s) for v, s in keys))
@@ -525,34 +465,45 @@ class HTTPFragmentStore(FragmentStore):
     # -- writes ---------------------------------------------------------------
 
     def transact(self, puts, deletes=()) -> None:
-        """Store the puts in one ``/batch_put`` round trip, then delete.
+        """Send the whole transaction in one ``/batch_put`` round trip.
 
-        Each delete is its own request (``KeyError`` when the server
-        does not hold the key); atomicity is the server-side store's,
-        per request.
+        Checked against the local index snapshot first
+        (:meth:`_check_batch`); the server applies puts and tombstones
+        with one ``transact`` of its store, so a transaction is as
+        atomic as that store makes it.  When the server refuses
+        tombstones for keys it no longer holds (another writer removed
+        them), those keys leave the snapshot before the ``KeyError``
+        naming them is raised — so a caller that retries without them
+        (``Archive.commit``) sees them gone.
         """
-        batch = self._check_batch(puts)
-        if batch:
-            parts = frame_parts(
-                {"keys": [[v, s] for v, s, _ in batch]}, [p for _, _, p in batch]
-            )
-            status, answer = self._request(
-                "POST", API_PREFIX + "/batch_put", body=parts,
-                headers={"Content-Length": str(sum(len(p) for p in parts))},
-            )
+        with self._stats_lock:
+            batch, doomed = self._check_batch(puts, deletes)
+        if not batch and not doomed:
+            return
+        header = {"keys": [[v, s] for v, s, _ in batch]}
+        if doomed:
+            header["deletes"] = [list(key) for key in doomed]
+        parts = frame_parts(header, [p for _, _, p in batch])
+        status, answer = self._request(
+            "POST", API_PREFIX + "/batch_put", body=parts,
+            headers={"Content-Length": str(sum(len(p) for p in parts))},
+        )
+        try:
             self._raise_for(status, answer)
+        except KeyError as exc:
             with self._stats_lock:
-                for variable, segment, payload in batch:
-                    self._record_put(variable, segment, len(payload))
+                for key in exc.args[0] or ():
+                    if key in self._sizes:
+                        self._record_delete(*key)
+            raise
+        with self._stats_lock:
+            for variable, segment, payload in batch:
+                self._record_put(variable, segment, len(payload))
+            for key in doomed:
+                if key in self._sizes:
+                    self._record_delete(*key)
+        if batch:
             self._count_writes(batch)
-        for variable, segment in deletes:
-            status, answer = self._request(
-                "DELETE", f"{API_PREFIX}/frag?{_frag_query(variable, segment)}"
-            )
-            self._raise_for(status, answer, key=(variable, segment))
-            with self._stats_lock:
-                if (variable, segment) in self._sizes:
-                    self._record_delete(variable, segment)
 
     # -- durability -----------------------------------------------------------
 
@@ -702,8 +653,13 @@ class KeyValueFragmentStore(FragmentStore):
             self._record_put(variable, segment, int(nbytes))
 
     def transact(self, puts, deletes=()) -> None:
-        """Write the puts (one bucket round trip when it batches), then delete."""
-        batch = self._check_batch(puts)
+        """Write the puts (one bucket round trip when it batches), then delete.
+
+        The whole transaction is checked (:meth:`_check_batch`) before
+        the bucket sees any of it.
+        """
+        with self._stats_lock:
+            batch, doomed = self._check_batch(puts, deletes)
         if batch:
             put_objects = getattr(self.bucket, "put_objects", None)
             trips = 1
@@ -717,9 +673,7 @@ class KeyValueFragmentStore(FragmentStore):
                 for variable, segment, payload in batch:
                     self._record_put(variable, segment, len(payload))
             self._count_writes(batch, trips)
-        for variable, segment in deletes:
-            if (variable, segment) not in self._sizes:
-                raise KeyError((variable, segment))
+        for variable, segment in doomed:
             self.bucket.delete_object(object_key(variable, segment))
             with self._stats_lock:
                 self._record_delete(variable, segment)

@@ -56,7 +56,6 @@ __all__ = [
     "ResilientStore",
     "TokenBucket",
     "policy_from_params",
-    "wrap_with_resilience",
 ]
 
 
@@ -446,10 +445,15 @@ class ResilientStore(StoreWrapper):
     ``ServiceStats`` and the metrics exporter.
 
     Retry safety: fragment reads are pure; puts rewrite identical
-    payloads (idempotent); a delete replayed across an ambiguous failure
-    can report ``KeyError`` for work the first attempt already did —
-    callers treating delete-of-absent as success (the tiering layer
-    does) are unaffected.
+    payloads (idempotent); a tombstone replayed across an ambiguous
+    failure can report ``KeyError`` for work the first attempt already
+    did, which a caller that shrinks its tombstone list and retries
+    (``Archive.commit``) absorbs.
+
+    A store URL configures this wrapper: ``http://…?retries=4&breaker=5``
+    wraps the client, ``tiered://…?slow=…&retries=…`` wraps the slow
+    tier (keeping degraded reads), and a ``cluster://`` URL wraps each
+    of its nodes (:func:`policy_from_params`).
     """
 
     def __init__(
@@ -526,33 +530,3 @@ def policy_from_params(params: dict, prefix: str = ""):
         )
     return retry, breaker
 
-
-def wrap_with_resilience(
-    store: FragmentStore,
-    retry: RetryPolicy | None = None,
-    breaker: CircuitBreaker | None = None,
-) -> FragmentStore:
-    """Apply retry/breaker to *store* in the most useful place.
-
-    A :class:`~repro.storage.tiered.TieredStore` gets its **slow tier**
-    wrapped in place — that is the fragile backend, and keeping the
-    tiered store outermost preserves its degraded-read behavior.  A
-    :class:`~repro.storage.cluster.ClusterFragmentStore` is returned
-    unchanged: it already wraps every node in its own
-    :class:`ResilientStore` + breaker, and an outer wrapper would defeat
-    per-node failover by retrying the whole fan-out.  Any other store is
-    wrapped whole.  With neither *retry* nor *breaker*, returns *store*
-    unchanged.
-    """
-    if retry is None and breaker is None:
-        return store
-    from repro.storage.cluster import ClusterFragmentStore
-    from repro.storage.tiered import TieredStore
-
-    if isinstance(store, ClusterFragmentStore):
-        return store
-    if isinstance(store, TieredStore):
-        if not isinstance(store.slow, ResilientStore):
-            store.slow = ResilientStore(store.slow, retry=retry, breaker=breaker)
-        return store
-    return ResilientStore(store, retry=retry, breaker=breaker)

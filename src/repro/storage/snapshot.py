@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.store import FragmentStore, open_store
+from repro.storage.store import FragmentStore, open_store, transact_dropping_vanished
 
 #: Default payload bytes per copy batch: large enough to amortize a
 #: remote round trip, small enough to bound peak memory.
@@ -132,9 +132,10 @@ def snapshot_store(
     in batches of about *chunk_bytes* payload — one ``get_many`` plus
     one ``put_many`` per batch, which on the WAL-backed disk stores
     makes every batch one crash-atomic commit.  With *delete_extra* the
-    destination's fragments absent from the source are deleted after the
-    copy (tombstoned on disk stores), converging the destination to the
-    source's exact key set.  With *skip_same_size* fragments whose
+    destination's fragments absent from the source are tombstoned after
+    the copy, in one ``transact`` (one commit, one request on a remote
+    destination), converging the destination to the source's exact key
+    set.  With *skip_same_size* fragments whose
     destination copy already has the source's size are not re-copied —
     the cheap resume heuristic for re-running an interrupted snapshot
     (sizes match ≠ bytes match; keep ``verify=True`` when it matters).
@@ -149,14 +150,9 @@ def snapshot_store(
         report = _copy(src, dst, int(chunk_bytes), bool(skip_same_size))
         if delete_extra:
             src_keys = set(src.keys())
-            for key in dst.keys():
-                if key not in src_keys:
-                    try:
-                        dst.delete(*key)
-                    except KeyError:
-                        pass  # deleted concurrently
-                    else:
-                        report.deleted += 1
+            extras = [key for key in dst.keys() if key not in src_keys]
+            if extras:
+                report.deleted = len(transact_dropping_vanished(dst, [], extras))
         if verify:
             _verify(src, dst, int(chunk_bytes), report)
             if report.mismatched:

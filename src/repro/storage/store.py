@@ -248,22 +248,33 @@ class FragmentStore:
             self.puts += len(batch)
             self.bytes_written += sum(len(payload) for _, _, payload in batch)
 
-    @staticmethod
-    def _check_batch(items) -> list:
-        """Validate and materialize a batch of puts.
+    def _check_batch(self, puts, deletes=()) -> tuple:
+        """Validate a whole transaction before any of it is applied.
 
-        *items* is an iterable of ``(variable, segment, payload)``
-        triples; payload types are checked for the whole batch before
-        anything is written, so a bad entry never leaves a partial batch
-        behind.  Duplicate keys keep their order (last write wins, as
-        with repeated ``put`` calls).
+        Returns ``(batch, doomed)``: the materialized ``(variable,
+        segment, payload)`` puts (duplicate keys keep their order: last
+        write wins, as with repeated ``put`` calls) and the deduplicated
+        delete keys.  A non-bytes payload is a ``TypeError``, a key both
+        written and deleted a ``ValueError``, and delete keys this
+        store's index lacks are all named in one ``KeyError``.  A
+        wrapper passes no *deletes* (its index is ``inner``'s) and so
+        checks payload types only; a store with an index calls this
+        under the lock its writers hold.
         """
         batch = []
-        for variable, segment, payload in items:
+        for variable, segment, payload in puts:
             if not isinstance(payload, (bytes, bytearray)):
                 raise TypeError("fragment payload must be bytes")
             batch.append((variable, segment, bytes(payload)))
-        return batch
+        doomed = list(dict.fromkeys((v, s) for v, s in deletes))
+        if doomed:
+            overlap = {(v, s) for v, s, _ in batch}.intersection(doomed)
+            if overlap:
+                raise ValueError(f"keys both written and deleted: {sorted(overlap)}")
+            missing = [key for key in doomed if key not in self._sizes]
+            if missing:
+                raise KeyError(missing)
+        return batch, doomed
 
     def _record_put(self, variable: str, segment: str, nbytes: int) -> None:
         """Fold one archived fragment into the running index totals."""
@@ -317,26 +328,25 @@ class FragmentStore:
         written in order (duplicate keys: last write wins) and accounted
         as one write round trip; *deletes* is an iterable of ``(variable,
         segment)`` keys, which must exist (``KeyError``) and must not
-        collide with the batch's keys.  On the WAL-backed disk store the
+        collide with the batch's keys (``ValueError``).  Every store
+        checks the whole transaction (:meth:`_check_batch`) before it
+        applies any of it, and every composite or remote store hands
+        each backend one ``transact``.  On the WAL-backed disk store the
         whole transaction is a single fsync'd commit record, so a crash
         leaves either none or all of it — this is what makes
         ``Archive.commit`` (new fragments in, superseded segments out)
-        atomic.  Stores without cross-key atomicity (this in-memory one,
-        the remote and composite backends) apply one batched put trip,
-        then the deletes.
+        atomic.
         """
-        batch = self._check_batch(puts)
         with self._stats_lock:  # payloads and totals move together
+            batch, doomed = self._check_batch(puts, deletes)
             for variable, segment, payload in batch:
                 self._data[(variable, segment)] = payload
                 self._record_put(variable, segment, len(payload))
             if batch:
                 self._count_writes(batch)
-            for variable, segment in deletes:
-                if (variable, segment) not in self._sizes:
-                    raise KeyError((variable, segment))
-                self._data.pop((variable, segment), None)
-                self._record_delete(variable, segment)
+            for key in doomed:
+                del self._data[key]
+                self._record_delete(*key)
 
     # -- derived from the primitives -------------------------------------------
 
@@ -427,6 +437,27 @@ class FragmentStore:
         self.close()
 
 
+def transact_dropping_vanished(store: FragmentStore, puts: list, deletes) -> list:
+    """``store.transact(puts, deletes)``, minus tombstones another writer took.
+
+    A ``KeyError`` after which *store* no longer holds some delete keys
+    (a concurrent writer removed them first) drops those keys and
+    retries; one that names nothing vanished is re-raised.  Every store
+    checks a transaction before applying any of it, so a refused
+    attempt leaves nothing behind.  Returns the deletes committed.
+    """
+    deletes = list(deletes)
+    while True:
+        try:
+            store.transact(puts, deletes)
+            return deletes
+        except KeyError:
+            kept = [key for key in deletes if store.has(*key)]
+            if len(kept) == len(deletes):
+                raise
+            deletes = kept
+
+
 def _forwarded(name: str):
     def method(self, *args):
         return self._forward(getattr(self.inner, name), *args)
@@ -470,7 +501,7 @@ class StoreWrapper(FragmentStore):
 
     def transact(self, puts, deletes=()) -> None:
         """Hand the whole transaction to *inner* in one call, keeping its atomicity."""
-        batch = self._check_batch(puts)
+        batch, _ = self._check_batch(puts)
         self._forward(self.inner.transact, batch, list(deletes))
         if batch:
             self._count_writes(batch)
@@ -802,25 +833,16 @@ class ShardedDiskStore(FragmentStore):
         (the reopen discards the orphaned pack); a kill after it leaves
         the whole batch — never a torn mix, which is what makes an
         ``Archive.commit`` replacing a variable's segment set atomic.
-        Delete keys must exist and must not collide with the batch
-        (ValueError); deleted and overwritten bytes stay on disk as
-        dead bytes (invisible to the index) until :meth:`compact`.  The
-        batch holds the writer lock but takes the reader lock only for
-        the index update, so concurrent reads never stall behind the
-        pack write.
+        The whole transaction is checked (:meth:`_check_batch`) under the
+        writer lock, which every index change holds; deleted and
+        overwritten bytes stay on disk as dead bytes (invisible to the
+        index) until :meth:`compact`.  The batch holds the writer lock
+        but takes the reader lock only for the index update, so
+        concurrent reads never stall behind the pack write.
         """
-        batch = self._check_batch(puts)
-        payloads = {(v, s): p for v, s, p in batch}  # last write wins
-        doomed = list(dict.fromkeys((str(v), str(s)) for v, s in deletes))
-        overlap = set(payloads) & set(doomed)
-        if overlap:
-            raise ValueError(f"keys both written and deleted: {sorted(overlap)}")
         with self._write_lock:
-            if doomed:
-                with self._lock:
-                    missing = [k for k in doomed if k not in self._index]
-                if missing:
-                    raise KeyError(missing[0] if len(missing) == 1 else missing)
+            batch, doomed = self._check_batch(puts, deletes)
+            payloads = {(v, s): p for v, s, p in batch}  # last write wins
             placed: dict = {}
             if payloads:
                 txn, placed = self._write_pack(payloads, self._log.fsync_payloads)

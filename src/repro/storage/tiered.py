@@ -215,37 +215,31 @@ class TieredStore(FragmentStore):
     # -- writes ----------------------------------------------------------------
 
     def transact(self, puts, deletes=()) -> None:
-        """Store a batch on both tiers, then delete from both.
+        """Commit a batch on both tiers: one ``transact`` per tier.
 
-        The batch lands on the fast tier with one ``put_many`` and on the
-        slow tier with one more, so the durable copy exists before this
-        call returns and an ingestion flush costs one round trip per
-        tier, never one per fragment.  Each *deletes* key is then
-        removed from every tier holding it.  Everything runs under one
-        mutation-lock hold, so concurrent writers of one key leave both
-        tiers agreeing; per-tier WAL atomicity is that of the underlying
-        stores' own operations (the slow tier sees one ``put_many``
-        record plus one tombstone record per delete).
+        The whole transaction is checked against the union index
+        (:meth:`_check_batch`) first.  Then the fast tier and the slow
+        tier each receive one ``transact`` carrying every put and the
+        tombstones of the keys that tier holds, so the durable copy
+        exists before this call returns, an ingestion flush costs one
+        round trip per tier, and each tier applies its share of the
+        commit atomically (one WAL record on a disk tier).  Everything
+        runs under one mutation-lock hold, so concurrent writers of one
+        key leave both tiers agreeing.
         """
-        batch = self._check_batch(puts)
         with self._mutate_lock:
+            batch, doomed = self._check_batch(puts, deletes)
+            for tier in (self.fast, self.slow):
+                held = [key for key in doomed if tier.has(*key)]
+                if batch or held:
+                    tier.transact(batch, held)
+            with self._stats_lock:
+                for variable, segment, payload in batch:
+                    self._record_put(variable, segment, len(payload))
+                for key in doomed:
+                    self._record_delete(*key)
             if batch:
-                self.fast.put_many(batch)
-                self.slow.put_many(batch)
-                with self._stats_lock:
-                    for variable, segment, payload in batch:
-                        self._record_put(variable, segment, len(payload))
                 self._count_writes(batch)
-            for variable, segment in deletes:
-                if (variable, segment) not in self._sizes:
-                    raise KeyError((variable, segment))
-                for tier in (self.fast, self.slow):
-                    try:
-                        tier.delete(variable, segment)
-                    except KeyError:
-                        pass  # a fast-only or slow-only key
-                with self._stats_lock:
-                    self._record_delete(variable, segment)
 
     # -- durability ------------------------------------------------------------
 

@@ -187,7 +187,7 @@ class LatencyFragmentStore(StoreWrapper):
         Only the puts are charged (and only when ``write_latency`` is
         set); tombstones are metadata-sized.
         """
-        batch = self._check_batch(puts)
+        batch, _ = self._check_batch(puts)
         self.inner.transact(batch, deletes)
         if batch:
             if self.write_latency is not None:

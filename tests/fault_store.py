@@ -53,7 +53,10 @@ class CrashSchedule:
 
     With ``kill_at=None`` the schedule only traces — run the operation
     once to learn ``trace`` (the ordered kill-point names it visits),
-    then replay with ``kill_at`` drawn from ``range(len(trace))``.
+    then replay with ``kill_at`` drawn from ``range(len(trace))``.  A
+    killed process stays dead: every visit after *kill_at* dies too, so
+    nothing the writer still had in flight (an HTTP client's re-dial of
+    the request the kill cut off) can land after the kill.
     """
 
     def __init__(self, kill_at: int | None = None):
@@ -63,7 +66,7 @@ class CrashSchedule:
     def __call__(self, point: str) -> None:
         visit = len(self.trace)
         self.trace.append(point)
-        if self.kill_at is not None and visit == self.kill_at:
+        if self.kill_at is not None and visit >= self.kill_at:
             raise SimulatedCrash(f"killed at {point!r} (visit {visit})")
 
 
@@ -212,7 +215,7 @@ class FaultyFragmentStore(StoreWrapper):
         and one per delete, each checked just before it reaches the
         inner store.
         """
-        batch = self._check_batch(puts)
+        batch, _ = self._check_batch(puts)
         if batch:
             self._spend(batch=batch)
             self.inner.put_many(batch)

@@ -22,6 +22,8 @@ The crash harness lives in ``tests/fault_store.py``; see
 ``docs/durability.md`` for the protocol being exercised.
 """
 
+import contextlib
+import http.client
 import zlib
 
 import numpy as np
@@ -45,6 +47,7 @@ from repro.encoding.bytecodec import encode_ints
 from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.lossless import get_backend
 from repro.storage.archive import Archive
+from repro.storage.remote import HTTPFragmentServer, HTTPFragmentStore
 from repro.storage.store import DiskFragmentStore, ShardedDiskStore
 from test_storage_store import read_tree
 
@@ -389,10 +392,14 @@ class TestCrashAtomicReingest:
     The re-ingest writes fewer planes per level, so every flush also
     tombstones the old representation's surplus planes; each variable's
     tombstones commit with its new fragments, so a kill anywhere leaves
-    each variable bit-identical to its old or its new state.
+    each variable bit-identical to its old or its new state.  The
+    ``http`` axis re-ingests through an HTTP client into a sharded
+    store behind an in-process server: the kill lands in the server,
+    which stays dead, so the client's one re-dial of the dropped
+    request cannot finish the commit either.
     """
 
-    @pytest.mark.parametrize("layout,make", LAYOUTS)
+    @pytest.mark.parametrize("layout,make", [*LAYOUTS, ("http", LAYOUTS[1][1])])
     @settings(
         max_examples=20,
         deadline=None,
@@ -426,12 +433,18 @@ class TestCrashAtomicReingest:
         root = str(base / "main")
         store = make(root)
         ingest_dataset(store, fields, old, workers=0, flush_bytes=1)
-        crashed = False
-        with inject(CrashSchedule(kill_at=kill_at)):
-            try:
-                ingest_dataset(store, fields, new, workers=0, flush_bytes=1)
-            except SimulatedCrash:
-                crashed = True
+        schedule = CrashSchedule(kill_at=kill_at)
+        with contextlib.ExitStack() as stack:
+            if layout == "http":
+                server = stack.enter_context(HTTPFragmentServer(store))
+                store = stack.enter_context(HTTPFragmentStore(*server.address))
+            with inject(schedule):
+                try:
+                    ingest_dataset(store, fields, new, workers=0, flush_bytes=1)
+                except (SimulatedCrash, ConnectionError, http.client.HTTPException):
+                    if len(schedule.trace) <= kill_at:
+                        raise  # no kill fired: a real failure
+        crashed = len(schedule.trace) > kill_at
 
         reopened = make(root)
         got = by_var(reopened)

@@ -221,6 +221,17 @@ class TestDurabilityOverURLSchemes:
         assert set(dst.keys()) == set(fragments)
         dst.close()
 
+        # behind HTTP the extras leave in one write request: the restore
+        # commits its copy batch, then every tombstone in one transaction
+        served = ShardedDiskStore(str(tmp_path / "served"), fanout=4)
+        served.put_many([("extra", f"e{i}", b"junk") for i in range(3)])
+        with HTTPFragmentServer(served) as server:
+            commits = served.durability().wal_commits
+            report = restore_store(src_url, server.url)
+            assert served.durability().wal_commits - commits == 2
+        assert report.deleted == 3 and served.durability().tombstones == 3
+        assert set(served.keys()) == set(fragments)
+
 
 class TestLayoutAutoDetection:
     def test_plain_path_reopens_sharded_layout(self, tmp_path):

@@ -26,9 +26,9 @@ from repro.storage.resilience import (
     RetryPolicy,
     TokenBucket,
     is_transient,
-    wrap_with_resilience,
 )
-from repro.storage.store import FragmentStore
+from repro.storage.remote import HTTPFragmentServer, HTTPFragmentStore
+from repro.storage.store import FragmentStore, open_store
 from repro.storage.tiered import TieredStore
 from test_service import archive_into, make_fields
 
@@ -256,16 +256,22 @@ class TestResilientStore:
         assert out == {("v", "s0"): b"abc", ("v", "s1"): b"defg"}
         assert store.bytes_read == 7
 
-    def test_wrap_with_resilience_targets_the_slow_tier(self):
-        tiered = TieredStore(FragmentStore(), seeded_store(s0=b"abc"))
-        wrapped = wrap_with_resilience(tiered, RetryPolicy(attempts=2), None)
-        assert wrapped is tiered
+    def test_url_resilience_targets_the_slow_tier(self):
+        tiered = open_store("tiered://?slow=memory://&retries=2")
+        assert isinstance(tiered, TieredStore)
         assert isinstance(tiered.slow, ResilientStore)
-        plain = FragmentStore()
-        assert wrap_with_resilience(plain, None, None) is plain
-        assert isinstance(
-            wrap_with_resilience(plain, RetryPolicy(), None), ResilientStore
-        )
+        assert tiered.slow.retry.attempts == 2 and tiered.slow.breaker is None
+        assert type(open_store("tiered://?slow=memory://").slow) is FragmentStore
+        with HTTPFragmentServer(seeded_store(s0=b"abc")) as server:
+            plain = open_store(server.url)
+            wrapped = open_store(server.url + "?retries=4&breaker=5")
+            assert type(plain) is HTTPFragmentStore
+            assert isinstance(wrapped, ResilientStore)
+            assert wrapped.retry.attempts == 4
+            assert wrapped.breaker.failure_threshold == 5
+            assert wrapped.get("v", "s0") == b"abc"
+            plain.close()
+            wrapped.close()
 
 
 class TestDegradedTieredReads:

@@ -37,12 +37,11 @@ from repro.storage.cluster import (
 )
 from repro.storage.remote import HTTPFragmentServer
 from repro.storage.resilience import (
-    CircuitBreaker,
     DegradedError,
     FaultStoreError,
     ResilienceStats,
+    ResilientStore,
     RetryPolicy,
-    wrap_with_resilience,
 )
 from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
 
@@ -296,12 +295,14 @@ class TestClusterStoreBasics:
         assert cluster.get("v", "old") == b"seeded"
         cluster.close()
 
-    def test_wrap_with_resilience_returns_cluster_unchanged(self):
-        cluster, _ = make_cluster(2)
-        wrapped = wrap_with_resilience(
-            cluster, RetryPolicy(attempts=5), CircuitBreaker()
-        )
-        assert wrapped is cluster  # per-node wrappers already inside
+    def test_url_resilience_wraps_each_node_not_the_cluster(self):
+        cluster = open_store("cluster://?nodes=memory://,memory://&retries=5&breaker=3")
+        assert type(cluster) is ClusterFragmentStore
+        for node in cluster._nodes:  # per-node wrappers, one breaker each
+            assert isinstance(node.store, ResilientStore)
+            assert node.store.retry.attempts == 5
+            assert node.store.breaker.failure_threshold == 3
+        assert cluster._nodes[0].store.breaker is not cluster._nodes[1].store.breaker
         cluster.close()
 
 

@@ -1,9 +1,13 @@
 """Tests for the remote backends: HTTP object store and key-value adapter."""
 
+import contextlib
 import threading
 
+import numpy as np
 import pytest
 
+from repro.compressors.base import make_refactorer
+from repro.storage.archive import Archive, encode_fragments
 from repro.storage.remote import (
     HTTPFragmentServer,
     HTTPFragmentStore,
@@ -14,6 +18,7 @@ from repro.storage.remote import (
     object_key,
 )
 from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
+from repro.utils.fragment_keys import INDEX_SEGMENT
 
 
 @pytest.fixture
@@ -72,12 +77,6 @@ class TestHTTPFragmentStore:
         assert ("nope", "x") in exc.value.args[0]
         assert ("nope", "y") in exc.value.args[0]
 
-    def test_ranged_get(self, http_pair):
-        _, _, client = http_pair
-        payload = bytes(range(256)) * 8
-        assert client.get_range("v", "big", 10, 30) == payload[10:30]
-        assert client.get_range("v", "big", 2000, 10**6) == payload[2000:]
-
     def test_put_writes_through_to_server(self, http_pair):
         inner, _, client = http_pair
         client.put("new", "s0", b"fresh")
@@ -92,6 +91,25 @@ class TestHTTPFragmentStore:
         assert not inner.has("new", "s0")
         with pytest.raises(KeyError):
             client.delete("new", "s0")
+
+    def test_puts_and_tombstones_travel_in_one_request(self, http_pair):
+        inner, _, client = http_pair
+        before = client.put_round_trips, inner.put_round_trips
+        client.transact([("new", "s0", b"fresh")], [("pressure", "level0/plane3"), ("v", "big")])
+        assert (client.put_round_trips, inner.put_round_trips) == (before[0] + 1, before[1] + 1)
+        assert sorted(inner.keys()) == [("a/b..c", "s:1"), ("new", "s0")]
+        assert sorted(client.keys()) == sorted(inner.keys())
+        assert client.nbytes() == inner.nbytes()
+
+    def test_refused_tombstones_leave_the_server_and_the_snapshot_consistent(self, http_pair):
+        inner, _, client = http_pair
+        inner.delete("v", "big")  # another writer took it; the snapshot still lists it
+        with pytest.raises(KeyError) as exc:
+            client.transact([("new", "s0", b"fresh")], [("v", "big"), ("a/b..c", "s:1")])
+        assert exc.value.args[0] == [("v", "big")]
+        assert not inner.has("new", "s0") and inner.has("a/b..c", "s:1")  # nothing applied
+        assert not client.has("v", "big") and not client.has("new", "s0")
+        assert client.nbytes() == inner.nbytes()
 
     def test_refresh_sees_server_side_writes(self, http_pair):
         inner, server, client = http_pair
@@ -271,3 +289,44 @@ class TestConnectionReuse:
                 assert store.get("v", "s0") == b"abc"
             finally:
                 store.close()
+
+
+class TestOneTransactionPerCommit:
+    """An archive commit over HTTP is one server-side transaction."""
+
+    @staticmethod
+    def wave(n=4000):
+        t = np.linspace(0, 9, n)
+        return 40 * np.sin(t) + np.random.default_rng(3).normal(size=n)
+
+    def test_a_resave_is_one_server_side_transaction(self, tmp_path):
+        disk = ShardedDiskStore(str(tmp_path / "ar"))
+        with HTTPFragmentServer(disk) as server, HTTPFragmentStore.from_url(server.url) as client:
+            archive = Archive(client)
+            archive.save("wave", make_refactorer("pmgard_hb").refactor(self.wave()))
+            commits = disk.durability().wal_commits
+            fewer = make_refactorer("pmgard_hb", num_planes=12).refactor(self.wave())
+            fragments, index = encode_fragments(fewer)
+            assert archive.commit([("wave", fragments, index)]) == 396
+            assert disk.durability().wal_commits - commits == 1
+            assert sorted(disk.segments("wave")) == sorted(client.segments("wave"))
+            assert len(client.segments("wave")) == len(fragments) + 1
+
+    def test_a_commit_drops_a_tombstone_another_client_took(self):
+        with contextlib.ExitStack() as stack:
+            server = stack.enter_context(HTTPFragmentServer(FragmentStore()))
+            first = stack.enter_context(HTTPFragmentStore.from_url(server.url))
+            second = stack.enter_context(HTTPFragmentStore.from_url(server.url))
+            Archive(first).save("wave", make_refactorer("pmgard_hb").refactor(self.wave()))
+            second.refresh()
+            fewer = make_refactorer("pmgard_hb", num_planes=12).refactor(self.wave())
+            fragments, index = encode_fragments(fewer)
+            keep = {segment for segment, _ in fragments} | {INDEX_SEGMENT}
+            stale = [s for s in first.segments("wave") if s not in keep]
+            second.delete("wave", stale[0])  # first's listing still names it
+            assert Archive(first).commit([("wave", fragments, index)]) == len(stale) - 1
+            second.refresh()
+            assert set(second.segments("wave")) == set(first.segments("wave")) == keep
+            reader = Archive(second).load("wave").reader()
+            restored = reader.request(1e-300)  # as tight as the 12 planes go
+            assert float(np.max(np.abs(restored - self.wave()))) <= reader.current_error_bound

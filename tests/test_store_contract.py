@@ -34,10 +34,6 @@ from repro.storage.transfer import LatencyFragmentStore
 WRAPPERS = ("caching", "latency", "resilient")
 KINDS = ("memory", "flat", "sharded", "http", "keyvalue", *WRAPPERS, "tiered", "cluster")
 
-#: Stores whose ``transact`` is one atomic commit (per node, for the
-#: cluster): a key both written and deleted has no defined outcome there.
-ATOMIC = ("flat", "sharded", "cluster")
-
 
 def build(kind: str, tmp_path, stack: contextlib.ExitStack) -> FragmentStore:
     """A fresh, empty store of *kind*; *stack* owns whatever must be closed."""
@@ -233,12 +229,24 @@ class TestWrites:
             store.delete("m", "s0")
         assert not store.has("m", "s0") and store.nbytes("m") == 0
 
-    @pytest.mark.parametrize("store", ATOMIC, indirect=True)
     def test_a_key_both_written_and_deleted_is_value_error(self, store):
         store.put_many(SEED)
         with pytest.raises(ValueError):
             store.transact([("m", "s0", b"rewritten")], [("m", "s0")])
         assert store.get("m", "s0") == b"mmmm"
+
+    def test_a_missing_delete_leaves_the_store_unchanged(self, store):
+        store.put_many(SEED)
+        state = (sorted(store.keys()), store.nbytes(), write_counters(store))
+        with pytest.raises(KeyError) as caught:
+            store.transact(
+                [("m", "s1", b"new"), ("q", "s0", b"q")],
+                [("z", "s2"), ("m", "nope"), ("q", "gone")],
+            )
+        assert {tuple(k) for k in caught.value.args[0]} == {("m", "nope"), ("q", "gone")}
+        assert (sorted(store.keys()), store.nbytes(), write_counters(store)) == state
+        assert [store.size_of(v, s) for v, s, _ in SEED] == [4, 3, 2]
+        assert not store.has("m", "s1") and store.get("z", "s2") == b"zz"
 
 
 class TestWrappers:

@@ -580,6 +580,16 @@ class TestHTTPBytesUnchanged:
         ) + body
         assert inner.get("v", "s:1") == b"\x00\n"
 
+    def test_batch_put_request_with_tombstones(self, http_pair, wire_log):
+        inner, _, client = http_pair
+        client.put_many([("t", "old", b"gone")])
+        del wire_log.sent[:]
+        client.transact([("t", "new", b"kept")], [("t", "old")])
+        body = (b'{"keys": [["t", "new"]], "deletes": [["t", "old"]], '
+                b'"lengths": [4]}\nkept')
+        assert bytes(wire_log.sent).endswith(b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        assert inner.get("t", "new") == b"kept" and not inner.has("t", "old")
+
     def test_batch_request_and_reply(self, http_pair, wire_log):
         _, _, client = http_pair
         out = client.get_many([("pressure", "level0/plane3"), ("v", "big")])
@@ -643,6 +653,26 @@ class TestHTTPHostileInput:
         assert conn.getresponse().status == 200
         conn.close()
         assert not inner.has("v", "a")
+
+
+    @pytest.mark.parametrize(
+        "deletes,status",
+        [('"v"', b"400"), ('[["v"]]', b"400"), ('[["v", "nope"]]', b"404")],
+    )
+    def test_batch_put_tombstones_are_checked_before_anything_lands(
+        self, http_pair, deletes, status
+    ):
+        inner, server, _ = http_pair
+        body = b'{"keys": [["v", "c"]], "deletes": %s, "lengths": [3]}\nabc' % deletes.encode()
+        conn = http.client.HTTPConnection(*server.address, timeout=3.0)
+        conn.request("POST", "/v1/batch_put", body=body)
+        response = conn.getresponse()
+        answer = response.read()
+        conn.close()
+        assert str(response.status).encode() == status
+        if status == b"404":
+            assert json.loads(answer)["missing"] == [["v", "nope"]]
+        assert not inner.has("v", "c")
 
 
 class _FakeBatchServer(http.server.ThreadingHTTPServer):
