@@ -79,7 +79,6 @@ from repro.storage import (
     GlobusTransferModel,
     HTTPFragmentServer,
     HTTPFragmentStore,
-    KeyValueFragmentStore,
     ShardedDiskStore,
     TieredStore,
     open_store,
@@ -110,5 +109,5 @@ __all__ = [
     "FragmentCache", "ShardedDiskStore",
     # storage fabric
     "open_store", "TieredStore",
-    "HTTPFragmentServer", "HTTPFragmentStore", "KeyValueFragmentStore",
+    "HTTPFragmentServer", "HTTPFragmentStore",
 ]

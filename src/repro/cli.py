@@ -1,6 +1,6 @@
 """Command-line interface: archive, ingest, inspect, retrieve, and serve.
 
-Wires the whole pipeline into ten subcommands::
+Wires the whole pipeline into eight subcommands::
 
     python -m repro.cli archive  --out ar/ --method pmgard_hb p=pressure.npy d=density.npy
     python -m repro.cli ingest   --archive ar/ --method pmgard_hb t=temperature.npy
@@ -12,8 +12,6 @@ Wires the whole pipeline into ten subcommands::
         --tolerance 1e-4 --out rec/
     python -m repro.cli stats    --port 7117          # or: --archive ar/
     python -m repro.cli compact  --archive ar/        # or: --port 7117
-    python -m repro.cli snapshot --archive ar/ --dest file:///backups/ar
-    python -m repro.cli restore  --snapshot file:///backups/ar --archive ar/
 
 ``archive`` refactors each ``name=path.npy`` variable into a fresh
 fragment-addressable archive (one object per fragment; pass
@@ -36,9 +34,7 @@ puts/bytes written, cache hit/miss/eviction rates, per-tier hit
 counters for tiered backends, WAL durability counters) or a static
 summary of an archive.  ``compact`` rewrites an archive's commit log
 and unlinks tombstoned fragment files (dead bytes accumulate from
-replaced/deleted variables); ``snapshot`` copies a whole store between
-any two URLs with byte-for-byte verification, and ``restore`` brings an
-archive back to exactly a snapshot's contents (see docs/durability.md).
+replaced/deleted variables; see docs/durability.md).
 
 Everywhere a command takes ``--archive`` (or ``archive --out``), it
 accepts either a directory path or a store URL — ``file://``,
@@ -236,21 +232,16 @@ def _print_tier_stats(tiers: dict) -> None:
 def _print_cluster_stats(cluster: dict) -> None:
     """Print one cluster backend's aggregate and per-node counter block."""
     print(f"cluster: {cluster['nodes']} node(s), "
-          f"replicas={cluster['replicas']}, vnodes={cluster['vnodes']}"
-          f"{' (rebalancing)' if cluster.get('rebalancing') else ''}")
+          f"replicas={cluster['replicas']}, vnodes={cluster['vnodes']}")
     print(f"  failovers: {cluster['failovers']} read(s), "
-          f"{cluster['write_failovers']} write(s); "
-          f"rebalance: {cluster['rebalances']} pass(es), "
-          f"{cluster['rebalanced_fragments']} fragment(s) "
-          f"({cluster['rebalanced_bytes']} B) moved")
+          f"{cluster['write_failovers']} write(s)")
     for name in sorted(cluster.get("per_node", {})):
         node = cluster["per_node"][name]
         flags = " [breaker open]" if node.get("breaker_is_open") else ""
         print(f"  {name} ({node['url']}): {node['requests']} request(s), "
               f"{node['fragments_served']} served ({node['bytes_read']} B), "
               f"{node['puts']} put(s) ({node['bytes_written']} B), "
-              f"{node['failovers']} failover(s), "
-              f"{node['rebalanced_in']} rebalanced in{flags}")
+              f"{node['failovers']} failover(s){flags}")
 
 
 def _print_durability(d: dict) -> None:
@@ -414,41 +405,6 @@ def _cmd_compact(args) -> int:
     return 0
 
 
-def _cmd_snapshot(args) -> int:
-    from repro.storage.snapshot import snapshot_store
-
-    report = snapshot_store(
-        args.archive,
-        args.dest,
-        chunk_bytes=parse_bytes(args.chunk_bytes),
-        verify=not args.no_verify,
-        skip_same_size=args.resume,
-    )
-    verified = f", {report.verified} verified" if report.verified else ""
-    skipped = f", {report.skipped} skipped" if report.skipped else ""
-    print(f"snapshot {args.archive} -> {args.dest}: "
-          f"{report.fragments} fragment(s) ({report.bytes_copied} B) "
-          f"in {report.batches} batch(es){skipped}{verified}")
-    return 0
-
-
-def _cmd_restore(args) -> int:
-    from repro.storage.snapshot import restore_store
-
-    report = restore_store(
-        args.snapshot,
-        args.archive,
-        chunk_bytes=parse_bytes(args.chunk_bytes),
-        verify=not args.no_verify,
-    )
-    deleted = f", {report.deleted} extra fragment(s) deleted" if report.deleted else ""
-    verified = f", {report.verified} verified" if report.verified else ""
-    print(f"restored {args.archive} from {args.snapshot}: "
-          f"{report.fragments} fragment(s) ({report.bytes_copied} B) "
-          f"in {report.batches} batch(es){deleted}{verified}")
-    return 0
-
-
 def _cmd_client(args) -> int:
     from repro.service.server import OverloadedResponse, ServiceError
 
@@ -607,35 +563,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_compact.add_argument("--port", type=int, default=7117,
                            help="or ask a running server to compact its store")
     p_compact.set_defaults(func=_cmd_compact)
-
-    p_snap = sub.add_parser(
-        "snapshot", help="copy a whole archive between two store URLs"
-    )
-    p_snap.add_argument("--archive", required=True,
-                        help="source archive directory or store URL")
-    p_snap.add_argument("--dest", required=True,
-                        help="destination store URL (any scheme)")
-    p_snap.add_argument("--chunk-bytes", default="32M",
-                        help="payload bytes per copy batch (binary suffixes)")
-    p_snap.add_argument("--no-verify", action="store_true",
-                        help="skip the byte-for-byte read-back verification")
-    p_snap.add_argument("--resume", action="store_true",
-                        help="skip fragments the destination already holds "
-                             "at the source's size (re-run after interruption)")
-    p_snap.set_defaults(func=_cmd_snapshot)
-
-    p_restore = sub.add_parser(
-        "restore", help="reset an archive to exactly a snapshot's contents"
-    )
-    p_restore.add_argument("--snapshot", required=True,
-                           help="snapshot store URL to restore from")
-    p_restore.add_argument("--archive", required=True,
-                           help="destination archive directory or store URL")
-    p_restore.add_argument("--chunk-bytes", default="32M",
-                           help="payload bytes per copy batch (binary suffixes)")
-    p_restore.add_argument("--no-verify", action="store_true",
-                           help="skip the byte-for-byte read-back verification")
-    p_restore.set_defaults(func=_cmd_restore)
 
     p_client = sub.add_parser(
         "client", help="QoI-preserved retrieval against a running server"

@@ -122,7 +122,7 @@ class ServiceStats:
     cluster backend these are the per-node wrappers *merged*, so a
     single dead node still flips ``breaker_is_open``.  ``cluster``
     carries the scale-out fabric's aggregate and per-node counters
-    (requests, bytes, failovers, rebalanced fragments) when the backing
+    (requests, bytes, read and write failovers) when the backing
     store is a :class:`~repro.storage.cluster.ClusterFragmentStore`.
     ``planner`` carries the counters of the service's planner
     (:class:`~repro.service.planner.PlannerStats`).

@@ -7,13 +7,11 @@
   URL entry point over every backend (``file://``, ``sharded://``,
   ``memory://``, ``http://``, ``tiered://``, ``cluster://``).
 * :mod:`repro.storage.remote` — the remote tier: in-process HTTP
-  object-store server/client with a coalesced batch endpoint, and the
-  key-value adapter for S3-style buckets.
+  object-store server/client with a coalesced batch endpoint.
 * :mod:`repro.storage.cluster` — the scale-out fabric: one namespace
-  consistent-hash sharded and K-way replicated over N fragment servers,
-  with per-node circuit breakers, transparent read failover, and a
-  background rebalancer for membership changes.  See
-  ``docs/cluster.md``.
+  consistent-hash sharded and K-way replicated over a fixed set of N
+  fragment servers, with per-node circuit breakers and transparent read
+  failover.  See ``docs/cluster.md``.
 * :mod:`repro.storage.tiered` — the tiered fabric: a write-through fast
   tier over a slow tier, reads fast-tier-first with the misses of a
   batch in one slow-tier trip.
@@ -24,9 +22,6 @@
   on-disk store: crash-atomic multi-fragment writes (one pack file per
   commit → one fsync'd commit record), tombstones, and compaction.
   See ``docs/durability.md``.
-* :mod:`repro.storage.snapshot` — batched snapshot/restore of a whole
-  store between any two ``open_store`` URLs, with byte-for-byte
-  verification.
 * :mod:`repro.storage.metadata` — dataset manifests recording the
   refactoring metadata Algorithm 2 needs (shapes, value ranges).
 * :mod:`repro.storage.transfer` — the simulated Globus-like wide-area
@@ -54,18 +49,13 @@ from repro.storage.metadata import (
 from repro.storage.remote import (
     HTTPFragmentServer,
     HTTPFragmentStore,
-    InMemoryObjectBucket,
-    KeyValueFragmentStore,
-    ObjectBucket,
 )
 from repro.storage.cluster import (
     ClusterFragmentStore,
     ClusterStats,
     HashRing,
     NodeStats,
-    Rebalancer,
 )
-from repro.storage.snapshot import SnapshotReport, restore_store, snapshot_store
 from repro.storage.tiered import TieredStore, TierStats
 from repro.storage.wal import CommitLog, CompactionReport, DurabilityStats
 from repro.storage.transfer import GlobusTransferModel, LatencyFragmentStore, TransferReport
@@ -87,22 +77,15 @@ __all__ = [
     "MANIFEST_SEGMENT",
     "HTTPFragmentServer",
     "HTTPFragmentStore",
-    "ObjectBucket",
-    "InMemoryObjectBucket",
-    "KeyValueFragmentStore",
     "TieredStore",
     "TierStats",
     "ClusterFragmentStore",
     "ClusterStats",
     "HashRing",
     "NodeStats",
-    "Rebalancer",
     "CommitLog",
     "CompactionReport",
     "DurabilityStats",
-    "SnapshotReport",
-    "snapshot_store",
-    "restore_store",
     "GlobusTransferModel",
     "LatencyFragmentStore",
     "TransferReport",

@@ -9,13 +9,16 @@ processes — behind the ordinary
 
 * **Consistent-hash placement.**  A :class:`HashRing` with virtual nodes
   maps every ``(variable, segment)`` key to an ordered owner list; the
-  same key always lands on the same nodes, load spreads evenly (vnodes
-  smooth the arcs), and a membership change moves only ~1/N of the keys.
+  same key always lands on the same nodes and load spreads evenly
+  (vnodes smooth the arcs).  Membership is fixed when the store opens.
 * **K-way replication.**  ``transact`` (and so every put) writes each
   fragment to its ``replicas`` owners (batched per node, all nodes in
   parallel); a write succeeds as long as every fragment lands on at
   least one owner, counting the under-replicated remainder as
-  ``write_failovers`` for the rebalancer to repair.
+  ``write_failovers``.  Nothing repairs a missed replica write: the key
+  stays under-replicated, and a read that reaches the node lacking it
+  fails over to a replica that has it — but a missed *overwrite* leaves
+  the old payload on that node, which serves it once it is back.
 * **Read failover.**  Every backend is wrapped in the PR-8
   :class:`~repro.storage.resilience.ResilientStore` with its own
   :class:`~repro.storage.resilience.CircuitBreaker`; a batched read fans
@@ -25,16 +28,6 @@ processes — behind the ordinary
   as ``failovers``, invisible to the client.  Only when *every* replica
   of a key is unavailable does the read raise a typed
   :class:`~repro.storage.resilience.DegradedError`.
-* **Rebalancing.**  :meth:`ClusterFragmentStore.add_node` /
-  :meth:`ClusterFragmentStore.remove_node` stage a membership change,
-  and the caller's :meth:`ClusterFragmentStore.rebalance` (a
-  :class:`Rebalancer` pass; no thread runs it) migrates fragments in
-  coalesced byte-bounded batches.  Reads
-  stay correct mid-move via old-then-new placement lookup: until a migration finalizes, lookups
-  consult the pre-change ring first (where the data is guaranteed to
-  live) and the post-change ring as additional failover candidates, and
-  writes land on the union — so a kill mid-rebalance loses nothing and
-  never serves stale bytes.
 
 ``cluster://host:port,host:port?replicas=2&vnodes=64`` URLs open the
 whole fabric through :func:`~repro.storage.store.open_store`; see
@@ -52,6 +45,7 @@ from dataclasses import dataclass, field, replace
 from urllib.parse import unquote
 
 from repro.storage.resilience import (
+    POLICY_KEYS,
     CircuitBreaker,
     CircuitOpenError,
     DegradedError,
@@ -62,10 +56,8 @@ from repro.storage.resilience import (
 )
 from repro.storage.store import (
     FragmentStore,
-    _split_query,
+    _parse_store_url,
     open_store,
-    parse_bytes,
-    split_store_url,
 )
 from repro.storage.wal import CompactionReport, DurabilityStats
 
@@ -87,10 +79,6 @@ DEFAULT_RETRY_MAX = 0.25
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN = 2.0
 
-#: Byte bound of one coalesced rebalance copy batch: keeps a large move
-#: from materializing in memory as one oversized request.
-REBALANCE_CHUNK_BYTES = 32 << 20
-
 
 def _digest(text: str) -> int:
     """Stable 64-bit ring position of *text* (sha1 prefix, like shards)."""
@@ -106,7 +94,7 @@ class HashRing:
     placement properties the cluster needs (and the property suite
     checks): stability (same key → same owners), balance (max/min node
     load ratio bounded by the vnode smoothing), and minimal movement
-    (adding or removing one of N nodes re-homes only ~1/N of the keys —
+    (a ring over one node more or less re-homes only ~1/N of the keys —
     the untouched nodes' arcs do not move).
     """
 
@@ -182,10 +170,6 @@ class NodeStats:
     failovers: int = 0
     #: Fragments a write could not replicate here (node down mid-put).
     write_failovers: int = 0
-    #: Fragments migrated onto this node by the rebalancer.
-    rebalanced_in: int = 0
-    #: Bytes migrated onto this node by the rebalancer.
-    rebalanced_bytes: int = 0
     #: 1 while this node's circuit breaker is open/half-open, else 0.
     breaker_is_open: int = 0
 
@@ -194,26 +178,19 @@ class NodeStats:
 class ClusterStats:
     """Aggregate + per-node accounting of one :class:`ClusterFragmentStore`."""
 
-    #: Physical nodes currently in the cluster.
+    #: Physical nodes in the cluster.
     nodes: int = 0
     #: Configured replication factor (clamped to the node count at
     #: placement time).
     replicas: int = 0
     #: Virtual nodes per physical node on the placement ring.
     vnodes: int = 0
-    #: 1 while a membership change is staged and migrating, else 0.
-    rebalancing: int = 0
     #: Total fragments transparently served by a replica after their
     #: primary (or an earlier replica) failed.
     failovers: int = 0
-    #: Total fragments that missed one of their replica writes.
+    #: Total fragments that missed one of their replica writes (they
+    #: stay under-replicated; nothing repairs them).
     write_failovers: int = 0
-    #: Completed rebalance passes (membership changes finalized).
-    rebalances: int = 0
-    #: Fragments copied between nodes by the rebalancer.
-    rebalanced_fragments: int = 0
-    #: Bytes copied between nodes by the rebalancer.
-    rebalanced_bytes: int = 0
     #: ``{node name: NodeStats}`` — per-node counters.
     per_node: dict = field(default_factory=dict)
 
@@ -327,18 +304,14 @@ class ClusterFragmentStore(FragmentStore):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         self._ring = HashRing([n.name for n in self._nodes], vnodes=vnodes)
-        self._old_ring: HashRing | None = None  # set while a move is staged
-        self._leaving: set = set()  # names staged for removal
         self._cstats = ClusterStats(replicas=self.replicas, vnodes=self._ring.vnodes)
-        # serializes client mutations with each rebalance copy batch: a
-        # put can never interleave a read-copy-write migration chunk, so
-        # a migrated replica is never overwritten with stale bytes
+        # serializes client mutations: check, replicate and index record
+        # of one transaction never interleave another's
         self._mutate_lock = threading.RLock()
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, min(len(self._nodes) + 2, int(max_parallel))),
             thread_name_prefix="repro-cluster",
         )
-        self.rebalancer = Rebalancer(self)
         self._reindex()
 
     # -- URL form --------------------------------------------------------------
@@ -352,16 +325,15 @@ class ClusterFragmentStore(FragmentStore):
         parameter accepts comma-separated (percent-encoded) full store
         URLs for anything else.  Query parameters: ``replicas=`` (copies
         per fragment), ``vnodes=`` (ring smoothing), ``timeout=``
-        (seconds, HTTP nodes), ``chunk=`` (rebalance copy batch bytes,
-        binary suffixes allowed), plus the per-node resilience knobs
+        (seconds, HTTP nodes), plus the per-node resilience knobs
         ``retries``/``retry_base``/``retry_max``/``breaker``/``cooldown``
         (defaults tuned for fast failover; ``breaker=0`` disables the
-        per-node breakers).
+        per-node breakers).  Any other key raises ``ValueError`` naming
+        it.
         """
-        scheme, rest = split_store_url(url)
-        if scheme != "cluster":
-            raise ValueError(f"not a cluster:// store URL: {url!r}")
-        path, params = _split_query(rest)
+        path, params = _parse_store_url(
+            url, "cluster", {"nodes", "replicas", "vnodes", "timeout", *POLICY_KEYS}
+        )
         specs = []
         for part in path.split(","):
             part = part.strip().strip("/")
@@ -384,7 +356,7 @@ class ClusterFragmentStore(FragmentStore):
             base_delay=float(params.get("retry_base", DEFAULT_RETRY_BASE)),
             max_delay=float(params.get("retry_max", DEFAULT_RETRY_MAX)),
         )
-        store = cls(
+        return cls(
             stores,
             replicas=int(params.get("replicas", DEFAULT_REPLICAS)),
             vnodes=int(params.get("vnodes", DEFAULT_VNODES)),
@@ -392,44 +364,20 @@ class ClusterFragmentStore(FragmentStore):
             breaker_threshold=int(params.get("breaker", DEFAULT_BREAKER_THRESHOLD)),
             breaker_cooldown=float(params.get("cooldown", DEFAULT_BREAKER_COOLDOWN)),
         )
-        if "chunk" in params:
-            store.rebalancer.chunk_bytes = parse_bytes(params["chunk"])
-        return store
 
     # -- placement -------------------------------------------------------------
 
     def nodes(self) -> list:
-        """Current node names, ring order not implied."""
+        """Node names, ring order not implied."""
         return [node.name for node in self._nodes]
 
     def owners(self, variable: str, segment: str) -> list:
-        """Node names that *should* hold a fragment (current placement)."""
+        """Node names that hold a fragment, primary first."""
         return self._ring.owners(variable, segment, self.replicas)
 
     def _read_plan(self, variable: str, segment: str) -> list:
-        """Candidate nodes for one read, failover order.
-
-        Mid-rebalance the pre-change owners come first — the data is
-        guaranteed there until the move finalizes — and the post-change
-        owners follow as extra candidates (they may already hold a
-        migrated copy, and they cover reads that race finalization).
-        """
-        names: list = []
-        if self._old_ring is not None:
-            names.extend(self._old_ring.owners(variable, segment, self.replicas))
-        for name in self._ring.owners(variable, segment, self.replicas):
-            if name not in names:
-                names.append(name)
-        return [self._by_name[name] for name in names if name in self._by_name]
-
-    def _write_plan(self, variable: str, segment: str) -> list:
-        """Owner nodes one write must reach (old ∪ new mid-rebalance).
-
-        Writing the union keeps every read candidate coherent while a
-        migration is in flight — no replica can serve a stale payload
-        after an overwrite, whichever ring a concurrent read consults.
-        """
-        return self._read_plan(variable, segment)
+        """Owner nodes of one fragment in failover order (reads and writes)."""
+        return [self._by_name[name] for name in self.owners(variable, segment)]
 
     def _reindex(self) -> None:
         """Rebuild the union index snapshot from every node's index."""
@@ -471,9 +419,10 @@ class ClusterFragmentStore(FragmentStore):
         One coalesced ``get_many`` per shard per round, all shards in
         parallel, merged in completion order.  A shard failing
         transiently (or fast-rejected by its open breaker, or missing a
-        key mid-rebalance) re-routes the affected keys to each key's
-        next replica; only keys whose *every* candidate failed raise —
-        as a typed :class:`DegradedError` naming exactly those keys.
+        key an earlier replica write missed) re-routes the affected keys
+        to each key's next replica; only keys whose *every* candidate
+        failed raise — as a typed :class:`DegradedError` naming exactly
+        those keys.
         """
         plans = {key: self._read_plan(*key) for key in keys}
         cursor = dict.fromkeys(keys, 0)
@@ -507,9 +456,9 @@ class ClusterFragmentStore(FragmentStore):
                 try:
                     served = future.result()
                 except KeyError as exc:
-                    # the node is live but lacks some keys (mid-rebalance,
-                    # an earlier missed replica write): fail those over,
-                    # keep the rest on this node for the next round
+                    # the node is live but lacks some keys (an earlier
+                    # missed replica write): fail those over, keep the
+                    # rest on this node for the next round
                     arg = exc.args[0] if exc.args else None
                     if isinstance(arg, list):
                         gone = {tuple(k) for k in arg}
@@ -572,11 +521,11 @@ class ClusterFragmentStore(FragmentStore):
         """
         puts_by: dict = {}
         for variable, segment, payload in batch:
-            for node in self._write_plan(variable, segment):
+            for node in self._read_plan(variable, segment):
                 puts_by.setdefault(node.name, []).append((variable, segment, payload))
         dels_by: dict = {}
         for variable, segment in deletes:
-            for node in self._write_plan(variable, segment):
+            for node in self._read_plan(variable, segment):
                 if node.store.has(variable, segment):
                     dels_by.setdefault(node.name, []).append((variable, segment))
         replicas_ok = {(v, s): 0 for v, s, _ in batch}
@@ -644,82 +593,6 @@ class ClusterFragmentStore(FragmentStore):
             if batch:
                 self._count_writes(batch)
 
-    # -- membership ------------------------------------------------------------
-
-    def add_node(self, store: FragmentStore, name: str | None = None) -> str:
-        """Stage a new node into the placement ring; returns its name.
-
-        The node starts taking *writes* for its share of the keyspace
-        immediately (writes land on the old ∪ new owner union) but
-        serves reads only as a failover candidate until
-        :meth:`rebalance` migrates its share over and finalizes the
-        ring.  Fragments the new backend already holds join the
-        namespace at once.
-        """
-        with self._mutate_lock:
-            if name is None:
-                taken = set(self._by_name)
-                i = len(self._nodes)
-                while f"node{i}" in taken:
-                    i += 1
-                name = f"node{i}"
-            name = str(name)
-            if name in self._by_name:
-                raise ValueError(f"duplicate cluster node name {name!r}")
-            url = _backend_url(store)
-            if not isinstance(store, ResilientStore):
-                template = self._nodes[0].store
-                breaker = None
-                if template.breaker is not None:
-                    breaker = CircuitBreaker(
-                        failure_threshold=template.breaker.failure_threshold,
-                        cooldown=template.breaker.cooldown,
-                        name=url,
-                    )
-                store = ResilientStore(store, retry=template.retry, breaker=breaker)
-            node = _Node(name, store, url)
-            self._nodes.append(node)
-            self._by_name[name] = node
-            with self._stats_lock:
-                for variable, segment in node.store.keys():
-                    self._record_put(
-                        variable, segment, node.store.size_of(variable, segment)
-                    )
-            if self._old_ring is None:
-                self._old_ring = self._ring
-            active = [n.name for n in self._nodes if n.name not in self._leaving]
-            self._ring = HashRing(active, vnodes=self._ring.vnodes)
-            return name
-
-    def remove_node(self, name: str) -> None:
-        """Stage a node's departure (planned drain or observed death).
-
-        The node leaves the *new* placement ring immediately but keeps
-        serving reads (when alive) as an old-ring candidate until
-        :meth:`rebalance` has copied its exclusive share to the
-        surviving owners and finalized — so draining a live node never
-        has a moment with fewer readable copies, and removing a dead
-        one simply migrates from the surviving replicas.
-        """
-        with self._mutate_lock:
-            if name not in self._by_name:
-                raise KeyError(name)
-            active = [
-                n.name
-                for n in self._nodes
-                if n.name not in self._leaving and n.name != name
-            ]
-            if not active:
-                raise ValueError("cannot remove the last cluster node")
-            self._leaving.add(name)
-            if self._old_ring is None:
-                self._old_ring = self._ring
-            self._ring = HashRing(active, vnodes=self._ring.vnodes)
-
-    def rebalance(self, chunk_bytes: int | None = None) -> dict:
-        """Run one synchronous rebalance pass (see :class:`Rebalancer`)."""
-        return self.rebalancer.run_once(chunk_bytes)
-
     # -- durability / aggregation ----------------------------------------------
 
     def compact(self) -> CompactionReport:
@@ -784,7 +657,6 @@ class ClusterFragmentStore(FragmentStore):
                 nodes=len(self._nodes),
                 replicas=self.replicas,
                 vnodes=self._ring.vnodes,
-                rebalancing=int(self._old_ring is not None),
                 per_node=per_node,
             )
 
@@ -796,151 +668,3 @@ class ClusterFragmentStore(FragmentStore):
         for node in self._nodes:
             node.store.close()
 
-
-class Rebalancer:
-    """Shard migration of one :class:`ClusterFragmentStore`.
-
-    One pass (:meth:`run_once`) copies every fragment a post-change
-    owner lacks onto it in coalesced byte-bounded ``put_many`` batches
-    (sourcing through the cluster's failover-aware reads, so a dead
-    node's share migrates from its surviving replicas), finalizes the
-    ring swap, and only then garbage-collects the copies that no longer
-    own their keys.
-    A crash or node death anywhere mid-pass leaves the staged old+new
-    lookup in place — every fragment stays readable and a retried pass
-    completes idempotently.  Nothing runs a pass on its own: a staged
-    membership change waits for the caller's
-    :meth:`ClusterFragmentStore.rebalance`.
-    """
-
-    def __init__(self, cluster: ClusterFragmentStore, chunk_bytes: int = REBALANCE_CHUNK_BYTES):
-        self.cluster = cluster
-        self.chunk_bytes = int(chunk_bytes)
-
-    @staticmethod
-    def _holds(node: _Node, variable: str, segment: str) -> bool | None:
-        """Whether *node* holds a fragment, or ``None`` if unreachable.
-
-        A dead or breaker-open node can neither receive a copy nor
-        confirm a drop, so planning treats "unknown" as "leave it alone
-        this pass" — the next pass repairs whatever it finds.
-        """
-        try:
-            return node.store.has(variable, segment)
-        except Exception as exc:
-            if is_transient(exc) or isinstance(exc, CircuitOpenError):
-                return None
-            raise
-
-    def _plan(self) -> tuple:
-        """``(copies, drops)``: per-node key lists to receive / release.
-
-        A node receives every key it owns under the *new* ring but does
-        not hold yet — which covers both placement changes and the
-        repair of earlier missed replica writes — and releases the keys
-        it holds but no longer owns.  Unreachable nodes are skipped on
-        both sides (see :meth:`_holds`).
-        """
-        cluster = self.cluster
-        copies: dict = {}
-        drops: dict = {}
-        replicas = cluster.replicas
-        for variable, segment in list(cluster._sizes):
-            new_owners = cluster._ring.owners(variable, segment, replicas)
-            wanted = set(new_owners)
-            for name in new_owners:
-                node = cluster._by_name.get(name)
-                if node is not None and self._holds(node, variable, segment) is False:
-                    copies.setdefault(name, []).append((variable, segment))
-            for node in cluster._nodes:
-                if node.name not in wanted and self._holds(node, variable, segment):
-                    drops.setdefault(node.name, []).append((variable, segment))
-        return copies, drops
-
-    def _chunks(self, keys):
-        """Split a key list into byte-bounded copy batches."""
-        sizes = self.cluster._sizes
-        chunk: list = []
-        chunk_bytes = 0
-        for key in keys:
-            chunk.append(key)
-            chunk_bytes += sizes.get(key, 0)
-            if chunk_bytes >= self.chunk_bytes:
-                yield chunk
-                chunk, chunk_bytes = [], 0
-        if chunk:
-            yield chunk
-
-    def run_once(self, chunk_bytes: int | None = None) -> dict:
-        """One synchronous rebalance pass; returns what moved.
-
-        No-op unless a membership change is staged.  Copy batches run
-        under the cluster's mutation lock, so a concurrent overwrite
-        can never be clobbered by an in-flight stale copy; the ring
-        finalizes only after every copy landed, and the garbage-collect
-        pass (tolerant of dead departing nodes) runs last.
-        """
-        cluster = self.cluster
-        if chunk_bytes is not None:
-            self.chunk_bytes = int(chunk_bytes)
-        with cluster._mutate_lock:
-            if cluster._old_ring is None:
-                return {"moved_fragments": 0, "moved_bytes": 0, "dropped": 0}
-            copies, _ = self._plan()
-        moved = moved_bytes = 0
-        for name, keylist in sorted(copies.items()):
-            node = cluster._by_name[name]
-            for chunk in self._chunks(keylist):
-                with cluster._mutate_lock:
-                    chunk = [k for k in chunk if k in cluster._sizes]
-                    if not chunk:
-                        continue
-                    payloads = cluster._fetch(chunk)
-                    node.store.put_many(
-                        [(v, s, payloads[(v, s)]) for v, s in chunk]
-                    )
-                    nbytes = sum(len(p) for p in payloads.values())
-                    with cluster._stats_lock:
-                        node.stats.rebalanced_in += len(chunk)
-                        node.stats.rebalanced_bytes += nbytes
-                        cluster._cstats.rebalanced_fragments += len(chunk)
-                        cluster._cstats.rebalanced_bytes += nbytes
-                    moved += len(chunk)
-                    moved_bytes += nbytes
-        with cluster._mutate_lock:
-            # every new owner now holds its share: swap the ring live
-            _, drops = self._plan()
-            for name in cluster._leaving:
-                node = cluster._by_name.pop(name, None)
-                if node is not None:
-                    cluster._nodes.remove(node)
-                drops.pop(name, None)
-            cluster._leaving = set()
-            cluster._old_ring = None
-            with cluster._stats_lock:
-                cluster._cstats.rebalances += 1
-        dropped = 0
-        for name, keylist in sorted(drops.items()):
-            node = cluster._by_name.get(name)
-            if node is None:
-                continue
-            with cluster._mutate_lock:
-                try:
-                    live = [
-                        k for k in keylist
-                        if k in cluster._sizes and node.store.has(*k)
-                    ]
-                    node.store.transact((), live)
-                    dropped += len(live)
-                except Exception as exc:
-                    # dead-node garbage is harmless; reclaim next pass
-                    if not (
-                        is_transient(exc)
-                        or isinstance(exc, (CircuitOpenError, KeyError))
-                    ):
-                        raise
-        return {
-            "moved_fragments": moved,
-            "moved_bytes": moved_bytes,
-            "dropped": dropped,
-        }

@@ -1,33 +1,25 @@
-"""Remote fragment backends: HTTP object store and key-value adapter.
+"""Remote fragment backend: an HTTP object store and its client.
 
 PR 3 proved the retrieval engine's economics against a *simulated*
 remote tier (:class:`~repro.storage.transfer.LatencyFragmentStore`);
-this module provides real ones.  Two backends implement the
+this module provides a real one.  :class:`HTTPFragmentServer` /
+:class:`HTTPFragmentStore` implement the
 :class:`~repro.storage.store.FragmentStore` primitives (``get_many`` and
 ``transact``) the rest of the stack (archive, cache, tiering, service)
-composes over:
+composes over: an in-process HTTP object-store server over any local
+:class:`~repro.storage.store.FragmentStore`, and the client that speaks
+to it.  Fragments move over two endpoints: a coalesced ``/batch`` read
+moving a whole fragment set in **one** round trip, and its write-side
+mirror ``/batch_put``, which carries a whole transaction (puts and
+tombstones) in one request; the index, durability and compaction routes
+complete the protocol.  So a batched retrieval round — or an ingestion
+flush, or an archive commit — costs one HTTP request however many
+fragments it spans, the same economy the pipelined engines exploit
+locally.  The two batch bodies are :mod:`repro.utils.wire` frames (a
+JSON header line, then raw payloads), parsed by the same bounded reader
+as the retrieval service's protocol.
 
-* :class:`HTTPFragmentServer` / :class:`HTTPFragmentStore` — an
-  in-process HTTP object-store server over any local
-  :class:`~repro.storage.store.FragmentStore`, and the client that
-  speaks to it.  Fragments move over two endpoints: a coalesced
-  ``/batch`` read moving a whole fragment set in **one** round trip,
-  and its write-side mirror ``/batch_put``, which carries a whole
-  transaction (puts and tombstones) in one request; the index,
-  durability and compaction routes complete the protocol.  So a
-  batched retrieval round — or an ingestion flush, or an archive
-  commit — costs one HTTP request however many fragments it spans,
-  the same economy the pipelined engines exploit locally.  The two
-  batch bodies are :mod:`repro.utils.wire` frames (a JSON header line,
-  then raw payloads), parsed by the same bounded reader as the
-  retrieval service's protocol.
-* :class:`KeyValueFragmentStore` — adapts any object with S3-style
-  bucket semantics (:class:`ObjectBucket`: get/put/delete/list by string
-  key) to the fragment-store interface.  :class:`InMemoryObjectBucket`
-  is the reference bucket; a real S3/GCS client satisfies the same five
-  methods.
-
-Both backends keep a local index snapshot (keys + payload sizes) so
+The client keeps a local index snapshot (keys + payload sizes) so
 ``has``/``segments``/``size_of``/``nbytes`` — the metadata queries
 retrieval planning hammers — never touch the network.
 """
@@ -38,12 +30,11 @@ import http.client
 import http.server
 import json
 import threading
-from typing import Protocol, runtime_checkable
-from urllib.parse import quote, unquote, urlparse
+from urllib.parse import urlparse
 
 from dataclasses import asdict
 
-from repro.storage.store import FragmentStore, _split_query, split_store_url
+from repro.storage.store import FragmentStore, _parse_store_url
 from repro.storage.wal import CompactionReport, DurabilityStats
 from repro.utils.wire import (
     MAX_BODY_BYTES,
@@ -332,14 +323,16 @@ class HTTPFragmentStore(FragmentStore):
         (``retries``/``retry_base``/``retry_max``/``breaker``/
         ``cooldown``) — when any of those are present the client comes
         back wrapped in a
-        :class:`~repro.storage.resilience.ResilientStore`.
+        :class:`~repro.storage.resilience.ResilientStore`.  Any other key
+        raises ``ValueError`` naming it.
         """
-        from repro.storage.resilience import ResilientStore, policy_from_params
+        from repro.storage.resilience import (
+            POLICY_KEYS,
+            ResilientStore,
+            policy_from_params,
+        )
 
-        scheme, rest = split_store_url(url)
-        if scheme != "http":
-            raise ValueError(f"not an http:// store URL: {url!r}")
-        rest, params = _split_query(rest)
+        rest, params = _parse_store_url(url, "http", {"timeout", *POLICY_KEYS})
         netloc = rest.split("/", 1)[0]
         host, sep, port = netloc.rpartition(":")
         if not sep or not port.isdigit():
@@ -532,165 +525,3 @@ class HTTPFragmentStore(FragmentStore):
             conn.close()
             self._local.conn = None
 
-
-# ---------------------------------------------------------------------------
-# Key-value (S3-style) adapter
-# ---------------------------------------------------------------------------
-
-
-@runtime_checkable
-class ObjectBucket(Protocol):
-    """S3-style bucket semantics the key-value adapter composes over.
-
-    Five methods, string keys, byte values.  ``get_object`` raises
-    ``KeyError`` for a missing key.  ``get_objects`` (batched read) and
-    ``put_objects`` (batched write) are optional — buckets that support
-    them move a whole batch in one round trip; the adapter falls back to
-    per-key gets/puts otherwise.
-    """
-
-    def get_object(self, key: str) -> bytes:
-        """Read one object; KeyError when absent."""
-
-    def put_object(self, key: str, data: bytes) -> None:
-        """Write one object (overwrite allowed)."""
-
-    def delete_object(self, key: str) -> None:
-        """Remove one object; KeyError when absent."""
-
-    def list_objects(self) -> list:
-        """All ``(key, nbytes)`` pairs currently stored."""
-
-
-class InMemoryObjectBucket:
-    """Reference :class:`ObjectBucket`: a thread-safe in-process dict.
-
-    Counts ``requests`` (bucket round trips: one per get/put/delete/list
-    and one per batched ``get_objects``) so tests and benchmarks can
-    assert the adapter's coalescing.
-    """
-
-    def __init__(self):
-        self._objects: dict = {}
-        self._lock = threading.Lock()
-        #: Bucket round trips served (batched reads count once).
-        self.requests = 0
-
-    def get_object(self, key: str) -> bytes:
-        """Read one object; KeyError when absent."""
-        with self._lock:
-            self.requests += 1
-            return self._objects[key]
-
-    def get_objects(self, keys) -> dict:
-        """Batched read: the whole batch costs one bucket request."""
-        with self._lock:
-            self.requests += 1
-            missing = [k for k in keys if k not in self._objects]
-            if missing:
-                raise KeyError(missing)
-            return {k: self._objects[k] for k in keys}
-
-    def put_object(self, key: str, data: bytes) -> None:
-        """Write one object (overwrite allowed)."""
-        with self._lock:
-            self.requests += 1
-            self._objects[key] = bytes(data)
-
-    def put_objects(self, objects: dict) -> None:
-        """Batched write: the whole ``{key: data}`` batch costs one request."""
-        with self._lock:
-            self.requests += 1
-            for key, data in objects.items():
-                self._objects[key] = bytes(data)
-
-    def delete_object(self, key: str) -> None:
-        """Remove one object; KeyError when absent."""
-        with self._lock:
-            self.requests += 1
-            del self._objects[key]
-
-    def list_objects(self) -> list:
-        """All ``(key, nbytes)`` pairs, insertion-ordered."""
-        with self._lock:
-            self.requests += 1
-            return [(k, len(v)) for k, v in self._objects.items()]
-
-
-def object_key(variable: str, segment: str) -> str:
-    """Encode a fragment key as one reversible bucket key string."""
-    return f"{quote(variable, safe='')}/{quote(segment, safe='')}"
-
-
-def fragment_key(key: str) -> tuple:
-    """Inverse of :func:`object_key`; ValueError for foreign keys."""
-    variable, sep, segment = key.partition("/")
-    if not sep:
-        raise ValueError(f"not a fragment object key: {key!r}")
-    return unquote(variable), unquote(segment)
-
-
-class KeyValueFragmentStore(FragmentStore):
-    """Fragment store over any :class:`ObjectBucket` (S3-style semantics).
-
-    Fragment keys map to bucket keys via :func:`object_key` (percent-
-    encoded, so arbitrary variable/segment names survive).  The bucket is
-    listed once at open to rebuild the index; foreign keys in the bucket
-    are ignored.  ``get_many`` uses the bucket's batched ``get_objects``
-    when available (one bucket round trip per batch) and falls back to
-    per-key gets otherwise — ``round_trips`` records whichever actually
-    happened.
-    """
-
-    def __init__(self, bucket: ObjectBucket):
-        super().__init__()
-        self.bucket = bucket
-        for key, nbytes in bucket.list_objects():
-            try:
-                variable, segment = fragment_key(key)
-            except ValueError:
-                continue  # not ours; buckets may hold unrelated objects
-            self._record_put(variable, segment, int(nbytes))
-
-    def transact(self, puts, deletes=()) -> None:
-        """Write the puts (one bucket round trip when it batches), then delete.
-
-        The whole transaction is checked (:meth:`_check_batch`) before
-        the bucket sees any of it.
-        """
-        with self._stats_lock:
-            batch, doomed = self._check_batch(puts, deletes)
-        if batch:
-            put_objects = getattr(self.bucket, "put_objects", None)
-            trips = 1
-            if put_objects is not None:
-                put_objects({object_key(v, s): p for v, s, p in batch})
-            else:
-                for variable, segment, payload in batch:
-                    self.bucket.put_object(object_key(variable, segment), payload)
-                trips = len(batch)  # honest accounting, like get_many
-            with self._stats_lock:
-                for variable, segment, payload in batch:
-                    self._record_put(variable, segment, len(payload))
-            self._count_writes(batch, trips)
-        for variable, segment in doomed:
-            self.bucket.delete_object(object_key(variable, segment))
-            with self._stats_lock:
-                self._record_delete(variable, segment)
-
-    def get_many(self, keys) -> dict:
-        """Batched read; one bucket round trip when the bucket supports it."""
-        keys = list(dict.fromkeys((v, s) for v, s in keys))
-        missing = [k for k in keys if k not in self._sizes]
-        if missing:
-            raise KeyError(missing)
-        get_objects = getattr(self.bucket, "get_objects", None)
-        trips = 1
-        if get_objects is not None:
-            raw = get_objects([object_key(v, s) for v, s in keys])
-            out = {key: raw[object_key(*key)] for key in keys}
-        else:
-            out = {key: self.bucket.get_object(object_key(*key)) for key in keys}
-            trips = len(keys)  # honest accounting for non-batching buckets
-        self._count_reads(out, trips)
-        return out

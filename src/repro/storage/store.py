@@ -104,12 +104,27 @@ def parse_bytes(text: str) -> int:
     return int(text)
 
 
-def _split_query(rest: str) -> tuple:
-    """Split ``path?k=v&...`` into ``(path, {k: v})`` (last value wins)."""
+def _parse_store_url(url: str, scheme: str, known) -> tuple:
+    """Split a *scheme* URL into ``(path, {key: value})`` (last value wins).
+
+    Raises ``ValueError`` for another scheme, and for any query key
+    outside *known*, naming it and the keys the scheme accepts — a
+    misspelled key must fail the open, not fall back to a default.
+    """
     from urllib.parse import parse_qsl
 
+    got, rest = split_store_url(url)
+    if got != scheme:
+        raise ValueError(f"not a {scheme}:// store URL: {url!r}")
     path, _, query = rest.partition("?")
-    return path, dict(parse_qsl(query, keep_blank_values=True))
+    params = dict(parse_qsl(query, keep_blank_values=True))
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {scheme}:// key(s) {', '.join(unknown)} in {url!r} "
+            f"(known: {', '.join(sorted(known)) or 'none'})"
+        )
+    return path, params
 
 
 def open_directory_store(
@@ -157,18 +172,20 @@ def open_store(url: str) -> "FragmentStore":
     On-disk schemes accept ``fsync=always|commit|off`` as a query
     parameter (plain paths take the default discipline).
 
-    Raises ``ValueError`` for an unknown scheme or malformed URL.
+    Raises ``ValueError`` for an unknown scheme, a malformed URL, or a
+    query key the scheme does not accept.
     """
     scheme, rest = split_store_url(url)
     if scheme is None:
         return open_directory_store(rest)
     if scheme == "file":
-        path, params = _split_query(rest)
+        path, params = _parse_store_url(url, scheme, {"fsync"})
         return open_directory_store(path, fsync=params.get("fsync", "commit"))
     if scheme == "memory":
+        _parse_store_url(url, scheme, ())
         return FragmentStore()
     if scheme == "sharded":
-        path, params = _split_query(rest)
+        path, params = _parse_store_url(url, scheme, {"fanout", "fsync"})
         if not path:
             raise ValueError(f"sharded:// URL needs a directory path: {url!r}")
         return ShardedDiskStore(
@@ -234,17 +251,17 @@ class FragmentStore:
 
     # -- accounting -----------------------------------------------------------
 
-    def _count_reads(self, out: dict, trips: int = 1) -> None:
-        """Account the read round trip(s) that served the payloads of *out*."""
+    def _count_reads(self, out: dict) -> None:
+        """Account the read round trip that served the payloads of *out*."""
         with self._stats_lock:
-            self.round_trips += trips
+            self.round_trips += 1
             self.reads += len(out)
             self.bytes_read += sum(len(payload) for payload in out.values())
 
-    def _count_writes(self, batch: list, trips: int = 1) -> None:
-        """Account the write round trip(s) that carried *batch*."""
+    def _count_writes(self, batch: list) -> None:
+        """Account the write round trip that carried *batch*."""
         with self._stats_lock:
-            self.put_round_trips += trips
+            self.put_round_trips += 1
             self.puts += len(batch)
             self.bytes_written += sum(len(payload) for _, _, payload in batch)
 

@@ -41,9 +41,8 @@ from repro.storage.resilience import (
 )
 from repro.storage.store import (
     FragmentStore,
+    _parse_store_url,
     open_store,
-    split_store_url,
-    _split_query,
 )
 from repro.storage.wal import CompactionReport, DurabilityStats
 
@@ -78,10 +77,9 @@ class TieredStore(FragmentStore):
     fast / slow:
         Any two :class:`FragmentStore` backends.  The slow tier is the
         archive of record (typically an
-        :class:`~repro.storage.remote.HTTPFragmentStore`, a cluster, or a
-        :class:`~repro.storage.remote.KeyValueFragmentStore`); the fast
-        tier holds the fragments written through this store (typically
-        local disk or memory).
+        :class:`~repro.storage.remote.HTTPFragmentStore` or a cluster);
+        the fast tier holds the fragments written through this store
+        (typically local disk or memory).
 
     The store's own ``reads``/``bytes_read``/``round_trips`` counters
     record *client-visible* traffic (one round trip per ``get``/
@@ -125,17 +123,9 @@ class TieredStore(FragmentStore):
         degraded reads while that backend is down.  Any other key
         raises ``ValueError`` naming it.
         """
-        scheme, rest = split_store_url(url)
-        if scheme != "tiered":
-            raise ValueError(f"not a tiered:// store URL: {url!r}")
-        path, params = _split_query(rest)
-        known = {"slow", "fast", "fsync", *POLICY_KEYS}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown tiered:// key(s) {', '.join(unknown)} in {url!r} "
-                f"(known: {', '.join(sorted(known))})"
-            )
+        path, params = _parse_store_url(
+            url, "tiered", {"slow", "fast", "fsync", *POLICY_KEYS}
+        )
         if "slow" not in params:
             raise ValueError(f"tiered:// URL needs a slow= backend: {url!r}")
         slow = open_store(params["slow"])

@@ -23,8 +23,6 @@ from repro.storage.cache import CachingFragmentStore, FragmentCache
 from repro.storage.remote import (
     HTTPFragmentServer,
     HTTPFragmentStore,
-    InMemoryObjectBucket,
-    KeyValueFragmentStore,
 )
 from repro.storage.metadata import DatasetManifest
 from repro.storage.store import (
@@ -84,17 +82,6 @@ class TestPutMany:
         self._check(
             ShardedDiskStore(root, fanout=8), reopen=lambda: ShardedDiskStore(root)
         )
-
-    def test_key_value_bucket(self):
-        bucket = InMemoryObjectBucket()
-        store = KeyValueFragmentStore(bucket)
-        before = bucket.requests
-        store.put_many(BATCH)
-        # the batched write cost exactly one bucket request
-        assert bucket.requests == before + 1
-        assert store.put_round_trips == 1 and store.puts == len(BATCH)
-        for variable, segment, payload in BATCH:
-            assert store.get(variable, segment) == payload
 
     def test_latency_store_counts_one_trip(self):
         store = LatencyFragmentStore(

@@ -197,41 +197,6 @@ class TestDurabilityOverURLSchemes:
         assert set(reopened.keys()) == {("v", "s2"), ("v", "s3")}
         reopened.close()
 
-    def test_snapshot_between_schemes(self, tmp_path):
-        """snapshot/restore copy verbatim across any two URL schemes."""
-        from repro.storage.snapshot import restore_store, snapshot_store
-
-        src_url = f"file://{tmp_path / 'src'}"
-        dst_url = f"sharded://{tmp_path / 'dst'}?fanout=4"
-        src = open_store(src_url)
-        fragments = {("v", f"s{i}"): bytes([i]) * (i + 1) for i in range(6)}
-        src.put_many([(v, s, p) for (v, s), p in fragments.items()])
-        src.close()
-
-        report = snapshot_store(src_url, dst_url)
-        assert report.fragments == 6 and not report.mismatched
-        dst = open_store(dst_url)
-        assert dst.get_many(list(fragments)) == fragments
-        dst.put("extra", "junk", b"zzz")  # diverge the destination
-        dst.close()
-
-        report = restore_store(src_url, dst_url)
-        assert report.deleted == 1
-        dst = open_store(dst_url)
-        assert set(dst.keys()) == set(fragments)
-        dst.close()
-
-        # behind HTTP the extras leave in one write request: the restore
-        # commits its copy batch, then every tombstone in one transaction
-        served = ShardedDiskStore(str(tmp_path / "served"), fanout=4)
-        served.put_many([("extra", f"e{i}", b"junk") for i in range(3)])
-        with HTTPFragmentServer(served) as server:
-            commits = served.durability().wal_commits
-            report = restore_store(src_url, server.url)
-            assert served.durability().wal_commits - commits == 2
-        assert report.deleted == 3 and served.durability().tombstones == 3
-        assert set(served.keys()) == set(fragments)
-
 
 class TestLayoutAutoDetection:
     def test_plain_path_reopens_sharded_layout(self, tmp_path):
@@ -405,6 +370,26 @@ class TestURLParsing:
         url = f"tiered://?slow=sharded://{tmp_path / 'slow'}&{query}"
         with pytest.raises(ValueError, match=rf"unknown tiered:// key\(s\) {key} "):
             open_store(url)
+
+    @pytest.mark.parametrize(
+        "url, key",
+        [
+            ("cluster://?nodes=memory%3A%2F%2F,memory%3A%2F%2F&replica=1", "replica"),
+            ("sharded://{tmp}/s?fanuot=8", "fanuot"),
+            ("sharded://{tmp}/s?fsnyc=off", "fsnyc"),
+            ("file://{tmp}/f?fsnyc=off", "fsnyc"),
+            ("http://127.0.0.1:9?timout=5", "timout"),
+            ("cluster://?nodes=memory://,memory://&chunk=1k", "chunk"),
+        ],
+    )
+    def test_every_scheme_rejects_unknown_keys(self, tmp_path, url, key):
+        """A misspelled (or removed) key fails the open, naming itself and
+        the keys the scheme accepts, before any store is built."""
+        url = url.format(tmp=tmp_path)
+        scheme = url.partition("://")[0]
+        with pytest.raises(ValueError, match=rf"unknown {scheme}:// key\(s\) {key} .*known: "):
+            open_store(url)
+        assert not (tmp_path / "s").exists() and not (tmp_path / "f").exists()
 
     def test_split_store_url(self):
         assert split_store_url("/plain/path") == (None, "/plain/path")

@@ -198,7 +198,7 @@ class TestEvictionVsInflightBatches:
 
     def test_eviction_skips_pinned_but_still_converges(self):
         """Direct check of the eviction scan: pinned keys are skipped,
-        unpinned ones go, and the unpin rebalances the budget."""
+        unpinned ones go, and the unpin brings the budget back in line."""
         cache = FragmentCache(capacity_bytes=10)
         cache.get_or_load("v", "a", lambda: b"aaaa")
         cache.get_or_load("v", "b", lambda: b"bbbb")

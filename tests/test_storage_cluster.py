@@ -4,22 +4,18 @@ Three layers of guarantees, from math to metal:
 
 * :class:`repro.storage.cluster.HashRing` placement properties —
   stability (same key → same owners), balance (vnodes bound the max/min
-  node load ratio), and minimal movement (a membership change re-homes
-  only ~1/N of the keys, and every re-homed key moves *to* the node
-  that changed).
+  node load ratio), and minimal movement (a ring over one node more or
+  less re-homes only ~1/N of the keys, and every re-homed key moves
+  *to* the node that changed).
 * :class:`repro.storage.cluster.ClusterFragmentStore` semantics — exact
   K-way replication, FragmentStore-contract reads/writes/transactions,
-  transparent failover with per-node accounting, merged
-  durability/resilience snapshots, and rebalancing on join/leave.
+  transparent failover with per-node accounting, and merged
+  durability/resilience snapshots.
 * Chaos over real `HTTPFragmentServer` backends — killing any single
   node of a 3-node K=2 cluster mid-retrieval yields results
   bit-identical to the healthy cluster with zero client-visible errors
-  and ``failovers > 0``; killing a node mid-rebalance loses nothing and
-  never serves stale bytes.
+  and ``failovers > 0``.
 """
-
-import os
-import threading
 
 import numpy as np
 import pytest
@@ -311,7 +307,7 @@ class TestClusterURLGrammar:
         store = open_store(
             "cluster://?nodes=memory://,memory://,memory://"
             "&replicas=3&vnodes=16&retries=4&retry_base=0.01"
-            "&breaker=7&cooldown=1.5&chunk=1k"
+            "&breaker=7&cooldown=1.5"
         )
         assert isinstance(store, ClusterFragmentStore)
         assert store.replicas == 3
@@ -322,7 +318,6 @@ class TestClusterURLGrammar:
         assert node.store.retry.base_delay == 0.01
         assert node.breaker.failure_threshold == 7
         assert node.breaker.cooldown == 1.5
-        assert store.rebalancer.chunk_bytes == 1024
         store.close()
 
     def test_from_url_breaker_zero_disables_breakers(self):
@@ -405,7 +400,7 @@ class TestReadFailover:
         cluster.close()
 
     def test_replica_missing_key_fails_over_not_keyerror(self):
-        """A node lacking a key (missed write, mid-move) is a failover."""
+        """A node lacking a key (a missed replica write) is a failover."""
         cluster, nodes = make_cluster(3)
         keys = keyset(37, 30)
         cluster.put_many([(v, s, (v + s).encode()) for v, s in keys])
@@ -460,126 +455,6 @@ class TestWriteFailover:
 
 # ---------------------------------------------------------------------------
 # Rebalancing
-# ---------------------------------------------------------------------------
-
-
-class TestRebalance:
-    def payloads(self, seed: int, count: int) -> dict:
-        return {k: (k[0] + k[1]).encode() * 5 for k in keyset(seed, count)}
-
-    def test_join_migrates_minimal_share_and_stays_replicated(self):
-        cluster, nodes = make_cluster(3)
-        payloads = self.payloads(43, 60)
-        cluster.put_many([(v, s, p) for (v, s), p in payloads.items()])
-        new_node = FragmentStore()
-        cluster.add_node(new_node)
-        assert cluster.stats().rebalancing == 1
-        report = cluster.rebalance()
-        assert cluster.stats().rebalancing == 0
-        assert report["moved_fragments"] > 0
-        # ~2/4 of (key, replica) placements move on 3→4 nodes; well under all
-        assert report["moved_fragments"] < 1.6 * len(payloads)
-        assert len(new_node.keys()) > 0
-        assert cluster.get_many(list(payloads)) == payloads
-        for v, s in payloads:
-            holders = sum(n.has(v, s) for n in nodes + [new_node])
-            assert holders == 2, (v, s)
-        stats = cluster.stats()
-        assert stats.rebalances == 1
-        assert stats.rebalanced_fragments == report["moved_fragments"]
-        cluster.close()
-
-    def test_drain_and_remove_keeps_data_and_detaches_node(self):
-        cluster, nodes = make_cluster(3)
-        payloads = self.payloads(47, 50)
-        cluster.put_many([(v, s, p) for (v, s), p in payloads.items()])
-        cluster.remove_node("node0")
-        assert cluster.get_many(list(payloads)) == payloads  # still serving
-        cluster.rebalance()
-        assert cluster.nodes() == ["node1", "node2"]
-        assert cluster.get_many(list(payloads)) == payloads
-        for v, s in payloads:
-            assert sum(n.has(v, s) for n in nodes[1:]) == 2, (v, s)
-        with pytest.raises(ValueError):
-            cluster.remove_node("node1"), cluster.remove_node("node2")
-        cluster.close()
-
-    def test_remove_dead_node_recovers_from_surviving_replicas(self):
-        cluster, faulty = make_faulty_cluster(3)
-        payloads = self.payloads(53, 50)
-        cluster.put_many([(v, s, p) for (v, s), p in payloads.items()])
-        faulty[2].fail_next(10**6)  # node2 dies unobserved
-        cluster.remove_node("node2")
-        cluster.rebalance()
-        assert cluster.nodes() == ["node0", "node1"]
-        assert cluster.get_many(list(payloads)) == payloads
-        for v, s in payloads:
-            assert faulty[0].has(v, s) and faulty[1].has(v, s), (v, s)
-        cluster.close()
-
-    def test_kill_target_mid_rebalance_loses_nothing(self):
-        """A crash mid-migration leaves every fragment readable; the
-        retried pass completes idempotently."""
-        cluster, _ = make_cluster(3)
-        payloads = self.payloads(59, 60)
-        cluster.put_many([(v, s, p) for (v, s), p in payloads.items()])
-        target = FaultyFragmentStore(FragmentStore(), fail_after=0)
-        cluster.add_node(target, name="joiner")
-        with pytest.raises(SimulatedCrash):
-            cluster.rebalance()
-        # staged rings intact: reads stay correct, nothing lost
-        assert cluster.stats().rebalancing == 1
-        assert cluster.get_many(list(payloads)) == payloads
-        target.fail_after = None  # node comes back
-        report = cluster.rebalance()
-        assert report["moved_fragments"] > 0
-        assert cluster.stats().rebalancing == 0
-        assert cluster.get_many(list(payloads)) == payloads
-        cluster.close()
-
-    def test_overwrite_during_staged_move_is_never_served_stale(self):
-        """A put racing the migration wins: old-then-new lookup plus the
-        write-to-union rule means no replica can serve superseded bytes."""
-        cluster, nodes = make_cluster(3)
-        payloads = self.payloads(61, 40)
-        cluster.put_many([(v, s, p) for (v, s), p in payloads.items()])
-        cluster.add_node(FragmentStore())
-        victim = sorted(payloads)[0]
-        cluster.put(victim[0], victim[1], b"NEWER")  # mid-stage overwrite
-        cluster.rebalance()
-        assert cluster.get(*victim) == b"NEWER"
-        for node in cluster._nodes:
-            if node.store.has(*victim):
-                assert node.store.get(*victim) == b"NEWER"
-        cluster.close()
-
-    def test_a_staged_change_waits_for_the_callers_rebalance(self):
-        """No thread moves data: a staged node stays staged, reads stay
-        correct, and the caller's ``rebalance`` finalizes it."""
-        cluster, _ = make_cluster(2)
-        payloads = self.payloads(67, 30)
-        cluster.put_many([(v, s, p) for (v, s), p in payloads.items()])
-        threads = {t.name for t in threading.enumerate()}
-        cluster.add_node(FragmentStore())
-        assert cluster.stats().rebalancing == 1
-        assert {t.name for t in threading.enumerate()} <= threads
-        assert cluster.get_many(list(payloads)) == payloads
-        assert cluster.rebalance()["moved_fragments"] > 0
-        assert cluster.stats().rebalancing == 0
-        assert cluster.get_many(list(payloads)) == payloads
-        cluster.close()
-
-    def test_rebalance_without_staged_change_is_a_noop(self):
-        cluster, _ = make_cluster(2)
-        cluster.put("v", "s", b"x")
-        assert cluster.rebalance() == {
-            "moved_fragments": 0, "moved_bytes": 0, "dropped": 0,
-        }
-        cluster.close()
-
-
-# ---------------------------------------------------------------------------
-# Merged per-node stats (the satellite fix: never just node 0)
 # ---------------------------------------------------------------------------
 
 
@@ -779,37 +654,6 @@ class TestClusterRetrievalChaos:
                 if server._thread is not None:
                     server.stop()
 
-    def test_kill_node_mid_rebalance_over_http(self, archived, tmp_path):
-        """Node death mid-migration: nothing lost, nothing stale, the
-        retried pass completes against the surviving replicas."""
-        _, node_dirs, *_ = archived
-        servers = [
-            HTTPFragmentServer(ShardedDiskStore(d)).start() for d in node_dirs
-        ]
-        joiner = HTTPFragmentServer(
-            ShardedDiskStore(str(tmp_path / "joiner"))
-        ).start()
-        try:
-            store = open_store(cluster_url(servers))
-            everything = store.get_many(store.keys())
-            store.add_node(open_store(joiner.url))
-            kill_server(servers[0])  # dies while the move is staged
-            try:
-                store.rebalance()
-            except (ConnectionError, OSError, DegradedError):
-                pass  # a failed pass must leave the staged lookup intact
-            got = store.get_many(list(everything))
-            assert got == everything  # nothing lost, nothing stale
-            report = store.rebalance()  # retried pass completes
-            assert store.stats().rebalancing == 0
-            assert store.get_many(list(everything)) == everything
-            assert report["moved_fragments"] >= 0
-            store.close()
-        finally:
-            for server in servers + [joiner]:
-                if server._thread is not None:
-                    server.stop()
-
 
 class TestServiceIntegration:
     def test_service_stats_carry_cluster_counters(self):
@@ -825,22 +669,3 @@ class TestServiceIntegration:
         payload = asdict(stats)  # the wire shape /metrics flattens
         assert payload["cluster"]["per_node"]["node1"]["requests"] >= 0
         service.close()
-
-    def test_service_open_over_a_cluster_leaves_rebalancing_to_the_caller(self, tmp_path):
-        servers = [
-            HTTPFragmentServer(ShardedDiskStore(str(tmp_path / f"n{i}"))).start()
-            for i in range(2)
-        ]
-        try:
-            service = RetrievalService.open(cluster_url(servers))
-            cluster = service._inner
-            assert isinstance(cluster, ClusterFragmentStore)
-            cluster.put_many([(v, s, b"x" * 8) for v, s in keyset(89, 20)])
-            cluster.add_node(FragmentStore())
-            assert service.stats().cluster.rebalancing == 1
-            cluster.rebalance()
-            assert service.stats().cluster.rebalancing == 0
-            service.close()
-        finally:
-            for server in servers:
-                server.stop()

@@ -1,4 +1,4 @@
-"""Tests for the remote backends: HTTP object store and key-value adapter."""
+"""Tests for the remote backend: the HTTP object store and its client."""
 
 import contextlib
 import threading
@@ -11,11 +11,6 @@ from repro.storage.archive import Archive, encode_fragments
 from repro.storage.remote import (
     HTTPFragmentServer,
     HTTPFragmentStore,
-    InMemoryObjectBucket,
-    KeyValueFragmentStore,
-    ObjectBucket,
-    fragment_key,
-    object_key,
 )
 from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
 from repro.utils.fragment_keys import INDEX_SEGMENT
@@ -152,83 +147,6 @@ class TestHTTPFragmentStore:
             HTTPFragmentStore.from_url("http://no-port-here")
         with pytest.raises(ValueError):
             HTTPFragmentStore.from_url("file:///somewhere")
-
-
-class TestObjectKeyCodec:
-    def test_roundtrip_odd_names(self):
-        for variable, segment in [
-            ("a/b..c", "s:1"),
-            ("with space", "seg/with/slashes"),
-            ("percent%20", "unicode-ε"),
-        ]:
-            assert fragment_key(object_key(variable, segment)) == (variable, segment)
-
-    def test_foreign_key_rejected(self):
-        with pytest.raises(ValueError):
-            fragment_key("no-separator-anywhere")
-
-
-class TestKeyValueFragmentStore:
-    def test_satisfies_remote_protocol(self):
-        assert isinstance(KeyValueFragmentStore(InMemoryObjectBucket()), FragmentStore)
-        assert {"get_many", "transact"} <= set(vars(KeyValueFragmentStore))
-        assert isinstance(InMemoryObjectBucket(), ObjectBucket)
-
-    def test_roundtrip_and_reopen_from_listing(self):
-        bucket = InMemoryObjectBucket()
-        store = KeyValueFragmentStore(bucket)
-        store.put("a/b", "s:0", b"hello")
-        store.put("v", "s1", bytes(50))
-        reopened = KeyValueFragmentStore(bucket)
-        assert set(reopened.keys()) == {("a/b", "s:0"), ("v", "s1")}
-        assert reopened.nbytes() == 55
-        assert reopened.get("a/b", "s:0") == b"hello"
-
-    def test_get_many_uses_batched_bucket_reads(self):
-        bucket = InMemoryObjectBucket()
-        store = KeyValueFragmentStore(bucket)
-        for i in range(8):
-            store.put("v", f"s{i}", bytes([i]))
-        before = bucket.requests
-        out = store.get_many([("v", f"s{i}") for i in range(8)])
-        assert len(out) == 8
-        assert bucket.requests == before + 1  # one bucket round trip
-        assert store.round_trips == 1 and store.reads == 8
-
-    def test_get_many_falls_back_without_batch_support(self):
-        class PlainBucket(InMemoryObjectBucket):
-            get_objects = None
-
-        bucket = PlainBucket()
-        store = KeyValueFragmentStore(bucket)
-        store.put("v", "s0", b"a")
-        store.put("v", "s1", b"b")
-        out = store.get_many([("v", "s0"), ("v", "s1")])
-        assert out[("v", "s0")] == b"a"
-        assert store.round_trips == 2  # honest per-object accounting
-
-    def test_missing_keys(self):
-        store = KeyValueFragmentStore(InMemoryObjectBucket())
-        store.put("v", "s0", b"a")
-        with pytest.raises(KeyError):
-            store.get("v", "nope")
-        with pytest.raises(KeyError) as exc:
-            store.get_many([("v", "s0"), ("v", "nope")])
-        assert ("v", "nope") in exc.value.args[0]
-
-    def test_delete(self):
-        store = KeyValueFragmentStore(InMemoryObjectBucket())
-        store.put("v", "s0", b"a")
-        store.delete("v", "s0")
-        assert not store.has("v", "s0")
-        with pytest.raises(KeyError):
-            store.delete("v", "s0")
-
-    def test_foreign_bucket_objects_ignored(self):
-        bucket = InMemoryObjectBucket()
-        bucket.put_object("unrelated-blob", b"not a fragment")
-        store = KeyValueFragmentStore(bucket)
-        assert store.keys() == []
 
 
 class TestConnectionReuse:

@@ -11,11 +11,7 @@ from repro.core.retrieval import QoIRequest, refactor_dataset
 from repro.data import generators
 from repro.service.service import RetrievalService
 from repro.storage.archive import Archive
-from repro.storage.remote import (
-    HTTPFragmentServer,
-    InMemoryObjectBucket,
-    KeyValueFragmentStore,
-)
+from repro.storage.remote import HTTPFragmentServer
 from repro.storage.resilience import ResilienceStats
 from repro.storage.store import (
     DiskFragmentStore,
@@ -237,7 +233,7 @@ class TestTieredRetrievalIntegration:
 
     def test_service_routes_batched_misses_to_slow_tier_coalesced(self, archived):
         archive_dir, ranges, qoi, qoi_range = archived
-        slow = KeyValueFragmentStore(InMemoryObjectBucket())
+        slow = FragmentStore()
         for var, seg in ShardedDiskStore(archive_dir).keys():
             slow.put(var, seg, ShardedDiskStore(archive_dir).get(var, seg))
         tiered = TieredStore(FragmentStore(), slow)

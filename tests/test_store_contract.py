@@ -1,8 +1,8 @@
-"""One contract, ten stores: what ``get_many`` and ``transact`` promise.
+"""One contract, nine stores: what ``get_many`` and ``transact`` promise.
 
 Every backend implements the two primitives and inherits (or, where it
 is hot, overrides) the four derived calls; this suite runs the same
-assertions over all ten store kinds so the derivations, the accounting
+assertions over all nine store kinds so the derivations, the accounting
 and the error shapes cannot drift apart again.  Counts and bytes only,
 never timings.
 """
@@ -18,8 +18,6 @@ from repro.storage.cluster import ClusterFragmentStore
 from repro.storage.remote import (
     HTTPFragmentServer,
     HTTPFragmentStore,
-    InMemoryObjectBucket,
-    KeyValueFragmentStore,
 )
 from repro.storage.resilience import ResilientStore, RetryPolicy
 from repro.storage.store import (
@@ -32,7 +30,7 @@ from repro.storage.tiered import TieredStore
 from repro.storage.transfer import LatencyFragmentStore
 
 WRAPPERS = ("caching", "latency", "resilient")
-KINDS = ("memory", "flat", "sharded", "http", "keyvalue", *WRAPPERS, "tiered", "cluster")
+KINDS = ("memory", "flat", "sharded", "http", *WRAPPERS, "tiered", "cluster")
 
 
 def build(kind: str, tmp_path, stack: contextlib.ExitStack) -> FragmentStore:
@@ -46,8 +44,6 @@ def build(kind: str, tmp_path, stack: contextlib.ExitStack) -> FragmentStore:
     if kind == "http":
         server = stack.enter_context(HTTPFragmentServer(FragmentStore()))
         return stack.enter_context(HTTPFragmentStore.from_url(server.url))
-    if kind == "keyvalue":
-        return KeyValueFragmentStore(InMemoryObjectBucket())
     if kind == "caching":
         return CachingFragmentStore(FragmentStore(), FragmentCache(1 << 20))
     if kind == "latency":
