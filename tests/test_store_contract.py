@@ -1,10 +1,16 @@
-"""One contract, nine stores: what ``get_many`` and ``transact`` promise.
+"""One contract, eleven stores: what ``get_many`` and ``transact`` promise.
 
 Every backend implements the two primitives and inherits (or, where it
 is hot, overrides) the four derived calls; this suite runs the same
-assertions over all nine store kinds so the derivations, the accounting
+assertions over all eleven store kinds so the derivations, the accounting
 and the error shapes cannot drift apart again.  Counts and bytes only,
 never timings.
+
+Two kinds cover what the plain ``cluster`` (every key on both nodes)
+cannot: ``cluster_spread`` places each key on one node of three, so a
+batch splits across owners and is merged back in request order, and
+``fleet`` is the chain a fleet service opens by URL, a tiered store
+whose slow tier is a replicated cluster of fragment servers.
 """
 
 import contextlib
@@ -25,12 +31,16 @@ from repro.storage.store import (
     FragmentStore,
     ShardedDiskStore,
     StoreWrapper,
+    open_store,
 )
 from repro.storage.tiered import TieredStore
 from repro.storage.transfer import LatencyFragmentStore
 
 WRAPPERS = ("caching", "latency", "resilient")
-KINDS = ("memory", "flat", "sharded", "http", *WRAPPERS, "tiered", "cluster")
+KINDS = (
+    "memory", "flat", "sharded", "http", *WRAPPERS,
+    "tiered", "cluster", "cluster_spread", "fleet",
+)
 
 
 def build(kind: str, tmp_path, stack: contextlib.ExitStack) -> FragmentStore:
@@ -56,7 +66,26 @@ def build(kind: str, tmp_path, stack: contextlib.ExitStack) -> FragmentStore:
     if kind == "cluster":
         nodes = [FragmentStore(), FragmentStore()]
         return stack.enter_context(ClusterFragmentStore(nodes, replicas=2))
+    if kind == "cluster_spread":
+        nodes = [FragmentStore() for _ in range(3)]
+        return stack.enter_context(ClusterFragmentStore(nodes, replicas=1))
+    if kind == "fleet":
+        servers = [HTTPFragmentServer(FragmentStore()).start() for _ in range(2)]
+        stack.callback(stop_together, servers)
+        cluster = "cluster://%s?replicas=2" % ",".join(
+            "%s:%d" % server.address for server in servers
+        )
+        return stack.enter_context(open_store("tiered://?slow=" + cluster))
     raise AssertionError(kind)
+
+
+def stop_together(servers) -> None:
+    # each stop waits out its server's poll interval: wait for all at once
+    stoppers = [threading.Thread(target=server.stop) for server in servers]
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join()
 
 
 @pytest.fixture(params=KINDS)
