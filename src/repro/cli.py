@@ -14,11 +14,11 @@ Wires the whole pipeline into eight subcommands::
     python -m repro.cli compact  --archive ar/        # or: --port 7117
 
 ``archive`` refactors each ``name=path.npy`` variable into a fresh
-fragment-addressable archive (one object per fragment; pass
-``--sharded`` for the hashed fan-out layout) and records the dataset
-manifest (shapes, value ranges) that Algorithm 2 needs.  ``ingest`` runs
-the same streaming engine against archives that already exist:
-variables are refactored on ``--workers`` parallel encode threads and
+fragment-addressable archive (one pack file per commit, hashed over
+shard directories; ``--out`` also takes any store URL) and records the
+dataset manifest (shapes, value ranges) that Algorithm 2 needs.
+``ingest`` runs the same streaming engine against archives that already
+exist: variables are refactored on ``--workers`` parallel encode threads and
 flushed with byte-balanced coalesced commits (``--flush-bytes``),
 adding or replacing variables — or appending ``--timestep`` qualified
 steps — without rewriting untouched fragments.  ``retrieve`` runs the
@@ -33,7 +33,7 @@ either a running server's live counters (store reads/round trips and
 puts/bytes written, cache hit/miss/eviction rates, per-tier hit
 counters for tiered backends, WAL durability counters) or a static
 summary of an archive.  ``compact`` rewrites an archive's commit log
-and unlinks tombstoned fragment files (dead bytes accumulate from
+and reclaims the bytes of dead fragments (they accumulate from
 replaced/deleted variables; see docs/durability.md).
 
 Everywhere a command takes ``--archive`` (or ``archive --out``), it
@@ -73,12 +73,7 @@ from repro.service.service import RetrievalService
 from repro.storage.archive import Archive
 from repro.storage.cache import DEFAULT_CACHE_BYTES
 from repro.storage.metadata import DatasetManifest
-from repro.storage.store import (
-    open_directory_store,
-    open_store,
-    parse_bytes,
-    split_store_url,
-)
+from repro.storage.store import ArchiveFormatError, open_store, parse_bytes, split_store_url
 from repro.storage.cluster import ClusterFragmentStore
 from repro.storage.tiered import TieredStore
 
@@ -100,17 +95,9 @@ def _load_variables(pairs) -> dict:
 def _cmd_archive(args) -> int:
     variables = _load_variables(args.variables)
     scheme, rest = split_store_url(args.out)
-    if scheme is not None:  # archive straight into any URL-addressed backend
-        if getattr(args, "sharded", False):
-            raise SystemExit(
-                "--sharded only applies to plain directory paths; "
-                f"use a sharded:// URL instead of {args.out!r}"
-            )
-        store = open_store(args.out)
-        dataset = os.path.basename(rest.partition("?")[0].rstrip("/")) or "dataset"
-    else:
-        store = open_directory_store(args.out, sharded=getattr(args, "sharded", False))
-        dataset = os.path.basename(args.out.rstrip("/")) or "dataset"
+    path = rest if scheme is None else rest.partition("?")[0]
+    dataset = os.path.basename(path.rstrip("/")) or "dataset"
+    store = open_store(args.out)
     manifest = DatasetManifest(dataset=dataset)
     report = ingest_dataset(store, variables, make_refactorer(args.method))
     update_manifest(manifest, store, variables, args.method, report)
@@ -398,7 +385,7 @@ def _cmd_compact(args) -> int:
 
             report = CompactionReport(**client.compact())
         target = f"{args.host}:{args.port}"
-    print(f"compacted {target}: {report.removed_files} dead file(s) unlinked, "
+    print(f"compacted {target}: {report.removed_files} dead fragment(s), "
           f"{report.reclaimed_bytes} B reclaimed; "
           f"log {report.log_bytes_before} -> {report.log_bytes_after} B "
           f"({report.live_fragments} live fragment(s))")
@@ -476,10 +463,6 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["psz3", "psz3_delta", "pmgard", "pmgard_hb", "pzfp"],
     )
     p_archive.add_argument("variables", nargs="+", metavar="name=path.npy")
-    p_archive.add_argument(
-        "--sharded", action="store_true",
-        help="hashed fan-out directory layout with a persisted index",
-    )
     p_archive.set_defaults(func=_cmd_archive)
 
     p_ingest = sub.add_parser(
@@ -596,6 +579,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ArchiveFormatError as exc:  # an older archive: one line, not a traceback
+        raise SystemExit(f"repro {args.command}: {exc}")
     except BrokenPipeError:
         # stdout piped into e.g. `head`; exiting quietly is the polite
         # Unix behavior (stderr still works for real errors)

@@ -175,13 +175,7 @@ def _decompress_segment(backend, segment: bytes, expected: int | None = None) ->
         elif marker == _SEG_COMPRESSED:
             raw = backend.decompress_bytes(body, expected)
         else:
-            # legacy fallback: segments written before the framing marker
-            # existed are whole-segment backend payloads (zlib streams
-            # start 0x?8, never 0x00/0x01), so older archives stay readable
-            try:
-                raw = backend.decompress_bytes(segment, expected)
-            except Exception:
-                raise ValueError(f"unknown bitplane segment marker {marker!r}") from None
+            raise ValueError(f"unknown bitplane segment marker {marker!r}")
     if expected is not None and len(raw) != expected:
         raise ValueError(f"inflates to {len(raw)} bytes, expected {expected}")
     return raw

@@ -16,7 +16,7 @@ Layering::
               ├── QueryPlanner  (shared plans, decoded states, verdicts)
               └── Archive over CachingFragmentStore
                     ├── FragmentCache   (shared LRU, byte budget)
-                    └── FragmentStore   (disk / sharded / in-memory)
+                    └── FragmentStore   (on-disk / remote / in-memory)
 
 Each :class:`ClientSession` keeps the full incremental economics of
 :class:`~repro.core.retrieval.RetrievalSession` — successive, tighter
@@ -62,7 +62,7 @@ from repro.storage.cluster import ClusterFragmentStore, ClusterStats
 from repro.service.planner import ANSWER_SHARE, PlannerStats, QueryPlanner
 from repro.storage.metadata import MANIFEST_SEGMENT, MANIFEST_VARIABLE, DatasetManifest
 from repro.storage.resilience import ResilienceStats, TokenBucket
-from repro.storage.store import FragmentStore, open_directory_store, open_store
+from repro.storage.store import FragmentStore, open_store
 from repro.storage.tiered import TieredStore, TierStats
 from repro.storage.wal import CompactionReport, DurabilityStats
 from repro.utils.fragment_keys import timestep_variable
@@ -257,22 +257,14 @@ class RetrievalService:
         self._closed = False
 
     @classmethod
-    def open(
-        cls, archive_dir: str, sharded: bool | None = None, **kwargs
-    ) -> "RetrievalService":
+    def open(cls, archive_dir: str, **kwargs) -> "RetrievalService":
         """Open a service over an archive directory or store URL.
 
-        *archive_dir* accepts everything :func:`open_store` does —
-        a plain directory (``sharded=None`` auto-detects the layout from
-        the persisted index the sharded layout leaves behind)
-        or a ``file://``/``sharded://``/``http://``/``tiered://``/
-        ``cluster://`` URL.
+        *archive_dir* accepts everything :func:`open_store` does — a
+        plain directory or a ``file://``/``sharded://``/``http://``/
+        ``tiered://``/``cluster://`` URL.
         """
-        if sharded is None:
-            store = open_store(archive_dir)
-        else:
-            store = open_directory_store(archive_dir, sharded=sharded)
-        return cls(store, **kwargs)
+        return cls(open_store(archive_dir), **kwargs)
 
     def variables(self) -> list:
         """Names of the variables this service can retrieve."""

@@ -1,8 +1,8 @@
 """Storage and data-movement substrates.
 
 * :mod:`repro.storage.store` — the two-primitive store interface, the
-  local fragment stores (in-memory, and the WAL-backed on-disk store in
-  its flat and sharded layouts) with byte accounting, the
+  local fragment stores (in-memory, and the WAL-backed on-disk
+  :class:`ShardedDiskStore`) with byte accounting, the
   :class:`StoreWrapper` base of every decorating store, plus :func:`open_store`, the
   URL entry point over every backend (``file://``, ``sharded://``,
   ``memory://``, ``http://``, ``tiered://``, ``cluster://``).
@@ -20,8 +20,9 @@
   re-reading overlapping fragments from disk.
 * :mod:`repro.storage.wal` — the append-only commit log behind the
   on-disk store: crash-atomic multi-fragment writes (one pack file per
-  commit → one fsync'd commit record), tombstones, and compaction.
-  See ``docs/durability.md``.
+  commit → one fsync'd commit record), tombstones, and compaction; an
+  archive in an older on-disk format fails its open with
+  :class:`ArchiveFormatError`.  See ``docs/durability.md``.
 * :mod:`repro.storage.metadata` — dataset manifests recording the
   refactoring metadata Algorithm 2 needs (shapes, value ranges).
 * :mod:`repro.storage.transfer` — the simulated Globus-like wide-area
@@ -32,11 +33,10 @@ policy, and a backend decision table.
 """
 
 from repro.storage.store import (
-    DiskFragmentStore,
+    ArchiveFormatError,
     FragmentStore,
     ShardedDiskStore,
     StoreWrapper,
-    open_directory_store,
     open_store,
 )
 from repro.storage.cache import CacheStats, CachingFragmentStore, FragmentCache
@@ -63,11 +63,10 @@ from repro.storage.archive import Archive, ArchiveIndexError, FragmentSource, pr
 
 __all__ = [
     "FragmentStore",
-    "DiskFragmentStore",
     "ShardedDiskStore",
     "StoreWrapper",
     "open_store",
-    "open_directory_store",
+    "ArchiveFormatError",
     "FragmentCache",
     "CachingFragmentStore",
     "CacheStats",

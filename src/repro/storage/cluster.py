@@ -513,11 +513,12 @@ class ClusterFragmentStore(FragmentStore):
         """Write each fragment to all its owners, all nodes in parallel.
 
         One ``transact`` per node carries everything that node
-        replicates.  A node failing transiently under a pure put batch
-        is tolerated as long as every fragment still reached at least
-        one owner (the miss is counted as ``write_failovers``); a node
-        carrying deletes fails the call — a surviving stale replica
-        could otherwise serve deleted data later.
+        replicates.  A node failing transiently under a batch of new
+        keys is tolerated as long as every fragment still reached at
+        least one owner (the miss is counted as ``write_failovers``); a
+        node carrying deletes, or a put overwriting a key the cluster's
+        index held before the batch, fails the call — a surviving stale
+        replica could otherwise serve deleted or superseded data later.
         """
         puts_by: dict = {}
         for variable, segment, payload in batch:
@@ -545,8 +546,10 @@ class ClusterFragmentStore(FragmentStore):
             try:
                 future.result()
             except Exception as exc:
-                strict = bool(dels_by.get(name)) or not (
-                    is_transient(exc) or isinstance(exc, CircuitOpenError)
+                strict = (
+                    bool(dels_by.get(name))
+                    or any((v, s) in self._sizes for v, s, _ in puts_by.get(name, ()))
+                    or not (is_transient(exc) or isinstance(exc, CircuitOpenError))
                 )
                 failures.append((name, exc, strict))
                 lost = len(puts_by.get(name, ()))
@@ -576,8 +579,9 @@ class ClusterFragmentStore(FragmentStore):
         one client-visible write round trip.
         Per-node atomicity is that of each backend's own ``transact``
         (one WAL commit record on the disk-backed servers); cross-node
-        atomicity is not promised — a failed node's deletes fail the
-        whole call so a stale replica can never survive silently.
+        atomicity is not promised — a failed node's deletes or
+        overwrites fail the whole call so a stale replica can never
+        survive silently.
         The whole transaction is checked against the cluster's index
         (:meth:`_check_batch`) before any node sees it.
         """

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, fields
 MANIFEST_VARIABLE = "_dataset"
 MANIFEST_SEGMENT = "manifest.json"
 #: Archived layout written by :meth:`DatasetManifest.save_to`: a header
-#: plus one ``var.<name>.json`` record per variable under ``_dataset``
-#: (format 1 was one ``manifest.json`` with every variable inline).
+#: plus one ``var.<name>.json`` record per variable under ``_dataset``,
+#: the only one :meth:`DatasetManifest.load_from` reads (format 1, one
+#: ``manifest.json`` with every variable inline, is refused).
 MANIFEST_FORMAT = 2
 _RECORD_PREFIX = "var."
 _RECORD_SUFFIX = ".json"
@@ -111,9 +112,7 @@ class DatasetManifest:
     Archived (format 2) as a small header at ``(_dataset,
     manifest.json)`` plus one JSON record per variable at ``(_dataset,
     var.<name>.json)``, so a save writes what changed since this handle
-    last met the store, not every variable ever ingested.  Format-1
-    archives — a single ``manifest.json`` with the variables inline —
-    still load, and the next :meth:`save_to` migrates them.
+    last met the store, not every variable ever ingested.
     """
 
     dataset: str
@@ -154,11 +153,10 @@ class DatasetManifest:
 
         On the store this handle was loaded from or last saved to, that
         is the records of the variables :meth:`add` touched since; on
-        any other store it is the header and every record (which is also
-        how a format-1 manifest migrates).  Records are only ever
-        written, never swept: two handles that each add a different
-        variable both survive, and a fresh ``DatasetManifest`` saved
-        onto a store that already holds records leaves the other
+        any other store it is the header and every record.  Records are
+        only ever written, never swept: two handles that each add a
+        different variable both survive, and a fresh ``DatasetManifest``
+        saved onto a store that already holds records leaves the other
         variables' records in place.
         """
         full = store is not self._synced
@@ -183,25 +181,17 @@ class DatasetManifest:
 
         One ``get`` for the header and one ``get_many`` for every record
         the store's index lists.  ValueError, naming the segment, when
-        the header or a record is not what :meth:`save_to` writes.
+        the header or a record is not what :meth:`save_to` writes — a
+        format-1 header (no ``format``, variables inline) included.
         """
         header = _loads(store.get(MANIFEST_VARIABLE, MANIFEST_SEGMENT), MANIFEST_SEGMENT)
-        version = header.get("format", 1)
-        inline = header.get("variables", {})
-        if (
-            "dataset" not in header
-            or version not in (1, MANIFEST_FORMAT)
-            or not isinstance(inline, dict)
-        ):
+        if "dataset" not in header or header.get("format") != MANIFEST_FORMAT:
             raise ValueError(
-                f"corrupt manifest segment {MANIFEST_SEGMENT!r}: "
-                f"not a format 1 or {MANIFEST_FORMAT} header"
+                f"corrupt manifest segment {MANIFEST_SEGMENT!r}: not a format "
+                f"{MANIFEST_FORMAT} header (format 1 is no longer read: "
+                f"re-archive from the source data)"
             )
         manifest = cls(dataset=header["dataset"])
-        # format 1 kept the variables inline; a record, if one was
-        # written since, is newer than the inline entry it shadows
-        for name, raw in inline.items():
-            manifest.variables[name] = _from_dict(raw, f"{MANIFEST_SEGMENT}[{name!r}]")
         records = [
             (MANIFEST_VARIABLE, segment)
             for segment in store.segments(MANIFEST_VARIABLE)
@@ -211,6 +201,5 @@ class DatasetManifest:
             for (_, segment), payload in store.get_many(records).items():
                 meta = _from_dict(_loads(payload, segment), segment)
                 manifest.variables[meta.name] = meta
-        if version == MANIFEST_FORMAT:
-            manifest._synced = store
+        manifest._synced = store
         return manifest

@@ -30,6 +30,7 @@ import http.client
 import http.server
 import json
 import threading
+import weakref
 from urllib.parse import urlparse
 
 from dataclasses import asdict
@@ -275,6 +276,14 @@ class HTTPFragmentServer:
 # ---------------------------------------------------------------------------
 
 
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection that closes when dropped: only the client's
+    thread-local holds one, so it closes when its thread ends."""
+
+    def __del__(self):
+        self.close()
+
+
 class HTTPFragmentStore(FragmentStore):
     """Client for :class:`HTTPFragmentServer`: a remote tier over HTTP.
 
@@ -286,13 +295,14 @@ class HTTPFragmentStore(FragmentStore):
     as a round trip, with no reads.  :meth:`get_many` moves a whole
     batch in **one** request via the ``/batch`` endpoint (a ``get`` is
     a batch of one), and :meth:`transact` a whole transaction, puts and
-    tombstones, via ``/batch_put``.  Connections
-    are per-thread and kept alive, so concurrent retrieval sessions don't
-    serialize on a shared socket; a stale keep-alive (server restarted,
-    idle socket reaped) is re-dialed transparently exactly once per
-    request and counted in ``reconnects``.  Anything beyond that single
-    re-dial is the retry layer's job: wrap the client in a
-    :class:`~repro.storage.resilience.ResilientStore` (or pass
+    tombstones, via ``/batch_put``.  Connections are per-thread and
+    kept alive, so concurrent retrieval sessions don't serialize on a
+    shared socket; a thread's connection closes when the thread ends,
+    and :meth:`close` closes every one still open.  A stale keep-alive
+    (server restarted, idle socket reaped) is re-dialed transparently
+    exactly once per request and counted in ``reconnects``.  Anything
+    beyond that single re-dial is the retry layer's job: wrap the client
+    in a :class:`~repro.storage.resilience.ResilientStore` (or pass
     ``retries=``/``breaker=`` URL parameters to :meth:`from_url`) for
     backoff and circuit breaking.
 
@@ -310,6 +320,7 @@ class HTTPFragmentStore(FragmentStore):
         self.port = int(port)
         self.timeout = float(timeout)
         self._local = threading.local()
+        self._conns = weakref.WeakSet()  # each thread's open connection, for close()
         #: Stale keep-alive connections transparently re-dialed.
         self.reconnects = 0
         self.refresh()
@@ -351,8 +362,10 @@ class HTTPFragmentStore(FragmentStore):
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+            conn = _Connection(self.host, self.port, timeout=self.timeout)
             self._local.conn = conn
+            with self._stats_lock:
+                self._conns.add(conn)
         return conn
 
     def _request(self, method: str, path: str, body=None, headers: dict | None = None,
@@ -519,9 +532,9 @@ class HTTPFragmentStore(FragmentStore):
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Close this thread's kept-alive connection (others expire idle)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        """Close every connection this client dialed, on any thread."""
+        with self._stats_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()  # reused after this, a connection re-dials itself
 

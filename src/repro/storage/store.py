@@ -8,8 +8,7 @@ and the base class derives ``get``/``put``/``put_many``/``delete`` from
 them, so every backend answers all six data-path calls with the same
 accounting.  :class:`FragmentStore` itself is the in-memory store (unit
 tests, ``memory://``, the default tiered fast tier);
-:class:`ShardedDiskStore` and its flat-layout form
-:class:`DiskFragmentStore` are the one WAL-backed on-disk store (one
+:class:`ShardedDiskStore` is the one WAL-backed on-disk store (one
 pack file per commit, read by offset, so partial retrieval maps to
 partial reads);
 :class:`StoreWrapper` is the base of every store that decorates another.
@@ -36,9 +35,8 @@ interrupted batch; deletes only tombstone, and
 :func:`open_store` is the one entry point deployments need: it accepts a
 plain directory path or a store URL (``file://``, ``sharded://``,
 ``memory://``, ``http://``, ``tiered://``, ``cluster://`` — see
-``docs/storage.md``) and returns the right backend, auto-detecting
-on-disk layouts.  On-disk URLs accept ``?fsync=always|commit|off`` to
-pick the WAL's fsync discipline.
+``docs/storage.md``) and returns the right backend.  On-disk URLs
+accept ``?fsync=always|commit|off`` to pick the WAL's fsync discipline.
 """
 
 from __future__ import annotations
@@ -51,18 +49,38 @@ import re
 import threading
 
 from repro.storage import wal
-from repro.storage.wal import CommitLog, CompactionReport, DurabilityStats, crash_point
+from repro.storage.wal import (
+    ArchiveFormatError,
+    CommitLog,
+    CompactionReport,
+    DurabilityStats,
+    crash_point,
+)
 
-#: Commit log of the flat layout (:class:`DiskFragmentStore`).
-DISK_INDEX_LOG = ".repro-index.jsonl"
-
-#: Commit log of the sharded layout (:class:`ShardedDiskStore`).
+#: Commit log of the on-disk store (:class:`ShardedDiskStore`).
 SHARD_INDEX_LOG = "index.jsonl"
 
-#: Layout marker written once per on-disk store so :func:`open_store` can
-#: identify (and correctly parameterize) the layout that wrote the
-#: directory without guessing from its contents.
+#: Layout marker written once per on-disk store: it records the fan-out
+#: width, which the pack paths alone cannot.
 LAYOUT_MARKER = ".repro-store.json"
+
+
+def _retired_file(name: str) -> str | None:
+    """What a file at an archive's root is, if an older revision wrote it.
+
+    The flat layout kept its log (``.repro-index.jsonl``) and packs at
+    the root; before packs, every fragment was one ``.bin`` file, staged
+    under a ``.stg<txn>`` name until its commit.
+    """
+    if name == ".repro-index.jsonl":
+        return "the commit log of the flat layout"
+    if name.endswith(wal.PACK_SUFFIX):
+        return "a pack of the flat layout"
+    if name.endswith(".bin"):
+        return "a one-file-per-fragment payload"
+    if ".stg" in name:
+        return "a staged payload file"
+    return None
 
 
 def _read_layout_marker(archive_dir: str) -> dict | None:
@@ -127,37 +145,14 @@ def _parse_store_url(url: str, scheme: str, known) -> tuple:
     return path, params
 
 
-def open_directory_store(
-    archive_dir: str, fsync: str = "commit", sharded: bool | None = None
-) -> "FragmentStore":
-    """Open an on-disk archive directory in its flat or sharded layout.
-
-    With ``sharded=None`` the layout is detected: a directory is sharded
-    when it holds the persisted shard index or a :data:`LAYOUT_MARKER`
-    saying so (the marker, written on first ``put``, also restores the
-    fan-out width, which filenames alone cannot); anything else is flat.
-    The shard index outranks the marker, so a directory that somehow
-    carries both layouts still opens the way pre-marker revisions did.
-    ``sharded=True``/``False`` names the layout instead (a caller
-    creating an archive).  *fsync* picks the commit log's discipline.
-    """
-    if sharded is None:
-        marker = _read_layout_marker(archive_dir)
-        sharded = os.path.isfile(os.path.join(archive_dir, SHARD_INDEX_LOG)) or (
-            marker is not None and marker.get("layout") == "sharded"
-        )
-    store_cls = ShardedDiskStore if sharded else DiskFragmentStore
-    return store_cls(archive_dir, fsync=fsync)
-
-
 def open_store(url: str) -> "FragmentStore":
     """Open a fragment store from a directory path or a store URL.
 
     Accepted forms (the full grammar lives in ``docs/storage.md``):
 
-    * a plain path or ``file://PATH`` — on-disk archive directory with
-      layout auto-detection (:func:`open_directory_store`),
-    * ``sharded://PATH[?fanout=N]`` — explicitly sharded layout,
+    * a plain path, ``file://PATH`` or ``sharded://PATH[?fanout=N]`` —
+      an on-disk archive directory (:class:`ShardedDiskStore`; the
+      fan-out applies to a new directory, a written one keeps its own),
     * ``memory://`` — a fresh, empty in-process store (never persists),
     * ``http://HOST:PORT`` — client for a running
       :class:`~repro.storage.remote.HTTPFragmentServer`,
@@ -177,10 +172,10 @@ def open_store(url: str) -> "FragmentStore":
     """
     scheme, rest = split_store_url(url)
     if scheme is None:
-        return open_directory_store(rest)
+        return ShardedDiskStore(rest)
     if scheme == "file":
         path, params = _parse_store_url(url, scheme, {"fsync"})
-        return open_directory_store(path, fsync=params.get("fsync", "commit"))
+        return ShardedDiskStore(path, fsync=params.get("fsync", "commit"))
     if scheme == "memory":
         _parse_store_url(url, scheme, ())
         return FragmentStore()
@@ -543,98 +538,39 @@ class ShortReadError(ValueError):
     """
 
 
-class _ShardedLayout:
-    """Packs hashed by transaction id into ``fanout`` shard directories.
-
-    A pack lives at ``<shard>/<txn>.pack``, so no single directory grows
-    with the archive (what object stores and parallel file systems
-    want).  Parent-format archives hold one ``<shard>/<var>__<seg>__
-    <digest>.bin`` file per fragment; those entries replay as
-    one-fragment packs.
-    """
-
-    log_name = SHARD_INDEX_LOG
-    field = "path"  # the log-entry field naming a fragment's file
-
-    def __init__(self, fanout: int):
-        self.fanout = fanout
-        self.marker = {"layout": "sharded", "fanout": fanout}
-
-    def pack(self, txn: int) -> str:
-        """Relative path of transaction *txn*'s pack."""
-        digest = hashlib.sha1(str(txn).encode()).hexdigest()
-        shard = f"{int(digest[:8], 16) % self.fanout:03x}"
-        return os.path.join(shard, wal.pack_name(txn))
-
-    def dirs(self, root: str) -> list:
-        """The shard directories (relative, with trailing separator)."""
-        try:
-            return sorted(e.name + os.sep for e in os.scandir(root) if e.is_dir())
-        except OSError:
-            return []
-
-    recover = staticmethod(lambda rel: None)  # no key survives without the log
-
-
-class _FlatLayout:
-    """``<txn>.pack`` directly under the root, beside the log.
-
-    Parent-format archives hold one ``<var>__<seg>.bin`` file per
-    fragment there.
-    """
-
-    log_name = DISK_INDEX_LOG
-    field = "file"
-    marker = {"layout": "flat"}
-
-    pack = staticmethod(wal.pack_name)
-
-    def dirs(self, root: str) -> list:
-        """The root itself: payloads sit beside the log and the marker."""
-        return [""]
-
-    def recover(self, name: str):
-        """Key of a payload file in a directory written before the key log.
-
-        Sanitization is idempotent, so lookups on the recovered keys
-        resolve to the same files.
-        """
-        if "__" not in name:
-            return None
-        return tuple(name[:-4].split("__", 1))
-
-
 class ShardedDiskStore(FragmentStore):
-    """The WAL-backed on-disk store, in its fan-out layout.
+    """The WAL-backed on-disk store.
 
-    Each transaction's payloads go into one pack file, and an
-    append-only commit log records every fragment's pack, offset and
-    size; a reopen replays the log, so a restarted service immediately
-    serves everything archived before.  Writes are crash-atomic
-    (:meth:`transact`); deletes and overwrites leave dead bytes, which
-    :meth:`compact` reclaims.  Where the packs and the log live is the
-    *layout*: here packs are hashed into ``fanout`` subdirectories;
-    :class:`DiskFragmentStore` is the same store over one flat
-    directory.
+    Each transaction's payloads go into one pack file, hashed by its
+    transaction id into one of ``fanout`` shard directories
+    (``<shard>/<txn>.pack``, so no single directory grows with the
+    archive), and an append-only commit log at the root records every
+    fragment's pack, offset and size; a reopen replays the log, so a
+    restarted service immediately serves everything archived before.
+    Writes are crash-atomic (:meth:`transact`); deletes and overwrites
+    leave dead bytes, which :meth:`compact` reclaims.
 
     The layout marker records the fan-out width; when reopening a
     directory whose marker disagrees with the *fanout* argument, the
-    marker wins, so every handle places packs by the same rule.
+    marker wins, so every handle places packs by the same rule.  A
+    directory an older revision wrote fails the open with
+    :class:`ArchiveFormatError` before anything in it is touched.
     """
 
     def __init__(self, root: str, fanout: int = 256, fsync: str = "commit"):
         marker = _read_layout_marker(root)
-        if marker is not None and marker.get("layout") == "sharded":
+        if marker is not None:
+            if marker.get("layout") != "sharded":
+                raise ArchiveFormatError(
+                    f"{os.path.join(root, LAYOUT_MARKER)!r} holds a "
+                    f"{marker.get('layout')!r} layout marker, {wal.REARCHIVE}"
+                )
             fanout = int(marker.get("fanout", fanout))
         if fanout < 1:  # validate the *effective* width, marker included
             raise ValueError("fanout must be >= 1")
+        super().__init__()
         self.fanout = int(fanout)
-        self._open(root, _ShardedLayout(self.fanout), fsync)
-
-    def _open(self, root: str, layout, fsync: str) -> None:
-        FragmentStore.__init__(self)
         self.root = root
-        self._layout = layout
         # the reader lock: index, file tables and counters
         self._lock = self._stats_lock
         # serializes writers (packs and log appends land in one order)
@@ -642,9 +578,9 @@ class ShardedDiskStore(FragmentStore):
         # wait behind batch file I/O
         self._write_lock = threading.Lock()
         self._index: dict = {}  # (variable, segment) -> (relpath, offset)
-        self._live: dict = {}  # relpath -> live fragments in that file
+        self._live: dict = {}  # relpath -> live fragments in that pack
         self._dead: dict = {}  # relpath -> [dead fragments, dead bytes]
-        self._log = CommitLog(os.path.join(root, layout.log_name), fsync=fsync)
+        self._log = CommitLog(os.path.join(root, SHARD_INDEX_LOG), fsync=fsync)
         self._compactions = 0
         self._reclaimed_bytes = 0
         os.makedirs(root, exist_ok=True)
@@ -655,12 +591,9 @@ class ShardedDiskStore(FragmentStore):
     def _place(self, key, rel: str, offset: int, nbytes: int) -> None:
         """Index *key* at *offset* of *rel*; the bytes it replaces die."""
         old = self._index.get(key)
-        if old is None or old[0] != rel:  # same file: a parent-format rewrite
-            if old is not None:
-                self._retire(old[0], self._sizes[key])
-            if rel not in self._live:  # a dead parent-format file written again
-                self._dead.pop(rel, None)
-            self._live[rel] = self._live.get(rel, 0) + 1
+        if old is not None:
+            self._retire(old[0], self._sizes[key])
+        self._live[rel] = self._live.get(rel, 0) + 1
         self._index[key] = (rel, offset)
         self._record_put(*key, nbytes)
 
@@ -683,122 +616,115 @@ class ShardedDiskStore(FragmentStore):
     # -- open ------------------------------------------------------------------
 
     def _reindex(self) -> None:
-        log_existed = self._log.exists()
-        file_txn = self._replay()
-        # One pass over the payload directory names; only a file the log
-        # does not account for costs a stat.  A pack no entry names never
-        # committed (or a compaction moved its last live fragment away):
-        # it is discarded.  A parent-format staged file is published if
-        # its transaction committed and is still the path's latest
-        # writer, else discarded.  Any other payload file the log does
-        # not index is dead weight (an interrupted compaction), never
-        # resurrected, earmarked for the next compact().  Only a
-        # directory without any log is recovered from its file names,
-        # where the layout can.
+        shards = self._shard_dirs()
+        self._replay()
+        # A pack no entry names never committed (or a compaction moved
+        # its last live fragment away): it is discarded.  Only a pack
+        # the log does not account for costs more than a name lookup.
         seen = set()
-        for rel in self._scan():
-            if rel in self._live or rel in self._dead:
-                seen.add(rel)
-                continue
-            path = os.path.join(self.root, rel)
-            parsed = wal.split_staged(rel)
-            if parsed is not None:
-                final, txn = parsed
-                if txn in self._log.committed and file_txn.get(final) == txn:
-                    os.replace(path, os.path.join(self.root, final))
-                    seen.add(final)
-                else:
-                    wal.discard(path)
-                continue
-            seen.add(rel)
-            if wal.is_pack(os.path.basename(rel)):
-                wal.discard(path)
-                continue
+        for shard in shards:
             try:
-                nbytes = os.path.getsize(path)
+                names = os.listdir(os.path.join(self.root, shard))
             except OSError:
-                continue  # vanished between listing and stat
-            if log_existed:
-                self._dead[rel] = [1, nbytes]
-            else:
-                key = self._layout.recover(rel)
-                if key is not None:
-                    self._place(key, rel, 0, nbytes)
+                continue
+            for name in names:
+                if not wal.is_pack(name):
+                    continue
+                rel = os.path.join(shard, name)
+                if rel in self._live or rel in self._dead:
+                    seen.add(rel)
+                else:
+                    wal.discard(os.path.join(self.root, rel))
         for rel in [r for r in self._dead if r not in seen and r not in self._live]:
             del self._dead[rel]  # already gone from disk: nothing to reclaim
 
-    def _replay(self) -> dict:
-        """Index every log entry; returns ``{relpath: last committed writer txn}``.
+    def _shard_dirs(self) -> list:
+        """The shard directories, from one pass over the root's entries.
+
+        Only a name :meth:`_pack` can produce is a shard; any other
+        directory is left alone.  Anything an older revision left at the
+        root (see :func:`_retired_file`) fails the open with
+        :class:`ArchiveFormatError`.
+        """
+        try:
+            entries = list(os.scandir(self.root))
+        except OSError:
+            return []
+        shards = []
+        for entry in entries:
+            if entry.is_dir():
+                if self._is_shard(entry.name):
+                    shards.append(entry.name)
+                continue
+            found = _retired_file(entry.name)
+            if found is not None:
+                raise ArchiveFormatError(
+                    f"{os.path.join(self.root, entry.name)!r} holds {found}, {wal.REARCHIVE}"
+                )
+        return shards
+
+    def _is_shard(self, name: str) -> bool:
+        try:
+            return int(name, 16) < self.fanout and name == f"{int(name, 16):03x}"
+        except ValueError:
+            return False
+
+    def _replay(self) -> None:
+        """Index every log entry.
 
         One entry per archived fragment, so an open costs what this
-        loop costs.  The common entry, a first put of a packed fragment,
-        updates the tables inline; overwrites, deletes and parent-format
-        entries (no ``offset`` or no ``nbytes``) take :meth:`_place` /
-        :meth:`_unplace`, and both ways leave identical tables.
+        loop costs.  The common entry, a first put, updates the tables
+        inline; overwrites and deletes take :meth:`_place` /
+        :meth:`_unplace`, and both ways leave identical tables.  A put
+        entry must place its fragment by int ``offset`` and ``nbytes``,
+        and the file it names must be a pack (checked once per file,
+        when an entry first names it), else :class:`ArchiveFormatError`.
         """
-        file_txn: dict = {}
-        index, sizes, live, dead = self._index, self._sizes, self._live, self._dead
+        index, sizes, live = self._index, self._sizes, self._live
         var_segments, var_bytes = self._var_segments, self._var_bytes
-        field = self._layout.field
         added = 0  # bytes of the fast-path puts, folded into the total at the end
-        for txn, entries in self._log.replay():
-            stamp = 0 if txn is None else txn
+        for _, entries in self._log.replay():
             for entry in entries:
                 key = (entry["variable"], entry["segment"])
                 if entry.get("deleted"):
                     if key in index:
                         self._unplace(key)
                     continue
-                rel = entry[field]
+                rel = entry.get("path")
                 nbytes = entry.get("nbytes")
                 offset = entry.get("offset")
-                if key not in index and type(nbytes) is int and type(offset) is int:
-                    # a first put of a packed fragment: _place, inlined
-                    count = live.get(rel)
-                    if count is None:
-                        dead.pop(rel, None)
-                        live[rel] = 1
-                    else:
-                        live[rel] = count + 1
-                    index[key] = (rel, offset)
-                    sizes[key] = nbytes
-                    variable = key[0]
-                    listing = var_segments.get(variable)
-                    if listing is None:
-                        var_segments[variable] = [key[1]]
-                    else:
-                        listing.append(key[1])
-                    var_bytes[variable] = var_bytes.get(variable, 0) + nbytes
-                    added += nbytes
-                    file_txn[rel] = stamp
+                if type(nbytes) is not int or type(offset) is not int:
+                    raise ArchiveFormatError(
+                        f"{self._log.path!r} holds an entry for {key!r} without an "
+                        f"int offset and nbytes, {wal.REARCHIVE}"
+                    )
+                count = live.get(rel)
+                if count is None:
+                    self._check_pack(key, rel)
+                if key in index:
+                    self._place(key, rel, offset, nbytes)
                     continue
-                if nbytes is None:  # log predates size tracking
-                    try:
-                        nbytes = os.path.getsize(os.path.join(self.root, rel))
-                    except OSError:
-                        # dangling entry (file cleaned up externally):
-                        # keep the key indexed — size 0, unreadable on
-                        # access — rather than failing the whole open
-                        nbytes = 0
-                self._place(key, rel, int(entry.get("offset", 0)), int(nbytes))
-                file_txn[rel] = stamp
+                # a first put: _place, inlined
+                live[rel] = 1 if count is None else count + 1
+                index[key] = (rel, offset)
+                sizes[key] = nbytes
+                variable = key[0]
+                listing = var_segments.get(variable)
+                if listing is None:
+                    var_segments[variable] = [key[1]]
+                else:
+                    listing.append(key[1])
+                var_bytes[variable] = var_bytes.get(variable, 0) + nbytes
+                added += nbytes
         self._total_bytes += added
-        return file_txn
 
-    def _scan(self):
-        """Yield the relpath of every payload or staged file, path order."""
-        for prefix in self._layout.dirs(self.root):
-            try:
-                names = sorted(os.listdir(os.path.join(self.root, prefix)))
-            except OSError:
-                continue
-            for name in names:
-                if (
-                    name.endswith(".bin")
-                    or wal.is_pack(name)
-                    or wal.split_staged(name) is not None
-                ):
-                    yield prefix + name
+    def _check_pack(self, key, rel) -> None:
+        """ArchiveFormatError unless *rel*, where *key* lives, names a pack."""
+        if type(rel) is not str or not wal.is_pack(os.path.basename(rel)):
+            raise ArchiveFormatError(
+                f"{self._log.path!r} holds an entry for {key!r} in {rel!r}, "
+                f"which is not a pack, {wal.REARCHIVE}"
+            )
 
     def _write_marker(self) -> None:
         # written on first put, never on open: opening must work on
@@ -809,26 +735,31 @@ class ShardedDiskStore(FragmentStore):
         try:
             if not os.path.isfile(path):
                 with open(tmp, "w") as fh:
-                    json.dump(self._layout.marker, fh)
+                    json.dump({"layout": "sharded", "fanout": self.fanout}, fh)
                 os.replace(tmp, path)  # readers see none-or-whole, never partial
         except OSError:
-            pass  # best-effort: open_store falls back to index heuristics
+            pass  # best-effort: every pack is read by the path its entry logs
 
     def _entry(self, key, rel: str, offset: int, nbytes: int) -> dict:
         return {
             "variable": key[0],
             "segment": key[1],
-            self._layout.field: rel,
+            "path": rel,
             "offset": offset,
             "nbytes": nbytes,
         }
+
+    def _pack(self, txn: int) -> str:
+        """Relative path of transaction *txn*'s pack: its hashed shard."""
+        digest = hashlib.sha1(str(txn).encode()).hexdigest()
+        return os.path.join(f"{int(digest[:8], 16) % self.fanout:03x}", wal.pack_name(txn))
 
     def _write_pack(self, payloads: dict, fsync: bool) -> tuple:
         """Pack *payloads* (key -> bytes) into a new file under a fresh
         txn; returns ``(txn, {key: (relpath, offset)})``."""
         while True:
             txn = self._log.reserve()
-            rel = self._layout.pack(txn)
+            rel = self._pack(txn)
             path = os.path.join(self.root, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             try:
@@ -942,18 +873,17 @@ class ShardedDiskStore(FragmentStore):
     def compact(self) -> CompactionReport:
         """Reclaim every dead byte: repack, rewrite the log, unlink.
 
-        The live fragments of partly dead files are rewritten into one
+        The live fragments of partly dead packs are rewritten into one
         new pack (fsync'd unless ``fsync="off"``: its bytes are already
         durable elsewhere), the log is atomically rewritten to the live
-        entries, and then every file without a live fragment is
+        entries, and then every pack without a live fragment is
         unlinked.  Holds the writer lock for the whole pass (writers
         queue briefly); readers are never blocked — a read that loses
-        its file to the unlink re-resolves (:meth:`get_many`).  Only the
-        files earmarked at delete/reopen time are touched, never the
-        whole tree.  Crash-safe: a kill before the rewrite leaves the
-        old log (the reopen discards the new pack); one after it leaves
-        orphaned files that the reopen discards (packs) or re-earmarks
-        (parent-format files).
+        its pack to the unlink re-resolves (:meth:`get_many`).  Only the
+        packs holding dead bytes are touched, never the whole tree.
+        Crash-safe: a kill before the rewrite leaves the old log (the
+        reopen discards the new pack); one after it leaves orphaned
+        packs, which the reopen discards.
         """
         with self._write_lock:
             report = CompactionReport(log_bytes_before=self._log.nbytes())
@@ -962,7 +892,7 @@ class ShardedDiskStore(FragmentStore):
                 moving = [k for k, (rel, _) in self._index.items() if rel in dead]
             crash_point("compact.begin")
             moved: dict = {}
-            if moving:  # the live fragments of partly dead files
+            if moving:  # the live fragments of partly dead packs
                 live = self._read(moving)
                 _, moved = self._write_pack(
                     {key: live[key] for key in moving}, self._log.fsync_commits
@@ -1010,16 +940,3 @@ class ShardedDiskStore(FragmentStore):
                 compactions=self._compactions,
                 reclaimed_bytes=self._reclaimed_bytes,
             )
-
-
-class DiskFragmentStore(ShardedDiskStore):
-    """The WAL-backed on-disk store over one flat directory.
-
-    Everything :class:`ShardedDiskStore` does, with every pack directly
-    under ``root`` and the key log beside them.  A directory written
-    before the key log existed (one ``<var>__<seg>.bin`` file per
-    fragment) is recovered from its file names.
-    """
-
-    def __init__(self, root: str, fsync: str = "commit"):
-        self._open(root, _FlatLayout(), fsync)

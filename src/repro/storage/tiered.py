@@ -110,8 +110,9 @@ class TieredStore(FragmentStore):
     def from_url(cls, url: str) -> "TieredStore":
         """Open from a ``tiered://FAST_DIR?slow=URL[&...]`` URL.
 
-        The path names the fast-tier directory (layout auto-detected;
-        empty path = in-memory fast tier) and the query configures the
+        The path names the fast-tier directory (a
+        :class:`~repro.storage.store.ShardedDiskStore`; empty path =
+        in-memory fast tier) and the query configures the
         composition: ``slow=`` (required; any ``open_store`` URL —
         percent-encode it if it carries its own query), ``fast=`` (a
         store URL overriding the path), and ``fsync=`` (WAL discipline

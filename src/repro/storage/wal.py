@@ -1,7 +1,7 @@
 """Write-ahead commit log: crash atomicity for the on-disk fragment store.
 
-The disk store's index log (``.repro-index.jsonl`` flat /
-``index.jsonl`` sharded) is a WAL, and every write follows one protocol:
+The disk store's index log (``index.jsonl``) is a WAL, and every write
+follows one protocol:
 
 1. **Pack.**  The batch's payloads land back to back in one new *pack*
    file named by the transaction id (:func:`pack_name`), created
@@ -32,14 +32,11 @@ one new pack, rewrites the log to its live entries
 without a live fragment.  :class:`CompactionReport` is the accounting
 every ``compact`` implementation returns.
 
-Parent-format archives (one payload file per fragment, entries without
-an ``offset``) replay unchanged: such an entry is a one-fragment pack
-at offset 0.  Those writers staged each payload as ``<final>.stg<txn>``
-and renamed it live after the commit record, so recovery still
-publishes a staged file whose transaction committed and is its path's
-latest writer, and discards any other.  Entry-per-line logs without
-transaction framing replay too: a line without a ``commit`` key is one
-committed entry.
+This is the only format any reader accepts.  A log line that is not a
+``commit`` record (the entry-per-line logs of older revisions) fails the
+replay with :class:`ArchiveFormatError`, as the store's open does for
+every other trace of an older format: such an archive is re-archived
+from its source data, never opened empty or partial.
 
 fsync discipline (the ``fsync`` constructor/URL parameter):
 
@@ -57,9 +54,6 @@ import json
 import os
 from dataclasses import dataclass
 
-#: Marker splicing a parent-format staged file's name: ``<final>.stg<txn>``.
-STAGED_MARKER = ".stg"
-
 #: Suffix of a pack file, the one payload file of a transaction.
 PACK_SUFFIX = ".pack"
 
@@ -69,6 +63,22 @@ FSYNC_MODES = ("always", "commit", "off")
 #: Index entries per record when :meth:`CommitLog.rewrite` chunks a
 #: compacted log (bounds the longest line a replay must parse).
 REWRITE_CHUNK = 512
+
+
+class ArchiveFormatError(ValueError):
+    """An on-disk archive in a format no current writer produces.
+
+    Raised when a store opens a directory an older revision wrote (the
+    flat layout, one payload file per fragment, staged files, an
+    unframed log line or an entry that does not place its fragment in a
+    pack by offset and size).  No reader for those formats remains: the
+    message names the path and what was found there, and ends with
+    :data:`REARCHIVE`.
+    """
+
+
+#: How every :class:`ArchiveFormatError` message ends.
+REARCHIVE = "a format this store no longer reads; re-archive it from the source data"
 
 _crash_hook = None
 
@@ -131,16 +141,8 @@ def write_pack(path: str, payloads, fsync: bool = False) -> list:
     return offsets
 
 
-def split_staged(name: str):
-    """Split a staged file name into ``(final_name, txn)``; else ``None``."""
-    head, sep, tail = name.rpartition(STAGED_MARKER)
-    if not sep or not head or not tail.isdigit():
-        return None
-    return head, int(tail)
-
-
 def discard(path: str) -> None:
-    """Best-effort removal of an abandoned staged file or pack."""
+    """Best-effort removal of an orphaned pack."""
     try:
         os.remove(path)
     except OSError:
@@ -152,10 +154,11 @@ class CompactionReport:
     """Outcome of one ``compact()`` call (summable across tiers).
 
     ``removed_files`` counts the dead fragments whose bytes left the
-    disk (one per unlinked file in the parent one-file-per-fragment
-    format) and ``reclaimed_bytes`` those bytes; log shrinkage is
-    visible separately as ``log_bytes_before`` vs ``log_bytes_after``.  Stores without tombstone debt return an
-    all-zero report with ``compactions=0`` (the call is a no-op there).
+    disk (the name predates packs: a pack holds many fragments) and
+    ``reclaimed_bytes`` those bytes; log shrinkage is visible separately
+    as ``log_bytes_before`` vs ``log_bytes_after``.  Stores without
+    tombstone debt return an all-zero report with ``compactions=0`` (the
+    call is a no-op there).
     """
 
     compactions: int = 0
@@ -206,9 +209,8 @@ class CommitLog:
     """Append-only transaction log of one on-disk fragment store.
 
     One instance owns one log file.  :meth:`replay` parses it into
-    ``(txn, entries)`` records — legacy entry-per-line logs come back
-    as single-entry records with ``txn=None`` — truncating a torn final
-    line when the file is writable.  :meth:`reserve` hands out the next
+    ``(txn, entries)`` records, truncating a torn final line when the
+    file is writable.  :meth:`reserve` hands out the next
     transaction id (pack names need it before the commit record),
     :meth:`append` writes one fsync'd commit record, and
     :meth:`rewrite` atomically replaces the whole log with a compacted
@@ -224,8 +226,6 @@ class CommitLog:
         self.fsync = fsync
         #: Next transaction id handed out by :meth:`reserve`.
         self.next_txn = 1
-        #: Ids of every committed transaction seen or written.
-        self.committed: set = set()
         #: Commit records appended through this handle.
         self.commits = 0
         #: Index entries appended through this handle.
@@ -245,10 +245,6 @@ class CommitLog:
 
     # -- introspection ---------------------------------------------------------
 
-    def exists(self) -> bool:
-        """Whether the log file is present on disk."""
-        return os.path.isfile(self.path)
-
     def nbytes(self) -> int:
         """Current size of the log file (0 when absent)."""
         try:
@@ -265,8 +261,9 @@ class CommitLog:
         append can leave behind — by discarding it (and truncating the
         file when writable, so later appends don't chase garbage).  A
         malformed line anywhere else is corruption and raises
-        ``ValueError``.  Side effects: ``committed`` and ``next_txn``
-        reflect everything replayed.
+        ``ValueError``; a well-formed line that is not a commit record
+        raises :class:`ArchiveFormatError`.  Side effect: ``next_txn``
+        follows everything replayed.
         """
         records: list = []
         if not os.path.isfile(self.path):
@@ -283,13 +280,13 @@ class CommitLog:
                 except ValueError:
                     torn_at = offset
                     break
-                if isinstance(obj, dict) and "commit" in obj:
-                    txn = int(obj.get("txn", 0))
-                    records.append((txn, list(obj["commit"])))
-                    self.committed.add(txn)
-                    self.next_txn = max(self.next_txn, txn + 1)
-                else:
-                    records.append((None, [obj]))
+                if not (isinstance(obj, dict) and "commit" in obj):
+                    raise ArchiveFormatError(
+                        f"{self.path!r} holds a log line without commit framing, {REARCHIVE}"
+                    )
+                txn = int(obj.get("txn", 0))
+                records.append((txn, list(obj["commit"])))
+                self.next_txn = max(self.next_txn, txn + 1)
             offset += len(line) + 1
         if torn_at is not None:
             tail = raw[torn_at:]
@@ -332,7 +329,6 @@ class CommitLog:
             if self.fsync_commits:
                 os.fsync(fh.fileno())
         crash_point("wal.committed")
-        self.committed.add(txn)
         self.commits += 1
         self.entries_appended += len(entries)
         return txn
@@ -352,7 +348,6 @@ class CommitLog:
                 chunk = entries[start:start + REWRITE_CHUNK]
                 txn = self.reserve()
                 fh.write(json.dumps({"txn": txn, "commit": chunk}) + "\n")
-                self.committed.add(txn)
             fh.flush()
             if self.fsync_commits:
                 os.fsync(fh.fileno())

@@ -2,8 +2,8 @@
 
 The guarantee, end to end: fields with random exact-zero sets and random
 QoI trees go ``refactor_dataset -> Archive.save_dataset ->
-load_dataset -> QoIRetriever`` on memory, flat and sharded
-stores, and every answer is checked against the *originals* — true error
+load_dataset -> QoIRetriever`` on memory and disk stores, and
+every answer is checked against the *originals* — true error
 <= reported bound <= tolerance, masked points exactly ``0.0``.  The
 format is additive: an archive written before the mask existed opens and
 answers as it did, and a variable without exact zeros archives the very
@@ -32,7 +32,7 @@ from repro.core.retrieval import (
 from repro.data import generators
 from repro.service.service import RetrievalService
 from repro.storage.archive import Archive, encode_fragments
-from repro.storage.store import DiskFragmentStore, FragmentStore, ShardedDiskStore
+from repro.storage.store import FragmentStore, ShardedDiskStore
 from repro.utils.fragment_keys import INDEX_SEGMENT, ZERO_MASK_SEGMENT
 from test_core_retrieval import outcome
 from test_property_random_qois import VAR_NAMES, expression
@@ -47,8 +47,7 @@ def open_kind(kind: str):
         yield FragmentStore()
         return
     with tempfile.TemporaryDirectory() as root:
-        cls = DiskFragmentStore if kind == "flat" else ShardedDiskStore
-        with cls(root) as store:
+        with ShardedDiskStore(root) as store:
             yield store
 
 
@@ -94,7 +93,7 @@ def check_against_originals(request, result, fields, truth):
     expr=expression(),
     seed=st.integers(0, 2**31),
     zeros=st.sampled_from(sorted(ZERO_SHARE)),
-    kind=st.sampled_from(["memory", "flat", "sharded"]),
+    kind=st.sampled_from(["memory", "sharded"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_guarantee_holds_through_the_archive_on_every_store(expr, seed, zeros, kind):
@@ -194,7 +193,7 @@ class TestFormatIsAdditive:
             self.PARENT_SEGMENTS[method] + [INDEX_SEGMENT]
         )
 
-    @pytest.mark.parametrize("kind", ["memory", "flat"])
+    @pytest.mark.parametrize("kind", ["memory", "sharded"])
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3_delta"])
     def test_archive_written_before_the_mask_opens_and_answers_as_it_did(self, method, kind):
         """A walled variable archived by the parent has fragments and an
@@ -217,7 +216,7 @@ class TestFormatIsAdditive:
                 QoIRetriever({"x": refactored}, ranges).retrieve(request)
             )
 
-    @pytest.mark.parametrize("kind", ["memory", "flat"])
+    @pytest.mark.parametrize("kind", ["memory", "sharded"])
     @pytest.mark.parametrize("method", ["pmgard_hb", "psz3", "psz3_delta"])
     def test_mask_round_trips_for_every_archivable_kind(self, method, kind):
         data = self.DATA.copy()

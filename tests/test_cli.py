@@ -104,6 +104,33 @@ class TestEndToEnd:
         with pytest.raises(SystemExit):
             main(["archive", "--out", str(tmp_path / "a"), "not-a-pair"])
 
+    @pytest.mark.parametrize("command", [
+        ["archive", "--out", "{ar}", "vx={vx}"],
+        ["ingest", "--archive", "{ar}", "vx={vx}"],
+        ["info", "--archive", "{ar}"],
+        ["retrieve", "--archive", "{ar}", "--qoi", "identity", "--fields", "vx",
+         "--tolerance", "1e-3", "--out", "{out}"],
+        ["stats", "--archive", "{ar}"],
+        ["compact", "--archive", "{ar}"],
+    ], ids=lambda argv: argv[0])
+    def test_an_older_archive_fails_in_one_line(self, npy_fields, command):
+        """Every command that opens an archive an older revision wrote
+        exits with the store's one-line error, and writes nothing."""
+        _, paths, tmp_path = npy_fields
+        archive_dir = tmp_path / "old"
+        archive_dir.mkdir()
+        marker = archive_dir / ".repro-store.json"
+        marker.write_bytes(b'{"layout": "flat"}')
+        argv = [arg.format(ar=archive_dir, vx=paths["vx"], out=tmp_path / "o")
+                for arg in command]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        message = str(caught.value.code)
+        assert message.startswith(f"repro {command[0]}: {str(marker)!r}")
+        assert message.endswith("re-archive it from the source data")
+        assert os.listdir(archive_dir) == [".repro-store.json"]
+        assert not (tmp_path / "o").exists()
+
     def test_identity_roundtrip(self, npy_fields, capsys):
         fields, paths, tmp_path = npy_fields
         archive_dir = str(tmp_path / "archive2")
@@ -156,7 +183,7 @@ class TestEndToEnd:
         store.close()
         assert main(["compact", "--archive", url]) == 0
         # the deleted fragment was written through, so each tier drops a copy
-        assert "2 dead file(s) unlinked, 64 B reclaimed" in capsys.readouterr().out
+        assert "2 dead fragment(s), 64 B reclaimed" in capsys.readouterr().out
         reopened = open_store(url)
         assert reopened.durability().dead_bytes == 0
         assert set(reopened.keys()) == {("v", "s1"), ("v", "s2")}

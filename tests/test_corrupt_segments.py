@@ -5,8 +5,7 @@ once they are on disk.  Whatever is wrong with one — a bad marker, a
 body the backend cannot inflate, a body that inflates short or long —
 decoding raises :class:`~repro.encoding.bitplane.CorruptSegmentError`
 (a ``ValueError``) naming the variable, the level and the plane, never
-a bare NumPy or zlib exception and never a silent decode, on either
-on-disk layout.
+a bare NumPy or zlib exception and never a silent decode.
 """
 
 import zlib
@@ -19,7 +18,7 @@ from repro.core.retrieval import refactor_dataset
 from repro.encoding.bitplane import CorruptSegmentError, _decompress_segment
 from repro.encoding.lossless import ZlibBackend
 from repro.storage.archive import Archive
-from repro.storage.store import DiskFragmentStore, ShardedDiskStore, open_directory_store
+from repro.storage.store import ShardedDiskStore
 from repro.utils.fragment_keys import (
     COARSE_SEGMENT,
     pmgard_plane_segment,
@@ -66,10 +65,10 @@ def variable():
     return refactor_dataset({"vx": field}, make_refactorer("pmgard_hb"))["vx"]
 
 
-#: the two on-disk layouts: a flat directory, and one sharded four ways
+#: the on-disk store, sharded four ways and with every pack in one shard
 LAYOUTS = {
-    "flat": lambda root: DiskFragmentStore(root),
     "sharded": lambda root: ShardedDiskStore(root, fanout=4),
+    "one-shard": lambda root: ShardedDiskStore(root, fanout=1),
 }
 
 
@@ -82,7 +81,7 @@ def test_a_corrupt_segment_raises_the_typed_error(tmp_path, variable, name, layo
     Archive(store).save("vx", variable)
     store.put("vx", segment, damage(store.get("vx", segment)))
 
-    loaded = Archive(open_directory_store(root)).load("vx")
+    loaded = Archive(ShardedDiskStore(root)).load("vx")
     reader = loaded.reader()
     with pytest.raises(CorruptSegmentError) as caught:
         reader.request(1e-12)  # every plane of every level, and the coarse level

@@ -5,7 +5,7 @@ lose a committed put, readers never observe torn bytes, and compaction
 can run *while* ingest and retrieval are in flight without disturbing
 either.  These tests hammer those promises with real threads:
 
-* batched writers + deleters + a compaction loop on both disk layouts,
+* batched writers + deleters + a compaction loop on the disk store,
   with the final state (and a full reopen) checked bit-for-bit against
   the model;
 * a live streaming ingest racing retrieval and compaction through a
@@ -14,16 +14,15 @@ either.  These tests hammer those promises with real threads:
   store — without the ``_mutate_lock`` serialization the two tiers end
   up holding different payloads for one key, or only one tier keeps it;
 * the replay of a reopen, over random put / overwrite / delete /
-  compact / reopen schedules on top of a hand-written parent-format
-  log: a reopened handle's tables equal the writer's and those of a
-  replay that takes every entry through ``_place`` / ``_unplace``.
+  compact / reopen schedules: a reopened handle's tables equal the
+  writer's and those of a replay that takes every entry through
+  ``_place`` / ``_unplace``.
 
 Failures here are race conditions: rerun counts are kept high enough
 to make the windows real but runtimes stay a few seconds per test.
 """
 
 import functools
-import json
 import os
 import sys
 import tempfile
@@ -37,19 +36,13 @@ from hypothesis import strategies as st
 from repro.core.qois import qoi_from_spec
 from repro.core.retrieval import QoIRequest
 from repro.service.service import RetrievalService
-from repro.storage.store import (
-    DISK_INDEX_LOG,
-    LAYOUT_MARKER,
-    SHARD_INDEX_LOG,
-    DiskFragmentStore,
-    FragmentStore,
-    ShardedDiskStore,
-)
+from repro.storage.store import FragmentStore, ShardedDiskStore
 from repro.storage.tiered import TieredStore
 
+# a small fan-out, and fan-out 1: every pack in one shard directory
 LAYOUTS = [
-    ("flat", DiskFragmentStore),
     ("sharded", lambda root: ShardedDiskStore(root, fanout=8)),
+    ("one-shard", lambda root: ShardedDiskStore(root, fanout=1)),
 ]
 
 
@@ -243,7 +236,7 @@ class TestTieredMutationLock:
         to the slow tier.
         """
         store = TieredStore(
-            DiskFragmentStore(str(tmp_path / "fast")),
+            ShardedDiskStore(str(tmp_path / "fast")),
             ShardedDiskStore(str(tmp_path / "slow"), fanout=8),
         )
         keys = [("v", f"s{i}") for i in range(4)]
@@ -281,60 +274,24 @@ class TestTieredMutationLock:
 class _PerEntryReplay:
     """The reference replay: every log entry through ``_place`` / ``_unplace``."""
 
-    def _replay(self) -> dict:
-        file_txn: dict = {}
-        for txn, entries in self._log.replay():
+    def _replay(self) -> None:
+        for _, entries in self._log.replay():
             for entry in entries:
                 key = (entry["variable"], entry["segment"])
                 if entry.get("deleted"):
                     if key in self._index:
                         self._unplace(key)
                     continue
-                rel = entry[self._layout.field]
-                nbytes = entry.get("nbytes")
-                if nbytes is None:
-                    try:
-                        nbytes = os.path.getsize(os.path.join(self.root, rel))
-                    except OSError:
-                        nbytes = 0
-                self._place(key, rel, int(entry.get("offset", 0)), int(nbytes))
-                file_txn[rel] = 0 if txn is None else txn
-        return file_txn
+                self._place(key, entry["path"], entry["offset"], entry["nbytes"])
 
 
-class _ReferenceFlat(_PerEntryReplay, DiskFragmentStore):
+class _ReferenceStore(_PerEntryReplay, ShardedDiskStore):
     pass
 
 
-class _ReferenceSharded(_PerEntryReplay, ShardedDiskStore):
-    pass
-
-
-#: ``(store, reference, log name, marker, parent-format file of a key)``
-REPLAY_LAYOUTS = {
-    "flat": (
-        DiskFragmentStore, _ReferenceFlat, DISK_INDEX_LOG, {"layout": "flat"},
-        lambda v, s: f"{v}__{s}.bin",
-    ),
-    "sharded": (
-        ShardedDiskStore, _ReferenceSharded, SHARD_INDEX_LOG,
-        {"layout": "sharded", "fanout": 8},
-        lambda v, s: os.path.join(f"0{len(s) % 8}", f"{v}__{s}__d.bin"),
-    ),
-}
 TABLES = ("_index", "_sizes", "_live", "_dead", "_var_bytes", "_var_segments", "_total_bytes")
 REPLAY_KEYS = [(v, s) for v in ("a", "b") for s in ("s0", "s1")]
 
-#: A parent-format log line: a put of one fragment file, with or without
-#: ``offset`` and ``nbytes``, or a tombstone; framed as a commit record
-#: or as a bare entry-per-line entry.
-PARENT_ENTRY = st.one_of(
-    st.tuples(
-        st.just("put"), st.sampled_from(REPLAY_KEYS), st.integers(1, 12),
-        st.booleans(), st.booleans(), st.booleans(),
-    ),
-    st.tuples(st.just("delete"), st.sampled_from(REPLAY_KEYS), st.booleans()),
-)
 STORE_OP = st.one_of(
     st.tuples(
         st.just("transact"),
@@ -350,60 +307,28 @@ def _tables(store) -> dict:
     return {name: getattr(store, name) for name in TABLES}
 
 
-def _write_parent_format(root, layout, entries) -> None:
-    """Hand-write a parent-format directory: one payload file per fragment."""
-    _, _, log_name, marker, file_of = REPLAY_LAYOUTS[layout]
-    field = "file" if layout == "flat" else "path"
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, LAYOUT_MARKER), "w") as fh:
-        json.dump(marker, fh)
-    lines = []
-    for txn, (kind, key, *rest) in enumerate(entries, start=1):
-        rel = file_of(*key)
-        entry = {"variable": key[0], "segment": key[1], field: rel}
-        if kind == "delete":
-            entry["deleted"] = True
-            framed = rest[0]
-        else:
-            size, with_offset, with_nbytes, framed = rest
-            path = os.path.join(root, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "wb") as fh:  # the parent format rewrote in place
-                fh.write(bytes([txn % 256]) * size)
-            if with_offset:
-                entry["offset"] = 0
-            if with_nbytes:
-                entry["nbytes"] = size
-        lines.append({"txn": txn, "commit": [entry]} if framed else entry)
-    with open(os.path.join(root, log_name), "w") as fh:
-        fh.writelines(json.dumps(line) + "\n" for line in lines)
+def _make(root):
+    return ShardedDiskStore(root, fanout=8)
 
 
 class TestReplayEquivalence:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        layout=st.sampled_from(sorted(REPLAY_LAYOUTS)),
-        parent=st.lists(PARENT_ENTRY, max_size=10),
-        ops=st.lists(STORE_OP, max_size=10),
-    )
-    # a parent-format file deleted, then written again by an entry that
-    # places it by offset: it must leave the dead-file table
+    @given(ops=st.lists(STORE_OP, max_size=14))
+    # a pack wholly dead before the compaction that unlinks it, and a
+    # reopen of the compacted log
     @example(
-        layout="flat",
-        parent=[
-            ("put", ("a", "s0"), 3, False, True, True),
-            ("delete", ("a", "s0"), True),
-            ("put", ("a", "s0"), 5, True, True, False),
+        ops=[
+            ("transact", [(("a", "s0"), 3), (("a", "s1"), 2)], []),
+            ("transact", [(("a", "s0"), 5)], [("a", "s1")]),
+            ("reopen",),
+            ("compact",),
         ],
-        ops=[],
     )
-    def test_reopen_tables_equal_the_writer_and_a_per_entry_replay(self, layout, parent, ops):
-        make, reference, *_ = REPLAY_LAYOUTS[layout]
+    def test_reopen_tables_equal_the_writer_and_a_per_entry_replay(self, ops):
         with tempfile.TemporaryDirectory() as tmp:
             root = os.path.join(tmp, "ar")
-            _write_parent_format(root, layout, parent)
-            writer = make(root)
-            assert _tables(writer) == _tables(reference(root))
+            writer = _make(root)
+            assert _tables(writer) == _tables(_ReferenceStore(root, fanout=8))
             for step, (kind, *args) in enumerate(ops + [("reopen",)]):
                 if kind == "transact":
                     puts = [(*key, bytes([step]) * size) for key, size in args[0]]
@@ -413,9 +338,9 @@ class TestReplayEquivalence:
                 elif kind == "compact":
                     writer.compact()
                 else:
-                    reopened = make(root)
+                    reopened = _make(root)
                     assert _tables(reopened) == _tables(writer)
-                    assert _tables(reference(root)) == _tables(writer)
+                    assert _tables(_ReferenceStore(root, fanout=8)) == _tables(writer)
                     writer.close()
                     writer = reopened
             writer.close()

@@ -186,21 +186,6 @@ class TestAdvanceScheduling:
         np.testing.assert_array_equal(stepped._mags, oneshot._mags)
 
 
-class TestLegacySegments:
-    def test_pre_framing_zlib_archives_still_decode(self):
-        # archives written before the raw/compressed marker byte existed
-        # carry whole-segment zlib payloads; the decoder must fall back
-        from repro.encoding.reference import reference_bitplane_encode
-
-        rng = np.random.default_rng(11)
-        data = rng.normal(size=300)
-        legacy = reference_bitplane_encode(data, num_planes=24)
-        dec = BitplaneDecoder(legacy)
-        dec.advance_to(24)
-        rec = dec.reconstruct()
-        assert np.max(np.abs(rec - data)) <= legacy.error_bound(24) * (1 + 1e-12)
-
-
 class TestSizeAccounting:
     def test_total_bytes_consistent(self):
         rng = np.random.default_rng(3)

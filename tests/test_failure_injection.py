@@ -3,16 +3,16 @@
 Two layers of guarantee under test:
 
 * **Crash atomicity** (the WAL of :mod:`repro.storage.wal`): a process
-  killed at *any* point of the commit protocol — during staging,
-  between the commit record and publishing, inside a delete, inside
+  killed at *any* point of the commit protocol — while writing the
+  pack, around the commit record, inside a delete, inside
   compaction — leaves a store that reopens **bit-identical** to the
   state before or after the interrupted batch, never a torn mix.  The
   hypothesis suites replay randomized crash schedules (hundreds of
   distinct kill sites per run) through raw ``put_many``/``delete``
   scripts, ``Archive.save``, the streaming ingest engine (a first
   ingest and a re-ingest that supersedes segments), and compaction, on
-  both disk layouts, and byte-compare every reopened
-  store against the set of legal states.
+  the disk store (and, for the re-ingest, through an HTTP server), and
+  byte-compare every reopened store against the set of legal states.
 * **Loud corruption** (the historical suite, kept at the bottom):
   payloads damaged below the store — truncated, bit-flipped, short-read
   — must raise from the decode layers, never silently return wrong
@@ -48,15 +48,15 @@ from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.lossless import get_backend
 from repro.storage.archive import Archive
 from repro.storage.remote import HTTPFragmentServer, HTTPFragmentStore
-from repro.storage.store import DiskFragmentStore, ShardedDiskStore
+from repro.storage.store import ShardedDiskStore
 from test_storage_store import read_tree
 
-# Both persistent layouts recover through the same WAL protocol but
-# with different reindex paths (flat root scan vs sharded shard walk);
-# every crash property runs on each.
+# The disk store at a small fan-out, so packs share shard directories,
+# and at fan-out 1, so every pack and every recovery lands in one
+# directory; every crash property runs on each.
 LAYOUTS = [
-    ("flat", DiskFragmentStore),
     ("sharded", lambda root: ShardedDiskStore(root, fanout=8)),
+    ("one-shard", lambda root: ShardedDiskStore(root, fanout=1)),
 ]
 
 _key = st.tuples(
@@ -76,8 +76,8 @@ def _put_batch(store, batch: dict) -> None:
 
 
 def _payload_files(root) -> dict:
-    """Every payload file under *root* (packs and parent-format files)."""
-    return {rel: data for rel, data in read_tree(root).items() if rel.endswith((".pack", ".bin"))}
+    """Every pack under *root*: relpath -> bytes."""
+    return {rel: data for rel, data in read_tree(root).items() if rel.endswith(".pack")}
 
 
 @st.composite
@@ -181,7 +181,7 @@ class TestCrashAtomicStoreOps:
             return operation
 
         kill_sites = crash_everywhere(make_operation)
-        assert kill_sites >= 10  # stage/commit/publish/tombstone/compact...
+        assert kill_sites >= 10  # pack/commit/tombstone/compact...
         for root in runs[1:]:  # runs[0] traced without a kill
             reopened = make(root)
             got = _contents(reopened)
@@ -399,7 +399,7 @@ class TestCrashAtomicReingest:
     request cannot finish the commit either.
     """
 
-    @pytest.mark.parametrize("layout,make", [*LAYOUTS, ("http", LAYOUTS[1][1])])
+    @pytest.mark.parametrize("layout,make", [*LAYOUTS, ("http", LAYOUTS[0][1])])
     @settings(
         max_examples=20,
         deadline=None,
@@ -515,44 +515,44 @@ class TestFaultyStoreBudget:
     """Client-side faults (tests/fault_store.py) against higher layers."""
 
     def test_fail_after_budget_aborts_cleanly(self, tmp_path):
-        inner = DiskFragmentStore(str(tmp_path / "ar"))
+        inner = ShardedDiskStore(str(tmp_path / "ar"))
         store = FaultyFragmentStore(inner, fail_after=2)
         store.put("v", "s0", b"a")
         store.put("v", "s1", b"b")
         with pytest.raises(SimulatedCrash):
             store.put("v", "s2", b"c")
         # the aborted put never reached the inner store
-        reopened = DiskFragmentStore(str(tmp_path / "ar"))
+        reopened = ShardedDiskStore(str(tmp_path / "ar"))
         assert set(reopened.keys()) == {("v", "s0"), ("v", "s1")}
 
     def test_torn_batched_write_commits_a_prefix(self, tmp_path):
-        inner = DiskFragmentStore(str(tmp_path / "ar"))
+        inner = ShardedDiskStore(str(tmp_path / "ar"))
         store = FaultyFragmentStore(inner, fail_after=0, torn_writes=True)
         batch = [("v", f"s{i}", bytes([i]) * 4) for i in range(4)]
         with pytest.raises(SimulatedCrash):
             store.put_many(batch)
         # the inner store committed the torn prefix atomically: the
         # reopened index and the bytes on disk agree exactly
-        reopened = DiskFragmentStore(str(tmp_path / "ar"))
+        reopened = ShardedDiskStore(str(tmp_path / "ar"))
         got = _contents(reopened)
         assert got == {("v", f"s{i}"): bytes([i]) * 4 for i in range(2)}
 
     def test_ingest_through_failing_store_leaves_whole_variables(self, tmp_path):
         fields = {f"v{k}": _field(5, seed=k) for k in range(3)}
-        inner = DiskFragmentStore(str(tmp_path / "ar"))
+        inner = ShardedDiskStore(str(tmp_path / "ar"))
         store = FaultyFragmentStore(inner, fail_after=2)
         with pytest.raises(SimulatedCrash):
             ingest_dataset(
                 store, fields, make_refactorer("pmgard_hb"),
                 workers=0, flush_bytes=1,
             )
-        reopened = DiskFragmentStore(str(tmp_path / "ar"))
+        reopened = ShardedDiskStore(str(tmp_path / "ar"))
         present = {key[0] for key in reopened.keys()}
         for name in present:  # whatever landed is complete and decodes
             _assert_within_reported_bound(Archive(reopened).load(name), fields[name])
 
     def test_short_reads_fail_loudly_through_the_archive(self, tmp_path):
-        inner = DiskFragmentStore(str(tmp_path / "ar"))
+        inner = ShardedDiskStore(str(tmp_path / "ar"))
         refactored = refactor_dataset(
             {"v": _field(6, seed=3)}, make_refactorer("pmgard_hb")
         )

@@ -25,16 +25,11 @@ from repro.storage.remote import (
     HTTPFragmentStore,
 )
 from repro.storage.metadata import DatasetManifest
-from repro.storage.store import (
-    DiskFragmentStore,
-    FragmentStore,
-    ShardedDiskStore,
-    open_store,
-)
+from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
 from repro.storage.tiered import TieredStore
 from repro.storage.transfer import LatencyFragmentStore
 from repro.utils.fragment_keys import INDEX_SEGMENT, timestep_variable
-from test_storage_store import FORMAT1_MANIFEST, CallLogStore
+from test_storage_store import CallLogStore
 
 COMPRESSORS = ("psz3", "psz3_delta", "pmgard", "pmgard_hb")
 
@@ -73,14 +68,16 @@ class TestPutMany:
     def test_memory(self):
         self._check(FragmentStore())
 
-    def test_flat_disk(self, tmp_path):
-        root = str(tmp_path / "flat")
-        self._check(DiskFragmentStore(root), reopen=lambda: DiskFragmentStore(root))
-
     def test_sharded_disk(self, tmp_path):
         root = str(tmp_path / "sharded")
         self._check(
             ShardedDiskStore(root, fanout=8), reopen=lambda: ShardedDiskStore(root)
+        )
+
+    def test_one_shard_disk(self, tmp_path):
+        root = str(tmp_path / "one-shard")
+        self._check(
+            ShardedDiskStore(root, fanout=1), reopen=lambda: ShardedDiskStore(root)
         )
 
     def test_latency_store_counts_one_trip(self):
@@ -129,11 +126,11 @@ class TestPutMany:
 
     def test_duplicate_key_last_write_wins(self, tmp_path):
         root = str(tmp_path / "dup")
-        store = DiskFragmentStore(root)
+        store = ShardedDiskStore(root)
         store.put_many([("v", "s", b"old"), ("v", "s", b"newer")])
         assert store.get("v", "s") == b"newer"
         assert store.nbytes() == len(b"newer")
-        assert DiskFragmentStore(root).get("v", "s") == b"newer"
+        assert ShardedDiskStore(root).get("v", "s") == b"newer"
 
     def test_overwrite_keeps_totals_consistent(self, tmp_path):
         store = ShardedDiskStore(str(tmp_path / "ow"), fanout=4)
@@ -235,8 +232,8 @@ class TestCacheInvalidation:
 def store_factories(tmp_path):
     """One factory per store family the re-save tests must cover."""
     return {
-        "flat": lambda: DiskFragmentStore(str(tmp_path / "flat")),
         "sharded": lambda: ShardedDiskStore(str(tmp_path / "sharded"), fanout=4),
+        "one-shard": lambda: ShardedDiskStore(str(tmp_path / "one-shard"), fanout=1),
         "tiered": lambda: TieredStore(
             FragmentStore(),
             ShardedDiskStore(str(tmp_path / "tslow"), fanout=4),
@@ -247,7 +244,7 @@ def store_factories(tmp_path):
 class TestArchiveReplace:
     """Re-saving a variable supersedes its old fragments end to end."""
 
-    @pytest.mark.parametrize("layout", ["flat", "sharded", "tiered"])
+    @pytest.mark.parametrize("layout", ["sharded", "one-shard", "tiered"])
     def test_resave_tombstones_superseded_segments(self, tmp_path, layout):
         store = store_factories(tmp_path)[layout]()
         archive = Archive(store)
@@ -270,7 +267,7 @@ class TestArchiveReplace:
         loaded = archive.load("v")
         assert len(loaded.blobs) == len(small.blobs)
 
-    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    @pytest.mark.parametrize("layout", ["sharded", "one-shard"])
     def test_resave_consistent_across_reopen(self, tmp_path, layout):
         factory = store_factories(tmp_path)[layout]
         store = factory()
@@ -662,23 +659,6 @@ class TestManifestGrowth:
             written.append(store.bytes_written - before)
         assert written[19] == written[1]  # manifest included, not growing
 
-    def test_format1_archive_takes_an_ingest_and_reopens(self):
-        store = FragmentStore()
-        store.put("_dataset", "manifest.json", FORMAT1_MANIFEST.encode())
-        service = RetrievalService(store)
-        assert service.value_range("p") == 3.0
-        assert service.value_range("q@t0003") == 2.5
-        # replace one inline variable, add a new one
-        service.ingest({"q": np.array([0.0, 8.0, 4.0])}, method="psz3", timestep=3)
-        service.ingest({"r": np.linspace(0.0, 2.0, 50)}, method="pmgard_hb")
-        reopened = RetrievalService(store)
-        assert sorted(reopened.manifest.variables) == ["p", "q@t0003", "r"]
-        assert reopened.manifest.dataset == "legacy"
-        assert reopened.value_range("p") == 3.0
-        assert reopened.value_range("q@t0003") == 8.0  # the record, not the inline entry
-        assert reopened.manifest.variables["q@t0003"].shape == (3,)
-        assert reopened.value_range("r") == 2.0
-
     def test_load_through_tiered_over_cluster_is_two_trips(self, tmp_path):
         servers = [
             HTTPFragmentServer(ShardedDiskStore(str(tmp_path / f"node{i}"))).start()
@@ -770,5 +750,5 @@ class TestIngestCLI:
             "ingest", "--archive", archive_dir, "--method", "psz3",
             "--timestep", "5", f"p={tmp_path / 'p.npy'}",
         ]) == 0
-        store = DiskFragmentStore(archive_dir)
+        store = ShardedDiskStore(archive_dir)
         assert "p@t0005" in store.variables()

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.storage.cluster import ClusterFragmentStore
 from repro.storage.remote import HTTPFragmentServer, HTTPFragmentStore
 from repro.storage.store import (
-    DiskFragmentStore,
     FragmentStore,
     ShardedDiskStore,
     open_store,
@@ -25,9 +24,8 @@ from repro.storage.store import (
 )
 from repro.storage.tiered import TieredStore
 
-# Safe key alphabet: the flat disk layout maps distinct keys that differ
-# only by sanitized characters onto one file (a known limitation of the
-# flat layout; the sharded layout disambiguates with a digest suffix).
+# A printable key alphabet (the disk store keeps keys in its log, never
+# in file names).
 _name = st.text("abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1, max_size=12)
 _fragments = st.dictionaries(
     st.tuples(_name, _name),
@@ -209,11 +207,13 @@ class TestLayoutAutoDetection:
         assert reopened.fanout == 4
         assert reopened.get("v", "s0") == b"x"
 
-    def test_plain_path_reopens_flat_layout(self, tmp_path):
+    def test_plain_path_and_file_url_open_the_disk_store(self, tmp_path):
         store = open_store(str(tmp_path / "ar"))
-        assert isinstance(store, DiskFragmentStore)
+        assert isinstance(store, ShardedDiskStore) and store.fanout == 256
         store.put("v", "s0", b"x")
-        assert isinstance(open_store(f"file://{tmp_path / 'ar'}"), DiskFragmentStore)
+        reopened = open_store(f"file://{tmp_path / 'ar'}")
+        assert isinstance(reopened, ShardedDiskStore)
+        assert reopened.get("v", "s0") == b"x"
 
     def test_tiered_reopen_autodetects_fast_layout(self, tmp_path):
         url = f"tiered://{tmp_path / 'fast'}?slow=sharded://{tmp_path / 'slow'}"

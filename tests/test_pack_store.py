@@ -1,17 +1,14 @@
 """The pack format of the WAL disk store, stepped deterministically.
 
 Each ``transact`` writes its payloads into one pack file and the commit
-record places every fragment by offset.  Three properties, each on both
-layouts and each without a timing-dependent step:
+record places every fragment by offset.  Two properties, each without a
+timing-dependent step:
 
 * readers racing a compaction that moves live fragments out of a partly
   dead pack only ever see written payloads: a reader that looked its
   keys up before the move and opens the pack after the unlink looks them
   up again under the reader lock (a barrier parks the readers exactly in
   that window);
-* a hand-written parent-format directory (one payload file per
-  fragment) opens, reads, accepts a pack commit, compacts to zero dead
-  bytes and reopens identical;
 * a kill at every pack-write and compaction kill point lands the
   reopened store on the pre- or the post-state, on disk as well as in
   its index.
@@ -23,13 +20,14 @@ import threading
 import pytest
 
 from fault_store import crash_everywhere, trace
-from repro.storage.store import DiskFragmentStore, ShardedDiskStore, ShortReadError
-from test_storage_store import ON_DISK, read_tree, write_tree
+from repro.storage.store import ShardedDiskStore, ShortReadError
+from test_storage_store import read_tree
 
+# a small fan-out, and fan-out 1: every pack in one shard directory
 LAYOUTS = pytest.mark.parametrize(
     "make",
-    [DiskFragmentStore, lambda root: ShardedDiskStore(root, fanout=8)],
-    ids=["flat", "sharded"],
+    [lambda root: ShardedDiskStore(root, fanout=8), lambda root: ShardedDiskStore(root, fanout=1)],
+    ids=["sharded", "one-shard"],
 )
 
 
@@ -38,8 +36,8 @@ def _contents(store) -> dict:
 
 
 def _payload_files(root) -> dict:
-    """Every payload file under *root*: relpath -> bytes."""
-    return {rel: data for rel, data in read_tree(root).items() if rel.endswith((".pack", ".bin"))}
+    """Every pack under *root*: relpath -> bytes."""
+    return {rel: data for rel, data in read_tree(root).items() if rel.endswith(".pack")}
 
 
 def _stepped(make, root, barrier):
@@ -169,44 +167,6 @@ class TestPackNames:
         assert _contents(make(root)) == {
             ("v", "a"): b"from the first handle", ("v", "b"): b"from the second",
         }
-
-
-class TestParentFormatUpgrade:
-    """A parent-format directory (one payload file per fragment) upgrades in place."""
-
-    @pytest.mark.parametrize(
-        "store_cls", [DiskFragmentStore, ShardedDiskStore], ids=["flat", "sharded"]
-    )
-    def test_opens_reads_commits_compacts_and_reopens_identical(self, tmp_path, store_cls):
-        root = str(tmp_path / "ar")
-        write_tree(root, ON_DISK[store_cls])  # written by hand, not by the store
-        store = store_cls(root)
-        assert _contents(store) == {("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de"}
-        # a pack commit that supersedes one parent-format file and adds a key
-        store.put_many([("a/b", "L0:p3", b"ABC!"), ("w", "s0", b"new")])
-        live = {("a/b", "L0:p3"): b"ABC!", ("a/b", "L0:p4"): b"de", ("w", "s0"): b"new"}
-        assert _contents(store) == live
-        debt = store.durability()  # the tombstoned file and the superseded one
-        assert (debt.tombstones, debt.dead_bytes) == (2, 5 + 3)
-        report = store.compact()
-        assert (report.removed_files, report.reclaimed_bytes) == (2, 8)
-        assert store.durability().dead_bytes == 0
-        p4 = next(rel for rel in ON_DISK[store_cls] if "L0_p4" in rel)
-        files = _payload_files(root)
-        # the live parent-format file stays as the one-fragment pack it is
-        assert files.pop(p4) == b"de"
-        assert list(files.values()) == [b"ABC!new"]
-        tree, payloads = read_tree(root), _payload_files(root)
-
-        reopened = store_cls(root)
-        assert _contents(reopened) == live
-        assert reopened.keys() == store.keys()
-        assert [reopened.size_of(*k) for k in live] == [store.size_of(*k) for k in live]
-        assert reopened.durability().dead_bytes == 0
-        assert read_tree(root) == tree  # opening wrote nothing
-        again = reopened.compact()
-        assert (again.removed_files, again.reclaimed_bytes) == (0, 0)
-        assert _payload_files(root) == payloads and _contents(reopened) == live
 
 
 class TestCrashAtEveryPackAndCompactionPoint:

@@ -20,13 +20,7 @@ from repro.core.qois import qoi_from_spec
 from repro.core.retrieval import QoIRequest, QoIRetriever, refactor_dataset
 from repro.storage.archive import Archive
 from repro.storage.cache import CachingFragmentStore, FragmentCache
-from repro.storage.store import (
-    LAYOUT_MARKER,
-    DiskFragmentStore,
-    FragmentStore,
-    ShardedDiskStore,
-    open_store,
-)
+from repro.storage.store import LAYOUT_MARKER, FragmentStore, ShardedDiskStore, open_store
 
 
 def _filled(store):
@@ -41,7 +35,7 @@ def any_store(request, tmp_path):
     if request.param == "memory":
         return _filled(FragmentStore())
     if request.param == "disk":
-        return _filled(DiskFragmentStore(str(tmp_path / "flat")))
+        return _filled(ShardedDiskStore(str(tmp_path / "disk")))
     return _filled(ShardedDiskStore(str(tmp_path / "sharded"), fanout=8))
 
 
@@ -97,17 +91,17 @@ class TestRunningTotals:
         assert any_store.variables() == ["v", "w"]
 
     def test_disk_reindex_restores_totals(self, tmp_path):
-        root = str(tmp_path / "flat")
-        _filled(DiskFragmentStore(root))
-        reopened = DiskFragmentStore(root)
+        root = str(tmp_path / "disk")
+        _filled(ShardedDiskStore(root))
+        reopened = ShardedDiskStore(root)
         assert reopened.nbytes() == 12
         assert reopened.size_of("v", "s0") == 4
 
     def test_disk_overwrite_survives_reopen(self, tmp_path):
-        root = str(tmp_path / "flat")
-        store = _filled(DiskFragmentStore(root))
+        root = str(tmp_path / "disk")
+        store = _filled(ShardedDiskStore(root))
         store.put("v", "s0", b"now much longer payload")
-        reopened = DiskFragmentStore(root)
+        reopened = ShardedDiskStore(root)
         assert reopened.size_of("v", "s0") == len(b"now much longer payload")
         assert reopened.nbytes("v") == len(b"now much longer payload") + 2
         assert reopened.segments("v") == ["s0", "s1"]
@@ -121,12 +115,6 @@ class TestRunningTotals:
 
 
 class TestOpenStoreMarkers:
-    def test_flat_marker(self, tmp_path):
-        root = str(tmp_path / "flat")
-        _filled(DiskFragmentStore(root))
-        assert os.path.isfile(os.path.join(root, LAYOUT_MARKER))
-        assert isinstance(open_store(root), DiskFragmentStore)
-
     def test_sharded_marker_restores_fanout(self, tmp_path):
         root = str(tmp_path / "sh")
         _filled(ShardedDiskStore(root, fanout=7))
@@ -143,8 +131,8 @@ class TestOpenStoreMarkers:
         assert isinstance(open_store(root), ShardedDiskStore)
 
     def test_open_never_writes_to_a_read_only_archive(self, tmp_path):
-        root = str(tmp_path / "flat")
-        _filled(DiskFragmentStore(root))
+        root = str(tmp_path / "disk")
+        _filled(ShardedDiskStore(root))
         os.remove(os.path.join(root, LAYOUT_MARKER))
         os.chmod(root, 0o555)
         try:
@@ -178,28 +166,6 @@ class TestOpenStoreMarkers:
             json.dump({"layout": "sharded", "fanout": 0}, fh)
         with pytest.raises(ValueError, match="fanout"):
             ShardedDiskStore(root)
-
-    def test_dangling_legacy_log_entry_degrades_per_key(self, tmp_path):
-        root = str(tmp_path / "flat")
-        os.makedirs(root)
-        # a pre-size-tracking legacy directory, written by hand: one file
-        # per fragment, entry-per-line log without sizes; then one
-        # fragment file is deleted out from under the log
-        files = {"v__s0.bin": b"aaaa", "v__s1.bin": b"bb", "w__s0.bin": b"cccccc"}
-        with open(os.path.join(root, ".repro-index.jsonl"), "w") as fh:
-            for name in files:
-                var, seg = name[:-4].split("__")
-                fh.write(json.dumps({"variable": var, "segment": seg, "file": name}) + "\n")
-        for name, payload in files.items():
-            if name != "v__s0.bin":
-                with open(os.path.join(root, name), "wb") as fh:
-                    fh.write(payload)
-        reopened = DiskFragmentStore(root)  # must not raise
-        assert reopened.size_of("w", "s0") == 6  # sizes come from the files
-        assert reopened.has("v", "s0")  # indexed, size unknown (0)
-        assert reopened.get("v", "s1") == b"bb"  # the rest stays readable
-        with pytest.raises(OSError):
-            reopened.get("v", "s0")
 
 
 class TestCacheGetMany:
@@ -339,9 +305,9 @@ class TestLazyArchive:
         refactored = refactor_dataset(
             seeded_fields, make_refactorer("pmgard_hb")
         )
-        store = DiskFragmentStore(str(tmp_path / "ar"))
+        store = ShardedDiskStore(str(tmp_path / "ar"))
         Archive(store).save_dataset(refactored)
-        fresh = DiskFragmentStore(str(tmp_path / "ar"))
+        fresh = ShardedDiskStore(str(tmp_path / "ar"))
         archive = Archive(fresh)
         archive.load("p")
         # index + one batched round trip for coarse/signs; no planes yet
@@ -351,9 +317,9 @@ class TestLazyArchive:
     def test_lossless_tail_stays_lazy(self, tmp_path, seeded_fields):
         refactored = refactor_dataset({"p": seeded_fields["p"]},
                                       make_refactorer("psz3"))
-        store = DiskFragmentStore(str(tmp_path / "ar"))
+        store = ShardedDiskStore(str(tmp_path / "ar"))
         Archive(store).save_dataset(refactored)
-        fresh = DiskFragmentStore(str(tmp_path / "ar"))
+        fresh = ShardedDiskStore(str(tmp_path / "ar"))
         ref = Archive(fresh).load("p")
         assert fresh.reads == 1  # only the JSON index moved
         assert ref.total_bytes > 0  # sizes come from the store index

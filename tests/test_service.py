@@ -240,12 +240,12 @@ class TestRetrievalService:
 
     def test_open_reopened_sharded_archive(self, setup, tmp_path):
         """End to end: archive to a sharded store, reopen via
-        RetrievalService.open (auto-detect), retrieve with a guarantee."""
+        RetrievalService.open on the plain path, retrieve with a guarantee."""
         fields, _, qoi, truth, qrange = setup
         root = str(tmp_path / "archive")
         archive_into(ShardedDiskStore(root), fields)
 
-        service = RetrievalService.open(root)  # auto-detects sharded layout
+        service = RetrievalService.open(root)
         assert isinstance(service._inner, ShardedDiskStore)
         session = service.open_session()
         result = session.retrieve([QoIRequest("VTOT", qoi, 1e-4, qrange)])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.compressors.base import make_refactorer
 from repro.storage.archive import Archive
-from repro.storage.store import DiskFragmentStore, FragmentStore, open_directory_store
+from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
 
 METHODS = ["psz3", "psz3_delta", "pmgard", "pmgard_hb"]
 
@@ -68,7 +68,7 @@ class TestFragmentLayout:
     def test_on_disk_archive(self, tmp_path):
         data = field(seed=4)
         refactored = make_refactorer("pmgard_hb").refactor(data)
-        store = DiskFragmentStore(str(tmp_path / "archive"))
+        store = ShardedDiskStore(str(tmp_path / "archive"))
         archive = Archive(store)
         archive.save("pressure", refactored)
         restored = archive.load("pressure")
@@ -109,7 +109,7 @@ def stores(request, tmp_path):
         store = FragmentStore()
         return store, lambda: store
     root = str(tmp_path / "ar")
-    return DiskFragmentStore(root), lambda: open_directory_store(root)
+    return ShardedDiskStore(root), lambda: open_store(root)
 
 
 def _index_of(method, store):

@@ -17,6 +17,10 @@ Three layers of guarantees, from math to metal:
   and ``failovers > 0``.
 """
 
+import gc
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -73,6 +77,18 @@ class _DownStore(FragmentStore):
 
     get = get_many = put = put_many = transact = _down
     compact = durability = _down
+
+
+class _FailsOnce(FragmentStore):
+    """An in-memory node whose next ``transact``, once armed, fails transiently."""
+
+    armed = False
+
+    def transact(self, puts, deletes=()):
+        if self.armed:
+            self.armed = False
+            raise FaultStoreError("transient node fault")
+        super().transact(puts, deletes)
 
 
 def kill_server(server: HTTPFragmentServer) -> None:
@@ -451,6 +467,69 @@ class TestWriteFailover:
             cluster.delete("v", "s")
         assert cluster.has("v", "s")  # index unchanged: nothing half-deleted
         cluster.close()
+
+    def test_overwrite_on_a_failing_replica_is_strict(self):
+        """An owner that misses an overwrite would keep serving the old
+        payload as current, so the overwrite fails the call like a delete;
+        a first write of a new key still tolerates the same miss."""
+        nodes = {"a": _FailsOnce(), "b": _FailsOnce()}
+        cluster = ClusterFragmentStore(
+            list(nodes.items()), replicas=2, vnodes=32,
+            retry=RetryPolicy(attempts=1, base_delay=0.0, jitter=0.0),
+        )
+        cluster.put("v", "k", b"old")
+        primary = cluster.owners("v", "k")[0]
+        nodes[primary].armed = True
+        with pytest.raises(FaultStoreError):
+            cluster.put("v", "k", b"new")
+        nodes[primary].armed = True
+        cluster.put("v", "fresh", b"x")  # no raise: the other owner has it
+        assert cluster.get("v", "fresh") == b"x"
+        assert cluster.stats().write_failovers == 2
+        cluster.close()
+
+
+class TestClientConnections:
+    def test_close_closes_every_connection_the_fan_out_dialed(self):
+        """The per-node requests run on the cluster's pool threads, each
+        with its own kept-alive connection; ``close`` ends all of them."""
+        servers = [HTTPFragmentServer(FragmentStore()).start() for _ in range(2)]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                store = open_store(cluster_url(servers, replicas=2))
+                store.put_many([("v", f"s{i}", bytes([i]) * 8) for i in range(16)])
+                assert store.get_many([("v", "s3")]) == {("v", "s3"): bytes([3]) * 8}
+                store.close()
+                gc.collect()
+            assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+        finally:
+            for server in servers:
+                server.stop()
+
+    def test_a_thread_that_ends_closes_its_connection(self):
+        """A server handles each session (or ``/metrics`` scrape) on a
+        thread of its own; the connection such a thread dialed closes
+        when it ends, so a long-running server holds none per session."""
+        server = HTTPFragmentServer(FragmentStore()).start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                store = open_store(server.url)  # pulls the index on this thread
+                opener = list(store._conns)
+                for _ in range(8):
+                    thread = threading.Thread(target=store.durability)
+                    thread.start()
+                    thread.join()
+                gc.collect()
+                assert list(store._conns) == opener
+                store.put("v", "s", b"x")
+                assert list(store._conns) == opener
+                store.close()
+                gc.collect()
+            assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+        finally:
+            server.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,13 @@ from repro.storage.metadata import (
     DatasetManifest,
     VariableMetadata,
 )
-from repro.storage.store import (
-    DiskFragmentStore,
-    FragmentStore,
-    ShardedDiskStore,
-    open_store,
-)
+from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
 from test_round_trips import CountingStore
 
 #: ``DatasetManifest.to_json()`` of the last format-1 revision, verbatim:
 #: what every archive written before the per-variable records holds at
-#: ``(_dataset, manifest.json)``.
+#: ``(_dataset, manifest.json)`` (no longer read; see
+#: ``tests/test_retired_formats.py``).
 FORMAT1_MANIFEST = """{
   "dataset": "legacy",
   "variables": {
@@ -121,31 +117,31 @@ class TestFragmentStore:
 
 class TestDiskStore:
     def test_roundtrip(self, tmp_path):
-        store = DiskFragmentStore(str(tmp_path / "frags"))
+        store = ShardedDiskStore(str(tmp_path / "frags"))
         payload = bytes(range(256))
         store.put("density", "snap/3", payload)
         assert store.get("density", "snap/3") == payload
         assert store.nbytes() == 256
 
     def test_key_sanitization(self, tmp_path):
-        store = DiskFragmentStore(str(tmp_path / "frags"))
+        store = ShardedDiskStore(str(tmp_path / "frags"))
         store.put("a/b..c", "s:1", b"x")
         assert store.get("a/b..c", "s:1") == b"x"
 
     def test_missing(self, tmp_path):
-        store = DiskFragmentStore(str(tmp_path / "frags"))
+        store = ShardedDiskStore(str(tmp_path / "frags"))
         with pytest.raises(KeyError):
             store.get("v", "s")
 
     def test_reopen_serves_previous_fragments(self, tmp_path):
         """Regression: the fragment index must survive a process restart."""
         root = str(tmp_path / "frags")
-        store = DiskFragmentStore(root)
+        store = ShardedDiskStore(root)
         store.put("pressure", "snapshot_000", b"abc")
         store.put("pressure", "snapshot_001", b"defg")
         store.put("density", "coarse", b"hi")
 
-        reopened = DiskFragmentStore(root)
+        reopened = ShardedDiskStore(root)
         assert reopened.has("pressure", "snapshot_000")
         assert reopened.get("pressure", "snapshot_001") == b"defg"
         assert reopened.segments("pressure") == ["snapshot_000", "snapshot_001"]
@@ -155,21 +151,13 @@ class TestDiskStore:
     def test_reopen_preserves_unsafe_keys(self, tmp_path):
         """The key log restores keys that filename sanitization mangles."""
         root = str(tmp_path / "frags")
-        DiskFragmentStore(root).put("a/b..c", "s:1", b"x")
-        reopened = DiskFragmentStore(root)
+        ShardedDiskStore(root).put("a/b..c", "s:1", b"x")
+        reopened = ShardedDiskStore(root)
         assert reopened.has("a/b..c", "s:1")
         assert reopened.get("a/b..c", "s:1") == b"x"
 
-    def test_reopen_legacy_directory_without_log(self, tmp_path):
-        """Directories written before the key log existed are rescanned."""
-        root = str(tmp_path / "frags")
-        write_tree(root, {"v__s0.bin": b"abcd"})  # what such a writer left
-        reopened = DiskFragmentStore(root)
-        assert reopened.get("v", "s0") == b"abcd"
-        assert reopened.keys() == [("v", "s0")] and reopened.nbytes() == 4
-
     def test_read_accounting(self, tmp_path):
-        store = DiskFragmentStore(str(tmp_path / "frags"))
+        store = ShardedDiskStore(str(tmp_path / "frags"))
         store.put("v", "s0", b"abcd")
         store.get("v", "s0")
         store.get("v", "s0")
@@ -248,112 +236,134 @@ class TestShardedDiskStore:
         with pytest.raises(ValueError):
             ShardedDiskStore(str(tmp_path / "frags"), fanout=0)
 
+    def test_an_open_leaves_directories_that_are_not_shards_alone(self, tmp_path):
+        """Only a shard directory's unlogged packs are orphans: a user's
+        own directory under the root, or a shard name beyond the
+        fan-out, keeps its files across an open."""
+        root = tmp_path / "frags"
+        store = ShardedDiskStore(str(root), fanout=1)
+        store.put("v", "s", b"abc")
+        kept = {
+            "notes/000001.pack": b"mine",
+            "001/000009.pack": b"beyond the fan-out",
+            "0x0/000009.pack": b"not a name the store writes",
+        }
+        orphan = "000/000009.pack"  # in the one shard, named by no entry
+        write_tree(str(root), {**kept, orphan: b"torn"})
+        reopened = ShardedDiskStore(str(root))
+        assert reopened.get("v", "s") == b"abc"
+        tree = read_tree(str(root))
+        assert {rel: tree.get(rel) for rel in kept} == kept
+        assert orphan not in tree
+
 
 #: Every byte two ``put_many`` calls and one ``delete`` left behind in the
-#: parent format (one payload file per fragment, entries without an
-#: offset), per layout, written out by hand (not by the code under test):
-#: the payload files, the layout marker, and the commit log with its
-#: field names.  The store still opens, reads, writes and compacts it.
-ON_DISK = {
-    DiskFragmentStore: {
-        "a_b__L0_p3.bin": b"abc",
-        "a_b__L0_p4.bin": b"de",
-        "vx__idx.bin": b"hello",
-        ".repro-store.json": b'{"layout": "flat"}',
-        ".repro-index.jsonl": (
-            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
-            b' "file": "a_b__L0_p3.bin", "nbytes": 3}, {"variable": "vx",'
-            b' "segment": "idx", "file": "vx__idx.bin", "nbytes": 5}]}\n'
-            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
-            b' "file": "a_b__L0_p4.bin", "nbytes": 2}]}\n'
-            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
-            b' "file": "vx__idx.bin", "deleted": true}]}\n'
-        ),
-    },
-    ShardedDiskStore: {
-        "035/a_b__L0_p3__155b2e35.bin": b"abc",
-        "034/a_b__L0_p4__6389b834.bin": b"de",
-        "04c/vx__idx__8db4664c.bin": b"hello",
-        ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
-        "index.jsonl": (
-            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
-            b' "path": "035/a_b__L0_p3__155b2e35.bin", "nbytes": 3},'
-            b' {"variable": "vx", "segment": "idx",'
-            b' "path": "04c/vx__idx__8db4664c.bin", "nbytes": 5}]}\n'
-            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
-            b' "path": "034/a_b__L0_p4__6389b834.bin", "nbytes": 2}]}\n'
-            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
-            b' "deleted": true}]}\n'
-        ),
-    },
+#: format before packs (one payload file per fragment, entries without
+#: an offset), per layout, written out by hand: the payload
+#: files, the layout marker, and the commit log with its field names.
+#: No reader for either remains; ``tests/test_retired_formats.py``
+#: checks that both fail to open.
+PARENT_FLAT = {
+    "a_b__L0_p3.bin": b"abc",
+    "a_b__L0_p4.bin": b"de",
+    "vx__idx.bin": b"hello",
+    ".repro-store.json": b'{"layout": "flat"}',
+    ".repro-index.jsonl": (
+        b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+        b' "file": "a_b__L0_p3.bin", "nbytes": 3}, {"variable": "vx",'
+        b' "segment": "idx", "file": "vx__idx.bin", "nbytes": 5}]}\n'
+        b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+        b' "file": "a_b__L0_p4.bin", "nbytes": 2}]}\n'
+        b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+        b' "file": "vx__idx.bin", "deleted": true}]}\n'
+    ),
+}
+PARENT_SHARDED = {
+    "035/a_b__L0_p3__155b2e35.bin": b"abc",
+    "034/a_b__L0_p4__6389b834.bin": b"de",
+    "04c/vx__idx__8db4664c.bin": b"hello",
+    ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
+    "index.jsonl": (
+        b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+        b' "path": "035/a_b__L0_p3__155b2e35.bin", "nbytes": 3},'
+        b' {"variable": "vx", "segment": "idx",'
+        b' "path": "04c/vx__idx__8db4664c.bin", "nbytes": 5}]}\n'
+        b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+        b' "path": "034/a_b__L0_p4__6389b834.bin", "nbytes": 2}]}\n'
+        b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+        b' "deleted": true}]}\n'
+    ),
 }
 
 #: What the store writes for the same three operations: one pack per
-#: commit that carries puts, named by its txn (hashed over the shards in
-#: the sharded layout), and entries that place each fragment by offset.
+#: commit that carries puts, named by its txn and hashed over the shards,
+#: and entries that place each fragment by offset.
 PACKED = {
-    DiskFragmentStore: {
-        "000001.pack": b"abchello",
-        "000002.pack": b"de",
-        ".repro-store.json": b'{"layout": "flat"}',
-        ".repro-index.jsonl": (
-            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
-            b' "file": "000001.pack", "offset": 0, "nbytes": 3}, {"variable":'
-            b' "vx", "segment": "idx", "file": "000001.pack", "offset": 3,'
-            b' "nbytes": 5}]}\n'
-            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
-            b' "file": "000002.pack", "offset": 0, "nbytes": 2}]}\n'
-            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
-            b' "deleted": true}]}\n'
-        ),
-    },
-    ShardedDiskStore: {
-        "02b/000001.pack": b"abchello",
-        "037/000002.pack": b"de",
-        ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
-        "index.jsonl": (
-            b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
-            b' "path": "02b/000001.pack", "offset": 0, "nbytes": 3},'
-            b' {"variable": "vx", "segment": "idx", "path": "02b/000001.pack",'
-            b' "offset": 3, "nbytes": 5}]}\n'
-            b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
-            b' "path": "037/000002.pack", "offset": 0, "nbytes": 2}]}\n'
-            b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
-            b' "deleted": true}]}\n'
-        ),
-    },
+    "02b/000001.pack": b"abchello",
+    "037/000002.pack": b"de",
+    ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
+    "index.jsonl": (
+        b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+        b' "path": "02b/000001.pack", "offset": 0, "nbytes": 3},'
+        b' {"variable": "vx", "segment": "idx", "path": "02b/000001.pack",'
+        b' "offset": 3, "nbytes": 5}]}\n'
+        b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+        b' "path": "037/000002.pack", "offset": 0, "nbytes": 2}]}\n'
+        b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+        b' "deleted": true}]}\n'
+    ),
 }
 
 #: ``PACKED`` after ``compact()``: the live fragment of the partly dead
 #: first pack moved into pack 4, the first pack unlinked, and the log
 #: rewritten to its live entries as one record (txn 5).
 COMPACTED = {
-    DiskFragmentStore: {
-        "000002.pack": b"de",
-        "000004.pack": b"abc",
-        ".repro-store.json": b'{"layout": "flat"}',
-        ".repro-index.jsonl": (
-            b'{"txn": 5, "commit": [{"variable": "a/b", "segment": "L0:p3",'
-            b' "file": "000004.pack", "offset": 0, "nbytes": 3}, {"variable":'
-            b' "a/b", "segment": "L0:p4", "file": "000002.pack", "offset": 0,'
-            b' "nbytes": 2}]}\n'
-        ),
-    },
-    ShardedDiskStore: {
-        "037/000002.pack": b"de",
-        "089/000004.pack": b"abc",
-        ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
-        "index.jsonl": (
-            b'{"txn": 5, "commit": [{"variable": "a/b", "segment": "L0:p3",'
-            b' "path": "089/000004.pack", "offset": 0, "nbytes": 3},'
-            b' {"variable": "a/b", "segment": "L0:p4", "path": "037/000002.pack",'
-            b' "offset": 0, "nbytes": 2}]}\n'
-        ),
-    },
+    "037/000002.pack": b"de",
+    "089/000004.pack": b"abc",
+    ".repro-store.json": b'{"layout": "sharded", "fanout": 256}',
+    "index.jsonl": (
+        b'{"txn": 5, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+        b' "path": "089/000004.pack", "offset": 0, "nbytes": 3},'
+        b' {"variable": "a/b", "segment": "L0:p4", "path": "037/000002.pack",'
+        b' "offset": 0, "nbytes": 2}]}\n'
+    ),
 }
 
-LAYOUTS = pytest.mark.parametrize(
-    "store_cls", [DiskFragmentStore, ShardedDiskStore], ids=["flat", "sharded"]
+#: ``PACKED`` and ``COMPACTED`` from a store at fan-out 1: the same
+#: packs, logs and offsets, every pack in the one shard directory.
+ONE_SHARD_PACKED = {
+    "000/000001.pack": b"abchello",
+    "000/000002.pack": b"de",
+    ".repro-store.json": b'{"layout": "sharded", "fanout": 1}',
+    "index.jsonl": (
+        b'{"txn": 1, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+        b' "path": "000/000001.pack", "offset": 0, "nbytes": 3},'
+        b' {"variable": "vx", "segment": "idx", "path": "000/000001.pack",'
+        b' "offset": 3, "nbytes": 5}]}\n'
+        b'{"txn": 2, "commit": [{"variable": "a/b", "segment": "L0:p4",'
+        b' "path": "000/000002.pack", "offset": 0, "nbytes": 2}]}\n'
+        b'{"txn": 3, "commit": [{"variable": "vx", "segment": "idx",'
+        b' "deleted": true}]}\n'
+    ),
+}
+ONE_SHARD_COMPACTED = {
+    "000/000002.pack": b"de",
+    "000/000004.pack": b"abc",
+    ".repro-store.json": b'{"layout": "sharded", "fanout": 1}',
+    "index.jsonl": (
+        b'{"txn": 5, "commit": [{"variable": "a/b", "segment": "L0:p3",'
+        b' "path": "000/000004.pack", "offset": 0, "nbytes": 3},'
+        b' {"variable": "a/b", "segment": "L0:p4", "path": "000/000002.pack",'
+        b' "offset": 0, "nbytes": 2}]}\n'
+    ),
+}
+
+#: Both pinned directories: the default fan-out's, under the test id
+#: its literals have always carried, and a fan-out-1 store's.
+FORMATS = pytest.mark.parametrize(
+    "fanout, packed, compacted",
+    [(256, PACKED, COMPACTED), (1, ONE_SHARD_PACKED, ONE_SHARD_COMPACTED)],
+    ids=["sharded", "one-shard"],
 )
 
 
@@ -376,14 +386,16 @@ def read_tree(root):
 
 
 class TestOnDiskFormat:
-    """Both layouts of the one disk store, pinned by literal directories."""
+    """The one disk store, pinned by literal directories."""
 
-    @LAYOUTS
-    def test_hand_written_directory_opens(self, tmp_path, store_cls):
+    @FORMATS
+    def test_hand_written_directory_opens(self, tmp_path, fanout, packed, compacted):
         root = str(tmp_path / "ar")
-        write_tree(root, ON_DISK[store_cls])
-        for store in (store_cls(root), open_store(root)):
-            assert type(store) is store_cls
+        write_tree(root, packed)
+        for store in (ShardedDiskStore(root, fanout=16), open_store(root),
+                      open_store(f"file://{root}")):
+            assert type(store) is ShardedDiskStore
+            assert store.fanout == fanout  # the marker's, not the argument
             assert store.keys() == [("a/b", "L0:p3"), ("a/b", "L0:p4")]
             assert store.get_many(store.keys()) == {
                 ("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de",
@@ -393,89 +405,51 @@ class TestOnDiskFormat:
             # the tombstoned payload is still on disk, as reclaimable debt
             debt = store.durability()
             assert (debt.tombstones, debt.dead_bytes) == (1, 5)
-        assert read_tree(root) == ON_DISK[store_cls]  # opening wrote nothing
+        assert read_tree(root) == packed  # opening wrote nothing
         report = store.compact()
         assert (report.removed_files, report.reclaimed_bytes) == (1, 5)
-        dead = "vx__idx.bin" if store_cls is DiskFragmentStore else "04c/vx__idx__8db4664c.bin"
-        assert sorted(read_tree(root)) == sorted(set(ON_DISK[store_cls]) - {dead})
+        assert read_tree(root) == compacted
 
-    @LAYOUTS
-    def test_the_store_writes_exactly_these_bytes(self, tmp_path, store_cls):
+    @FORMATS
+    def test_the_store_writes_exactly_these_bytes(self, tmp_path, fanout, packed, compacted):
         root = str(tmp_path / "ar")
-        store = store_cls(root)
+        store = ShardedDiskStore(root, fanout=fanout)
         store.put_many([("a/b", "L0:p3", b"abc"), ("vx", "idx", b"hello")])
         store.put_many([("a/b", "L0:p4", b"de")])
         store.delete("vx", "idx")
-        assert read_tree(root) == PACKED[store_cls]
+        assert read_tree(root) == packed
         debt = store.durability()
         assert (debt.tombstones, debt.dead_bytes) == (1, 5)
-        for handle in (store, store_cls(root)):  # the reopen reads the same debt
+        reopened = ShardedDiskStore(root)  # the marker's fan-out, not the default
+        assert reopened.fanout == fanout
+        for handle in (store, reopened):  # the reopen reads the same debt
             assert handle.durability().dead_bytes == 5
             assert handle.get_many(handle.keys()) == {
                 ("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de",
             }
-        assert read_tree(root) == PACKED[store_cls]  # opening wrote nothing
+        assert read_tree(root) == packed  # opening wrote nothing
         report = store.compact()
         assert (report.removed_files, report.reclaimed_bytes) == (1, 5)
-        assert read_tree(root) == COMPACTED[store_cls]
+        assert read_tree(root) == compacted
         assert store.durability().dead_bytes == 0
-        reopened = store_cls(root)
+        reopened = ShardedDiskStore(root)
         assert reopened.get_many(reopened.keys()) == {
             ("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de",
         }
         assert reopened.durability().dead_bytes == 0
 
-    def test_flat_directory_without_a_log_recovers_keys_from_file_names(self, tmp_path):
-        root = str(tmp_path / "ar")
-        write_tree(root, {"a_b__L0_p3.bin": b"abc", "vx__idx.bin": b"hello",
-                          "notes.txt": b"not a fragment", "stray.bin": b"no key"})
-        store = DiskFragmentStore(root)
-        assert store.keys() == [("a_b", "L0_p3"), ("vx", "idx")]
-        assert store.get("a_b", "L0_p3") == b"abc" and store.size_of("vx", "idx") == 5
-        assert store.durability().tombstones == 0
-
-    def test_flat_log_entry_without_a_size_takes_it_from_the_file(self, tmp_path):
-        root = str(tmp_path / "ar")
-        write_tree(root, {
-            "vx__idx.bin": b"hello",
-            ".repro-index.jsonl": (
-                b'{"variable": "vx", "segment": "idx", "file": "vx__idx.bin"}\n'
-                b'{"variable": "vy", "segment": "idx", "file": "vy__idx.bin"}\n'
-            ),
-        })
-        store = DiskFragmentStore(root)
-        assert store.size_of("vx", "idx") == 5 and store.get("vx", "idx") == b"hello"
-        # a dangling entry stays indexed (size 0) instead of failing the open
-        assert store.has("vy", "idx") and store.size_of("vy", "idx") == 0
-        assert store.nbytes() == 5
-
-    @LAYOUTS
-    def test_staged_leftovers_are_published_or_discarded(self, tmp_path, store_cls):
-        root = str(tmp_path / "ar")
-        files = dict(ON_DISK[store_cls])
-        p4 = next(rel for rel in files if "L0_p4" in rel)
-        p3 = next(rel for rel in files if "L0_p3" in rel)
-        # txn 2 committed but died before publishing; txn 9 never committed
-        files[p4 + ".stg2"] = files.pop(p4)
-        files[p3 + ".stg9"] = b"never committed"
-        write_tree(root, files)
-        store = store_cls(root)
-        assert store.get("a/b", "L0:p4") == b"de"
-        assert store.get("a/b", "L0:p3") == b"abc"
-        assert read_tree(root) == ON_DISK[store_cls]
-
     def test_marker_fanout_outranks_the_constructor_argument(self, tmp_path):
         root = str(tmp_path / "ar")
-        write_tree(root, ON_DISK[ShardedDiskStore])
+        write_tree(root, PACKED)
         store = ShardedDiskStore(root, fanout=16)
         assert store.fanout == 256
         store.put("vx", "idx", b"again")  # txn 4's pack, in its 256-way shard
         tree = read_tree(root)
         assert tree["089/000004.pack"] == b"again"  # (its 16-way shard is 009)
-        assert set(tree) == set(ON_DISK[ShardedDiskStore]) | {"089/000004.pack"}
-        assert tree["04c/vx__idx__8db4664c.bin"] == b"hello"  # no file is rewritten
+        assert set(tree) == set(PACKED) | {"089/000004.pack"}
+        assert tree["02b/000001.pack"] == b"abchello"  # no pack is rewritten
         assert store.get("vx", "idx") == b"again"
-        debt = store.durability()  # the parent-format file stays dead
+        debt = store.durability()  # the first pack's tombstoned bytes stay dead
         assert (debt.tombstones, debt.dead_bytes) == (1, 5)
 
 
@@ -601,47 +575,6 @@ class TestManifestRecords:
             DatasetManifest.load_from(FragmentStore())
 
 
-class TestManifestFormat1:
-    def _legacy_store(self):
-        store = FragmentStore()
-        store.put(MANIFEST_VARIABLE, MANIFEST_SEGMENT, FORMAT1_MANIFEST.encode())
-        return store
-
-    def test_literal_loads_and_serves_value_ranges(self):
-        manifest = DatasetManifest.load_from(self._legacy_store())
-        assert manifest.dataset == "legacy"
-        assert manifest.value_ranges() == {"p": 3.0, "q@t0003": 2.5}
-        assert manifest.variables["p"].shape == (1, 3)
-        assert manifest.variables["q@t0003"].segments == ["_index.json", "snapshot_000"]
-        # and it is still what to_json exports
-        assert manifest.to_json() == FORMAT1_MANIFEST
-
-    def test_next_save_migrates_to_records(self):
-        store = self._legacy_store()
-        manifest = DatasetManifest.load_from(store)
-        manifest.add(meta("r"))
-        manifest.save_to(store)
-        header = json.loads(store.get(MANIFEST_VARIABLE, MANIFEST_SEGMENT))
-        assert header == {"dataset": "legacy", "format": 2}
-        assert sorted(store.segments(MANIFEST_VARIABLE)) == [
-            "manifest.json", "var.p.json", "var.q@t0003.json", "var.r.json",
-        ]
-        assert DatasetManifest.load_from(store) == manifest
-
-    def test_record_wins_over_inline_entry(self):
-        # a batch torn on a store without atomic batches: records are
-        # written ahead of the header, so the header is still format 1
-        store = self._legacy_store()
-        scratch = FragmentStore()
-        newer = DatasetManifest("legacy")
-        newer.add(meta("p", 0.0, 10.0, total_bytes=999))
-        newer.save_to(scratch)
-        store.put(MANIFEST_VARIABLE, "var.p.json", scratch.get(MANIFEST_VARIABLE, "var.p.json"))
-        back = DatasetManifest.load_from(store)
-        assert back.variables["p"].total_bytes == 999
-        assert back.value_ranges() == {"p": 10.0, "q@t0003": 2.5}
-
-
 class TestManifestCorruption:
     """Untrusted metadata fails with a ValueError that names the segment."""
 
@@ -680,10 +613,3 @@ class TestManifestCorruption:
             with pytest.raises(ValueError, match=r"manifest\.json") as caught:
                 DatasetManifest.load_from(store)
             assert type(caught.value) is ValueError
-
-    def test_corrupt_inline_entry_names_the_variable(self):
-        store = FragmentStore()
-        store.put(MANIFEST_VARIABLE, MANIFEST_SEGMENT,
-                  FORMAT1_MANIFEST.replace('"value_min": -2.0', '"value_min": "low"').encode())
-        with pytest.raises(ValueError, match="q@t0003"):
-            DatasetManifest.load_from(store)

@@ -13,12 +13,7 @@ from repro.service.service import RetrievalService
 from repro.storage.archive import Archive
 from repro.storage.remote import HTTPFragmentServer
 from repro.storage.resilience import ResilienceStats
-from repro.storage.store import (
-    DiskFragmentStore,
-    FragmentStore,
-    ShardedDiskStore,
-    open_store,
-)
+from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
 from repro.storage.tiered import TieredStore
 from repro.utils.fragment_keys import timestep_variable
 
@@ -161,7 +156,7 @@ class TestTieredWrites:
     def test_close_leaves_every_write_durable_on_the_slow_tier(self, tmp_path):
         slow_dir = str(tmp_path / "slow")
         store = TieredStore(
-            DiskFragmentStore(str(tmp_path / "fast")),
+            ShardedDiskStore(str(tmp_path / "fast")),
             ShardedDiskStore(slow_dir, fanout=4),
         )
         store.put_many([(v, s, p) for (v, s), p in PAYLOADS.items()])

@@ -27,7 +27,6 @@ from repro.storage.remote import (
 )
 from repro.storage.resilience import ResilientStore, RetryPolicy
 from repro.storage.store import (
-    DiskFragmentStore,
     FragmentStore,
     ShardedDiskStore,
     StoreWrapper,
@@ -47,8 +46,8 @@ def build(kind: str, tmp_path, stack: contextlib.ExitStack) -> FragmentStore:
     """A fresh, empty store of *kind*; *stack* owns whatever must be closed."""
     if kind == "memory":
         return FragmentStore()
-    if kind == "flat":
-        return DiskFragmentStore(str(tmp_path / "flat"))
+    if kind == "flat":  # the disk store with every pack in one shard directory
+        return ShardedDiskStore(str(tmp_path / "flat"), fanout=1)
     if kind == "sharded":
         return ShardedDiskStore(str(tmp_path / "sharded"))
     if kind == "http":
