@@ -145,9 +145,28 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+class _CommandError(Exception):
+    """A command that cannot run on what it was given: one line, exit 1."""
+
+
+def _open_archive(url: str):
+    """Open the archive ``stats`` or ``compact`` reads.  A store holding
+    no byte, live or dead, is an error: opening one creates nothing, so
+    this is what a mistyped path looks like."""
+    store = open_store(url)  # stores reindex themselves on reopen
+    if not store.keys() and not store.durability().dead_bytes:
+        store.close()
+        raise _CommandError(f"nothing archived at {url!r}")
+    return store
+
+
 def _load_manifest(archive_dir: str) -> tuple:
-    store = open_store(archive_dir)  # stores reindex themselves on reopen
-    manifest = DatasetManifest.load_from(store)
+    store = open_store(archive_dir)
+    try:
+        manifest = DatasetManifest.load_from(store)
+    except KeyError:  # e.g. a mistyped path: opening it created nothing
+        store.close()
+        raise _CommandError(f"no dataset manifest in {archive_dir!r}") from None
     return store, manifest
 
 
@@ -242,7 +261,7 @@ def _print_durability(d: dict) -> None:
 
 def _cmd_stats(args) -> int:
     if args.archive is not None:
-        store = open_store(args.archive)
+        store = _open_archive(args.archive)
         archive = Archive(store)
         variables = archive.variables()
         print(f"archive: {args.archive} ({type(store).__name__})")
@@ -366,7 +385,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_compact(args) -> int:
     if args.archive is not None:
-        store = open_store(args.archive)
+        store = _open_archive(args.archive)
         try:
             report = store.compact()
         finally:
@@ -385,6 +404,9 @@ def _cmd_compact(args) -> int:
 
             report = CompactionReport(**client.compact())
         target = f"{args.host}:{args.port}"
+    if not report.compactions:
+        print(f"compacted {target}: nothing dead to reclaim; log left as it is")
+        return 0
     print(f"compacted {target}: {report.removed_files} dead fragment(s), "
           f"{report.reclaimed_bytes} B reclaimed; "
           f"log {report.log_bytes_before} -> {report.log_bytes_after} B "
@@ -579,7 +601,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ArchiveFormatError as exc:  # an older archive: one line, not a traceback
+    except (ArchiveFormatError, _CommandError) as exc:  # one line, not a traceback
         raise SystemExit(f"repro {args.command}: {exc}")
     except BrokenPipeError:
         # stdout piped into e.g. `head`; exiting quietly is the polite

@@ -28,12 +28,32 @@ bit-exactness oracle.
 Each plane is packed with :func:`numpy.packbits` and compressed with a
 lossless backend, so a plane is an independently fetchable *segment* whose
 byte size feeds the bitrate accounting of the rate-distortion studies.
-Low-significance planes of real data are usually indistinguishable from
-noise, so each segment carries a one-byte marker and is stored raw when a
-sample shows the backend cannot shrink it — the entropy stage then costs
-time only where it saves bytes.  Rows whose bit and bit-transition
-densities already look like coin flips are framed raw without asking the
-backend at all (:func:`_noise_rows`).
+Each segment carries a one-byte marker: compressed, or stored raw when
+the backend cannot shrink it by more than that byte.  The framing rules
+(:func:`_compress_segment`), in the order they are tried:
+
+* a row of at most :data:`_RAW_MAX` (11) bytes is framed raw without a
+  backend call: a zlib stream of ``n >= 1`` bytes is at least 9 bytes
+  long, 10 when ``n >= 2``, so such a row never shrinks by more than the
+  marker (the Huffman backend's header alone is longer, and the raw
+  backend never shrinks anything) and the bytes are the ones the backend
+  call would have framed;
+* a row whose bit and bit-transition densities already look like coin
+  flips is framed raw without a backend call (:func:`_noise_rows`) —
+  low-significance planes of real data are usually indistinguishable
+  from noise;
+* a row of 16 KiB or more whose first 4 KiB the backend cannot shrink
+  below :data:`_PROBE_RATIO` is framed raw after that one probe;
+* any other row is compressed whole and kept only if smaller.
+
+On zlib a row is compressed with run-length DEFLATE
+(:meth:`~repro.encoding.lossless.ZlibBackend.compress_runs`): the rows
+that compress are runs of insignificant bits — the structure EBCOT's
+cleanup pass codes in run-length mode (Taubman, IEEE TIP 2000) — where
+the full LZ77 search finds nothing more.  Inflate reads it as any zlib
+stream, so segments written with the LZ77 search decode unchanged;
+other payloads (SZ-family streams, PMGARD coarse and zero-mask
+segments) keep the backend's byte coder.
 
 Signs are stored as one extra segment fetched together with the first
 plane.  (PMGARD embeds the sign after a coefficient's first significant
@@ -49,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.encoding.lossless import get_backend
+from repro.encoding.lossless import ZlibBackend, get_backend
 from repro.utils.bits import (
     accumulate_bitplanes,
     element_byte_width,
@@ -60,6 +80,9 @@ from repro.utils.bits import (
 #: Segment framing markers: stored raw vs. backend-compressed.
 _SEG_RAW = b"\x00"
 _SEG_COMPRESSED = b"\x01"
+#: Longest row framed raw without a backend call: no backend shrinks a
+#: row this short by more than the marker byte (module docstring).
+_RAW_MAX = 11
 #: Segments shorter than this skip the compressibility probe entirely.
 _PROBE_MIN = 4096
 #: Leading bytes sampled by the probe, once a segment is long enough
@@ -68,8 +91,8 @@ _PROBE_MIN = 4096
 _PROBE_BYTES = 4096
 #: Probe ratio above which a segment is declared incompressible.
 _PROBE_RATIO = 0.97
-#: Rows shorter than this always go to the backend: below it zlib's
-#: fixed overhead, not the bits, decides whether a row shrinks.
+#: Rows shorter than this skip the noise screen: below it zlib's fixed
+#: overhead, not the bits, decides whether a row shrinks.
 _NOISE_MIN_BYTES = 64
 #: Binary entropy (bits per bit) that both the bit density and the bit
 #: transition density of a row's probe sample must reach for the row to
@@ -77,18 +100,29 @@ _NOISE_MIN_BYTES = 64
 _NOISE_ENTROPY = 0.99
 
 
+def _row_coder(backend):
+    """The compressor of a bitplane row on *backend*: run-length DEFLATE
+    on zlib, the backend's byte coder otherwise."""
+    if isinstance(backend, ZlibBackend):
+        return backend.compress_runs
+    return backend.compress_bytes
+
+
 def _compress_segment(backend, raw: bytes) -> bytes:
     """Frame *raw* as a segment: compressed when the backend earns its keep."""
+    if len(raw) <= _RAW_MAX:
+        return _SEG_RAW + raw
+    compress = _row_coder(backend)
     comp = None
     if len(raw) >= _PROBE_MIN:
         probe = raw[:_PROBE_BYTES] if len(raw) >= 4 * _PROBE_BYTES else raw
-        comp_probe = backend.compress_bytes(probe)
+        comp_probe = compress(probe)
         if len(comp_probe) > _PROBE_RATIO * len(probe):
             return _SEG_RAW + raw
         if len(probe) == len(raw):  # the probe already compressed everything
             comp = comp_probe
     if comp is None:
-        comp = backend.compress_bytes(raw)
+        comp = compress(raw)
     if len(comp) + 1 >= len(raw):
         return _SEG_RAW + raw
     return _SEG_COMPRESSED + comp
@@ -376,12 +410,16 @@ class BitplaneEncoder:
         half = (P - e) // 2
         mags *= 2.0**half
         mags *= 2.0 ** (P - e - half)
-        fixed = mags.astype(np.uint64)  # trunc == floor: values are >= 0
-        # amax*scale can land exactly on 2**P; clamp into range
-        np.minimum(fixed, np.uint64((1 << P) - 1), out=fixed)
-        # the sign row, then the P plane rows; rows the screen calls
-        # noise are framed raw without a backend call
-        rows = np.vstack([np.packbits(np.signbit(flat)), pack_bitplanes(fixed, P)])
+        # |c| < 2**e, so every scaled magnitude is below 2**P; the clamp
+        # only guards that, and the floats convert straight to the
+        # big-endian words pack_bitplanes reads (trunc == floor: >= 0)
+        np.minimum(mags, np.nextafter(2.0**P, 0.0), out=mags)
+        fixed = mags.astype(f">u{element_byte_width(P)}")
+        # the sign row, then the P plane rows, packed into one matrix;
+        # rows the screen calls noise are framed raw without a backend call
+        rows = np.empty((P + 1, (flat.size + 7) // 8), dtype=np.uint8)
+        rows[0] = np.packbits(np.signbit(flat))
+        pack_bitplanes(fixed, P, out=rows[1:])
         backend = self.backend
         sign_segment, *planes = [
             _SEG_RAW + row.tobytes() if noise else _compress_segment(backend, row.tobytes())

@@ -33,6 +33,7 @@ from repro.encoding.bitplane import (
     _SEG_RAW,
     BitplaneStream,
     _decompress_segment,
+    _row_coder,
 )
 from repro.encoding.huffman import (
     _MAX_CODE_LEN,
@@ -113,18 +114,22 @@ def reference_compress_segment(backend, raw: bytes) -> bytes:
     compression; the production rule samples 4 KiB of segments at least
     16 KiB long instead.  The two agree byte for byte below 16 KiB, and
     above it whenever the first 4 KiB and the first 64 KiB land on the
-    same side of the probe ratio.
+    same side of the probe ratio.  Every row, however short, is
+    compressed, by the production row coder (run-length DEFLATE on zlib):
+    the oracle for the rule that frames rows too short to shrink raw
+    without a call.
     """
+    compress = _row_coder(backend)
     comp = None
     if len(raw) >= _PROBE_MIN:
         probe = raw[:65536]
-        comp_probe = backend.compress_bytes(probe)
+        comp_probe = compress(probe)
         if len(comp_probe) > _PROBE_RATIO * len(probe):
             return _SEG_RAW + raw
         if len(probe) == len(raw):
             comp = comp_probe
     if comp is None:
-        comp = backend.compress_bytes(raw)
+        comp = compress(raw)
     if len(comp) + 1 >= len(raw):
         return _SEG_RAW + raw
     return _SEG_COMPRESSED + comp

@@ -548,7 +548,8 @@ class ShardedDiskStore(FragmentStore):
     fragment's pack, offset and size; a reopen replays the log, so a
     restarted service immediately serves everything archived before.
     Writes are crash-atomic (:meth:`transact`); deletes and overwrites
-    leave dead bytes, which :meth:`compact` reclaims.
+    leave dead bytes, which :meth:`compact` reclaims.  An open creates
+    nothing: the first commit makes the root.
 
     The layout marker records the fan-out width; when reopening a
     directory whose marker disagrees with the *fanout* argument, the
@@ -583,7 +584,6 @@ class ShardedDiskStore(FragmentStore):
         self._log = CommitLog(os.path.join(root, SHARD_INDEX_LOG), fsync=fsync)
         self._compactions = 0
         self._reclaimed_bytes = 0
-        os.makedirs(root, exist_ok=True)
         self._reindex()
 
     # -- the file tables (callers hold self._lock, or are opening) ---------------
@@ -794,7 +794,8 @@ class ShardedDiskStore(FragmentStore):
             placed: dict = {}
             if payloads:
                 txn, placed = self._write_pack(payloads, self._log.fsync_payloads)
-            else:
+            else:  # no pack makes the root: the log append needs it
+                os.makedirs(self.root, exist_ok=True)
                 txn = self._log.reserve()
             entries = [
                 self._entry(key, rel, off, len(payloads[key]))
@@ -883,13 +884,16 @@ class ShardedDiskStore(FragmentStore):
         packs holding dead bytes are touched, never the whole tree.
         Crash-safe: a kill before the rewrite leaves the old log (the
         reopen discards the new pack); one after it leaves orphaned
-        packs, which the reopen discards.
+        packs, which the reopen discards.  With no dead byte it touches
+        nothing and returns the all-zero report (``compactions=0``).
         """
         with self._write_lock:
-            report = CompactionReport(log_bytes_before=self._log.nbytes())
             with self._lock:
                 dead = {rel: tuple(debt) for rel, debt in self._dead.items()}
                 moving = [k for k, (rel, _) in self._index.items() if rel in dead]
+            if not dead:
+                return CompactionReport()
+            report = CompactionReport(log_bytes_before=self._log.nbytes())
             crash_point("compact.begin")
             moved: dict = {}
             if moving:  # the live fragments of partly dead packs

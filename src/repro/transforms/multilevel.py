@@ -162,7 +162,7 @@ class MultilevelTransform:
             self._lift_level(a)
             mask = fine_node_mask(a.shape)
             out.shapes.append(a.shape)
-            out.coefficients.append(a[mask].copy())
+            out.coefficients.append(a[mask])  # a boolean gather is a copy
             corner = tuple(slice(0, None, 2) for _ in a.shape)
             a = a[corner].copy()
         out.coarse = a

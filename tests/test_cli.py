@@ -131,6 +131,53 @@ class TestEndToEnd:
         assert os.listdir(archive_dir) == [".repro-store.json"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,error", [
+        (["info", "--archive", "{ar}"], "no dataset manifest in"),
+        (["retrieve", "--archive", "{ar}", "--qoi", "identity", "--fields", "vx",
+          "--tolerance", "1e-3", "--out", "{out}"], "no dataset manifest in"),
+        (["stats", "--archive", "{ar}"], "nothing archived at"),
+        (["compact", "--archive", "{ar}"], "nothing archived at"),
+    ], ids=["info", "retrieve", "stats", "compact"])
+    @pytest.mark.parametrize("url", [
+        "{p}", "file://{p}", "sharded://{p}", "tiered://{p}/fast?slow=sharded://{p}/slow",
+    ], ids=["plain", "file", "sharded", "tiered"])
+    def test_a_mistyped_archive_fails_in_one_line_and_creates_nothing(
+        self, tmp_path, command, error, url
+    ):
+        archive = url.format(p=tmp_path / "typo_dir")
+        argv = [arg.format(ar=archive, out=tmp_path / "o") for arg in command]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == f"repro {command[0]}: {error} {archive!r}"
+        assert sorted(os.listdir(tmp_path)) == []
+
+    @pytest.mark.parametrize("command", [
+        ["info", "--archive", "{ar}"],
+        ["retrieve", "--archive", "{ar}", "--qoi", "identity", "--fields", "vx",
+         "--tolerance", "1e-3", "--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_a_directory_without_a_manifest_fails_in_one_line(self, tmp_path, command):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = [arg.format(ar=empty, out=tmp_path / "o") for arg in command]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == f"repro {command[0]}: no dataset manifest in {str(empty)!r}"
+        assert os.listdir(empty) == [] and not (tmp_path / "o").exists()
+
+    def test_compacting_a_fresh_archive_rewrites_nothing(self, npy_fields, capsys):
+        _, paths, tmp_path = npy_fields
+        archive_dir = tmp_path / "fresh"
+        assert main(["archive", "--out", str(archive_dir), f"vx={paths['vx']}"]) == 0
+        log = archive_dir / "index.jsonl"
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(["compact", "--archive", str(archive_dir)]) == 0
+        assert capsys.readouterr().out == (
+            f"compacted {archive_dir}: nothing dead to reclaim; log left as it is\n"
+        )
+        assert log.read_bytes() == before
+
     def test_identity_roundtrip(self, npy_fields, capsys):
         fields, paths, tmp_path = npy_fields
         archive_dir = str(tmp_path / "archive2")

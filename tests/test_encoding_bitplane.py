@@ -1,5 +1,8 @@
 """Tests for the progressive bitplane codec (PMGARD's precision mechanism)."""
 
+import base64
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from repro.encoding.bitplane import (
     _compress_segment,
     _decompress_segment,
 )
-from repro.encoding.lossless import ZlibBackend
+from repro.encoding.lossless import ZlibBackend, get_backend
 from repro.encoding.reference import reference_compress_segment
 
 
@@ -199,17 +202,25 @@ class TestSizeAccounting:
 
 
 class _CountingZlib(ZlibBackend):
-    """zlib that adds up the calls and the bytes it was asked to compress."""
+    """zlib that adds up the calls and the bytes it was asked to compress,
+    by either coder (bitplane rows go to :meth:`compress_runs`)."""
 
     def __init__(self):
         super().__init__()
         self.calls = 0
         self.seen = 0
 
-    def compress_bytes(self, payload):
+    def _count(self, payload):
         self.calls += 1
         self.seen += len(payload)
+
+    def compress_bytes(self, payload):
+        self._count(payload)
         return super().compress_bytes(payload)
+
+    def compress_runs(self, payload):
+        self._count(payload)
+        return super().compress_runs(payload)
 
 
 def _payload(kind: str, size: int) -> bytes:
@@ -261,14 +272,23 @@ class TestNoiseScreen:
         assert backend.calls == 9 * (2 if size >= 16384 else 1)
         assert all(segment[:1] == b"\x01" for segment in segments)
 
-    @pytest.mark.parametrize("size", [1, 8, 63])
+    @pytest.mark.parametrize("size", [12, 63])
     def test_short_rows_always_reach_the_backend(self, size):
+        # below the screen's 64 bytes, above the 11 that cannot shrink
         bits = np.random.default_rng(size).integers(0, 2, 8 * size)
         backend = _CountingZlib()
         row, segments = _encode_rows(bits, backend)
         assert backend.seen == 9 * size
         for segment in segments:
-            assert segment == _compress_segment(ZlibBackend(), row)
+            assert segment == reference_compress_segment(ZlibBackend(), row)
+
+    @pytest.mark.parametrize("size", [1, 8, 11])
+    def test_rows_that_cannot_shrink_never_reach_the_backend(self, size):
+        bits = np.random.default_rng(size).integers(0, 2, 8 * size)
+        backend = _CountingZlib()
+        row, segments = _encode_rows(bits, backend)
+        assert backend.calls == 0
+        assert segments == [reference_compress_segment(ZlibBackend(), row)] * 9
 
     def test_repeated_noise_block_is_stored_raw(self):
         # the screen's blind spot: one noise block repeated has noise
@@ -361,3 +381,97 @@ class TestSegmentProbe:
         monkeypatch.setattr(bitplane, "_compress_segment", reference_compress_segment)
         monkeypatch.setattr(bitplane, "_NOISE_MIN_BYTES", float("inf"))
         assert archived == segments()
+
+
+def _short_row(kind: str, size: int) -> bytes:
+    if kind == "zeros":
+        return bytes(size)
+    if kind == "ones":
+        return b"\xff" * size
+    if kind == "runs":  # alternating runs of 5 bytes
+        return bytes(0xFF * ((i // 5) % 2) for i in range(size))
+    return np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+
+
+class TestRowFraming:
+    """A row of at most 11 bytes is framed raw without a backend call, and
+    those are the bytes the full rule (``reference_compress_segment``,
+    which compresses every row) frames: no backend shrinks such a row
+    past its marker byte.  Longer rows still reach the backend."""
+
+    @pytest.mark.parametrize("backend", ["zlib", "huffman", "raw"])
+    @pytest.mark.parametrize("kind", ["zeros", "ones", "runs", "random"])
+    def test_rows_of_at_most_11_bytes_match_the_oracle_without_a_call(self, kind, backend):
+        counting = _CountingZlib()
+        for size in range(1, 12):
+            raw = _short_row(kind, size)
+            assert _compress_segment(counting, raw) == b"\x00" + raw
+            assert reference_compress_segment(get_backend(backend), raw) == b"\x00" + raw
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("kind", ["zeros", "ones", "runs", "random"])
+    @pytest.mark.parametrize("size", [12, 13, 40, 4095, 4096])
+    def test_longer_rows_reach_the_backend(self, kind, size):
+        raw = _short_row(kind, size)
+        counting = _CountingZlib()
+        framed = _compress_segment(counting, raw)
+        assert counting.calls == 1 and counting.seen == size
+        assert framed == reference_compress_segment(ZlibBackend(), raw)
+        assert _decompress_segment(ZlibBackend(), framed, size) == raw
+
+    def test_a_12_byte_run_is_the_shortest_row_that_compresses(self):
+        assert _compress_segment(ZlibBackend(), bytes(12))[:1] == b"\x01"
+        assert _compress_segment(ZlibBackend(), bytes(11)) == b"\x00" + bytes(11)
+
+    def test_rows_are_run_length_deflate_and_other_payloads_are_not(self):
+        raw = bytes(100) + b"\x0f" * 100
+        packer = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+        assert _compress_segment(ZlibBackend(), raw) == b"\x01" + packer.compress(raw) + packer.flush()
+        assert ZlibBackend().compress_bytes(raw) == zlib.compress(raw, 6)
+
+
+#: A stream encoded by the level-6 (LZ77) row coder that run-length
+#: DEFLATE replaced: :func:`_compat_coeffs` with 20 planes, its sign
+#: segment and then its plane segments, concatenated.
+_LZ77_SEGMENT_LENGTHS = [18, 26, 39, 39, 35, 35, 35, 35, 35, 35, 36, 34, 35, 31, 13, 13, 13, 13, 13, 13, 13]
+_LZ77_SEGMENTS = base64.b64decode(
+    "AXic+/8fDfwpPMaAAQAoeBMjAXic+/8fDP5ZHmdAB8xzCiGS/z8AAF46EfEA///+"
+    "OOcAAAHGOP///nHHAAAAAAAAAAOOcf///GOOAAAHHHP///AAnHHBxxgcc4HGOBzj"
+    "gY44OOOQAADHHOxxjsc47GOOzjjo44yOOcABeJxL7jM8LvG4p/CYxWOZwj6L4zIJ"
+    "DAwwZjJMzgAAQ9YQgQF4nEvuMzwu8bin8JjFY5nCPovjMgkMDDBmMkzOAABD1hCB"
+    "AXicS+4zPC7xuKfwmMVjmcI+i+MyCQwMMGYyTM4AAEPWEIEBeJxL7jM8LvG4p/CY"
+    "xWOZwj6L4zIJDAwwZjJMzgAAQ9YQgQF4nEvuMzwu8bin8JjFY5nCPovjMgkMDDBm"
+    "MkzOAABD1hCBAXicS+4zPC7xuKfwmMVjmcI+i+MyCQwMMGYyTM4AAEPWEIEBeJx7"
+    "3Fd43OLxnMJzFs9livssj8s8YnBE4T8GKjAAAIVBE0IBeJxT2TYp2lN3ybRL3pmq"
+    "Wybd8sxVtVmELqSyAQBTMhGkAXic852sdnJyyslNKTeNcmaa+cxW85lpBmf7QiUT"
+    "AFSaEWwBeJzTjJqy1itsqXbQ1JVeV5ZmBW3VxCKwAABPYxGoAXicY2AgBgAAACYA"
+    "AQF4nGNgIAYAAAAmAAEBeJxjYCAGAAAAJgABAXicY2AgBgAAACYAAQF4nGNgIAYA"
+    "AAAmAAEBeJxjYCAGAAAAJgABAXicY2AgBgAAACYAAQ=="
+)
+
+
+def _compat_coeffs() -> np.ndarray:
+    """Steps of 1/4 with a period-17 ripple of 2**-12: exact in binary."""
+    i = np.arange(300)
+    return ((i // 20) - 7) * 0.25 + ((i * 7919) % 17 - 8) * 2.0**-12
+
+
+class TestLZ77SegmentsStillDecode:
+    """Segments written before rows were run-length coded are one format
+    with today's: inflate reads a level-6 stream as it reads an RLE one."""
+
+    def test_pinned_stream_decodes_bit_identically(self):
+        today = BitplaneEncoder(num_planes=20).encode(_compat_coeffs())
+        cuts = np.cumsum([0, *_LZ77_SEGMENT_LENGTHS])
+        sign, *planes = [_LZ77_SEGMENTS[a:b] for a, b in zip(cuts, cuts[1:])]
+        pinned = BitplaneEncoder(num_planes=20).encode(_compat_coeffs())
+        pinned.sign_segment, pinned.plane_segments = sign, planes
+        # the pinned rows are LZ77 streams (header 78 9c), today's RLE (78 01)
+        assert sign[:3] == b"\x01\x78\x9c" and today.sign_segment[:3] == b"\x01\x78\x01"
+        assert pinned.plane_segments != today.plane_segments
+        old, new = BitplaneDecoder(pinned), BitplaneDecoder(today)
+        for k in range(21):
+            old.advance_to(k)
+            new.advance_to(k)
+            assert old.reconstruct().tobytes() == new.reconstruct().tobytes(), k
+        assert old.reconstruct().tobytes() == _compat_coeffs().tobytes()

@@ -17,12 +17,20 @@ from hypothesis.extra import numpy as hnp
 
 from repro.compressors.pmgard import PlanTable, PMGARDRefactorer, _hull_steps
 from repro.compressors.pzfp import PZFPRefactorer
-from repro.encoding.bitplane import BitplaneDecoder, BitplaneEncoder
+from repro.encoding.bitplane import (
+    BitplaneDecoder,
+    BitplaneEncoder,
+    CorruptSegmentError,
+    _compress_segment,
+    _decompress_segment,
+)
+from repro.encoding.lossless import ZlibBackend
 from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.reference import (
     ReferenceBitplaneDecoder,
     reference_bitplane_encode,
     reference_coefficient_bounds,
+    reference_compress_segment,
     reference_huffman_decode,
     reference_huffman_encode,
     reference_hull_steps,
@@ -98,6 +106,46 @@ class TestBitplaneBitExact:
         dec_ref = ReferenceBitplaneDecoder(ref, backend="raw")
         dec_ref.advance_to(num_planes)
         assert np.array_equal(dec.reconstruct(), dec_ref.reconstruct())
+
+
+@st.composite
+def _bit_rows(draw):
+    """Packed bit rows as bitplanes have them: runs of equal bits (the
+    shape run-length DEFLATE codes) or raw noise bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(min_size=1, max_size=300))
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 600)), min_size=1, max_size=30))
+    bits = np.concatenate([np.full(n, bit, dtype=np.uint8) for bit, n in runs])
+    return np.packbits(bits).tobytes()
+
+
+class TestRowFramingRoundTrips:
+    """Every bitplane row, run-length framed, inflates back to itself and
+    to the oracle's bytes; a truncated segment fails its decode with the
+    typed :class:`CorruptSegmentError`."""
+
+    @given(_bit_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_inflate_back_exactly(self, raw):
+        backend = ZlibBackend()
+        framed = _compress_segment(backend, raw)
+        assert framed == reference_compress_segment(backend, raw)
+        assert _decompress_segment(backend, framed, len(raw)) == raw
+
+    @given(_bit_rows(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_truncated_row_raises_the_typed_error(self, raw, data):
+        # coefficients whose sign row and every plane row are *raw*
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        bits[0] = 1  # a nonzero group has segments
+        stream = BitplaneEncoder(num_planes=4).encode(np.where(bits == 1, -0.9375, 0.0))
+        plane = data.draw(st.integers(0, 3))
+        segment = stream.plane_segments[plane]
+        stream.plane_segments[plane] = segment[: data.draw(st.integers(0, len(segment) - 1))]
+        decoder = BitplaneDecoder(stream)
+        decoder.advance_to(plane)
+        with pytest.raises(CorruptSegmentError, match=f"plane {plane}"):
+            decoder.advance_to(plane + 1)
 
 
 class TestHuffmanBitExact:

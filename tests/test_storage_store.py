@@ -14,6 +14,7 @@ from repro.storage.metadata import (
     VariableMetadata,
 )
 from repro.storage.store import FragmentStore, ShardedDiskStore, open_store
+from repro.storage.wal import CompactionReport
 from test_round_trips import CountingStore
 
 #: ``DatasetManifest.to_json()`` of the last format-1 revision, verbatim:
@@ -437,6 +438,22 @@ class TestOnDiskFormat:
             ("a/b", "L0:p3"): b"abc", ("a/b", "L0:p4"): b"de",
         }
         assert reopened.durability().dead_bytes == 0
+        # nothing is dead any more: a second pass touches nothing
+        assert reopened.compact() == CompactionReport()
+        assert read_tree(root) == compacted
+
+    def test_compacting_with_nothing_dead_leaves_the_log_byte_identical(self, tmp_path):
+        root = str(tmp_path / "ar")
+        store = ShardedDiskStore(root)
+        store.put_many([("a/b", "L0:p3", b"abc"), ("vx", "idx", b"hello")])
+        store.put_many([("a/b", "L0:p4", b"de")])
+        before = read_tree(root)
+        log = os.path.join(root, "index.jsonl")
+        stamp = os.stat(log).st_mtime_ns
+        assert store.compact() == CompactionReport()  # compactions=0, all zero
+        assert read_tree(root) == before
+        assert os.stat(log).st_mtime_ns == stamp  # not rewritten in place either
+        assert store.durability().compactions == 0
 
     def test_marker_fanout_outranks_the_constructor_argument(self, tmp_path):
         root = str(tmp_path / "ar")
